@@ -30,7 +30,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output directory (overrides config and env)")
     p_run.add_argument("--seed", type=int, help="override master_seed")
     p_run.add_argument("--study", choices=["blp", "rhp", "entanglement", "toy", "all"])
-    p_run.add_argument("--threads", type=int, default=1, help="parallel cells (default 1)")
+    p_run.add_argument(
+        "--threads", type=int, default=1,
+        help="number of worker processes running cells in parallel (default 1)",
+    )
 
     p_rep = sub.add_parser("report", help="summarize a result bundle")
     p_rep.add_argument("--in", dest="in_dir", required=True, help="result directory")

@@ -4,8 +4,13 @@ Information backflow is scored by the discrete accumulation
 
     N(t) = N(t-1) + max(0, D(t) - D(t-1)),      D = trace distance,
 
-maximized over initial state pairs with simulated annealing. Failure of
-CP-divisibility is scored through the one-step intermediate maps:
+maximized over initial state pairs with simulated annealing. D depends on
+a pair (r, s) of Bloch vectors only through their difference: with the real
+3x3 Bloch-frame matrices M(t) of the reduced maps, D(t) = |M(t)(r - s)|/2,
+which is what the annealer scores. Its restarts are independent seeded
+chains, advanced in lockstep with one batched objective call per step.
+
+Failure of CP-divisibility is scored through the one-step intermediate maps:
 
     g(t) = || Choi(L(t, t-1)) ||_1 - 1,     I_RHP(t) = sum_{s<=t} g(s).
 
@@ -189,25 +194,47 @@ def blp_series(
     )
 
 
-def _blp_objective(stack: np.ndarray, pair_vec: np.ndarray) -> float:
-    dist = _distance_series(stack, bloch_state(pair_vec[:3]), bloch_state(pair_vec[3:]))
-    inc = np.diff(dist)
-    return float(inc[inc > 0].sum())
+# Row-major vec of the Pauli matrices sigma_x, sigma_y, sigma_z, as columns.
+_PAULI_VECS = np.array([[0, 0, 1], [1, -1j, 0], [1, 1j, 0], [0, 0, -1]], dtype=complex)
 
 
-def _project_ball(pair_vec: np.ndarray) -> np.ndarray:
-    out = pair_vec.copy()
-    for h in (0, 3):
-        n = np.linalg.norm(out[h : h + 3])
-        if n > 1.0:
-            out[h : h + 3] /= n
-    return out
+def _bloch_matrices(stack: np.ndarray) -> np.ndarray:
+    """Real 3x3 Bloch-frame matrices M_ij(t) = Re tr(sigma_i L(t,0)[sigma_j]) / 2.
 
-_AXIS_PAIRS = [
-    np.array([1.0, 0, 0, -1.0, 0, 0]),
-    np.array([0, 1.0, 0, 0, -1.0, 0]),
-    np.array([0, 0, 1.0, 0, 0, -1.0]),
-]
+    The maps are trace and Hermiticity preserving, so a traceless difference
+    (d . sigma)/2 evolves to ((M d) . sigma)/2, whose trace distance is |M d|/2.
+    """
+    return 0.5 * (_PAULI_VECS.conj().T @ stack @ _PAULI_VECS).real
+
+
+def _blp_objective(bloch: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """N(t_max) for each row (r, s) of the (n, 6) array ``pairs``.
+
+    Scored through the Bloch difference alone: D(t) = |M(t)(r - s)|/2, and N
+    is the sum of the positive increments of D.
+    """
+    if np.linalg.norm(pairs.reshape(-1, 3), axis=1).max() > 1.0 + 1e-12:
+        raise ValueError("Bloch vector outside the unit ball")
+    diff = pairs[:, :3] - pairs[:, 3:]
+    evolved = (diff @ bloch.reshape(-1, 3).T).reshape(len(pairs), -1, 3)
+    dist = 0.5 * np.linalg.norm(evolved, axis=2)
+    return np.maximum(dist[:, 1:] - dist[:, :-1], 0.0).sum(axis=1)
+
+
+def _project_ball(pairs: np.ndarray) -> np.ndarray:
+    """Scale every Bloch vector of the (n, 6) pairs that lies outside the ball onto it."""
+    halves = pairs.reshape(-1, 2, 3)
+    norms = np.linalg.norm(halves, axis=2, keepdims=True)
+    return (halves / np.maximum(norms, 1.0)).reshape(pairs.shape)
+
+
+_AXIS_PAIRS = np.array(
+    [
+        [1.0, 0, 0, -1.0, 0, 0],
+        [0, 1.0, 0, 0, -1.0, 0],
+        [0, 0, 1.0, 0, 0, -1.0],
+    ]
+)
 
 
 def maximize_blp(
@@ -215,41 +242,58 @@ def maximize_blp(
 ) -> tuple[StatePair, float, MeasureSeries]:
     """Simulated-annealing search for the pair maximizing N(t_max).
 
-    Both members range over the full Bloch ball. Deterministic for a fixed
-    schedule seed; the returned N is recomputed through blp_series on the
-    winning pair. When ``trace_path`` is given, a per-temperature audit CSV
-    (restart, temperature, accepted count, best-so-far) is written there.
+    Both members range over the full Bloch ball. Each restart is an
+    independent chain with its own generator, seeded ``[seed, restart]``;
+    the chains advance in lockstep with one batched objective per step.
+    Deterministic for a fixed schedule seed; the returned N is recomputed
+    through blp_series on the winning pair. When ``trace_path`` is given, a
+    per-temperature audit CSV (restart, temperature, accepted count,
+    best-so-far) is written there, restart by restart.
     """
     channels = channel_matrix_series(ew, t_max)
-    stack = _series_stack(channels)
-    best_axis = max(_AXIS_PAIRS, key=lambda v: _blp_objective(stack, v))
-    best_vec = best_axis.copy()
-    best_val = _blp_objective(stack, best_vec)
+    bloch = _bloch_matrices(_series_stack(channels))
+    axis_vals = _blp_objective(bloch, _AXIS_PAIRS)
+    best_axis = _AXIS_PAIRS[int(np.argmax(axis_vals))]
+
+    # Each chain consumes its own generator in the order of a one-chain-at-a-time
+    # loop: normal(size=6) for its start (restarts > 0), then per step one
+    # normal(size=6) and, only when the proposal is no better, one random().
+    # The path, and so the result, depends on nothing else.
+    rngs = [np.random.default_rng([schedule.seed, r]) for r in range(schedule.restarts)]
+    current = _project_ball(np.stack([best_axis] + [rng.normal(size=6) for rng in rngs[1:]]))
+    cur_val = _blp_objective(bloch, current)
+    chain_best, chain_best_val = current.copy(), cur_val.copy()
+    levels = []  # (temperature, accepted per chain, chain bests so far)
+    noise = np.empty_like(current)
+    temperature = schedule.initial_temperature
+    while temperature > schedule.temperature_floor:
+        accepted = np.zeros(len(rngs), dtype=int)
+        for _ in range(schedule.steps_per_temperature):
+            for c, rng in enumerate(rngs):
+                noise[c] = rng.normal(scale=schedule.proposal_stddev, size=6)
+            prop = _project_ball(current + noise)
+            val = _blp_objective(bloch, prop)
+            gain = val - cur_val
+            # Odds are only read where gain <= 0; clamping keeps exp from overflowing.
+            odds = np.exp(np.minimum(gain, 0.0) / temperature)
+            take = np.array(
+                [g > 0 or rng.random() < o for g, o, rng in zip(gain, odds, rngs)]
+            )
+            current[take], cur_val[take] = prop[take], val[take]
+            accepted += take
+            better = cur_val > chain_best_val
+            chain_best[better], chain_best_val[better] = current[better], cur_val[better]
+        levels.append((temperature, accepted, chain_best_val.copy()))
+        temperature *= schedule.cooling_factor
+
+    # Merge in restart order with a strict '>', as the sequential loop would.
+    best_vec, best_val = best_axis, float(axis_vals.max())
     trace_rows = []
-    for restart in range(schedule.restarts):
-        rng = np.random.default_rng([schedule.seed, restart])
-        if restart == 0:
-            current = best_axis.copy()
-        else:
-            current = _project_ball(rng.normal(size=6))
-        cur_val = _blp_objective(stack, current)
-        if cur_val > best_val:
-            best_val, best_vec = cur_val, current.copy()
-        temperature = schedule.initial_temperature
-        while temperature > schedule.temperature_floor:
-            accepted = 0
-            for _ in range(schedule.steps_per_temperature):
-                prop = _project_ball(
-                    current + rng.normal(scale=schedule.proposal_stddev, size=6)
-                )
-                val = _blp_objective(stack, prop)
-                if val > cur_val or rng.random() < np.exp((val - cur_val) / temperature):
-                    current, cur_val = prop, val
-                    accepted += 1
-                    if cur_val > best_val:
-                        best_val, best_vec = cur_val, current.copy()
-            trace_rows.append((restart, temperature, accepted, best_val))
-            temperature *= schedule.cooling_factor
+    for r in range(len(rngs)):
+        for temperature, accepted, bests in levels:
+            trace_rows.append((r, temperature, int(accepted[r]), max(best_val, float(bests[r]))))
+        if chain_best_val[r] > best_val:
+            best_vec, best_val = chain_best[r], float(chain_best_val[r])
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)

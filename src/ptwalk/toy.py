@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import SpectrumNotReal
+from .errors import ConfigInvalid, SpectrumNotReal
 from .linalg import eig, partial_trace
 from .measures import von_neumann_entropy
 
@@ -57,13 +57,17 @@ class ToyConfig:
     t_max: float = 10.0
     dt: float = 0.05
 
+    def __post_init__(self):
+        if (self.h_a is None) != (self.h_b is None):
+            raise ConfigInvalid([("toy", "custom h_a and h_b must be given together")])
+
     def hamiltonians(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.h_a is not None and self.h_b is not None:
+        if self.h_a is not None:
             return np.asarray(self.h_a, complex), np.asarray(self.h_b, complex)
         return toy_hamiltonians(self.variant)
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "variant": self.variant,
             "weights_a1": list(self.weights_a1),
             "weights_b1": list(self.weights_b1),
@@ -73,6 +77,11 @@ class ToyConfig:
             "t_max": self.t_max,
             "dt": self.dt,
         }
+        if self.h_a is not None:
+            # Custom blocks as nested [re, im] pairs, so JSON carries them exactly.
+            for key, h in zip(("h_a", "h_b"), self.hamiltonians()):
+                d[key] = np.stack([h.real, h.imag], axis=-1).tolist()
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyConfig":
@@ -80,6 +89,12 @@ class ToyConfig:
         for key in ("weights_a1", "weights_b1", "weights_a2", "weights_b2"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
+        for key in ("h_a", "h_b"):
+            if kwargs.get(key) is not None:
+                pairs = np.asarray(kwargs[key], dtype=float)
+                if pairs.shape != (2, 2, 2):
+                    raise ValueError(f"toy {key} must be a 2x2 matrix of [re, im] pairs")
+                kwargs[key] = pairs[..., 0] + 1j * pairs[..., 1]
         return cls(**kwargs)
 
 

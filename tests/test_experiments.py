@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ptwalk import ConfigInvalid, ExperimentConfig, MissingArtifacts, load_config, report, run
@@ -63,6 +65,38 @@ def test_config_validation_messages():
         load_config("/nonexistent/config.json")
     with pytest.raises(ConfigInvalid):
         ExperimentConfig.from_dict({"lattice_dimension": 3})
+
+
+def custom_toy():
+    h_a = np.array([[np.exp(0.7j), 1.1], [1.1, np.exp(-0.7j)]])
+    h_b = np.array([[np.exp(2.3j), 1.4 + 0.1j], [1.4 - 0.1j, np.exp(-2.3j)]])
+    return ToyConfig(h_a=h_a, h_b=h_b, t_max=1.0, dt=0.1)
+
+
+def test_manifest_reproduces_custom_toy(tmp_path):
+    cfg = dataclasses.replace(tiny_config(tmp_path / "a", study="toy"), toy=custom_toy())
+    manifest = run(cfg)
+    back = ExperimentConfig.from_dict(json.loads(json.dumps(manifest["config"])))
+    for got, want in zip(back.toy.hamiltonians(), cfg.toy.hamiltonians()):
+        assert np.array_equal(got, want)
+    assert back.to_dict() == cfg.to_dict()
+    rerun = run(back, out_dir=tmp_path / "b")
+    hashes = lambda m: {a["path"]: a["sha256"] for a in m["artifacts"] if a["path"].endswith(".csv")}
+    assert hashes(rerun) == hashes(manifest)
+
+
+def test_toy_config_rejects_a_single_custom_block():
+    h_a, _ = custom_toy().hamiltonians()
+    with pytest.raises(ConfigInvalid):
+        ToyConfig(h_a=h_a)
+    toy = custom_toy().to_dict()
+    del toy["h_b"]
+    with pytest.raises(ConfigInvalid):
+        ExperimentConfig.from_dict({"toy": toy})
+    toy = custom_toy().to_dict()
+    toy["h_b"] = [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(ConfigInvalid):
+        ExperimentConfig.from_dict({"toy": toy})
 
 
 def test_run_writes_artifacts_and_manifest(tmp_path):

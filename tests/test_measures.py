@@ -156,8 +156,9 @@ def test_maximize_blp_tracks_dense_direction_oracle():
     # The objective depends only on the Bloch difference and scales linearly
     # with its length, so the exact maximum sits on antipodal pure pairs;
     # a dense direction grid gives an independent lower-bound oracle.
+    from anneal_reference import _blp_objective
     from ptwalk.channel import channel_matrix_series
-    from ptwalk.measures import _blp_objective, _series_stack
+    from ptwalk.measures import _series_stack
 
     ew = walk(1.2, MetricSpec(kind="random_xy", seed=11), size=41)
     t_max = 20
@@ -171,6 +172,58 @@ def test_maximize_blp_tracks_dense_direction_oracle():
             best_grid = max(best_grid, _blp_objective(stack, np.concatenate([d, -d])))
     _, n_max, _ = maximize_blp(ew, quick_schedule(), t_max)
     assert n_max >= best_grid - 5e-3
+
+
+@pytest.mark.parametrize(
+    "gamma_factor, spec, size, t_max, schedule",
+    [
+        (1.2, MetricSpec(kind="random_xy", seed=11), 61, 25, quick_schedule()),
+        (1.3, FLAT, 41, 20, quick_schedule(seed=2029)),
+        (1.0, MetricSpec(kind="random_xy", seed=23), 41, 20, quick_schedule(seed=3)),
+        (1.3, MetricSpec(kind="random_xy", seed=5), 41, 20, AnnealSchedule(
+            initial_temperature=0.2, cooling_factor=0.7, steps_per_temperature=30,
+            proposal_stddev=0.5, restarts=1, seed=11, temperature_floor=1e-3)),
+        (1.2, FLAT, 101, 50, AnnealSchedule(seed=2024)),
+    ],
+)
+def test_maximize_blp_matches_sequential_reference(tmp_path, gamma_factor, spec, size, t_max, schedule):
+    # The lockstep, Bloch-frame annealer must walk exactly the path of the
+    # one-chain-at-a-time annealer that scores pairs through the 4x4 stack.
+    from anneal_reference import maximize_blp_sequential
+
+    ew = walk(gamma_factor, spec, size=size)
+    ref_path, new_path = tmp_path / "ref.csv", tmp_path / "new.csv"
+    ref_pair, ref_n, ref_series = maximize_blp_sequential(ew, schedule, t_max, trace_path=ref_path)
+    pair, n_max, series = maximize_blp(ew, schedule, t_max, trace_path=new_path)
+    assert n_max == pytest.approx(ref_n, abs=1e-12)
+    for key in ("bloch_rho", "bloch_sigma"):
+        assert np.abs(np.subtract(series.meta[key], ref_series.meta[key])).max() <= 1e-12
+    assert np.abs(pair.rho - ref_pair.rho).max() <= 1e-12
+    ref_rows = [line.split(",") for line in ref_path.read_text().splitlines()]
+    new_rows = [line.split(",") for line in new_path.read_text().splitlines()]
+    assert ref_rows[0] == new_rows[0]
+    assert len(ref_rows) == len(new_rows)
+    for ref_row, new_row in zip(ref_rows[1:], new_rows[1:]):
+        assert (new_row[0], new_row[2]) == (ref_row[0], ref_row[2])
+        assert float(new_row[3]) == pytest.approx(float(ref_row[3]), abs=1e-12)
+
+
+def test_bloch_matrices_reproduce_distance_series():
+    # D(t) = |M(t)(r - s)|/2 must agree with the trace distances read from
+    # the 4x4 channel-matrix stack for arbitrary pairs in the Bloch ball.
+    from ptwalk.channel import channel_matrix_series
+    from ptwalk.measures import _bloch_matrices, _distance_series, _series_stack
+
+    rng = np.random.default_rng(52)
+    for factor, spec in ((1.0, FLAT), (1.3, MetricSpec(kind="random_xy", seed=11))):
+        stack = _series_stack(channel_matrix_series(walk(factor, spec, size=61), 30))
+        bloch = _bloch_matrices(stack)
+        assert bloch.shape == (31, 3, 3)
+        assert np.allclose(bloch[0], np.eye(3), atol=1e-15)
+        for _ in range(20):
+            r, s = (v / max(1.0, np.linalg.norm(v)) for v in rng.normal(size=(2, 3)))
+            expected = _distance_series(stack, bloch_state(r), bloch_state(s))
+            assert np.abs(0.5 * np.linalg.norm(bloch @ (r - s), axis=1) - expected).max() <= 1e-14
 
 
 def test_anneal_schedule_validation():
