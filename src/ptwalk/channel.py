@@ -1,16 +1,41 @@
-"""Reduced coin dynamics in the unitary frame, and its channel machinery.
+"""Reduced coin dynamics in the unitary frame: a momentum average of Bloch rotations.
 
 The similarity W_eta(k) = eta(k) W_c(k) eta(k)^{-1} is unitary in the
-unbroken regime. Starting the walker at the origin with coin state rho_c,
+unbroken regime and has unit determinant, so every block is an SU(2)
+rotation
+
+    W_eta(k) = cos(eps_k) I - i sin(eps_k) (n_k . sigma),    cos(eps_k) = a(k).
+
+Starting the walker at the origin with coin state rho_c = (I + r . sigma)/2,
 the reduced coin state after t steps is the momentum average
 
-    rho_c(t) = (1/L) sum_k W_eta(k)^t rho_c W_eta(k)†^t .
+    rho_c(t) = (1/L) sum_k W_eta(k)^t rho_c W_eta(k)†^t = (I + (M(t) r) . sigma)/2,
 
-The t-step map is represented by a 4x4 matrix L(t, 0) acting on row-major
-vectorized coin states, with columns vec(map(E_ij)) over the matrix units
-in the order E11, E12, E21, E22. Map composition is matrix multiplication,
-so the one-step intermediate map is L(t+1, t) = L(t+1, 0) L(t, 0)^{-1}, and
-its Choi matrix is
+and the real 3x3 Bloch matrix M(t) has the closed form
+
+    M(t) = (1/L) sum_k [ n_k n_k^T + cos(2t eps_k)(I - n_k n_k^T) + sin(2t eps_k) [n_k]_x ],
+
+evaluated as I - (1/L) sum_k 2 sin^2(t eps_k)(I - n_k n_k^T) + (1/L) sum_k
+sin(2t eps_k) [n_k]_x, which is exactly I at t = 0. No block powers are taken.
+
+The metric picks only the axes n_k. The angles are read from a(k)
+(``spectral_a``), not from the trace of W_eta(k): they are then
+bit-identical across metrics, so in the Hermitian limit the reduced maps of
+different metrics differ only by roundoff in the axes, and the inversions
+behind the CP-indivisibility measure do not amplify a metric-dependent angle
+error. Where |a(k)| = 1, which only a unitary walk under the flat metric
+admits, the block is +-I up to roundoff: its angle is read from the block,
+and the axis is arbitrary where the rotation is exactly the identity. The
+sums over k run in blocks of steps holding at most BLOCK_ELEMENTS
+(step, momentum) entries, so the cos/sin temporaries stay bounded at any
+horizon.
+
+The t-step map is also represented by a 4x4 matrix L(t, 0) acting on
+row-major vectorized coin states, with columns vec(map(E_ij)) over the
+matrix units in the order E11, E12, E21, E22. The maps are unital, so
+L(t, 0) is diag(1, M(t)) in the Pauli basis (I, sigma_x, sigma_y,
+sigma_z)/sqrt(2). Map composition is matrix multiplication, so the one-step
+intermediate map is L(t+1, t) = L(t+1, 0) L(t, 0)^{-1}, and its Choi matrix is
 
     C = devec[ U23 (L (x) I4) U23 vec(|Phi><Phi|) ],
 
@@ -25,17 +50,30 @@ import numpy as np
 from .errors import BrokenRegime, LightConeViolation, NotPositive
 from .linalg import devec
 from .metric import MetricSpec, build_metric
-from .walk import BlockOperator, WalkParams, is_unbroken, walk_operator
+from .walk import (
+    UNBROKEN_MARGIN,
+    BlockOperator,
+    WalkParams,
+    is_unbroken,
+    spectral_a,
+    walk_operator,
+)
 
 # Condition number beyond which the intermediate-map inversion is flagged
 # and a cutoff pseudo-inverse is used instead of a direct solve.
 ILL_CONDITION_LIMIT = 1e12
 PINV_RCOND = 1e-12
+# Cap on the (steps x momenta) cos/sin temporaries of the closed form.
+BLOCK_ELEMENTS = 1 << 14
 
-_MATRIX_UNITS = np.zeros((4, 2, 2), dtype=complex)
-for _i in range(2):
-    for _j in range(2):
-        _MATRIX_UNITS[2 * _i + _j, _i, _j] = 1.0
+# Row-major vec of I, sigma_x, sigma_y, sigma_z, as columns: vec(rho) =
+# _PAULI (1, r) / 2 for rho = (I + r . sigma)/2, and _PAULI† _PAULI = 2 I.
+_PAULI = np.array(
+    [[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]], dtype=complex
+)
+# _PAULI_OUTER[i, j] = p_i p_j† / 2 for the columns p of _PAULI, so that
+# L(t, 0) = _PAULI_OUTER[0, 0] + sum_ij M_ij(t) _PAULI_OUTER[i+1, j+1].
+_PAULI_OUTER = np.einsum("ai,bj->ijab", _PAULI, _PAULI.conj()) / 2.0
 
 _SWAP23 = np.kron(
     np.eye(2),
@@ -51,7 +89,12 @@ _VEC_PHI = np.outer(_PHI, _PHI.conj()).reshape(16)
 
 @dataclass(frozen=True)
 class EuclideanWalk:
-    """Walk mapped to the unitary frame of a chosen metric."""
+    """Walk mapped to the unitary frame of a chosen metric.
+
+    ``ep_gap`` is min_k (1 - |a(k)|), the distance of the grid spectrum from
+    the exceptional point; ``metric_condition_max`` is the largest
+    lambda_max / lambda_min over the metric blocks.
+    """
 
     params: WalkParams
     spec: MetricSpec
@@ -60,6 +103,8 @@ class EuclideanWalk:
     eta_inv_blocks: BlockOperator
     w_eta_blocks: BlockOperator
     unitarity_residual: float
+    ep_gap: float
+    metric_condition_max: float
 
 
 @dataclass(frozen=True)
@@ -82,24 +127,25 @@ class ChannelMatrix:
 
 
 def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
-    """Construct the metric, its square root and the unitary blocks W_eta(k)."""
+    """Construct the metric, its square root and the unitary blocks W_eta(k).
+
+    One stacked ``eigh`` of the (L, 2, 2) metric gives eta = sqrt(G), its
+    inverse and the blocks W_eta = eta W_c eta^{-1} for the whole grid.
+    """
     if not is_unbroken(p) and not (p.gamma == 0.0 and spec.kind == "g1_flat"):
         raise BrokenRegime("walk is at or beyond its exceptional point")
     g = build_metric(p, spec)
     w = walk_operator(p)
-    etas = np.empty_like(g.blocks)
-    eta_invs = np.empty_like(g.blocks)
-    w_etas = np.empty_like(g.blocks)
-    for i, block in enumerate(g.blocks):
-        vals, vecs = np.linalg.eigh(block)
-        if vals.min() <= 0:
-            raise NotPositive(f"metric block {i} not positive definite")
-        etas[i] = (vecs * np.sqrt(vals)) @ vecs.conj().T
-        eta_invs[i] = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        w_etas[i] = etas[i] @ w.blocks[i] @ eta_invs[i]
-    residual = max(
-        float(np.abs(b.conj().T @ b - np.eye(2)).max()) for b in w_etas
-    )
+    vals, vecs = np.linalg.eigh(g.blocks)
+    bad = np.flatnonzero(vals[:, 0] <= 0)
+    if bad.size:
+        raise NotPositive(f"metric block {bad[0]} not positive definite")
+    vecs_h = vecs.conj().swapaxes(1, 2)
+    root = np.sqrt(vals)[:, None, :]
+    etas = (vecs * root) @ vecs_h
+    eta_invs = (vecs / root) @ vecs_h
+    w_etas = etas @ w.blocks @ eta_invs
+    residual = float(np.abs(w_etas.conj().swapaxes(1, 2) @ w_etas - np.eye(2)).max())
     return EuclideanWalk(
         params=p,
         spec=spec,
@@ -108,6 +154,8 @@ def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
         eta_inv_blocks=BlockOperator(g.points, eta_invs),
         w_eta_blocks=BlockOperator(g.points, w_etas),
         unitarity_residual=residual,
+        ep_gap=float((1.0 - np.abs(spectral_a(g.points, p))).min()),
+        metric_condition_max=float((vals[:, 1] / vals[:, 0]).max()),
     )
 
 
@@ -133,57 +181,122 @@ def _check_horizon(ew: EuclideanWalk, t: int) -> None:
         )
 
 
+def _rotations(ew: EuclideanWalk) -> tuple[np.ndarray, np.ndarray]:
+    """Angles eps_k, shape (L,), and unit axes n_k, shape (L, 3), of the blocks."""
+    w = ew.w_eta_blocks.blocks
+    # sin(eps) n read off W = cos(eps) I - i sin(eps) (n . sigma)
+    v = np.stack(
+        [
+            (0.5j * (w[:, 0, 1] + w[:, 1, 0])).real,
+            (0.5 * (w[:, 1, 0] - w[:, 0, 1])).real,
+            (0.5j * (w[:, 0, 0] - w[:, 1, 1])).real,
+        ],
+        axis=1,
+    )
+    sin_eps = np.linalg.norm(v, axis=1)
+    a = spectral_a(ew.w_eta_blocks.points, ew.params)
+    # |a| = 1 only for a unitary walk under the flat metric, where the block
+    # is +-I up to roundoff: acos(a) would amplify that roundoff, atan2 does not
+    degenerate = np.abs(a) >= 1.0 - UNBROKEN_MARGIN
+    eps = np.where(
+        degenerate,
+        np.arctan2(sin_eps, 0.5 * np.trace(w, axis1=1, axis2=2).real),
+        np.arccos(np.clip(a, -1.0, 1.0)),
+    )
+    axes = np.zeros_like(v)
+    axes[:, 2] = 1.0  # any axis will do where the rotation is the identity
+    turning = sin_eps > 0.0
+    axes[turning] = v[turning] / sin_eps[turning, None]
+    return eps, axes
+
+
+def _bloch_matrices(ew: EuclideanWalk, steps: np.ndarray) -> np.ndarray:
+    """M(t) for every t of ``steps``, shape (len(steps), 3, 3), in closed form."""
+    eps, n = _rotations(ew)
+    size = len(eps)
+    transverse = (np.eye(3) - n[:, :, None] * n[:, None, :]).reshape(size, 9) / size
+    cross = np.zeros((size, 3, 3))
+    cross[:, 0, 1], cross[:, 0, 2] = -n[:, 2], n[:, 1]
+    cross[:, 1, 0], cross[:, 1, 2] = n[:, 2], -n[:, 0]
+    cross[:, 2, 0], cross[:, 2, 1] = -n[:, 1], n[:, 0]
+    cross = cross.reshape(size, 9) / size
+    out = np.empty((len(steps), 9))
+    chunk = max(1, BLOCK_ELEMENTS // size)
+    for lo in range(0, len(steps), chunk):
+        # two (chunk, L) temporaries: sin(t eps) cos(t eps) and sin^2(t eps)
+        sin_cos = np.multiply.outer(steps[lo : lo + chunk], eps)
+        sin_sq = np.sin(sin_cos)
+        np.cos(sin_cos, out=sin_cos)
+        sin_cos *= sin_sq
+        sin_sq *= sin_sq
+        out[lo : lo + chunk] = 2.0 * (sin_cos @ cross - sin_sq @ transverse)
+    out += np.eye(3).reshape(9)
+    return out.reshape(-1, 3, 3)
+
+
+def bloch_matrix_series(ew: EuclideanWalk, t_max: int) -> np.ndarray:
+    """Real 3x3 Bloch matrices M(t) of the reduced maps, t = 0..t_max.
+
+    The t-step map sends the Bloch vector r of a coin state to M(t) r; see
+    the module docstring for the closed form.
+    """
+    _check_horizon(ew, t_max)
+    return _bloch_matrices(ew, np.arange(t_max + 1))
+
+
+def _bloch_vector(rho: np.ndarray) -> np.ndarray:
+    return (_PAULI.conj().T @ rho.reshape(4)).real[1:]
+
+
+def _coin_states(r: np.ndarray) -> np.ndarray:
+    """States (I + r . sigma)/2 for the rows of the (n, 3) Bloch vectors ``r``."""
+    ones = np.ones((len(r), 1))
+    return (np.concatenate([ones, r], axis=1) @ _PAULI.T / 2.0).reshape(-1, 2, 2)
+
+
 def reduced_coin_state(ew: EuclideanWalk, rho0: np.ndarray, t: int) -> np.ndarray:
     """Reduced coin state after t steps of the unitary-frame walk."""
     rho0 = _check_state(rho0)
     _check_horizon(ew, t)
-    powers = np.linalg.matrix_power(ew.w_eta_blocks.blocks, t)
-    rho = np.einsum("kab,bc,kdc->ad", powers, rho0, powers.conj()) / len(ew.w_eta_blocks)
-    return (rho + rho.conj().T) / 2.0
+    return _coin_states(_bloch_matrices(ew, np.array([t])) @ _bloch_vector(rho0))[0]
 
 
 def coin_trajectory(ew: EuclideanWalk, rho0: np.ndarray, t_max: int) -> CoinTrajectory:
-    """Reduced coin states for every step 0..t_max (incremental block powers)."""
+    """Reduced coin states for every step 0..t_max.
+
+    rho_c(t) = (I + (M(t) r0) . sigma)/2, with M(t) from the closed form.
+    """
     rho0 = _check_state(rho0)
-    _check_horizon(ew, t_max)
-    w = ew.w_eta_blocks.blocks
-    n = len(ew.w_eta_blocks)
-    states = np.empty((t_max + 1, 2, 2), dtype=complex)
-    states[0] = rho0
-    acc = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
-    for t in range(1, t_max + 1):
-        acc = np.einsum("kab,kbc->kac", w, acc)
-        rho = np.einsum("kab,bc,kdc->ad", acc, rho0, acc.conj()) / n
-        states[t] = (rho + rho.conj().T) / 2.0
-    return CoinTrajectory(np.arange(t_max + 1), states)
+    return CoinTrajectory(
+        np.arange(t_max + 1), _coin_states(bloch_matrix_series(ew, t_max) @ _bloch_vector(rho0))
+    )
 
 
-def _channel_from_powers(powers: np.ndarray, t: int) -> ChannelMatrix:
-    mapped = np.einsum("kab,xbc,kdc->xad", powers, _MATRIX_UNITS, powers.conj())
-    mapped /= powers.shape[0]
-    matrix = np.stack([mapped[x].reshape(4) for x in range(4)], axis=1)
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return ChannelMatrix(0, t, matrix, cond)
+def _channels(bloch: np.ndarray, steps: np.ndarray) -> list[ChannelMatrix]:
+    """4x4 matrices L(t, 0) = diag(1, M(t)) in the Pauli basis, with condition numbers."""
+    stack = (bloch.reshape(-1, 9) @ _PAULI_OUTER[1:, 1:].reshape(9, 16)).reshape(-1, 4, 4)
+    stack += _PAULI_OUTER[0, 0]
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return [
+        ChannelMatrix(0, int(t), matrix, float(s[0] / s[-1]) if s[-1] > 0 else np.inf)
+        for t, matrix, s in zip(steps, stack, sv)
+    ]
 
 
 def channel_matrix(ew: EuclideanWalk, t: int) -> ChannelMatrix:
     """Matrix L(t, 0) of the t-step reduced map on vectorized coin states."""
     _check_horizon(ew, t)
-    powers = np.linalg.matrix_power(ew.w_eta_blocks.blocks, t)
-    return _channel_from_powers(powers, t)
+    steps = np.array([t])
+    return _channels(_bloch_matrices(ew, steps), steps)[0]
 
 
 def channel_matrix_series(ew: EuclideanWalk, t_max: int) -> list[ChannelMatrix]:
-    """L(t, 0) for t = 0..t_max, sharing the incremental block powers."""
-    _check_horizon(ew, t_max)
-    w = ew.w_eta_blocks.blocks
-    acc = np.tile(np.eye(2, dtype=complex), (len(ew.w_eta_blocks), 1, 1))
-    out = [_channel_from_powers(acc, 0)]
-    for t in range(1, t_max + 1):
-        acc = np.einsum("kab,kbc->kac", w, acc)
-        out.append(_channel_from_powers(acc, t))
-    return out
+    """L(t, 0) for t = 0..t_max, each diag(1, M(t)) in the Pauli basis.
+
+    All M(t) come from one closed-form evaluation (:func:`bloch_matrix_series`);
+    no block powers are taken.
+    """
+    return _channels(bloch_matrix_series(ew, t_max), np.arange(t_max + 1))
 
 
 def intermediate_from(l_from: ChannelMatrix, l_to: ChannelMatrix) -> ChannelMatrix:

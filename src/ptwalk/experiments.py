@@ -201,6 +201,8 @@ def _run_cell(cfg_dict: dict, study: str, factor: float, metric_dict: dict, out_
         "master_seed": cfg.master_seed,
         "tolerances": TOLERANCES,
         "unitarity_residual": ew.unitarity_residual,
+        "ep_gap": ew.ep_gap,
+        "metric_condition_max": ew.metric_condition_max,
     }
     if study == "rhp":
         series = rhp_series(ew, cfg.t_max)

@@ -27,10 +27,11 @@ from .channel import (
     ChannelMatrix,
     EuclideanWalk,
     _check_state,
-    intermediate_from,
+    bloch_matrix_series,
     channel_matrix_series,
     choi_matrix,
     coin_trajectory,
+    intermediate_from,
 )
 from .linalg import trace_norm, vec
 
@@ -174,6 +175,19 @@ def _series_stack(channels: list[ChannelMatrix]) -> np.ndarray:
     return np.stack([c.matrix for c in channels])
 
 
+def _backflow(dist: np.ndarray) -> MeasureSeries:
+    """Increments of the distances D(0..t_max) and their positive accumulation."""
+    delta = np.zeros(len(dist))
+    delta[1:] = np.diff(dist)
+    cumulative = np.concatenate([[0.0], np.cumsum(np.clip(delta[1:], 0.0, None))])
+    return MeasureSeries(
+        steps=np.arange(len(dist)),
+        delta=delta,
+        blp=cumulative,
+        meta={"distance_0": float(dist[0])},
+    )
+
+
 def blp_series(
     ew: EuclideanWalk, pair: StatePair, t_max: int, channels: list[ChannelMatrix] | None = None
 ) -> MeasureSeries:
@@ -182,29 +196,7 @@ def blp_series(
     _check_state(pair.sigma)
     if channels is None:
         channels = channel_matrix_series(ew, t_max)
-    dist = _distance_series(_series_stack(channels), pair.rho, pair.sigma)
-    delta = np.zeros(t_max + 1)
-    delta[1:] = np.diff(dist)
-    cumulative = np.concatenate([[0.0], np.cumsum(np.clip(delta[1:], 0.0, None))])
-    return MeasureSeries(
-        steps=np.arange(t_max + 1),
-        delta=delta,
-        blp=cumulative,
-        meta={"distance_0": float(dist[0])},
-    )
-
-
-# Row-major vec of the Pauli matrices sigma_x, sigma_y, sigma_z, as columns.
-_PAULI_VECS = np.array([[0, 0, 1], [1, -1j, 0], [1, 1j, 0], [0, 0, -1]], dtype=complex)
-
-
-def _bloch_matrices(stack: np.ndarray) -> np.ndarray:
-    """Real 3x3 Bloch-frame matrices M_ij(t) = Re tr(sigma_i L(t,0)[sigma_j]) / 2.
-
-    The maps are trace and Hermiticity preserving, so a traceless difference
-    (d . sigma)/2 evolves to ((M d) . sigma)/2, whose trace distance is |M d|/2.
-    """
-    return 0.5 * (_PAULI_VECS.conj().T @ stack @ _PAULI_VECS).real
+    return _backflow(_distance_series(_series_stack(channels), pair.rho, pair.sigma))
 
 
 def _blp_objective(bloch: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -245,13 +237,13 @@ def maximize_blp(
     Both members range over the full Bloch ball. Each restart is an
     independent chain with its own generator, seeded ``[seed, restart]``;
     the chains advance in lockstep with one batched objective per step.
-    Deterministic for a fixed schedule seed; the returned N is recomputed
-    through blp_series on the winning pair. When ``trace_path`` is given, a
-    per-temperature audit CSV (restart, temperature, accepted count,
-    best-so-far) is written there, restart by restart.
+    Deterministic for a fixed schedule seed; the returned series is the
+    winning pair's, read from the same closed-form matrices M(t). When
+    ``trace_path`` is given, a per-temperature audit CSV (restart,
+    temperature, accepted count, best-so-far) is written there, restart by
+    restart.
     """
-    channels = channel_matrix_series(ew, t_max)
-    bloch = _bloch_matrices(_series_stack(channels))
+    bloch = bloch_matrix_series(ew, t_max)
     axis_vals = _blp_objective(bloch, _AXIS_PAIRS)
     best_axis = _AXIS_PAIRS[int(np.argmax(axis_vals))]
 
@@ -301,7 +293,7 @@ def maximize_blp(
             for restart, temperature, accepted, best in trace_rows:
                 writer.writerow([restart, repr(temperature), accepted, repr(best)])
     pair = StatePair.from_bloch(best_vec[:3], best_vec[3:])
-    series = blp_series(ew, pair, t_max, channels=channels)
+    series = _backflow(0.5 * np.linalg.norm(bloch @ (best_vec[:3] - best_vec[3:]), axis=1))
     series.meta.update(
         {
             "n_max": float(series.blp[-1]),

@@ -48,16 +48,41 @@ class LeftEigenPair:
 
 
 def _pick(form_a: np.ndarray, form_b: np.ndarray) -> np.ndarray:
-    """Choose the better-conditioned of two proportional eigenvector readouts.
+    """Row by row, the better-conditioned of two proportional eigenvector readouts.
 
-    The two forms are the two adjugate columns of (sin H† - mu); they vanish
-    simultaneously only at an exceptional point, which callers exclude.
+    The two forms, shape (n, 2), are the two adjugate columns of
+    (sin H† - mu); they vanish together only at an exceptional point, which
+    callers exclude. Each chosen row is normalized, with the canonical
+    overall sign that makes its largest-magnitude component positive.
     """
-    v = form_a if np.linalg.norm(form_a) >= np.linalg.norm(form_b) else form_b
-    v = v / np.linalg.norm(v)
-    # canonical overall sign: largest-magnitude component positive
-    lead = v[np.argmax(np.abs(v))]
-    return v if lead > 0 else -v
+    norm_a = np.linalg.norm(form_a, axis=1, keepdims=True)
+    norm_b = np.linalg.norm(form_b, axis=1, keepdims=True)
+    v = np.where(norm_a >= norm_b, form_a, form_b)
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
+    return np.where(lead > 0, v, -v)
+
+
+def _left_eigen(ks: np.ndarray, p: WalkParams):
+    """(r_plus, r_minus, d1, d2, d3, eps) over the momenta ``ks``, as arrays.
+
+    Raises DegenerateAtK naming the first momentum at or beyond coalescence.
+    """
+    a = spectral_a(ks, p)
+    bad = np.flatnonzero(np.abs(a) >= 1.0 - UNBROKEN_MARGIN)
+    if bad.size:
+        k, a_k = ks[bad[0]], a[bad[0]]
+        raise DegenerateAtK(f"|a({k:.6f})| = {abs(a_k):.15f} at or beyond coalescence")
+    d1 = np.cosh(2 * p.gamma) * np.cos(p.theta1) * np.sin(p.theta2) + np.sin(
+        p.theta1
+    ) * np.cos(p.theta2) * np.cos(2 * ks)
+    d2 = np.full_like(ks, -np.sin(p.theta2) * np.sinh(2 * p.gamma))
+    d3 = np.cos(p.theta2) * np.sin(2 * ks)
+    eps = np.arccos(a)
+    s = np.sin(eps)
+    r_plus = _pick(np.stack([d1 - d2, -d3 - s], axis=1), np.stack([d3 - s, d1 + d2], axis=1))
+    r_minus = _pick(np.stack([d1 - d2, -d3 + s], axis=1), np.stack([d3 + s, d1 + d2], axis=1))
+    return r_plus, r_minus, d1, d2, d3, eps
 
 
 def left_eigvecs(k: float, p: WalkParams) -> LeftEigenPair:
@@ -78,20 +103,18 @@ def left_eigvecs(k: float, p: WalkParams) -> LeftEigenPair:
     The identity d1^2 - d2^2 + d3^2 = s^2 guarantees both readouts of one
     eigenvector vanish together only when s = 0, so picking the larger-norm
     form is well conditioned everywhere away from the exceptional point.
+    This is a one-point view of the grid computation in :func:`build_metric`.
     """
-    a = float(spectral_a(k, p))
-    if abs(a) >= 1.0 - UNBROKEN_MARGIN:
-        raise DegenerateAtK(f"|a({k:.6f})| = {abs(a):.15f} at or beyond coalescence")
-    d1 = np.cosh(2 * p.gamma) * np.cos(p.theta1) * np.sin(p.theta2) + np.sin(
-        p.theta1
-    ) * np.cos(p.theta2) * np.cos(2 * k)
-    d2 = -np.sin(p.theta2) * np.sinh(2 * p.gamma)
-    d3 = np.cos(p.theta2) * np.sin(2 * k)
-    eps = np.arccos(a)
-    s = np.sin(eps)
-    r_plus = _pick(np.array([d1 - d2, -d3 - s]), np.array([d3 - s, d1 + d2]))
-    r_minus = _pick(np.array([d1 - d2, -d3 + s]), np.array([d3 + s, d1 + d2]))
-    return LeftEigenPair(k, r_plus.astype(complex), r_minus.astype(complex), d1, d2, d3, eps)
+    r_plus, r_minus, d1, d2, d3, eps = _left_eigen(np.array([k], dtype=float), p)
+    return LeftEigenPair(
+        k,
+        r_plus[0].astype(complex),
+        r_minus[0].astype(complex),
+        float(d1[0]),
+        float(d2[0]),
+        float(d3[0]),
+        float(eps[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -165,7 +188,12 @@ def _weights(spec: MetricSpec, n: int) -> np.ndarray:
 
 
 def build_metric(p: WalkParams, spec: MetricSpec) -> BlockOperator:
-    """Per-momentum metric blocks, Hermitian positive definite with unit trace."""
+    """Per-momentum metric blocks, Hermitian positive definite with unit trace.
+
+    The left eigenvectors of the whole grid come from one array evaluation
+    of the closed form in :func:`left_eigvecs`, and the blocks
+    x (|r_+><r_+| + y |r_-><r_-|) / trace are formed as one (L, 2, 2) array.
+    """
     ks = momentum_grid(p.lattice_size)
     if p.gamma == 0.0 and spec.kind == "g1_flat":
         # unitary walk: the flat metric is exactly maximally mixed at every k,
@@ -176,15 +204,13 @@ def build_metric(p: WalkParams, spec: MetricSpec) -> BlockOperator:
     if not is_unbroken(p):
         raise BrokenRegime("no positive metric beyond the exceptional point")
     w = _weights(spec, len(ks))
-    blocks = np.empty((len(ks), 2, 2), dtype=complex)
-    for i, k in enumerate(ks):
-        pair = left_eigvecs(k, p)
-        g = w[i, 0] * (
-            np.outer(pair.r_plus, pair.r_plus.conj())
-            + w[i, 1] * np.outer(pair.r_minus, pair.r_minus.conj())
-        )
-        g = (g + g.conj().T) / 2.0
-        blocks[i] = g / np.trace(g).real
+    r_plus, r_minus = _left_eigen(ks, p)[:2]
+    g = w[:, 0, None, None] * (
+        r_plus[:, :, None] * r_plus[:, None, :]
+        + w[:, 1, None, None] * (r_minus[:, :, None] * r_minus[:, None, :])
+    )
+    g = (g + g.swapaxes(1, 2)) / 2.0
+    blocks = (g / np.trace(g, axis1=1, axis2=2)[:, None, None]).astype(complex)
     return BlockOperator(ks, blocks)
 
 

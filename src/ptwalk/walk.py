@@ -78,9 +78,16 @@ def coin(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, c]])
 
 
-def shift_block(k: float) -> np.ndarray:
-    """Momentum-space conditional shift S(k) = diag(e^{ik}, e^{-ik})."""
-    return np.diag([np.exp(1j * k), np.exp(-1j * k)])
+def shift_block(k) -> np.ndarray:
+    """Momentum-space conditional shift S(k) = diag(e^{ik}, e^{-ik}).
+
+    An array of momenta gives the stack of blocks, shape k.shape + (2, 2).
+    """
+    k = np.asarray(k, dtype=float)
+    s = np.zeros(k.shape + (2, 2), dtype=complex)
+    s[..., 0, 0] = np.exp(1j * k)
+    s[..., 1, 1] = np.exp(-1j * k)
+    return s
 
 
 def gain_loss(gamma: float) -> np.ndarray:
@@ -88,19 +95,20 @@ def gain_loss(gamma: float) -> np.ndarray:
     return np.diag([np.exp(gamma), np.exp(-gamma)]).astype(complex)
 
 
-def walk_block(k: float, p: WalkParams) -> np.ndarray:
-    """One-step coin operation W_c(k) for the given walk family."""
+def _walk_blocks(ks: np.ndarray, p: WalkParams) -> np.ndarray:
+    """W_c(k) for every momentum of ``ks``: the factor product, broadcast over k."""
     half = coin(p.theta1 / 2.0)
-    s = shift_block(k)
-    return (
-        half
-        @ s
-        @ gain_loss(-p.gamma)
-        @ coin(p.theta2)
-        @ s
-        @ gain_loss(p.gamma)
-        @ half
-    )
+    s = shift_block(ks)
+    return half @ s @ gain_loss(-p.gamma) @ coin(p.theta2) @ s @ gain_loss(p.gamma) @ half
+
+
+def walk_block(k: float, p: WalkParams) -> np.ndarray:
+    """One-step coin operation W_c(k) for the given walk family.
+
+    A one-point call of the batched product, so it equals the matching block
+    of :func:`walk_operator` exactly.
+    """
+    return _walk_blocks(np.array([k], dtype=float), p)[0]
 
 
 def spectral_a(k, p: WalkParams):
@@ -133,9 +141,13 @@ def is_unbroken(p: WalkParams) -> bool:
 
 
 def walk_operator(p: WalkParams) -> BlockOperator:
-    """All momentum blocks W_c(k_n), n = 0..L-1, in grid order."""
+    """All momentum blocks W_c(k_n), n = 0..L-1, in grid order.
+
+    Built as one (L, 2, 2) product: the shift factors S(k) are stacked over
+    the grid and the k-independent coin and gain/loss factors broadcast.
+    """
     ks = momentum_grid(p.lattice_size)
-    return BlockOperator(ks, np.stack([walk_block(k, p) for k in ks]))
+    return BlockOperator(ks, _walk_blocks(ks, p))
 
 
 def hamiltonian(p: WalkParams) -> BlockOperator:
@@ -146,5 +158,5 @@ def hamiltonian(p: WalkParams) -> BlockOperator:
     """
     if not is_unbroken(p):
         raise BrokenRegime("spectrum not real on the whole grid; no Hamiltonian")
-    ks = momentum_grid(p.lattice_size)
-    return BlockOperator(ks, np.stack([unitary_log(walk_block(k, p)) for k in ks]))
+    w = walk_operator(p)
+    return BlockOperator(w.points, np.stack([unitary_log(b) for b in w.blocks]))

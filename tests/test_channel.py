@@ -22,11 +22,13 @@ from ptwalk import (
     momentum_grid,
     partial_trace,
     reduced_coin_state,
+    spectral_a,
     trace_norm,
     vec,
     walk_block,
+    walk_operator,
 )
-from ptwalk.channel import write_trajectory_csv
+from ptwalk.channel import bloch_matrix_series, write_trajectory_csv
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")
@@ -291,3 +293,128 @@ def test_trajectory_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 6
     assert lines[0].split(",")[:3] == ["t", "re_r11", "im_r11"]
+
+
+# ------------------------------------------- closed form vs step-by-step loops
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(0.0, "G1"), (0.0, "rxy"), (math.log(1.3), "G1"), (math.log(1.3), "rxy")],
+)
+def long_walk(request):
+    gamma, kind = request.param
+    spec = FLAT if kind == "G1" else MetricSpec(kind="random_xy", seed=11)
+    return build_euclidean_walk(WalkParams(T1, T2, gamma, 1201), spec)
+
+
+def test_closed_form_channels_match_block_powers(long_walk):
+    import loop_reference
+
+    fast = channel_matrix_series(long_walk, 600)
+    slow = loop_reference.channel_matrix_series(long_walk, 600)
+    assert [c.t_to for c in fast] == [c.t_to for c in slow]
+    assert max(np.abs(a.matrix - b.matrix).max() for a, b in zip(fast, slow)) <= 1e-12
+
+
+def test_closed_form_coin_states_match_block_powers(long_walk):
+    import loop_reference
+
+    rho0 = bloch_state((0.0, 1.0, 0.0))
+    fast = coin_trajectory(long_walk, rho0, 600)
+    slow = loop_reference.coin_trajectory(long_walk, rho0, 600)
+    assert np.array_equal(fast.steps, slow.steps)
+    assert np.abs(fast.states - slow.states).max() <= 1e-12
+
+
+def test_bloch_matrix_series_rotation_average():
+    # M(t) maps Bloch vectors exactly like conjugating with the block powers
+    ew = build_euclidean_walk(params(math.log(1.2), 41), MetricSpec(kind="random_xy", seed=9))
+    bloch = bloch_matrix_series(ew, 20)
+    assert bloch.shape == (21, 3, 3)
+    assert np.array_equal(bloch[0], np.eye(3))
+    rng = np.random.default_rng(44)
+    rho0 = random_state(rng)
+    for t in (1, 7, 20):
+        r = bloch[t] @ np.array([2 * rho0[1, 0].real, 2 * rho0[1, 0].imag, (rho0[0, 0] - rho0[1, 1]).real])
+        assert np.abs(bloch_state(r) - reduced_coin_state(ew, rho0, t)).max() <= 1e-15
+        assert np.abs(bloch_state(r) - dense_reduced_state(ew.params, ew.spec, rho0, t)).max() < 1e-9
+
+
+@pytest.mark.parametrize("theta1, theta2", [(0.6, -0.6), (math.pi / 2, math.pi / 2)])
+def test_identity_rotation_where_sin_eps_vanishes(theta1, theta2):
+    # A unitary walk may touch |a(k)| = 1 on the grid under the flat metric;
+    # there W(k) = +-I, the rotation is the identity and its axis is arbitrary.
+    import loop_reference
+    from ptwalk.walk import UNBROKEN_MARGIN
+
+    p = WalkParams(theta1, theta2, 0.0, 21)
+    assert np.abs(spectral_a(momentum_grid(21), p)).max() >= 1.0 - UNBROKEN_MARGIN
+    ew = build_euclidean_walk(p, FLAT)
+    rng = np.random.default_rng(45)
+    rho0 = random_state(rng)
+    for t in (1, 5, 10):
+        slow = dense_reduced_state(p, FLAT, rho0, t)
+        assert np.abs(reduced_coin_state(ew, rho0, t) - slow).max() < 1e-9
+    fast = channel_matrix_series(ew, 10)
+    loops = loop_reference.channel_matrix_series(ew, 10)
+    assert max(np.abs(a.matrix - b.matrix).max() for a, b in zip(fast, loops)) <= 1e-13
+
+
+# --------------------------------------------- batched builders vs per-k loops
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1, math.log(1.2), math.log(1.3)])
+@pytest.mark.parametrize("spec", [FLAT, MetricSpec(kind="random_xy", seed=23)])
+def test_batched_builders_match_per_k_loops(gamma, spec):
+    import loop_reference
+
+    p = params(gamma, 1201)
+    w = walk_operator(p)
+    assert np.abs(w.blocks - loop_reference.walk_blocks(p)).max() <= 1e-13
+    ew = build_euclidean_walk(p, spec)
+    if not (gamma == 0.0 and spec.kind == "g1_flat"):
+        assert np.abs(ew.metric.blocks - loop_reference.metric_blocks(p, spec)).max() <= 1e-13
+    etas, eta_invs, w_etas, residual = loop_reference.unitary_frame(ew.metric.blocks, w.blocks)
+    assert np.abs(ew.eta_blocks.blocks - etas).max() <= 1e-13
+    assert np.abs(ew.eta_inv_blocks.blocks - eta_invs).max() <= 1e-13
+    assert np.abs(ew.w_eta_blocks.blocks - w_etas).max() <= 1e-13
+    assert abs(ew.unitarity_residual - residual) <= 1e-13
+
+
+def test_batched_builders_report_first_offending_index():
+    import loop_reference
+    from ptwalk import DegenerateAtK, NotPositive
+    from ptwalk.metric import _left_eigen
+
+    # coalescence at k = 0 and k = pi for theta2 = -theta1 at gamma = 0
+    p = WalkParams(0.6, -0.6, 0.0, 21)
+    ks = np.array([0.3, 0.0, 1.0, np.pi])
+    with pytest.raises(DegenerateAtK) as batched:
+        _left_eigen(ks, p)
+    with pytest.raises(DegenerateAtK) as looped:
+        for k in ks:
+            loop_reference.left_eigvecs(k, p)
+    assert str(batched.value).split(")|")[0] == str(looped.value).split(")|")[0] == "|a(0.000000"
+
+    # negative y weights make blocks 3 and 9 indefinite
+    q = params(math.log(1.2))
+    ys = [1.0] * 21
+    ys[3] = ys[9] = -0.5
+    spec = MetricSpec(kind="explicit", x=(1.0,) * 21, y=tuple(ys))
+    with pytest.raises(NotPositive) as batched:
+        build_euclidean_walk(q, spec)
+    with pytest.raises(NotPositive) as looped:
+        loop_reference.unitary_frame(build_metric(q, spec).blocks, walk_operator(q).blocks)
+    assert str(batched.value) == str(looped.value) == "metric block 3 not positive definite"
+
+
+def test_euclidean_walk_health_fields():
+    p = params(math.log(1.3), 101)
+    ew = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=11))
+    a = spectral_a(momentum_grid(101), p)
+    assert ew.ep_gap == pytest.approx(float((1 - np.abs(a)).min()), abs=1e-15)
+    conds = [np.linalg.cond(b) for b in ew.metric.blocks]
+    assert ew.metric_condition_max == pytest.approx(max(conds), rel=1e-9)
+    flat = build_euclidean_walk(params(0.0), FLAT)
+    assert flat.metric_condition_max == 1.0

@@ -143,6 +143,20 @@ def test_run_is_deterministic_modulo_runtime(tmp_path):
             assert s1 == s2
 
 
+def test_walk_cell_summaries_record_numerical_health(tmp_path):
+    cfg = tiny_config(tmp_path, study="all")
+    manifest = run(cfg)
+    walk_cells = [c for c in manifest["cells"] if c["study"] != "toy"]
+    assert len(walk_cells) == 12
+    for cell in walk_cells:
+        summary = json.loads((tmp_path / f"{cell['cell']}.json").read_text())
+        assert summary["ep_gap"] == cell["ep_gap"]
+        assert 0.0 < summary["ep_gap"] < 1.0
+        assert summary["metric_condition_max"] >= 1.0
+    flat_hermitian = next(c for c in walk_cells if c["gamma_factor"] == 1.0 and c["metric_label"] == "G1")
+    assert flat_hermitian["metric_condition_max"] == 1.0
+
+
 def test_run_parallel_cells_match_sequential(tmp_path):
     cfg = tiny_config(tmp_path / "seq", study="entanglement")
     run(cfg)

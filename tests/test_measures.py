@@ -209,15 +209,18 @@ def test_maximize_blp_matches_sequential_reference(tmp_path, gamma_factor, spec,
 
 
 def test_bloch_matrices_reproduce_distance_series():
-    # D(t) = |M(t)(r - s)|/2 must agree with the trace distances read from
-    # the 4x4 channel-matrix stack for arbitrary pairs in the Bloch ball.
-    from ptwalk.channel import channel_matrix_series
-    from ptwalk.measures import _bloch_matrices, _distance_series, _series_stack
+    # D(t) = |M(t)(r - s)|/2, with M(t) from the closed form, must agree with
+    # the trace distances read from the 4x4 channel-matrix stack of the
+    # step-by-step block powers, for arbitrary pairs in the Bloch ball.
+    from loop_reference import channel_matrix_series
+    from ptwalk.channel import bloch_matrix_series
+    from ptwalk.measures import _distance_series, _series_stack
 
     rng = np.random.default_rng(52)
     for factor, spec in ((1.0, FLAT), (1.3, MetricSpec(kind="random_xy", seed=11))):
-        stack = _series_stack(channel_matrix_series(walk(factor, spec, size=61), 30))
-        bloch = _bloch_matrices(stack)
+        ew = walk(factor, spec, size=61)
+        stack = _series_stack(channel_matrix_series(ew, 30))
+        bloch = bloch_matrix_series(ew, 30)
         assert bloch.shape == (31, 3, 3)
         assert np.allclose(bloch[0], np.eye(3), atol=1e-15)
         for _ in range(20):
@@ -275,6 +278,18 @@ def test_rhp_metric_independent_when_hermitian():
     ]
     spread = max(np.abs(a - b).max() for a in curves for b in curves)
     assert spread < 1e-8
+
+
+def test_rhp_hermitian_spread_margin_over_metric_seeds():
+    # The Hermitian limit must stay metric-independent with a wide margin
+    # below report's 1e-8 bound: the closed form takes the rotation angles
+    # from a(k), so only roundoff in the axes differs between metrics.
+    curves = [rhp_series(walk(1.0, FLAT), 50).rhp]
+    for i in range(16):
+        for seed in (11 + 1000 * i, 23 + 1000 * i):
+            curves.append(rhp_series(walk(1.0, MetricSpec(kind="random_xy", seed=seed)), 50).rhp)
+    spread = max(np.abs(a - b).max() for a in curves for b in curves)
+    assert spread < 1e-9
 
 
 def test_rhp_metric_dependent_when_nonhermitian():
