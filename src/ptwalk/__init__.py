@@ -7,15 +7,10 @@ information backflow, CP indivisibility and coin-position entanglement.
 """
 
 from .channel import (
-    ChannelMatrix,
     CoinTrajectory,
     EuclideanWalk,
     build_euclidean_walk,
-    channel_matrix,
-    channel_matrix_series,
-    choi_matrix,
     coin_trajectory,
-    intermediate_map,
     reduced_coin_state,
 )
 from .errors import (
@@ -37,13 +32,11 @@ from .errors import (
 from .experiments import ExperimentConfig, load_config, report, run, validate_config
 from .linalg import (
     EigenSystem,
-    devec,
     eig,
     herm_sqrt,
     partial_trace,
     trace_norm,
     unitary_log,
-    vec,
 )
 from .measures import (
     AnnealSchedule,

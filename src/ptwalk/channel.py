@@ -30,17 +30,20 @@ sums over k run in blocks of steps holding at most BLOCK_ELEMENTS
 (step, momentum) entries, so the cos/sin temporaries stay bounded at any
 horizon.
 
-The t-step map is also represented by a 4x4 matrix L(t, 0) acting on
-row-major vectorized coin states, with columns vec(map(E_ij)) over the
-matrix units in the order E11, E12, E21, E22. The maps are unital, so
-L(t, 0) is diag(1, M(t)) in the Pauli basis (I, sigma_x, sigma_y,
-sigma_z)/sqrt(2). Map composition is matrix multiplication, so the one-step
-intermediate map is L(t+1, t) = L(t+1, 0) L(t, 0)^{-1}, and its Choi matrix is
+A step from t-1 to t is the map A(t) = M(t) M(t-1)^{-1}, again unital. The
+Choi matrix of a unital qubit map has a closed-form spectrum (King & Ruskai,
+IEEE TIT 47, 192 (2001)): with the singular values l1 >= l2 >= l3 of A, the
+smallest carrying the sign det(U) det(V^T) of its singular vectors, A is a
+Pauli channel diag(l1, l2, l3) up to rotations before and after, which leave
+the Choi spectrum unchanged, and the unit-trace Choi eigenvalues are
 
-    C = devec[ U23 (L (x) I4) U23 vec(|Phi><Phi|) ],
+    mu = (1 + l1 + l2 + l3)/4, (1 + l1 - l2 - l3)/4,
+         (1 - l1 + l2 - l3)/4, (1 - l1 - l2 + l3)/4.
 
-where |Phi> = (|00> + |11>)/sqrt(2) and U23 swaps the middle two tensor
-factors of the four-qubit index.
+Their absolute sum is the Choi trace norm: 1 for a completely positive step,
+2 for the transpose map diag(1, -1, 1). In the Pauli basis (I, sigma_x,
+sigma_y, sigma_z)/sqrt(2) the 4x4 map on vectorized coin states is
+diag(1, M(t)), so the conditioning of an inversion is that of diag(1, M).
 """
 
 from dataclasses import dataclass
@@ -48,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BrokenRegime, LightConeViolation, NotPositive
-from .linalg import devec
 from .metric import MetricSpec, build_metric
 from .walk import (
     UNBROKEN_MARGIN,
@@ -71,20 +73,6 @@ BLOCK_ELEMENTS = 1 << 14
 _PAULI = np.array(
     [[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]], dtype=complex
 )
-# _PAULI_OUTER[i, j] = p_i p_j† / 2 for the columns p of _PAULI, so that
-# L(t, 0) = _PAULI_OUTER[0, 0] + sum_ij M_ij(t) _PAULI_OUTER[i+1, j+1].
-_PAULI_OUTER = np.einsum("ai,bj->ijab", _PAULI, _PAULI.conj()) / 2.0
-
-_SWAP23 = np.kron(
-    np.eye(2),
-    np.kron(
-        np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
-        np.eye(2),
-    ),
-)
-_PHI = np.zeros(4, dtype=complex)
-_PHI[0] = _PHI[3] = 1.0 / np.sqrt(2.0)
-_VEC_PHI = np.outer(_PHI, _PHI.conj()).reshape(16)
 
 
 @dataclass(frozen=True)
@@ -113,17 +101,6 @@ class CoinTrajectory:
 
     steps: np.ndarray
     states: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """4x4 representation of the reduced map from step t_from to t_to."""
-
-    t_from: int
-    t_to: int
-    matrix: np.ndarray
-    condition_number: float
-    ill_conditioned: bool = False
 
 
 def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
@@ -272,101 +249,43 @@ def coin_trajectory(ew: EuclideanWalk, rho0: np.ndarray, t_max: int) -> CoinTraj
     )
 
 
-def _channels(bloch: np.ndarray, steps: np.ndarray) -> list[ChannelMatrix]:
-    """4x4 matrices L(t, 0) = diag(1, M(t)) in the Pauli basis, with condition numbers."""
-    stack = (bloch.reshape(-1, 9) @ _PAULI_OUTER[1:, 1:].reshape(9, 16)).reshape(-1, 4, 4)
-    stack += _PAULI_OUTER[0, 0]
-    sv = np.linalg.svd(stack, compute_uv=False)
-    return [
-        ChannelMatrix(0, int(t), matrix, float(s[0] / s[-1]) if s[-1] > 0 else np.inf)
-        for t, matrix, s in zip(steps, stack, sv)
-    ]
+def intermediate_maps(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-step maps A(t) = M(t) M(t-1)^{-1}, t = 1..t_max, from the stack M(0..t_max).
 
-
-def channel_matrix(ew: EuclideanWalk, t: int) -> ChannelMatrix:
-    """Matrix L(t, 0) of the t-step reduced map on vectorized coin states."""
-    _check_horizon(ew, t)
-    steps = np.array([t])
-    return _channels(_bloch_matrices(ew, steps), steps)[0]
-
-
-def channel_matrix_series(ew: EuclideanWalk, t_max: int) -> list[ChannelMatrix]:
-    """L(t, 0) for t = 0..t_max, each diag(1, M(t)) in the Pauli basis.
-
-    All M(t) come from one closed-form evaluation (:func:`bloch_matrix_series`);
-    no block powers are taken.
+    Returns the (t_max, 3, 3) maps, the condition number of each inverted
+    map L(t-1, 0) = diag(1, M(t-1)), which is max(1, s_max) / min(1, s_min)
+    over the singular values s of M(t-1), and a mask of the steps where it
+    exceeds ILL_CONDITION_LIMIT. Those steps use the cutoff pseudo-inverse of
+    L(t-1, 0) instead of the inverse; all others share one batched solve.
     """
-    return _channels(bloch_matrix_series(ew, t_max), np.arange(t_max + 1))
+    prev, cur = bloch[:-1], bloch[1:]
+    sv = np.linalg.svd(prev, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        cond = np.maximum(sv[:, 0], 1.0) / np.minimum(sv[:, -1], 1.0)
+    flagged = ~(cond <= ILL_CONDITION_LIMIT)
+    maps = np.empty_like(cur)
+    solved = ~flagged
+    # A M(t-1) = M(t) is solved as M(t-1)^T A^T = M(t)^T
+    maps[solved] = np.linalg.solve(
+        prev[solved].swapaxes(1, 2), cur[solved].swapaxes(1, 2)
+    ).swapaxes(1, 2)
+    for i in np.flatnonzero(flagged):
+        # numpy's pinv cutoff, relative to the largest singular value of diag(1, M)
+        u, s, vt = np.linalg.svd(prev[i])
+        keep = s > PINV_RCOND * max(1.0, s[0])
+        maps[i] = cur[i] @ (vt[keep].T / s[keep]) @ u[:, keep].T
+    return maps, cond, flagged
 
 
-def intermediate_from(l_from: ChannelMatrix, l_to: ChannelMatrix) -> ChannelMatrix:
-    """L(t+1, t) from L(t, 0) and L(t+1, 0); pseudo-inverse fallback when near-singular."""
-    cond = l_from.condition_number
-    flagged = not np.isfinite(cond) or cond > ILL_CONDITION_LIMIT
-    if flagged:
-        inv = np.linalg.pinv(l_from.matrix, rcond=PINV_RCOND)
-        matrix = l_to.matrix @ inv
-    else:
-        matrix = np.linalg.solve(l_from.matrix.conj().T, l_to.matrix.conj().T).conj().T
-    return ChannelMatrix(l_from.t_to, l_to.t_to, matrix, cond, flagged)
+def choi_trace_norms(maps: np.ndarray) -> np.ndarray:
+    """Trace norms of the Choi matrices of unital qubit maps, from their Bloch matrices.
 
-
-def intermediate_map(ew: EuclideanWalk, t: int) -> ChannelMatrix:
-    """One-step map L(t+1, t) = L(t+1, 0) L(t, 0)^{-1}.
-
-    The recorded condition number is that of L(t, 0); above 1e12 the inverse
-    is replaced by a cutoff pseudo-inverse and the result is flagged.
+    ``maps`` has shape (..., 3, 3); see the module docstring for the
+    signed-singular-value recipe. The result is 1 for a completely positive
+    map and exceeds 1 otherwise.
     """
-    series = channel_matrix_series(ew, t + 1)
-    return intermediate_from(series[t], series[t + 1])
-
-
-def choi_matrix(lmat) -> np.ndarray:
-    """Choi matrix of the channel with 4x4 matrix representation ``lmat``.
-
-    Accepts a ChannelMatrix or a raw 4x4 array. For a completely positive
-    trace-preserving map the result is PSD with unit trace norm; trace-norm
-    excess over 1 witnesses failure of complete positivity.
-    """
-    m = lmat.matrix if isinstance(lmat, ChannelMatrix) else np.asarray(lmat, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"channel matrix must be 4x4, got {m.shape}")
-    v = _SWAP23 @ (np.kron(m, np.eye(4)) @ (_SWAP23 @ _VEC_PHI))
-    return devec(v)
-
-
-def channel_to_json_dict(cm: ChannelMatrix) -> dict:
-    """JSON-friendly export of a channel matrix for external verification."""
-    return {
-        "t_from": cm.t_from,
-        "t_to": cm.t_to,
-        "condition_number": cm.condition_number,
-        "ill_conditioned": cm.ill_conditioned,
-        "matrix_re": cm.matrix.real.tolist(),
-        "matrix_im": cm.matrix.imag.tolist(),
-    }
-
-
-def channel_from_json_dict(d: dict) -> ChannelMatrix:
-    matrix = np.asarray(d["matrix_re"], dtype=float) + 1j * np.asarray(
-        d["matrix_im"], dtype=float
-    )
-    return ChannelMatrix(
-        d["t_from"], d["t_to"], matrix, d["condition_number"], d["ill_conditioned"]
-    )
-
-
-def write_trajectory_csv(traj: CoinTrajectory, path) -> None:
-    """CSV export: one row per step with re/im of the four coin-state entries."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "re_r11", "im_r11", "re_r12", "im_r12", "re_r21", "im_r21", "re_r22", "im_r22"]
-        )
-        for t, state in zip(traj.steps, traj.states):
-            row = [int(t)]
-            for entry in state.reshape(-1):
-                row += [repr(float(entry.real)), repr(float(entry.imag))]
-            writer.writerow(row)
+    u, lam, vt = np.linalg.svd(maps)
+    lam[..., -1] *= np.sign(np.linalg.det(u) * np.linalg.det(vt))
+    l1, l2, l3 = np.moveaxis(lam, -1, 0)
+    mu = np.stack([1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3])
+    return np.abs(mu / 4.0).sum(axis=0)

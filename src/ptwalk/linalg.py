@@ -1,5 +1,5 @@
 """Dense complex-matrix kernels: eigenpairs, Hermitian matrix functions,
-vectorization, partial trace and trace norm.
+partial trace and trace norm.
 
 Everything here is a pure function of its inputs. Matrices are plain
 ``numpy`` arrays of complex dtype; no wrapper classes.
@@ -112,21 +112,6 @@ def unitary_log(a: np.ndarray) -> np.ndarray:
         raise BranchAmbiguity("eigenvalue phase within 1e-9 of the branch cut at +-pi")
     h_values = 1j * np.log(values)
     return (right * h_values) @ np.linalg.inv(right)
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Row-major vectorization: vec([[a,b],[c,d]]) = (a, b, c, d)."""
-    m = _square(m)
-    return m.reshape(-1)
-
-
-def devec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec`; length must be a perfect square."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    n = int(round(np.sqrt(v.size)))
-    if n * n != v.size:
-        raise ShapeMismatch(f"length {v.size} is not a perfect square")
-    return v.reshape(n, n)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -10,12 +10,16 @@ a pair (r, s) of Bloch vectors only through their difference: with the real
 which is what the annealer scores. Its restarts are independent seeded
 chains, advanced in lockstep with one batched objective call per step.
 
-Failure of CP-divisibility is scored through the one-step intermediate maps:
+The same matrices give every other series. Failure of CP-divisibility is
+scored through the one-step intermediate maps A(t) = M(t) M(t-1)^{-1}:
 
-    g(t) = || Choi(L(t, t-1)) ||_1 - 1,     I_RHP(t) = sum_{s<=t} g(s).
+    g(t) = || Choi(A(t)) ||_1 - 1,     I_RHP(t) = sum_{s<=t} g(s),
 
-Coin-position entanglement of a pure joint trajectory is the von Neumann
-entropy of the reduced coin state, in bits.
+with the Choi trace norm read from the signed singular values of A(t) (see
+``ptwalk.channel``). Coin-position entanglement of a pure joint trajectory is
+the von Neumann entropy of the reduced coin state, in bits: with Bloch vector
+M(t) r0 the state has eigenvalues (1 +- |M(t) r0|)/2, so S(t) is a binary
+entropy.
 """
 
 import csv
@@ -24,20 +28,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
-    ChannelMatrix,
     EuclideanWalk,
+    _bloch_vector,
     _check_state,
     bloch_matrix_series,
-    channel_matrix_series,
-    choi_matrix,
-    coin_trajectory,
-    intermediate_from,
+    choi_trace_norms,
+    intermediate_maps,
 )
-from .linalg import trace_norm, vec
+from .linalg import trace_norm
 
 # Negative dust tolerated in g(t) before clamping to zero: the Choi trace
 # norm of an exactly CP step returns 1 +- float noise.
 G_CLAMP = 1e-9
+# Eigenvalues at or below this are dropped from entropies as float dust.
+ENTROPY_CUT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,17 +99,17 @@ class MeasureSeries:
             "I_RHP": self.rhp,
             "S": self.entropy,
         }
+        present = [arr for arr in cols.values() if arr is not None]
+        table = np.column_stack(present) if present else np.empty((len(self.steps), 0))
         with open(path, "w", newline="") as fh:
             if comment:
                 fh.write(f"# {comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + list(cols) + ["flags"])
-            for i, t in enumerate(self.steps):
-                row = [int(t)]
-                for arr in cols.values():
-                    row.append("" if arr is None else repr(float(arr[i])))
-                row.append(self.flags[i])
-                writer.writerow(row)
+            fh.write(",".join(["t", *cols, "flags"]) + "\r\n")
+            # one row at a time, in csv's default dialect; no field needs quoting
+            for t, row, flag in zip(self.steps.tolist(), table, self.flags):
+                values = iter(row.tolist())
+                fields = ["" if arr is None else repr(next(values)) for arr in cols.values()]
+                fh.write(",".join([str(t), *fields, flag]) + "\r\n")
 
 
 @dataclass(frozen=True)
@@ -154,25 +158,7 @@ class AnnealSchedule:
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """D(rho, sigma) = ||rho - sigma||_1 / 2 for density matrices."""
-    diff = np.asarray(rho, complex) - np.asarray(sigma, complex)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)).sum())
-
-
-def _distance_series(stack: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Trace distances D(t) along a channel-matrix stack, t = 0..t_max.
-
-    The evolved difference is Hermitian and traceless, so its trace norm is
-    twice sqrt(x^2 + |z|^2) read from the difference's vectorized form.
-    """
-    x0 = vec(np.asarray(rho, complex) - np.asarray(sigma, complex))
-    y = stack @ x0
-    x = 0.5 * (y[:, 0] - y[:, 3]).real
-    z = 0.5 * (y[:, 1] + np.conj(y[:, 2]))
-    return np.sqrt(x**2 + np.abs(z) ** 2)
-
-
-def _series_stack(channels: list[ChannelMatrix]) -> np.ndarray:
-    return np.stack([c.matrix for c in channels])
+    return 0.5 * trace_norm(np.asarray(rho, complex) - np.asarray(sigma, complex))
 
 
 def _backflow(dist: np.ndarray) -> MeasureSeries:
@@ -188,15 +174,15 @@ def _backflow(dist: np.ndarray) -> MeasureSeries:
     )
 
 
-def blp_series(
-    ew: EuclideanWalk, pair: StatePair, t_max: int, channels: list[ChannelMatrix] | None = None
-) -> MeasureSeries:
+def _distances(bloch: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Trace distances D(t) = |M(t) d|/2 of a pair with Bloch difference d."""
+    return 0.5 * np.linalg.norm(bloch @ diff, axis=1)
+
+
+def blp_series(ew: EuclideanWalk, pair: StatePair, t_max: int) -> MeasureSeries:
     """Backflow increments and their monotone accumulation for one state pair."""
-    _check_state(pair.rho)
-    _check_state(pair.sigma)
-    if channels is None:
-        channels = channel_matrix_series(ew, t_max)
-    return _backflow(_distance_series(_series_stack(channels), pair.rho, pair.sigma))
+    diff = _bloch_vector(_check_state(pair.rho)) - _bloch_vector(_check_state(pair.sigma))
+    return _backflow(_distances(bloch_matrix_series(ew, t_max), diff))
 
 
 def _blp_objective(bloch: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -293,7 +279,7 @@ def maximize_blp(
             for restart, temperature, accepted, best in trace_rows:
                 writer.writerow([restart, repr(temperature), accepted, repr(best)])
     pair = StatePair.from_bloch(best_vec[:3], best_vec[3:])
-    series = _backflow(0.5 * np.linalg.norm(bloch @ (best_vec[:3] - best_vec[3:]), axis=1))
+    series = _backflow(_distances(bloch, best_vec[:3] - best_vec[3:]))
     series.meta.update(
         {
             "n_max": float(series.blp[-1]),
@@ -305,38 +291,42 @@ def maximize_blp(
     return pair, float(series.blp[-1]), series
 
 
-def rhp_from_channels(channels: list[ChannelMatrix]) -> MeasureSeries:
-    """CP-indivisibility series from an already-built L(t, 0) family."""
-    t_max = len(channels) - 1
-    g = np.zeros(t_max + 1)
-    flags = [""] * (t_max + 1)
-    for t in range(1, t_max + 1):
-        step = intermediate_from(channels[t - 1], channels[t])
-        gt = trace_norm(choi_matrix(step)) - 1.0
-        if gt < -G_CLAMP:
-            flags[t] = f"g_negative({gt:.3e})"
-        if step.ill_conditioned:
-            flags[t] = (flags[t] + ";" if flags[t] else "") + f"ill_conditioned({step.condition_number:.3e})"
-        g[t] = max(gt, 0.0)
+def rhp_from_bloch(bloch: np.ndarray) -> MeasureSeries:
+    """CP-indivisibility series from the Bloch matrices M(0..t_max) of the reduced maps.
+
+    All steps are evaluated at once. A step whose inversion is
+    ill-conditioned, or whose g falls below -G_CLAMP, is flagged, never
+    silently dropped.
+    """
+    maps, cond, ill = intermediate_maps(bloch)
+    gt = choi_trace_norms(maps) - 1.0
+    negative = gt < -G_CLAMP
+    flags = [""] * len(bloch)
+    for i in np.flatnonzero(negative | ill):
+        notes = [f"g_negative({gt[i]:.3e})"] if negative[i] else []
+        if ill[i]:
+            notes.append(f"ill_conditioned({cond[i]:.3e})")
+        flags[i + 1] = ";".join(notes)
+    g = np.concatenate([[0.0], np.maximum(gt, 0.0)])
     rhp = np.concatenate([[0.0], np.cumsum(g[1:])])
-    return MeasureSeries(steps=np.arange(t_max + 1), g=g, rhp=rhp, flags=flags)
+    return MeasureSeries(steps=np.arange(len(bloch)), g=g, rhp=rhp, flags=flags)
 
 
 def rhp_series(ew: EuclideanWalk, t_max: int) -> MeasureSeries:
-    """g(t) and its running sum for the walk's reduced dynamics.
+    """g(t) and its running sum for the walk's reduced dynamics."""
+    return rhp_from_bloch(bloch_matrix_series(ew, t_max))
 
-    The intermediate maps are probed in the matrix-unit basis through the
-    channel matrices; ill-conditioned inversions are flagged per step, never
-    silently dropped.
-    """
-    return rhp_from_channels(channel_matrix_series(ew, t_max))
+
+def _entropy_bits(w: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the last axis, dropping eigenvalues <= ENTROPY_CUT."""
+    w = np.where(w > ENTROPY_CUT, w, 1.0)  # 1 log2 1 = 0
+    s = -(w * np.log2(w)).sum(axis=-1)
+    return np.where(s > 0.0, s, 0.0)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum p log2 p of the spectrum, eigenvalue dust clamped at 1e-12."""
-    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    w = w[w > 1e-12]
-    return max(0.0, float(-(w * np.log2(w)).sum()))
+    return float(_entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
 
 
 def entanglement_series(ew: EuclideanWalk, rho0: np.ndarray, t_max: int) -> MeasureSeries:
@@ -345,15 +335,16 @@ def entanglement_series(ew: EuclideanWalk, rho0: np.ndarray, t_max: int) -> Meas
     The joint state starts pure (origin position (x) coin), so the reduced
     coin entropy is a genuine entanglement measure while rho0 is pure; an
     impure rho0 is still accepted but the series is flagged accordingly.
+    The state at step t has eigenvalues (1 -+ |M(t) r0|)/2.
     """
     rho0 = _check_state(rho0)
     purity = float(np.trace(rho0 @ rho0).real)
     impure = purity < 1.0 - 1e-10
-    traj = coin_trajectory(ew, rho0, t_max)
-    entropy = np.array([von_neumann_entropy(state) for state in traj.states])
+    radius = np.linalg.norm(bloch_matrix_series(ew, t_max) @ _bloch_vector(rho0), axis=1)
+    entropy = _entropy_bits(np.stack([(1.0 - radius) / 2.0, (1.0 + radius) / 2.0], axis=1))
     flags = ["impure_initial" if impure else ""] * (t_max + 1)
     return MeasureSeries(
-        steps=traj.steps,
+        steps=np.arange(t_max + 1),
         entropy=entropy,
         flags=flags,
         meta={"purity_0": purity, "entanglement_valid": not impure, "entropy_base": 2},

@@ -11,7 +11,6 @@ root eta(k) maps the walk to a genuinely unitary evolution, and transports
 T, U connect different admissible metrics.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,15 +340,13 @@ def verify_metric_action(
 
 def write_metric_csv(g: BlockOperator, path, comment: str | None = None) -> None:
     """Audit export: one row per momentum with the four complex block entries."""
+    # re/im of g11, g12, g21, g22: the complex blocks viewed as floats
+    entries = np.ascontiguousarray(g.blocks, dtype=complex).view(float).reshape(len(g), 8)
+    table = np.column_stack([g.points, entries])
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "re_g11", "im_g11", "re_g12", "im_g12", "re_g21", "im_g21", "re_g22", "im_g22"]
-        )
-        for k, b in zip(g.points, g.blocks):
-            row = [repr(float(k))]
-            for entry in b.reshape(-1):
-                row += [repr(float(entry.real)), repr(float(entry.imag))]
-            writer.writerow(row)
+        fh.write("k,re_g11,im_g11,re_g12,im_g12,re_g21,im_g21,re_g22,im_g22\r\n")
+        # one row at a time, in csv's default dialect; no field needs quoting
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")

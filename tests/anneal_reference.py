@@ -11,13 +11,11 @@ import csv
 
 import numpy as np
 
-from ptwalk.channel import channel_matrix_series
+from channel_reference import _distance_series, _series_stack, channel_matrix_series
 from ptwalk.measures import (
     AnnealSchedule,
     MeasureSeries,
     StatePair,
-    _distance_series,
-    _series_stack,
     bloch_state,
     blp_series,
 )
@@ -54,8 +52,7 @@ def maximize_blp_sequential(
     winning pair. When ``trace_path`` is given, a per-temperature audit CSV
     (restart, temperature, accepted count, best-so-far) is written there.
     """
-    channels = channel_matrix_series(ew, t_max)
-    stack = _series_stack(channels)
+    stack = _series_stack(channel_matrix_series(ew, t_max))
     best_axis = max(_AXIS_PAIRS, key=lambda v: _blp_objective(stack, v))
     best_vec = best_axis.copy()
     best_val = _blp_objective(stack, best_vec)
@@ -91,7 +88,7 @@ def maximize_blp_sequential(
             for restart, temperature, accepted, best in trace_rows:
                 writer.writerow([restart, repr(temperature), accepted, repr(best)])
     pair = StatePair.from_bloch(best_vec[:3], best_vec[3:])
-    series = blp_series(ew, pair, t_max, channels=channels)
+    series = blp_series(ew, pair, t_max)
     series.meta.update(
         {
             "n_max": float(series.blp[-1]),

@@ -1,0 +1,167 @@
+"""4x4 channel-matrix and Choi-matrix path, kept as a test oracle.
+
+The library scores CP-indivisibility, backflow and entropy on the real 3x3
+Bloch matrices M(t): the intermediate maps come from one batched solve and
+their Choi trace norms from signed singular values. This module keeps the
+generic path those replaced. The t-step map is represented by a 4x4 matrix
+L(t, 0) acting on row-major vectorized coin states, with columns
+vec(map(E_ij)) over the matrix units in the order E11, E12, E21, E22; it is
+diag(1, M(t)) in the Pauli basis. The intermediate map is
+L(t+1, t) = L(t+1, 0) L(t, 0)^{-1}, and its Choi matrix is
+
+    C = devec[ U23 (L (x) I4) U23 vec(|Phi><Phi|) ],
+
+where |Phi> = (|00> + |11>)/sqrt(2) and U23 swaps the middle two tensor
+factors of the four-qubit index. g(t) is the trace norm of C minus one,
+read from a 4x4 singular value decomposition one step at a time.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ptwalk.channel import (
+    _PAULI,
+    ILL_CONDITION_LIMIT,
+    PINV_RCOND,
+    _bloch_matrices,
+    _check_horizon,
+    bloch_matrix_series,
+)
+from ptwalk.errors import ShapeMismatch
+from ptwalk.linalg import _square, trace_norm
+from ptwalk.measures import G_CLAMP, MeasureSeries
+
+# _PAULI_OUTER[i, j] = p_i p_j† / 2 for the columns p of _PAULI, so that
+# L(t, 0) = _PAULI_OUTER[0, 0] + sum_ij M_ij(t) _PAULI_OUTER[i+1, j+1].
+_PAULI_OUTER = np.einsum("ai,bj->ijab", _PAULI, _PAULI.conj()) / 2.0
+
+_SWAP23 = np.kron(
+    np.eye(2),
+    np.kron(
+        np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+        np.eye(2),
+    ),
+)
+_PHI = np.zeros(4, dtype=complex)
+_PHI[0] = _PHI[3] = 1.0 / np.sqrt(2.0)
+_VEC_PHI = np.outer(_PHI, _PHI.conj()).reshape(16)
+
+
+def vec(m: np.ndarray) -> np.ndarray:
+    """Row-major vectorization: vec([[a,b],[c,d]]) = (a, b, c, d)."""
+    m = _square(m)
+    return m.reshape(-1)
+
+
+def devec(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vec`; length must be a perfect square."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    n = int(round(np.sqrt(v.size)))
+    if n * n != v.size:
+        raise ShapeMismatch(f"length {v.size} is not a perfect square")
+    return v.reshape(n, n)
+
+
+@dataclass(frozen=True)
+class ChannelMatrix:
+    """4x4 representation of the reduced map from step t_from to t_to."""
+
+    t_from: int
+    t_to: int
+    matrix: np.ndarray
+    condition_number: float
+    ill_conditioned: bool = False
+
+
+def _channels(bloch: np.ndarray, steps: np.ndarray) -> list[ChannelMatrix]:
+    """4x4 matrices L(t, 0) = diag(1, M(t)) in the Pauli basis, with condition numbers."""
+    stack = (bloch.reshape(-1, 9) @ _PAULI_OUTER[1:, 1:].reshape(9, 16)).reshape(-1, 4, 4)
+    stack += _PAULI_OUTER[0, 0]
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return [
+        ChannelMatrix(0, int(t), matrix, float(s[0] / s[-1]) if s[-1] > 0 else np.inf)
+        for t, matrix, s in zip(steps, stack, sv)
+    ]
+
+
+def channel_matrix(ew, t: int) -> ChannelMatrix:
+    """Matrix L(t, 0) of the t-step reduced map on vectorized coin states."""
+    _check_horizon(ew, t)
+    steps = np.array([t])
+    return _channels(_bloch_matrices(ew, steps), steps)[0]
+
+
+def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
+    """L(t, 0) for t = 0..t_max, each diag(1, M(t)) in the Pauli basis."""
+    return _channels(bloch_matrix_series(ew, t_max), np.arange(t_max + 1))
+
+
+def intermediate_from(l_from: ChannelMatrix, l_to: ChannelMatrix) -> ChannelMatrix:
+    """L(t+1, t) from L(t, 0) and L(t+1, 0); pseudo-inverse fallback when near-singular."""
+    cond = l_from.condition_number
+    flagged = not np.isfinite(cond) or cond > ILL_CONDITION_LIMIT
+    if flagged:
+        inv = np.linalg.pinv(l_from.matrix, rcond=PINV_RCOND)
+        matrix = l_to.matrix @ inv
+    else:
+        matrix = np.linalg.solve(l_from.matrix.conj().T, l_to.matrix.conj().T).conj().T
+    return ChannelMatrix(l_from.t_to, l_to.t_to, matrix, cond, flagged)
+
+
+def intermediate_map(ew, t: int) -> ChannelMatrix:
+    """One-step map L(t+1, t) = L(t+1, 0) L(t, 0)^{-1}.
+
+    The recorded condition number is that of L(t, 0); above 1e12 the inverse
+    is replaced by a cutoff pseudo-inverse and the result is flagged.
+    """
+    series = channel_matrix_series(ew, t + 1)
+    return intermediate_from(series[t], series[t + 1])
+
+
+def choi_matrix(lmat) -> np.ndarray:
+    """Choi matrix of the channel with 4x4 matrix representation ``lmat``.
+
+    Accepts a ChannelMatrix or a raw 4x4 array. For a completely positive
+    trace-preserving map the result is PSD with unit trace norm; trace-norm
+    excess over 1 witnesses failure of complete positivity.
+    """
+    m = lmat.matrix if isinstance(lmat, ChannelMatrix) else np.asarray(lmat, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"channel matrix must be 4x4, got {m.shape}")
+    v = _SWAP23 @ (np.kron(m, np.eye(4)) @ (_SWAP23 @ _VEC_PHI))
+    return devec(v)
+
+
+def rhp_from_channels(channels: list[ChannelMatrix]) -> MeasureSeries:
+    """CP-indivisibility series from an already-built L(t, 0) family."""
+    t_max = len(channels) - 1
+    g = np.zeros(t_max + 1)
+    flags = [""] * (t_max + 1)
+    for t in range(1, t_max + 1):
+        step = intermediate_from(channels[t - 1], channels[t])
+        gt = trace_norm(choi_matrix(step)) - 1.0
+        if gt < -G_CLAMP:
+            flags[t] = f"g_negative({gt:.3e})"
+        if step.ill_conditioned:
+            flags[t] = (flags[t] + ";" if flags[t] else "") + f"ill_conditioned({step.condition_number:.3e})"
+        g[t] = max(gt, 0.0)
+    rhp = np.concatenate([[0.0], np.cumsum(g[1:])])
+    return MeasureSeries(steps=np.arange(t_max + 1), g=g, rhp=rhp, flags=flags)
+
+
+def _distance_series(stack: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Trace distances D(t) along a channel-matrix stack, t = 0..t_max.
+
+    The evolved difference is Hermitian and traceless, so its trace norm is
+    twice sqrt(x^2 + |z|^2) read from the difference's vectorized form.
+    """
+    x0 = vec(np.asarray(rho, complex) - np.asarray(sigma, complex))
+    y = stack @ x0
+    x = 0.5 * (y[:, 0] - y[:, 3]).real
+    z = 0.5 * (y[:, 1] + np.conj(y[:, 2]))
+    return np.sqrt(x**2 + np.abs(z) ** 2)
+
+
+def _series_stack(channels: list[ChannelMatrix]) -> np.ndarray:
+    return np.stack([c.matrix for c in channels])

@@ -1,15 +1,20 @@
-"""Per-momentum and per-step loops, kept unchanged as test oracles.
+"""Per-momentum, per-step and per-value loops, kept unchanged as test oracles.
 
 These are the original implementations of the walk, metric and reduced-map
 builders: every momentum block is built on its own, and the reduced map is
 advanced one step at a time by multiplying 2x2 block powers. The library
 builds all blocks at once and evaluates the reduced map in closed form as an
 average of Bloch rotations; these loops check it through an independent path.
+The CSV writers at the end format one value at a time through ``csv.writer``;
+the library's writers must produce the same bytes.
 """
+
+import csv
 
 import numpy as np
 
-from ptwalk.channel import ChannelMatrix, CoinTrajectory, _check_horizon, _check_state
+from channel_reference import ChannelMatrix
+from ptwalk.channel import CoinTrajectory, _check_horizon, _check_state
 from ptwalk.errors import DegenerateAtK, NotPositive
 from ptwalk.metric import _weights
 from ptwalk.walk import UNBROKEN_MARGIN, coin, gain_loss, momentum_grid, spectral_a
@@ -135,3 +140,44 @@ def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
         acc = np.einsum("kab,kbc->kac", w, acc)
         out.append(_channel_from_powers(acc, t))
     return out
+
+
+# -------------------------------------------------------------------- CSV
+
+
+def write_metric_csv(g, path, comment: str | None = None) -> None:
+    """Audit export: one row per momentum with the four complex block entries."""
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["k", "re_g11", "im_g11", "re_g12", "im_g12", "re_g21", "im_g21", "re_g22", "im_g22"]
+        )
+        for k, b in zip(g.points, g.blocks):
+            row = [repr(float(k))]
+            for entry in b.reshape(-1):
+                row += [repr(float(entry.real)), repr(float(entry.imag))]
+            writer.writerow(row)
+
+
+def write_series_csv(series, path, comment: str | None = None) -> None:
+    """``MeasureSeries.write_csv``, one value at a time."""
+    cols = {
+        "delta": series.delta,
+        "N": series.blp,
+        "g": series.g,
+        "I_RHP": series.rhp,
+        "S": series.entropy,
+    }
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + list(cols) + ["flags"])
+        for i, t in enumerate(series.steps):
+            row = [int(t)]
+            for arr in cols.values():
+                row.append("" if arr is None else repr(float(arr[i])))
+            row.append(series.flags[i])
+            writer.writerow(row)

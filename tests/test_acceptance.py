@@ -19,22 +19,22 @@ from ptwalk import (
     blp_series,
     build_euclidean_walk,
     build_metric,
-    choi_matrix,
     eig,
     hamiltonian,
     herm_sqrt,
     maximize_blp,
     reduced_coin_state,
     run_toy,
+    rhp_series,
     separability_defect,
     spectral_a,
     trace_norm,
-    vec,
     verify_metric_action,
     walk_block,
 )
-from ptwalk.channel import channel_matrix_series
-from ptwalk.measures import bloch_state, rhp_from_channels
+from channel_reference import channel_matrix_series, choi_matrix, intermediate_from, vec
+from ptwalk.channel import bloch_matrix_series, choi_trace_norms, intermediate_maps
+from ptwalk.measures import bloch_state
 from test_channel import dense_reduced_state
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -69,8 +69,8 @@ def grid_channels(grid_walks):
 
 
 @pytest.fixture(scope="module")
-def rhp_curves(grid_channels):
-    return {key: rhp_from_channels(chs).rhp for key, chs in grid_channels.items()}
+def rhp_curves(grid_walks):
+    return {key: rhp_series(ew, T_MAX).rhp for key, ew in grid_walks.items()}
 
 
 @pytest.fixture(scope="module")
@@ -178,9 +178,20 @@ def test_criterion_07_blp_positive_for_unitary_walk(grid_walks):
     _report(7, "backflow positive at gamma=0", n50 > 0.0, f"N(50) = {n50:.4f}")
 
 
-def test_criterion_08_channel_identities(grid_channels):
-    from ptwalk.channel import intermediate_from
+def test_criterion_08_channel_identities(grid_walks, grid_channels):
+    # 3x3 Bloch path of the library
+    worst3 = 0.0
+    for ew in grid_walks.values():
+        bloch = bloch_matrix_series(ew, T_MAX)
+        maps, _, _ = intermediate_maps(bloch)
+        worst3 = max(worst3, float(np.abs(maps @ bloch[:-1] - bloch[1:]).max()))
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    rotation = np.array([[np.trace(a @ q @ b @ q.conj().T).real / 2 for b in paulis] for a in paulis])
+    pauli_id, pauli_u, pauli_t = choi_trace_norms(np.stack([np.eye(3), rotation, np.diag([1.0, -1.0, 1.0])]))
 
+    # 4x4 channel-matrix oracle
     worst = 0.0
     for channels in grid_channels.values():
         for t in range(T_MAX):
@@ -188,8 +199,6 @@ def test_criterion_08_channel_identities(grid_channels):
             back = inter.matrix @ channels[t].matrix
             worst = max(worst, float(np.abs(back - channels[t + 1].matrix).max()))
     tn_id = trace_norm(choi_matrix(np.eye(4)))
-    rng = np.random.default_rng(8)
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     tn_u = trace_norm(choi_matrix(np.kron(q, q.conj())))
     units = np.zeros((4, 2, 2), dtype=complex)
     for i in range(2):
@@ -198,7 +207,11 @@ def test_criterion_08_channel_identities(grid_channels):
     transpose_l = np.stack([vec(units[x].T) for x in range(4)], axis=1)
     tn_t = trace_norm(choi_matrix(transpose_l))
     ok = (
-        worst <= 1e-8
+        worst3 <= 1e-8
+        and abs(pauli_id - 1.0) <= 1e-10
+        and abs(pauli_u - 1.0) <= 1e-10
+        and abs(pauli_t - 2.0) <= 1e-10
+        and worst <= 1e-8
         and abs(tn_id - 1.0) <= 1e-10
         and abs(tn_u - 1.0) <= 1e-10
         and abs(tn_t - 2.0) <= 1e-10
@@ -207,7 +220,9 @@ def test_criterion_08_channel_identities(grid_channels):
         8,
         "channel-machinery identities",
         ok,
-        f"compose {worst:.2e}, |choi id|={tn_id:.12f}, |choi U|={tn_u:.12f}, |choi T|={tn_t:.12f}",
+        f"3x3: compose {worst3:.2e}, |choi id|={pauli_id:.12f}, |choi U|={pauli_u:.12f}, "
+        f"|choi T|={pauli_t:.12f}; 4x4 oracle: compose {worst:.2e}, |choi id|={tn_id:.12f}, "
+        f"|choi U|={tn_u:.12f}, |choi T|={tn_t:.12f}",
     )
 
 

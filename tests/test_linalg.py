@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from channel_reference import devec, vec
 from ptwalk import (
     BranchAmbiguity,
     DegeneratePairing,
     NotPositive,
     ShapeMismatch,
     WalkParams,
-    devec,
     eig,
     herm_sqrt,
     partial_trace,
     trace_norm,
     unitary_log,
-    vec,
     walk_block,
 )
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ptwalk import (
     AnnealSchedule,
@@ -18,11 +20,13 @@ from ptwalk import (
     trace_distance,
     von_neumann_entropy,
 )
-from ptwalk.channel import ChannelMatrix
-from ptwalk.measures import rhp_from_channels
+from channel_reference import ChannelMatrix, rhp_from_channels
+from ptwalk.channel import PINV_RCOND, bloch_matrix_series, intermediate_maps
+from ptwalk.measures import rhp_from_bloch
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
 
 
 def walk(gamma_factor=1.0, spec=FLAT, size=101):
@@ -157,8 +161,7 @@ def test_maximize_blp_tracks_dense_direction_oracle():
     # with its length, so the exact maximum sits on antipodal pure pairs;
     # a dense direction grid gives an independent lower-bound oracle.
     from anneal_reference import _blp_objective
-    from ptwalk.channel import channel_matrix_series
-    from ptwalk.measures import _series_stack
+    from channel_reference import _series_stack, channel_matrix_series
 
     ew = walk(1.2, MetricSpec(kind="random_xy", seed=11), size=41)
     t_max = 20
@@ -212,9 +215,8 @@ def test_bloch_matrices_reproduce_distance_series():
     # D(t) = |M(t)(r - s)|/2, with M(t) from the closed form, must agree with
     # the trace distances read from the 4x4 channel-matrix stack of the
     # step-by-step block powers, for arbitrary pairs in the Bloch ball.
+    from channel_reference import _distance_series, _series_stack
     from loop_reference import channel_matrix_series
-    from ptwalk.channel import bloch_matrix_series
-    from ptwalk.measures import _distance_series, _series_stack
 
     rng = np.random.default_rng(52)
     for factor, spec in ((1.0, FLAT), (1.3, MetricSpec(kind="random_xy", seed=11))):
@@ -254,6 +256,98 @@ def test_rhp_zero_for_unitary_step_sequence():
     series = rhp_from_channels(channels)
     assert np.abs(series.g).max() < 1e-12
     assert series.rhp[-1] < 1e-10
+    # the same sequence on the Bloch matrices: M(t) = R^t for the rotation R of q
+    rotation = np.array([[np.trace(a @ q @ b @ q.conj().T).real / 2 for b in PAULIS] for a in PAULIS])
+    series = rhp_from_bloch(np.stack([np.linalg.matrix_power(rotation, t) for t in range(11)]))
+    assert np.abs(series.g).max() < 1e-12
+    assert series.rhp[-1] < 1e-10
+
+
+def _oracle_rhp(ew, t_max):
+    from channel_reference import channel_matrix_series
+
+    return rhp_from_channels(channel_matrix_series(ew, t_max))
+
+
+def _assert_rhp_matches_oracle(series, oracle):
+    scale = np.maximum(1.0, np.abs(oracle.g))
+    assert (np.abs(series.g - oracle.g) / scale).max() <= 1e-11
+    assert series.flags == oracle.flags
+
+
+@pytest.mark.parametrize("gamma_factor", [1.0, 1.2, 1.3])
+@pytest.mark.parametrize("spec", [FLAT, MetricSpec(kind="random_xy", seed=11)])
+def test_rhp_matches_channel_oracle_long_horizon(gamma_factor, spec):
+    # all steps at once on the 3x3 maps vs one 4x4 solve and Choi SVD per step
+    from channel_reference import channel_matrix_series
+
+    ew = walk(gamma_factor, spec, size=1201)
+    _assert_rhp_matches_oracle(rhp_series(ew, 600), _oracle_rhp(ew, 600))
+    _, cond, flagged = intermediate_maps(bloch_matrix_series(ew, 600))
+    channels = channel_matrix_series(ew, 600)[:-1]
+    expected = np.array([c.condition_number for c in channels])
+    assert np.abs(cond / expected - 1.0).max() <= 1e-10
+    assert not flagged.any()
+
+
+def test_rhp_ill_conditioned_steps_match_oracle():
+    # M(1) loses the x and y components up to 1e-13 and M(3) loses them
+    # exactly, so the inversions at steps 2 and 4 take the cutoff
+    # pseudo-inverse; the other steps are generic.
+    from channel_reference import _channels
+
+    rng = np.random.default_rng(53)
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    bloch = np.stack(
+        [
+            np.eye(3),
+            np.diag([1e-13, 1e-13, 1.0]),
+            0.9 * rotation,
+            np.diag([0.0, 0.0, 1.0]),
+            np.diag([0.3, -0.2, 0.9]),
+            rotation @ np.diag([0.5, -0.4, 0.3]),
+        ]
+    )
+    series = rhp_from_bloch(bloch)
+    oracle = rhp_from_channels(_channels(bloch, np.arange(len(bloch))))
+    _assert_rhp_matches_oracle(series, oracle)
+    assert series.flags[2] == "ill_conditioned(1.000e+13)"
+    assert series.flags[4] == "ill_conditioned(inf)"
+    assert [t for t, f in enumerate(series.flags) if f] == [2, 4]
+    assert series.g[5] > 0.1
+    maps, cond, flagged = intermediate_maps(bloch)
+    assert flagged.tolist() == [False, True, False, True, False]
+    assert cond[1] == 1e13 and cond[3] == np.inf
+    for i in (1, 3):
+        pinv = np.linalg.pinv(bloch[i], rcond=PINV_RCOND)
+        assert np.abs(maps[i] - bloch[i + 1] @ pinv).max() <= 1e-15
+    assert np.abs(maps[1]).max() < 1.0  # a direct solve would give entries near 1e13
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    theta1=st.floats(0.1, 1.4),
+    theta2=st.floats(-1.4, -0.1),
+    fraction=st.floats(0.0, 0.95),
+    seed=st.integers(0, 2**31),
+)
+def test_bloch_path_matches_oracles_property(theta1, theta2, fraction, seed):
+    # g(t) against the 4x4 Choi oracle, S(t) against eigvalsh of the coin states
+    from ptwalk import NoBreaking, coin_trajectory, gamma_pt, is_unbroken
+
+    try:
+        gamma = fraction * gamma_pt(theta1, theta2)
+    except NoBreaking:
+        assume(False)
+    p = WalkParams(theta1, theta2, gamma, 101)
+    assume(is_unbroken(p))
+    rho0 = bloch_state((0.0, 1.0, 0.0))
+    for spec in (FLAT, MetricSpec(kind="random_xy", seed=seed)):
+        ew = build_euclidean_walk(p, spec)
+        _assert_rhp_matches_oracle(rhp_series(ew, 50), _oracle_rhp(ew, 50))
+        states = coin_trajectory(ew, rho0, 50).states
+        expected = [von_neumann_entropy(state) for state in states]
+        assert np.abs(entanglement_series(ew, rho0, 50).entropy - expected).max() <= 1e-12
 
 
 def test_rhp_series_monotone_with_zero_start():
@@ -366,6 +460,31 @@ def test_measure_series_csv(tmp_path):
     assert lines[1].split(",")[1] == ""
     series.write_csv(path, comment="seed=5 tol=1e-8")
     assert path.read_text().startswith("# seed=5 tol=1e-8\n")
+
+
+def test_measure_series_csv_matches_value_by_value_writer(tmp_path):
+    import hashlib
+
+    import loop_reference
+
+    ew = walk(1.3, MetricSpec(kind="random_xy", seed=11), size=201)
+    bloch = np.stack([np.eye(3), np.diag([1e-13, 1e-13, 1.0]), np.diag([0.5, -0.0, 1e-300])])
+    flagged = rhp_from_bloch(bloch)
+    flagged.g[1:] = 1e16, -0.0
+    flagged.rhp[2] = 1e-300
+    cases = [
+        rhp_series(ew, 100),
+        entanglement_series(ew, bloch_state((0, 1, 0)), 100),
+        entanglement_series(ew, np.eye(2) / 2, 5),
+        blp_series(ew, StatePair.from_bloch((0, 0, 1), (0, 0, -1)), 100),
+        flagged,
+    ]
+    for i, series in enumerate(cases):
+        new, old = tmp_path / f"new{i}.csv", tmp_path / f"old{i}.csv"
+        series.write_csv(new, comment=f"case={i} tolerances={{\"a\": 1e-08}}")
+        loop_reference.write_series_csv(series, old, comment=f"case={i} tolerances={{\"a\": 1e-08}}")
+        assert hashlib.sha256(new.read_bytes()).digest() == hashlib.sha256(old.read_bytes()).digest()
+    assert "ill_conditioned(1.000e+13)" in new.read_text()
 
 
 def test_maximize_blp_trace_dump(tmp_path):

@@ -326,6 +326,41 @@ def test_metric_csv_export(tmp_path):
     assert lines[0].startswith("k,re_g11")
 
 
+def _sha256(path):
+    import hashlib
+
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", [MetricSpec(kind="g1_flat"), MetricSpec(kind="random_xy", seed=11)])
+def test_metric_csv_matches_value_by_value_writer(tmp_path, spec):
+    import loop_reference
+
+    g = build_metric(params(math.log(1.2), 4001), spec)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_metric_csv(g, new, comment="gamma_factor=1.2 audit")
+    loop_reference.write_metric_csv(g, old, comment="gamma_factor=1.2 audit")
+    assert _sha256(new) == _sha256(old)
+
+
+def test_metric_csv_matches_value_by_value_writer_on_edge_values(tmp_path):
+    import loop_reference
+    from ptwalk.walk import BlockOperator
+
+    blocks = np.array(
+        [
+            [[-0.0, 1e-300 - 0.0j], [1e16 + 1e-300j, -1e16]],
+            [[0.1 + 0.2j, -0.0 - 0.0j], [1.0 / 3.0, 5e-324 + 1e308j]],
+        ]
+    )
+    g = BlockOperator(np.array([-0.0, 1e16]), blocks)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_metric_csv(g, new)
+    loop_reference.write_metric_csv(g, old)
+    assert _sha256(new) == _sha256(old)
+    assert "-0.0" in new.read_text() and "1e-300" in new.read_text()
+
+
 # --------------------------------------------- appendix-style global identities
 
 
