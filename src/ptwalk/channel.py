@@ -50,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BrokenRegime, LightConeViolation, NotPositive
+from .errors import BrokenRegime, LightConeViolation
+from .linalg import sqrt_and_inv
 from .metric import MetricSpec, build_metric
 from .walk import (
     UNBROKEN_MARGIN,
@@ -106,21 +107,15 @@ class CoinTrajectory:
 def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
     """Construct the metric, its square root and the unitary blocks W_eta(k).
 
-    One stacked ``eigh`` of the (L, 2, 2) metric gives eta = sqrt(G), its
-    inverse and the blocks W_eta = eta W_c eta^{-1} for the whole grid.
+    One stacked ``eigh`` of the (L, 2, 2) metric (``linalg.sqrt_and_inv``)
+    gives eta = sqrt(G), its inverse and the blocks W_eta = eta W_c eta^{-1}
+    for the whole grid.
     """
     if not is_unbroken(p) and not (p.gamma == 0.0 and spec.kind == "g1_flat"):
         raise BrokenRegime("walk is at or beyond its exceptional point")
     g = build_metric(p, spec)
     w = walk_operator(p)
-    vals, vecs = np.linalg.eigh(g.blocks)
-    bad = np.flatnonzero(vals[:, 0] <= 0)
-    if bad.size:
-        raise NotPositive(f"metric block {bad[0]} not positive definite")
-    vecs_h = vecs.conj().swapaxes(1, 2)
-    root = np.sqrt(vals)[:, None, :]
-    etas = (vecs * root) @ vecs_h
-    eta_invs = (vecs / root) @ vecs_h
+    etas, eta_invs, vals = sqrt_and_inv(g.blocks)
     w_etas = etas @ w.blocks @ eta_invs
     residual = float(np.abs(w_etas.conj().swapaxes(1, 2) @ w_etas - np.eye(2)).max())
     return EuclideanWalk(

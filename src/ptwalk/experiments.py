@@ -4,10 +4,12 @@ A run sweeps the cartesian grid of non-Hermiticity factors e^gamma and
 metric choices for the selected studies (information backflow, CP
 indivisibility, coin-position entanglement, and the two-qubit toy), writing
 one CSV series and one JSON summary per cell plus a manifest of content
-hashes. Cells whose gamma lies beyond the exceptional point are skipped and
-reported, not fatal. Given the same config and master seed, the CSV outputs
-are byte-identical across reruns and thread counts; summary JSONs are
-deterministic apart from their wall-clock runtime field.
+hashes. The unit of work is a (gamma, metric) pair: its walk and Bloch
+matrices M(t) are built once for all of its studies. Cells whose gamma lies
+beyond the exceptional point are skipped and reported, not fatal. Given the
+same config and master seed, the CSV outputs are byte-identical across
+reruns and thread counts; summary JSONs are deterministic apart from their
+wall-clock runtime field.
 """
 
 import csv
@@ -21,20 +23,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import build_euclidean_walk
+from .channel import bloch_matrix_series, build_euclidean_walk
 from .errors import ConfigInvalid, MissingArtifacts
 from .measures import (
     AnnealSchedule,
     bloch_state,
-    entanglement_series,
-    maximize_blp,
-    rhp_series,
+    entanglement_from_bloch,
+    maximize_blp_many,
+    rhp_from_bloch,
 )
-from .metric import MetricSpec, build_metric, write_metric_csv
+from .metric import MetricSpec, write_metric_csv
 from .toy import ToyConfig, run_toy
 from .walk import WalkParams, is_unbroken
 
-STUDIES = ("blp", "rhp", "entanglement", "toy", "all")
+WALK_STUDIES = ("blp", "rhp", "entanglement")
+STUDIES = (*WALK_STUDIES, "toy", "all")
 OUTPUT_DIR_ENV = "PTWALK_OUTPUT_DIR"
 
 # Reported alongside every cell so outputs are self-describing.
@@ -170,56 +173,41 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _run_cell(cfg_dict: dict, study: str, factor: float, metric_dict: dict, out_dir: str) -> dict:
-    """Execute one (study, gamma, metric) cell and write its artifacts.
+def _run_cell(
+    cfg: ExperimentConfig,
+    spec: MetricSpec,
+    summary: dict,
+    out: Path,
+    bloch: np.ndarray | None = None,
+    found=None,
+    shared_s: float = 0.0,
+) -> dict:
+    """Finish one (study, gamma, metric) walk cell and write its series CSV and summary JSON.
 
-    Top-level function so cells can run in a process pool; fully determined
-    by its arguments.
+    ``summary`` holds the cell's identity and its walk's health. An rhp or
+    entanglement cell reads its series from ``bloch``, the M(t) its pair's
+    studies share. A BLP cell passes ``found``, its (pair, N_max, series)
+    from the group's lockstep search, and ``shared_s``, its even share of
+    that search's wall time; runtime_s is the cell's own time plus
+    ``shared_s``.
     """
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    spec = MetricSpec.from_dict(metric_dict)
-    out = Path(out_dir)
-    stem = _cell_stem(study, factor, spec.label)
-    started = time.perf_counter()
-    params = cfg.walk_params(factor)
-    if not is_unbroken(params):
-        return {
-            "cell": stem,
-            "status": "skipped",
-            "reason": "broken regime: |a(k)| >= 1 somewhere on the grid",
-        }
-    ew = build_euclidean_walk(params, spec)
-    summary = {
-        "cell": stem,
-        "status": "ok",
-        "study": study,
-        "gamma_factor": factor,
-        "gamma": params.gamma,
-        "metric": spec.to_dict(),
-        "metric_label": spec.label,
-        "t_max": cfg.t_max,
-        "master_seed": cfg.master_seed,
-        "tolerances": TOLERANCES,
-        "unitarity_residual": ew.unitarity_residual,
-        "ep_gap": ew.ep_gap,
-        "metric_condition_max": ew.metric_condition_max,
-    }
+    started = time.perf_counter() - shared_s
+    study, stem = summary["study"], summary["cell"]
     if study == "rhp":
-        series = rhp_series(ew, cfg.t_max)
+        series = rhp_from_bloch(bloch)
         summary["final_rhp"] = float(series.rhp[-1])
     elif study == "entanglement":
-        series = entanglement_series(ew, bloch_state(cfg.coin_bloch), cfg.t_max)
+        series = entanglement_from_bloch(bloch, bloch_state(cfg.coin_bloch))
         summary["final_entropy"] = float(series.entropy[-1])
         summary["coin_bloch"] = list(cfg.coin_bloch)
     elif study == "blp":
-        schedule = AnnealSchedule.from_dict({**cfg.anneal.to_dict(), "seed": cfg.master_seed})
-        _, n_max, series = maximize_blp(ew, schedule, cfg.t_max)
+        _, n_max, series = found
         summary["n_max"] = n_max
         summary["best_pair"] = {
             "bloch_rho": series.meta["bloch_rho"],
             "bloch_sigma": series.meta["bloch_sigma"],
         }
-        summary["anneal"] = schedule.to_dict()
+        summary["anneal"] = series.meta["schedule"]
     else:
         raise ValueError(f"unknown cell study {study!r}")
     summary["flagged_steps"] = [
@@ -233,6 +221,62 @@ def _run_cell(cfg_dict: dict, study: str, factor: float, metric_dict: dict, out_
     summary["runtime_s"] = time.perf_counter() - started
     _write_json(out / f"{stem}.json", summary)
     return summary
+
+
+def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) -> list[dict]:
+    """Run every requested walk study on a group of unbroken (gamma, metric) pairs.
+
+    Each pair's walk and its Bloch matrices M(t) are built once and shared by
+    its studies, and its metric audit CSV is written from the same metric.
+    Of a BLP cell only M(t) is kept, never the walk; the BLP cells of the
+    group are annealed together at the end, in one lockstep search. Top-level
+    function so groups can run in a process pool; fully determined by its
+    arguments, and a cell's outputs do not depend on its group.
+    """
+    cfg = ExperimentConfig.from_dict(cfg_dict)
+    out = Path(out_dir)
+    studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
+    summaries, blp_cells = [], []
+    for factor, metric_dict in pairs:
+        spec = MetricSpec.from_dict(metric_dict)
+        params = cfg.walk_params(factor)
+        ew = build_euclidean_walk(params, spec)
+        write_metric_csv(
+            ew.metric,
+            out / f"metric__eg{factor:g}__{spec.label}.csv",
+            comment=f"gamma_factor={factor:g} {json.dumps(metric_dict)}",
+        )
+        bloch = bloch_matrix_series(ew, cfg.t_max)
+        for study in studies:
+            summary = {
+                "cell": _cell_stem(study, factor, spec.label),
+                "status": "ok",
+                "study": study,
+                "gamma_factor": factor,
+                "gamma": params.gamma,
+                "metric": spec.to_dict(),
+                "metric_label": spec.label,
+                "t_max": cfg.t_max,
+                "master_seed": cfg.master_seed,
+                "tolerances": TOLERANCES,
+                "unitarity_residual": ew.unitarity_residual,
+                "ep_gap": ew.ep_gap,
+                "metric_condition_max": ew.metric_condition_max,
+            }
+            if study == "blp":
+                blp_cells.append((spec, summary, bloch))
+            else:
+                summaries.append(_run_cell(cfg, spec, summary, out, bloch=bloch))
+
+    if blp_cells:
+        started = time.perf_counter()
+        schedule = AnnealSchedule.from_dict({**cfg.anneal.to_dict(), "seed": cfg.master_seed})
+        results = maximize_blp_many([bloch for _, _, bloch in blp_cells], schedule)
+        # every cell runs the same chains for the same steps: an even share each
+        share = (time.perf_counter() - started) / len(blp_cells)
+        for (spec, summary, _), found in zip(blp_cells, results):
+            summaries.append(_run_cell(cfg, spec, summary, out, found=found, shared_s=share))
+    return summaries
 
 
 def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
@@ -265,49 +309,49 @@ def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
-    """Run the configured studies and return the written manifest."""
-    validate_config(cfg)
+    """Run the configured studies and return the written manifest.
+
+    The unbroken (gamma, metric) pairs are dealt round-robin into
+    min(threads, pairs) groups, each run by ``_run_group``; more than one
+    group runs in a pool of worker processes.
+    """
+    regimes = validate_config(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    studies = ["blp", "rhp", "entanglement", "toy"] if cfg.study == "all" else [cfg.study]
-    cells = [
-        (study, factor, metric)
-        for study in studies
-        if study != "toy"
+    studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
+    pairs = [
+        (factor, metric.to_dict())
         for factor in cfg.gamma_factors
+        if studies and regimes[factor]
         for metric in cfg.metrics
     ]
+    count = min(max(threads, 1), len(pairs))
+    groups = [pairs[i::count] for i in range(count)]
+    cfg_dict = cfg.to_dict()
+    if len(groups) > 1:
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            futures = [pool.submit(_run_group, cfg_dict, group, str(out)) for group in groups]
+            done = [f.result() for f in futures]
+    else:
+        done = [_run_group(cfg_dict, group, str(out)) for group in groups]
+    by_cell = {summary["cell"]: summary for group in done for summary in group}
 
     summaries = []
-    cfg_dict = cfg.to_dict()
-    if threads > 1 and cells:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_cell, cfg_dict, study, factor, metric.to_dict(), str(out))
-                for study, factor, metric in cells
-            ]
-            summaries = [f.result() for f in futures]
-    else:
-        summaries = [
-            _run_cell(cfg_dict, study, factor, metric.to_dict(), str(out))
-            for study, factor, metric in cells
-        ]
-    if "toy" in studies:
+    for study in studies:
+        for factor in cfg.gamma_factors:
+            for metric in cfg.metrics:
+                stem = _cell_stem(study, factor, metric.label)
+                summaries.append(
+                    by_cell.get(stem)
+                    or {
+                        "cell": stem,
+                        "status": "skipped",
+                        "reason": "broken regime: |a(k)| >= 1 somewhere on the grid",
+                    }
+                )
+    if cfg.study in ("toy", "all"):
         summaries.append(_run_toy_cell(cfg, out))
-
-    # Audit export of every constructed metric, once per (gamma, metric);
-    # pointless for toy-only runs, which never build walk metrics.
-    for factor in cfg.gamma_factors if cells else ():
-        params = cfg.walk_params(factor)
-        if not is_unbroken(params):
-            continue
-        for metric in cfg.metrics:
-            write_metric_csv(
-                build_metric(params, metric),
-                out / f"metric__eg{factor:g}__{metric.label}.csv",
-                comment=f"gamma_factor={factor:g} {json.dumps(metric.to_dict())}",
-            )
 
     artifacts = sorted(
         str(p.relative_to(out)) for p in out.iterdir() if p.suffix in (".csv", ".json") and p.name != "manifest.json"

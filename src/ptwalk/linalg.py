@@ -95,23 +95,58 @@ def herm_sqrt(a: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def unitary_log(a: np.ndarray) -> np.ndarray:
+def sqrt_and_inv(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive square root of a positive-definite metric, its inverse, and its eigenvalues.
+
+    ``g`` is one (n, n) matrix or a stack (..., n, n). It is symmetrized as
+    (g + g†)/2 and diagonalized by one ``eigh``; with eigenpairs (w, V) the
+    roots are V sqrt(w) V† and V w^{-1/2} V†, and w comes back ascending,
+    shape (..., n). Nothing is clamped (compare ``herm_sqrt``): an eigenvalue
+    <= 0 raises NotPositive, naming the first offending block of a stack.
+    """
+    w, v = np.linalg.eigh((g + g.conj().swapaxes(-1, -2)) / 2.0)
+    bad = np.flatnonzero(w[..., 0] <= 0)
+    if bad.size:
+        where = f" block {bad[0]}" if w.ndim > 1 else ""
+        raise NotPositive(f"metric{where} not positive definite")
+    v_h = v.conj().swapaxes(-1, -2)
+    root = np.sqrt(w)[..., None, :]
+    return (v * root) @ v_h, (v / root) @ v_h, w
+
+
+def unitary_log(a: np.ndarray, points=None) -> np.ndarray:
     """Generator H with exp(-i H) = a, eigenvalue phases on the principal branch.
 
     For a diagonalizable ``a`` with spectrum on (or near) the unit circle this
     is the effective Hamiltonian of the one-step evolution ``a``. Phases are
     taken in (-pi, pi]; a phase within 1e-9 of the cut at +-pi raises
-    BranchAmbiguity rather than silently choosing a sheet.
+    BranchAmbiguity rather than silently choosing a sheet, and a zero
+    eigenvalue raises ValueError. ``a`` may also be a stack (m, n, n), taken
+    in one batched eigendecomposition; a refusal then names the first
+    offending block, as a per-block loop would meet it, by its label in
+    ``points`` (e.g. its momentum) when given, else by its index.
     """
-    a = _square(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ShapeMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     values, right = np.linalg.eig(a)
-    if np.any(np.abs(values) == 0.0):
-        raise ValueError("matrix is singular; no logarithm")
-    phases = np.angle(values)
-    if np.any(np.pi - np.abs(phases) < 1e-9):
-        raise BranchAmbiguity("eigenvalue phase within 1e-9 of the branch cut at +-pi")
+    singular = (np.abs(values) == 0.0).reshape(-1, a.shape[-1]).any(axis=1)
+    cut = (np.pi - np.abs(np.angle(values)) < 1e-9).reshape(-1, a.shape[-1]).any(axis=1)
+    offending = np.flatnonzero(singular | cut)
+    if offending.size:
+        i = int(offending[0])
+        if singular[i]:
+            error, message = ValueError, "matrix is singular; no logarithm"
+        else:
+            error = BranchAmbiguity
+            message = "eigenvalue phase within 1e-9 of the branch cut at +-pi"
+        if a.ndim == 3:
+            message = f"{f'block {i}' if points is None else f'k = {points[i]:.6f}'}: {message}"
+        raise error(message)
     h_values = 1j * np.log(values)
-    return (right * h_values) @ np.linalg.inv(right)
+    return (right * h_values[..., None, :]) @ np.linalg.inv(right)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -8,7 +8,10 @@ maximized over initial state pairs with simulated annealing. D depends on
 a pair (r, s) of Bloch vectors only through their difference: with the real
 3x3 Bloch-frame matrices M(t) of the reduced maps, D(t) = |M(t)(r - s)|/2,
 which is what the annealer scores. Its restarts are independent seeded
-chains, advanced in lockstep with one batched objective call per step.
+chains. ``maximize_blp_many`` searches many cells at once: the chains of
+every cell advance in lockstep, with one batched objective call per step,
+and a cell's result does not depend on which cells share the search.
+``maximize_blp`` is its one-walk call.
 
 The same matrices give every other series. Failure of CP-divisibility is
 scored through the one-step intermediate maps A(t) = M(t) M(t-1)^{-1}:
@@ -23,6 +26,7 @@ entropy.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,24 +189,44 @@ def blp_series(ew: EuclideanWalk, pair: StatePair, t_max: int) -> MeasureSeries:
     return _backflow(_distances(bloch_matrix_series(ew, t_max), diff))
 
 
-def _blp_objective(bloch: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """N(t_max) for each row (r, s) of the (n, 6) array ``pairs``.
+def _stacks(blochs: np.ndarray) -> np.ndarray:
+    """The (cells, 3, 3(t_max+1)) matrices ``_blp_objective`` multiplies by.
 
-    Scored through the Bloch difference alone: D(t) = |M(t)(r - s)|/2, and N
-    is the sum of the positive increments of D.
+    ``blochs`` is the (cells, t_max+1, 3, 3) stack of M(t). Entry M(t)[i, j]
+    of a cell sits in row j, column i (t_max+1) + t, so each component of
+    every evolved difference M(t) d is one contiguous row of the product.
     """
-    if np.linalg.norm(pairs.reshape(-1, 3), axis=1).max() > 1.0 + 1e-12:
+    return np.ascontiguousarray(blochs.transpose(0, 3, 2, 1)).reshape(len(blochs), 3, -1)
+
+
+def _blp_objective(stacks: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """N(t_max) for the pairs (r, s) = pairs[c, j] of every cell c.
+
+    ``pairs`` has shape (cells, n, 6) and ``stacks`` comes from ``_stacks``.
+    Scored through the Bloch difference alone: D(t) = |M(t)(r - s)|/2, and N
+    is the sum of the positive increments of D. The product is one stacked
+    matmul over the cells, with a cell's n pairs as the rows of its own
+    product, so a cell's values never depend on the other cells of the batch
+    (the BLAS kernel may depend on n, which the schedule fixes).
+    """
+    if math.sqrt((pairs * pairs).reshape(-1, 3).sum(axis=1).max()) > 1.0 + 1e-12:
         raise ValueError("Bloch vector outside the unit ball")
-    diff = pairs[:, :3] - pairs[:, 3:]
-    evolved = (diff @ bloch.reshape(-1, 3).T).reshape(len(pairs), -1, 3)
-    dist = 0.5 * np.linalg.norm(evolved, axis=2)
-    return np.maximum(dist[:, 1:] - dist[:, :-1], 0.0).sum(axis=1)
+    diff = pairs[..., :3] - pairs[..., 3:]
+    sq = diff @ stacks
+    sq *= sq
+    sq = sq.reshape(*pairs.shape[:2], 3, -1)
+    dist = np.sqrt(sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2])
+    inc = dist[..., 1:] - dist[..., :-1]
+    # the factor 1/2 of D is exact, so it is applied to the sums
+    return 0.5 * np.maximum(inc, 0.0, out=inc).sum(axis=-1)
 
 
 def _project_ball(pairs: np.ndarray) -> np.ndarray:
-    """Scale every Bloch vector of the (n, 6) pairs that lies outside the ball onto it."""
-    halves = pairs.reshape(-1, 2, 3)
-    norms = np.linalg.norm(halves, axis=2, keepdims=True)
+    """Scale every Bloch vector of the (..., 6) pairs that lies outside the ball onto it."""
+    halves = pairs.reshape(*pairs.shape[:-1], 2, 3)
+    sq = halves * halves
+    # summed in the order np.linalg.norm uses
+    norms = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None]
     return (halves / np.maximum(norms, 1.0)).reshape(pairs.shape)
 
 
@@ -215,80 +239,111 @@ _AXIS_PAIRS = np.array(
 )
 
 
-def maximize_blp(
-    ew: EuclideanWalk, schedule: AnnealSchedule, t_max: int, trace_path=None
-) -> tuple[StatePair, float, MeasureSeries]:
-    """Simulated-annealing search for the pair maximizing N(t_max).
+def maximize_blp_many(
+    blochs, schedule: AnnealSchedule, trace_paths=None
+) -> list[tuple[StatePair, float, MeasureSeries]]:
+    """Simulated-annealing search for the pair maximizing N(t_max), for many cells at once.
 
-    Both members range over the full Bloch ball. Each restart is an
-    independent chain with its own generator, seeded ``[seed, restart]``;
-    the chains advance in lockstep with one batched objective per step.
-    Deterministic for a fixed schedule seed; the returned series is the
-    winning pair's, read from the same closed-form matrices M(t). When
-    ``trace_path`` is given, a per-temperature audit CSV (restart,
-    temperature, accepted count, best-so-far) is written there, restart by
-    restart.
+    ``blochs`` holds one Bloch-matrix series M(0..t_max) per cell (see
+    ``bloch_matrix_series``), all of the same length. Both members of a pair
+    range over the full Bloch ball. Every cell runs ``schedule.restarts``
+    chains, and the chains of all cells advance in lockstep with one batched
+    objective per step. Each chain has its own generator, seeded ``[seed,
+    restart]``, so a cell's result is what a search of that cell alone
+    returns, whichever cells share the batch. Returns, per cell, the
+    best pair, N_max and the winning pair's series. When ``trace_paths[c]``
+    is given, a per-temperature audit CSV of cell c (restart, temperature,
+    accepted count, best-so-far) is written there, restart by restart.
     """
-    bloch = bloch_matrix_series(ew, t_max)
-    axis_vals = _blp_objective(bloch, _AXIS_PAIRS)
-    best_axis = _AXIS_PAIRS[int(np.argmax(axis_vals))]
+    blochs = np.asarray(blochs, dtype=float)
+    cells, restarts = len(blochs), schedule.restarts
+    stacks = _stacks(blochs)
+    axis_vals = _blp_objective(stacks, np.broadcast_to(_AXIS_PAIRS, (cells, 3, 6)))
+    best_axis = _AXIS_PAIRS[np.argmax(axis_vals, axis=1)]
 
     # Each chain consumes its own generator in the order of a one-chain-at-a-time
-    # loop: normal(size=6) for its start (restarts > 0), then per step one
-    # normal(size=6) and, only when the proposal is no better, one random().
-    # The path, and so the result, depends on nothing else.
-    rngs = [np.random.default_rng([schedule.seed, r]) for r in range(schedule.restarts)]
-    current = _project_ball(np.stack([best_axis] + [rng.normal(size=6) for rng in rngs[1:]]))
-    cur_val = _blp_objective(bloch, current)
+    # loop: 6 normals for its start (restarts > 0), then per step 6 normals
+    # and, only when the proposal is no better, one random(). The path, and so
+    # the result, depends on nothing else.
+    rngs = [
+        np.random.default_rng([schedule.seed, r]) for _ in range(cells) for r in range(restarts)
+    ]
+    current = np.empty((cells, restarts, 6))
+    current[:, 0] = best_axis
+    for i, rng in enumerate(rngs):
+        if i % restarts:
+            current[divmod(i, restarts)] = rng.normal(size=6)
+    current = _project_ball(current)
+    cur_val = _blp_objective(stacks, current)
     chain_best, chain_best_val = current.copy(), cur_val.copy()
+    normals, randoms = [rng.normal for rng in rngs], [rng.random for rng in rngs]
+    stddev = schedule.proposal_stddev
     levels = []  # (temperature, accepted per chain, chain bests so far)
-    noise = np.empty_like(current)
     temperature = schedule.initial_temperature
     while temperature > schedule.temperature_floor:
-        accepted = np.zeros(len(rngs), dtype=int)
+        accepted = np.zeros((cells, restarts), dtype=int)
         for _ in range(schedule.steps_per_temperature):
-            for c, rng in enumerate(rngs):
-                noise[c] = rng.normal(scale=schedule.proposal_stddev, size=6)
-            prop = _project_ball(current + noise)
-            val = _blp_objective(bloch, prop)
+            noise = np.array([normal(0.0, stddev, 6) for normal in normals])
+            prop = _project_ball(current + noise.reshape(current.shape))
+            val = _blp_objective(stacks, prop)
             gain = val - cur_val
+            take = gain > 0
             # Odds are only read where gain <= 0; clamping keeps exp from overflowing.
-            odds = np.exp(np.minimum(gain, 0.0) / temperature)
-            take = np.array(
-                [g > 0 or rng.random() < o for g, o, rng in zip(gain, odds, rngs)]
-            )
-            current[take], cur_val[take] = prop[take], val[take]
+            odds = np.exp(np.minimum(gain, 0.0) / temperature).ravel().tolist()
+            flat_take = take.reshape(-1)
+            for i in np.flatnonzero(~flat_take).tolist():
+                flat_take[i] = randoms[i]() < odds[i]
+            np.copyto(current, prop, where=take[..., None])
+            np.copyto(cur_val, val, where=take)
             accepted += take
             better = cur_val > chain_best_val
-            chain_best[better], chain_best_val[better] = current[better], cur_val[better]
+            np.copyto(chain_best, current, where=better[..., None])
+            np.copyto(chain_best_val, cur_val, where=better)
         levels.append((temperature, accepted, chain_best_val.copy()))
         temperature *= schedule.cooling_factor
 
-    # Merge in restart order with a strict '>', as the sequential loop would.
-    best_vec, best_val = best_axis, float(axis_vals.max())
-    trace_rows = []
-    for r in range(len(rngs)):
-        for temperature, accepted, bests in levels:
-            trace_rows.append((r, temperature, int(accepted[r]), max(best_val, float(bests[r]))))
-        if chain_best_val[r] > best_val:
-            best_vec, best_val = chain_best[r], float(chain_best_val[r])
-    if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["restart", "temperature", "accepted", "best_so_far"])
-            for restart, temperature, accepted, best in trace_rows:
-                writer.writerow([restart, repr(temperature), accepted, repr(best)])
-    pair = StatePair.from_bloch(best_vec[:3], best_vec[3:])
-    series = _backflow(_distances(bloch, best_vec[:3] - best_vec[3:]))
-    series.meta.update(
-        {
-            "n_max": float(series.blp[-1]),
-            "bloch_rho": [float(v) for v in best_vec[:3]],
-            "bloch_sigma": [float(v) for v in best_vec[3:]],
-            "schedule": schedule.to_dict(),
-        }
-    )
-    return pair, float(series.blp[-1]), series
+    results = []
+    for c in range(cells):
+        # Merge in restart order with a strict '>', as the sequential loop would.
+        best_vec, best_val = best_axis[c], float(axis_vals[c].max())
+        trace_path = None if trace_paths is None else trace_paths[c]
+        trace_rows = []
+        for r in range(restarts):
+            if trace_path is not None:
+                for temperature, accepted, bests in levels:
+                    best = max(best_val, float(bests[c, r]))
+                    trace_rows.append([r, repr(temperature), int(accepted[c, r]), repr(best)])
+            if chain_best_val[c, r] > best_val:
+                best_vec, best_val = chain_best[c, r], float(chain_best_val[c, r])
+        if trace_path is not None:
+            with open(trace_path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["restart", "temperature", "accepted", "best_so_far"])
+                writer.writerows(trace_rows)
+        pair = StatePair.from_bloch(best_vec[:3], best_vec[3:])
+        series = _backflow(_distances(blochs[c], best_vec[:3] - best_vec[3:]))
+        series.meta.update(
+            {
+                "n_max": float(series.blp[-1]),
+                "bloch_rho": [float(v) for v in best_vec[:3]],
+                "bloch_sigma": [float(v) for v in best_vec[3:]],
+                "schedule": schedule.to_dict(),
+            }
+        )
+        results.append((pair, float(series.blp[-1]), series))
+    return results
+
+
+def maximize_blp(
+    ew: EuclideanWalk, schedule: AnnealSchedule, t_max: int, trace_path=None
+) -> tuple[StatePair, float, MeasureSeries]:
+    """Simulated-annealing search for the pair maximizing N(t_max) of one walk.
+
+    The one-walk call of ``maximize_blp_many``, on the walk's M(0..t_max):
+    returns the best pair, N_max and the winning pair's series, and writes
+    the per-temperature audit CSV to ``trace_path`` when it is given.
+    """
+    return maximize_blp_many([bloch_matrix_series(ew, t_max)], schedule, [trace_path])[0]
 
 
 def rhp_from_bloch(bloch: np.ndarray) -> MeasureSeries:
@@ -329,8 +384,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(_entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
 
 
-def entanglement_series(ew: EuclideanWalk, rho0: np.ndarray, t_max: int) -> MeasureSeries:
-    """Coin-position entanglement entropy over time for a pure initial coin state.
+def entanglement_from_bloch(bloch: np.ndarray, rho0: np.ndarray) -> MeasureSeries:
+    """Coin-position entanglement entropy from the Bloch matrices M(0..t_max).
 
     The joint state starts pure (origin position (x) coin), so the reduced
     coin entropy is a genuine entanglement measure while rho0 is pure; an
@@ -340,12 +395,17 @@ def entanglement_series(ew: EuclideanWalk, rho0: np.ndarray, t_max: int) -> Meas
     rho0 = _check_state(rho0)
     purity = float(np.trace(rho0 @ rho0).real)
     impure = purity < 1.0 - 1e-10
-    radius = np.linalg.norm(bloch_matrix_series(ew, t_max) @ _bloch_vector(rho0), axis=1)
+    radius = np.linalg.norm(bloch @ _bloch_vector(rho0), axis=1)
     entropy = _entropy_bits(np.stack([(1.0 - radius) / 2.0, (1.0 + radius) / 2.0], axis=1))
-    flags = ["impure_initial" if impure else ""] * (t_max + 1)
+    flags = ["impure_initial" if impure else ""] * len(bloch)
     return MeasureSeries(
-        steps=np.arange(t_max + 1),
+        steps=np.arange(len(bloch)),
         entropy=entropy,
         flags=flags,
         meta={"purity_0": purity, "entanglement_valid": not impure, "entropy_base": 2},
     )
+
+
+def entanglement_series(ew: EuclideanWalk, rho0: np.ndarray, t_max: int) -> MeasureSeries:
+    """Coin-position entanglement entropy over time for a pure initial coin state."""
+    return entanglement_from_bloch(bloch_matrix_series(ew, t_max), rho0)

@@ -242,10 +242,8 @@ def g_trace_norm(x: np.ndarray, g: np.ndarray) -> float:
     values coincide with the spectrum of sqrt(X# X); this keeps the argument
     of the square root numerically Hermitian.
     """
-    _check_pd(np.asarray(g, dtype=complex))
-    w, v = np.linalg.eigh((np.asarray(g, complex) + np.asarray(g, complex).conj().T) / 2)
-    e = (v * np.sqrt(w)) @ v.conj().T
-    e_inv = (v / np.sqrt(w)) @ v.conj().T
+    g = _check_pd(np.asarray(g, dtype=complex))
+    e, e_inv, _ = linalg.sqrt_and_inv(g)
     return linalg.trace_norm(e @ np.asarray(x, complex) @ e_inv)
 
 

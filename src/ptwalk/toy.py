@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigInvalid, SpectrumNotReal
-from .linalg import eig, partial_trace
+from .linalg import eig, partial_trace, sqrt_and_inv
 from .measures import von_neumann_entropy
 
 REAL_SPECTRUM_TOL = 1e-10
@@ -139,11 +139,6 @@ def product_defect(g: np.ndarray, dims: tuple[int, int] = (2, 2)) -> float:
     return float(sv[1] / sv[0])
 
 
-def _sqrt_and_inv(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
-    return (v * np.sqrt(w)) @ v.conj().T, (v / np.sqrt(w)) @ v.conj().T
-
-
 def _transport_unitary(g_ref: np.ndarray, g_new: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Unitary U with eta_new = U eta_ref T, T spectral with [T, H] = 0."""
     sys = eig(h, want_left=True)
@@ -154,8 +149,8 @@ def _transport_unitary(g_ref: np.ndarray, g_new: np.ndarray, h: np.ndarray) -> n
         np.sqrt(w_ref[i] / w_new[i]) * np.outer(sys.right[:, i], sys.left[:, i].conj())
         for i in range(n)
     )
-    eta_ref, eta_ref_inv = _sqrt_and_inv(g_ref)
-    eta_new, _ = _sqrt_and_inv(g_new)
+    eta_ref, eta_ref_inv, _ = sqrt_and_inv(g_ref)
+    eta_new, _, _ = sqrt_and_inv(g_new)
     return eta_new @ t_inv @ eta_ref_inv
 
 
@@ -184,8 +179,8 @@ def run_toy(toy: ToyConfig) -> ToyResult:
     metrics = {"product1": g1, "product2": g2, "nonproduct": g3}
 
     # Maximally entangled state aligned with the local eigenbases of H_eta1.
-    eta_a, eta_a_inv = _sqrt_and_inv(g_a1)
-    eta_b, eta_b_inv = _sqrt_and_inv(g_b1)
+    eta_a, eta_a_inv, _ = sqrt_and_inv(g_a1)
+    eta_b, eta_b_inv, _ = sqrt_and_inv(g_b1)
     h_a_eta = eta_a @ h_a @ eta_a_inv
     h_b_eta = eta_b @ h_b @ eta_b_inv
     _, u_a = np.linalg.eigh((h_a_eta + h_a_eta.conj().T) / 2.0)
@@ -200,7 +195,7 @@ def run_toy(toy: ToyConfig) -> ToyResult:
         defects[name] = product_defect(g)
         u = _transport_unitary(g1, g, h)
         rho0 = u @ rho_ref @ u.conj().T
-        e, e_inv = _sqrt_and_inv(g)
+        e, e_inv, _ = sqrt_and_inv(g)
         h_eta = e @ h @ e_inv
         w_h, v_h = np.linalg.eigh((h_eta + h_eta.conj().T) / 2.0)
         curve = np.empty(len(times))

@@ -153,10 +153,12 @@ def walk_operator(p: WalkParams) -> BlockOperator:
 def hamiltonian(p: WalkParams) -> BlockOperator:
     """Blockwise effective Hamiltonian H_c(k) with exp(-i H_c(k)) = W_c(k).
 
-    Computed from the 2x2 blocks, never from the full lattice matrix; the
-    quasi-energies are -+acos(a(k)), real throughout the unbroken regime.
+    Computed from the 2x2 blocks, never from the full lattice matrix, in one
+    stacked eigendecomposition; a refusal of the generator log names the
+    first offending k. The quasi-energies are -+acos(a(k)), real throughout
+    the unbroken regime.
     """
     if not is_unbroken(p):
         raise BrokenRegime("spectrum not real on the whole grid; no Hamiltonian")
     w = walk_operator(p)
-    return BlockOperator(w.points, np.stack([unitary_log(b) for b in w.blocks]))
+    return BlockOperator(w.points, unitary_log(w.blocks, points=w.points))

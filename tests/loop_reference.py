@@ -16,6 +16,7 @@ import numpy as np
 from channel_reference import ChannelMatrix
 from ptwalk.channel import CoinTrajectory, _check_horizon, _check_state
 from ptwalk.errors import DegenerateAtK, NotPositive
+from ptwalk.linalg import unitary_log
 from ptwalk.metric import _weights
 from ptwalk.walk import UNBROKEN_MARGIN, coin, gain_loss, momentum_grid, spectral_a
 
@@ -39,6 +40,11 @@ def walk_block(k: float, p) -> np.ndarray:
 
 def walk_blocks(p) -> np.ndarray:
     return np.stack([walk_block(k, p) for k in momentum_grid(p.lattice_size)])
+
+
+def hamiltonian_blocks(p) -> np.ndarray:
+    """H_c(k) with exp(-i H_c(k)) = W_c(k), one ``unitary_log`` call per momentum."""
+    return np.stack([unitary_log(b) for b in walk_blocks(p)])
 
 
 # ----------------------------------------------------------------- metric

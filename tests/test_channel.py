@@ -425,3 +425,19 @@ def test_euclidean_walk_health_fields():
     assert ew.metric_condition_max == pytest.approx(max(conds), rel=1e-9)
     flat = build_euclidean_walk(params(0.0), FLAT)
     assert flat.metric_condition_max == 1.0
+
+
+@pytest.mark.parametrize("gamma_factor", [1.2, 1.3])
+def test_flat_metric_reduced_map_converges_in_lattice_size(gamma_factor):
+    # G1 is a smooth function of k, so M(t) is a converged momentum average
+    # once the light cone fits. random_xy draws fresh weights at every grid
+    # point, white noise in k, so its metrics at different L are different
+    # metrics and M(t) keeps moving with L.
+    def series(spec, size):
+        return bloch_matrix_series(build_euclidean_walk(params(math.log(gamma_factor), size), spec), 20)
+
+    for spec, converged in ((FLAT, True), (MetricSpec(kind="random_xy", seed=11), False)):
+        reference = series(spec, 801)
+        for size in (201, 401):
+            gap = np.abs(series(spec, size) - reference).max()
+            assert gap <= 1e-9 if converged else gap >= 1e-3, (spec.kind, size, gap)

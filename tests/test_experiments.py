@@ -158,11 +158,26 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
 
 
 def test_run_parallel_cells_match_sequential(tmp_path):
-    cfg = tiny_config(tmp_path / "seq", study="entanglement")
-    run(cfg)
-    run(cfg, out_dir=tmp_path / "par", threads=2)
-    for p in sorted((tmp_path / "seq").glob("*.csv")):
-        assert p.read_bytes() == (tmp_path / "par" / p.name).read_bytes()
+    # The 4 (gamma, metric) pairs go into 2 even groups or 3 uneven ones; every
+    # artifact must match the one-group run, the summaries apart from runtime_s.
+    cfg = tiny_config(tmp_path / "seq", study="all")
+    seq = run(cfg)
+    names = sorted(p.name for p in (tmp_path / "seq").iterdir())
+    assert any(n.startswith("blp__") for n in names) and any(n.startswith("metric__") for n in names)
+    for threads in (2, 3):
+        par_dir = tmp_path / f"par{threads}"
+        par = run(cfg, out_dir=par_dir, threads=threads)
+        assert sorted(p.name for p in par_dir.iterdir()) == names
+        for name in names:
+            if name.endswith(".csv"):
+                assert (par_dir / name).read_bytes() == (tmp_path / "seq" / name).read_bytes(), name
+            elif name != "manifest.json":
+                want = json.loads((tmp_path / "seq" / name).read_text())
+                got = json.loads((par_dir / name).read_text())
+                want.pop("runtime_s")
+                got.pop("runtime_s")
+                assert got == want, name
+        assert [c["cell"] for c in par["cells"]] == [c["cell"] for c in seq["cells"]]
 
 
 def test_run_skips_broken_cells(tmp_path):

@@ -96,6 +96,35 @@ def test_herm_sqrt_rejects_negative():
         herm_sqrt(np.diag([1.0, -1e-3]))
 
 
+def test_sqrt_and_inv_stack_matches_single_matrices():
+    from ptwalk.linalg import sqrt_and_inv
+
+    rng = np.random.default_rng(12)
+    stack = np.stack([random_psd(rng, 3) + 0.1 * np.eye(3) for _ in range(6)])
+    roots, inverses, values = sqrt_and_inv(stack)
+    assert roots.shape == inverses.shape == stack.shape and values.shape == (6, 3)
+    for g, root, inverse, w in zip(stack, roots, inverses, values):
+        one = sqrt_and_inv(g)
+        for got, want in zip((root, inverse, w), one):
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+        assert np.abs(root @ root - g).max() < 1e-10 * np.abs(g).max()
+        assert np.abs(root @ inverse - np.eye(3)).max() < 1e-10
+        assert np.abs(root - herm_sqrt(g)).max() < 1e-10
+        assert np.allclose(w, np.linalg.eigvalsh(g), rtol=1e-12, atol=0.0)
+
+
+def test_sqrt_and_inv_names_first_non_positive_block():
+    from ptwalk.linalg import sqrt_and_inv
+
+    stack = np.stack([np.diag([1.0, 2.0])] * 6).astype(complex)
+    stack[4] = np.diag([1.0, -1e-3])
+    stack[2] = np.diag([0.0, 1.0])
+    with pytest.raises(NotPositive, match="^metric block 2 not positive definite$"):
+        sqrt_and_inv(stack)
+    with pytest.raises(NotPositive, match="^metric not positive definite$"):
+        sqrt_and_inv(stack[4])
+
+
 def test_herm_sqrt_rejects_non_hermitian():
     with pytest.raises(ValueError):
         herm_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ptwalk import (
     AnnealSchedule,
+    ExperimentConfig,
     MetricSpec,
     StatePair,
     WalkParams,
@@ -22,7 +23,7 @@ from ptwalk import (
 )
 from channel_reference import ChannelMatrix, rhp_from_channels
 from ptwalk.channel import PINV_RCOND, bloch_matrix_series, intermediate_maps
-from ptwalk.measures import rhp_from_bloch
+from ptwalk.measures import maximize_blp_many, rhp_from_bloch
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")
@@ -187,28 +188,76 @@ def test_maximize_blp_tracks_dense_direction_oracle():
             initial_temperature=0.2, cooling_factor=0.7, steps_per_temperature=30,
             proposal_stddev=0.5, restarts=1, seed=11, temperature_floor=1e-3)),
         (1.2, FLAT, 101, 50, AnnealSchedule(seed=2024)),
+        # several cells in one lockstep search: every (e^gamma, metric) of the grid
+        (
+            (1.0, 1.3),
+            (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23)),
+            41,
+            20,
+            quick_schedule(seed=2024),
+        ),
     ],
 )
 def test_maximize_blp_matches_sequential_reference(tmp_path, gamma_factor, spec, size, t_max, schedule):
     # The lockstep, Bloch-frame annealer must walk exactly the path of the
-    # one-chain-at-a-time annealer that scores pairs through the 4x4 stack.
+    # one-chain-at-a-time annealer that scores pairs through the 4x4 stack,
+    # for one walk and for every cell of a multi-cell search.
     from anneal_reference import maximize_blp_sequential
 
-    ew = walk(gamma_factor, spec, size=size)
-    ref_path, new_path = tmp_path / "ref.csv", tmp_path / "new.csv"
-    ref_pair, ref_n, ref_series = maximize_blp_sequential(ew, schedule, t_max, trace_path=ref_path)
-    pair, n_max, series = maximize_blp(ew, schedule, t_max, trace_path=new_path)
-    assert n_max == pytest.approx(ref_n, abs=1e-12)
-    for key in ("bloch_rho", "bloch_sigma"):
-        assert np.abs(np.subtract(series.meta[key], ref_series.meta[key])).max() <= 1e-12
-    assert np.abs(pair.rho - ref_pair.rho).max() <= 1e-12
-    ref_rows = [line.split(",") for line in ref_path.read_text().splitlines()]
-    new_rows = [line.split(",") for line in new_path.read_text().splitlines()]
-    assert ref_rows[0] == new_rows[0]
-    assert len(ref_rows) == len(new_rows)
-    for ref_row, new_row in zip(ref_rows[1:], new_rows[1:]):
-        assert (new_row[0], new_row[2]) == (ref_row[0], ref_row[2])
-        assert float(new_row[3]) == pytest.approx(float(ref_row[3]), abs=1e-12)
+    factors = gamma_factor if isinstance(gamma_factor, tuple) else (gamma_factor,)
+    specs = spec if isinstance(spec, tuple) else (spec,)
+    walks = [walk(f, s, size=size) for f in factors for s in specs]
+    new_paths = [tmp_path / f"new{i}.csv" for i in range(len(walks))]
+    if len(walks) == 1:
+        results = [maximize_blp(walks[0], schedule, t_max, trace_path=new_paths[0])]
+    else:
+        blochs = [bloch_matrix_series(ew, t_max) for ew in walks]
+        results = maximize_blp_many(blochs, schedule, trace_paths=new_paths)
+    for i, (ew, (pair, n_max, series)) in enumerate(zip(walks, results)):
+        ref_path = tmp_path / f"ref{i}.csv"
+        ref_pair, ref_n, ref_series = maximize_blp_sequential(ew, schedule, t_max, trace_path=ref_path)
+        assert n_max == pytest.approx(ref_n, abs=1e-12)
+        for key in ("bloch_rho", "bloch_sigma"):
+            assert np.abs(np.subtract(series.meta[key], ref_series.meta[key])).max() <= 1e-12
+        assert np.abs(pair.rho - ref_pair.rho).max() <= 1e-12
+        ref_rows = [line.split(",") for line in ref_path.read_text().splitlines()]
+        new_rows = [line.split(",") for line in new_paths[i].read_text().splitlines()]
+        assert ref_rows[0] == new_rows[0]
+        assert len(ref_rows) == len(new_rows)
+        for ref_row, new_row in zip(ref_rows[1:], new_rows[1:]):
+            assert (new_row[0], new_row[2]) == (ref_row[0], ref_row[2])
+            assert float(new_row[3]) == pytest.approx(float(ref_row[3]), abs=1e-12)
+
+
+def test_maximize_blp_many_is_batch_invariant():
+    # A cell's pair, N_max and series must not depend on the other cells of
+    # the lockstep search: the nine default-grid cells, searched together in
+    # grid order, in a permuted order and as a one-cell subset, must equal
+    # one-walk calls bit for bit.
+    cfg = ExperimentConfig()
+    schedule = AnnealSchedule.from_dict({**cfg.anneal.to_dict(), "seed": cfg.master_seed})
+    walks = [
+        build_euclidean_walk(cfg.walk_params(factor), spec)
+        for factor in cfg.gamma_factors
+        for spec in cfg.metrics
+    ]
+    blochs = [bloch_matrix_series(ew, cfg.t_max) for ew in walks]
+    single = [maximize_blp(ew, schedule, cfg.t_max) for ew in walks]
+    order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
+    batches = {
+        "grid": (list(range(9)), maximize_blp_many(blochs, schedule)),
+        "permuted": (order, maximize_blp_many([blochs[i] for i in order], schedule)),
+        "subset": ([7], maximize_blp_many([blochs[7]], schedule)),
+    }
+    for name, (cells, results) in batches.items():
+        assert len(results) == len(cells), name
+        for c, (pair, n_max, series) in zip(cells, results):
+            ref_pair, ref_n, ref_series = single[c]
+            assert n_max == ref_n, (name, c)
+            assert np.array_equal(pair.rho, ref_pair.rho) and np.array_equal(pair.sigma, ref_pair.sigma)
+            for key in ("bloch_rho", "bloch_sigma", "n_max"):
+                assert series.meta[key] == ref_series.meta[key], (name, c, key)
+            assert np.array_equal(series.blp, ref_series.blp) and np.array_equal(series.delta, ref_series.delta)
 
 
 def test_bloch_matrices_reproduce_distance_series():

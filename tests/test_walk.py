@@ -185,6 +185,44 @@ def test_hamiltonian_real_spectrum_nonhermitian():
         assert np.allclose(vals, [-math.acos(a), math.acos(a)], atol=1e-10)
 
 
+@pytest.mark.parametrize("gamma_factor", [1.0, 1.1, 1.2, 1.3])
+def test_hamiltonian_matches_per_k_loop(gamma_factor):
+    # one stacked eigendecomposition against one generator log per momentum
+    import loop_reference
+
+    p = params(math.log(gamma_factor), 1201)
+    h = hamiltonian(p)
+    assert np.array_equal(h.points, momentum_grid(1201))
+    assert np.abs(h.blocks - loop_reference.hamiltonian_blocks(p)).max() <= 1e-12
+
+
+def test_stacked_unitary_log_names_first_offending_block():
+    from ptwalk import BranchAmbiguity, unitary_log
+
+    rotation = np.diag([np.exp(-0.4j), np.exp(0.4j)])
+    ks = np.linspace(-1.0, 1.0, 7)
+    stack = np.stack([rotation] * 7)
+    stack[5] = stack[2] = np.diag([-1.0, 1.0])  # phase pi, on the branch cut
+    stack[4] = np.diag([0.0, 1.0])  # singular, but after the first cut block
+    with pytest.raises(BranchAmbiguity) as named:
+        unitary_log(stack, points=ks)
+    assert str(named.value).startswith(f"k = {ks[2]:.6f}: ")
+    with pytest.raises(BranchAmbiguity) as indexed:
+        unitary_log(stack)
+    assert str(indexed.value).startswith("block 2: ")
+    stack[1] = np.zeros((2, 2))
+    with pytest.raises(ValueError, match=f"k = {ks[1]:.6f}: matrix is singular"):
+        unitary_log(stack, points=ks)
+    # a per-block loop meets the same first refusal
+    for i, block in enumerate(stack):
+        try:
+            unitary_log(block)
+        except (ValueError, BranchAmbiguity) as exc:
+            assert (i, type(exc)) == (1, ValueError)
+            break
+    assert np.abs(unitary_log(stack[[0, 3, 6]]) - unitary_log(rotation)).max() == 0.0
+
+
 def test_hamiltonian_refuses_broken_regime():
     with pytest.raises(BrokenRegime):
         hamiltonian(WalkParams(T1, T2, math.log(1.5), 21))
