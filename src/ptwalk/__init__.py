@@ -6,13 +6,7 @@ metrics induce, then quantifies how the metric choice shows up in
 information backflow, CP indivisibility and coin-position entanglement.
 """
 
-from .channel import (
-    CoinTrajectory,
-    EuclideanWalk,
-    build_euclidean_walk,
-    coin_trajectory,
-    reduced_coin_state,
-)
+from .channel import EuclideanWalk, build_euclidean_walk, reduced_coin_state
 from .errors import (
     BranchAmbiguity,
     BrokenRegime,
@@ -51,9 +45,7 @@ from .measures import (
     von_neumann_entropy,
 )
 from .metric import (
-    LeftEigenPair,
     MetricSpec,
-    MetricTransport,
     build_metric,
     eta,
     g_trace_norm,
@@ -68,12 +60,10 @@ from .walk import (
     BlockOperator,
     WalkParams,
     coin,
-    gain_loss,
     gamma_pt,
     hamiltonian,
     is_unbroken,
     momentum_grid,
-    shift_block,
     spectral_a,
     walk_block,
     walk_operator,

@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -298,6 +297,7 @@ def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
         "study": "toy",
         "toy": cfg.toy.to_dict(),
         "product_defects": result.product_defects,
+        "transport_unitarity_residual": result.transport_residuals,
         "max_abs_dev_from_one_bit": {
             name: float(np.abs(curve - 1.0).max()) for name, curve in result.entropy.items()
         },
@@ -330,6 +330,9 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     groups = [pairs[i::count] for i in range(count)]
     cfg_dict = cfg.to_dict()
     if len(groups) > 1:
+        # imported here: a one-group run never needs the process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(groups)) as pool:
             futures = [pool.submit(_run_group, cfg_dict, group, str(out)) for group in groups]
             done = [f.result() for f in futures]

@@ -32,9 +32,9 @@ class EigenSystem:
     left: np.ndarray | None = None
 
 
-def _square(a: np.ndarray) -> np.ndarray:
+def _square(a: np.ndarray, stack: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
@@ -80,19 +80,19 @@ def eig(a: np.ndarray, want_left: bool = False) -> EigenSystem:
 
 
 def herm_sqrt(a: np.ndarray) -> np.ndarray:
-    """Unique positive square root of a Hermitian PSD matrix.
+    """Unique positive square root of a Hermitian PSD matrix, or of each in a stack (..., n, n).
 
     Eigenvalues in [-1e-8, 0) are clamped to zero (floating-point dust left
     by similarity transforms); anything below -1e-8 raises NotPositive.
     """
-    a = _square(a)
-    if np.abs(a - a.conj().T).max() > 1e-10:
+    a = _square(a, stack=True)
+    if np.abs(a - a.conj().swapaxes(-1, -2)).max() > 1e-10:
         raise ValueError("input is not Hermitian to 1e-10")
     w, v = np.linalg.eigh(a)
     if w.min() < -PSD_FAIL:
         raise NotPositive(f"minimum eigenvalue {w.min():.3e} below -{PSD_FAIL}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def sqrt_and_inv(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -214,8 +214,8 @@ def build_metric(p: WalkParams, spec: MetricSpec) -> BlockOperator:
 
 
 def eta(g: BlockOperator) -> BlockOperator:
-    """Blockwise positive square root of the metric."""
-    return BlockOperator(g.points, np.stack([linalg.herm_sqrt(b) for b in g.blocks]))
+    """Blockwise positive square root of the metric, all blocks in one stacked root."""
+    return BlockOperator(g.points, linalg.herm_sqrt(g.blocks))
 
 
 def _check_pd(g: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ advanced one step at a time by multiplying 2x2 block powers. The library
 builds all blocks at once and evaluates the reduced map in closed form as an
 average of Bloch rotations; these loops check it through an independent path.
 The CSV writers at the end format one value at a time through ``csv.writer``;
-the library's writers must produce the same bytes.
+the library's writers must produce the same bytes. ``expm``, a general matrix
+exponential, checks the toy's closed-form mixer without scipy.
 """
 
 import csv
@@ -146,6 +147,29 @@ def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
         acc = np.einsum("kab,kbc->kac", w, acc)
         out.append(_channel_from_powers(acc, t))
     return out
+
+
+# -------------------------------------------------------------------- toy
+
+
+def expm(a: np.ndarray, terms: int = 20) -> np.ndarray:
+    """exp(a) by scaling and squaring of a truncated Taylor series.
+
+    ``a`` is halved s times until its 1-norm is at most 1/2, the series is
+    summed to ``terms`` terms (truncation error below 0.5^20/20!) and the
+    sum is squared s times.
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0 else 0
+    a = a / 2.0**squarings
+    result = term = np.eye(len(a), dtype=complex)
+    for n in range(1, terms):
+        term = term @ a / n
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 # -------------------------------------------------------------------- CSV

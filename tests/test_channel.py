@@ -18,7 +18,6 @@ from ptwalk import (
     bloch_state,
     build_euclidean_walk,
     build_metric,
-    coin_trajectory,
     entanglement_series,
     hamiltonian,
     herm_sqrt,
@@ -31,7 +30,7 @@ from ptwalk import (
     walk_block,
     walk_operator,
 )
-from ptwalk.channel import bloch_matrix_series
+from ptwalk.channel import bloch_matrix_series, coin_trajectory
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")

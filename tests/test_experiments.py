@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,16 @@ def test_manifest_reproduces_custom_toy(tmp_path):
     rerun = run(back, out_dir=tmp_path / "b")
     hashes = lambda m: {a["path"]: a["sha256"] for a in m["artifacts"] if a["path"].endswith(".csv")}
     assert hashes(rerun) == hashes(manifest)
+
+
+def test_toy_summary_records_transport_residuals(tmp_path):
+    cfg = dataclasses.replace(tiny_config(tmp_path, study="toy"), toy=ToyConfig(variant="real", t_max=1.0))
+    run(cfg)
+    summary = json.loads((tmp_path / "toy__summary.json").read_text())
+    residuals = summary["transport_unitarity_residual"]
+    assert set(residuals) == {"product1", "product2", "nonproduct"}
+    assert residuals["product1"] < 1e-12  # the identity transport
+    assert all(0.0 <= r < 1e-6 for r in residuals.values())
 
 
 def test_toy_config_rejects_a_single_custom_block():
@@ -178,6 +192,20 @@ def test_run_parallel_cells_match_sequential(tmp_path):
                 got.pop("runtime_s")
                 assert got == want, name
         assert [c["cell"] for c in par["cells"]] == [c["cell"] for c in seq["cells"]]
+
+
+def test_import_leaves_scipy_and_process_pool_unloaded():
+    # A fresh interpreter: importing ptwalk must not pay for scipy or the
+    # process-pool machinery, which only a run with several groups needs.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, ptwalk; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing') "
+        "or m == 'concurrent.futures.process'))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_skips_broken_cells(tmp_path):

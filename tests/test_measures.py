@@ -382,7 +382,8 @@ def test_rhp_ill_conditioned_steps_match_oracle():
 )
 def test_bloch_path_matches_oracles_property(theta1, theta2, fraction, seed):
     # g(t) against the 4x4 Choi oracle, S(t) against eigvalsh of the coin states
-    from ptwalk import NoBreaking, coin_trajectory, gamma_pt, is_unbroken
+    from ptwalk import NoBreaking, gamma_pt, is_unbroken
+    from ptwalk.channel import coin_trajectory
 
     try:
         gamma = fraction * gamma_pt(theta1, theta2)

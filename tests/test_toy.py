@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
 
-from ptwalk import SpectrumNotReal, ToyConfig, product_defect, run_toy, toy_hamiltonians
-from ptwalk.toy import metric_from_weights
+import loop_reference
+from ptwalk import (
+    DegeneratePairing,
+    SpectrumNotReal,
+    ToyConfig,
+    product_defect,
+    run_toy,
+    toy_hamiltonians,
+)
+from ptwalk.toy import metric_from_weights, product_exp
+
+CUSTOM_BLOCKS = (
+    np.array([[np.exp(0.7j), 1.1], [1.1, np.exp(-0.7j)]]),
+    np.array([[np.exp(2.3j), 1.4 + 0.1j], [1.4 - 0.1j, np.exp(-2.3j)]]),
+)
 
 
 def test_hamiltonians_have_real_spectrum_in_both_variants():
@@ -38,6 +51,28 @@ def test_product_defect_detects_products():
     assert product_defect(mixed) > 1e-3
 
 
+@pytest.mark.parametrize("s", [0.02, 0.25])
+@pytest.mark.parametrize("blocks", ["pt_phase", "real", "custom"])
+def test_product_exp_matches_taylor_oracle_and_commutes(blocks, s):
+    h_a, h_b = CUSTOM_BLOCKS if blocks == "custom" else toy_hamiltonians(blocks)
+    h = np.kron(h_a, h_b)
+    mixer = product_exp(h_a, h_b, s)
+    oracle = loop_reference.expm(s * h)
+    # relative to the largest entry: on 'real' at s = 0.25 entries reach 1.2e4
+    scale = np.abs(oracle).max()
+    assert np.abs(mixer - oracle).max() <= 1e-13 * scale
+    assert np.abs(mixer @ h - h @ mixer).max() <= 1e-13 * scale * np.abs(h).max()
+
+
+def test_product_exp_refuses_a_degenerate_block():
+    h_a = np.diag([1.0, 1.0 + 1e-10]).astype(complex)  # eigenvalue gap below 1e-9
+    _, h_b = toy_hamiltonians("pt_phase")
+    with pytest.raises(DegeneratePairing):
+        product_exp(h_a, h_b, 0.25)
+    with pytest.raises(DegeneratePairing):
+        run_toy(ToyConfig(h_a=h_a, h_b=h_b, t_max=1.0))
+
+
 def test_run_toy_dichotomy():
     result = run_toy(ToyConfig())
     assert result.product_defects["product1"] < 1e-12
@@ -60,6 +95,13 @@ def test_run_toy_real_variant_is_metric_blind():
     for curve in result.entropy.values():
         assert np.abs(curve - 1.0).max() <= 1e-9
     assert result.product_defects["nonproduct"] > 1e-3
+
+
+def test_run_toy_default_real_variant_stays_at_one_bit():
+    # the default mixing strength 0.25 and horizon 10 on the wide 'real' spectrum
+    result = run_toy(ToyConfig(variant="real"))
+    for curve in result.entropy.values():
+        assert np.abs(curve - 1.0).max() <= 1e-9
 
 
 def test_run_toy_rejects_complex_spectrum():

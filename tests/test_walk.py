@@ -8,16 +8,15 @@ from ptwalk import (
     NoBreaking,
     WalkParams,
     coin,
-    gain_loss,
     gamma_pt,
     hamiltonian,
     is_unbroken,
     momentum_grid,
-    shift_block,
     spectral_a,
     walk_block,
     walk_operator,
 )
+from ptwalk.walk import gain_loss, shift_block
 
 T1, T2 = math.pi / 4, -math.pi / 7
 
