@@ -24,14 +24,6 @@ from .errors import (
     SpectrumNotReal,
 )
 from .experiments import ExperimentConfig, load_config, report, run, validate_config
-from .linalg import (
-    EigenSystem,
-    eig,
-    herm_sqrt,
-    partial_trace,
-    trace_norm,
-    unitary_log,
-)
 from .measures import (
     AnnealSchedule,
     MeasureSeries,
@@ -41,31 +33,15 @@ from .measures import (
     entanglement_series,
     maximize_blp,
     rhp_series,
-    trace_distance,
-    von_neumann_entropy,
 )
-from .metric import (
-    MetricSpec,
-    build_metric,
-    eta,
-    g_trace_norm,
-    generalized_dagger,
-    left_eigvecs,
-    metric_transport,
-    separability_defect,
-    verify_metric_action,
-)
-from .toy import ToyConfig, ToyResult, product_defect, run_toy, toy_hamiltonians
+from .metric import MetricSpec, build_metric, eta
+from .toy import ToyConfig, ToyResult, run_toy
 from .walk import (
     BlockOperator,
     WalkParams,
-    coin,
     gamma_pt,
     hamiltonian,
     is_unbroken,
-    momentum_grid,
-    spectral_a,
-    walk_block,
     walk_operator,
 )
 

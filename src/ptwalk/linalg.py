@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernels: eigenpairs, Hermitian matrix functions,
-partial trace and trace norm.
+"""Dense complex-matrix kernels: eigenpairs, the metric root, metric
+transports, partial trace and trace norm.
 
 Everything here is a pure function of its inputs. Matrices are plain
 ``numpy`` arrays of complex dtype; no wrapper classes.
@@ -11,19 +11,17 @@ import numpy as np
 
 from .errors import BranchAmbiguity, DegeneratePairing, NotPositive, ShapeMismatch
 
-# Eigenvalue gap below which left/right pairing is refused.
+# Eigenvalue gap (and left/right overlap) below which left vectors are refused.
 PAIRING_GAP = 1e-9
-# Negative eigenvalue magnitude tolerated (and clamped) in PSD inputs.
-PSD_CLAMP = 1e-12
-PSD_FAIL = 1e-8
 
 
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigendecomposition A v_i = w_i v_i, optionally with left eigenvectors.
 
-    ``right[:, i]`` is the right eigenvector for ``values[i]``. When present,
-    ``left[:, i]`` satisfies A† l_i = conj(w_i) l_i and the sets are
+    ``right[..., :, i]`` is the right eigenvector for ``values[..., i]``, for
+    one matrix or each of a stack (..., n, n). When present,
+    ``left[..., :, i]`` satisfies A† l_i = conj(w_i) l_i and the sets are
     biorthonormal: <l_i|r_j> = delta_ij.
     """
 
@@ -42,57 +40,36 @@ def _square(a: np.ndarray, stack: bool = False) -> np.ndarray:
 
 
 def eig(a: np.ndarray, want_left: bool = False) -> EigenSystem:
-    """Eigendecomposition with optional biorthonormal left eigenvectors.
+    """Eigendecomposition of one matrix or a stack (..., n, n), optionally with left vectors.
 
-    Left eigenvectors are computed as right eigenvectors of A†, paired to the
-    right set by conjugate eigenvalue (greedy nearest match) and rescaled so
-    that <l_i|r_j> = delta_ij. Raises DegeneratePairing when two eigenvalues
-    of A are closer than 1e-9, since the pairing is then ambiguous.
+    The left vectors are the columns of inv(R)†, R the right eigenvectors,
+    so <l_i|r_j> = delta_ij by construction. DegeneratePairing is raised,
+    naming the first offending block of a stack, when two eigenvalues are
+    closer than PAIRING_GAP (checked before inverting, so a defective block
+    is refused rather than inverted) or when a left/right overlap
+    |<l~_i|r_i>| of unit eigenvectors is below PAIRING_GAP; R has unit
+    columns, so that overlap is 1/|l_i|.
     """
-    a = _square(a)
+    a = _square(a, stack=True)
     values, right = np.linalg.eig(a)
     if not want_left:
         return EigenSystem(values, right)
 
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < PAIRING_GAP:
-                raise DegeneratePairing(
-                    f"eigenvalues {values[i]} and {values[j]} within {PAIRING_GAP}"
-                )
-    lvals, lvecs = np.linalg.eig(a.conj().T)
-    left = np.empty_like(right)
-    taken: set[int] = set()
-    for i in range(n):
-        dists = [
-            (abs(np.conj(lvals[j]) - values[i]), j) for j in range(n) if j not in taken
-        ]
-        _, j = min(dists)
-        taken.add(j)
-        overlap = np.vdot(lvecs[:, j], right[:, i])
-        if abs(overlap) < PAIRING_GAP:
-            raise DegeneratePairing(
-                f"left/right overlap {abs(overlap):.2e} too small at eigenvalue {values[i]}"
-            )
-        left[:, i] = lvecs[:, j] / np.conj(overlap)
+    n = a.shape[-1]
+    gap = np.abs(values[..., :, None] - values[..., None, :]) + np.diag(np.full(n, np.inf))
+    close = gap.min(axis=(-2, -1)) < PAIRING_GAP
+    # a block refused for its gap is not inverted
+    left = np.linalg.inv(np.where(close[..., None, None], np.eye(n), right))
+    left = left.conj().swapaxes(-1, -2)
+    overlap = 1.0 / np.linalg.norm(left, axis=-2).max(axis=-1)
+    bad = np.flatnonzero(close | (overlap < PAIRING_GAP))
+    if bad.size:
+        b = np.unravel_index(bad[0], close.shape)
+        where = f"block {bad[0]}: " if a.ndim > 2 else ""
+        if close[b]:
+            raise DegeneratePairing(f"{where}eigenvalue gap {gap[b].min():.2e} below {PAIRING_GAP}")
+        raise DegeneratePairing(f"{where}left/right overlap {overlap[b]:.2e} below {PAIRING_GAP}")
     return EigenSystem(values, right, left)
-
-
-def herm_sqrt(a: np.ndarray) -> np.ndarray:
-    """Unique positive square root of a Hermitian PSD matrix, or of each in a stack (..., n, n).
-
-    Eigenvalues in [-1e-8, 0) are clamped to zero (floating-point dust left
-    by similarity transforms); anything below -1e-8 raises NotPositive.
-    """
-    a = _square(a, stack=True)
-    if np.abs(a - a.conj().swapaxes(-1, -2)).max() > 1e-10:
-        raise ValueError("input is not Hermitian to 1e-10")
-    w, v = np.linalg.eigh(a)
-    if w.min() < -PSD_FAIL:
-        raise NotPositive(f"minimum eigenvalue {w.min():.3e} below -{PSD_FAIL}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def sqrt_and_inv(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,8 +78,8 @@ def sqrt_and_inv(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``g`` is one (n, n) matrix or a stack (..., n, n). It is symmetrized as
     (g + g†)/2 and diagonalized by one ``eigh``; with eigenpairs (w, V) the
     roots are V sqrt(w) V† and V w^{-1/2} V†, and w comes back ascending,
-    shape (..., n). Nothing is clamped (compare ``herm_sqrt``): an eigenvalue
-    <= 0 raises NotPositive, naming the first offending block of a stack.
+    shape (..., n). Nothing is clamped: an eigenvalue <= 0 raises
+    NotPositive, naming the first offending block of a stack.
     """
     w, v = np.linalg.eigh((g + g.conj().swapaxes(-1, -2)) / 2.0)
     bad = np.flatnonzero(w[..., 0] <= 0)
@@ -112,6 +89,38 @@ def sqrt_and_inv(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v_h = v.conj().swapaxes(-1, -2)
     root = np.sqrt(w)[..., None, :]
     return (v * root) @ v_h, (v / root) @ v_h, w
+
+
+def transport(
+    g: np.ndarray, g_new: np.ndarray, h: np.ndarray, sys: EigenSystem
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectral transport between two metrics compatible with one Hamiltonian.
+
+    ``sys`` holds the biorthonormal eigenpairs (R, L) of ``h``. With the
+    weights w_i = <r_i|G|r_i> and w'_i = <r_i|G'|r_i>, the transport is
+    T = R diag(sqrt(w'/w)) L†, which commutes with H and pulls G' back to G
+    (T† G T = G'), and U = eta' T^-1 eta^-1 is unitary with eta' = U eta T.
+    Every argument may be a stack (..., n, n), broadcast together. Returns
+    (T, U, residuals), the residuals of shape (..., 4) holding the Frobenius
+    norms of [T, H], U†U - I, T† G T - G' and eta' - U eta T per block; a
+    non-positive-definite metric raises NotPositive.
+    """
+    eta, eta_inv, _ = sqrt_and_inv(g)
+    eta_new, _, _ = sqrt_and_inv(g_new)
+    r, left_h = sys.right, sys.left.conj().swapaxes(-1, -2)
+    w = np.einsum("...ji,...jk,...ki->...i", r.conj(), g, r).real
+    w_new = np.einsum("...ji,...jk,...ki->...i", r.conj(), g_new, r).real
+    ratio = np.sqrt(w_new / w)[..., None, :]
+    t = (r * ratio) @ left_h
+    u = eta_new @ ((r / ratio) @ left_h) @ eta_inv
+    checks = (
+        t @ h - h @ t,
+        u.conj().swapaxes(-1, -2) @ u - np.eye(h.shape[-1]),
+        t.conj().swapaxes(-1, -2) @ g @ t - g_new,
+        eta_new - u @ eta @ t,
+    )
+    residuals = np.stack([np.linalg.norm(c, axis=(-2, -1)) for c in checks], axis=-1)
+    return t, u, residuals
 
 
 def unitary_log(a: np.ndarray, points=None) -> np.ndarray:

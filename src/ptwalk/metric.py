@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BrokenRegime, DegenerateAtK, IncompatibleMetrics, SingularMetric
+from .errors import BrokenRegime, DegenerateAtK, IncompatibleMetrics, NotPositive, SingularMetric
 from .walk import (
     UNBROKEN_MARGIN,
     BlockOperator,
@@ -215,14 +215,7 @@ def build_metric(p: WalkParams, spec: MetricSpec) -> BlockOperator:
 
 def eta(g: BlockOperator) -> BlockOperator:
     """Blockwise positive square root of the metric, all blocks in one stacked root."""
-    return BlockOperator(g.points, linalg.herm_sqrt(g.blocks))
-
-
-def _check_pd(g: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-    if w.min() <= 0.0:
-        raise SingularMetric(f"metric eigenvalue {w.min():.3e} is not positive")
-    return g
+    return BlockOperator(g.points, linalg.sqrt_and_inv(g.blocks)[0])
 
 
 def generalized_dagger(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -242,8 +235,10 @@ def g_trace_norm(x: np.ndarray, g: np.ndarray) -> float:
     values coincide with the spectrum of sqrt(X# X); this keeps the argument
     of the square root numerically Hermitian.
     """
-    g = _check_pd(np.asarray(g, dtype=complex))
-    e, e_inv, _ = linalg.sqrt_and_inv(g)
+    try:
+        e, e_inv, _ = linalg.sqrt_and_inv(np.asarray(g, dtype=complex))
+    except NotPositive as exc:
+        raise SingularMetric(str(exc)) from exc
     return linalg.trace_norm(e @ np.asarray(x, complex) @ e_inv)
 
 
@@ -261,42 +256,23 @@ class MetricTransport:
     u: BlockOperator
 
 
-def _transport_block(g, gp, h):
-    sys = linalg.eig(h, want_left=True)
-    psi, phi = sys.right, sys.left
-    w = np.array([np.vdot(psi[:, i], g @ psi[:, i]).real for i in range(2)])
-    wp = np.array([np.vdot(psi[:, i], gp @ psi[:, i]).real for i in range(2)])
-    if w.min() <= 0 or wp.min() <= 0:
-        raise IncompatibleMetrics("metric weight non-positive in the eigenbasis")
-    t = sum(
-        np.sqrt(wp[i] / w[i]) * np.outer(psi[:, i], phi[:, i].conj()) for i in range(2)
-    )
-    t_inv = sum(
-        np.sqrt(w[i] / wp[i]) * np.outer(psi[:, i], phi[:, i].conj()) for i in range(2)
-    )
-    e = linalg.herm_sqrt(g)
-    ep = linalg.herm_sqrt(gp)
-    u = ep @ t_inv @ np.linalg.inv(e)
-    checks = (
-        np.linalg.norm(t @ h - h @ t),
-        np.linalg.norm(u.conj().T @ u - np.eye(2)),
-        np.linalg.norm(t.conj().T @ g @ t - gp),
-        np.linalg.norm(ep - u @ e @ t),
-    )
-    if max(checks) > TRANSPORT_TOL:
-        raise IncompatibleMetrics(
-            f"transport residuals {tuple(float(c) for c in checks)} exceed {TRANSPORT_TOL}"
-        )
-    return t, u
-
-
 def metric_transport(g: BlockOperator, gp: BlockOperator, h: BlockOperator) -> MetricTransport:
-    """Construct T and U per momentum block; raises IncompatibleMetrics on failure."""
-    ts = np.empty_like(g.blocks)
-    us = np.empty_like(g.blocks)
-    for i in range(len(g)):
-        ts[i], us[i] = _transport_block(g.blocks[i], gp.blocks[i], h.blocks[i])
-    return MetricTransport(BlockOperator(g.points, ts), BlockOperator(g.points, us))
+    """T and U for every momentum block at once (``linalg.transport``).
+
+    Raises IncompatibleMetrics naming the first momentum whose transport
+    residuals exceed TRANSPORT_TOL; a metric block that is not positive
+    definite raises NotPositive.
+    """
+    sys = linalg.eig(h.blocks, want_left=True)
+    t, u, residuals = linalg.transport(g.blocks, gp.blocks, h.blocks, sys)
+    bad = np.flatnonzero(residuals.max(axis=1) > TRANSPORT_TOL)
+    if bad.size:
+        i = bad[0]
+        raise IncompatibleMetrics(
+            f"k = {g.points[i]:.6f}: transport residuals "
+            f"{tuple(float(c) for c in residuals[i])} exceed {TRANSPORT_TOL}"
+        )
+    return MetricTransport(BlockOperator(g.points, t), BlockOperator(g.points, u))
 
 
 def separability_defect(g: BlockOperator) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigInvalid, SpectrumNotReal
-from .linalg import eig, sqrt_and_inv
+from .linalg import EigenSystem, eig, sqrt_and_inv, transport
 from .measures import _entropy_bits
 
 REAL_SPECTRUM_TOL = 1e-10
@@ -99,7 +99,7 @@ class ToyConfig:
 
 @dataclass(frozen=True)
 class ToyResult:
-    """Entropy curves per metric plus product-form and transport (max |U†U - I|) diagnostics."""
+    """Entropy curves per metric plus product-form and transport (||U†U - I||_F) diagnostics."""
 
     times: np.ndarray
     entropy: dict[str, np.ndarray]
@@ -108,30 +108,37 @@ class ToyResult:
     meta: dict = field(default_factory=dict)
 
 
-def metric_from_weights(h: np.ndarray, weights) -> np.ndarray:
-    """Positive metric sum_i w_i |phi_i><phi_i| over left eigenvectors of h."""
+def metric_from_weights(left: np.ndarray, weights) -> np.ndarray:
+    """Positive metric sum_i w_i |l_i><l_i| over the left eigenvectors ``left[..., :, i]``.
+
+    ``left`` is one (n, n) set of vectors or a stack (..., n, n), with
+    weights of shape (..., n).
+    """
     weights = np.asarray(weights, dtype=float)
     if weights.min() <= 0:
         raise ValueError("metric weights must be positive")
-    sys = eig(h, want_left=True)
-    g = sum(
-        w * np.outer(sys.left[:, i], sys.left[:, i].conj())
-        for i, w in enumerate(weights)
-    )
-    return (g + g.conj().T) / 2.0
+    g = (left * weights[..., None, :]) @ left.conj().swapaxes(-1, -2)
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
-def product_exp(h_a: np.ndarray, h_b: np.ndarray, s: float) -> np.ndarray:
-    """exp(s H) for H = h_a (x) h_b, from the biorthonormal eigenpairs of the factors.
+def product_eig(h_a: np.ndarray, h_b: np.ndarray) -> tuple[EigenSystem, EigenSystem]:
+    """Biorthonormal eigenpairs of the two factors (one stacked ``eig``) and of H = h_a (x) h_b.
 
-    With h r_i = lambda_i r_i and <l_i|r_j> = delta_ij for each factor,
-    exp(s H) = R diag(e^{s lambda_a lambda_b}) L† with R = r_A (x) r_B and
-    L = l_A (x) l_B. A factor near its exceptional point raises DegeneratePairing.
+    With h r_i = lambda_i r_i and <l_i|r_j> = delta_ij for each factor, H has
+    the eigenvalues lambda_a lambda_b with R = r_A (x) r_B and L = l_A (x) l_B.
+    No 4x4 eigensolve is needed, so products lambda_a lambda_b that coincide
+    are no obstacle; a factor near its exceptional point raises DegeneratePairing.
     """
-    a = eig(h_a, want_left=True)
-    b = eig(h_b, want_left=True)
-    right = np.kron(a.right, b.right)
-    return (right * np.exp(s * np.kron(a.values, b.values))) @ np.kron(a.left, b.left).conj().T
+    factors = eig(np.stack([h_a, h_b]), want_left=True)
+    product = EigenSystem(
+        np.kron(*factors.values), np.kron(*factors.right), np.kron(*factors.left)
+    )
+    return factors, product
+
+
+def product_exp(sys: EigenSystem, s: float) -> np.ndarray:
+    """exp(s H) = R diag(e^{s lambda}) L† from the eigenpairs of H given by ``product_eig``."""
+    return (sys.right * np.exp(s * sys.values)) @ sys.left.conj().T
 
 
 def product_defect(g: np.ndarray, dims: tuple[int, int] = (2, 2)) -> float:
@@ -152,21 +159,6 @@ def product_defect(g: np.ndarray, dims: tuple[int, int] = (2, 2)) -> float:
     return float(sv[1] / sv[0])
 
 
-def _transport_unitary(g_ref: np.ndarray, g_new: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Unitary U with eta_new = U eta_ref T, T spectral with [T, H] = 0."""
-    sys = eig(h, want_left=True)
-    n = h.shape[0]
-    w_ref = np.array([np.vdot(sys.right[:, i], g_ref @ sys.right[:, i]).real for i in range(n)])
-    w_new = np.array([np.vdot(sys.right[:, i], g_new @ sys.right[:, i]).real for i in range(n)])
-    t_inv = sum(
-        np.sqrt(w_ref[i] / w_new[i]) * np.outer(sys.right[:, i], sys.left[:, i].conj())
-        for i in range(n)
-    )
-    eta_ref, eta_ref_inv, _ = sqrt_and_inv(g_ref)
-    eta_new, _, _ = sqrt_and_inv(g_new)
-    return eta_new @ t_inv @ eta_ref_inv
-
-
 def run_toy(toy: ToyConfig) -> ToyResult:
     """Evolve the transported maximally entangled state under each metric.
 
@@ -174,16 +166,15 @@ def run_toy(toy: ToyConfig) -> ToyResult:
     'product2' and 'nonproduct', sampled at multiples of dt up to t_max.
     """
     h_a, h_b = toy.hamiltonians()
-    h = np.kron(h_a, h_b)
-    imag = np.abs(np.linalg.eigvals(h).imag).max()
+    factors, sys = product_eig(h_a, h_b)
+    imag = np.abs(sys.values.imag).max()
     if imag > REAL_SPECTRUM_TOL:
         raise SpectrumNotReal(f"max |Im eigenvalue| = {imag:.3e} exceeds {REAL_SPECTRUM_TOL}")
 
-    g_a1 = metric_from_weights(h_a, toy.weights_a1)
-    g_b1 = metric_from_weights(h_b, toy.weights_b1)
+    g_a1, g_b1 = metric_from_weights(factors.left, [toy.weights_a1, toy.weights_b1])
     g1 = np.kron(g_a1, g_b1)
-    g2 = np.kron(metric_from_weights(h_a, toy.weights_a2), metric_from_weights(h_b, toy.weights_b2))
-    mixer = product_exp(h_a, h_b, toy.mixing_strength)
+    g2 = np.kron(*metric_from_weights(factors.left, [toy.weights_a2, toy.weights_b2]))
+    mixer = product_exp(sys, toy.mixing_strength)
     g3 = mixer.conj().T @ g1 @ mixer
     metrics = {"product1": g1, "product2": g2, "nonproduct": g3}
 
@@ -194,14 +185,15 @@ def run_toy(toy: ToyConfig) -> ToyResult:
     phi = (np.kron(u_a[:, 0], u_b[:, 0]) + np.kron(u_a[:, 1], u_b[:, 1])) / np.sqrt(2.0)
     rho_ref = np.outer(phi, phi.conj())
 
+    h = np.kron(h_a, h_b)
+    _, transports, transport_residuals = transport(g1, np.stack(list(metrics.values())), h, sys)
     times = np.arange(0.0, toy.t_max + toy.dt / 2.0, toy.dt)
     entropy: dict[str, np.ndarray] = {}
     defects: dict[str, float] = {}
     residuals: dict[str, float] = {}
-    for name, g in metrics.items():
+    for (name, g), u, checks in zip(metrics.items(), transports, transport_residuals):
         defects[name] = product_defect(g)
-        u = _transport_unitary(g1, g, h)
-        residuals[name] = float(np.abs(u.conj().T @ u - np.eye(4)).max())
+        residuals[name] = float(checks[1])  # ||U†U - I||_F
         rho0 = u @ rho_ref @ u.conj().T
         e, e_inv, _ = sqrt_and_inv(g)
         h_eta = e @ h @ e_inv

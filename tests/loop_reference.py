@@ -7,7 +7,12 @@ builds all blocks at once and evaluates the reduced map in closed form as an
 average of Bloch rotations; these loops check it through an independent path.
 The CSV writers at the end format one value at a time through ``csv.writer``;
 the library's writers must produce the same bytes. ``expm``, a general matrix
-exponential, checks the toy's closed-form mixer without scipy.
+exponential, checks the toy's closed-form mixer without scipy. ``eig`` pairs
+left and right eigenvectors of one matrix by nearest conjugate eigenvalue,
+``herm_sqrt`` is the clamping Hermitian square root used by the dense
+lattice oracles, and ``metric_transport`` builds the transport one momentum
+at a time; they check the library's stacked ``eig``, metric root and
+transport.
 """
 
 import csv
@@ -16,10 +21,76 @@ import numpy as np
 
 from channel_reference import ChannelMatrix
 from ptwalk.channel import CoinTrajectory, _check_horizon, _check_state
-from ptwalk.errors import DegenerateAtK, NotPositive
-from ptwalk.linalg import unitary_log
-from ptwalk.metric import _weights
-from ptwalk.walk import UNBROKEN_MARGIN, coin, gain_loss, momentum_grid, spectral_a
+from ptwalk.errors import DegenerateAtK, DegeneratePairing, IncompatibleMetrics, NotPositive
+from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, unitary_log
+from ptwalk.metric import TRANSPORT_TOL, MetricTransport, _weights
+from ptwalk.walk import (
+    UNBROKEN_MARGIN,
+    BlockOperator,
+    coin,
+    gain_loss,
+    momentum_grid,
+    spectral_a,
+)
+
+# ----------------------------------------------------------------- linalg
+
+PSD_FAIL = 1e-8
+
+
+def eig(a: np.ndarray, want_left: bool = False) -> EigenSystem:
+    """Eigendecomposition with optional biorthonormal left eigenvectors.
+
+    Left eigenvectors are computed as right eigenvectors of A†, paired to the
+    right set by conjugate eigenvalue (greedy nearest match) and rescaled so
+    that <l_i|r_j> = delta_ij. Raises DegeneratePairing when two eigenvalues
+    of A are closer than 1e-9, since the pairing is then ambiguous.
+    """
+    a = _square(a)
+    values, right = np.linalg.eig(a)
+    if not want_left:
+        return EigenSystem(values, right)
+
+    n = len(values)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) < PAIRING_GAP:
+                raise DegeneratePairing(
+                    f"eigenvalues {values[i]} and {values[j]} within {PAIRING_GAP}"
+                )
+    lvals, lvecs = np.linalg.eig(a.conj().T)
+    left = np.empty_like(right)
+    taken: set[int] = set()
+    for i in range(n):
+        dists = [
+            (abs(np.conj(lvals[j]) - values[i]), j) for j in range(n) if j not in taken
+        ]
+        _, j = min(dists)
+        taken.add(j)
+        overlap = np.vdot(lvecs[:, j], right[:, i])
+        if abs(overlap) < PAIRING_GAP:
+            raise DegeneratePairing(
+                f"left/right overlap {abs(overlap):.2e} too small at eigenvalue {values[i]}"
+            )
+        left[:, i] = lvecs[:, j] / np.conj(overlap)
+    return EigenSystem(values, right, left)
+
+
+def herm_sqrt(a: np.ndarray) -> np.ndarray:
+    """Unique positive square root of a Hermitian PSD matrix, or of each in a stack (..., n, n).
+
+    Eigenvalues in [-1e-8, 0) are clamped to zero (floating-point dust left
+    by similarity transforms); anything below -1e-8 raises NotPositive.
+    """
+    a = _square(a, stack=True)
+    if np.abs(a - a.conj().swapaxes(-1, -2)).max() > 1e-10:
+        raise ValueError("input is not Hermitian to 1e-10")
+    w, v = np.linalg.eigh(a)
+    if w.min() < -PSD_FAIL:
+        raise NotPositive(f"minimum eigenvalue {w.min():.3e} below -{PSD_FAIL}")
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
 
 # ------------------------------------------------------------------- walk
 
@@ -102,6 +173,44 @@ def unitary_frame(metric: np.ndarray, walk: np.ndarray):
         w_etas[i] = etas[i] @ walk[i] @ eta_invs[i]
     residual = max(float(np.abs(b.conj().T @ b - np.eye(2)).max()) for b in w_etas)
     return etas, eta_invs, w_etas, residual
+
+
+def _transport_block(g, gp, h):
+    sys = eig(h, want_left=True)
+    psi, phi = sys.right, sys.left
+    w = np.array([np.vdot(psi[:, i], g @ psi[:, i]).real for i in range(2)])
+    wp = np.array([np.vdot(psi[:, i], gp @ psi[:, i]).real for i in range(2)])
+    if w.min() <= 0 or wp.min() <= 0:
+        raise IncompatibleMetrics("metric weight non-positive in the eigenbasis")
+    t = sum(
+        np.sqrt(wp[i] / w[i]) * np.outer(psi[:, i], phi[:, i].conj()) for i in range(2)
+    )
+    t_inv = sum(
+        np.sqrt(w[i] / wp[i]) * np.outer(psi[:, i], phi[:, i].conj()) for i in range(2)
+    )
+    e = herm_sqrt(g)
+    ep = herm_sqrt(gp)
+    u = ep @ t_inv @ np.linalg.inv(e)
+    checks = (
+        np.linalg.norm(t @ h - h @ t),
+        np.linalg.norm(u.conj().T @ u - np.eye(2)),
+        np.linalg.norm(t.conj().T @ g @ t - gp),
+        np.linalg.norm(ep - u @ e @ t),
+    )
+    if max(checks) > TRANSPORT_TOL:
+        raise IncompatibleMetrics(
+            f"transport residuals {tuple(float(c) for c in checks)} exceed {TRANSPORT_TOL}"
+        )
+    return t, u
+
+
+def metric_transport(g, gp, h) -> MetricTransport:
+    """Construct T and U per momentum block; raises IncompatibleMetrics on failure."""
+    ts = np.empty_like(g.blocks)
+    us = np.empty_like(g.blocks)
+    for i in range(len(g)):
+        ts[i], us[i] = _transport_block(g.blocks[i], gp.blocks[i], h.blocks[i])
+    return MetricTransport(BlockOperator(g.points, ts), BlockOperator(g.points, us))
 
 
 # ---------------------------------------------------------------- channel

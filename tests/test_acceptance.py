@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from loop_reference import herm_sqrt
 from ptwalk import (
     AnnealSchedule,
     MetricSpec,
@@ -19,22 +20,18 @@ from ptwalk import (
     blp_series,
     build_euclidean_walk,
     build_metric,
-    eig,
     hamiltonian,
-    herm_sqrt,
     maximize_blp,
     reduced_coin_state,
     run_toy,
     rhp_series,
-    separability_defect,
-    spectral_a,
-    trace_norm,
-    verify_metric_action,
-    walk_block,
 )
 from channel_reference import channel_matrix_series, choi_matrix, intermediate_from, vec
 from ptwalk.channel import bloch_matrix_series, choi_trace_norms, intermediate_maps
+from ptwalk.linalg import eig, trace_norm
 from ptwalk.measures import bloch_state
+from ptwalk.metric import separability_defect, verify_metric_action
+from ptwalk.walk import spectral_a, walk_block
 from test_channel import dense_reduced_state
 
 T1, T2 = math.pi / 4, -math.pi / 7

@@ -11,6 +11,7 @@ from channel_reference import (
     intermediate_map,
     vec,
 )
+from loop_reference import herm_sqrt
 from ptwalk import (
     LightConeViolation,
     MetricSpec,
@@ -20,17 +21,13 @@ from ptwalk import (
     build_metric,
     entanglement_series,
     hamiltonian,
-    herm_sqrt,
-    metric_transport,
-    momentum_grid,
-    partial_trace,
     reduced_coin_state,
-    spectral_a,
-    trace_norm,
-    walk_block,
     walk_operator,
 )
 from ptwalk.channel import bloch_matrix_series, coin_trajectory
+from ptwalk.linalg import partial_trace, trace_norm
+from ptwalk.metric import metric_transport
+from ptwalk.walk import momentum_grid, spectral_a, walk_block
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")

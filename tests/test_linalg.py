@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 
 from channel_reference import devec, vec
-from ptwalk import (
-    BranchAmbiguity,
-    DegeneratePairing,
-    NotPositive,
-    ShapeMismatch,
-    WalkParams,
-    eig,
-    herm_sqrt,
-    partial_trace,
-    trace_norm,
-    unitary_log,
-    walk_block,
-)
+import loop_reference
+from loop_reference import herm_sqrt
+from ptwalk import BranchAmbiguity, DegeneratePairing, NotPositive, ShapeMismatch, WalkParams
+from ptwalk.linalg import eig, partial_trace, trace_norm, unitary_log
+from ptwalk.walk import walk_block
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -74,6 +66,51 @@ def test_eig_left_biorthonormal():
 def test_eig_degenerate_pairing_raises():
     with pytest.raises(DegeneratePairing):
         eig(np.diag([1.0, 1.0 + 1e-12]), want_left=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_eig_matches_per_block_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    stack = np.stack([random_complex(rng, n) for _ in range(24)])
+    sys = eig(stack, want_left=True)
+    assert sys.values.shape == (24, n) and sys.right.shape == sys.left.shape == stack.shape
+    for a, values, right, left in zip(stack, sys.values, sys.right, sys.left):
+        one = loop_reference.eig(a, want_left=True)
+        assert np.array_equal(values, one.values) and np.array_equal(right, one.right)
+        assert np.abs(left - one.left).max() <= 1e-12 * np.abs(one.left).max()
+    nested = eig(stack.reshape(4, 6, n, n), want_left=True)
+    assert np.array_equal(nested.left.reshape(stack.shape), sys.left)
+
+
+REFUSED = {
+    "jordan": np.array([[1.0, 1.0], [0.0, 1.0]]),
+    "gap": np.diag([1.0, 1.0 + 1e-12]),
+    # eigenvalue gap 2e-9, but left/right overlap about 2e-11
+    "overlap": np.array([[1.0, 100.0], [0.0, 1.0 + 2e-9]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_stacked_eig_refuses_like_the_oracle(case):
+    bad = REFUSED[case]
+    with pytest.raises(DegeneratePairing) as want:
+        loop_reference.eig(bad, want_left=True)
+    with pytest.raises(DegeneratePairing) as got:
+        eig(bad, want_left=True)
+    # same refusal: both name the left/right overlap, or both the eigenvalue gap
+    kind = "left/right overlap" if "overlap" in str(want.value) else "eigenvalue gap"
+    assert str(got.value).startswith(kind)
+    good = np.diag([2.0, 3.0])
+    with pytest.raises(DegeneratePairing, match=f"^block 2: {kind}"):
+        eig(np.stack([good, good, bad, bad]), want_left=True)
+    eig(np.stack([good, good]), want_left=True)
+
+
+def test_stacked_eig_names_the_first_offending_block():
+    good = np.diag([2.0, 3.0])
+    stack = np.stack([good, REFUSED["overlap"], REFUSED["jordan"]])
+    with pytest.raises(DegeneratePairing, match="^block 1: left/right overlap"):
+        eig(stack, want_left=True)
 
 
 def test_herm_sqrt_trivial():

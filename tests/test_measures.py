@@ -18,12 +18,10 @@ from ptwalk import (
     maximize_blp,
     reduced_coin_state,
     rhp_series,
-    trace_distance,
-    von_neumann_entropy,
 )
 from channel_reference import ChannelMatrix, rhp_from_channels
 from ptwalk.channel import PINV_RCOND, bloch_matrix_series, intermediate_maps
-from ptwalk.measures import maximize_blp_many, rhp_from_bloch
+from ptwalk.measures import maximize_blp_many, rhp_from_bloch, trace_distance, von_neumann_entropy
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+
 
 from ptwalk import (
     BrokenRegime,
@@ -10,21 +12,22 @@ from ptwalk import (
     MetricSpec,
     SingularMetric,
     WalkParams,
+    build_euclidean_walk,
     build_metric,
-    eig,
     eta,
+    hamiltonian,
+)
+from ptwalk.linalg import eig, trace_norm
+from ptwalk.metric import (
     g_trace_norm,
     generalized_dagger,
-    hamiltonian,
     left_eigvecs,
     metric_transport,
-    momentum_grid,
     separability_defect,
-    trace_norm,
     verify_metric_action,
-    walk_block,
+    write_metric_csv,
 )
-from ptwalk.metric import write_metric_csv
+from ptwalk.walk import momentum_grid, walk_block
 
 T1, T2 = math.pi / 4, -math.pi / 7
 
@@ -172,6 +175,11 @@ def test_eta_squares_back():
         assert np.linalg.eigvalsh(eb).min() > 0
 
 
+def test_eta_is_the_unitary_frame_root():
+    ew = build_euclidean_walk(params(math.log(1.3), 101), MetricSpec(kind="random_xy", seed=11))
+    assert np.array_equal(eta(ew.metric).blocks, ew.eta_blocks.blocks)
+
+
 def test_eta_scales_as_sqrt():
     p = params(0.12, 5)
     g = build_metric(p, MetricSpec(kind="g1_flat"))
@@ -230,6 +238,13 @@ def test_g_trace_norm_of_metric_space_state_is_one():
     assert g_trace_norm(rho @ g, g) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_g_trace_norm_rejects_non_positive_metric():
+    x = np.eye(2, dtype=complex)
+    for g in (np.diag([1.0, -1e-3]), np.diag([1.0, 0.0])):
+        with pytest.raises(SingularMetric):
+            g_trace_norm(x, g)
+
+
 # ---------------------------------------------------------------- transports
 
 
@@ -285,6 +300,31 @@ def test_metric_transport_incompatible():
     bogus = BlockOperator(g.points, np.tile(np.diag([0.9, 0.1]).astype(complex), (5, 1, 1)))
     with pytest.raises(IncompatibleMetrics):
         metric_transport(g, bogus, h)
+
+
+def test_metric_transport_names_first_incompatible_k():
+    p = params(math.log(1.2), 5)
+    g = build_metric(p, MetricSpec(kind="g1_flat"))
+    from ptwalk.walk import BlockOperator
+
+    blocks = g.blocks.copy()
+    blocks[[2, 4]] = np.diag([0.9, 0.1])
+    with pytest.raises(IncompatibleMetrics, match="^" + re.escape(f"k = {g.points[2]:.6f}: ")):
+        metric_transport(g, BlockOperator(g.points, blocks), hamiltonian(p))
+
+
+@pytest.mark.parametrize("factor", [1.1, 1.2, 1.3])
+def test_metric_transport_matches_per_k_oracle(factor):
+    import loop_reference
+
+    p = params(math.log(factor), 1201)
+    g = build_metric(p, MetricSpec(kind="g1_flat"))
+    gp = build_metric(p, MetricSpec(kind="random_xy", seed=11))
+    h = hamiltonian(p)
+    tr = metric_transport(g, gp, h)
+    ref = loop_reference.metric_transport(g, gp, h)
+    assert np.abs(tr.t.blocks - ref.t.blocks).max() <= 1e-12
+    assert np.abs(tr.u.blocks - ref.u.blocks).max() <= 1e-12
 
 
 # ------------------------------------------------------- defect and identities

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 import loop_reference
-from ptwalk import (
-    DegeneratePairing,
-    SpectrumNotReal,
-    ToyConfig,
+from ptwalk import DegeneratePairing, SpectrumNotReal, ToyConfig, run_toy
+from ptwalk.linalg import eig
+from ptwalk.toy import (
+    metric_from_weights,
     product_defect,
-    run_toy,
+    product_eig,
+    product_exp,
     toy_hamiltonians,
 )
-from ptwalk.toy import metric_from_weights, product_exp
 
 CUSTOM_BLOCKS = (
     np.array([[np.exp(0.7j), 1.1], [1.1, np.exp(-0.7j)]]),
@@ -34,12 +34,12 @@ def test_pt_phase_blocks_are_nonhermitian():
 
 def test_metric_from_weights_is_compatible():
     h_a, _ = toy_hamiltonians("pt_phase")
-    g = metric_from_weights(h_a, (0.7, 1.9))
+    g = metric_from_weights(eig(h_a, want_left=True).left, (0.7, 1.9))
     assert np.abs(g - g.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(g).min() > 0
     assert np.abs(h_a.conj().T @ g - g @ h_a).max() < 1e-12
     with pytest.raises(ValueError):
-        metric_from_weights(h_a, (1.0, -0.5))
+        metric_from_weights(eig(h_a, want_left=True).left, (1.0, -0.5))
 
 
 def test_product_defect_detects_products():
@@ -56,7 +56,7 @@ def test_product_defect_detects_products():
 def test_product_exp_matches_taylor_oracle_and_commutes(blocks, s):
     h_a, h_b = CUSTOM_BLOCKS if blocks == "custom" else toy_hamiltonians(blocks)
     h = np.kron(h_a, h_b)
-    mixer = product_exp(h_a, h_b, s)
+    mixer = product_exp(product_eig(h_a, h_b)[1], s)
     oracle = loop_reference.expm(s * h)
     # relative to the largest entry: on 'real' at s = 0.25 entries reach 1.2e4
     scale = np.abs(oracle).max()
@@ -68,9 +68,23 @@ def test_product_exp_refuses_a_degenerate_block():
     h_a = np.diag([1.0, 1.0 + 1e-10]).astype(complex)  # eigenvalue gap below 1e-9
     _, h_b = toy_hamiltonians("pt_phase")
     with pytest.raises(DegeneratePairing):
-        product_exp(h_a, h_b, 0.25)
+        product_eig(h_a, h_b)
     with pytest.raises(DegeneratePairing):
         run_toy(ToyConfig(h_a=h_a, h_b=h_b, t_max=1.0))
+
+
+def test_run_toy_accepts_coinciding_products():
+    # spectra +-1.118 and +-1.732: each product +-1.9365 is a double eigenvalue
+    # of h_A (x) h_B, which a 4x4 eigensolve refuses to pair
+    h_a = np.array([[1j, 1.5], [1.5, -1j]])
+    h_b = np.array([[1j, 2.0], [2.0, -1j]])
+    with pytest.raises(DegeneratePairing):
+        loop_reference.eig(np.kron(h_a, h_b), want_left=True)
+    result = run_toy(ToyConfig(h_a=h_a, h_b=h_b))
+    for name in ("product1", "product2"):
+        assert np.abs(result.entropy[name] - 1.0).max() <= 1e-9
+    assert np.abs(result.entropy["nonproduct"] - 1.0).max() > 1e-3
+    assert max(result.transport_residuals.values()) <= 1e-12
 
 
 def test_run_toy_dichotomy():

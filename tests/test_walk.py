@@ -7,16 +7,12 @@ from ptwalk import (
     BrokenRegime,
     NoBreaking,
     WalkParams,
-    coin,
     gamma_pt,
     hamiltonian,
     is_unbroken,
-    momentum_grid,
-    spectral_a,
-    walk_block,
     walk_operator,
 )
-from ptwalk.walk import gain_loss, shift_block
+from ptwalk.walk import coin, gain_loss, momentum_grid, shift_block, spectral_a, walk_block
 
 T1, T2 = math.pi / 4, -math.pi / 7
 
@@ -196,7 +192,8 @@ def test_hamiltonian_matches_per_k_loop(gamma_factor):
 
 
 def test_stacked_unitary_log_names_first_offending_block():
-    from ptwalk import BranchAmbiguity, unitary_log
+    from ptwalk import BranchAmbiguity
+    from ptwalk.linalg import unitary_log
 
     rotation = np.diag([np.exp(-0.4j), np.exp(0.4j)])
     ks = np.linspace(-1.0, 1.0, 7)
