@@ -17,6 +17,14 @@ and the real 3x3 Bloch matrix M(t) has the closed form
 
 evaluated as I - (1/L) sum_k 2 sin^2(t eps_k)(I - n_k n_k^T) + (1/L) sum_k
 sin(2t eps_k) [n_k]_x, which is exactly I at t = 0. No block powers are taken.
+The steps run in blocks t = t0 + j, j < chunk, and the phases are stepped,
+not recomputed: sin and cos of j eps_k are tabulated once, sin and cos of
+t0 eps_k are evaluated directly once per block, and the angle-addition
+identity e^{i(t0+j)eps} = e^{i t0 eps} e^{i j eps} combines them in real
+arithmetic. That takes about (chunk + T/chunk) L transcendentals for T steps
+instead of T L. Every block start is evaluated directly, so the roundoff
+does not accumulate from block to block, and the first block (t0 = 0)
+equals the direct evaluation bit for bit.
 
 The metric picks only the axes n_k. The angles are read from a(k)
 (``spectral_a``), not from the trace of W_eta(k): they are then
@@ -25,10 +33,9 @@ different metrics differ only by roundoff in the axes, and the inversions
 behind the CP-indivisibility measure do not amplify a metric-dependent angle
 error. Where |a(k)| = 1, which only a unitary walk under the flat metric
 admits, the block is +-I up to roundoff: its angle is read from the block,
-and the axis is arbitrary where the rotation is exactly the identity. The
-sums over k run in blocks of steps holding at most BLOCK_ELEMENTS
-(step, momentum) entries, so the cos/sin temporaries stay bounded at any
-horizon.
+and the axis is arbitrary where the rotation is exactly the identity. A
+block of steps holds at most BLOCK_ELEMENTS (step, momentum) entries, so the
+phase table and the cos/sin temporaries stay bounded at any horizon.
 
 A step from t-1 to t is the map A(t) = M(t) M(t-1)^{-1}, again unital. The
 Choi matrix of a unital qubit map has a closed-form spectrum (King & Ruskai,
@@ -66,7 +73,8 @@ from .walk import (
 # and a cutoff pseudo-inverse is used instead of a direct solve.
 ILL_CONDITION_LIMIT = 1e12
 PINV_RCOND = 1e-12
-# Cap on the (steps x momenta) cos/sin temporaries of the closed form.
+# Cap on the (steps x momenta) entries of a block of the closed form: it
+# bounds the sin/cos table of the in-block phases and the temporaries.
 BLOCK_ELEMENTS = 1 << 14
 
 # Row-major vec of I, sigma_x, sigma_y, sigma_z, as columns: vec(rho) =
@@ -182,8 +190,8 @@ def _rotations(ew: EuclideanWalk) -> tuple[np.ndarray, np.ndarray]:
     return eps, axes
 
 
-def _bloch_matrices(ew: EuclideanWalk, steps: np.ndarray) -> np.ndarray:
-    """M(t) for every t of ``steps``, shape (len(steps), 3, 3), in closed form."""
+def _bloch_matrices(ew: EuclideanWalk, start: int, count: int) -> np.ndarray:
+    """M(t) for t = start..start+count-1, shape (count, 3, 3), in closed form."""
     eps, n = _rotations(ew)
     size = len(eps)
     transverse = (np.eye(3) - n[:, :, None] * n[:, None, :]).reshape(size, 9) / size
@@ -192,16 +200,24 @@ def _bloch_matrices(ew: EuclideanWalk, steps: np.ndarray) -> np.ndarray:
     cross[:, 1, 0], cross[:, 1, 2] = n[:, 2], -n[:, 0]
     cross[:, 2, 0], cross[:, 2, 1] = -n[:, 1], n[:, 0]
     cross = cross.reshape(size, 9) / size
-    out = np.empty((len(steps), 9))
-    chunk = max(1, BLOCK_ELEMENTS // size)
-    for lo in range(0, len(steps), chunk):
-        # two (chunk, L) temporaries: sin(t eps) cos(t eps) and sin^2(t eps)
-        sin_cos = np.multiply.outer(steps[lo : lo + chunk], eps)
-        sin_sq = np.sin(sin_cos)
-        np.cos(sin_cos, out=sin_cos)
-        sin_cos *= sin_sq
-        sin_sq *= sin_sq
-        out[lo : lo + chunk] = 2.0 * (sin_cos @ cross - sin_sq @ transverse)
+    chunk = min(count, max(1, BLOCK_ELEMENTS // size))
+    # phases j eps of the steps within a block, j < chunk
+    sin_j = np.multiply.outer(np.arange(chunk), eps)
+    cos_j = np.cos(sin_j)
+    np.sin(sin_j, out=sin_j)
+    out = np.empty((count, 9))
+    for lo in range(0, count, chunk):
+        rows = min(chunk, count - lo)
+        # the block start t0 eps, evaluated directly; (t0 + j) eps by angle addition
+        phase = (start + lo) * eps
+        sin_0, cos_0 = np.sin(phase), np.cos(phase)
+        sin = sin_j[:rows] * cos_0
+        sin += cos_j[:rows] * sin_0
+        cos = cos_j[:rows] * cos_0
+        cos -= sin_j[:rows] * sin_0
+        cos *= sin  # sin(t eps) cos(t eps)
+        sin *= sin  # sin^2(t eps)
+        out[lo : lo + rows] = 2.0 * (cos @ cross - sin @ transverse)
     out += np.eye(3).reshape(9)
     return out.reshape(-1, 3, 3)
 
@@ -213,7 +229,7 @@ def bloch_matrix_series(ew: EuclideanWalk, t_max: int) -> np.ndarray:
     the module docstring for the closed form.
     """
     _check_horizon(ew, t_max)
-    return _bloch_matrices(ew, np.arange(t_max + 1))
+    return _bloch_matrices(ew, 0, t_max + 1)
 
 
 def _bloch_vector(rho: np.ndarray) -> np.ndarray:
@@ -230,7 +246,7 @@ def reduced_coin_state(ew: EuclideanWalk, rho0: np.ndarray, t: int) -> np.ndarra
     """Reduced coin state after t steps of the unitary-frame walk."""
     rho0 = _check_state(rho0)
     _check_horizon(ew, t)
-    return _coin_states(_bloch_matrices(ew, np.array([t])) @ _bloch_vector(rho0))[0]
+    return _coin_states(_bloch_matrices(ew, t, 1) @ _bloch_vector(rho0))[0]
 
 
 def coin_trajectory(ew: EuclideanWalk, rho0: np.ndarray, t_max: int) -> CoinTrajectory:

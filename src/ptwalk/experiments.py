@@ -9,13 +9,15 @@ matrices M(t) are built once for all of its studies. Cells whose gamma lies
 beyond the exceptional point are skipped and reported, not fatal. Given the
 same config and master seed, the CSV outputs are byte-identical across
 reruns and thread counts; summary JSONs are deterministic apart from their
-wall-clock runtime field.
+wall-clock ``runtime_s`` and ``timings`` fields.
 """
 
 import csv
 import hashlib
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -188,7 +190,8 @@ def _run_cell(
     studies share. A BLP cell passes ``found``, its (pair, N_max, series)
     from the group's lockstep search, and ``shared_s``, its even share of
     that search's wall time; runtime_s is the cell's own time plus
-    ``shared_s``.
+    ``shared_s``, and is repeated as ``cell_s`` in the ``timings`` that
+    ``summary`` brings with its pair's stages.
     """
     started = time.perf_counter() - shared_s
     study, stem = summary["study"], summary["cell"]
@@ -218,6 +221,7 @@ def _run_cell(
     )
     series.write_csv(out / f"{stem}.csv", comment=comment)
     summary["runtime_s"] = time.perf_counter() - started
+    summary["timings"]["cell_s"] = summary["runtime_s"]
     _write_json(out / f"{stem}.json", summary)
     return summary
 
@@ -239,13 +243,17 @@ def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) ->
     for factor, metric_dict in pairs:
         spec = MetricSpec.from_dict(metric_dict)
         params = cfg.walk_params(factor)
+        started = time.perf_counter()
         ew = build_euclidean_walk(params, spec)
+        walk_s = time.perf_counter() - started
         write_metric_csv(
             ew.metric,
             out / f"metric__eg{factor:g}__{spec.label}.csv",
             comment=f"gamma_factor={factor:g} {json.dumps(metric_dict)}",
         )
+        started = time.perf_counter()
         bloch = bloch_matrix_series(ew, cfg.t_max)
+        bloch_s = time.perf_counter() - started
         for study in studies:
             summary = {
                 "cell": _cell_stem(study, factor, spec.label),
@@ -261,6 +269,7 @@ def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) ->
                 "unitarity_residual": ew.unitarity_residual,
                 "ep_gap": ew.ep_gap,
                 "metric_condition_max": ew.metric_condition_max,
+                "timings": {"walk_s": walk_s, "bloch_s": bloch_s},
             }
             if study == "blp":
                 blp_cells.append((spec, summary, bloch))
@@ -359,8 +368,16 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     artifacts = sorted(
         str(p.relative_to(out)) for p in out.iterdir() if p.suffix in (".csv", ".json") and p.name != "manifest.json"
     )
+    from . import __version__  # the package has finished importing by now
+
     manifest = {
         "config": cfg.to_dict(),
+        "versions": {
+            "ptwalk": __version__,
+            "numpy": np.__version__,
+            "python": ".".join(map(str, sys.version_info[:3])),
+        },
+        "cpu_count": os.cpu_count(),
         "cells": summaries,
         "skipped": [s["cell"] for s in summaries if s.get("status") == "skipped"],
         "artifacts": [

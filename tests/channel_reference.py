@@ -88,8 +88,7 @@ def _channels(bloch: np.ndarray, steps: np.ndarray) -> list[ChannelMatrix]:
 def channel_matrix(ew, t: int) -> ChannelMatrix:
     """Matrix L(t, 0) of the t-step reduced map on vectorized coin states."""
     _check_horizon(ew, t)
-    steps = np.array([t])
-    return _channels(_bloch_matrices(ew, steps), steps)[0]
+    return _channels(_bloch_matrices(ew, t, 1), np.array([t]))[0]
 
 
 def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:

@@ -5,6 +5,9 @@ builders: every momentum block is built on its own, and the reduced map is
 advanced one step at a time by multiplying 2x2 block powers. The library
 builds all blocks at once and evaluates the reduced map in closed form as an
 average of Bloch rotations; these loops check it through an independent path.
+``bloch_matrices_direct`` is that closed form with sin and cos of every phase
+t eps_k evaluated directly, where the library steps the phases by angle
+addition from one evaluated phase per block.
 The CSV writers at the end format one value at a time through ``csv.writer``;
 the library's writers must produce the same bytes. ``expm``, a general matrix
 exponential, checks the toy's closed-form mixer without scipy. ``eig`` pairs
@@ -20,7 +23,7 @@ import csv
 import numpy as np
 
 from channel_reference import ChannelMatrix
-from ptwalk.channel import CoinTrajectory, _check_horizon, _check_state
+from ptwalk.channel import BLOCK_ELEMENTS, CoinTrajectory, _check_horizon, _check_state, _rotations
 from ptwalk.errors import DegenerateAtK, DegeneratePairing, IncompatibleMetrics, NotPositive
 from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, unitary_log
 from ptwalk.metric import TRANSPORT_TOL, MetricTransport, _weights
@@ -256,6 +259,30 @@ def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
         acc = np.einsum("kab,kbc->kac", w, acc)
         out.append(_channel_from_powers(acc, t))
     return out
+
+
+def bloch_matrices_direct(ew, steps: np.ndarray) -> np.ndarray:
+    """M(t) for every t of ``steps``, with sin and cos of every t eps_k evaluated directly."""
+    eps, n = _rotations(ew)
+    size = len(eps)
+    transverse = (np.eye(3) - n[:, :, None] * n[:, None, :]).reshape(size, 9) / size
+    cross = np.zeros((size, 3, 3))
+    cross[:, 0, 1], cross[:, 0, 2] = -n[:, 2], n[:, 1]
+    cross[:, 1, 0], cross[:, 1, 2] = n[:, 2], -n[:, 0]
+    cross[:, 2, 0], cross[:, 2, 1] = -n[:, 1], n[:, 0]
+    cross = cross.reshape(size, 9) / size
+    out = np.empty((len(steps), 9))
+    chunk = max(1, BLOCK_ELEMENTS // size)
+    for lo in range(0, len(steps), chunk):
+        # two (chunk, L) temporaries: sin(t eps) cos(t eps) and sin^2(t eps)
+        sin_cos = np.multiply.outer(steps[lo : lo + chunk], eps)
+        sin_sq = np.sin(sin_cos)
+        np.cos(sin_cos, out=sin_cos)
+        sin_cos *= sin_sq
+        sin_sq *= sin_sq
+        out[lo : lo + chunk] = 2.0 * (sin_cos @ cross - sin_sq @ transverse)
+    out += np.eye(3).reshape(9)
+    return out.reshape(-1, 3, 3)
 
 
 # -------------------------------------------------------------------- toy

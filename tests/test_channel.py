@@ -330,6 +330,37 @@ def test_closed_form_coin_states_match_block_powers(long_walk):
     assert np.abs(fast.states - slow.states).max() <= 1e-12
 
 
+@pytest.mark.parametrize("gamma_factor", [1.0, 1.2, 1.3])
+@pytest.mark.parametrize("spec", [FLAT, MetricSpec(kind="random_xy", seed=11)])
+def test_phase_stepped_bloch_matrices_match_direct_oracle(gamma_factor, spec):
+    # Angle addition moves M(t) by roundoff only; the first block steps from
+    # t0 = 0 and is bitwise the direct evaluation that the BLP search reads.
+    import loop_reference
+    from ptwalk.channel import BLOCK_ELEMENTS
+
+    ew = build_euclidean_walk(WalkParams(T1, T2, math.log(gamma_factor), 1201), spec)
+    fast = bloch_matrix_series(ew, 600)
+    slow = loop_reference.bloch_matrices_direct(ew, np.arange(601))
+    assert np.abs(fast - slow).max() <= 1e-13
+    chunk = BLOCK_ELEMENTS // 1201
+    assert np.array_equal(fast[:chunk], slow[:chunk])
+
+
+def test_bloch_matrices_do_not_depend_on_block_size(monkeypatch):
+    import ptwalk.channel
+
+    ew = build_euclidean_walk(WalkParams(T1, T2, math.log(1.3), 1201), MetricSpec(kind="random_xy", seed=11))
+    chunk = ptwalk.channel.BLOCK_ELEMENTS // 1201
+    base = bloch_matrix_series(ew, 600)
+    # a block start, evaluated directly, against the rows stepped to from the previous start
+    r = np.array([0.0, 1.0, 0.0])
+    for t in (chunk - 1, chunk, chunk + 1, 600):
+        assert np.abs(bloch_state(base[t] @ r) - reduced_coin_state(ew, bloch_state(r), t)).max() <= 1e-14
+    for elements in (1 << 8, 1 << 20):
+        monkeypatch.setattr(ptwalk.channel, "BLOCK_ELEMENTS", elements)
+        assert np.abs(bloch_matrix_series(ew, 600) - base).max() <= 1e-13
+
+
 def test_bloch_matrix_series_rotation_average():
     # M(t) maps Bloch vectors exactly like conjugating with the block powers
     ew = build_euclidean_walk(params(math.log(1.2), 41), MetricSpec(kind="random_xy", seed=9))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptwalk import ConfigInvalid, ExperimentConfig, MissingArtifacts, load_config, report, run
+from ptwalk import __version__, ConfigInvalid, ExperimentConfig, MissingArtifacts, load_config, report, run
 from ptwalk.cli import main
 from ptwalk.experiments import validate_config
 from ptwalk.measures import AnnealSchedule
@@ -137,6 +138,14 @@ def test_run_writes_artifacts_and_manifest(tmp_path):
     first = (out / "rhp__eg1.2__G2.csv").read_text().splitlines()[0]
     assert first.startswith("# cell=rhp__eg1.2__G2")
     assert "master_seed=5" in first and "metric_seed=11" in first
+    # the manifest on disk names the library versions and the host's CPU count
+    written = json.loads((out / "manifest.json").read_text())
+    assert written["versions"] == {
+        "ptwalk": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+    assert written["cpu_count"] == os.cpu_count()
 
 
 def test_run_is_deterministic_modulo_runtime(tmp_path):
@@ -152,8 +161,9 @@ def test_run_is_deterministic_modulo_runtime(tmp_path):
         else:
             s1 = json.loads((tmp_path / "a" / path).read_text())
             s2 = json.loads((tmp_path / "b" / path).read_text())
-            s1.pop("runtime_s", None)
-            s2.pop("runtime_s", None)
+            for key in ("runtime_s", "timings"):
+                s1.pop(key, None)
+                s2.pop(key, None)
             assert s1 == s2
 
 
@@ -167,6 +177,19 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
         assert summary["ep_gap"] == cell["ep_gap"]
         assert 0.0 < summary["ep_gap"] < 1.0
         assert summary["metric_condition_max"] >= 1.0
+        # stage timings: the pair's shared walk and M(t), and the cell's own stage
+        timings = summary["timings"]
+        assert set(timings) == {"walk_s", "bloch_s", "cell_s"}
+        assert min(timings.values()) >= 0.0
+        assert timings["cell_s"] == summary["runtime_s"]
+        pair = [
+            json.loads((tmp_path / f"{study}__eg{cell['gamma_factor']:g}__{cell['metric_label']}.json").read_text())
+            for study in ("blp", "rhp", "entanglement")
+        ]
+        assert all(
+            (s["timings"]["walk_s"], s["timings"]["bloch_s"]) == (timings["walk_s"], timings["bloch_s"])
+            for s in pair
+        )
     flat_hermitian = next(c for c in walk_cells if c["gamma_factor"] == 1.0 and c["metric_label"] == "G1")
     assert flat_hermitian["metric_condition_max"] == 1.0
 
@@ -190,6 +213,8 @@ def test_run_parallel_cells_match_sequential(tmp_path):
                 got = json.loads((par_dir / name).read_text())
                 want.pop("runtime_s")
                 got.pop("runtime_s")
+                want.pop("timings", None)  # walk cells only; the toy has none
+                got.pop("timings", None)
                 assert got == want, name
         assert [c["cell"] for c in par["cells"]] == [c["cell"] for c in seq["cells"]]
 
