@@ -27,11 +27,9 @@ from .experiments import ExperimentConfig, load_config, report, run, validate_co
 from .measures import (
     AnnealSchedule,
     MeasureSeries,
-    StatePair,
     blp_series,
     bloch_state,
     entanglement_series,
-    maximize_blp,
     rhp_series,
 )
 from .metric import MetricSpec, build_metric, eta

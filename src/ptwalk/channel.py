@@ -104,14 +104,6 @@ class EuclideanWalk:
     metric_condition_max: float
 
 
-@dataclass(frozen=True)
-class CoinTrajectory:
-    """Reduced coin states rho_c(0..t_max); states has shape (t_max+1, 2, 2)."""
-
-    steps: np.ndarray
-    states: np.ndarray
-
-
 def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
     """Construct the metric, its square root and the unitary blocks W_eta(k).
 
@@ -236,28 +228,12 @@ def _bloch_vector(rho: np.ndarray) -> np.ndarray:
     return (_PAULI.conj().T @ rho.reshape(4)).real[1:]
 
 
-def _coin_states(r: np.ndarray) -> np.ndarray:
-    """States (I + r . sigma)/2 for the rows of the (n, 3) Bloch vectors ``r``."""
-    ones = np.ones((len(r), 1))
-    return (np.concatenate([ones, r], axis=1) @ _PAULI.T / 2.0).reshape(-1, 2, 2)
-
-
 def reduced_coin_state(ew: EuclideanWalk, rho0: np.ndarray, t: int) -> np.ndarray:
-    """Reduced coin state after t steps of the unitary-frame walk."""
+    """Reduced coin state (I + (M(t) r0) . sigma)/2 after t steps of the unitary-frame walk."""
     rho0 = _check_state(rho0)
     _check_horizon(ew, t)
-    return _coin_states(_bloch_matrices(ew, t, 1) @ _bloch_vector(rho0))[0]
-
-
-def coin_trajectory(ew: EuclideanWalk, rho0: np.ndarray, t_max: int) -> CoinTrajectory:
-    """Reduced coin states for every step 0..t_max.
-
-    rho_c(t) = (I + (M(t) r0) . sigma)/2, with M(t) from the closed form.
-    """
-    rho0 = _check_state(rho0)
-    return CoinTrajectory(
-        np.arange(t_max + 1), _coin_states(bloch_matrix_series(ew, t_max) @ _bloch_vector(rho0))
-    )
+    r = _bloch_matrices(ew, t, 1)[0] @ _bloch_vector(rho0)
+    return (np.concatenate([[1.0], r]) @ _PAULI.T / 2.0).reshape(2, 2)
 
 
 def intermediate_maps(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import os
 import sys
 
 from .errors import ConfigInvalid, NoBreaking, PTWalkError
-from .experiments import OUTPUT_DIR_ENV, ExperimentConfig, load_config, report, run, validate_config
+from .experiments import OUTPUT_DIR_ENV, ExperimentConfig, load_config, report, run
 from .walk import gamma_pt
 
 
@@ -57,7 +57,6 @@ def _cmd_run(args) -> int:
         overrides["study"] = args.study
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    validate_config(cfg)
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
     if args.threads < 1:
         raise ConfigInvalid([("threads", f"must be >= 1, got {args.threads}")])

@@ -26,13 +26,7 @@ import numpy as np
 
 from .channel import bloch_matrix_series, build_euclidean_walk
 from .errors import ConfigInvalid, MissingArtifacts
-from .measures import (
-    AnnealSchedule,
-    bloch_state,
-    entanglement_from_bloch,
-    maximize_blp_many,
-    rhp_from_bloch,
-)
+from .measures import AnnealSchedule, entanglement_series, maximize_blp_many, rhp_series
 from .metric import MetricSpec, write_metric_csv
 from .toy import ToyConfig, run_toy
 from .walk import WalkParams, is_unbroken
@@ -168,6 +162,10 @@ def _cell_stem(study: str, factor: float, label: str) -> str:
     return f"{study}__eg{factor:g}__{label}"
 
 
+def _metric_csv_name(factor: float, label: str) -> str:
+    return f"metric__eg{factor:g}__{label}.csv"
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -187,24 +185,24 @@ def _run_cell(
 
     ``summary`` holds the cell's identity and its walk's health. An rhp or
     entanglement cell reads its series from ``bloch``, the M(t) its pair's
-    studies share. A BLP cell passes ``found``, its (pair, N_max, series)
-    from the group's lockstep search, and ``shared_s``, its even share of
-    that search's wall time; runtime_s is the cell's own time plus
-    ``shared_s``, and is repeated as ``cell_s`` in the ``timings`` that
-    ``summary`` brings with its pair's stages.
+    studies share. A BLP cell passes ``found``, the winning pair's series
+    from the group's lockstep search (its meta holds N_max and the pair),
+    and ``shared_s``, its even share of that search's wall time; runtime_s
+    is the cell's own time plus ``shared_s``, and is repeated as ``cell_s``
+    in the ``timings`` that ``summary`` brings with its pair's stages.
     """
     started = time.perf_counter() - shared_s
     study, stem = summary["study"], summary["cell"]
     if study == "rhp":
-        series = rhp_from_bloch(bloch)
+        series = rhp_series(bloch)
         summary["final_rhp"] = float(series.rhp[-1])
     elif study == "entanglement":
-        series = entanglement_from_bloch(bloch, bloch_state(cfg.coin_bloch))
+        series = entanglement_series(bloch, cfg.coin_bloch)
         summary["final_entropy"] = float(series.entropy[-1])
         summary["coin_bloch"] = list(cfg.coin_bloch)
     elif study == "blp":
-        _, n_max, series = found
-        summary["n_max"] = n_max
+        series = found
+        summary["n_max"] = series.meta["n_max"]
         summary["best_pair"] = {
             "bloch_rho": series.meta["bloch_rho"],
             "bloch_sigma": series.meta["bloch_sigma"],
@@ -246,11 +244,13 @@ def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) ->
         started = time.perf_counter()
         ew = build_euclidean_walk(params, spec)
         walk_s = time.perf_counter() - started
+        started = time.perf_counter()
         write_metric_csv(
             ew.metric,
-            out / f"metric__eg{factor:g}__{spec.label}.csv",
+            out / _metric_csv_name(factor, spec.label),
             comment=f"gamma_factor={factor:g} {json.dumps(metric_dict)}",
         )
+        metric_csv_s = time.perf_counter() - started
         started = time.perf_counter()
         bloch = bloch_matrix_series(ew, cfg.t_max)
         bloch_s = time.perf_counter() - started
@@ -269,7 +269,7 @@ def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) ->
                 "unitarity_residual": ew.unitarity_residual,
                 "ep_gap": ew.ep_gap,
                 "metric_condition_max": ew.metric_condition_max,
-                "timings": {"walk_s": walk_s, "bloch_s": bloch_s},
+                "timings": {"walk_s": walk_s, "metric_csv_s": metric_csv_s, "bloch_s": bloch_s},
             }
             if study == "blp":
                 blp_cells.append((spec, summary, bloch))
@@ -362,12 +362,16 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
                         "reason": "broken regime: |a(k)| >= 1 somewhere on the grid",
                     }
                 )
+    # exactly the files this run wrote, never older ones left in the directory
+    artifacts = [_metric_csv_name(factor, MetricSpec.from_dict(m).label) for factor, m in pairs]
+    artifacts += [
+        f"{s['cell']}{ext}" for s in summaries if s["status"] == "ok" for ext in (".csv", ".json")
+    ]
     if cfg.study in ("toy", "all"):
-        summaries.append(_run_toy_cell(cfg, out))
-
-    artifacts = sorted(
-        str(p.relative_to(out)) for p in out.iterdir() if p.suffix in (".csv", ".json") and p.name != "manifest.json"
-    )
+        toy = _run_toy_cell(cfg, out)
+        summaries.append(toy)
+        artifacts += [f"toy__{name}.csv" for name in toy["max_abs_dev_from_one_bit"]]
+        artifacts.append("toy__summary.json")
     from . import __version__  # the package has finished importing by now
 
     manifest = {
@@ -381,7 +385,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
         "cells": summaries,
         "skipped": [s["cell"] for s in summaries if s.get("status") == "skipped"],
         "artifacts": [
-            {"path": rel, "sha256": _sha256(out / rel)} for rel in artifacts
+            {"path": rel, "sha256": _sha256(out / rel)} for rel in sorted(artifacts)
         ],
     }
     _write_json(out / "manifest.json", manifest)
@@ -401,7 +405,11 @@ def _load_series_column(path: Path, column: str) -> np.ndarray:
 
 
 def report(in_dir) -> tuple[str, dict]:
-    """Cross-metric spread statistics and pass/fail classification for a bundle."""
+    """Cross-metric spread statistics and pass/fail classification for a bundle.
+
+    Only the artifacts the manifest lists are read, so files an earlier run
+    left in the same directory never enter a verdict.
+    """
     out = Path(in_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
@@ -409,6 +417,7 @@ def report(in_dir) -> tuple[str, dict]:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     cfg = ExperimentConfig.from_dict(manifest["config"])
+    listed = {art["path"] for art in manifest["artifacts"]}
 
     rows = []
     results: dict = {"studies": {}}
@@ -418,9 +427,9 @@ def report(in_dir) -> tuple[str, dict]:
         for factor in cfg.gamma_factors:
             curves = []
             for metric in cfg.metrics:
-                path = out / f"{_cell_stem(study, factor, metric.label)}.csv"
-                if path.exists():
-                    curves.append(_load_series_column(path, column))
+                name = f"{_cell_stem(study, factor, metric.label)}.csv"
+                if name in listed:
+                    curves.append(_load_series_column(out / name, column))
             if len(curves) >= 2:
                 spread = max(
                     float(np.abs(a - b).max()) for i, a in enumerate(curves) for b in curves[i + 1 :]
@@ -451,9 +460,9 @@ def report(in_dir) -> tuple[str, dict]:
     for factor in cfg.gamma_factors:
         values = []
         for metric in cfg.metrics:
-            path = out / f"{_cell_stem('blp', factor, metric.label)}.json"
-            if path.exists():
-                with open(path) as fh:
+            name = f"{_cell_stem('blp', factor, metric.label)}.json"
+            if name in listed:
+                with open(out / name) as fh:
                     values.append(json.load(fh)["n_max"])
         if len(values) >= 2:
             spread = max(values) - min(values)
@@ -463,9 +472,8 @@ def report(in_dir) -> tuple[str, dict]:
     if blp_entry:
         results["studies"]["blp"] = blp_entry
 
-    toy_path = out / "toy__summary.json"
-    if toy_path.exists():
-        with open(toy_path) as fh:
+    if "toy__summary.json" in listed:
+        with open(out / "toy__summary.json") as fh:
             toy_summary = json.load(fh)
         devs = toy_summary["max_abs_dev_from_one_bit"]
         toy_entry = {}

@@ -11,10 +11,12 @@ which is what the annealer scores. Its restarts are independent seeded
 chains. ``maximize_blp_many`` searches many cells at once: the chains of
 every cell advance in lockstep, with one batched objective call per step,
 and a cell's result does not depend on which cells share the search.
-``maximize_blp`` is its one-walk call.
 
-The same matrices give every other series. Failure of CP-divisibility is
-scored through the one-step intermediate maps A(t) = M(t) M(t-1)^{-1}:
+Every measure takes the (t_max+1, 3, 3) stack M(0..t_max) of
+``ptwalk.channel.bloch_matrix_series`` and Bloch vectors, one function per
+quantity: ``blp_series``, ``rhp_series`` and ``entanglement_series``.
+Failure of CP-divisibility is scored through the one-step intermediate maps
+A(t) = M(t) M(t-1)^{-1}:
 
     g(t) = || Choi(A(t)) ||_1 - 1,     I_RHP(t) = sum_{s<=t} g(s),
 
@@ -25,20 +27,12 @@ M(t) r0 the state has eigenvalues (1 +- |M(t) r0|)/2, so S(t) is a binary
 entropy.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    EuclideanWalk,
-    _bloch_vector,
-    _check_state,
-    bloch_matrix_series,
-    choi_trace_norms,
-    intermediate_maps,
-)
+from .channel import choi_trace_norms, intermediate_maps
 from .linalg import trace_norm
 
 # Negative dust tolerated in g(t) before clamping to zero: the Choi trace
@@ -48,25 +42,19 @@ G_CLAMP = 1e-9
 ENTROPY_CUT = 1e-12
 
 
-@dataclass(frozen=True)
-class StatePair:
-    """Two coin states whose distinguishability is tracked over time."""
-
-    rho: np.ndarray
-    sigma: np.ndarray
-
-    @classmethod
-    def from_bloch(cls, r, s) -> "StatePair":
-        return cls(bloch_state(r), bloch_state(s))
-
-
-def bloch_state(r) -> np.ndarray:
-    """Qubit state (I + r . sigma)/2 for a Bloch vector with |r| <= 1."""
+def _check_bloch(r) -> np.ndarray:
+    """A Bloch vector as a float array; ValueError unless its shape is (3,) and |r| <= 1."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have 3 components")
     if np.linalg.norm(r) > 1.0 + 1e-12:
         raise ValueError(f"Bloch vector norm {np.linalg.norm(r)} > 1")
+    return r
+
+
+def bloch_state(r) -> np.ndarray:
+    """Qubit state (I + r . sigma)/2 for a Bloch vector with |r| <= 1."""
+    r = _check_bloch(r)
     return 0.5 * np.array(
         [[1.0 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1.0 - r[2]]]
     )
@@ -183,10 +171,12 @@ def _distances(bloch: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(bloch @ diff, axis=1)
 
 
-def blp_series(ew: EuclideanWalk, pair: StatePair, t_max: int) -> MeasureSeries:
-    """Backflow increments and their monotone accumulation for one state pair."""
-    diff = _bloch_vector(_check_state(pair.rho)) - _bloch_vector(_check_state(pair.sigma))
-    return _backflow(_distances(bloch_matrix_series(ew, t_max), diff))
+def blp_series(bloch: np.ndarray, r, s) -> MeasureSeries:
+    """Backflow increments and their monotone accumulation for the pair of Bloch vectors r, s.
+
+    ``bloch`` is the stack M(0..t_max) of the reduced maps.
+    """
+    return _backflow(_distances(bloch, _check_bloch(r) - _check_bloch(s)))
 
 
 def _stacks(blochs: np.ndarray) -> np.ndarray:
@@ -239,9 +229,7 @@ _AXIS_PAIRS = np.array(
 )
 
 
-def maximize_blp_many(
-    blochs, schedule: AnnealSchedule, trace_paths=None
-) -> list[tuple[StatePair, float, MeasureSeries]]:
+def maximize_blp_many(blochs, schedule: AnnealSchedule) -> list[MeasureSeries]:
     """Simulated-annealing search for the pair maximizing N(t_max), for many cells at once.
 
     ``blochs`` holds one Bloch-matrix series M(0..t_max) per cell (see
@@ -251,9 +239,8 @@ def maximize_blp_many(
     objective per step. Each chain has its own generator, seeded ``[seed,
     restart]``, so a cell's result is what a search of that cell alone
     returns, whichever cells share the batch. Returns, per cell, the
-    best pair, N_max and the winning pair's series. When ``trace_paths[c]``
-    is given, a per-temperature audit CSV of cell c (restart, temperature,
-    accepted count, best-so-far) is written there, restart by restart.
+    winning pair's series; its meta holds N_max (``n_max``), the pair
+    (``bloch_rho``, ``bloch_sigma``) and the schedule.
     """
     blochs = np.asarray(blochs, dtype=float)
     cells, restarts = len(blochs), schedule.restarts
@@ -278,10 +265,8 @@ def maximize_blp_many(
     chain_best, chain_best_val = current.copy(), cur_val.copy()
     normals, randoms = [rng.normal for rng in rngs], [rng.random for rng in rngs]
     stddev = schedule.proposal_stddev
-    levels = []  # (temperature, accepted per chain, chain bests so far)
     temperature = schedule.initial_temperature
     while temperature > schedule.temperature_floor:
-        accepted = np.zeros((cells, restarts), dtype=int)
         for _ in range(schedule.steps_per_temperature):
             noise = np.array([normal(0.0, stddev, 6) for normal in normals])
             prop = _project_ball(current + noise.reshape(current.shape))
@@ -295,33 +280,19 @@ def maximize_blp_many(
                 flat_take[i] = randoms[i]() < odds[i]
             np.copyto(current, prop, where=take[..., None])
             np.copyto(cur_val, val, where=take)
-            accepted += take
             better = cur_val > chain_best_val
             np.copyto(chain_best, current, where=better[..., None])
             np.copyto(chain_best_val, cur_val, where=better)
-        levels.append((temperature, accepted, chain_best_val.copy()))
         temperature *= schedule.cooling_factor
 
     results = []
     for c in range(cells):
         # Merge in restart order with a strict '>', as the sequential loop would.
         best_vec, best_val = best_axis[c], float(axis_vals[c].max())
-        trace_path = None if trace_paths is None else trace_paths[c]
-        trace_rows = []
         for r in range(restarts):
-            if trace_path is not None:
-                for temperature, accepted, bests in levels:
-                    best = max(best_val, float(bests[c, r]))
-                    trace_rows.append([r, repr(temperature), int(accepted[c, r]), repr(best)])
             if chain_best_val[c, r] > best_val:
                 best_vec, best_val = chain_best[c, r], float(chain_best_val[c, r])
-        if trace_path is not None:
-            with open(trace_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["restart", "temperature", "accepted", "best_so_far"])
-                writer.writerows(trace_rows)
-        pair = StatePair.from_bloch(best_vec[:3], best_vec[3:])
-        series = _backflow(_distances(blochs[c], best_vec[:3] - best_vec[3:]))
+        series = blp_series(blochs[c], best_vec[:3], best_vec[3:])
         series.meta.update(
             {
                 "n_max": float(series.blp[-1]),
@@ -330,24 +301,12 @@ def maximize_blp_many(
                 "schedule": schedule.to_dict(),
             }
         )
-        results.append((pair, float(series.blp[-1]), series))
+        results.append(series)
     return results
 
 
-def maximize_blp(
-    ew: EuclideanWalk, schedule: AnnealSchedule, t_max: int, trace_path=None
-) -> tuple[StatePair, float, MeasureSeries]:
-    """Simulated-annealing search for the pair maximizing N(t_max) of one walk.
-
-    The one-walk call of ``maximize_blp_many``, on the walk's M(0..t_max):
-    returns the best pair, N_max and the winning pair's series, and writes
-    the per-temperature audit CSV to ``trace_path`` when it is given.
-    """
-    return maximize_blp_many([bloch_matrix_series(ew, t_max)], schedule, [trace_path])[0]
-
-
-def rhp_from_bloch(bloch: np.ndarray) -> MeasureSeries:
-    """CP-indivisibility series from the Bloch matrices M(0..t_max) of the reduced maps.
+def rhp_series(bloch: np.ndarray) -> MeasureSeries:
+    """g(t) and its running sum I_RHP(t) from the Bloch matrices M(0..t_max) of the reduced maps.
 
     All steps are evaluated at once. A step whose inversion is
     ill-conditioned, or whose g falls below -G_CLAMP, is flagged, never
@@ -367,11 +326,6 @@ def rhp_from_bloch(bloch: np.ndarray) -> MeasureSeries:
     return MeasureSeries(steps=np.arange(len(bloch)), g=g, rhp=rhp, flags=flags)
 
 
-def rhp_series(ew: EuclideanWalk, t_max: int) -> MeasureSeries:
-    """g(t) and its running sum for the walk's reduced dynamics."""
-    return rhp_from_bloch(bloch_matrix_series(ew, t_max))
-
-
 def _entropy_bits(w: np.ndarray) -> np.ndarray:
     """-sum p log2 p over the last axis, dropping eigenvalues <= ENTROPY_CUT."""
     w = np.where(w > ENTROPY_CUT, w, 1.0)  # 1 log2 1 = 0
@@ -384,18 +338,19 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(_entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
 
 
-def entanglement_from_bloch(bloch: np.ndarray, rho0: np.ndarray) -> MeasureSeries:
+def entanglement_series(bloch: np.ndarray, r0) -> MeasureSeries:
     """Coin-position entanglement entropy from the Bloch matrices M(0..t_max).
 
     The joint state starts pure (origin position (x) coin), so the reduced
-    coin entropy is a genuine entanglement measure while rho0 is pure; an
-    impure rho0 is still accepted but the series is flagged accordingly.
-    The state at step t has eigenvalues (1 -+ |M(t) r0|)/2.
+    coin entropy is a genuine entanglement measure while the initial coin
+    state, of Bloch vector r0, is pure; an impure one (|r0| < 1) is still
+    accepted but the series is flagged accordingly. The state at step t has
+    eigenvalues (1 -+ |M(t) r0|)/2.
     """
-    rho0 = _check_state(rho0)
-    purity = float(np.trace(rho0 @ rho0).real)
+    r0 = _check_bloch(r0)
+    purity = (1.0 + float(r0 @ r0)) / 2.0
     impure = purity < 1.0 - 1e-10
-    radius = np.linalg.norm(bloch @ _bloch_vector(rho0), axis=1)
+    radius = np.linalg.norm(bloch @ r0, axis=1)
     entropy = _entropy_bits(np.stack([(1.0 - radius) / 2.0, (1.0 + radius) / 2.0], axis=1))
     flags = ["impure_initial" if impure else ""] * len(bloch)
     return MeasureSeries(
@@ -404,8 +359,3 @@ def entanglement_from_bloch(bloch: np.ndarray, rho0: np.ndarray) -> MeasureSerie
         flags=flags,
         meta={"purity_0": purity, "entanglement_valid": not impure, "entropy_base": 2},
     )
-
-
-def entanglement_series(ew: EuclideanWalk, rho0: np.ndarray, t_max: int) -> MeasureSeries:
-    """Coin-position entanglement entropy over time for a pure initial coin state."""
-    return entanglement_from_bloch(bloch_matrix_series(ew, t_max), rho0)

@@ -1,24 +1,17 @@
 """Sequential reference annealer for the BLP state-pair search.
 
-This is the original one-chain-at-a-time implementation of
-``ptwalk.measures.maximize_blp``, kept unchanged as a test oracle. Every
+This is the original one-chain-at-a-time implementation of the state-pair
+search of ``ptwalk.measures.maximize_blp_many``, kept as a test oracle. Every
 objective call builds both density matrices and scores the pair through the
 4x4 channel-matrix stack, so it is independent of the Bloch-frame objective
 and the lockstep restarts of the library version.
 """
 
-import csv
-
 import numpy as np
 
 from channel_reference import _distance_series, _series_stack, channel_matrix_series
-from ptwalk.measures import (
-    AnnealSchedule,
-    MeasureSeries,
-    StatePair,
-    bloch_state,
-    blp_series,
-)
+from ptwalk.channel import bloch_matrix_series
+from ptwalk.measures import AnnealSchedule, MeasureSeries, bloch_state, blp_series
 
 
 def _blp_objective(stack: np.ndarray, pair_vec: np.ndarray) -> float:
@@ -43,20 +36,18 @@ _AXIS_PAIRS = [
 
 
 def maximize_blp_sequential(
-    ew, schedule: AnnealSchedule, t_max: int, trace_path=None
-) -> tuple[StatePair, float, MeasureSeries]:
+    ew, schedule: AnnealSchedule, t_max: int
+) -> tuple[tuple[np.ndarray, np.ndarray], float, MeasureSeries]:
     """Simulated-annealing search for the pair maximizing N(t_max).
 
     Both members range over the full Bloch ball. Deterministic for a fixed
-    schedule seed; the returned N is recomputed through blp_series on the
-    winning pair. When ``trace_path`` is given, a per-temperature audit CSV
-    (restart, temperature, accepted count, best-so-far) is written there.
+    schedule seed; returns the winning pair of Bloch vectors, N and its
+    series, recomputed through blp_series on the winning pair.
     """
     stack = _series_stack(channel_matrix_series(ew, t_max))
     best_axis = max(_AXIS_PAIRS, key=lambda v: _blp_objective(stack, v))
     best_vec = best_axis.copy()
     best_val = _blp_objective(stack, best_vec)
-    trace_rows = []
     for restart in range(schedule.restarts):
         rng = np.random.default_rng([schedule.seed, restart])
         if restart == 0:
@@ -68,7 +59,6 @@ def maximize_blp_sequential(
             best_val, best_vec = cur_val, current.copy()
         temperature = schedule.initial_temperature
         while temperature > schedule.temperature_floor:
-            accepted = 0
             for _ in range(schedule.steps_per_temperature):
                 prop = _project_ball(
                     current + rng.normal(scale=schedule.proposal_stddev, size=6)
@@ -76,19 +66,11 @@ def maximize_blp_sequential(
                 val = _blp_objective(stack, prop)
                 if val > cur_val or rng.random() < np.exp((val - cur_val) / temperature):
                     current, cur_val = prop, val
-                    accepted += 1
                     if cur_val > best_val:
                         best_val, best_vec = cur_val, current.copy()
-            trace_rows.append((restart, temperature, accepted, best_val))
             temperature *= schedule.cooling_factor
-    if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["restart", "temperature", "accepted", "best_so_far"])
-            for restart, temperature, accepted, best in trace_rows:
-                writer.writerow([restart, repr(temperature), accepted, repr(best)])
-    pair = StatePair.from_bloch(best_vec[:3], best_vec[3:])
-    series = blp_series(ew, pair, t_max)
+    pair = best_vec[:3], best_vec[3:]
+    series = blp_series(bloch_matrix_series(ew, t_max), *pair)
     series.meta.update(
         {
             "n_max": float(series.blp[-1]),

@@ -23,7 +23,7 @@ import csv
 import numpy as np
 
 from channel_reference import ChannelMatrix
-from ptwalk.channel import BLOCK_ELEMENTS, CoinTrajectory, _check_horizon, _check_state, _rotations
+from ptwalk.channel import BLOCK_ELEMENTS, _check_horizon, _check_state, _rotations
 from ptwalk.errors import DegenerateAtK, DegeneratePairing, IncompatibleMetrics, NotPositive
 from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, unitary_log
 from ptwalk.metric import TRANSPORT_TOL, MetricTransport, _weights
@@ -224,8 +224,8 @@ for _i in range(2):
         _MATRIX_UNITS[2 * _i + _j, _i, _j] = 1.0
 
 
-def coin_trajectory(ew, rho0: np.ndarray, t_max: int) -> CoinTrajectory:
-    """Reduced coin states for every step 0..t_max (incremental block powers)."""
+def coin_trajectory(ew, rho0: np.ndarray, t_max: int) -> np.ndarray:
+    """Reduced coin states for every step 0..t_max (incremental block powers), shape (t_max+1, 2, 2)."""
     rho0 = _check_state(rho0)
     _check_horizon(ew, t_max)
     w = ew.w_eta_blocks.blocks
@@ -237,7 +237,7 @@ def coin_trajectory(ew, rho0: np.ndarray, t_max: int) -> CoinTrajectory:
         acc = np.einsum("kab,kbc->kac", w, acc)
         rho = np.einsum("kab,bc,kdc->ad", acc, rho0, acc.conj()) / n
         states[t] = (rho + rho.conj().T) / 2.0
-    return CoinTrajectory(np.arange(t_max + 1), states)
+    return states
 
 
 def _channel_from_powers(powers: np.ndarray, t: int) -> ChannelMatrix:

@@ -14,14 +14,12 @@ from loop_reference import herm_sqrt
 from ptwalk import (
     AnnealSchedule,
     MetricSpec,
-    StatePair,
     ToyConfig,
     WalkParams,
     blp_series,
     build_euclidean_walk,
     build_metric,
     hamiltonian,
-    maximize_blp,
     reduced_coin_state,
     run_toy,
     rhp_series,
@@ -29,7 +27,7 @@ from ptwalk import (
 from channel_reference import channel_matrix_series, choi_matrix, intermediate_from, vec
 from ptwalk.channel import bloch_matrix_series, choi_trace_norms, intermediate_maps
 from ptwalk.linalg import eig, trace_norm
-from ptwalk.measures import bloch_state
+from ptwalk.measures import maximize_blp_many
 from ptwalk.metric import separability_defect, verify_metric_action
 from ptwalk.walk import spectral_a, walk_block
 from test_channel import dense_reduced_state
@@ -66,19 +64,20 @@ def grid_channels(grid_walks):
 
 
 @pytest.fixture(scope="module")
-def rhp_curves(grid_walks):
-    return {key: rhp_series(ew, T_MAX).rhp for key, ew in grid_walks.items()}
+def grid_blochs(grid_walks):
+    return {key: bloch_matrix_series(ew, T_MAX) for key, ew in grid_walks.items()}
 
 
 @pytest.fixture(scope="module")
-def entropy_curves(grid_walks):
-    rho0 = bloch_state((0.0, 1.0, 0.0))
-    out = {}
-    for key, ew in grid_walks.items():
-        from ptwalk import entanglement_series
+def rhp_curves(grid_blochs):
+    return {key: rhp_series(m).rhp for key, m in grid_blochs.items()}
 
-        out[key] = entanglement_series(ew, rho0, T_MAX).entropy
-    return out
+
+@pytest.fixture(scope="module")
+def entropy_curves(grid_blochs):
+    from ptwalk import entanglement_series
+
+    return {key: entanglement_series(m, (0.0, 1.0, 0.0)).entropy for key, m in grid_blochs.items()}
 
 
 def _spread(curves):
@@ -155,12 +154,13 @@ def test_criterion_05_nonhermitian_metric_dependence(rhp_curves, entropy_curves)
     _report(5, "non-Hermitian metric dependence", ok, "; ".join(details))
 
 
-def test_criterion_06_blp_metric_independence(grid_walks):
+def test_criterion_06_blp_metric_independence(grid_blochs):
     schedule = AnnealSchedule(seed=2024)
     details, ok = [], True
     for factor in FACTORS:
         values = [
-            maximize_blp(grid_walks[(factor, s.label)], schedule, T_MAX)[1] for s in SPECS
+            series.meta["n_max"]
+            for series in maximize_blp_many([grid_blochs[(factor, s.label)] for s in SPECS], schedule)
         ]
         spread = max(values) - min(values)
         ok = ok and spread <= 2e-2
@@ -168,18 +168,16 @@ def test_criterion_06_blp_metric_independence(grid_walks):
     _report(6, "BLP metric independence", ok, "; ".join(details))
 
 
-def test_criterion_07_blp_positive_for_unitary_walk(grid_walks):
-    pair = StatePair.from_bloch((0, 0, 1.0), (0, 0, -1.0))
-    series = blp_series(grid_walks[(1.0, "G1")], pair, T_MAX)
+def test_criterion_07_blp_positive_for_unitary_walk(grid_blochs):
+    series = blp_series(grid_blochs[(1.0, "G1")], (0, 0, 1.0), (0, 0, -1.0))
     n50 = float(series.blp[-1])
     _report(7, "backflow positive at gamma=0", n50 > 0.0, f"N(50) = {n50:.4f}")
 
 
-def test_criterion_08_channel_identities(grid_walks, grid_channels):
+def test_criterion_08_channel_identities(grid_blochs, grid_channels):
     # 3x3 Bloch path of the library
     worst3 = 0.0
-    for ew in grid_walks.values():
-        bloch = bloch_matrix_series(ew, T_MAX)
+    for bloch in grid_blochs.values():
         maps, _, _ = intermediate_maps(bloch)
         worst3 = max(worst3, float(np.abs(maps @ bloch[:-1] - bloch[1:]).max()))
     rng = np.random.default_rng(8)

@@ -24,7 +24,7 @@ from ptwalk import (
     reduced_coin_state,
     walk_operator,
 )
-from ptwalk.channel import bloch_matrix_series, coin_trajectory
+from ptwalk.channel import bloch_matrix_series
 from ptwalk.linalg import partial_trace, trace_norm
 from ptwalk.metric import metric_transport
 from ptwalk.walk import momentum_grid, spectral_a, walk_block
@@ -35,6 +35,11 @@ FLAT = MetricSpec(kind="g1_flat")
 
 def params(gamma, size=21):
     return WalkParams(T1, T2, gamma, size)
+
+
+def coin_states(ew, r0, t_max):
+    """Reduced coin states (I + (M(t) r0) . sigma)/2, t = 0..t_max, shape (t_max+1, 2, 2)."""
+    return np.stack([bloch_state(r) for r in bloch_matrix_series(ew, t_max) @ np.asarray(r0, float)])
 
 
 def random_state(rng):
@@ -142,8 +147,7 @@ def test_reduced_state_matches_dense_oracle():
 
 def test_reduced_state_stays_physical():
     ew = build_euclidean_walk(params(math.log(1.3), 101), MetricSpec(kind="random_xy", seed=2))
-    traj = coin_trajectory(ew, bloch_state((0, 1, 0)), 50)
-    for state in traj.states:
+    for state in coin_states(ew, (0, 1, 0), 50):
         assert abs(np.trace(state).real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(state).min() > -1e-10
 
@@ -154,8 +158,7 @@ def test_trivial_coin_freezes_populations():
     p = WalkParams(0.0, 0.0, 0.0, 21)
     ew = build_euclidean_walk(p, FLAT)
     rho0 = bloch_state((0.6, 0.0, 0.5))
-    traj = coin_trajectory(ew, rho0, 8)
-    for state in traj.states:
+    for state in coin_states(ew, (0.6, 0.0, 0.5), 8):
         assert np.abs(np.diag(state) - np.diag(rho0)).max() < 1e-12
 
 
@@ -289,7 +292,7 @@ def test_trajectory_csv(tmp_path):
     # the coin trajectory reaches disk through the entanglement series, whose
     # S column must read back exactly
     ew = build_euclidean_walk(params(0.1), FLAT)
-    series = entanglement_series(ew, bloch_state((0, 1, 0)), 4)
+    series = entanglement_series(bloch_matrix_series(ew, 4), (0, 1, 0))
     path = tmp_path / "traj.csv"
     series.write_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -324,10 +327,10 @@ def test_closed_form_coin_states_match_block_powers(long_walk):
     import loop_reference
 
     rho0 = bloch_state((0.0, 1.0, 0.0))
-    fast = coin_trajectory(long_walk, rho0, 600)
+    fast = coin_states(long_walk, (0.0, 1.0, 0.0), 600)
     slow = loop_reference.coin_trajectory(long_walk, rho0, 600)
-    assert np.array_equal(fast.steps, slow.steps)
-    assert np.abs(fast.states - slow.states).max() <= 1e-12
+    assert fast.shape == slow.shape == (601, 2, 2)
+    assert np.abs(fast - slow).max() <= 1e-12
 
 
 @pytest.mark.parametrize("gamma_factor", [1.0, 1.2, 1.3])

@@ -9,19 +9,17 @@ from ptwalk import (
     AnnealSchedule,
     ExperimentConfig,
     MetricSpec,
-    StatePair,
     WalkParams,
     bloch_state,
     blp_series,
     build_euclidean_walk,
     entanglement_series,
-    maximize_blp,
     reduced_coin_state,
     rhp_series,
 )
 from channel_reference import ChannelMatrix, rhp_from_channels
 from ptwalk.channel import PINV_RCOND, bloch_matrix_series, intermediate_maps
-from ptwalk.measures import maximize_blp_many, rhp_from_bloch, trace_distance, von_neumann_entropy
+from ptwalk.measures import maximize_blp_many, trace_distance, von_neumann_entropy
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")
@@ -31,6 +29,15 @@ PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1,
 def walk(gamma_factor=1.0, spec=FLAT, size=101):
     p = WalkParams(T1, T2, math.log(gamma_factor), size)
     return build_euclidean_walk(p, spec)
+
+
+def bloch(gamma_factor=1.0, spec=FLAT, t_max=50, size=101):
+    return bloch_matrix_series(walk(gamma_factor, spec, size), t_max)
+
+
+def search_walk(ew, schedule, t_max):
+    """The search of one walk: its winning series, whose meta holds N_max and the pair."""
+    return maximize_blp_many([bloch_matrix_series(ew, t_max)], schedule)[0]
 
 
 def random_state(rng):
@@ -68,24 +75,21 @@ def test_bloch_state_validation():
 
 
 def test_blp_t0_and_identical_pair():
-    ew = walk()
-    pair = StatePair.from_bloch((0, 0, 1), (0, 0, -1))
-    series = blp_series(ew, pair, 0)
+    series = blp_series(bloch(t_max=0), (0, 0, 1), (0, 0, -1))
     assert series.blp[0] == 0.0
-    same = StatePair.from_bloch((0.2, 0.1, 0.3), (0.2, 0.1, 0.3))
-    series = blp_series(ew, same, 30)
+    series = blp_series(bloch(t_max=30), (0.2, 0.1, 0.3), (0.2, 0.1, 0.3))
     assert np.abs(series.blp).max() < 1e-12
 
 
 def test_blp_matches_stepwise_trace_distances():
     # oracle: recompute D(t) from reduced states and accumulate by hand
     ew = walk(1.2, MetricSpec(kind="random_xy", seed=11))
-    pair = StatePair.from_bloch((0, 0, 1), (0, 0, -1))
+    rho, sigma = bloch_state((0, 0, 1)), bloch_state((0, 0, -1))
     t_max = 12
-    series = blp_series(ew, pair, t_max)
+    series = blp_series(bloch_matrix_series(ew, t_max), (0, 0, 1), (0, 0, -1))
     dist = [
         trace_distance(
-            reduced_coin_state(ew, pair.rho, t), reduced_coin_state(ew, pair.sigma, t)
+            reduced_coin_state(ew, rho, t), reduced_coin_state(ew, sigma, t)
         )
         for t in range(t_max + 1)
     ]
@@ -98,17 +102,15 @@ def test_blp_matches_stepwise_trace_distances():
 
 
 def test_blp_monotone_and_swap_symmetric():
-    ew = walk(1.2, MetricSpec(kind="random_xy", seed=11))
-    a = StatePair.from_bloch((0.1, 0.7, -0.2), (-0.4, 0.0, 0.8))
-    b = StatePair.from_bloch((-0.4, 0.0, 0.8), (0.1, 0.7, -0.2))
-    sa = blp_series(ew, a, 25)
-    sb = blp_series(ew, b, 25)
+    m = bloch(1.2, MetricSpec(kind="random_xy", seed=11), t_max=25)
+    sa = blp_series(m, (0.1, 0.7, -0.2), (-0.4, 0.0, 0.8))
+    sb = blp_series(m, (-0.4, 0.0, 0.8), (0.1, 0.7, -0.2))
     assert np.all(np.diff(sa.blp) >= 0)
     assert np.abs(sa.blp - sb.blp).max() < 1e-12
 
 
 def test_blp_positive_for_unitary_walk():
-    series = blp_series(walk(), StatePair.from_bloch((0, 0, 1), (0, 0, -1)), 50)
+    series = blp_series(bloch(), (0, 0, 1), (0, 0, -1))
     assert series.blp[-1] > 0
 
 
@@ -126,18 +128,20 @@ def quick_schedule(seed=7):
 
 def test_maximize_blp_deterministic():
     ew = walk(1.2, MetricSpec(kind="random_xy", seed=11), size=61)
-    res1 = maximize_blp(ew, quick_schedule(), 25)
-    res2 = maximize_blp(ew, quick_schedule(), 25)
-    assert res1[1] == res2[1]
-    assert np.array_equal(res1[0].rho, res2[0].rho)
+    res1 = search_walk(ew, quick_schedule(), 25)
+    res2 = search_walk(ew, quick_schedule(), 25)
+    assert res1.meta["n_max"] == res2.meta["n_max"]
+    assert np.array_equal(res1.meta["bloch_rho"], res2.meta["bloch_rho"])
 
 
 def test_maximize_blp_beats_baselines():
     ew = walk(1.2, MetricSpec(kind="random_xy", seed=11), size=61)
-    pair, n_max, series = maximize_blp(ew, quick_schedule(), 25)
+    m = bloch_matrix_series(ew, 25)
+    series = search_walk(ew, quick_schedule(), 25)
+    n_max = series.meta["n_max"]
     # axis-antipodal baselines
     for axis in np.eye(3):
-        base = blp_series(ew, StatePair.from_bloch(axis, -axis), 25)
+        base = blp_series(m, axis, -axis)
         assert n_max >= base.blp[-1] - 1e-12
     # random baselines
     rng = np.random.default_rng(99)
@@ -147,7 +151,7 @@ def test_maximize_blp_beats_baselines():
             n = np.linalg.norm(v)
             if n > 1:
                 v /= n
-        base = blp_series(ew, StatePair.from_bloch(r, s), 25)
+        base = blp_series(m, r, s)
         assert n_max >= base.blp[-1] - 1e-12
     # winning pair lies in the Bloch ball and reproduces the reported value
     for v in (series.meta["bloch_rho"], series.meta["bloch_sigma"]):
@@ -172,7 +176,7 @@ def test_maximize_blp_tracks_dense_direction_oracle():
                 [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]
             )
             best_grid = max(best_grid, _blp_objective(stack, np.concatenate([d, -d])))
-    _, n_max, _ = maximize_blp(ew, quick_schedule(), t_max)
+    n_max = search_walk(ew, quick_schedule(), t_max).meta["n_max"]
     assert n_max >= best_grid - 5e-3
 
 
@@ -196,7 +200,7 @@ def test_maximize_blp_tracks_dense_direction_oracle():
         ),
     ],
 )
-def test_maximize_blp_matches_sequential_reference(tmp_path, gamma_factor, spec, size, t_max, schedule):
+def test_maximize_blp_matches_sequential_reference(gamma_factor, spec, size, t_max, schedule):
     # The lockstep, Bloch-frame annealer must walk exactly the path of the
     # one-chain-at-a-time annealer that scores pairs through the 4x4 stack,
     # for one walk and for every cell of a multi-cell search.
@@ -205,26 +209,14 @@ def test_maximize_blp_matches_sequential_reference(tmp_path, gamma_factor, spec,
     factors = gamma_factor if isinstance(gamma_factor, tuple) else (gamma_factor,)
     specs = spec if isinstance(spec, tuple) else (spec,)
     walks = [walk(f, s, size=size) for f in factors for s in specs]
-    new_paths = [tmp_path / f"new{i}.csv" for i in range(len(walks))]
-    if len(walks) == 1:
-        results = [maximize_blp(walks[0], schedule, t_max, trace_path=new_paths[0])]
-    else:
-        blochs = [bloch_matrix_series(ew, t_max) for ew in walks]
-        results = maximize_blp_many(blochs, schedule, trace_paths=new_paths)
-    for i, (ew, (pair, n_max, series)) in enumerate(zip(walks, results)):
-        ref_path = tmp_path / f"ref{i}.csv"
-        ref_pair, ref_n, ref_series = maximize_blp_sequential(ew, schedule, t_max, trace_path=ref_path)
-        assert n_max == pytest.approx(ref_n, abs=1e-12)
+    results = maximize_blp_many([bloch_matrix_series(ew, t_max) for ew in walks], schedule)
+    for ew, series in zip(walks, results):
+        ref_pair, ref_n, ref_series = maximize_blp_sequential(ew, schedule, t_max)
+        assert series.meta["n_max"] == pytest.approx(ref_n, abs=1e-12)
         for key in ("bloch_rho", "bloch_sigma"):
             assert np.abs(np.subtract(series.meta[key], ref_series.meta[key])).max() <= 1e-12
-        assert np.abs(pair.rho - ref_pair.rho).max() <= 1e-12
-        ref_rows = [line.split(",") for line in ref_path.read_text().splitlines()]
-        new_rows = [line.split(",") for line in new_paths[i].read_text().splitlines()]
-        assert ref_rows[0] == new_rows[0]
-        assert len(ref_rows) == len(new_rows)
-        for ref_row, new_row in zip(ref_rows[1:], new_rows[1:]):
-            assert (new_row[0], new_row[2]) == (ref_row[0], ref_row[2])
-            assert float(new_row[3]) == pytest.approx(float(ref_row[3]), abs=1e-12)
+        for key, ref in zip(("bloch_rho", "bloch_sigma"), ref_pair):
+            assert np.abs(np.subtract(series.meta[key], ref)).max() <= 1e-12
 
 
 def test_maximize_blp_many_is_batch_invariant():
@@ -240,7 +232,7 @@ def test_maximize_blp_many_is_batch_invariant():
         for spec in cfg.metrics
     ]
     blochs = [bloch_matrix_series(ew, cfg.t_max) for ew in walks]
-    single = [maximize_blp(ew, schedule, cfg.t_max) for ew in walks]
+    single = [search_walk(ew, schedule, cfg.t_max) for ew in walks]
     order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
     batches = {
         "grid": (list(range(9)), maximize_blp_many(blochs, schedule)),
@@ -249,10 +241,8 @@ def test_maximize_blp_many_is_batch_invariant():
     }
     for name, (cells, results) in batches.items():
         assert len(results) == len(cells), name
-        for c, (pair, n_max, series) in zip(cells, results):
-            ref_pair, ref_n, ref_series = single[c]
-            assert n_max == ref_n, (name, c)
-            assert np.array_equal(pair.rho, ref_pair.rho) and np.array_equal(pair.sigma, ref_pair.sigma)
+        for c, series in zip(cells, results):
+            ref_series = single[c]
             for key in ("bloch_rho", "bloch_sigma", "n_max"):
                 assert series.meta[key] == ref_series.meta[key], (name, c, key)
             assert np.array_equal(series.blp, ref_series.blp) and np.array_equal(series.delta, ref_series.delta)
@@ -305,7 +295,7 @@ def test_rhp_zero_for_unitary_step_sequence():
     assert series.rhp[-1] < 1e-10
     # the same sequence on the Bloch matrices: M(t) = R^t for the rotation R of q
     rotation = np.array([[np.trace(a @ q @ b @ q.conj().T).real / 2 for b in PAULIS] for a in PAULIS])
-    series = rhp_from_bloch(np.stack([np.linalg.matrix_power(rotation, t) for t in range(11)]))
+    series = rhp_series(np.stack([np.linalg.matrix_power(rotation, t) for t in range(11)]))
     assert np.abs(series.g).max() < 1e-12
     assert series.rhp[-1] < 1e-10
 
@@ -329,8 +319,9 @@ def test_rhp_matches_channel_oracle_long_horizon(gamma_factor, spec):
     from channel_reference import channel_matrix_series
 
     ew = walk(gamma_factor, spec, size=1201)
-    _assert_rhp_matches_oracle(rhp_series(ew, 600), _oracle_rhp(ew, 600))
-    _, cond, flagged = intermediate_maps(bloch_matrix_series(ew, 600))
+    m = bloch_matrix_series(ew, 600)
+    _assert_rhp_matches_oracle(rhp_series(m), _oracle_rhp(ew, 600))
+    _, cond, flagged = intermediate_maps(m)
     channels = channel_matrix_series(ew, 600)[:-1]
     expected = np.array([c.condition_number for c in channels])
     assert np.abs(cond / expected - 1.0).max() <= 1e-10
@@ -355,7 +346,7 @@ def test_rhp_ill_conditioned_steps_match_oracle():
             rotation @ np.diag([0.5, -0.4, 0.3]),
         ]
     )
-    series = rhp_from_bloch(bloch)
+    series = rhp_series(bloch)
     oracle = rhp_from_channels(_channels(bloch, np.arange(len(bloch))))
     _assert_rhp_matches_oracle(series, oracle)
     assert series.flags[2] == "ill_conditioned(1.000e+13)"
@@ -381,7 +372,7 @@ def test_rhp_ill_conditioned_steps_match_oracle():
 def test_bloch_path_matches_oracles_property(theta1, theta2, fraction, seed):
     # g(t) against the 4x4 Choi oracle, S(t) against eigvalsh of the coin states
     from ptwalk import NoBreaking, gamma_pt, is_unbroken
-    from ptwalk.channel import coin_trajectory
+    from test_channel import coin_states
 
     try:
         gamma = fraction * gamma_pt(theta1, theta2)
@@ -389,17 +380,17 @@ def test_bloch_path_matches_oracles_property(theta1, theta2, fraction, seed):
         assume(False)
     p = WalkParams(theta1, theta2, gamma, 101)
     assume(is_unbroken(p))
-    rho0 = bloch_state((0.0, 1.0, 0.0))
+    r0 = (0.0, 1.0, 0.0)
     for spec in (FLAT, MetricSpec(kind="random_xy", seed=seed)):
         ew = build_euclidean_walk(p, spec)
-        _assert_rhp_matches_oracle(rhp_series(ew, 50), _oracle_rhp(ew, 50))
-        states = coin_trajectory(ew, rho0, 50).states
-        expected = [von_neumann_entropy(state) for state in states]
-        assert np.abs(entanglement_series(ew, rho0, 50).entropy - expected).max() <= 1e-12
+        m = bloch_matrix_series(ew, 50)
+        _assert_rhp_matches_oracle(rhp_series(m), _oracle_rhp(ew, 50))
+        expected = [von_neumann_entropy(state) for state in coin_states(ew, r0, 50)]
+        assert np.abs(entanglement_series(m, r0).entropy - expected).max() <= 1e-12
 
 
 def test_rhp_series_monotone_with_zero_start():
-    series = rhp_series(walk(1.2, MetricSpec(kind="random_xy", seed=11)), 30)
+    series = rhp_series(bloch(1.2, MetricSpec(kind="random_xy", seed=11), t_max=30))
     assert series.rhp[0] == 0.0
     assert np.all(np.diff(series.rhp) >= 0)
     assert np.all(series.g >= 0)
@@ -408,14 +399,14 @@ def test_rhp_series_monotone_with_zero_start():
 
 def test_rhp_first_step_is_cp():
     # the map from step 0 to 1 is exactly CPTP, so g(1) vanishes
-    series = rhp_series(walk(1.2), 5)
+    series = rhp_series(bloch(1.2, t_max=5))
     assert series.g[1] < 1e-9
 
 
 def test_rhp_metric_independent_when_hermitian():
     t_max = 30
     curves = [
-        rhp_series(walk(1.0, spec), t_max).rhp
+        rhp_series(bloch(1.0, spec, t_max)).rhp
         for spec in (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23))
     ]
     spread = max(np.abs(a - b).max() for a in curves for b in curves)
@@ -426,10 +417,10 @@ def test_rhp_hermitian_spread_margin_over_metric_seeds():
     # The Hermitian limit must stay metric-independent with a wide margin
     # below report's 1e-8 bound: the closed form takes the rotation angles
     # from a(k), so only roundoff in the axes differs between metrics.
-    curves = [rhp_series(walk(1.0, FLAT), 50).rhp]
+    curves = [rhp_series(bloch(1.0, FLAT)).rhp]
     for i in range(16):
         for seed in (11 + 1000 * i, 23 + 1000 * i):
-            curves.append(rhp_series(walk(1.0, MetricSpec(kind="random_xy", seed=seed)), 50).rhp)
+            curves.append(rhp_series(bloch(1.0, MetricSpec(kind="random_xy", seed=seed))).rhp)
     spread = max(np.abs(a - b).max() for a in curves for b in curves)
     assert spread < 1e-9
 
@@ -437,7 +428,7 @@ def test_rhp_hermitian_spread_margin_over_metric_seeds():
 def test_rhp_metric_dependent_when_nonhermitian():
     t_max = 30
     curves = [
-        rhp_series(walk(1.2, spec), t_max).rhp
+        rhp_series(bloch(1.2, spec, t_max)).rhp
         for spec in (FLAT, MetricSpec(kind="random_xy", seed=23))
     ]
     assert np.abs(curves[0] - curves[1]).max() > 1e-2
@@ -445,11 +436,10 @@ def test_rhp_metric_dependent_when_nonhermitian():
 
 def test_contractivity_on_cp_steps():
     # wherever g(t) = 0 the step was CP, so trace distance cannot grow there
-    ew = walk(1.2, MetricSpec(kind="random_xy", seed=11))
+    m = bloch(1.2, MetricSpec(kind="random_xy", seed=11), t_max=20)
     t_max = 20
-    series = rhp_series(ew, t_max)
-    pair = StatePair.from_bloch((0, 0, 1), (0, 0, -1))
-    blp = blp_series(ew, pair, t_max)
+    series = rhp_series(m)
+    blp = blp_series(m, (0, 0, 1), (0, 0, -1))
     cp_steps = [t for t in range(1, t_max + 1) if series.g[t] <= 1e-10]
     assert cp_steps, "expected at least the first step to be CP"
     for t in cp_steps:
@@ -468,16 +458,16 @@ def test_entropy_values():
 
 
 def test_entanglement_series_starts_at_zero():
-    series = entanglement_series(walk(1.2, MetricSpec(kind="random_xy", seed=11)), bloch_state((0, 1, 0)), 20)
+    series = entanglement_series(bloch(1.2, MetricSpec(kind="random_xy", seed=11), t_max=20), (0, 1, 0))
     assert series.entropy[0] == 0.0
     assert series.meta["entanglement_valid"]
     assert np.all(series.entropy <= 1.0 + 1e-9)
 
 
 def test_entanglement_metric_independent_when_hermitian():
-    rho0 = bloch_state((0, 1, 0))
+    r0 = (0, 1, 0)
     curves = [
-        entanglement_series(walk(1.0, spec), rho0, 30).entropy
+        entanglement_series(bloch(1.0, spec, t_max=30), r0).entropy
         for spec in (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23))
     ]
     spread = max(np.abs(a - b).max() for a in curves for b in curves)
@@ -485,20 +475,20 @@ def test_entanglement_metric_independent_when_hermitian():
 
 
 def test_entanglement_metric_dependent_when_nonhermitian():
-    rho0 = bloch_state((0, 1, 0))
-    a = entanglement_series(walk(1.2, FLAT), rho0, 30).entropy
-    b = entanglement_series(walk(1.2, MetricSpec(kind="random_xy", seed=23)), rho0, 30).entropy
+    r0 = (0, 1, 0)
+    a = entanglement_series(bloch(1.2, FLAT, t_max=30), r0).entropy
+    b = entanglement_series(bloch(1.2, MetricSpec(kind="random_xy", seed=23), t_max=30), r0).entropy
     assert np.abs(a - b).max() > 1e-6
 
 
 def test_entanglement_flags_impure_initial():
-    series = entanglement_series(walk(1.2), np.eye(2) / 2, 5)
+    series = entanglement_series(bloch(1.2, t_max=5), (0, 0, 0))
     assert not series.meta["entanglement_valid"]
     assert series.flags[0] == "impure_initial"
 
 
 def test_measure_series_csv(tmp_path):
-    series = rhp_series(walk(1.2), 5)
+    series = rhp_series(bloch(1.2, t_max=5))
     path = tmp_path / "series.csv"
     series.write_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -515,16 +505,16 @@ def test_measure_series_csv_matches_value_by_value_writer(tmp_path):
 
     import loop_reference
 
-    ew = walk(1.3, MetricSpec(kind="random_xy", seed=11), size=201)
-    bloch = np.stack([np.eye(3), np.diag([1e-13, 1e-13, 1.0]), np.diag([0.5, -0.0, 1e-300])])
-    flagged = rhp_from_bloch(bloch)
+    m = bloch(1.3, MetricSpec(kind="random_xy", seed=11), t_max=100, size=201)
+    edge = np.stack([np.eye(3), np.diag([1e-13, 1e-13, 1.0]), np.diag([0.5, -0.0, 1e-300])])
+    flagged = rhp_series(edge)
     flagged.g[1:] = 1e16, -0.0
     flagged.rhp[2] = 1e-300
     cases = [
-        rhp_series(ew, 100),
-        entanglement_series(ew, bloch_state((0, 1, 0)), 100),
-        entanglement_series(ew, np.eye(2) / 2, 5),
-        blp_series(ew, StatePair.from_bloch((0, 0, 1), (0, 0, -1)), 100),
+        rhp_series(m),
+        entanglement_series(m, (0, 1, 0)),
+        entanglement_series(m[:6], (0, 0, 0)),
+        blp_series(m, (0, 0, 1), (0, 0, -1)),
         flagged,
     ]
     for i, series in enumerate(cases):
@@ -534,14 +524,3 @@ def test_measure_series_csv_matches_value_by_value_writer(tmp_path):
         assert hashlib.sha256(new.read_bytes()).digest() == hashlib.sha256(old.read_bytes()).digest()
     assert "ill_conditioned(1.000e+13)" in new.read_text()
 
-
-def test_maximize_blp_trace_dump(tmp_path):
-    ew = walk(1.2, size=41)
-    path = tmp_path / "anneal.csv"
-    maximize_blp(ew, quick_schedule(), 10, trace_path=path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "restart,temperature,accepted,best_so_far"
-    assert len(lines) > 2
-    # best-so-far never decreases within the dump
-    best = [float(line.split(",")[3]) for line in lines[1:]]
-    assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))

@@ -3,7 +3,8 @@ import re
 
 import numpy as np
 import pytest
-
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ptwalk import (
     BrokenRegime,
@@ -15,8 +16,11 @@ from ptwalk import (
     build_euclidean_walk,
     build_metric,
     eta,
+    gamma_pt,
     hamiltonian,
+    is_unbroken,
 )
+from ptwalk.channel import bloch_matrix_series
 from ptwalk.linalg import eig, trace_norm
 from ptwalk.metric import (
     g_trace_norm,
@@ -127,6 +131,37 @@ def test_build_metric_blocks_valid_and_pseudo_hermitian():
             assert abs(np.trace(gb).real - 1.0) < 1e-12
             assert np.linalg.norm(hb.conj().T @ gb - gb @ hb) <= 1e-9
         assert any(np.abs(gb - np.eye(2) / 2).max() > 1e-3 for gb in g.blocks)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    theta1=st.floats(0.1, 1.4),
+    theta2=st.floats(-1.4, -0.1),
+    fraction=st.floats(0.0, 0.95),
+    seed=st.integers(0, 2**31),
+)
+def test_metric_pseudo_hermitian_and_hermitian_limit_metric_blind_property(theta1, theta2, fraction, seed):
+    # H_c† G = G H_c blockwise up to roundoff relative to |H_c| |G|, anywhere
+    # below the exceptional point; at gamma = 0 the reduced maps M(t) of the
+    # flat and two random metrics coincide to float precision.
+    p = WalkParams(theta1, theta2, fraction * gamma_pt(theta1, theta2), 101)
+    assume(is_unbroken(p))
+    h = hamiltonian(p).blocks
+    g = build_metric(p, MetricSpec(kind="random_xy", seed=seed)).blocks
+    residual = np.linalg.norm(h.conj().swapaxes(1, 2) @ g - g @ h, axis=(1, 2))
+    scale = np.linalg.norm(h, axis=(1, 2)) * np.linalg.norm(g, axis=(1, 2))
+    assert (residual / scale).max() <= 1e-10
+    unitary = WalkParams(theta1, theta2, 0.0, 101)
+    assume(is_unbroken(unitary))
+    flat, *others = (
+        bloch_matrix_series(build_euclidean_walk(unitary, spec), 50)
+        for spec in (
+            MetricSpec(kind="g1_flat"),
+            MetricSpec(kind="random_xy", seed=seed),
+            MetricSpec(kind="random_xy", seed=seed + 1),
+        )
+    )
+    assert max(np.abs(m - flat).max() for m in others) <= 1e-13
 
 
 def test_build_metric_deterministic_from_seed():
