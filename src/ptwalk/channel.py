@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BrokenRegime, LightConeViolation
-from .linalg import sqrt_and_inv
+from .linalg import _mul2, sqrt_and_inv
 from .metric import MetricSpec, build_metric
 from .walk import (
     UNBROKEN_MARGIN,
@@ -107,17 +107,16 @@ class EuclideanWalk:
 def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
     """Construct the metric, its square root and the unitary blocks W_eta(k).
 
-    One stacked ``eigh`` of the (L, 2, 2) metric (``linalg.sqrt_and_inv``)
-    gives eta = sqrt(G), its inverse and the blocks W_eta = eta W_c eta^{-1}
-    for the whole grid.
+    eta = sqrt(G) is the closed-form 2x2 root (``linalg.sqrt_and_inv``); W_eta =
+    eta W_c eta^{-1} and W_eta† W_eta - I are explicit 2x2 products over the grid.
     """
     if not is_unbroken(p) and not (p.gamma == 0.0 and spec.kind == "g1_flat"):
         raise BrokenRegime("walk is at or beyond its exceptional point")
     g = build_metric(p, spec)
     w = walk_operator(p)
     etas, eta_invs, vals = sqrt_and_inv(g.blocks)
-    w_etas = etas @ w.blocks @ eta_invs
-    residual = float(np.abs(w_etas.conj().swapaxes(1, 2) @ w_etas - np.eye(2)).max())
+    w_etas = _mul2(_mul2(etas, w.blocks), eta_invs)
+    residual = float(np.abs(_mul2(w_etas.conj().swapaxes(1, 2), w_etas) - np.eye(2)).max())
     return EuclideanWalk(
         params=p,
         spec=spec,

@@ -381,6 +381,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
+        "git_commit": _git_commit(),
         "cpu_count": os.cpu_count(),
         "cells": summaries,
         "skipped": [s["cell"] for s in summaries if s.get("status") == "skipped"],
@@ -390,6 +391,20 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     }
     _write_json(out / "manifest.json", manifest)
     return manifest
+
+
+def _git_commit(git: Path = Path(__file__).resolve().parents[2] / ".git") -> str:
+    """HEAD's commit in the checkout holding the package, from ``.git``; "unknown" outside one."""
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # detached
+        if (git / head[5:]).is_file():
+            return (git / head[5:]).read_text().strip()
+        packed = (line.split() for line in (git / "packed-refs").read_text().splitlines())
+        return next((fields[0] for fields in packed if fields[1:] == [head[5:]]), "unknown")
+    except OSError:
+        return "unknown"
 
 
 def _sha256(path: Path) -> str:

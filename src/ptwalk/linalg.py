@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernels: eigenpairs, the metric root, metric
-transports, partial trace and trace norm.
+"""Dense complex-matrix kernels: eigenpairs, the metric root (closed form
+for 2x2 blocks), metric transports, partial trace and trace norm.
 
 Everything here is a pure function of its inputs. Matrices are plain
 ``numpy`` arrays of complex dtype; no wrapper classes.
@@ -72,20 +72,44 @@ def eig(a: np.ndarray, want_left: bool = False) -> EigenSystem:
     return EigenSystem(values, right, left)
 
 
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2x2 matrices or stacks (..., 2, 2), either may be one (2, 2), entry by entry."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i, j in np.ndindex(2, 2):
+        out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
+
+
 def sqrt_and_inv(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive square root of a positive-definite metric, its inverse, and its eigenvalues.
 
-    ``g`` is one (n, n) matrix or a stack (..., n, n). It is symmetrized as
-    (g + g†)/2 and diagonalized by one ``eigh``; with eigenpairs (w, V) the
-    roots are V sqrt(w) V† and V w^{-1/2} V†, and w comes back ascending,
-    shape (..., n). Nothing is clamped: an eigenvalue <= 0 raises
-    NotPositive, naming the first offending block of a stack.
+    ``g`` is one (n, n) matrix or a stack (..., n, n), taken as (g + g†)/2;
+    eigenvalues come back ascending, shape (..., n). A 2x2 block [[a, b], [b*, d]]
+    has a closed form (Levinger, Math. Mag. 53, 222 (1980)): with s = sqrt(det G)
+    and t = sqrt(tr G + 2s), eta = (G + sI)/t, eta^-1 = (adj G + sI)/(st),
+    lambda_+ = tr G/2 + sqrt(((a - d)/2)^2 + |b|^2) and lambda_- = det G/lambda_+.
+    Larger blocks take one stacked ``eigh``, with roots V w^{+-1/2} V†. Nothing is
+    clamped: a block not positive definite raises NotPositive, naming the first.
     """
-    w, v = np.linalg.eigh((g + g.conj().swapaxes(-1, -2)) / 2.0)
-    bad = np.flatnonzero(w[..., 0] <= 0)
+    if g.shape[-1] == 2:
+        a, d = g[..., 0, 0].real, g[..., 1, 1].real
+        b = (g[..., 0, 1] + g[..., 1, 0].conj()) / 2.0
+        det = a * d - (b.real**2 + b.imag**2)
+        hi = (a + d) / 2.0 + np.sqrt(((a - d) / 2.0) ** 2 + b.real**2 + b.imag**2)
+        # lambda_- refuses a block unless it is > 0; it is +-0 wherever lambda_+ <= 0
+        w = np.stack([det / np.where(hi > 0, hi, np.inf), hi], axis=-1)
+    else:
+        w, v = np.linalg.eigh((g + g.conj().swapaxes(-1, -2)) / 2.0)
+    bad = np.flatnonzero(~(w[..., 0] > 0))
     if bad.size:
         where = f" block {bad[0]}" if w.ndim > 1 else ""
         raise NotPositive(f"metric{where} not positive definite")
+    if g.shape[-1] == 2:
+        s = np.sqrt(det)
+        t = np.sqrt(a + d + 2.0 * s)[..., None, None]
+        root = np.stack([a + s, b, b.conj(), d + s], axis=-1).reshape(g.shape)
+        inverse = np.stack([d + s, -b, -b.conj(), a + s], axis=-1).reshape(g.shape)
+        return root / t, inverse / (s[..., None, None] * t), w
     v_h = v.conj().swapaxes(-1, -2)
     root = np.sqrt(w)[..., None, :]
     return (v * root) @ v_h, (v / root) @ v_h, w

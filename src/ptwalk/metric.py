@@ -214,7 +214,7 @@ def build_metric(p: WalkParams, spec: MetricSpec) -> BlockOperator:
 
 
 def eta(g: BlockOperator) -> BlockOperator:
-    """Blockwise positive square root of the metric, all blocks in one stacked root."""
+    """Blockwise positive square root of the metric, the closed-form 2x2 root of every block."""
     return BlockOperator(g.points, linalg.sqrt_and_inv(g.blocks)[0])
 
 

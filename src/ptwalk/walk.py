@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BrokenRegime, NoBreaking
-from .linalg import unitary_log
+from .linalg import _mul2, unitary_log
 
 # Guard band on |a(k)| < 1: the matrix log and the eigenvector formulas
 # degrade as eigenvalues coalesce, so refuse rather than return garbage.
@@ -78,28 +78,12 @@ def coin(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, c]])
 
 
-def shift_block(k) -> np.ndarray:
-    """Momentum-space conditional shift S(k) = diag(e^{ik}, e^{-ik}).
-
-    An array of momenta gives the stack of blocks, shape k.shape + (2, 2).
-    """
-    k = np.asarray(k, dtype=float)
-    s = np.zeros(k.shape + (2, 2), dtype=complex)
-    s[..., 0, 0] = np.exp(1j * k)
-    s[..., 1, 1] = np.exp(-1j * k)
-    return s
-
-
-def gain_loss(gamma: float) -> np.ndarray:
-    """Balanced gain/loss G(gamma) = diag(e^gamma, e^{-gamma})."""
-    return np.diag([np.exp(gamma), np.exp(-gamma)]).astype(complex)
-
-
 def _walk_blocks(ks: np.ndarray, p: WalkParams) -> np.ndarray:
-    """W_c(k) for every momentum of ``ks``: the factor product, broadcast over k."""
+    """W_c(k) for every momentum of ``ks``: factors left to right, S and G as column scalings."""
     half = coin(p.theta1 / 2.0)
-    s = shift_block(ks)
-    return half @ s @ gain_loss(-p.gamma) @ coin(p.theta2) @ s @ gain_loss(p.gamma) @ half
+    shift = np.exp(1j * np.multiply.outer(ks, [1.0, -1.0]))[:, None, :]
+    w = _mul2(half * shift * np.exp([-p.gamma, p.gamma]), coin(p.theta2))
+    return _mul2(w * shift * np.exp([p.gamma, -p.gamma]), half)
 
 
 def walk_block(k: float, p: WalkParams) -> np.ndarray:
@@ -141,11 +125,7 @@ def is_unbroken(p: WalkParams) -> bool:
 
 
 def walk_operator(p: WalkParams) -> BlockOperator:
-    """All momentum blocks W_c(k_n), n = 0..L-1, in grid order.
-
-    Built as one (L, 2, 2) product: the shift factors S(k) are stacked over
-    the grid and the k-independent coin and gain/loss factors broadcast.
-    """
+    """All momentum blocks W_c(k_n), n = 0..L-1, in grid order, built entry by entry."""
     ks = momentum_grid(p.lattice_size)
     return BlockOperator(ks, _walk_blocks(ks, p))
 

@@ -15,7 +15,8 @@ left and right eigenvectors of one matrix by nearest conjugate eigenvalue,
 ``herm_sqrt`` is the clamping Hermitian square root used by the dense
 lattice oracles, and ``metric_transport`` builds the transport one momentum
 at a time; they check the library's stacked ``eig``, metric root and
-transport.
+transport. ``shift_block`` and ``gain_loss`` are the diagonal walk factors
+as matrices; the library applies them as column scalings.
 """
 
 import csv
@@ -31,7 +32,6 @@ from ptwalk.walk import (
     UNBROKEN_MARGIN,
     BlockOperator,
     coin,
-    gain_loss,
     momentum_grid,
     spectral_a,
 )
@@ -96,6 +96,23 @@ def herm_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 # ------------------------------------------------------------------- walk
+
+
+def shift_block(k) -> np.ndarray:
+    """Momentum-space conditional shift S(k) = diag(e^{ik}, e^{-ik}).
+
+    An array of momenta gives the stack of blocks, shape k.shape + (2, 2).
+    """
+    k = np.asarray(k, dtype=float)
+    s = np.zeros(k.shape + (2, 2), dtype=complex)
+    s[..., 0, 0] = np.exp(1j * k)
+    s[..., 1, 1] = np.exp(-1j * k)
+    return s
+
+
+def gain_loss(gamma: float) -> np.ndarray:
+    """Balanced gain/loss G(gamma) = diag(e^gamma, e^{-gamma})."""
+    return np.diag([np.exp(gamma), np.exp(-gamma)]).astype(complex)
 
 
 def walk_block(k: float, p) -> np.ndarray:

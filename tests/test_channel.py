@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from channel_reference import (
 )
 from loop_reference import herm_sqrt
 from ptwalk import (
+    BlockOperator,
     LightConeViolation,
     MetricSpec,
     WalkParams,
@@ -20,6 +22,7 @@ from ptwalk import (
     build_euclidean_walk,
     build_metric,
     entanglement_series,
+    gamma_pt,
     hamiltonian,
     reduced_coin_state,
     walk_operator,
@@ -70,7 +73,8 @@ def dense_reduced_state(p, spec, rho0, t):
     def lift(m):
         return np.kron(np.eye(size), m)
 
-    from ptwalk.walk import coin, gain_loss
+    from loop_reference import gain_loss
+    from ptwalk.walk import coin
 
     w_full = (
         lift(coin(p.theta1 / 2))
@@ -455,6 +459,25 @@ def test_euclidean_walk_health_fields():
     assert ew.metric_condition_max == pytest.approx(max(conds), rel=1e-9)
     flat = build_euclidean_walk(params(0.0), FLAT)
     assert flat.metric_condition_max == 1.0
+
+
+@pytest.mark.parametrize("fraction", [0.9, 0.9999, 1 - 1e-7, 1 - 1e-9])
+@pytest.mark.parametrize("spec", [FLAT, MetricSpec(kind="random_xy", seed=11)])
+def test_unitary_frame_near_exceptional_point(fraction, spec):
+    # the closed-form root and entrywise products against the per-block eigh
+    # frame of the per-k factor product, as gamma approaches gamma_pt
+    import loop_reference
+
+    p = params(fraction * gamma_pt(T1, T2), 101)
+    ew = build_euclidean_walk(p, spec)
+    assert ew.unitarity_residual <= (3e-14 if fraction <= 0.9999 else 5e-12)
+    _, _, w_etas, _ = loop_reference.unitary_frame(ew.metric.blocks, loop_reference.walk_blocks(p))
+    oracle = dataclasses.replace(ew, w_eta_blocks=BlockOperator(ew.metric.points, w_etas))
+    gap = np.abs(bloch_matrix_series(ew, 50) - bloch_matrix_series(oracle, 50)).max()
+    assert gap <= (1e-13 if fraction <= 0.9999 else 1e-12)
+    w = np.linalg.eigvalsh(ew.metric.blocks)
+    cond = float((w[:, 1] / w[:, 0]).max())
+    assert abs(ew.metric_condition_max - cond) <= (1e-9 if cond <= 1e6 else 1e-6) * cond
 
 
 @pytest.mark.parametrize("gamma_factor", [1.2, 1.3])

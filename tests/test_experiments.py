@@ -277,6 +277,33 @@ def test_report_classifies(tmp_path):
     assert "PASS" in text
 
 
+def test_manifest_records_git_commit(tmp_path):
+    import re
+
+    from ptwalk.experiments import _git_commit
+
+    commit = "0123456789abcdef0123456789abcdef01234567"
+    git = tmp_path / ".git"
+    assert _git_commit(git) == "unknown"  # outside a checkout
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert _git_commit(git) == "unknown"  # a branch without a commit
+    (git / "packed-refs").write_text(
+        f"# pack-refs with: peeled fully-peeled sorted\n{commit[::-1]} refs/heads/main-old\n"
+        f"{commit} refs/heads/main\n"
+    )
+    assert _git_commit(git) == commit
+    (git / "refs" / "heads" / "main").write_text(commit[::-1] + "\n")
+    assert _git_commit(git) == commit[::-1]  # a loose ref wins over the packed one
+    (git / "HEAD").write_text(commit + "\n")
+    assert _git_commit(git) == commit  # detached HEAD
+    # a run records the commit of the checkout holding the package
+    run(tiny_config(tmp_path / "out", study="rhp"))
+    written = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert written["git_commit"] == _git_commit()
+    assert re.fullmatch("[0-9a-f]{40}|unknown", written["git_commit"])
+
+
 def test_manifest_and_report_ignore_files_of_an_earlier_run(tmp_path):
     # an rhp run and then an entanglement run into one directory: the second
     # manifest lists only what the second run wrote, and report reads only that

@@ -162,6 +162,39 @@ def test_sqrt_and_inv_names_first_non_positive_block():
         sqrt_and_inv(stack[4])
 
 
+def random_pd2(rng, cond, count):
+    """``count`` Hermitian 2x2 blocks with condition number ``cond`` and random scale and axes."""
+    q = np.linalg.qr(rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))[0]
+    w = np.stack([np.ones(count), np.full(count, 1.0 / cond)], axis=1)
+    w *= rng.uniform(0.1, 10.0, size=(count, 1))
+    g = (q * w[:, None, :]) @ q.conj().swapaxes(1, 2)
+    return (g + g.conj().swapaxes(1, 2)) / 2.0
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e9])
+def test_closed_form_2x2_root_matches_eigh(cond):
+    from ptwalk.linalg import sqrt_and_inv
+
+    g = random_pd2(np.random.default_rng(int(np.log10(cond))), cond, 200)
+    roots, inverses, values = sqrt_and_inv(g)
+    etas, eta_invs, _, _ = loop_reference.unitary_frame(g, np.tile(np.eye(2), (200, 1, 1)))
+    exact = np.linalg.eigvalsh(g)
+    # two backward-stable methods differ by about eps sqrt(cond) in the root
+    # and eps cond in the inverse and the small eigenvalue (det roundoff)
+    root_tol, inv_tol = 1e-14 * np.sqrt(cond), max(1e-14, 1e-15 * cond)
+    scale = np.abs(etas).max(axis=(1, 2))
+    assert (np.abs(roots - etas).max(axis=(1, 2)) <= root_tol * scale).all()
+    scale = np.abs(eta_invs).max(axis=(1, 2))
+    assert (np.abs(inverses - eta_invs).max(axis=(1, 2)) <= inv_tol * scale).all()
+    assert (np.abs(values - exact) <= inv_tol * exact).all()
+    ratio = exact[:, 1] / exact[:, 0]
+    assert (np.abs(values[:, 1] / values[:, 0] - ratio) <= inv_tol * ratio).all()
+    assert np.array_equal(roots, roots.conj().swapaxes(1, 2))
+    for i in (0, 57, 199):
+        for got, want in zip(sqrt_and_inv(g[i]), (roots[i], inverses[i], values[i])):
+            assert np.array_equal(got, want)
+
+
 def test_herm_sqrt_rejects_non_hermitian():
     with pytest.raises(ValueError):
         herm_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))

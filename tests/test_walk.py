@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from loop_reference import gain_loss, shift_block
 from ptwalk import (
     BrokenRegime,
     NoBreaking,
@@ -12,7 +13,7 @@ from ptwalk import (
     is_unbroken,
     walk_operator,
 )
-from ptwalk.walk import coin, gain_loss, momentum_grid, shift_block, spectral_a, walk_block
+from ptwalk.walk import coin, momentum_grid, spectral_a, walk_block
 
 T1, T2 = math.pi / 4, -math.pi / 7
 
@@ -152,6 +153,16 @@ def test_walk_operator_covers_grid():
     op = walk_operator(p)
     assert len(op) == p.lattice_size
     assert np.abs(op.blocks[3] - walk_block(op.points[3], p)).max() == 0.0
+
+
+@pytest.mark.parametrize("size", [101, 1201, 4001])
+def test_walk_blocks_match_per_k_product(size):
+    # column-scaled entrywise products against one 2x2 matmul chain per momentum
+    import loop_reference
+
+    for gamma in (0.0, math.log(1.3)):
+        p = params(gamma, size)
+        assert np.abs(walk_operator(p).blocks - loop_reference.walk_blocks(p)).max() <= 1e-15
 
 
 def test_hamiltonian_reconstructs_walk():
