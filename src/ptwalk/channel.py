@@ -1,11 +1,15 @@
 """Reduced coin dynamics in the unitary frame: a momentum average of Bloch rotations.
 
-The similarity W_eta(k) = eta(k) W_c(k) eta(k)^{-1} is unitary in the
-unbroken regime and has unit determinant, so every block is an SU(2)
-rotation
+The walk block is W_c(k) = a(k) I - i S(k) with the real traceless
+S = sin H_c(k) = [[-d3, -(d1 + d2)], [-(d1 - d2), d3]] (``metric._sin_entries``).
+Every admissible metric block G(k) is real symmetric, and so is its root
+eta(k), so W_eta(k) = eta W_c eta^{-1} = a I - i R with the real R = eta S eta^{-1}.
+In the unbroken regime it is unitary, a rotation about an axis in the x-z plane:
 
-    W_eta(k) = cos(eps_k) I - i sin(eps_k) (n_k . sigma),    cos(eps_k) = a(k).
+    W_eta(k) = cos(eps_k) I - i sin(eps_k) (n_x sigma_x + n_z sigma_z),    cos(eps_k) = a(k),
 
+with n_z sin(eps_k) = R_00 and n_x sin(eps_k) = R_01. The metric picks only
+the axis, one angle per momentum; eps_k is the same for every metric.
 Starting the walker at the origin with coin state rho_c = (I + r . sigma)/2,
 the reduced coin state after t steps is the momentum average
 
@@ -13,29 +17,28 @@ the reduced coin state after t steps is the momentum average
 
 and the real 3x3 Bloch matrix M(t) has the closed form
 
-    M(t) = (1/L) sum_k [ n_k n_k^T + cos(2t eps_k)(I - n_k n_k^T) + sin(2t eps_k) [n_k]_x ],
+    M(t) = I - (2/L) sum_k [ sin^2(t eps_k)(I - n_k n_k^T) - sin(t eps_k) cos(t eps_k) [n_k]_x ],
 
-evaluated as I - (1/L) sum_k 2 sin^2(t eps_k)(I - n_k n_k^T) + (1/L) sum_k
-sin(2t eps_k) [n_k]_x, which is exactly I at t = 0. No block powers are taken.
-The steps run in blocks t = t0 + j, j < chunk, and the phases are stepped,
-not recomputed: sin and cos of j eps_k are tabulated once, sin and cos of
-t0 eps_k are evaluated directly once per block, and the angle-addition
-identity e^{i(t0+j)eps} = e^{i t0 eps} e^{i j eps} combines them in real
-arithmetic. That takes about (chunk + T/chunk) L transcendentals for T steps
-instead of T L. Every block start is evaluated directly, so the roundoff
-does not accumulate from block to block, and the first block (t0 = 0)
-equals the direct evaluation bit for bit.
+exactly I at t = 0. With n_y = 0 it needs five momentum sums per step, and
+M_yy(t) = (1/L) sum_k cos(2t eps_k) has no metric term. The steps run in
+blocks t = t0 + j, j < chunk, and the phases are stepped, not recomputed:
+sin and cos of j eps_k are tabulated once, sin and cos of t0 eps_k are
+evaluated directly once per block, and the angle-addition identity
+e^{i(t0+j)eps} = e^{i t0 eps} e^{i j eps} combines them in real arithmetic.
+That takes about (chunk + T/chunk) L transcendentals for T steps instead of
+T L. Every block start is evaluated directly, so the roundoff does not
+accumulate from block to block, and the first block (t0 = 0) equals the
+direct evaluation bit for bit.
 
-The metric picks only the axes n_k. The angles are read from a(k)
-(``spectral_a``), not from the trace of W_eta(k): they are then
+The angles are read from a(k) (``spectral_a``), not from R: they are then
 bit-identical across metrics, so in the Hermitian limit the reduced maps of
 different metrics differ only by roundoff in the axes, and the inversions
 behind the CP-indivisibility measure do not amplify a metric-dependent angle
 error. Where |a(k)| = 1, which only a unitary walk under the flat metric
-admits, the block is +-I up to roundoff: its angle is read from the block,
-and the axis is arbitrary where the rotation is exactly the identity. A
-block of steps holds at most BLOCK_ELEMENTS (step, momentum) entries, so the
-phase table and the cos/sin temporaries stay bounded at any horizon.
+admits, the block is +-I up to roundoff: its angle is atan2(sqrt(R_00^2 + R_01^2), a)
+and its axis z where sin(eps_k) = 0. A block of steps holds at most
+BLOCK_ELEMENTS (step, momentum) entries, so the phase table and the cos/sin
+temporaries stay bounded at any horizon.
 
 A step from t-1 to t is the map A(t) = M(t) M(t-1)^{-1}, again unital. The
 Choi matrix of a unital qubit map has a closed-form spectrum (King & Ruskai,
@@ -57,17 +60,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BrokenRegime, LightConeViolation
-from .linalg import _mul2, sqrt_and_inv
-from .metric import MetricSpec, build_metric
-from .walk import (
-    UNBROKEN_MARGIN,
-    BlockOperator,
-    WalkParams,
-    is_unbroken,
-    spectral_a,
-    walk_operator,
-)
+from .errors import LightConeViolation
+from .linalg import sqrt_and_inv
+from .metric import MetricSpec, _metric_frame
+from .walk import UNBROKEN_MARGIN, BlockOperator, WalkParams
 
 # Condition number beyond which the intermediate-map inversion is flagged
 # and a cutoff pseudo-inverse is used instead of a direct solve.
@@ -86,46 +82,59 @@ _PAULI = np.array(
 
 @dataclass(frozen=True)
 class EuclideanWalk:
-    """Walk mapped to the unitary frame of a chosen metric.
+    """Walk in the unitary frame of a chosen metric: (L,) rotation angles and x-z axes.
 
-    ``ep_gap`` is min_k (1 - |a(k)|), the distance of the grid spectrum from
-    the exceptional point; ``metric_condition_max`` is the largest
-    lambda_max / lambda_min over the metric blocks.
+    ``unitarity_residual`` is the largest |R_01 - R_10| or |R_00^2 + R_01^2 - sin^2(eps)|
+    of R = eta S eta^{-1}, zero exactly when every W_eta(k) is unitary; ``ep_gap``
+    is min_k (1 - |a(k)|), the grid's distance from the exceptional point, and
+    ``metric_condition_max`` the largest lambda_max / lambda_min of a metric block.
     """
 
     params: WalkParams
     spec: MetricSpec
     metric: BlockOperator
-    eta_blocks: BlockOperator
-    eta_inv_blocks: BlockOperator
-    w_eta_blocks: BlockOperator
+    eps: np.ndarray
+    n_x: np.ndarray
+    n_z: np.ndarray
     unitarity_residual: float
     ep_gap: float
     metric_condition_max: float
 
 
 def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
-    """Construct the metric, its square root and the unitary blocks W_eta(k).
+    """Construct the metric, its root and the rotation of every W_eta(k) (module docstring).
 
-    eta = sqrt(G) is the closed-form 2x2 root (``linalg.sqrt_and_inv``); W_eta =
-    eta W_c eta^{-1} and W_eta† W_eta - I are explicit 2x2 products over the grid.
+    a(k), eps_k = acos a(k), S(k) and the metric come from one ``metric._metric_frame``
+    call, and eta = sqrt(G) is the closed-form real 2x2 root (``linalg.sqrt_and_inv``).
     """
-    if not is_unbroken(p) and not (p.gamma == 0.0 and spec.kind == "g1_flat"):
-        raise BrokenRegime("walk is at or beyond its exceptional point")
-    g = build_metric(p, spec)
-    w = walk_operator(p)
-    etas, eta_invs, vals = sqrt_and_inv(g.blocks)
-    w_etas = _mul2(_mul2(etas, w.blocks), eta_invs)
-    residual = float(np.abs(_mul2(w_etas.conj().swapaxes(1, 2), w_etas) - np.eye(2)).max())
+    g, a, eps, (d1, d2, d3) = _metric_frame(p, spec)
+    eta, eta_inv, vals = sqrt_and_inv(g.blocks)
+    # rows of eta S, then the entries (0, 0), (0, 1) and (1, 0) of eta S eta^{-1}
+    es00 = -eta[:, 0, 0] * d3 - eta[:, 0, 1] * (d1 - d2)
+    es01 = -eta[:, 0, 0] * (d1 + d2) + eta[:, 0, 1] * d3
+    es10 = -eta[:, 1, 0] * d3 - eta[:, 1, 1] * (d1 - d2)
+    es11 = -eta[:, 1, 0] * (d1 + d2) + eta[:, 1, 1] * d3
+    r00 = es00 * eta_inv[:, 0, 0] + es01 * eta_inv[:, 1, 0]
+    r01 = es00 * eta_inv[:, 0, 1] + es01 * eta_inv[:, 1, 1]
+    r10 = es10 * eta_inv[:, 0, 0] + es11 * eta_inv[:, 1, 0]
+    sin_eps = np.sqrt(r00 * r00 + r01 * r01)
+    residual = max(np.abs(r01 - r10).max(), np.abs(sin_eps * sin_eps + a * a - 1.0).max())
+    # |a| = 1 only for a unitary walk under the flat metric, where the block
+    # is +-I up to roundoff: acos(a) would amplify that roundoff, atan2 does not
+    degenerate = np.abs(a) >= 1.0 - UNBROKEN_MARGIN
+    eps[degenerate] = np.arctan2(sin_eps[degenerate], a[degenerate])
+    turning = sin_eps > 0.0  # elsewhere the rotation is the identity: any axis, z, will do
+    n_x = np.divide(r01, sin_eps, out=np.zeros_like(a), where=turning)
+    n_z = np.divide(r00, sin_eps, out=np.ones_like(a), where=turning)
     return EuclideanWalk(
         params=p,
         spec=spec,
         metric=g,
-        eta_blocks=BlockOperator(g.points, etas),
-        eta_inv_blocks=BlockOperator(g.points, eta_invs),
-        w_eta_blocks=BlockOperator(g.points, w_etas),
-        unitarity_residual=residual,
-        ep_gap=float((1.0 - np.abs(spectral_a(g.points, p))).min()),
+        eps=eps,
+        n_x=n_x,
+        n_z=n_z,
+        unitarity_residual=float(residual),
+        ep_gap=float((1.0 - np.abs(a)).min()),
         metric_condition_max=float((vals[:, 1] / vals[:, 0]).max()),
     )
 
@@ -152,51 +161,18 @@ def _check_horizon(ew: EuclideanWalk, t: int) -> None:
         )
 
 
-def _rotations(ew: EuclideanWalk) -> tuple[np.ndarray, np.ndarray]:
-    """Angles eps_k, shape (L,), and unit axes n_k, shape (L, 3), of the blocks."""
-    w = ew.w_eta_blocks.blocks
-    # sin(eps) n read off W = cos(eps) I - i sin(eps) (n . sigma)
-    v = np.stack(
-        [
-            (0.5j * (w[:, 0, 1] + w[:, 1, 0])).real,
-            (0.5 * (w[:, 1, 0] - w[:, 0, 1])).real,
-            (0.5j * (w[:, 0, 0] - w[:, 1, 1])).real,
-        ],
-        axis=1,
-    )
-    sin_eps = np.linalg.norm(v, axis=1)
-    a = spectral_a(ew.w_eta_blocks.points, ew.params)
-    # |a| = 1 only for a unitary walk under the flat metric, where the block
-    # is +-I up to roundoff: acos(a) would amplify that roundoff, atan2 does not
-    degenerate = np.abs(a) >= 1.0 - UNBROKEN_MARGIN
-    eps = np.where(
-        degenerate,
-        np.arctan2(sin_eps, 0.5 * np.trace(w, axis1=1, axis2=2).real),
-        np.arccos(np.clip(a, -1.0, 1.0)),
-    )
-    axes = np.zeros_like(v)
-    axes[:, 2] = 1.0  # any axis will do where the rotation is the identity
-    turning = sin_eps > 0.0
-    axes[turning] = v[turning] / sin_eps[turning, None]
-    return eps, axes
-
-
 def _bloch_matrices(ew: EuclideanWalk, start: int, count: int) -> np.ndarray:
-    """M(t) for t = start..start+count-1, shape (count, 3, 3), in closed form."""
-    eps, n = _rotations(ew)
+    """M(t) for t = start..start+count-1, shape (count, 3, 3), from five momentum sums per step."""
+    eps, n_x, n_z = ew.eps, ew.n_x, ew.n_z
     size = len(eps)
-    transverse = (np.eye(3) - n[:, :, None] * n[:, None, :]).reshape(size, 9) / size
-    cross = np.zeros((size, 3, 3))
-    cross[:, 0, 1], cross[:, 0, 2] = -n[:, 2], n[:, 1]
-    cross[:, 1, 0], cross[:, 1, 2] = n[:, 2], -n[:, 0]
-    cross[:, 2, 0], cross[:, 2, 1] = -n[:, 1], n[:, 0]
-    cross = cross.reshape(size, 9) / size
+    turn = np.stack([np.ones(size), n_z * n_z, n_x * n_z], axis=1) / size
+    cross = np.stack([n_z, n_x], axis=1) / size
     chunk = min(count, max(1, BLOCK_ELEMENTS // size))
     # phases j eps of the steps within a block, j < chunk
     sin_j = np.multiply.outer(np.arange(chunk), eps)
     cos_j = np.cos(sin_j)
     np.sin(sin_j, out=sin_j)
-    out = np.empty((count, 9))
+    out = np.zeros((count, 3, 3))
     for lo in range(0, count, chunk):
         rows = min(chunk, count - lo)
         # the block start t0 eps, evaluated directly; (t0 + j) eps by angle addition
@@ -208,9 +184,16 @@ def _bloch_matrices(ew: EuclideanWalk, start: int, count: int) -> np.ndarray:
         cos -= sin_j[:rows] * sin_0
         cos *= sin  # sin(t eps) cos(t eps)
         sin *= sin  # sin^2(t eps)
-        out[lo : lo + rows] = 2.0 * (cos @ cross - sin @ transverse)
-    out += np.eye(3).reshape(9)
-    return out.reshape(-1, 3, 3)
+        s_all, s_zz, s_xz = (2.0 * (sin @ turn)).T
+        c_z, c_x = (2.0 * (cos @ cross)).T
+        m = out[lo : lo + rows]
+        m[:, 0, 0] = 1.0 - s_zz
+        m[:, 1, 1] = 1.0 - s_all
+        m[:, 2, 2] = 1.0 - (s_all - s_zz)
+        m[:, 0, 2] = m[:, 2, 0] = s_xz
+        m[:, 0, 1], m[:, 1, 0] = -c_z, c_z
+        m[:, 1, 2], m[:, 2, 1] = -c_x, c_x
+    return out
 
 
 def bloch_matrix_series(ew: EuclideanWalk, t_max: int) -> np.ndarray:

@@ -5,7 +5,8 @@ of H_c(k) (equivalently, eigenvectors of H_c(k)†) as
 
     G(k) = x(k) ( |r_+><r_+| + y(k) |r_-><r_-| ),       x, y > 0,
 
-rescaled to unit trace. Any such block is Hermitian, positive definite and
+rescaled to unit trace. The left eigenvectors are real for this walk, so
+every such block is real symmetric, positive definite and
 pseudo-Hermitian-compatible: H_c(k)† G(k) = G(k) H_c(k). The positive square
 root eta(k) maps the walk to a genuinely unitary evolution, and transports
 T, U connect different admissible metrics.
@@ -21,7 +22,6 @@ from .walk import (
     UNBROKEN_MARGIN,
     BlockOperator,
     WalkParams,
-    is_unbroken,
     momentum_grid,
     spectral_a,
 )
@@ -62,37 +62,37 @@ def _pick(form_a: np.ndarray, form_b: np.ndarray) -> np.ndarray:
     return np.where(lead > 0, v, -v)
 
 
-def _left_eigen(ks: np.ndarray, p: WalkParams):
-    """(r_plus, r_minus, d1, d2, d3, eps) over the momenta ``ks``, as arrays.
+def _sin_entries(ks: np.ndarray, p: WalkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d1, d2, d3 over the momenta ``ks``, with sin H_c(k) = [[-d3, -(d1 + d2)], [-(d1 - d2), d3]]:
+
+    d1 = cosh(2 gamma) cos(theta1) sin(theta2) + sin(theta1) cos(theta2) cos(2k),
+    d2 = -sin(theta2) sinh(2 gamma) and d3 = cos(theta2) sin(2k).
+    """
+    d1 = np.cosh(2 * p.gamma) * np.cos(p.theta1) * np.sin(p.theta2)
+    d1 = d1 + np.sin(p.theta1) * np.cos(p.theta2) * np.cos(2 * ks)
+    d2 = np.full_like(ks, -np.sin(p.theta2) * np.sinh(2 * p.gamma))
+    d3 = np.cos(p.theta2) * np.sin(2 * ks)
+    return d1, d2, d3
+
+
+def _left_eigen(ks, a, s, d1, d2, d3) -> tuple[np.ndarray, np.ndarray]:
+    """(r_plus, r_minus) over the momenta ``ks`` from a(k), s = sin(acos a(k)) and (d1, d2, d3).
 
     Raises DegenerateAtK naming the first momentum at or beyond coalescence.
     """
-    a = spectral_a(ks, p)
     bad = np.flatnonzero(np.abs(a) >= 1.0 - UNBROKEN_MARGIN)
     if bad.size:
         k, a_k = ks[bad[0]], a[bad[0]]
         raise DegenerateAtK(f"|a({k:.6f})| = {abs(a_k):.15f} at or beyond coalescence")
-    d1 = np.cosh(2 * p.gamma) * np.cos(p.theta1) * np.sin(p.theta2) + np.sin(
-        p.theta1
-    ) * np.cos(p.theta2) * np.cos(2 * ks)
-    d2 = np.full_like(ks, -np.sin(p.theta2) * np.sinh(2 * p.gamma))
-    d3 = np.cos(p.theta2) * np.sin(2 * ks)
-    eps = np.arccos(a)
-    s = np.sin(eps)
     r_plus = _pick(np.stack([d1 - d2, -d3 - s], axis=1), np.stack([d3 - s, d1 + d2], axis=1))
     r_minus = _pick(np.stack([d1 - d2, -d3 + s], axis=1), np.stack([d3 + s, d1 + d2], axis=1))
-    return r_plus, r_minus, d1, d2, d3, eps
+    return r_plus, r_minus
 
 
 def left_eigvecs(k: float, p: WalkParams) -> LeftEigenPair:
     """Closed-form left eigenvectors of H_c(k) in the unbroken regime.
 
-    With
-        d1 = cosh(2 gamma) cos(theta1) sin(theta2) + sin(theta1) cos(theta2) cos(2k)
-        d2 = -sin(theta2) sinh(2 gamma)
-        d3 = cos(theta2) sin(2k)
-        eps = acos(a(k)),  s = sin(eps)
-
+    With d1, d2, d3 of :func:`_sin_entries`, eps = acos(a(k)) and s = sin(eps),
     sin(H_c(k)†) is the real matrix [[-d3, -(d1 - d2)], [-(d1 + d2), d3]],
     so its eigenvectors (shared with H_c(k)†) can be read off two ways:
 
@@ -104,7 +104,10 @@ def left_eigvecs(k: float, p: WalkParams) -> LeftEigenPair:
     form is well conditioned everywhere away from the exceptional point.
     This is a one-point view of the grid computation in :func:`build_metric`.
     """
-    r_plus, r_minus, d1, d2, d3, eps = _left_eigen(np.array([k], dtype=float), p)
+    ks = np.array([k], dtype=float)
+    a, (d1, d2, d3) = spectral_a(ks, p), _sin_entries(ks, p)
+    eps = np.arccos(a)
+    r_plus, r_minus = _left_eigen(ks, a, np.sin(eps), d1, d2, d3)
     return LeftEigenPair(
         k,
         r_plus[0].astype(complex),
@@ -187,30 +190,35 @@ def _weights(spec: MetricSpec, n: int) -> np.ndarray:
 
 
 def build_metric(p: WalkParams, spec: MetricSpec) -> BlockOperator:
-    """Per-momentum metric blocks, Hermitian positive definite with unit trace.
+    """Per-momentum metric blocks, real symmetric positive definite with unit trace.
 
-    The left eigenvectors of the whole grid come from one array evaluation
-    of the closed form in :func:`left_eigvecs`, and the blocks
-    x (|r_+><r_+| + y |r_-><r_-|) / trace are formed as one (L, 2, 2) array.
+    The blocks x (|r_+><r_+| + y |r_-><r_-|) / trace are one (L, 2, 2) array
+    formed from the closed-form real left eigenvectors of :func:`left_eigvecs`.
     """
+    return _metric_frame(p, spec)[0]
+
+
+def _metric_frame(p: WalkParams, spec: MetricSpec):
+    """The metric blocks, with the a(k), eps_k = acos a(k) and (d1, d2, d3) they were built from."""
     ks = momentum_grid(p.lattice_size)
+    a, sin_h = spectral_a(ks, p), _sin_entries(ks, p)
+    eps = np.arccos(np.clip(a, -1.0, 1.0))
     if p.gamma == 0.0 and spec.kind == "g1_flat":
         # unitary walk: the flat metric is exactly maximally mixed at every k,
         # valid even where the spectrum touches |a| = 1 (plain degeneracy,
         # not an exceptional point, when the walk is unitary)
-        blocks = np.tile(np.eye(2, dtype=complex) / 2.0, (len(ks), 1, 1))
-        return BlockOperator(ks, blocks)
-    if not is_unbroken(p):
-        raise BrokenRegime("no positive metric beyond the exceptional point")
+        return BlockOperator(ks, np.tile(np.eye(2) / 2.0, (len(ks), 1, 1))), a, eps, sin_h
+    try:
+        r_plus, r_minus = _left_eigen(ks, a, np.sin(eps), *sin_h)
+    except DegenerateAtK as exc:
+        raise BrokenRegime("no positive metric beyond the exceptional point") from exc
     w = _weights(spec, len(ks))
-    r_plus, r_minus = _left_eigen(ks, p)[:2]
     g = w[:, 0, None, None] * (
         r_plus[:, :, None] * r_plus[:, None, :]
         + w[:, 1, None, None] * (r_minus[:, :, None] * r_minus[:, None, :])
     )
     g = (g + g.swapaxes(1, 2)) / 2.0
-    blocks = (g / np.trace(g, axis1=1, axis2=2)[:, None, None]).astype(complex)
-    return BlockOperator(ks, blocks)
+    return BlockOperator(ks, g / np.trace(g, axis1=1, axis2=2)[:, None, None]), a, eps, sin_h
 
 
 def eta(g: BlockOperator) -> BlockOperator:
@@ -313,14 +321,21 @@ def verify_metric_action(
 
 
 def write_metric_csv(g: BlockOperator, path, comment: str | None = None) -> None:
-    """Audit export: one row per momentum with the four complex block entries."""
-    # re/im of g11, g12, g21, g22: the complex blocks viewed as floats
-    entries = np.ascontiguousarray(g.blocks, dtype=complex).view(float).reshape(len(g), 8)
-    table = np.column_stack([g.points, entries])
+    """Audit export: one row per momentum with the four block entries, re and im.
+
+    The blocks must be real symmetric, as :func:`build_metric` makes them, so
+    g21 is g12 and every im is 0.0; others raise ValueError.
+    """
+    b = g.blocks
+    if np.iscomplexobj(b) or not np.array_equal(b[:, 0, 1], b[:, 1, 0]):
+        raise ValueError("metric audit needs real symmetric blocks (g12 == g21)")
+    columns = (g.points, b[:, 0, 0], b[:, 0, 1], b[:, 1, 1])
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write("k,re_g11,im_g11,re_g12,im_g12,re_g21,im_g21,re_g22,im_g22\r\n")
-        # one row at a time, in csv's default dialect; no field needs quoting
-        for row in table:
-            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
+        # csv's default dialect; no field needs quoting
+        fh.writelines(
+            f"{k},{g11},0.0,{g12},0.0,{g12},0.0,{g22},0.0\r\n"
+            for k, g11, g12, g22 in zip(*(map(repr, c.tolist()) for c in columns))
+        )

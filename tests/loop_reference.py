@@ -5,9 +5,16 @@ builders: every momentum block is built on its own, and the reduced map is
 advanced one step at a time by multiplying 2x2 block powers. The library
 builds all blocks at once and evaluates the reduced map in closed form as an
 average of Bloch rotations; these loops check it through an independent path.
-``bloch_matrices_direct`` is that closed form with sin and cos of every phase
-t eps_k evaluated directly, where the library steps the phases by angle
-addition from one evaluated phase per block.
+``frame_blocks`` builds the complex W_eta(k) = eta W_c eta^-1 from the
+per-block ``eigh`` root and the per-k factor product, and ``rotations`` reads
+each angle and full three-component axis off it; ``coin_trajectory``,
+``channel_matrix_series`` and ``bloch_matrices_direct`` start from these,
+never from the library's two-angle frame. ``bloch_matrices_direct`` is the
+general nine-sum closed form with sin and cos of every phase t eps_k
+evaluated directly, where the library sums five terms and steps the phases
+by angle addition from one evaluated phase per block;
+``bloch_matrices_five_sums`` takes the library's own angles and five sums
+with every phase evaluated directly.
 The CSV writers at the end format one value at a time through ``csv.writer``;
 the library's writers must produce the same bytes. ``expm``, a general matrix
 exponential, checks the toy's closed-form mixer without scipy. ``eig`` pairs
@@ -24,7 +31,7 @@ import csv
 import numpy as np
 
 from channel_reference import ChannelMatrix
-from ptwalk.channel import BLOCK_ELEMENTS, _check_horizon, _check_state, _rotations
+from ptwalk.channel import BLOCK_ELEMENTS, _check_horizon, _check_state
 from ptwalk.errors import DegenerateAtK, DegeneratePairing, IncompatibleMetrics, NotPositive
 from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, unitary_log
 from ptwalk.metric import TRANSPORT_TOL, MetricTransport, _weights
@@ -180,10 +187,15 @@ def metric_blocks(p, spec) -> np.ndarray:
 
 
 def unitary_frame(metric: np.ndarray, walk: np.ndarray):
-    """(eta, eta^-1, W_eta, unitarity residual), one block at a time."""
-    etas = np.empty_like(metric)
-    eta_invs = np.empty_like(metric)
-    w_etas = np.empty_like(metric)
+    """(eta, eta^-1, W_eta, unitarity residual), one block at a time.
+
+    With a = tr(W)/2 and R = i (W_eta - a I), the residual is the largest
+    |R_01 - R_10| or |R_00^2 + R_01^2 + a^2 - 1|: W_eta is unitary exactly
+    when R is symmetric with squared norm 1 - a^2.
+    """
+    etas = np.empty(metric.shape, dtype=complex)
+    eta_invs = np.empty(metric.shape, dtype=complex)
+    w_etas = np.empty(metric.shape, dtype=complex)
     for i, block in enumerate(metric):
         vals, vecs = np.linalg.eigh(block)
         if vals.min() <= 0:
@@ -191,7 +203,11 @@ def unitary_frame(metric: np.ndarray, walk: np.ndarray):
         etas[i] = (vecs * np.sqrt(vals)) @ vecs.conj().T
         eta_invs[i] = (vecs / np.sqrt(vals)) @ vecs.conj().T
         w_etas[i] = etas[i] @ walk[i] @ eta_invs[i]
-    residual = max(float(np.abs(b.conj().T @ b - np.eye(2)).max()) for b in w_etas)
+    a = 0.5 * np.trace(walk, axis1=1, axis2=2)
+    r = 1j * (w_etas - a[:, None, None] * np.eye(2))
+    asymmetry = np.abs(r[:, 0, 1] - r[:, 1, 0])
+    norm_defect = np.abs(r[:, 0, 0] ** 2 + r[:, 0, 1] ** 2 + a * a - 1.0)
+    residual = float(max(asymmetry.max(), norm_defect.max()))
     return etas, eta_invs, w_etas, residual
 
 
@@ -226,8 +242,8 @@ def _transport_block(g, gp, h):
 
 def metric_transport(g, gp, h) -> MetricTransport:
     """Construct T and U per momentum block; raises IncompatibleMetrics on failure."""
-    ts = np.empty_like(g.blocks)
-    us = np.empty_like(g.blocks)
+    ts = np.empty(g.blocks.shape, dtype=complex)
+    us = np.empty(g.blocks.shape, dtype=complex)
     for i in range(len(g)):
         ts[i], us[i] = _transport_block(g.blocks[i], gp.blocks[i], h.blocks[i])
     return MetricTransport(BlockOperator(g.points, ts), BlockOperator(g.points, us))
@@ -241,12 +257,46 @@ for _i in range(2):
         _MATRIX_UNITS[2 * _i + _j, _i, _j] = 1.0
 
 
+def frame_blocks(ew) -> np.ndarray:
+    """W_eta(k) under ``ew``'s metric, from the per-block eigh root and the per-k factor product."""
+    return unitary_frame(ew.metric.blocks, walk_blocks(ew.params))[2]
+
+
+def rotations(ew) -> tuple[np.ndarray, np.ndarray]:
+    """Angles eps_k, shape (L,), and unit axes n_k, shape (L, 3), read off :func:`frame_blocks`."""
+    w = frame_blocks(ew)
+    # sin(eps) n read off W = cos(eps) I - i sin(eps) (n . sigma)
+    v = np.stack(
+        [
+            (0.5j * (w[:, 0, 1] + w[:, 1, 0])).real,
+            (0.5 * (w[:, 1, 0] - w[:, 0, 1])).real,
+            (0.5j * (w[:, 0, 0] - w[:, 1, 1])).real,
+        ],
+        axis=1,
+    )
+    sin_eps = np.linalg.norm(v, axis=1)
+    a = spectral_a(ew.metric.points, ew.params)
+    # |a| = 1 only for a unitary walk under the flat metric, where the block
+    # is +-I up to roundoff: acos(a) would amplify that roundoff, atan2 does not
+    degenerate = np.abs(a) >= 1.0 - UNBROKEN_MARGIN
+    eps = np.where(
+        degenerate,
+        np.arctan2(sin_eps, 0.5 * np.trace(w, axis1=1, axis2=2).real),
+        np.arccos(np.clip(a, -1.0, 1.0)),
+    )
+    axes = np.zeros_like(v)
+    axes[:, 2] = 1.0  # any axis will do where the rotation is the identity
+    turning = sin_eps > 0.0
+    axes[turning] = v[turning] / sin_eps[turning, None]
+    return eps, axes
+
+
 def coin_trajectory(ew, rho0: np.ndarray, t_max: int) -> np.ndarray:
     """Reduced coin states for every step 0..t_max (incremental block powers), shape (t_max+1, 2, 2)."""
     rho0 = _check_state(rho0)
     _check_horizon(ew, t_max)
-    w = ew.w_eta_blocks.blocks
-    n = len(ew.w_eta_blocks)
+    w = frame_blocks(ew)
+    n = len(w)
     states = np.empty((t_max + 1, 2, 2), dtype=complex)
     states[0] = rho0
     acc = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
@@ -269,8 +319,8 @@ def _channel_from_powers(powers: np.ndarray, t: int) -> ChannelMatrix:
 def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
     """L(t, 0) for t = 0..t_max, sharing the incremental block powers."""
     _check_horizon(ew, t_max)
-    w = ew.w_eta_blocks.blocks
-    acc = np.tile(np.eye(2, dtype=complex), (len(ew.w_eta_blocks), 1, 1))
+    w = frame_blocks(ew)
+    acc = np.tile(np.eye(2, dtype=complex), (len(w), 1, 1))
     out = [_channel_from_powers(acc, 0)]
     for t in range(1, t_max + 1):
         acc = np.einsum("kab,kbc->kac", w, acc)
@@ -279,8 +329,8 @@ def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
 
 
 def bloch_matrices_direct(ew, steps: np.ndarray) -> np.ndarray:
-    """M(t) for every t of ``steps``, with sin and cos of every t eps_k evaluated directly."""
-    eps, n = _rotations(ew)
+    """M(t) for every t of ``steps`` from :func:`rotations`, with sin and cos of every t eps_k evaluated directly."""
+    eps, n = rotations(ew)
     size = len(eps)
     transverse = (np.eye(3) - n[:, :, None] * n[:, None, :]).reshape(size, 9) / size
     cross = np.zeros((size, 3, 3))
@@ -300,6 +350,27 @@ def bloch_matrices_direct(ew, steps: np.ndarray) -> np.ndarray:
         out[lo : lo + chunk] = 2.0 * (sin_cos @ cross - sin_sq @ transverse)
     out += np.eye(3).reshape(9)
     return out.reshape(-1, 3, 3)
+
+
+def bloch_matrices_five_sums(ew, steps: np.ndarray) -> np.ndarray:
+    """M(t) for every t of ``steps`` on ``ew``'s own angles and x-z axes, every phase evaluated directly.
+
+    The five momentum sums are taken in the library's order and shapes, so
+    its first block of steps (t0 = 0) must equal this bit for bit.
+    """
+    eps, n_x, n_z = ew.eps, ew.n_x, ew.n_z
+    size = len(eps)
+    phase = np.multiply.outer(steps, eps)
+    sin, cos = np.sin(phase), np.cos(phase)
+    sin_cos, sin_sq = cos * sin, sin * sin
+    s_all, s_zz, s_xz = (2.0 * (sin_sq @ (np.stack([np.ones(size), n_z * n_z, n_x * n_z], axis=1) / size))).T
+    c_z, c_x = (2.0 * (sin_cos @ (np.stack([n_z, n_x], axis=1) / size))).T
+    m = np.zeros((len(steps), 3, 3))
+    m[:, 0, 0], m[:, 1, 1], m[:, 2, 2] = 1.0 - s_zz, 1.0 - s_all, 1.0 - (s_all - s_zz)
+    m[:, 0, 2] = m[:, 2, 0] = s_xz
+    m[:, 0, 1], m[:, 1, 0] = -c_z, c_z
+    m[:, 1, 2], m[:, 2, 1] = -c_x, c_x
+    return m
 
 
 # -------------------------------------------------------------------- toy

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +21,7 @@ from ptwalk import (
     build_euclidean_walk,
     build_metric,
     entanglement_series,
+    eta,
     gamma_pt,
     hamiltonian,
     reduced_coin_state,
@@ -43,6 +43,15 @@ def params(gamma, size=21):
 def coin_states(ew, r0, t_max):
     """Reduced coin states (I + (M(t) r0) . sigma)/2, t = 0..t_max, shape (t_max+1, 2, 2)."""
     return np.stack([bloch_state(r) for r in bloch_matrix_series(ew, t_max) @ np.asarray(r0, float)])
+
+
+def rotation_blocks(ew):
+    """W_eta(k) = cos(eps) I - i sin(eps) (n_x sigma_x + n_z sigma_z) from the walk's rotations."""
+    c, s = np.cos(ew.eps), np.sin(ew.eps)
+    w = np.empty((len(ew.eps), 2, 2), dtype=complex)
+    w[:, 0, 0], w[:, 1, 1] = c - 1j * s * ew.n_z, c + 1j * s * ew.n_z
+    w[:, 0, 1] = w[:, 1, 0] = -1j * s * ew.n_x
+    return w
 
 
 def random_state(rng):
@@ -105,7 +114,7 @@ def dense_reduced_state(p, spec, rho0, t):
 def test_build_trivial_metric_preserves_walk():
     p = params(0.0)
     ew = build_euclidean_walk(p, FLAT)
-    for k, b in zip(ew.w_eta_blocks.points, ew.w_eta_blocks.blocks):
+    for k, b in zip(ew.metric.points, rotation_blocks(ew)):
         assert np.abs(b - walk_block(k, p)).max() < 1e-13
 
 
@@ -115,15 +124,18 @@ def test_build_unitarity_nonhermitian():
 
 
 def test_build_transport_conjugates_unitaries():
+    import loop_reference
+
     p = params(math.log(1.2))
     spec_b = MetricSpec(kind="random_xy", seed=4)
     ew_a = build_euclidean_walk(p, FLAT)
     ew_b = build_euclidean_walk(p, spec_b)
     tr = metric_transport(ew_a.metric, ew_b.metric, hamiltonian(p))
+    w_a, w_b = loop_reference.frame_blocks(ew_a), rotation_blocks(ew_b)
     for i in range(len(ew_a.metric)):
         u = tr.u.blocks[i]
-        expected = u @ ew_a.w_eta_blocks.blocks[i] @ u.conj().T
-        assert np.abs(ew_b.w_eta_blocks.blocks[i] - expected).max() < 1e-9
+        expected = u @ w_a[i] @ u.conj().T
+        assert np.abs(w_b[i] - expected).max() < 1e-9
 
 
 def test_reduced_state_t0_and_validation():
@@ -340,8 +352,10 @@ def test_closed_form_coin_states_match_block_powers(long_walk):
 @pytest.mark.parametrize("gamma_factor", [1.0, 1.2, 1.3])
 @pytest.mark.parametrize("spec", [FLAT, MetricSpec(kind="random_xy", seed=11)])
 def test_phase_stepped_bloch_matrices_match_direct_oracle(gamma_factor, spec):
-    # Angle addition moves M(t) by roundoff only; the first block steps from
-    # t0 = 0 and is bitwise the direct evaluation that the BLP search reads.
+    # Angle addition moves M(t) by roundoff only, against the direct
+    # evaluation on the rotations of the per-block eigh frame; the first
+    # block steps from t0 = 0 and is bitwise the direct evaluation of the
+    # library's own sums, which the BLP search reads.
     import loop_reference
     from ptwalk.channel import BLOCK_ELEMENTS
 
@@ -350,7 +364,7 @@ def test_phase_stepped_bloch_matrices_match_direct_oracle(gamma_factor, spec):
     slow = loop_reference.bloch_matrices_direct(ew, np.arange(601))
     assert np.abs(fast - slow).max() <= 1e-13
     chunk = BLOCK_ELEMENTS // 1201
-    assert np.array_equal(fast[:chunk], slow[:chunk])
+    assert np.array_equal(fast[:chunk], loop_reference.bloch_matrices_five_sums(ew, np.arange(chunk)))
 
 
 def test_bloch_matrices_do_not_depend_on_block_size(monkeypatch):
@@ -416,23 +430,28 @@ def test_batched_builders_match_per_k_loops(gamma, spec):
     ew = build_euclidean_walk(p, spec)
     if not (gamma == 0.0 and spec.kind == "g1_flat"):
         assert np.abs(ew.metric.blocks - loop_reference.metric_blocks(p, spec)).max() <= 1e-13
-    etas, eta_invs, w_etas, residual = loop_reference.unitary_frame(ew.metric.blocks, w.blocks)
-    assert np.abs(ew.eta_blocks.blocks - etas).max() <= 1e-13
-    assert np.abs(ew.eta_inv_blocks.blocks - eta_invs).max() <= 1e-13
-    assert np.abs(ew.w_eta_blocks.blocks - w_etas).max() <= 1e-13
+    etas, _, w_etas, residual = loop_reference.unitary_frame(ew.metric.blocks, loop_reference.walk_blocks(p))
+    assert np.abs(eta(ew.metric).blocks - etas).max() <= 1e-13
+    # the library's eta^-1 reaches the walk only through R = eta S eta^-1,
+    # whose entries (0, 0) and (0, 1) are n_z sin(eps) and n_x sin(eps)
+    r = 1j * (w_etas - spectral_a(ew.metric.points, p)[:, None, None] * np.eye(2))
+    assert np.abs(ew.n_z * np.sin(ew.eps) - r[:, 0, 0]).max() <= 1e-13
+    assert np.abs(ew.n_x * np.sin(ew.eps) - r[:, 0, 1]).max() <= 1e-13
+    assert np.abs(rotation_blocks(ew) - w_etas).max() <= 1e-13
     assert abs(ew.unitarity_residual - residual) <= 1e-13
 
 
 def test_batched_builders_report_first_offending_index():
     import loop_reference
     from ptwalk import DegenerateAtK, NotPositive
-    from ptwalk.metric import _left_eigen
+    from ptwalk.metric import _left_eigen, _sin_entries
 
     # coalescence at k = 0 and k = pi for theta2 = -theta1 at gamma = 0
     p = WalkParams(0.6, -0.6, 0.0, 21)
     ks = np.array([0.3, 0.0, 1.0, np.pi])
+    a = spectral_a(ks, p)
     with pytest.raises(DegenerateAtK) as batched:
-        _left_eigen(ks, p)
+        _left_eigen(ks, a, np.sin(np.arccos(np.clip(a, -1.0, 1.0))), *_sin_entries(ks, p))
     with pytest.raises(DegenerateAtK) as looped:
         for k in ks:
             loop_reference.left_eigvecs(k, p)
@@ -471,13 +490,56 @@ def test_unitary_frame_near_exceptional_point(fraction, spec):
     p = params(fraction * gamma_pt(T1, T2), 101)
     ew = build_euclidean_walk(p, spec)
     assert ew.unitarity_residual <= (3e-14 if fraction <= 0.9999 else 5e-12)
-    _, _, w_etas, _ = loop_reference.unitary_frame(ew.metric.blocks, loop_reference.walk_blocks(p))
-    oracle = dataclasses.replace(ew, w_eta_blocks=BlockOperator(ew.metric.points, w_etas))
-    gap = np.abs(bloch_matrix_series(ew, 50) - bloch_matrix_series(oracle, 50)).max()
+    oracle = loop_reference.bloch_matrices_direct(ew, np.arange(51))
+    gap = np.abs(bloch_matrix_series(ew, 50) - oracle).max()
     assert gap <= (1e-13 if fraction <= 0.9999 else 1e-12)
     w = np.linalg.eigvalsh(ew.metric.blocks)
     cond = float((w[:, 1] / w[:, 0]).max())
     assert abs(ew.metric_condition_max - cond) <= (1e-9 if cond <= 1e6 else 1e-6) * cond
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 0.9, 0.9999])
+def test_walk_block_is_a_minus_i_sin_h(fraction):
+    # W_c(k) = a(k) I - i S(k) with the real S = sin H_c(k) from the metric's d1, d2, d3
+    from ptwalk.metric import _sin_entries
+
+    p = params(fraction * gamma_pt(T1, T2), 1201)
+    ks = momentum_grid(1201)
+    d1, d2, d3 = _sin_entries(ks, p)
+    s = np.stack([-d3, -(d1 + d2), -(d1 - d2), d3], axis=1).reshape(-1, 2, 2)
+    expected = spectral_a(ks, p)[:, None, None] * np.eye(2) - 1j * s
+    assert np.abs(walk_operator(p).blocks - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("size, t_max", [(101, 50), (1201, 600)])
+def test_bloch_yy_is_metric_free(size, t_max):
+    # every axis lies in the x-z plane, so M_yy(t) = (1/L) sum_k cos(2 t eps_k)
+    p = params(math.log(1.3), size)
+    specs = (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23))
+    flat, *others = (bloch_matrix_series(build_euclidean_walk(p, spec), t_max)[:, 1, 1] for spec in specs)
+    assert all(np.array_equal(m, flat) for m in others)
+    eps = np.arccos(spectral_a(momentum_grid(size), p))
+    assert np.abs(flat - np.cos(2.0 * np.multiply.outer(np.arange(t_max + 1), eps)).mean(axis=1)).max() <= 1e-14
+
+
+def test_unitarity_residual_flags_an_incompatible_metric(monkeypatch):
+    # positive blocks not built from the left eigenvectors make eta S eta^-1
+    # asymmetric, and a root whose inverse is off by 1% keeps it symmetric
+    # but scales its norm: W_eta is not unitary either way
+    import ptwalk.channel
+
+    p = params(math.log(1.2), 101)
+    assert build_euclidean_walk(p, FLAT).unitarity_residual <= 3e-14
+    g, a, eps, sin_h = ptwalk.channel._metric_frame(p, FLAT)
+    root = ptwalk.channel.sqrt_and_inv
+    with monkeypatch.context() as patch:
+        patch.setattr(ptwalk.channel, "sqrt_and_inv", lambda b: (lambda e, f, w: (e, 1.01 * f, w))(*root(b)))
+        assert build_euclidean_walk(p, FLAT).unitarity_residual > 1e-3
+    m = np.random.default_rng(46).normal(size=(101, 2, 2))
+    spd = m @ m.swapaxes(1, 2) + 0.1 * np.eye(2)
+    spd /= np.trace(spd, axis1=1, axis2=2)[:, None, None]
+    monkeypatch.setattr(ptwalk.channel, "_metric_frame", lambda *_: (BlockOperator(g.points, spd), a, eps, sin_h))
+    assert build_euclidean_walk(p, FLAT).unitarity_residual > 1e-3
 
 
 @pytest.mark.parametrize("gamma_factor", [1.2, 1.3])

@@ -251,6 +251,31 @@ def test_public_api_is_pinned():
     }
 
 
+def test_benchmark_contract(tmp_path):
+    # The benchmark under perfbench/ imports these names and reads these
+    # fields; tier-1 does not collect perfbench/, so a rename would otherwise
+    # break the benchmark unseen.
+    from ptwalk.measures import trace_norm
+
+    assert callable(trace_norm)
+    schedule = AnnealSchedule(cooling_factor=0.5, steps_per_temperature=10, restarts=2)
+    for name in ("initial_temperature", "temperature_floor", "cooling_factor", "steps_per_temperature", "restarts"):
+        assert isinstance(getattr(schedule, name), (int, float))
+    metrics = (MetricSpec(kind="g1_flat", name="G1"), MetricSpec(kind="random_xy", seed=11, name="G2"))
+    base = ExperimentConfig(metrics=metrics, master_seed=2024)
+    assert isinstance(base.anneal, AnnealSchedule) and "anneal" in base.to_dict()
+    cfg = dataclasses.replace(
+        base, lattice_size=21, t_max=5, gamma_factors=(1.0, 1.5), study="rhp", anneal=schedule
+    )
+    assert validate_config(cfg) == {1.0: True, 1.5: False}
+    manifest = run(cfg, tmp_path / cfg.study, threads=1)
+    ok = [c for c in manifest["cells"] if c["status"] == "ok"]
+    assert len(ok) == 2 and all("final_rhp" in c for c in ok)
+    assert all((tmp_path / cfg.study / a["path"]).is_file() for a in manifest["artifacts"])
+    _, results = report(tmp_path / cfg.study)
+    assert all("verdict" in row for rows in results["studies"].values() for row in rows.values())
+
+
 def test_run_skips_broken_cells(tmp_path):
     cfg = tiny_config(tmp_path / "out", study="rhp")
     cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "gamma_factors": [1.0, 1.5]})

@@ -21,7 +21,7 @@ from ptwalk import (
     is_unbroken,
 )
 from ptwalk.channel import bloch_matrix_series
-from ptwalk.linalg import eig, trace_norm
+from ptwalk.linalg import eig, sqrt_and_inv, trace_norm
 from ptwalk.metric import (
     g_trace_norm,
     generalized_dagger,
@@ -164,6 +164,26 @@ def test_metric_pseudo_hermitian_and_hermitian_limit_metric_blind_property(theta
     assert max(np.abs(m - flat).max() for m in others) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "fraction, spec",
+    [
+        (0.0, MetricSpec(kind="g1_flat")),
+        (0.5, MetricSpec(kind="g1_flat")),
+        (0.5, MetricSpec(kind="random_xy", seed=11)),
+        (0.5, MetricSpec(kind="explicit", x=tuple(np.linspace(0.5, 2.0, 101)), y=tuple(np.linspace(2.0, 0.3, 101)))),
+        (0.9999, MetricSpec(kind="g1_flat")),
+        (0.9999, MetricSpec(kind="random_xy", seed=11)),
+    ],
+)
+def test_build_metric_blocks_are_real_symmetric(fraction, spec):
+    # the left eigenvectors are real, so every block is real, and the
+    # symmetrization makes g12 and g21 the same float
+    g = build_metric(params(fraction * gamma_pt(T1, T2), 101), spec)
+    assert g.blocks.dtype == np.float64
+    assert np.array_equal(g.blocks[:, 0, 1], g.blocks[:, 1, 0])
+    assert np.abs(np.trace(g.blocks, axis1=1, axis2=2) - 1.0).max() <= 1e-15
+
+
 def test_build_metric_deterministic_from_seed():
     p = params(0.1)
     a = build_metric(p, MetricSpec(kind="random_xy", seed=7))
@@ -212,7 +232,7 @@ def test_eta_squares_back():
 
 def test_eta_is_the_unitary_frame_root():
     ew = build_euclidean_walk(params(math.log(1.3), 101), MetricSpec(kind="random_xy", seed=11))
-    assert np.array_equal(eta(ew.metric).blocks, ew.eta_blocks.blocks)
+    assert np.array_equal(eta(ew.metric).blocks, sqrt_and_inv(ew.metric.blocks)[0])
 
 
 def test_eta_scales_as_sqrt():
@@ -424,16 +444,32 @@ def test_metric_csv_matches_value_by_value_writer_on_edge_values(tmp_path):
 
     blocks = np.array(
         [
-            [[-0.0, 1e-300 - 0.0j], [1e16 + 1e-300j, -1e16]],
-            [[0.1 + 0.2j, -0.0 - 0.0j], [1.0 / 3.0, 5e-324 + 1e308j]],
+            [[-0.0, 1e-300], [1e-300, 1e16]],
+            [[5e-324, 1e308], [1e308, 1.0 / 3.0]],
+            [[1.0 / 3.0, -0.0], [-0.0, 5e-324]],
         ]
     )
-    g = BlockOperator(np.array([-0.0, 1e16]), blocks)
+    g = BlockOperator(np.array([-0.0, 1e16, 1.0 / 3.0]), blocks)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     write_metric_csv(g, new)
     loop_reference.write_metric_csv(g, old)
     assert _sha256(new) == _sha256(old)
-    assert "-0.0" in new.read_text() and "1e-300" in new.read_text()
+    text = new.read_text()
+    assert all(v in text for v in ("-0.0", "1e-300", "1e+16", "5e-324", "1e+308", "0.3333333333333333"))
+
+
+def test_metric_csv_refuses_complex_or_asymmetric_blocks(tmp_path):
+    from ptwalk.walk import BlockOperator
+
+    g = build_metric(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))
+    path = tmp_path / "metric.csv"
+    with pytest.raises(ValueError, match="real symmetric"):
+        write_metric_csv(BlockOperator(g.points, g.blocks.astype(complex)), path)
+    lopsided = g.blocks.copy()
+    lopsided[3, 1, 0] = np.nextafter(lopsided[3, 1, 0], 1.0)
+    with pytest.raises(ValueError, match="real symmetric"):
+        write_metric_csv(BlockOperator(g.points, lopsided), path)
+    assert not path.exists()
 
 
 # --------------------------------------------- appendix-style global identities
