@@ -15,20 +15,29 @@ the reduced coin state after t steps is the momentum average
 
     rho_c(t) = (1/L) sum_k W_eta(k)^t rho_c W_eta(k)†^t = (I + (M(t) r) . sigma)/2,
 
-and the real 3x3 Bloch matrix M(t) has the closed form
+and the real 3x3 Bloch matrix M(t) has the closed form, in the double angles 2t eps_k,
 
-    M(t) = I - (2/L) sum_k [ sin^2(t eps_k)(I - n_k n_k^T) - sin(t eps_k) cos(t eps_k) [n_k]_x ],
+    M(t) = I - (1/L) sum_k (1 - cos 2t eps_k)(I - n_k n_k^T) + (1/L) sum_k sin(2t eps_k) [n_k]_x.
 
-exactly I at t = 0. With n_y = 0 it needs five momentum sums per step, and
-M_yy(t) = (1/L) sum_k cos(2t eps_k) has no metric term. The steps run in
-blocks t = t0 + j, j < chunk, and the phases are stepped, not recomputed:
-sin and cos of j eps_k are tabulated once, sin and cos of t0 eps_k are
-evaluated directly once per block, and the angle-addition identity
-e^{i(t0+j)eps} = e^{i t0 eps} e^{i j eps} combines them in real arithmetic.
-That takes about (chunk + T/chunk) L transcendentals for T steps instead of
-T L. Every block start is evaluated directly, so the roundoff does not
-accumulate from block to block, and the first block (t0 = 0) equals the
-direct evaluation bit for bit.
+With n_y = 0 it needs five momentum sums per step: 1 - cos 2t eps_k with
+the weights 1, n_z^2 and n_x n_z, and sin 2t eps_k with n_z and n_x.
+M_yy(t) = 1 - (1/L) sum_k (1 - cos 2t eps_k) is the first of them alone, with
+no metric term, and M(0) = I exactly, since every term vanishes at t = 0.
+The steps run in blocks t = t0 + j, j < chunk, and the double angles are
+stepped, not recomputed: 1 - cos and sin of 2j eps_k are tabulated once,
+sin and cos of 2 t0 eps_k are evaluated directly once per block, and the
+angle-addition identities
+
+    1 - cos(a + b) = (1 - cos a) cos b + sin a sin b + (1 - cos b),
+    sin(a + b) = sin a cos b - (1 - cos a) sin b + sin b,
+
+with a = 2j eps_k and b = 2 t0 eps_k, put the block start into the weights:
+a block of sums is one product of the (chunk, 2L) table with (2L, 5)
+weights scaled by cos b and sin b, plus the b-only terms. That takes about
+(chunk + T/chunk) L transcendentals for T steps instead of T L, and no pass
+over a block's (chunk, L) entries besides the product. Every block start is
+evaluated directly, so the roundoff does not accumulate from block to block,
+and the first block (t0 = 0) is the product of the directly evaluated table.
 
 The angles are read from a(k) (``spectral_a``), not from R: they are then
 bit-identical across metrics, so in the Hermitian limit the reduced maps of
@@ -37,8 +46,8 @@ behind the CP-indivisibility measure do not amplify a metric-dependent angle
 error. Where |a(k)| = 1, which only a unitary walk under the flat metric
 admits, the block is +-I up to roundoff: its angle is atan2(sqrt(R_00^2 + R_01^2), a)
 and its axis z where sin(eps_k) = 0. A block of steps holds at most
-BLOCK_ELEMENTS (step, momentum) entries, so the phase table and the cos/sin
-temporaries stay bounded at any horizon.
+BLOCK_ELEMENTS (step, momentum) entries, so the phase table stays bounded at
+any horizon.
 
 A step from t-1 to t is the map A(t) = M(t) M(t-1)^{-1}, again unital. The
 Choi matrix of a unital qubit map has a closed-form spectrum (King & Ruskai,
@@ -70,7 +79,7 @@ from .walk import UNBROKEN_MARGIN, BlockOperator, WalkParams
 ILL_CONDITION_LIMIT = 1e12
 PINV_RCOND = 1e-12
 # Cap on the (steps x momenta) entries of a block of the closed form: it
-# bounds the sin/cos table of the in-block phases and the temporaries.
+# bounds the table of the in-block double angles.
 BLOCK_ELEMENTS = 1 << 14
 
 # Row-major vec of I, sigma_x, sigma_y, sigma_z, as columns: vec(rho) =
@@ -165,34 +174,42 @@ def _bloch_matrices(ew: EuclideanWalk, start: int, count: int) -> np.ndarray:
     """M(t) for t = start..start+count-1, shape (count, 3, 3), from five momentum sums per step."""
     eps, n_x, n_z = ew.eps, ew.n_x, ew.n_z
     size = len(eps)
-    turn = np.stack([np.ones(size), n_z * n_z, n_x * n_z], axis=1) / size
-    cross = np.stack([n_z, n_x], axis=1) / size
+    # weights of the sums: 1, n_z^2 and n_x n_z on 1 - cos, n_z and n_x on sin
+    turn = np.stack([np.ones(size), n_z * n_z, n_x * n_z]) / size
+    cross = np.stack([n_z, n_x]) / size
     chunk = min(count, max(1, BLOCK_ELEMENTS // size))
-    # phases j eps of the steps within a block, j < chunk
-    sin_j = np.multiply.outer(np.arange(chunk), eps)
-    cos_j = np.cos(sin_j)
+    # (1 - cos a, sin a) of the double angles a = 2j eps of the steps within a block, j < chunk
+    table = np.empty((chunk, 2 * size))
+    vers_j, sin_j = table[:, :size], table[:, size:]
+    np.multiply.outer(np.arange(chunk), 2.0 * eps, out=sin_j)
+    np.cos(sin_j, out=vers_j)
+    np.subtract(1.0, vers_j, out=vers_j)
     np.sin(sin_j, out=sin_j)
-    out = np.zeros((count, 3, 3))
+    weights = np.empty((5, 2 * size))
+    sums = np.empty((count, 5))
     for lo in range(0, count, chunk):
         rows = min(chunk, count - lo)
-        # the block start t0 eps, evaluated directly; (t0 + j) eps by angle addition
-        phase = (start + lo) * eps
+        # the block start b = 2 t0 eps, evaluated directly: the b-only terms, then
+        # the weights scaled by the angle-addition identities of the module docstring
+        phase = (2 * (start + lo)) * eps
         sin_0, cos_0 = np.sin(phase), np.cos(phase)
-        sin = sin_j[:rows] * cos_0
-        sin += cos_j[:rows] * sin_0
-        cos = cos_j[:rows] * cos_0
-        cos -= sin_j[:rows] * sin_0
-        cos *= sin  # sin(t eps) cos(t eps)
-        sin *= sin  # sin^2(t eps)
-        s_all, s_zz, s_xz = (2.0 * (sin @ turn)).T
-        c_z, c_x = (2.0 * (cos @ cross)).T
-        m = out[lo : lo + rows]
-        m[:, 0, 0] = 1.0 - s_zz
-        m[:, 1, 1] = 1.0 - s_all
-        m[:, 2, 2] = 1.0 - (s_all - s_zz)
-        m[:, 0, 2] = m[:, 2, 0] = s_xz
-        m[:, 0, 1], m[:, 1, 0] = -c_z, c_z
-        m[:, 1, 2], m[:, 2, 1] = -c_x, c_x
+        block = sums[lo : lo + rows]
+        block[:, :3] = turn @ (1.0 - cos_0)
+        block[:, 3:] = cross @ sin_0
+        if rows > 1:  # the table's row j = 0 is zero: a one-step block is its start alone
+            np.multiply(turn, cos_0, out=weights[:3, :size])
+            np.multiply(turn, sin_0, out=weights[:3, size:])
+            np.multiply(cross, -sin_0, out=weights[3:, :size])
+            np.multiply(cross, cos_0, out=weights[3:, size:])
+            block += table[:rows] @ weights.T
+    v_all, v_zz, v_xz, s_z, s_x = sums.T
+    out = np.empty((count, 3, 3))
+    out[:, 0, 0] = 1.0 - v_zz
+    out[:, 1, 1] = 1.0 - v_all
+    out[:, 2, 2] = 1.0 - (v_all - v_zz)
+    out[:, 0, 2] = out[:, 2, 0] = v_xz
+    out[:, 0, 1], out[:, 1, 0] = -s_z, s_z
+    out[:, 1, 2], out[:, 2, 1] = -s_x, s_x
     return out
 
 

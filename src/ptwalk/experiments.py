@@ -229,6 +229,8 @@ def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) ->
 
     Each pair's walk and its Bloch matrices M(t) are built once and shared by
     its studies, and its metric audit CSV is written from the same metric.
+    Every pair sits on the momentum grid of ``cfg.lattice_size``, so the
+    audit CSVs share one formatted k column, timed with the first pair's CSV.
     Of a BLP cell only M(t) is kept, never the walk; the BLP cells of the
     group are annealed together at the end, in one lockstep search. Top-level
     function so groups can run in a process pool; fully determined by its
@@ -238,6 +240,7 @@ def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) ->
     out = Path(out_dir)
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     summaries, blp_cells = [], []
+    k_column = None
     for factor, metric_dict in pairs:
         spec = MetricSpec.from_dict(metric_dict)
         params = cfg.walk_params(factor)
@@ -245,10 +248,13 @@ def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) ->
         ew = build_euclidean_walk(params, spec)
         walk_s = time.perf_counter() - started
         started = time.perf_counter()
+        if k_column is None:
+            k_column = list(map(repr, ew.metric.points.tolist()))
         write_metric_csv(
             ew.metric,
             out / _metric_csv_name(factor, spec.label),
             comment=f"gamma_factor={factor:g} {json.dumps(metric_dict)}",
+            k_column=k_column,
         )
         metric_csv_s = time.perf_counter() - started
         started = time.perf_counter()

@@ -83,7 +83,12 @@ class MeasureSeries:
 
     def write_csv(self, path, comment: str | None = None) -> None:
         """Write the series; an optional '#'-prefixed first line carries
-        provenance (seeds, tolerances) so the file is self-describing."""
+        provenance (seeds, tolerances) so the file is self-describing.
+
+        Columns t, delta, N, g, I_RHP, S and flags, in csv's default dialect
+        (no field needs quoting); an unused column is empty. Each present
+        column is formatted in one pass, with ``repr`` of its float values.
+        """
         cols = {
             "delta": self.delta,
             "N": self.blp,
@@ -92,16 +97,18 @@ class MeasureSeries:
             "S": self.entropy,
         }
         present = [arr for arr in cols.values() if arr is not None]
-        table = np.column_stack(present) if present else np.empty((len(self.steps), 0))
+        # stacked first, so every column takes the stack's common dtype
+        stacked = iter(np.column_stack(present).T.tolist() if present else ())
+        blank = [""] * len(self.steps)
+        fields = [blank if arr is None else map(repr, next(stacked)) for arr in cols.values()]
         with open(path, "w", newline="") as fh:
             if comment:
                 fh.write(f"# {comment}\n")
             fh.write(",".join(["t", *cols, "flags"]) + "\r\n")
-            # one row at a time, in csv's default dialect; no field needs quoting
-            for t, row, flag in zip(self.steps.tolist(), table, self.flags):
-                values = iter(row.tolist())
-                fields = ["" if arr is None else repr(next(values)) for arr in cols.values()]
-                fh.write(",".join([str(t), *fields, flag]) + "\r\n")
+            fh.writelines(
+                ",".join(row) + "\r\n"
+                for row in zip(map(str, self.steps.tolist()), *fields, self.flags)
+            )
 
 
 @dataclass(frozen=True)

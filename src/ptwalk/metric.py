@@ -46,20 +46,23 @@ class LeftEigenPair:
     eps_k: float
 
 
-def _pick(form_a: np.ndarray, form_b: np.ndarray) -> np.ndarray:
-    """Row by row, the better-conditioned of two proportional eigenvector readouts.
+def _pick(a0, a1, b0, b1) -> np.ndarray:
+    """Momentum by momentum, the better-conditioned of two proportional eigenvector readouts.
 
-    The two forms, shape (n, 2), are the two adjugate columns of
-    (sin H† - mu); they vanish together only at an exceptional point, which
-    callers exclude. Each chosen row is normalized, with the canonical
-    overall sign that makes its largest-magnitude component positive.
+    The forms (a0, a1) and (b0, b1), as (n,) component arrays, are the two
+    adjugate columns of (sin H† - mu); they vanish together only at an
+    exceptional point, which callers exclude. Each chosen vector is
+    normalized, with the canonical overall sign that makes its
+    larger-magnitude component positive (the first one on a tie). Returns
+    the vectors as rows, shape (n, 2).
     """
-    norm_a = np.linalg.norm(form_a, axis=1, keepdims=True)
-    norm_b = np.linalg.norm(form_b, axis=1, keepdims=True)
-    v = np.where(norm_a >= norm_b, form_a, form_b)
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
-    return np.where(lead > 0, v, -v)
+    norm_a = np.sqrt(a0 * a0 + a1 * a1)
+    norm_b = np.sqrt(b0 * b0 + b1 * b1)
+    first = norm_a >= norm_b
+    norm = np.where(first, norm_a, norm_b)
+    v = np.stack([np.where(first, a0, b0) / norm, np.where(first, a1, b1) / norm], axis=1)
+    lead = np.where(np.abs(v[:, 0]) >= np.abs(v[:, 1]), v[:, 0], v[:, 1])
+    return np.where(lead[:, None] > 0, v, -v)
 
 
 def _sin_entries(ks: np.ndarray, p: WalkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,9 +87,8 @@ def _left_eigen(ks, a, s, d1, d2, d3) -> tuple[np.ndarray, np.ndarray]:
     if bad.size:
         k, a_k = ks[bad[0]], a[bad[0]]
         raise DegenerateAtK(f"|a({k:.6f})| = {abs(a_k):.15f} at or beyond coalescence")
-    r_plus = _pick(np.stack([d1 - d2, -d3 - s], axis=1), np.stack([d3 - s, d1 + d2], axis=1))
-    r_minus = _pick(np.stack([d1 - d2, -d3 + s], axis=1), np.stack([d3 + s, d1 + d2], axis=1))
-    return r_plus, r_minus
+    diff, total = d1 - d2, d1 + d2
+    return _pick(diff, -d3 - s, d3 - s, total), _pick(diff, -d3 + s, d3 + s, total)
 
 
 def left_eigvecs(k: float, p: WalkParams) -> LeftEigenPair:
@@ -320,16 +322,25 @@ def verify_metric_action(
     return worst
 
 
-def write_metric_csv(g: BlockOperator, path, comment: str | None = None) -> None:
+def write_metric_csv(
+    g: BlockOperator, path, comment: str | None = None, k_column: list[str] | None = None
+) -> None:
     """Audit export: one row per momentum with the four block entries, re and im.
 
     The blocks must be real symmetric, as :func:`build_metric` makes them, so
-    g21 is g12 and every im is 0.0; others raise ValueError.
+    g21 is g12 and every im is 0.0; others raise ValueError. Every value is
+    written with ``repr``, each column formatted in one pass. ``k_column`` is
+    the momentum column already formatted, ``repr`` of each of ``g.points``:
+    metrics on one grid can share it. When None it is formatted here.
     """
     b = g.blocks
     if np.iscomplexobj(b) or not np.array_equal(b[:, 0, 1], b[:, 1, 0]):
         raise ValueError("metric audit needs real symmetric blocks (g12 == g21)")
-    columns = (g.points, b[:, 0, 0], b[:, 0, 1], b[:, 1, 1])
+    if k_column is None:
+        k_column = list(map(repr, g.points.tolist()))
+    elif len(k_column) != len(g.points):
+        raise ValueError(f"momentum column has {len(k_column)} entries for {len(g.points)} blocks")
+    columns = (b[:, 0, 0], b[:, 0, 1], b[:, 1, 1])
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
@@ -337,5 +348,5 @@ def write_metric_csv(g: BlockOperator, path, comment: str | None = None) -> None
         # csv's default dialect; no field needs quoting
         fh.writelines(
             f"{k},{g11},0.0,{g12},0.0,{g12},0.0,{g22},0.0\r\n"
-            for k, g11, g12, g22 in zip(*(map(repr, c.tolist()) for c in columns))
+            for k, g11, g12, g22 in zip(k_column, *(map(repr, c.tolist()) for c in columns))
         )

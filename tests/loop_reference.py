@@ -11,10 +11,10 @@ each angle and full three-component axis off it; ``coin_trajectory``,
 ``channel_matrix_series`` and ``bloch_matrices_direct`` start from these,
 never from the library's two-angle frame. ``bloch_matrices_direct`` is the
 general nine-sum closed form with sin and cos of every phase t eps_k
-evaluated directly, where the library sums five terms and steps the phases
-by angle addition from one evaluated phase per block;
+evaluated directly, where the library sums five terms and steps the double
+angles by angle addition from one evaluated phase per block;
 ``bloch_matrices_five_sums`` takes the library's own angles and five sums
-with every phase evaluated directly.
+with every double angle evaluated directly.
 The CSV writers at the end format one value at a time through ``csv.writer``;
 the library's writers must produce the same bytes. ``expm``, a general matrix
 exponential, checks the toy's closed-form mixer without scipy. ``eig`` pairs
@@ -353,23 +353,26 @@ def bloch_matrices_direct(ew, steps: np.ndarray) -> np.ndarray:
 
 
 def bloch_matrices_five_sums(ew, steps: np.ndarray) -> np.ndarray:
-    """M(t) for every t of ``steps`` on ``ew``'s own angles and x-z axes, every phase evaluated directly.
+    """M(t) for every t of ``steps`` on ``ew``'s own angles and x-z axes, every double angle evaluated directly.
 
-    The five momentum sums are taken in the library's order and shapes, so
-    its first block of steps (t0 = 0) must equal this bit for bit.
+    The five momentum sums of 1 - cos(2t eps_k) and sin(2t eps_k) are one
+    product in the library's order and shapes, a (steps, 2L) table times
+    (2L, 5) weights, so its first block of steps (t0 = 0) must equal this
+    bit for bit.
     """
     eps, n_x, n_z = ew.eps, ew.n_x, ew.n_z
     size = len(eps)
-    phase = np.multiply.outer(steps, eps)
-    sin, cos = np.sin(phase), np.cos(phase)
-    sin_cos, sin_sq = cos * sin, sin * sin
-    s_all, s_zz, s_xz = (2.0 * (sin_sq @ (np.stack([np.ones(size), n_z * n_z, n_x * n_z], axis=1) / size))).T
-    c_z, c_x = (2.0 * (sin_cos @ (np.stack([n_z, n_x], axis=1) / size))).T
+    phase = np.multiply.outer(steps, 2.0 * eps)
+    table = np.concatenate([1.0 - np.cos(phase), np.sin(phase)], axis=1)
+    weights = np.zeros((5, 2 * size))
+    weights[:3, :size] = np.stack([np.ones(size), n_z * n_z, n_x * n_z]) / size
+    weights[3:, size:] = np.stack([n_z, n_x]) / size
+    v_all, v_zz, v_xz, s_z, s_x = (table @ weights.T).T
     m = np.zeros((len(steps), 3, 3))
-    m[:, 0, 0], m[:, 1, 1], m[:, 2, 2] = 1.0 - s_zz, 1.0 - s_all, 1.0 - (s_all - s_zz)
-    m[:, 0, 2] = m[:, 2, 0] = s_xz
-    m[:, 0, 1], m[:, 1, 0] = -c_z, c_z
-    m[:, 1, 2], m[:, 2, 1] = -c_x, c_x
+    m[:, 0, 0], m[:, 1, 1], m[:, 2, 2] = 1.0 - v_zz, 1.0 - v_all, 1.0 - (v_all - v_zz)
+    m[:, 0, 2] = m[:, 2, 0] = v_xz
+    m[:, 0, 1], m[:, 1, 0] = -s_z, s_z
+    m[:, 1, 2], m[:, 2, 1] = -s_x, s_x
     return m
 
 

@@ -217,6 +217,26 @@ def test_run_parallel_cells_match_sequential(tmp_path):
         assert [c["cell"] for c in par["cells"]] == [c["cell"] for c in seq["cells"]]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
+    # the pairs of a group share one formatted momentum column; every audit
+    # CSV must still be the value-by-value export of its own pair's metric
+    import loop_reference
+    from ptwalk.metric import build_metric
+
+    cfg = tiny_config(tmp_path, study="rhp")
+    out = tmp_path / "out"
+    run(cfg, out_dir=out, threads=threads)
+    assert len(list(out.glob("metric__*.csv"))) == len(cfg.gamma_factors) * len(cfg.metrics)
+    for factor in cfg.gamma_factors:
+        for spec in cfg.metrics:
+            name = f"metric__eg{factor:g}__{spec.label}.csv"
+            want = tmp_path / name
+            comment = f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}"
+            loop_reference.write_metric_csv(build_metric(cfg.walk_params(factor), spec), want, comment)
+            assert (out / name).read_bytes() == want.read_bytes(), name
+
+
 def test_import_leaves_scipy_and_process_pool_unloaded():
     # A fresh interpreter: importing ptwalk must not pay for scipy or the
     # process-pool machinery, which only a run with several groups needs.

@@ -91,6 +91,21 @@ def test_left_eigvecs_match_numerical_eig():
             assert abs(abs(np.vdot(v, r)) - 1.0) < 1e-9
 
 
+def test_pick_breaks_ties_toward_the_first_form_and_component():
+    # rows: equal norms (the first form wins), equal magnitudes with a
+    # negative first component, a negative lead beside a zero, equal
+    # magnitudes with a positive first component; bit for bit the per-row oracle
+    import loop_reference
+    from ptwalk.metric import _pick
+
+    a = np.array([[3.0, 4.0], [-3.0, 3.0], [0.0, -2.0], [1.0, -1.0]])
+    b = np.array([[4.0, 3.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    got = _pick(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+    want = np.array([loop_reference._pick(x, y) for x, y in zip(a, b)])
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), [[False, False], [False, True], [True, False], [False, True]])
+
+
 def test_left_eigvecs_robust_at_formula_degeneracy():
     # at cos(2k) where d1 + d2 = 0 one closed-form readout collapses; the
     # complementary readout must keep the residual tiny
@@ -436,6 +451,9 @@ def test_metric_csv_matches_value_by_value_writer(tmp_path, spec):
     write_metric_csv(g, new, comment="gamma_factor=1.2 audit")
     loop_reference.write_metric_csv(g, old, comment="gamma_factor=1.2 audit")
     assert _sha256(new) == _sha256(old)
+    # the same bytes from a momentum column formatted by the caller
+    write_metric_csv(g, new, comment="gamma_factor=1.2 audit", k_column=list(map(repr, g.points.tolist())))
+    assert _sha256(new) == _sha256(old)
 
 
 def test_metric_csv_matches_value_by_value_writer_on_edge_values(tmp_path):
@@ -469,6 +487,8 @@ def test_metric_csv_refuses_complex_or_asymmetric_blocks(tmp_path):
     lopsided[3, 1, 0] = np.nextafter(lopsided[3, 1, 0], 1.0)
     with pytest.raises(ValueError, match="real symmetric"):
         write_metric_csv(BlockOperator(g.points, lopsided), path)
+    with pytest.raises(ValueError, match="momentum column has 4 entries for 5 blocks"):
+        write_metric_csv(g, path, k_column=list(map(repr, g.points[:4].tolist())))
     assert not path.exists()
 
 
