@@ -6,21 +6,18 @@ metrics induce, then quantifies how the metric choice shows up in
 information backflow, CP indivisibility and coin-position entanglement.
 """
 
-from .channel import EuclideanWalk, build_euclidean_walk, reduced_coin_state
+from .channel import EuclideanWalk, build_euclidean_walk
 from .errors import (
-    BranchAmbiguity,
     BrokenRegime,
     ConfigInvalid,
     DegenerateAtK,
     DegeneratePairing,
-    IncompatibleMetrics,
     LightConeViolation,
     MissingArtifacts,
     NoBreaking,
     NotPositive,
     PTWalkError,
     ShapeMismatch,
-    SingularMetric,
     SpectrumNotReal,
 )
 from .experiments import ExperimentConfig, load_config, report, run, validate_config
@@ -34,13 +31,6 @@ from .measures import (
 )
 from .metric import MetricSpec, build_metric, eta
 from .toy import ToyConfig, ToyResult, run_toy
-from .walk import (
-    BlockOperator,
-    WalkParams,
-    gamma_pt,
-    hamiltonian,
-    is_unbroken,
-    walk_operator,
-)
+from .walk import BlockOperator, WalkParams, gamma_pt, is_unbroken
 
 __version__ = "0.1.0"

@@ -82,12 +82,6 @@ PINV_RCOND = 1e-12
 # bounds the table of the in-block double angles.
 BLOCK_ELEMENTS = 1 << 14
 
-# Row-major vec of I, sigma_x, sigma_y, sigma_z, as columns: vec(rho) =
-# _PAULI (1, r) / 2 for rho = (I + r . sigma)/2, and _PAULI† _PAULI = 2 I.
-_PAULI = np.array(
-    [[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]], dtype=complex
-)
-
 
 @dataclass(frozen=True)
 class EuclideanWalk:
@@ -146,19 +140,6 @@ def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
         ep_gap=float((1.0 - np.abs(a)).min()),
         metric_condition_max=float((vals[:, 1] / vals[:, 0]).max()),
     )
-
-
-def _check_state(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"coin state must be 2x2, got {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
-        raise ValueError(f"coin state trace {np.trace(rho)} != 1")
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
-        raise ValueError("coin state not Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ValueError("coin state not positive semidefinite")
-    return rho
 
 
 def _check_horizon(ew: EuclideanWalk, t: int) -> None:
@@ -221,18 +202,6 @@ def bloch_matrix_series(ew: EuclideanWalk, t_max: int) -> np.ndarray:
     """
     _check_horizon(ew, t_max)
     return _bloch_matrices(ew, 0, t_max + 1)
-
-
-def _bloch_vector(rho: np.ndarray) -> np.ndarray:
-    return (_PAULI.conj().T @ rho.reshape(4)).real[1:]
-
-
-def reduced_coin_state(ew: EuclideanWalk, rho0: np.ndarray, t: int) -> np.ndarray:
-    """Reduced coin state (I + (M(t) r0) . sigma)/2 after t steps of the unitary-frame walk."""
-    rho0 = _check_state(rho0)
-    _check_horizon(ew, t)
-    r = _bloch_matrices(ew, t, 1)[0] @ _bloch_vector(rho0)
-    return (np.concatenate([[1.0], r]) @ _PAULI.T / 2.0).reshape(2, 2)
 
 
 def intermediate_maps(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

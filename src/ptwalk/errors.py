@@ -17,10 +17,6 @@ class NotPositive(PTWalkError):
     """Matrix expected to be positive semidefinite has a significantly negative eigenvalue."""
 
 
-class BranchAmbiguity(PTWalkError):
-    """Matrix logarithm hit an eigenvalue phase at the principal-branch cut."""
-
-
 class NoBreaking(PTWalkError):
     """The coin angles admit no symmetry-breaking threshold (acosh argument < 1)."""
 
@@ -31,14 +27,6 @@ class BrokenRegime(PTWalkError):
 
 class DegenerateAtK(PTWalkError):
     """|a(k)| too close to 1 at this momentum; eigenvectors coalesce."""
-
-
-class SingularMetric(PTWalkError):
-    """Metric operator is singular or not positive definite."""
-
-
-class IncompatibleMetrics(PTWalkError):
-    """Transport between the two metrics failed its residual checks."""
 
 
 class LightConeViolation(PTWalkError):

@@ -129,7 +129,9 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     errors = []
     if cfg.lattice_size < 1 or cfg.lattice_size % 2 == 0:
         errors.append(("lattice_size", f"must be odd and positive, got {cfg.lattice_size}"))
-    if cfg.t_max < 1:
+    if not isinstance(cfg.t_max, (int, np.integer)) or isinstance(cfg.t_max, bool):
+        errors.append(("t_max", f"must be an integer, got {cfg.t_max!r}"))
+    elif cfg.t_max < 1:
         errors.append(("t_max", f"must be >= 1, got {cfg.t_max}"))
     elif cfg.lattice_size < 2 * cfg.t_max + 1:
         errors.append(
@@ -141,11 +143,22 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         errors.append(("gamma_factors", "must not be empty"))
     if any(f <= 0 for f in cfg.gamma_factors):
         errors.append(("gamma_factors", "entries must be positive (they are e^gamma)"))
+    if len({f"{f:g}" for f in cfg.gamma_factors}) != len(cfg.gamma_factors):
+        errors.append(("gamma_factors", "entries must differ as file stems, formatted with :g"))
     if not cfg.metrics:
         errors.append(("metrics", "must not be empty"))
     if len({m.label for m in cfg.metrics}) != len(cfg.metrics):
         errors.append(("metrics", "labels must be unique"))
-    if abs(np.linalg.norm(cfg.coin_bloch) - 1.0) > 1e-9:
+    for m in cfg.metrics:
+        if m.kind == "random_xy" and not 0 < m.low < m.high:
+            errors.append(("metrics", f"{m.label}: needs 0 < low < high, got {m.low}, {m.high}"))
+        tables = [np.asarray(t, dtype=float) for t in (m.x, m.y)] if m.kind == "explicit" else []
+        if any(t.shape != (cfg.lattice_size,) or not np.all(np.isfinite(t) & (t > 0))
+               for t in tables):
+            errors.append(("metrics", f"{m.label}: x and y need {cfg.lattice_size} finite entries > 0"))
+    if len(cfg.coin_bloch) != 3:
+        errors.append(("coin_bloch", f"must have 3 components, got {len(cfg.coin_bloch)}"))
+    elif abs(np.linalg.norm(cfg.coin_bloch) - 1.0) > 1e-9:
         errors.append(("coin_bloch", "must be a unit vector (pure initial coin state)"))
     if errors:
         raise ConfigInvalid(errors)

@@ -1,5 +1,5 @@
 """Dense complex-matrix kernels: eigenpairs, the metric root (closed form
-for 2x2 blocks), metric transports, partial trace and trace norm.
+for 2x2 blocks), metric transports and the trace norm.
 
 Everything here is a pure function of its inputs. Matrices are plain
 ``numpy`` arrays of complex dtype; no wrapper classes.
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchAmbiguity, DegeneratePairing, NotPositive, ShapeMismatch
+from .errors import DegeneratePairing, NotPositive, ShapeMismatch
 
 # Eigenvalue gap (and left/right overlap) below which left vectors are refused.
 PAIRING_GAP = 1e-9
@@ -70,14 +70,6 @@ def eig(a: np.ndarray, want_left: bool = False) -> EigenSystem:
             raise DegeneratePairing(f"{where}eigenvalue gap {gap[b].min():.2e} below {PAIRING_GAP}")
         raise DegeneratePairing(f"{where}left/right overlap {overlap[b]:.2e} below {PAIRING_GAP}")
     return EigenSystem(values, right, left)
-
-
-def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2x2 matrices or stacks (..., 2, 2), either may be one (2, 2), entry by entry."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for i, j in np.ndindex(2, 2):
-        out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
-    return out
 
 
 def sqrt_and_inv(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,59 +137,6 @@ def transport(
     )
     residuals = np.stack([np.linalg.norm(c, axis=(-2, -1)) for c in checks], axis=-1)
     return t, u, residuals
-
-
-def unitary_log(a: np.ndarray, points=None) -> np.ndarray:
-    """Generator H with exp(-i H) = a, eigenvalue phases on the principal branch.
-
-    For a diagonalizable ``a`` with spectrum on (or near) the unit circle this
-    is the effective Hamiltonian of the one-step evolution ``a``. Phases are
-    taken in (-pi, pi]; a phase within 1e-9 of the cut at +-pi raises
-    BranchAmbiguity rather than silently choosing a sheet, and a zero
-    eigenvalue raises ValueError. ``a`` may also be a stack (m, n, n), taken
-    in one batched eigendecomposition; a refusal then names the first
-    offending block, as a per-block loop would meet it, by its label in
-    ``points`` (e.g. its momentum) when given, else by its index.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ShapeMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    values, right = np.linalg.eig(a)
-    singular = (np.abs(values) == 0.0).reshape(-1, a.shape[-1]).any(axis=1)
-    cut = (np.pi - np.abs(np.angle(values)) < 1e-9).reshape(-1, a.shape[-1]).any(axis=1)
-    offending = np.flatnonzero(singular | cut)
-    if offending.size:
-        i = int(offending[0])
-        if singular[i]:
-            error, message = ValueError, "matrix is singular; no logarithm"
-        else:
-            error = BranchAmbiguity
-            message = "eigenvalue phase within 1e-9 of the branch cut at +-pi"
-        if a.ndim == 3:
-            message = f"{f'block {i}' if points is None else f'k = {points[i]:.6f}'}: {message}"
-        raise error(message)
-    h_values = 1j * np.log(values)
-    return (right * h_values[..., None, :]) @ np.linalg.inv(right)
-
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Partial trace of an operator on H_A (x) H_B.
-
-    ``keep='A'`` traces out B and returns a dA x dA matrix; ``keep='B'``
-    traces out A. Preserves trace and Hermiticity.
-    """
-    da, db = dims
-    rho = _square(rho)
-    if rho.shape[0] != da * db:
-        raise ShapeMismatch(f"matrix of size {rho.shape[0]} != {da}*{db}")
-    r = rho.reshape(da, db, da, db)
-    if keep == "A":
-        return np.einsum("ijkj->ik", r)
-    if keep == "B":
-        return np.einsum("ijik->jk", r)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def trace_norm(a: np.ndarray) -> float:

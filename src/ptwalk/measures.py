@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import choi_trace_norms, intermediate_maps
-from .linalg import trace_norm
+from .linalg import trace_norm  # not called here; perfbench wraps ptwalk.measures.trace_norm
 
 # Negative dust tolerated in g(t) before clamping to zero: the Choi trace
 # norm of an exactly CP step returns 1 +- float noise.
@@ -153,11 +153,6 @@ class AnnealSchedule:
     @classmethod
     def from_dict(cls, d: dict) -> "AnnealSchedule":
         return cls(**d)
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """D(rho, sigma) = ||rho - sigma||_1 / 2 for density matrices."""
-    return 0.5 * trace_norm(np.asarray(rho, complex) - np.asarray(sigma, complex))
 
 
 def _backflow(dist: np.ndarray) -> MeasureSeries:
@@ -338,11 +333,6 @@ def _entropy_bits(w: np.ndarray) -> np.ndarray:
     w = np.where(w > ENTROPY_CUT, w, 1.0)  # 1 log2 1 = 0
     s = -(w * np.log2(w)).sum(axis=-1)
     return np.where(s > 0.0, s, 0.0)
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -sum p log2 p of the spectrum, eigenvalue dust clamped at 1e-12."""
-    return float(_entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
 
 
 def entanglement_series(bloch: np.ndarray, r0) -> MeasureSeries:

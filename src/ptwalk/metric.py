@@ -8,8 +8,7 @@ of H_c(k) (equivalently, eigenvectors of H_c(k)†) as
 rescaled to unit trace. The left eigenvectors are real for this walk, so
 every such block is real symmetric, positive definite and
 pseudo-Hermitian-compatible: H_c(k)† G(k) = G(k) H_c(k). The positive square
-root eta(k) maps the walk to a genuinely unitary evolution, and transports
-T, U connect different admissible metrics.
+root eta(k) maps the walk to a genuinely unitary evolution.
 """
 
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BrokenRegime, DegenerateAtK, IncompatibleMetrics, NotPositive, SingularMetric
+from .errors import BrokenRegime, DegenerateAtK
 from .walk import (
     UNBROKEN_MARGIN,
     BlockOperator,
@@ -25,25 +24,6 @@ from .walk import (
     momentum_grid,
     spectral_a,
 )
-
-TRANSPORT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LeftEigenPair:
-    """Left eigenvectors of H_c(k) together with the scalars that build them.
-
-    The vectors satisfy H_c(k)† r_pm = (pm eps_k) r_pm with
-    eps_k = acos(a(k)) in (0, pi), and are normalized to unit Euclidean norm.
-    """
-
-    k: float
-    r_plus: np.ndarray
-    r_minus: np.ndarray
-    d1: float
-    d2: float
-    d3: float
-    eps_k: float
 
 
 def _pick(a0, a1, b0, b1) -> np.ndarray:
@@ -81,7 +61,17 @@ def _sin_entries(ks: np.ndarray, p: WalkParams) -> tuple[np.ndarray, np.ndarray,
 def _left_eigen(ks, a, s, d1, d2, d3) -> tuple[np.ndarray, np.ndarray]:
     """(r_plus, r_minus) over the momenta ``ks`` from a(k), s = sin(acos a(k)) and (d1, d2, d3).
 
-    Raises DegenerateAtK naming the first momentum at or beyond coalescence.
+    With eps = acos(a(k)), sin(H_c(k)†) is the real matrix
+    [[-d3, -(d1 - d2)], [-(d1 + d2), d3]], so the left eigenvectors
+    H_c(k)† r_pm = (pm eps) r_pm, rows of unit norm, can be read off two ways:
+
+        +eps:  (d1 - d2, -d3 - s)   or   (d3 - s, d1 + d2)
+        -eps:  (d1 - d2, -d3 + s)   or   (d3 + s, d1 + d2)
+
+    The identity d1^2 - d2^2 + d3^2 = s^2 makes both readouts of one
+    eigenvector vanish together only when s = 0, so ``_pick`` keeps the
+    better-conditioned one. Raises DegenerateAtK naming the first momentum
+    at or beyond coalescence.
     """
     bad = np.flatnonzero(np.abs(a) >= 1.0 - UNBROKEN_MARGIN)
     if bad.size:
@@ -89,36 +79,6 @@ def _left_eigen(ks, a, s, d1, d2, d3) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateAtK(f"|a({k:.6f})| = {abs(a_k):.15f} at or beyond coalescence")
     diff, total = d1 - d2, d1 + d2
     return _pick(diff, -d3 - s, d3 - s, total), _pick(diff, -d3 + s, d3 + s, total)
-
-
-def left_eigvecs(k: float, p: WalkParams) -> LeftEigenPair:
-    """Closed-form left eigenvectors of H_c(k) in the unbroken regime.
-
-    With d1, d2, d3 of :func:`_sin_entries`, eps = acos(a(k)) and s = sin(eps),
-    sin(H_c(k)†) is the real matrix [[-d3, -(d1 - d2)], [-(d1 + d2), d3]],
-    so its eigenvectors (shared with H_c(k)†) can be read off two ways:
-
-        +eps:  (d1 - d2, -d3 - s)   or   (d3 - s, d1 + d2)
-        -eps:  (d1 - d2, -d3 + s)   or   (d3 + s, d1 + d2)
-
-    The identity d1^2 - d2^2 + d3^2 = s^2 guarantees both readouts of one
-    eigenvector vanish together only when s = 0, so picking the larger-norm
-    form is well conditioned everywhere away from the exceptional point.
-    This is a one-point view of the grid computation in :func:`build_metric`.
-    """
-    ks = np.array([k], dtype=float)
-    a, (d1, d2, d3) = spectral_a(ks, p), _sin_entries(ks, p)
-    eps = np.arccos(a)
-    r_plus, r_minus = _left_eigen(ks, a, np.sin(eps), d1, d2, d3)
-    return LeftEigenPair(
-        k,
-        r_plus[0].astype(complex),
-        r_minus[0].astype(complex),
-        float(d1[0]),
-        float(d2[0]),
-        float(d3[0]),
-        float(eps[0]),
-    )
 
 
 @dataclass(frozen=True)
@@ -195,7 +155,7 @@ def build_metric(p: WalkParams, spec: MetricSpec) -> BlockOperator:
     """Per-momentum metric blocks, real symmetric positive definite with unit trace.
 
     The blocks x (|r_+><r_+| + y |r_-><r_-|) / trace are one (L, 2, 2) array
-    formed from the closed-form real left eigenvectors of :func:`left_eigvecs`.
+    formed from the closed-form real left eigenvectors of :func:`_left_eigen`.
     """
     return _metric_frame(p, spec)[0]
 
@@ -226,100 +186,6 @@ def _metric_frame(p: WalkParams, spec: MetricSpec):
 def eta(g: BlockOperator) -> BlockOperator:
     """Blockwise positive square root of the metric, the closed-form 2x2 root of every block."""
     return BlockOperator(g.points, linalg.sqrt_and_inv(g.blocks)[0])
-
-
-def generalized_dagger(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint with respect to the G inner product: X# = G^{-1} X† G."""
-    g = np.asarray(g, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    try:
-        return np.linalg.solve(g, x.conj().T @ g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(str(exc)) from exc
-
-
-def g_trace_norm(x: np.ndarray, g: np.ndarray) -> float:
-    """Trace norm tr sqrt(X# X) in the metric space of G.
-
-    Evaluated through the similarity eta X eta^{-1}, whose ordinary singular
-    values coincide with the spectrum of sqrt(X# X); this keeps the argument
-    of the square root numerically Hermitian.
-    """
-    try:
-        e, e_inv, _ = linalg.sqrt_and_inv(np.asarray(g, dtype=complex))
-    except NotPositive as exc:
-        raise SingularMetric(str(exc)) from exc
-    return linalg.trace_norm(e @ np.asarray(x, complex) @ e_inv)
-
-
-@dataclass(frozen=True)
-class MetricTransport:
-    """Blockwise maps between two metric choices for the same Hamiltonian.
-
-    T(k) commutes with H_c(k) and pulls G' back to G: T† G T = G'. U(k) is
-    unitary and connects the square roots: eta' = U eta T. Observables and
-    states mapped to the unitary frame through different metrics are related
-    by conjugation with U.
-    """
-
-    t: BlockOperator
-    u: BlockOperator
-
-
-def metric_transport(g: BlockOperator, gp: BlockOperator, h: BlockOperator) -> MetricTransport:
-    """T and U for every momentum block at once (``linalg.transport``).
-
-    Raises IncompatibleMetrics naming the first momentum whose transport
-    residuals exceed TRANSPORT_TOL; a metric block that is not positive
-    definite raises NotPositive.
-    """
-    sys = linalg.eig(h.blocks, want_left=True)
-    t, u, residuals = linalg.transport(g.blocks, gp.blocks, h.blocks, sys)
-    bad = np.flatnonzero(residuals.max(axis=1) > TRANSPORT_TOL)
-    if bad.size:
-        i = bad[0]
-        raise IncompatibleMetrics(
-            f"k = {g.points[i]:.6f}: transport residuals "
-            f"{tuple(float(c) for c in residuals[i])} exceed {TRANSPORT_TOL}"
-        )
-    return MetricTransport(BlockOperator(g.points, t), BlockOperator(g.points, u))
-
-
-def separability_defect(g: BlockOperator) -> float:
-    """Distance of a block-diagonal metric from any momentum (x) coin product.
-
-    Blocks are trace-normalized and compared with their grid average in
-    Frobenius norm; the defect vanishes exactly when all normalized blocks
-    are equal, the only way a block-diagonal metric factorizes with a
-    diagonal momentum part.
-    """
-    normed = g.blocks / np.trace(g.blocks, axis1=1, axis2=2)[:, None, None]
-    mean = normed.mean(axis=0)
-    return float(np.linalg.norm(normed - mean, axis=(1, 2)).max())
-
-
-def verify_metric_action(
-    g: np.ndarray, basis: np.ndarray, n_samples: int = 8, seed: int = 0
-) -> float:
-    """Residual of the basis-expansion identity for the metric action.
-
-    For an orthonormal basis {xi_n} and the G inner product <.|.>_G = <.|G .>,
-    G psi must equal sum_n <xi_n|psi>_G xi_n. Returns the maximum Euclidean
-    residual over random unit vectors psi.
-    """
-    g = np.asarray(g, dtype=complex)
-    basis = np.asarray(basis, dtype=complex)
-    n = g.shape[0]
-    if np.abs(basis.conj().T @ basis - np.eye(n)).max() > 1e-12:
-        raise ValueError("basis columns are not orthonormal")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-        psi /= np.linalg.norm(psi)
-        expanded = basis @ (basis.conj().T @ (g @ psi))
-        worst = max(worst, float(np.linalg.norm(g @ psi - expanded)))
-    return worst
 
 
 def write_metric_csv(

@@ -57,8 +57,20 @@ class ToyConfig:
     dt: float = 0.05
 
     def __post_init__(self):
+        errors = []
         if (self.h_a is None) != (self.h_b is None):
-            raise ConfigInvalid([("toy", "custom h_a and h_b must be given together")])
+            errors.append(("toy", "custom h_a and h_b must be given together"))
+        elif self.h_a is None and self.variant not in ("pt_phase", "real"):
+            errors.append(("toy", f"unknown variant {self.variant!r}"))
+        if not self.dt > 0:
+            errors.append(("toy", f"dt must be positive, got {self.dt}"))
+        if not self.t_max >= 0:
+            errors.append(("toy", f"t_max must be >= 0, got {self.t_max}"))
+        for name in ("weights_a1", "weights_b1", "weights_a2", "weights_b2"):
+            if not min(getattr(self, name)) > 0:
+                errors.append(("toy", f"{name} must be positive"))
+        if errors:
+            raise ConfigInvalid(errors)
 
     def hamiltonians(self) -> tuple[np.ndarray, np.ndarray]:
         if self.h_a is not None:

@@ -1,4 +1,4 @@
-"""Split-step PT-symmetric walk operator in momentum space.
+"""Split-step PT-symmetric walk in momentum space: parameters, grid, spectrum and threshold.
 
 The one-step coin operation at momentum k is
 
@@ -7,7 +7,8 @@ The one-step coin operation at momentum k is
 with coin C(t) = [[cos t, i sin t], [i sin t, cos t]], shift
 S(k) = diag(e^{ik}, e^{-ik}) and gain/loss G(g) = diag(e^g, e^{-g}).
 Every factor has unit determinant, and complex conjugation inverts W_c,
-which is the PT condition for this family.
+which is the PT condition for this family. The library never forms that
+product: ``channel`` reads W_c(k) = a(k) I - i sin H_c(k) in closed form.
 
 The walk spectrum is governed by the scalar
 
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BrokenRegime, NoBreaking
-from .linalg import _mul2, unitary_log
+from .errors import NoBreaking
 
-# Guard band on |a(k)| < 1: the matrix log and the eigenvector formulas
+# Guard band on |a(k)| < 1: the eigenvector formulas and the metric
 # degrade as eigenvalues coalesce, so refuse rather than return garbage.
 UNBROKEN_MARGIN = 1e-12
 
@@ -72,29 +72,6 @@ class BlockOperator:
         return len(self.points)
 
 
-def coin(theta: float) -> np.ndarray:
-    """SU(2) coin rotation C(theta); symmetric, unitary, det 1."""
-    c, s = np.cos(theta), 1j * np.sin(theta)
-    return np.array([[c, s], [s, c]])
-
-
-def _walk_blocks(ks: np.ndarray, p: WalkParams) -> np.ndarray:
-    """W_c(k) for every momentum of ``ks``: factors left to right, S and G as column scalings."""
-    half = coin(p.theta1 / 2.0)
-    shift = np.exp(1j * np.multiply.outer(ks, [1.0, -1.0]))[:, None, :]
-    w = _mul2(half * shift * np.exp([-p.gamma, p.gamma]), coin(p.theta2))
-    return _mul2(w * shift * np.exp([p.gamma, -p.gamma]), half)
-
-
-def walk_block(k: float, p: WalkParams) -> np.ndarray:
-    """One-step coin operation W_c(k) for the given walk family.
-
-    A one-point call of the batched product, so it equals the matching block
-    of :func:`walk_operator` exactly.
-    """
-    return _walk_blocks(np.array([k], dtype=float), p)[0]
-
-
 def spectral_a(k, p: WalkParams):
     """Spectral scalar a(k); accepts a scalar or an array of momenta."""
     return np.cos(2.0 * np.asarray(k)) * np.cos(p.theta1) * np.cos(p.theta2) - np.cosh(
@@ -122,23 +99,3 @@ def is_unbroken(p: WalkParams) -> bool:
     """True when |a(k)| < 1 - 1e-12 at every grid momentum."""
     a = spectral_a(momentum_grid(p.lattice_size), p)
     return bool(np.all(np.abs(a) < 1.0 - UNBROKEN_MARGIN))
-
-
-def walk_operator(p: WalkParams) -> BlockOperator:
-    """All momentum blocks W_c(k_n), n = 0..L-1, in grid order, built entry by entry."""
-    ks = momentum_grid(p.lattice_size)
-    return BlockOperator(ks, _walk_blocks(ks, p))
-
-
-def hamiltonian(p: WalkParams) -> BlockOperator:
-    """Blockwise effective Hamiltonian H_c(k) with exp(-i H_c(k)) = W_c(k).
-
-    Computed from the 2x2 blocks, never from the full lattice matrix, in one
-    stacked eigendecomposition; a refusal of the generator log names the
-    first offending k. The quasi-energies are -+acos(a(k)), real throughout
-    the unbroken regime.
-    """
-    if not is_unbroken(p):
-        raise BrokenRegime("spectrum not real on the whole grid; no Hamiltonian")
-    w = walk_operator(p)
-    return BlockOperator(w.points, unitary_log(w.blocks, points=w.points))

@@ -14,6 +14,12 @@ L(t+1, t) = L(t+1, 0) L(t, 0)^{-1}, and its Choi matrix is
 where |Phi> = (|00> + |11>)/sqrt(2) and U23 swaps the middle two tensor
 factors of the four-qubit index. g(t) is the trace norm of C minus one,
 read from a 4x4 singular value decomposition one step at a time.
+
+The state-level quantities the library reads off Bloch vectors instead live
+here too: ``reduced_coin_state`` (a 2x2 coin state after t steps, validated
+by ``_check_state``), the generic ``partial_trace`` of the dense lattice
+oracle, ``trace_distance`` of two density matrices and the
+``von_neumann_entropy`` of one, with the Pauli-basis vectorization ``_PAULI``.
 """
 
 from dataclasses import dataclass
@@ -21,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ptwalk.channel import (
-    _PAULI,
     ILL_CONDITION_LIMIT,
     PINV_RCOND,
     _bloch_matrices,
@@ -30,8 +35,13 @@ from ptwalk.channel import (
 )
 from ptwalk.errors import ShapeMismatch
 from ptwalk.linalg import _square, trace_norm
-from ptwalk.measures import G_CLAMP, MeasureSeries
+from ptwalk.measures import G_CLAMP, MeasureSeries, _entropy_bits, bloch_state
 
+# Row-major vec of I, sigma_x, sigma_y, sigma_z, as columns: vec(rho) =
+# _PAULI (1, r) / 2 for rho = (I + r . sigma)/2, and _PAULI† _PAULI = 2 I.
+_PAULI = np.array(
+    [[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]], dtype=complex
+)
 # _PAULI_OUTER[i, j] = p_i p_j† / 2 for the columns p of _PAULI, so that
 # L(t, 0) = _PAULI_OUTER[0, 0] + sum_ij M_ij(t) _PAULI_OUTER[i+1, j+1].
 _PAULI_OUTER = np.einsum("ai,bj->ijab", _PAULI, _PAULI.conj()) / 2.0
@@ -46,6 +56,59 @@ _SWAP23 = np.kron(
 _PHI = np.zeros(4, dtype=complex)
 _PHI[0] = _PHI[3] = 1.0 / np.sqrt(2.0)
 _VEC_PHI = np.outer(_PHI, _PHI.conj()).reshape(16)
+
+
+def _check_state(rho: np.ndarray) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"coin state must be 2x2, got {rho.shape}")
+    if abs(np.trace(rho) - 1.0) > 1e-10:
+        raise ValueError(f"coin state trace {np.trace(rho)} != 1")
+    if np.abs(rho - rho.conj().T).max() > 1e-10:
+        raise ValueError("coin state not Hermitian")
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
+        raise ValueError("coin state not positive semidefinite")
+    return rho
+
+
+def reduced_coin_state(ew, rho0: np.ndarray, t: int) -> np.ndarray:
+    """Reduced coin state bloch_state(M(t) r0) after t steps, r0 the Bloch vector of ``rho0``.
+
+    M(t) is evaluated directly, as the start of a one-step block, so it
+    checks the rows ``bloch_matrix_series`` steps to by angle addition.
+    """
+    rho0 = _check_state(rho0)
+    _check_horizon(ew, t)
+    r0 = (_PAULI.conj().T @ rho0.reshape(4)).real[1:]
+    return bloch_state(_bloch_matrices(ew, t, 1)[0] @ r0)
+
+
+def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    """Partial trace of an operator on H_A (x) H_B.
+
+    ``keep='A'`` traces out B and returns a dA x dA matrix; ``keep='B'``
+    traces out A. Preserves trace and Hermiticity.
+    """
+    da, db = dims
+    rho = _square(rho)
+    if rho.shape[0] != da * db:
+        raise ShapeMismatch(f"matrix of size {rho.shape[0]} != {da}*{db}")
+    r = rho.reshape(da, db, da, db)
+    if keep == "A":
+        return np.einsum("ijkj->ik", r)
+    if keep == "B":
+        return np.einsum("ijik->jk", r)
+    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+
+
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """D(rho, sigma) = ||rho - sigma||_1 / 2 for density matrices."""
+    return 0.5 * trace_norm(np.asarray(rho, complex) - np.asarray(sigma, complex))
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy -sum p log2 p of the spectrum, eigenvalue dust clamped at 1e-12."""
+    return float(_entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
 
 
 def vec(m: np.ndarray) -> np.ndarray:

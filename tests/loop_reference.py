@@ -22,26 +22,52 @@ left and right eigenvectors of one matrix by nearest conjugate eigenvalue,
 ``herm_sqrt`` is the clamping Hermitian square root used by the dense
 lattice oracles, and ``metric_transport`` builds the transport one momentum
 at a time; they check the library's stacked ``eig``, metric root and
-transport. ``shift_block`` and ``gain_loss`` are the diagonal walk factors
-as matrices; the library applies them as column scalings.
+``linalg.transport``.
+
+``coin``, ``shift_block`` and ``gain_loss`` are the walk factors as
+matrices, and ``walk_block`` / ``walk_blocks`` multiply them one 2x2
+product at a time. The library never forms that product: it reads
+W_c(k) = a(k) I - i sin H_c(k) in closed form, which these check.
+``unitary_log`` is the principal-branch generator log of one matrix
+(``BranchAmbiguity`` at the cut), and ``hamiltonian_blocks`` takes it of
+every walk block. The metric-space theory the library does not call lives
+here as well: transports T, U between two metrics (``MetricTransport``,
+refused with ``IncompatibleMetrics`` beyond ``TRANSPORT_TOL``), the
+generalized adjoint and the G trace norm (``SingularMetric`` for a metric
+that is not positive definite), the separability defect of a block metric
+and the basis-expansion identity of the metric action.
 """
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 
-from channel_reference import ChannelMatrix
-from ptwalk.channel import BLOCK_ELEMENTS, _check_horizon, _check_state
-from ptwalk.errors import DegenerateAtK, DegeneratePairing, IncompatibleMetrics, NotPositive
-from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, unitary_log
-from ptwalk.metric import TRANSPORT_TOL, MetricTransport, _weights
+from channel_reference import ChannelMatrix, _check_state
+from ptwalk.channel import BLOCK_ELEMENTS, _check_horizon
+from ptwalk.errors import BrokenRegime, DegenerateAtK, DegeneratePairing, NotPositive, PTWalkError
+from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, sqrt_and_inv, trace_norm
+from ptwalk.metric import _weights
 from ptwalk.walk import (
     UNBROKEN_MARGIN,
     BlockOperator,
-    coin,
+    is_unbroken,
     momentum_grid,
     spectral_a,
 )
+
+
+class BranchAmbiguity(PTWalkError):
+    """Matrix logarithm hit an eigenvalue phase at the principal-branch cut."""
+
+
+class SingularMetric(PTWalkError):
+    """Metric operator is singular or not positive definite."""
+
+
+class IncompatibleMetrics(PTWalkError):
+    """Transport between the two metrics failed its residual checks."""
+
 
 # ----------------------------------------------------------------- linalg
 
@@ -102,7 +128,31 @@ def herm_sqrt(a: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
+def unitary_log(a: np.ndarray) -> np.ndarray:
+    """Generator H with exp(-i H) = a, eigenvalue phases on the principal branch.
+
+    For a diagonalizable ``a`` with spectrum on (or near) the unit circle this
+    is the effective Hamiltonian of the one-step evolution ``a``. Phases are
+    taken in (-pi, pi]; a phase within 1e-9 of the cut at +-pi raises
+    BranchAmbiguity rather than silently choosing a sheet, and a zero
+    eigenvalue raises ValueError.
+    """
+    a = _square(a)
+    values, right = np.linalg.eig(a)
+    if np.any(np.abs(values) == 0.0):
+        raise ValueError("matrix is singular; no logarithm")
+    if np.any(np.pi - np.abs(np.angle(values)) < 1e-9):
+        raise BranchAmbiguity("eigenvalue phase within 1e-9 of the branch cut at +-pi")
+    return (right * (1j * np.log(values))) @ np.linalg.inv(right)
+
+
 # ------------------------------------------------------------------- walk
+
+
+def coin(theta: float) -> np.ndarray:
+    """SU(2) coin rotation C(theta); symmetric, unitary, det 1."""
+    c, s = np.cos(theta), 1j * np.sin(theta)
+    return np.array([[c, s], [s, c]])
 
 
 def shift_block(k) -> np.ndarray:
@@ -142,7 +192,13 @@ def walk_blocks(p) -> np.ndarray:
 
 
 def hamiltonian_blocks(p) -> np.ndarray:
-    """H_c(k) with exp(-i H_c(k)) = W_c(k), one ``unitary_log`` call per momentum."""
+    """H_c(k) with exp(-i H_c(k)) = W_c(k), one ``unitary_log`` call per momentum.
+
+    The quasi-energies are -+acos(a(k)), real only in the unbroken regime;
+    elsewhere BrokenRegime is raised.
+    """
+    if not is_unbroken(p):
+        raise BrokenRegime("spectrum not real on the whole grid; no Hamiltonian")
     return np.stack([unitary_log(b) for b in walk_blocks(p)])
 
 
@@ -211,6 +267,23 @@ def unitary_frame(metric: np.ndarray, walk: np.ndarray):
     return etas, eta_invs, w_etas, residual
 
 
+TRANSPORT_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class MetricTransport:
+    """Blockwise maps between two metric choices for the same Hamiltonian.
+
+    T(k) commutes with H_c(k) and pulls G' back to G: T† G T = G'. U(k) is
+    unitary and connects the square roots: eta' = U eta T. Observables and
+    states mapped to the unitary frame through different metrics are related
+    by conjugation with U.
+    """
+
+    t: BlockOperator
+    u: BlockOperator
+
+
 def _transport_block(g, gp, h):
     sys = eig(h, want_left=True)
     psi, phi = sys.right, sys.left
@@ -240,13 +313,77 @@ def _transport_block(g, gp, h):
     return t, u
 
 
-def metric_transport(g, gp, h) -> MetricTransport:
-    """Construct T and U per momentum block; raises IncompatibleMetrics on failure."""
+def metric_transport(g, gp, h: np.ndarray) -> MetricTransport:
+    """T and U per momentum block of the metrics ``g``, ``gp`` and the (L, 2, 2) Hamiltonian blocks ``h``.
+
+    Raises IncompatibleMetrics when a block's residuals exceed TRANSPORT_TOL.
+    """
     ts = np.empty(g.blocks.shape, dtype=complex)
     us = np.empty(g.blocks.shape, dtype=complex)
     for i in range(len(g)):
-        ts[i], us[i] = _transport_block(g.blocks[i], gp.blocks[i], h.blocks[i])
+        ts[i], us[i] = _transport_block(g.blocks[i], gp.blocks[i], h[i])
     return MetricTransport(BlockOperator(g.points, ts), BlockOperator(g.points, us))
+
+
+def generalized_dagger(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint with respect to the G inner product: X# = G^{-1} X† G."""
+    g = np.asarray(g, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    try:
+        return np.linalg.solve(g, x.conj().T @ g)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric(str(exc)) from exc
+
+
+def g_trace_norm(x: np.ndarray, g: np.ndarray) -> float:
+    """Trace norm tr sqrt(X# X) in the metric space of G.
+
+    Evaluated through the similarity eta X eta^{-1}, whose ordinary singular
+    values coincide with the spectrum of sqrt(X# X); this keeps the argument
+    of the square root numerically Hermitian.
+    """
+    try:
+        e, e_inv, _ = sqrt_and_inv(np.asarray(g, dtype=complex))
+    except NotPositive as exc:
+        raise SingularMetric(str(exc)) from exc
+    return trace_norm(e @ np.asarray(x, complex) @ e_inv)
+
+
+def separability_defect(g) -> float:
+    """Distance of a block-diagonal metric from any momentum (x) coin product.
+
+    Blocks are trace-normalized and compared with their grid average in
+    Frobenius norm; the defect vanishes exactly when all normalized blocks
+    are equal, the only way a block-diagonal metric factorizes with a
+    diagonal momentum part.
+    """
+    normed = g.blocks / np.trace(g.blocks, axis1=1, axis2=2)[:, None, None]
+    mean = normed.mean(axis=0)
+    return float(np.linalg.norm(normed - mean, axis=(1, 2)).max())
+
+
+def verify_metric_action(
+    g: np.ndarray, basis: np.ndarray, n_samples: int = 8, seed: int = 0
+) -> float:
+    """Residual of the basis-expansion identity for the metric action.
+
+    For an orthonormal basis {xi_n} and the G inner product <.|.>_G = <.|G .>,
+    G psi must equal sum_n <xi_n|psi>_G xi_n. Returns the maximum Euclidean
+    residual over random unit vectors psi.
+    """
+    g = np.asarray(g, dtype=complex)
+    basis = np.asarray(basis, dtype=complex)
+    n = g.shape[0]
+    if np.abs(basis.conj().T @ basis - np.eye(n)).max() > 1e-12:
+        raise ValueError("basis columns are not orthonormal")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        expanded = basis @ (basis.conj().T @ (g @ psi))
+        worst = max(worst, float(np.linalg.norm(g @ psi - expanded)))
+    return worst
 
 
 # ---------------------------------------------------------------- channel

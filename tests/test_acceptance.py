@@ -10,7 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from loop_reference import herm_sqrt
+from loop_reference import (
+    hamiltonian_blocks,
+    herm_sqrt,
+    separability_defect,
+    verify_metric_action,
+    walk_block,
+)
 from ptwalk import (
     AnnealSchedule,
     MetricSpec,
@@ -19,17 +25,20 @@ from ptwalk import (
     blp_series,
     build_euclidean_walk,
     build_metric,
-    hamiltonian,
-    reduced_coin_state,
     run_toy,
     rhp_series,
 )
-from channel_reference import channel_matrix_series, choi_matrix, intermediate_from, vec
+from channel_reference import (
+    channel_matrix_series,
+    choi_matrix,
+    intermediate_from,
+    reduced_coin_state,
+    vec,
+)
 from ptwalk.channel import bloch_matrix_series, choi_trace_norms, intermediate_maps
 from ptwalk.linalg import eig, trace_norm
 from ptwalk.measures import maximize_blp_many
-from ptwalk.metric import separability_defect, verify_metric_action
-from ptwalk.walk import spectral_a, walk_block
+from ptwalk.walk import spectral_a
 from test_channel import dense_reduced_state
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -117,10 +126,10 @@ def test_criterion_03_pseudo_hermiticity_suite():
     worst_ph, worst_sq = 0.0, 0.0
     for factor in (1.2, 1.3):
         p = WalkParams(T1, T2, math.log(factor), 101)
-        h = hamiltonian(p)
+        h = hamiltonian_blocks(p)
         for spec in SPECS:
             g = build_metric(p, spec)
-            for gb, hb in zip(g.blocks, h.blocks):
+            for gb, hb in zip(g.blocks, h):
                 worst_ph = max(
                     worst_ph, float(np.linalg.norm(hb.conj().T @ gb - gb @ hb))
                 )

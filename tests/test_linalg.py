@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from channel_reference import devec, vec
+from channel_reference import devec, partial_trace, vec
 import loop_reference
-from loop_reference import herm_sqrt
-from ptwalk import BranchAmbiguity, DegeneratePairing, NotPositive, ShapeMismatch, WalkParams
-from ptwalk.linalg import eig, partial_trace, trace_norm, unitary_log
-from ptwalk.walk import walk_block
+from loop_reference import BranchAmbiguity, herm_sqrt, unitary_log, walk_block
+from ptwalk import DegeneratePairing, NotPositive, ShapeMismatch, WalkParams
+from ptwalk.linalg import eig, trace_norm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -14,12 +14,17 @@ from ptwalk import (
     blp_series,
     build_euclidean_walk,
     entanglement_series,
-    reduced_coin_state,
     rhp_series,
 )
-from channel_reference import ChannelMatrix, rhp_from_channels
+from channel_reference import (
+    ChannelMatrix,
+    reduced_coin_state,
+    rhp_from_channels,
+    trace_distance,
+    von_neumann_entropy,
+)
 from ptwalk.channel import PINV_RCOND, bloch_matrix_series, intermediate_maps
-from ptwalk.measures import maximize_blp_many, trace_distance, von_neumann_entropy
+from ptwalk.measures import maximize_blp_many
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")

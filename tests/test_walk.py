@@ -3,23 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from loop_reference import gain_loss, shift_block
-from ptwalk import (
-    BrokenRegime,
-    NoBreaking,
-    WalkParams,
-    gamma_pt,
-    hamiltonian,
-    is_unbroken,
-    walk_operator,
-)
-from ptwalk.walk import coin, momentum_grid, spectral_a, walk_block
+from loop_reference import coin, gain_loss, hamiltonian_blocks, shift_block, walk_block, walk_blocks
+from ptwalk import BrokenRegime, NoBreaking, WalkParams, gamma_pt, is_unbroken
+from ptwalk.metric import _sin_entries
+from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
 
 
 def params(gamma=0.0, size=21):
     return WalkParams(T1, T2, gamma, size)
+
+
+def sin_form(p):
+    """The library's W_c(k) = a(k) I - i S(k) and eps_k = acos a(k) on the grid, S = sin H_c(k)."""
+    ks = momentum_grid(p.lattice_size)
+    d1, d2, d3 = _sin_entries(ks, p)
+    s = np.stack([-d3, -(d1 + d2), -(d1 - d2), d3], axis=1).reshape(-1, 2, 2)
+    a = spectral_a(ks, p)
+    return a[:, None, None] * np.eye(2) - 1j * s, np.arccos(a), s
 
 
 def test_walk_params_validation():
@@ -150,26 +152,24 @@ def test_is_unbroken_thresholds():
 
 def test_walk_operator_covers_grid():
     p = params(gamma=0.1)
-    op = walk_operator(p)
-    assert len(op) == p.lattice_size
-    assert np.abs(op.blocks[3] - walk_block(op.points[3], p)).max() == 0.0
+    blocks = walk_blocks(p)
+    assert len(blocks) == p.lattice_size
+    assert np.abs(blocks[3] - walk_block(momentum_grid(p.lattice_size)[3], p)).max() == 0.0
 
 
 @pytest.mark.parametrize("size", [101, 1201, 4001])
 def test_walk_blocks_match_per_k_product(size):
-    # column-scaled entrywise products against one 2x2 matmul chain per momentum
-    import loop_reference
-
+    # the closed form a I - i S against one 2x2 matmul chain per momentum
     for gamma in (0.0, math.log(1.3)):
         p = params(gamma, size)
-        assert np.abs(walk_operator(p).blocks - loop_reference.walk_blocks(p)).max() <= 1e-15
+        assert np.abs(sin_form(p)[0] - walk_blocks(p)).max() <= 1e-15
 
 
 def test_hamiltonian_reconstructs_walk():
     p = params(gamma=0.15)
-    h = hamiltonian(p)
-    w = walk_operator(p)
-    for hb, wb in zip(h.blocks, w.blocks):
+    h = hamiltonian_blocks(p)
+    w = walk_blocks(p)
+    for hb, wb in zip(h, w):
         vals, vecs = np.linalg.eig(hb)
         assert np.abs(vals.imag).max() < 1e-9
         back = (vecs * np.exp(-1j * vals)) @ np.linalg.inv(vecs)
@@ -177,15 +177,15 @@ def test_hamiltonian_reconstructs_walk():
 
 
 def test_hamiltonian_hermitian_at_gamma_zero():
-    h = hamiltonian(params(gamma=0.0))
-    for hb in h.blocks:
+    h = hamiltonian_blocks(params(gamma=0.0))
+    for hb in h:
         assert np.abs(hb - hb.conj().T).max() < 1e-10
 
 
 def test_hamiltonian_real_spectrum_nonhermitian():
-    h = hamiltonian(params(gamma=0.15))
-    assert any(np.abs(hb - hb.conj().T).max() > 1e-6 for hb in h.blocks)
-    for hb, k in zip(h.blocks, h.points):
+    h = hamiltonian_blocks(params(gamma=0.15))
+    assert any(np.abs(hb - hb.conj().T).max() > 1e-6 for hb in h)
+    for hb, k in zip(h, momentum_grid(21)):
         vals = np.sort(np.linalg.eigvals(hb).real)
         a = spectral_a(k, params(gamma=0.15))
         assert np.allclose(vals, [-math.acos(a), math.acos(a)], atol=1e-10)
@@ -193,43 +193,13 @@ def test_hamiltonian_real_spectrum_nonhermitian():
 
 @pytest.mark.parametrize("gamma_factor", [1.0, 1.1, 1.2, 1.3])
 def test_hamiltonian_matches_per_k_loop(gamma_factor):
-    # one stacked eigendecomposition against one generator log per momentum
-    import loop_reference
-
+    # the library's frame, H_c(k) = eps_k S(k) / sin(eps_k), against one generator log per momentum
     p = params(math.log(gamma_factor), 1201)
-    h = hamiltonian(p)
-    assert np.array_equal(h.points, momentum_grid(1201))
-    assert np.abs(h.blocks - loop_reference.hamiltonian_blocks(p)).max() <= 1e-12
-
-
-def test_stacked_unitary_log_names_first_offending_block():
-    from ptwalk import BranchAmbiguity
-    from ptwalk.linalg import unitary_log
-
-    rotation = np.diag([np.exp(-0.4j), np.exp(0.4j)])
-    ks = np.linspace(-1.0, 1.0, 7)
-    stack = np.stack([rotation] * 7)
-    stack[5] = stack[2] = np.diag([-1.0, 1.0])  # phase pi, on the branch cut
-    stack[4] = np.diag([0.0, 1.0])  # singular, but after the first cut block
-    with pytest.raises(BranchAmbiguity) as named:
-        unitary_log(stack, points=ks)
-    assert str(named.value).startswith(f"k = {ks[2]:.6f}: ")
-    with pytest.raises(BranchAmbiguity) as indexed:
-        unitary_log(stack)
-    assert str(indexed.value).startswith("block 2: ")
-    stack[1] = np.zeros((2, 2))
-    with pytest.raises(ValueError, match=f"k = {ks[1]:.6f}: matrix is singular"):
-        unitary_log(stack, points=ks)
-    # a per-block loop meets the same first refusal
-    for i, block in enumerate(stack):
-        try:
-            unitary_log(block)
-        except (ValueError, BranchAmbiguity) as exc:
-            assert (i, type(exc)) == (1, ValueError)
-            break
-    assert np.abs(unitary_log(stack[[0, 3, 6]]) - unitary_log(rotation)).max() == 0.0
+    _, eps, s = sin_form(p)
+    h = (eps / np.sin(eps))[:, None, None] * s
+    assert np.abs(h - hamiltonian_blocks(p)).max() <= 1e-12
 
 
 def test_hamiltonian_refuses_broken_regime():
     with pytest.raises(BrokenRegime):
-        hamiltonian(WalkParams(T1, T2, math.log(1.5), 21))
+        hamiltonian_blocks(WalkParams(T1, T2, math.log(1.5), 21))
