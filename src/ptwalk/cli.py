@@ -46,17 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.study is not None:
-        overrides["study"] = args.study
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    overrides = {"master_seed": args.seed, "study": args.study}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
     if args.threads < 1:
         raise ConfigInvalid([("threads", f"must be >= 1, got {args.threads}")])

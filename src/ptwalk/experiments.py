@@ -19,12 +19,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .channel import bloch_matrix_series, build_euclidean_walk
+from .config import Config
 from .errors import ConfigInvalid, MissingArtifacts
 from .measures import AnnealSchedule, entanglement_series, maximize_blp_many, rhp_series
 from .metric import MetricSpec, write_metric_csv
@@ -46,7 +47,7 @@ TOLERANCES = {
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     """Walk family, sweep grid and bookkeeping for one run."""
 
     theta1: float = math.pi / 4
@@ -68,46 +69,6 @@ class ExperimentConfig:
 
     def walk_params(self, gamma_factor: float) -> WalkParams:
         return WalkParams(self.theta1, self.theta2, math.log(gamma_factor), self.lattice_size)
-
-    def to_dict(self) -> dict:
-        return {
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "lattice_size": self.lattice_size,
-            "gamma_factors": list(self.gamma_factors),
-            "metrics": [m.to_dict() for m in self.metrics],
-            "t_max": self.t_max,
-            "study": self.study,
-            "output_dir": self.output_dir,
-            "master_seed": self.master_seed,
-            "coin_bloch": list(self.coin_bloch),
-            "anneal": self.anneal.to_dict(),
-            "toy": self.toy.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        kwargs = dict(d)
-        errors = []
-        try:
-            if "metrics" in kwargs:
-                kwargs["metrics"] = tuple(MetricSpec.from_dict(m) for m in kwargs["metrics"])
-            if "anneal" in kwargs:
-                kwargs["anneal"] = AnnealSchedule.from_dict(kwargs["anneal"])
-            if "toy" in kwargs:
-                kwargs["toy"] = ToyConfig.from_dict(kwargs["toy"])
-            if "gamma_factors" in kwargs:
-                kwargs["gamma_factors"] = tuple(kwargs["gamma_factors"])
-            if "coin_bloch" in kwargs:
-                kwargs["coin_bloch"] = tuple(kwargs["coin_bloch"])
-            unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
-            if unknown:
-                errors.append(("config", f"unknown fields {sorted(unknown)}"))
-        except (ValueError, TypeError, KeyError) as exc:
-            errors.append(("config", str(exc)))
-        if errors:
-            raise ConfigInvalid(errors)
-        return cls(**kwargs)
 
 
 def load_config(path) -> "ExperimentConfig":
@@ -137,6 +98,8 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         errors.append(
             ("lattice_size", f"{cfg.lattice_size} < 2*t_max+1 = {2 * cfg.t_max + 1}")
         )
+    if cfg.master_seed < 0:
+        errors.append(("master_seed", f"must be >= 0, got {cfg.master_seed}"))
     if cfg.study not in STUDIES:
         errors.append(("study", f"must be one of {STUDIES}, got {cfg.study!r}"))
     if not cfg.gamma_factors:
@@ -237,7 +200,7 @@ def _run_cell(
     return summary
 
 
-def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) -> list[dict]:
+def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out_dir: str) -> list[dict]:
     """Run every requested walk study on a group of unbroken (gamma, metric) pairs.
 
     Each pair's walk and its Bloch matrices M(t) are built once and shared by
@@ -249,13 +212,11 @@ def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) ->
     function so groups can run in a process pool; fully determined by its
     arguments, and a cell's outputs do not depend on its group.
     """
-    cfg = ExperimentConfig.from_dict(cfg_dict)
     out = Path(out_dir)
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     summaries, blp_cells = [], []
     k_column = None
-    for factor, metric_dict in pairs:
-        spec = MetricSpec.from_dict(metric_dict)
+    for factor, spec in pairs:
         params = cfg.walk_params(factor)
         started = time.perf_counter()
         ew = build_euclidean_walk(params, spec)
@@ -266,7 +227,7 @@ def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) ->
         write_metric_csv(
             ew.metric,
             out / _metric_csv_name(factor, spec.label),
-            comment=f"gamma_factor={factor:g} {json.dumps(metric_dict)}",
+            comment=f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}",
             k_column=k_column,
         )
         metric_csv_s = time.perf_counter() - started
@@ -297,7 +258,7 @@ def _run_group(cfg_dict: dict, pairs: list[tuple[float, dict]], out_dir: str) ->
 
     if blp_cells:
         started = time.perf_counter()
-        schedule = AnnealSchedule.from_dict({**cfg.anneal.to_dict(), "seed": cfg.master_seed})
+        schedule = replace(cfg.anneal, seed=cfg.master_seed)
         results = maximize_blp_many([bloch for _, _, bloch in blp_cells], schedule)
         # every cell runs the same chains for the same steps: an even share each
         share = (time.perf_counter() - started) / len(blp_cells)
@@ -348,24 +309,19 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
-    pairs = [
-        (factor, metric.to_dict())
-        for factor in cfg.gamma_factors
-        if studies and regimes[factor]
-        for metric in cfg.metrics
-    ]
+    unbroken = [factor for factor in cfg.gamma_factors if studies and regimes[factor]]
+    pairs = [(factor, metric) for factor in unbroken for metric in cfg.metrics]
     count = min(max(threads, 1), len(pairs))
     groups = [pairs[i::count] for i in range(count)]
-    cfg_dict = cfg.to_dict()
     if len(groups) > 1:
         # imported here: a one-group run never needs the process machinery
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            futures = [pool.submit(_run_group, cfg_dict, group, str(out)) for group in groups]
+            futures = [pool.submit(_run_group, cfg, group, str(out)) for group in groups]
             done = [f.result() for f in futures]
     else:
-        done = [_run_group(cfg_dict, group, str(out)) for group in groups]
+        done = [_run_group(cfg, group, str(out)) for group in groups]
     by_cell = {summary["cell"]: summary for group in done for summary in group}
 
     summaries = []
@@ -382,7 +338,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
                     }
                 )
     # exactly the files this run wrote, never older ones left in the directory
-    artifacts = [_metric_csv_name(factor, MetricSpec.from_dict(m).label) for factor, m in pairs]
+    artifacts = [_metric_csv_name(factor, m.label) for factor, m in pairs]
     artifacts += [
         f"{s['cell']}{ext}" for s in summaries if s["status"] == "ok" for ext in (".csv", ".json")
     ]

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import choi_trace_norms, intermediate_maps
+from .config import Config
 from .linalg import trace_norm  # not called here; perfbench wraps ptwalk.measures.trace_norm
 
 # Negative dust tolerated in g(t) before clamping to zero: the Choi trace
@@ -112,7 +113,7 @@ class MeasureSeries:
 
 
 @dataclass(frozen=True)
-class AnnealSchedule:
+class AnnealSchedule(Config):
     """Geometric-cooling schedule for the state-pair search.
 
     Proposals perturb both Bloch vectors with Gaussian noise of the given
@@ -138,21 +139,6 @@ class AnnealSchedule:
                 raise ValueError(f"{name} must be positive")
         if self.temperature_floor >= self.initial_temperature:
             raise ValueError("temperature_floor must be below initial_temperature")
-
-    def to_dict(self) -> dict:
-        return {
-            "initial_temperature": self.initial_temperature,
-            "cooling_factor": self.cooling_factor,
-            "steps_per_temperature": self.steps_per_temperature,
-            "proposal_stddev": self.proposal_stddev,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "temperature_floor": self.temperature_floor,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnnealSchedule":
-        return cls(**d)
 
 
 def _backflow(dist: np.ndarray) -> MeasureSeries:

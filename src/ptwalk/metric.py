@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .config import Config
 from .errors import BrokenRegime, DegenerateAtK
 from .walk import (
     UNBROKEN_MARGIN,
@@ -82,28 +83,33 @@ def _left_eigen(ks, a, s, d1, d2, d3) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(Config):
     """How to choose the per-momentum weights x(k), y(k).
 
     kind 'g1_flat' fixes x = y = 1; 'random_xy' draws both i.i.d. uniform on
     [low, high) from the seeded generator, one (x, y) pair per grid point in
     grid order; 'explicit' takes the tables as given. Blocks are always
-    rescaled to unit trace afterwards.
+    rescaled to unit trace afterwards. ``name`` is a file stem, so it holds
+    no path separator.
     """
 
     kind: str = "g1_flat"
-    seed: int | None = None
-    x: tuple[float, ...] | None = None
-    y: tuple[float, ...] | None = None
     low: float = 0.2
     high: float = 2.0
+    seed: int | None = None
     name: str | None = None
+    x: tuple[float, ...] | None = None
+    y: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("g1_flat", "random_xy", "explicit"):
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.kind == "random_xy" and self.seed is None:
             raise ValueError("random_xy requires a seed")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.name is not None and ("/" in self.name or "\\" in self.name):
+            raise ValueError(f"name {self.name!r} holds a path separator")
         if self.kind == "explicit" and (self.x is None or self.y is None):
             raise ValueError("explicit requires x and y tables")
 
@@ -114,29 +120,6 @@ class MetricSpec:
         if self.kind == "random_xy":
             return f"random_xy_{self.seed}"
         return self.kind
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "low": self.low, "high": self.high}
-        if self.seed is not None:
-            d["seed"] = self.seed
-        if self.name is not None:
-            d["name"] = self.name
-        if self.x is not None:
-            d["x"] = list(self.x)
-            d["y"] = list(self.y)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricSpec":
-        return cls(
-            kind=d.get("kind", "g1_flat"),
-            seed=d.get("seed"),
-            x=tuple(d["x"]) if "x" in d else None,
-            y=tuple(d["y"]) if "y" in d else None,
-            low=d.get("low", 0.2),
-            high=d.get("high", 2.0),
-            name=d.get("name"),
-        )
 
 
 def _weights(spec: MetricSpec, n: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config
 from .errors import ConfigInvalid, SpectrumNotReal
 from .linalg import EigenSystem, eig, sqrt_and_inv, transport
 from .measures import _entropy_bits
@@ -41,13 +42,19 @@ def toy_hamiltonians(variant: str = "pt_phase") -> tuple[np.ndarray, np.ndarray]
     return h_a, h_b
 
 
+Block = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
 @dataclass(frozen=True)
-class ToyConfig:
-    """Hamiltonian blocks, metric weights and the evolution window."""
+class ToyConfig(Config):
+    """Hamiltonian blocks, metric weights and the evolution window.
+
+    Custom blocks ``h_a``, ``h_b``, given as any 2x2 arrays, are kept as rows of complex numbers.
+    """
 
     variant: str = "pt_phase"
-    h_a: np.ndarray | None = None
-    h_b: np.ndarray | None = None
+    h_a: Block | None = None
+    h_b: Block | None = None
     weights_a1: tuple[float, float] = (1.0, 1.0)
     weights_b1: tuple[float, float] = (1.0, 1.0)
     weights_a2: tuple[float, float] = (0.5, 1.7)
@@ -58,6 +65,11 @@ class ToyConfig:
 
     def __post_init__(self):
         errors = []
+        for name in ("h_a", "h_b"):
+            if (h := getattr(self, name)) is not None:
+                if np.shape(h) != (2, 2):
+                    errors.append(("toy", f"{name} must be a 2x2 matrix, got shape {np.shape(h)}"))
+                object.__setattr__(self, name, tuple(map(tuple, np.asarray(h, complex).tolist())))
         if (self.h_a is None) != (self.h_b is None):
             errors.append(("toy", "custom h_a and h_b must be given together"))
         elif self.h_a is None and self.variant not in ("pt_phase", "real"):
@@ -76,37 +88,6 @@ class ToyConfig:
         if self.h_a is not None:
             return np.asarray(self.h_a, complex), np.asarray(self.h_b, complex)
         return toy_hamiltonians(self.variant)
-
-    def to_dict(self) -> dict:
-        d = {
-            "variant": self.variant,
-            "weights_a1": list(self.weights_a1),
-            "weights_b1": list(self.weights_b1),
-            "weights_a2": list(self.weights_a2),
-            "weights_b2": list(self.weights_b2),
-            "mixing_strength": self.mixing_strength,
-            "t_max": self.t_max,
-            "dt": self.dt,
-        }
-        if self.h_a is not None:
-            # Custom blocks as nested [re, im] pairs, so JSON carries them exactly.
-            for key, h in zip(("h_a", "h_b"), self.hamiltonians()):
-                d[key] = np.stack([h.real, h.imag], axis=-1).tolist()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ToyConfig":
-        kwargs = dict(d)
-        for key in ("weights_a1", "weights_b1", "weights_a2", "weights_b2"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        for key in ("h_a", "h_b"):
-            if kwargs.get(key) is not None:
-                pairs = np.asarray(kwargs[key], dtype=float)
-                if pairs.shape != (2, 2, 2):
-                    raise ValueError(f"toy {key} must be a 2x2 matrix of [re, im] pairs")
-                kwargs[key] = pairs[..., 0] + 1j * pairs[..., 1]
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

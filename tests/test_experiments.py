@@ -86,6 +86,19 @@ def test_config_validation_messages():
         ("toy", {"t_max": -1.0}),
         ("toy", {"weights_a2": [0.5, 0.0]}),
         ("toy", {"variant": "complex"}),
+        # misspelt keys and mistyped values, refused by the codec
+        ("metrics", [{"kind": "random_xy", "seed": 3, "hihg": 0.5}]),
+        ("gamma_factors", ["1.2"]),
+        ("theta1", "x"),
+        ("lattice_size", 101.0),
+        ("metrics", [{"kind": "random_xy", "seed": "a"}]),
+        ("anneal", {"restarts": 2.5}),
+        ("metrics", ["G1"]),
+        ("toy", {"mixing_strength": "a"}),
+        # negative seeds and a metric name that is no file stem
+        ("master_seed", -1),
+        ("metrics", [{"kind": "random_xy", "seed": -3}]),
+        ("metrics", [{"kind": "g1_flat", "name": "a/b"}]),
     ],
 )
 def test_invalid_config_exits_2_before_writing(tmp_path, field, value):
@@ -96,6 +109,51 @@ def test_invalid_config_exits_2_before_writing(tmp_path, field, value):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_config_errors_name_the_path():
+    cases = [
+        ({"metrics": [{"kind": "random_xy", "seed": "a"}]}, "config.metrics[0].seed"),
+        ({"metrics": [{"kind": "g1_flat"}, {"kind": "g1_flat", "hihg": 0.5}]}, "config.metrics[1]"),
+        ({"anneal": {"restarts": True}}, "config.anneal.restarts"),  # a bool is no int
+        ({"gamma_factors": [1.0, False]}, "config.gamma_factors[1]"),  # nor a float
+        ({"coin_bloch": [1.0, 0.0]}, "config.coin_bloch"),
+        ({"toy": {"h_a": [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0]]]}}, "config.toy.h_a[1][1]"),
+        ({"metrics": [{"kind": "random_xy"}]}, "config.metrics[0]"),  # the dataclass's own ValueError
+        ([], "config"),
+    ]
+    for data, path in cases:
+        with pytest.raises(ConfigInvalid) as err:
+            ExperimentConfig.from_dict(data)
+        assert [field for field, _ in err.value.errors] == [path], data
+
+
+def test_config_codec_keeps_ints_given_for_floats():
+    cfg = ExperimentConfig.from_dict({"theta1": 1, "gamma_factors": [1, 1.2]})
+    assert type(cfg.theta1) is int and cfg.gamma_factors == (1, 1.2)
+    assert cfg.to_dict()["gamma_factors"] == [1, 1.2]
+
+
+def test_metric_spec_encoding_is_pinned():
+    # the metric CSV's '#' line is json.dumps of this dict, unsorted
+    spec = MetricSpec(kind="random_xy", seed=11, name="G2")
+    assert json.dumps(spec.to_dict()) == '{"kind": "random_xy", "low": 0.2, "high": 2.0, "seed": 11, "name": "G2"}'
+
+
+def test_config_json_roundtrip_is_exact():
+    cfg = dataclasses.replace(
+        tiny_config("out"),
+        metrics=(
+            MetricSpec(kind="g1_flat", name="G1"),
+            MetricSpec(kind="random_xy", seed=11, low=0.5, high=1.5),
+            MetricSpec(kind="explicit", x=tuple(np.linspace(0.3, 2.0, 21)), y=(1.0,) * 21, name="E"),
+        ),
+        toy=custom_toy(),
+    )
+    assert cfg.anneal != AnnealSchedule()
+    back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert back == cfg
+    assert back.to_dict() == cfg.to_dict()
 
 
 def custom_toy():
