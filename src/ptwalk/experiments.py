@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -163,9 +163,10 @@ def _run_cell(
     entanglement cell reads its series from ``bloch``, the M(t) its pair's
     studies share. A BLP cell passes ``found``, the winning pair's series
     from the group's lockstep search (its meta holds N_max and the pair),
-    and ``shared_s``, its even share of that search's wall time; runtime_s
-    is the cell's own time plus ``shared_s``, and is repeated as ``cell_s``
-    in the ``timings`` that ``summary`` brings with its pair's stages.
+    and ``shared_s``, its even share of that search's wall time, recorded
+    as ``search_s``; runtime_s is the cell's own time plus ``shared_s``, and
+    is repeated as ``cell_s`` in the ``timings`` that ``summary`` brings
+    with its pair's stages.
     """
     started = time.perf_counter() - shared_s
     study, stem = summary["study"], summary["cell"]
@@ -184,6 +185,7 @@ def _run_cell(
             "bloch_sigma": series.meta["bloch_sigma"],
         }
         summary["anneal"] = series.meta["schedule"]
+        summary["timings"]["search_s"] = shared_s
     else:
         raise ValueError(f"unknown cell study {study!r}")
     summary["flagged_steps"] = [
@@ -258,8 +260,7 @@ def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out
 
     if blp_cells:
         started = time.perf_counter()
-        schedule = replace(cfg.anneal, seed=cfg.master_seed)
-        results = maximize_blp_many([bloch for _, _, bloch in blp_cells], schedule)
+        results = maximize_blp_many([bloch for _, _, bloch in blp_cells], cfg.anneal, cfg.master_seed)
         # every cell runs the same chains for the same steps: an even share each
         share = (time.perf_counter() - started) / len(blp_cells)
         for (spec, summary, _), found in zip(blp_cells, results):

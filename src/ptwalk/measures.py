@@ -29,6 +29,7 @@ entropy.
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -120,7 +121,8 @@ class AnnealSchedule(Config):
     standard deviation and are projected back into the unit ball. Restart 0
     starts from the best antipodal axis pair so the result can never fall
     below that baseline; remaining restarts start from random pairs drawn
-    from independent substreams of the seed.
+    from independent substreams of the search's seed, which the schedule
+    does not hold (a run passes its ``master_seed``).
     """
 
     initial_temperature: float = 0.1
@@ -128,7 +130,6 @@ class AnnealSchedule(Config):
     steps_per_temperature: int = 60
     proposal_stddev: float = 0.25
     restarts: int = 5
-    seed: int = 0
     temperature_floor: float = 1e-4
 
     def __post_init__(self):
@@ -217,7 +218,7 @@ _AXIS_PAIRS = np.array(
 )
 
 
-def maximize_blp_many(blochs, schedule: AnnealSchedule) -> list[MeasureSeries]:
+def maximize_blp_many(blochs, schedule: AnnealSchedule, seed: int) -> list[MeasureSeries]:
     """Simulated-annealing search for the pair maximizing N(t_max), for many cells at once.
 
     ``blochs`` holds one Bloch-matrix series M(0..t_max) per cell (see
@@ -229,6 +230,13 @@ def maximize_blp_many(blochs, schedule: AnnealSchedule) -> list[MeasureSeries]:
     returns, whichever cells share the batch. Returns, per cell, the
     winning pair's series; its meta holds N_max (``n_max``), the pair
     (``bloch_rho``, ``bloch_sigma``) and the schedule.
+
+    A chain's path depends on nothing but the order in which it draws from
+    its generator, the order of a one-chain-at-a-time loop: 6 standard
+    normals for its start (restarts > 0 only), then per step 6 standard
+    normals, scaled by ``proposal_stddev``, and one uniform if and only if
+    the proposal's gain is <= 0, also when its acceptance odds underflow
+    to 0.
     """
     blochs = np.asarray(blochs, dtype=float)
     cells, restarts = len(blochs), schedule.restarts
@@ -236,13 +244,7 @@ def maximize_blp_many(blochs, schedule: AnnealSchedule) -> list[MeasureSeries]:
     axis_vals = _blp_objective(stacks, np.broadcast_to(_AXIS_PAIRS, (cells, 3, 6)))
     best_axis = _AXIS_PAIRS[np.argmax(axis_vals, axis=1)]
 
-    # Each chain consumes its own generator in the order of a one-chain-at-a-time
-    # loop: 6 normals for its start (restarts > 0), then per step 6 normals
-    # and, only when the proposal is no better, one random(). The path, and so
-    # the result, depends on nothing else.
-    rngs = [
-        np.random.default_rng([schedule.seed, r]) for _ in range(cells) for r in range(restarts)
-    ]
+    rngs = [np.random.default_rng([seed, r]) for _ in range(cells) for r in range(restarts)]
     current = np.empty((cells, restarts, 6))
     current[:, 0] = best_axis
     for i, rng in enumerate(rngs):
@@ -251,21 +253,27 @@ def maximize_blp_many(blochs, schedule: AnnealSchedule) -> list[MeasureSeries]:
     current = _project_ball(current)
     cur_val = _blp_objective(stacks, current)
     chain_best, chain_best_val = current.copy(), cur_val.copy()
-    normals, randoms = [rng.normal for rng in rngs], [rng.random for rng in rngs]
+    # Each chain draws its normals into its own row of one buffer; numpy's
+    # normal(0, s) is 0 + s z, so scaling the standard normals keeps the bits.
+    noise = np.empty_like(current)
+    normal_rows = [(rng.standard_normal, row) for rng, row in zip(rngs, noise.reshape(-1, 6))]
+    uniforms = [rng.random for rng in rngs]
     stddev = schedule.proposal_stddev
     temperature = schedule.initial_temperature
     while temperature > schedule.temperature_floor:
         for _ in range(schedule.steps_per_temperature):
-            noise = np.array([normal(0.0, stddev, 6) for normal in normals])
-            prop = _project_ball(current + noise.reshape(current.shape))
+            for standard_normal, row in normal_rows:
+                standard_normal(out=row)
+            noise *= stddev
+            prop = _project_ball(np.add(current, noise, out=noise))
             val = _blp_objective(stacks, prop)
             gain = val - cur_val
             take = gain > 0
-            # Odds are only read where gain <= 0; clamping keeps exp from overflowing.
-            odds = np.exp(np.minimum(gain, 0.0) / temperature).ravel().tolist()
-            flat_take = take.reshape(-1)
-            for i in np.flatnonzero(~flat_take).tolist():
-                flat_take[i] = randoms[i]() < odds[i]
+            no_gain = ~take  # each draws its uniform, also where the odds underflow to 0
+            draws_uniform = no_gain.ravel().tolist()
+            if True in draws_uniform:
+                odds = np.exp(gain[no_gain] / temperature).tolist()
+                take[no_gain] = [u() < p for u, p in zip(compress(uniforms, draws_uniform), odds)]
             np.copyto(current, prop, where=take[..., None])
             np.copyto(cur_val, val, where=take)
             better = cur_val > chain_best_val

@@ -36,12 +36,12 @@ _AXIS_PAIRS = [
 
 
 def maximize_blp_sequential(
-    ew, schedule: AnnealSchedule, t_max: int
+    ew, schedule: AnnealSchedule, seed: int, t_max: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], float, MeasureSeries]:
     """Simulated-annealing search for the pair maximizing N(t_max).
 
     Both members range over the full Bloch ball. Deterministic for a fixed
-    schedule seed; returns the winning pair of Bloch vectors, N and its
+    seed; returns the winning pair of Bloch vectors, N and its
     series, recomputed through blp_series on the winning pair.
     """
     stack = _series_stack(channel_matrix_series(ew, t_max))
@@ -49,7 +49,7 @@ def maximize_blp_sequential(
     best_vec = best_axis.copy()
     best_val = _blp_objective(stack, best_vec)
     for restart in range(schedule.restarts):
-        rng = np.random.default_rng([schedule.seed, restart])
+        rng = np.random.default_rng([seed, restart])
         if restart == 0:
             current = best_axis.copy()
         else:

@@ -99,6 +99,8 @@ def test_config_validation_messages():
         ("master_seed", -1),
         ("metrics", [{"kind": "random_xy", "seed": -3}]),
         ("metrics", [{"kind": "g1_flat", "name": "a/b"}]),
+        # the search's seed is the run's master_seed; a schedule holds none
+        ("anneal", {"seed": 7}),
     ],
 )
 def test_invalid_config_exits_2_before_writing(tmp_path, field, value):
@@ -263,9 +265,15 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
         assert summary["metric_condition_max"] >= 1.0
         # stage timings: the pair's shared walk, audit CSV and M(t), and the cell's own stage
         timings = summary["timings"]
-        assert set(timings) == {"walk_s", "metric_csv_s", "bloch_s", "cell_s"}
+        search = {"search_s"} if cell["study"] == "blp" else set()
+        assert set(timings) == {"walk_s", "metric_csv_s", "bloch_s", "cell_s"} | search
         assert min(timings.values()) >= 0.0
         assert timings["cell_s"] == summary["runtime_s"]
+        if search:
+            # a BLP cell's even share of its group's lockstep search is part of its cell_s;
+            # the search's seed is the run's master_seed, never the schedule's
+            assert timings["search_s"] <= timings["cell_s"]
+            assert "seed" not in summary["anneal"] and summary["master_seed"] == 5
         pair = [
             json.loads((tmp_path / f"{study}__eg{cell['gamma_factor']:g}__{cell['metric_label']}.json").read_text())
             for study in ("blp", "rhp", "entanglement")

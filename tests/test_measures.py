@@ -40,9 +40,9 @@ def bloch(gamma_factor=1.0, spec=FLAT, t_max=50, size=101):
     return bloch_matrix_series(walk(gamma_factor, spec, size), t_max)
 
 
-def search_walk(ew, schedule, t_max):
+def search_walk(ew, schedule, t_max, seed=7):
     """The search of one walk: its winning series, whose meta holds N_max and the pair."""
-    return maximize_blp_many([bloch_matrix_series(ew, t_max)], schedule)[0]
+    return maximize_blp_many([bloch_matrix_series(ew, t_max)], schedule, seed)[0]
 
 
 def random_state(rng):
@@ -119,16 +119,27 @@ def test_blp_positive_for_unitary_walk():
     assert series.blp[-1] > 0
 
 
-def quick_schedule(seed=7):
+def quick_schedule():
     return AnnealSchedule(
         initial_temperature=0.05,
         cooling_factor=0.8,
         steps_per_temperature=20,
         proposal_stddev=0.3,
         restarts=2,
-        seed=seed,
         temperature_floor=1e-3,
     )
+
+
+# Cold enough that the odds exp(gain / T) of some rejected proposals are
+# exactly 0.0; those chains still draw their uniform.
+COLD_SCHEDULE = AnnealSchedule(
+    initial_temperature=1e-5,
+    cooling_factor=0.5,
+    steps_per_temperature=30,
+    proposal_stddev=0.3,
+    restarts=2,
+    temperature_floor=1e-6,
+)
 
 
 def test_maximize_blp_deterministic():
@@ -188,35 +199,50 @@ def test_maximize_blp_tracks_dense_direction_oracle():
 @pytest.mark.parametrize(
     "gamma_factor, spec, size, t_max, schedule",
     [
-        (1.2, MetricSpec(kind="random_xy", seed=11), 61, 25, quick_schedule()),
-        (1.3, FLAT, 41, 20, quick_schedule(seed=2029)),
-        (1.0, MetricSpec(kind="random_xy", seed=23), 41, 20, quick_schedule(seed=3)),
-        (1.3, MetricSpec(kind="random_xy", seed=5), 41, 20, AnnealSchedule(
+        # each schedule entry is (AnnealSchedule, seed)
+        (1.2, MetricSpec(kind="random_xy", seed=11), 61, 25, (quick_schedule(), 7)),
+        (1.3, FLAT, 41, 20, (quick_schedule(), 2029)),
+        (1.0, MetricSpec(kind="random_xy", seed=23), 41, 20, (quick_schedule(), 3)),
+        (1.3, MetricSpec(kind="random_xy", seed=5), 41, 20, (AnnealSchedule(
             initial_temperature=0.2, cooling_factor=0.7, steps_per_temperature=30,
-            proposal_stddev=0.5, restarts=1, seed=11, temperature_floor=1e-3)),
-        (1.2, FLAT, 101, 50, AnnealSchedule(seed=2024)),
+            proposal_stddev=0.5, restarts=1, temperature_floor=1e-3), 11)),
+        (1.2, FLAT, 101, 50, (AnnealSchedule(), 2024)),
         # several cells in one lockstep search: every (e^gamma, metric) of the grid
         (
             (1.0, 1.3),
             (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23)),
             41,
             20,
-            quick_schedule(seed=2024),
+            (quick_schedule(), 2024),
         ),
+        (1.2, MetricSpec(kind="random_xy", seed=11), 41, 20, (COLD_SCHEDULE, 5)),
     ],
 )
-def test_maximize_blp_matches_sequential_reference(gamma_factor, spec, size, t_max, schedule):
+def test_maximize_blp_matches_sequential_reference(gamma_factor, spec, size, t_max, schedule, monkeypatch):
     # The lockstep, Bloch-frame annealer must walk exactly the path of the
     # one-chain-at-a-time annealer that scores pairs through the 4x4 stack,
     # for one walk and for every cell of a multi-cell search.
     from anneal_reference import maximize_blp_sequential
 
+    schedule, seed = schedule
     factors = gamma_factor if isinstance(gamma_factor, tuple) else (gamma_factor,)
     specs = spec if isinstance(spec, tuple) else (spec,)
     walks = [walk(f, s, size=size) for f in factors for s in specs]
-    results = maximize_blp_many([bloch_matrix_series(ew, t_max) for ew in walks], schedule)
+    blochs = [bloch_matrix_series(ew, t_max) for ew in walks]
+    odds, np_exp = [], np.exp
+
+    def recording_exp(x):
+        odds.append(np_exp(x))
+        return odds[-1]
+
+    with monkeypatch.context() as patch:
+        # the only exp the search takes is of the odds of its rejected proposals
+        patch.setattr(np, "exp", recording_exp)
+        results = maximize_blp_many(blochs, schedule, seed)
+    if schedule is COLD_SCHEDULE:
+        assert any((o == 0.0).any() for o in odds), "no odds underflowed to 0.0"
     for ew, series in zip(walks, results):
-        ref_pair, ref_n, ref_series = maximize_blp_sequential(ew, schedule, t_max)
+        ref_pair, ref_n, ref_series = maximize_blp_sequential(ew, schedule, seed, t_max)
         assert series.meta["n_max"] == pytest.approx(ref_n, abs=1e-12)
         for key in ("bloch_rho", "bloch_sigma"):
             assert np.abs(np.subtract(series.meta[key], ref_series.meta[key])).max() <= 1e-12
@@ -230,19 +256,19 @@ def test_maximize_blp_many_is_batch_invariant():
     # grid order, in a permuted order and as a one-cell subset, must equal
     # one-walk calls bit for bit.
     cfg = ExperimentConfig()
-    schedule = AnnealSchedule.from_dict({**cfg.anneal.to_dict(), "seed": cfg.master_seed})
+    schedule, seed = cfg.anneal, cfg.master_seed
     walks = [
         build_euclidean_walk(cfg.walk_params(factor), spec)
         for factor in cfg.gamma_factors
         for spec in cfg.metrics
     ]
     blochs = [bloch_matrix_series(ew, cfg.t_max) for ew in walks]
-    single = [search_walk(ew, schedule, cfg.t_max) for ew in walks]
+    single = [search_walk(ew, schedule, cfg.t_max, seed) for ew in walks]
     order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
     batches = {
-        "grid": (list(range(9)), maximize_blp_many(blochs, schedule)),
-        "permuted": (order, maximize_blp_many([blochs[i] for i in order], schedule)),
-        "subset": ([7], maximize_blp_many([blochs[7]], schedule)),
+        "grid": (list(range(9)), maximize_blp_many(blochs, schedule, seed)),
+        "permuted": (order, maximize_blp_many([blochs[i] for i in order], schedule, seed)),
+        "subset": ([7], maximize_blp_many([blochs[7]], schedule, seed)),
     }
     for name, (cells, results) in batches.items():
         assert len(results) == len(cells), name
