@@ -25,19 +25,27 @@ M_yy(t) = 1 - (1/L) sum_k (1 - cos 2t eps_k) is the first of them alone, with
 no metric term, and M(0) = I exactly, since every term vanishes at t = 0.
 The steps run in blocks t = t0 + j, j < chunk, and the double angles are
 stepped, not recomputed: 1 - cos and sin of 2j eps_k are tabulated once,
-sin and cos of 2 t0 eps_k are evaluated directly once per block, and the
-angle-addition identities
+and the angle-addition identities
 
     1 - cos(a + b) = (1 - cos a) cos b + sin a sin b + (1 - cos b),
     sin(a + b) = sin a cos b - (1 - cos a) sin b + sin b,
 
 with a = 2j eps_k and b = 2 t0 eps_k, put the block start into the weights:
 a block of sums is one product of the (chunk, 2L) table with (2L, 5)
-weights scaled by cos b and sin b, plus the b-only terms. That takes about
-(chunk + T/chunk) L transcendentals for T steps instead of T L, and no pass
-over a block's (chunk, L) entries besides the product. Every block start is
-evaluated directly, so the roundoff does not accumulate from block to block,
+weights scaled by cos b and sin b, plus the b-only terms. Of the block
+starts only every n-th, an anchor, is evaluated directly, n = ceil(sqrt(blocks));
+the others add 2 r chunk eps_k, r < n, to their anchor by one more angle
+addition, from a directly evaluated table of sin and cos of those offsets.
+That takes about (chunk + 2 sqrt(T/chunk)) L transcendentals for T steps
+instead of T L, and no pass over a block's (chunk, L) entries besides the
+product. Every block start is at most one angle addition from directly
+evaluated angles, so the roundoff does not accumulate from block to block,
 and the first block (t0 = 0) is the product of the directly evaluated table.
+
+The angles depend on the walk parameters alone, so one call serves every
+metric of one WalkParams: the tables and the block starts are computed once,
+and each walk keeps its own weights and its own table product per block, so
+its M(t) is bit for bit the same alone or next to any other walks.
 
 The angles are read from a(k) (``spectral_a``), not from R: they are then
 bit-identical across metrics, so in the Hermitian limit the reduced maps of
@@ -45,9 +53,9 @@ different metrics differ only by roundoff in the axes, and the inversions
 behind the CP-indivisibility measure do not amplify a metric-dependent angle
 error. Where |a(k)| = 1, which only a unitary walk under the flat metric
 admits, the block is +-I up to roundoff: its angle is atan2(sqrt(R_00^2 + R_01^2), a)
-and its axis z where sin(eps_k) = 0. A block of steps holds at most
-BLOCK_ELEMENTS (step, momentum) entries, so the phase table stays bounded at
-any horizon.
+and its axis z where sin(eps_k) = 0. A block of steps, and the table of
+offsets from an anchor, each hold at most BLOCK_ELEMENTS (step, momentum)
+entries, so the phase tables stay bounded at any horizon.
 
 A step from t-1 to t is the map A(t) = M(t) M(t-1)^{-1}, again unital. The
 Choi matrix of a unital qubit map has a closed-form spectrum (King & Ruskai,
@@ -65,6 +73,7 @@ sigma_y, sigma_z)/sqrt(2) the 4x4 map on vectorized coin states is
 diag(1, M(t)), so the conditioning of an inversion is that of diag(1, M).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +88,8 @@ from .walk import UNBROKEN_MARGIN, BlockOperator, WalkParams
 ILL_CONDITION_LIMIT = 1e12
 PINV_RCOND = 1e-12
 # Cap on the (steps x momenta) entries of a block of the closed form: it
-# bounds the table of the in-block double angles.
+# bounds the table of the in-block double angles and that of the offsets
+# of the block starts from their anchors.
 BLOCK_ELEMENTS = 1 << 14
 
 
@@ -151,14 +161,21 @@ def _check_horizon(ew: EuclideanWalk, t: int) -> None:
         )
 
 
-def _bloch_matrices(ew: EuclideanWalk, start: int, count: int) -> np.ndarray:
-    """M(t) for t = start..start+count-1, shape (count, 3, 3), from five momentum sums per step."""
-    eps, n_x, n_z = ew.eps, ew.n_x, ew.n_z
+def _bloch_sums(walks: list[EuclideanWalk], start: int, count: int) -> np.ndarray:
+    """The five momentum sums of each walk for t = start..start+count-1, shape (len(walks), count, 5).
+
+    The walks share their angles ``eps``; see the module docstring for the
+    blocks of steps and their anchors.
+    """
+    eps = walks[0].eps
     size = len(eps)
+    most = max(1, BLOCK_ELEMENTS // size)  # rows of a phase table
+    chunk = min(count, most)
+    blocks = -(-count // chunk)
+    every = min(math.isqrt(blocks - 1) + 1, most)  # ceil(sqrt(blocks)) block starts per anchor
     # weights of the sums: 1, n_z^2 and n_x n_z on 1 - cos, n_z and n_x on sin
-    turn = np.stack([np.ones(size), n_z * n_z, n_x * n_z]) / size
-    cross = np.stack([n_z, n_x]) / size
-    chunk = min(count, max(1, BLOCK_ELEMENTS // size))
+    turns = [np.stack([np.ones(size), w.n_z * w.n_z, w.n_x * w.n_z]) / size for w in walks]
+    crosses = [np.stack([w.n_z, w.n_x]) / size for w in walks]
     # (1 - cos a, sin a) of the double angles a = 2j eps of the steps within a block, j < chunk
     table = np.empty((chunk, 2 * size))
     vers_j, sin_j = table[:, :size], table[:, size:]
@@ -166,42 +183,75 @@ def _bloch_matrices(ew: EuclideanWalk, start: int, count: int) -> np.ndarray:
     np.cos(sin_j, out=vers_j)
     np.subtract(1.0, vers_j, out=vers_j)
     np.sin(sin_j, out=sin_j)
+    # sin and cos of the offsets 2 r chunk eps of a block start from its anchor, 0 < r < every
+    cos_r = np.multiply.outer(np.arange(1, every) * (2 * chunk), eps)
+    sin_r = np.sin(cos_r)
+    np.cos(cos_r, out=cos_r)
+    # per-block buffers: sin and cos of the anchor, then sin, cos, 1 - cos and -sin of the block start
+    sin_a, cos_a, sin_0, cos_0, vers_0, minus_sin_0 = np.empty((6, size))
     weights = np.empty((5, 2 * size))
-    sums = np.empty((count, 5))
+    sums = np.empty((len(walks), count, 5))
     for lo in range(0, count, chunk):
         rows = min(chunk, count - lo)
-        # the block start b = 2 t0 eps, evaluated directly: the b-only terms, then
-        # the weights scaled by the angle-addition identities of the module docstring
-        phase = (2 * (start + lo)) * eps
-        sin_0, cos_0 = np.sin(phase), np.cos(phase)
-        block = sums[lo : lo + rows]
-        block[:, :3] = turn @ (1.0 - cos_0)
-        block[:, 3:] = cross @ sin_0
-        if rows > 1:  # the table's row j = 0 is zero: a one-step block is its start alone
-            np.multiply(turn, cos_0, out=weights[:3, :size])
-            np.multiply(turn, sin_0, out=weights[:3, size:])
-            np.multiply(cross, -sin_0, out=weights[3:, :size])
-            np.multiply(cross, cos_0, out=weights[3:, size:])
-            block += table[:rows] @ weights.T
-    v_all, v_zz, v_xz, s_z, s_x = sums.T
-    out = np.empty((count, 3, 3))
-    out[:, 0, 0] = 1.0 - v_zz
-    out[:, 1, 1] = 1.0 - v_all
-    out[:, 2, 2] = 1.0 - (v_all - v_zz)
-    out[:, 0, 2] = out[:, 2, 0] = v_xz
-    out[:, 0, 1], out[:, 1, 0] = -s_z, s_z
-    out[:, 1, 2], out[:, 2, 1] = -s_x, s_x
+        r = (lo // chunk) % every
+        if r == 0:  # an anchor: the block start b = 2 t0 eps, evaluated directly
+            np.multiply(2 * (start + lo), eps, out=sin_a)
+            np.cos(sin_a, out=cos_a)
+            np.sin(sin_a, out=sin_a)
+            sin_0[:], cos_0[:] = sin_a, cos_a
+        else:  # one angle addition from the anchor
+            np.multiply(sin_a, cos_r[r - 1], out=sin_0)
+            sin_0 += cos_a * sin_r[r - 1]
+            np.multiply(cos_a, cos_r[r - 1], out=cos_0)
+            cos_0 -= sin_a * sin_r[r - 1]
+        np.subtract(1.0, cos_0, out=vers_0)
+        np.negative(sin_0, out=minus_sin_0)
+        for turn, cross, block in zip(turns, crosses, sums[:, lo : lo + rows]):
+            # the b-only terms, then the weights scaled by the angle-addition
+            # identities of the module docstring
+            block[:, :3] = turn @ vers_0
+            block[:, 3:] = cross @ sin_0
+            if rows > 1:  # the table's row j = 0 is zero: a one-step block is its start alone
+                np.multiply(turn, cos_0, out=weights[:3, :size])
+                np.multiply(turn, sin_0, out=weights[:3, size:])
+                np.multiply(cross, minus_sin_0, out=weights[3:, :size])
+                np.multiply(cross, cos_0, out=weights[3:, size:])
+                block += table[:rows] @ weights.T
+    return sums
+
+
+def _bloch_matrices(walks: list[EuclideanWalk], start: int, count: int) -> np.ndarray:
+    """M(t) of each walk for t = start..start+count-1, shape (len(walks), count, 3, 3).
+
+    The sums come from their own function, so that its phase tables are freed
+    before the output is allocated.
+    """
+    v_all, v_zz, v_xz, s_z, s_x = np.moveaxis(_bloch_sums(walks, start, count), -1, 0)
+    out = np.empty((len(walks), count, 3, 3))
+    out[..., 0, 0] = 1.0 - v_zz
+    out[..., 1, 1] = 1.0 - v_all
+    out[..., 2, 2] = 1.0 - (v_all - v_zz)
+    out[..., 0, 2] = out[..., 2, 0] = v_xz
+    out[..., 0, 1], out[..., 1, 0] = -s_z, s_z
+    out[..., 1, 2], out[..., 2, 1] = -s_x, s_x
     return out
 
 
-def bloch_matrix_series(ew: EuclideanWalk, t_max: int) -> np.ndarray:
-    """Real 3x3 Bloch matrices M(t) of the reduced maps, t = 0..t_max.
+def bloch_matrix_series(walks: list[EuclideanWalk], t_max: int) -> np.ndarray:
+    """Real 3x3 Bloch matrices M(t) of the reduced maps of each walk, t = 0..t_max.
 
-    The t-step map sends the Bloch vector r of a coin state to M(t) r; see
-    the module docstring for the closed form.
+    ``walks`` are walks of one WalkParams under any metrics: their angles
+    ``eps`` must be bitwise equal. Returns shape (len(walks), t_max+1, 3, 3).
+    The t-step map of a walk sends the Bloch vector r of a coin state to
+    M(t) r; see the module docstring for the closed form and for why a walk's
+    M(t) does not depend on the walks next to it.
     """
-    _check_horizon(ew, t_max)
-    return _bloch_matrices(ew, 0, t_max + 1)
+    if not walks:
+        raise ValueError("no walks given")
+    if not all(np.array_equal(w.eps, walks[0].eps) for w in walks[1:]):
+        raise ValueError("the walks' angles eps differ: M(t) is computed for the walks of one WalkParams")
+    _check_horizon(walks[0], t_max)
+    return _bloch_matrices(walks, 0, t_max + 1)
 
 
 def intermediate_maps(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,11 +5,13 @@ metric choices for the selected studies (information backflow, CP
 indivisibility, coin-position entanglement, and the two-qubit toy), writing
 one CSV series and one JSON summary per cell plus a manifest of content
 hashes. The unit of work is a (gamma, metric) pair: its walk and Bloch
-matrices M(t) are built once for all of its studies. Cells whose gamma lies
-beyond the exceptional point are skipped and reported, not fatal. Given the
-same config and master seed, the CSV outputs are byte-identical across
-reruns and thread counts; summary JSONs are deterministic apart from their
-wall-clock ``runtime_s`` and ``timings`` fields.
+matrices M(t) are built once for all of its studies, and the M(t) of the
+pairs of one gamma come from one pass over their shared angles. Cells
+whose gamma lies beyond the exceptional point are skipped and reported,
+not fatal. Given the same config and master seed, the CSV outputs are
+byte-identical across reruns and thread counts; summary JSONs are
+deterministic apart from their wall-clock ``runtime_s`` and ``timings``
+fields.
 """
 
 import csv
@@ -205,58 +207,68 @@ def _run_cell(
 def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out_dir: str) -> list[dict]:
     """Run every requested walk study on a group of unbroken (gamma, metric) pairs.
 
-    Each pair's walk and its Bloch matrices M(t) are built once and shared by
-    its studies, and its metric audit CSV is written from the same metric.
+    The pairs are taken one gamma at a time. Each pair's walk is built once,
+    and its metric audit CSV is written from the same metric; then one
+    ``bloch_matrix_series`` pass gives the Bloch matrices M(t) of all of that
+    gamma's walks, which share their angles. Each M(t) is shared by its
+    pair's studies, and the walks are dropped once those cells have run.
     Every pair sits on the momentum grid of ``cfg.lattice_size``, so the
     audit CSVs share one formatted k column, timed with the first pair's CSV.
-    Of a BLP cell only M(t) is kept, never the walk; the BLP cells of the
-    group are annealed together at the end, in one lockstep search. Top-level
-    function so groups can run in a process pool; fully determined by its
-    arguments, and a cell's outputs do not depend on its group.
+    Of a BLP cell only M(t) is kept; the BLP cells of the group are annealed
+    together at the end, in one lockstep search. Top-level function so
+    groups can run in a process pool; fully determined by its arguments, and
+    a cell's outputs do not depend on its group.
     """
     out = Path(out_dir)
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     summaries, blp_cells = [], []
     k_column = None
-    for factor, spec in pairs:
+    for factor in dict.fromkeys(factor for factor, _ in pairs):
         params = cfg.walk_params(factor)
+        specs = [spec for f, spec in pairs if f == factor]
+        walks, stages = [], []
+        for spec in specs:
+            started = time.perf_counter()
+            ew = build_euclidean_walk(params, spec)
+            walk_s = time.perf_counter() - started
+            started = time.perf_counter()
+            if k_column is None:
+                k_column = list(map(repr, ew.metric.points.tolist()))
+            write_metric_csv(
+                ew.metric,
+                out / _metric_csv_name(factor, spec.label),
+                comment=f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}",
+                k_column=k_column,
+            )
+            stages.append({"walk_s": walk_s, "metric_csv_s": time.perf_counter() - started})
+            walks.append(ew)
         started = time.perf_counter()
-        ew = build_euclidean_walk(params, spec)
-        walk_s = time.perf_counter() - started
-        started = time.perf_counter()
-        if k_column is None:
-            k_column = list(map(repr, ew.metric.points.tolist()))
-        write_metric_csv(
-            ew.metric,
-            out / _metric_csv_name(factor, spec.label),
-            comment=f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}",
-            k_column=k_column,
-        )
-        metric_csv_s = time.perf_counter() - started
-        started = time.perf_counter()
-        bloch = bloch_matrix_series(ew, cfg.t_max)
-        bloch_s = time.perf_counter() - started
-        for study in studies:
-            summary = {
-                "cell": _cell_stem(study, factor, spec.label),
-                "status": "ok",
-                "study": study,
-                "gamma_factor": factor,
-                "gamma": params.gamma,
-                "metric": spec.to_dict(),
-                "metric_label": spec.label,
-                "t_max": cfg.t_max,
-                "master_seed": cfg.master_seed,
-                "tolerances": TOLERANCES,
-                "unitarity_residual": ew.unitarity_residual,
-                "ep_gap": ew.ep_gap,
-                "metric_condition_max": ew.metric_condition_max,
-                "timings": {"walk_s": walk_s, "metric_csv_s": metric_csv_s, "bloch_s": bloch_s},
-            }
-            if study == "blp":
-                blp_cells.append((spec, summary, bloch))
-            else:
-                summaries.append(_run_cell(cfg, spec, summary, out, bloch=bloch))
+        blochs = bloch_matrix_series(walks, cfg.t_max)
+        # every walk of the pass has the same steps and momenta: an even share each
+        bloch_s = (time.perf_counter() - started) / len(walks)
+        for spec, ew, stage, bloch in zip(specs, walks, stages, blochs):
+            for study in studies:
+                summary = {
+                    "cell": _cell_stem(study, factor, spec.label),
+                    "status": "ok",
+                    "study": study,
+                    "gamma_factor": factor,
+                    "gamma": params.gamma,
+                    "metric": spec.to_dict(),
+                    "metric_label": spec.label,
+                    "t_max": cfg.t_max,
+                    "master_seed": cfg.master_seed,
+                    "tolerances": TOLERANCES,
+                    "unitarity_residual": ew.unitarity_residual,
+                    "ep_gap": ew.ep_gap,
+                    "metric_condition_max": ew.metric_condition_max,
+                    "timings": {**stage, "bloch_s": bloch_s},
+                }
+                if study == "blp":
+                    blp_cells.append((spec, summary, bloch))
+                else:
+                    summaries.append(_run_cell(cfg, spec, summary, out, bloch=bloch))
+        del walks, ew  # the next gamma's walks are built without these
 
     if blp_cells:
         started = time.perf_counter()

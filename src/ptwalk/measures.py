@@ -12,9 +12,9 @@ chains. ``maximize_blp_many`` searches many cells at once: the chains of
 every cell advance in lockstep, with one batched objective call per step,
 and a cell's result does not depend on which cells share the search.
 
-Every measure takes the (t_max+1, 3, 3) stack M(0..t_max) of
-``ptwalk.channel.bloch_matrix_series`` and Bloch vectors, one function per
-quantity: ``blp_series``, ``rhp_series`` and ``entanglement_series``.
+Every measure takes the (t_max+1, 3, 3) stack M(0..t_max) of one walk, a
+slice of what ``ptwalk.channel.bloch_matrix_series`` returns for the walks
+of one gamma, and Bloch vectors, one function per quantity: ``blp_series``, ``rhp_series`` and ``entanglement_series``.
 Failure of CP-divisibility is scored through the one-step intermediate maps
 A(t) = M(t) M(t-1)^{-1}:
 

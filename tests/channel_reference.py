@@ -74,13 +74,14 @@ def _check_state(rho: np.ndarray) -> np.ndarray:
 def reduced_coin_state(ew, rho0: np.ndarray, t: int) -> np.ndarray:
     """Reduced coin state bloch_state(M(t) r0) after t steps, r0 the Bloch vector of ``rho0``.
 
-    M(t) is evaluated directly, as the start of a one-step block, so it
-    checks the rows ``bloch_matrix_series`` steps to by angle addition.
+    M(t) is evaluated directly, as the anchor of a one-step call, so it
+    checks the rows ``bloch_matrix_series`` steps to by angle addition,
+    within a block and from an anchor to a block start.
     """
     rho0 = _check_state(rho0)
     _check_horizon(ew, t)
     r0 = (_PAULI.conj().T @ rho0.reshape(4)).real[1:]
-    return bloch_state(_bloch_matrices(ew, t, 1)[0] @ r0)
+    return bloch_state(_bloch_matrices([ew], t, 1)[0, 0] @ r0)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -151,12 +152,12 @@ def _channels(bloch: np.ndarray, steps: np.ndarray) -> list[ChannelMatrix]:
 def channel_matrix(ew, t: int) -> ChannelMatrix:
     """Matrix L(t, 0) of the t-step reduced map on vectorized coin states."""
     _check_horizon(ew, t)
-    return _channels(_bloch_matrices(ew, t, 1), np.array([t]))[0]
+    return _channels(_bloch_matrices([ew], t, 1)[0], np.array([t]))[0]
 
 
 def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
     """L(t, 0) for t = 0..t_max, each diag(1, M(t)) in the Pauli basis."""
-    return _channels(bloch_matrix_series(ew, t_max), np.arange(t_max + 1))
+    return _channels(bloch_matrix_series([ew], t_max)[0], np.arange(t_max + 1))
 
 
 def intermediate_from(l_from: ChannelMatrix, l_to: ChannelMatrix) -> ChannelMatrix:

@@ -74,7 +74,7 @@ def grid_channels(grid_walks):
 
 @pytest.fixture(scope="module")
 def grid_blochs(grid_walks):
-    return {key: bloch_matrix_series(ew, T_MAX) for key, ew in grid_walks.items()}
+    return {key: bloch_matrix_series([ew], T_MAX)[0] for key, ew in grid_walks.items()}
 
 
 @pytest.fixture(scope="module")

@@ -40,7 +40,7 @@ def params(gamma, size=21):
 
 def coin_states(ew, r0, t_max):
     """Reduced coin states (I + (M(t) r0) . sigma)/2, t = 0..t_max, shape (t_max+1, 2, 2)."""
-    return np.stack([bloch_state(r) for r in bloch_matrix_series(ew, t_max) @ np.asarray(r0, float)])
+    return np.stack([bloch_state(r) for r in bloch_matrix_series([ew], t_max)[0] @ np.asarray(r0, float)])
 
 
 def rotation_blocks(ew):
@@ -295,7 +295,7 @@ def test_channel_json_roundtrip():
     import json
 
     ew = build_euclidean_walk(params(0.1), FLAT)
-    bloch = bloch_matrix_series(ew, 3)
+    bloch = bloch_matrix_series([ew], 3)[0]
     back = np.array(json.loads(json.dumps({"t": 3, "bloch": bloch[3].tolist()}))["bloch"])
     assert np.abs(back - bloch[3]).max() == 0.0
     assert back.shape == (3, 3)
@@ -305,7 +305,7 @@ def test_trajectory_csv(tmp_path):
     # the coin trajectory reaches disk through the entanglement series, whose
     # S column must read back exactly
     ew = build_euclidean_walk(params(0.1), FLAT)
-    series = entanglement_series(bloch_matrix_series(ew, 4), (0, 1, 0))
+    series = entanglement_series(bloch_matrix_series([ew], 4)[0], (0, 1, 0))
     path = tmp_path / "traj.csv"
     series.write_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -357,7 +357,7 @@ def test_phase_stepped_bloch_matrices_match_direct_oracle(gamma_factor, spec):
     from ptwalk.channel import BLOCK_ELEMENTS
 
     ew = build_euclidean_walk(WalkParams(T1, T2, math.log(gamma_factor), 1201), spec)
-    fast = bloch_matrix_series(ew, 600)
+    fast = bloch_matrix_series([ew], 600)[0]
     slow = loop_reference.bloch_matrices_direct(ew, np.arange(601))
     assert np.abs(fast - slow).max() <= 1e-13
     chunk = BLOCK_ELEMENTS // 1201
@@ -369,20 +369,49 @@ def test_bloch_matrices_do_not_depend_on_block_size(monkeypatch):
 
     ew = build_euclidean_walk(WalkParams(T1, T2, math.log(1.3), 1201), MetricSpec(kind="random_xy", seed=11))
     chunk = ptwalk.channel.BLOCK_ELEMENTS // 1201
-    base = bloch_matrix_series(ew, 600)
-    # a block start, evaluated directly, against the rows stepped to from the previous start
+    base = bloch_matrix_series([ew], 600)[0]
+    # every block start, anchor or one angle addition from its anchor, and the
+    # rows next to it, against M(t) evaluated directly
     r = np.array([0.0, 1.0, 0.0])
-    for t in (chunk - 1, chunk, chunk + 1, 600):
-        assert np.abs(bloch_state(base[t] @ r) - reduced_coin_state(ew, bloch_state(r), t)).max() <= 1e-14
+    starts = range(0, 601, chunk)
+    for t in sorted({s + d for s in starts for d in (-1, 0, 1)} & set(range(601))):
+        assert np.abs(bloch_state(base[t] @ r) - reduced_coin_state(ew, bloch_state(r), t)).max() <= 1e-14, t
     for elements in (1 << 8, 1 << 20):
         monkeypatch.setattr(ptwalk.channel, "BLOCK_ELEMENTS", elements)
-        assert np.abs(bloch_matrix_series(ew, 600) - base).max() <= 1e-13
+        assert np.abs(bloch_matrix_series([ew], 600)[0] - base).max() <= 1e-13
+
+
+@pytest.mark.parametrize("size, t_max", [(1201, 600), (4001, 20)])
+def test_bloch_matrix_series_does_not_depend_on_the_other_walks(size, t_max):
+    # one pass serves every metric of one WalkParams, and each walk keeps its
+    # own product per block: its M(t) alone equals its slice of any pass bit
+    # for bit, which keeps CSVs byte-identical however a run deals its pairs
+    p = WalkParams(T1, T2, math.log(1.3), size)
+    specs = (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23))
+    walks = [build_euclidean_walk(p, spec) for spec in specs]
+    together = bloch_matrix_series(walks, t_max)
+    assert together.shape == (3, t_max + 1, 3, 3)
+    for i, ew in enumerate(walks):
+        assert np.array_equal(bloch_matrix_series([ew], t_max)[0], together[i])
+    assert np.array_equal(bloch_matrix_series(walks[::-2], t_max), together[::-2])
+
+
+def test_bloch_matrix_series_needs_walks_of_one_angle_set():
+    flat = build_euclidean_walk(params(math.log(1.2)), FLAT)
+    for other in (
+        build_euclidean_walk(params(math.log(1.3)), FLAT),
+        build_euclidean_walk(params(math.log(1.2), 23), FLAT),
+    ):
+        with pytest.raises(ValueError, match="angles"):
+            bloch_matrix_series([flat, other], 5)
+    with pytest.raises(ValueError, match="no walks"):
+        bloch_matrix_series([], 5)
 
 
 def test_bloch_matrix_series_rotation_average():
     # M(t) maps Bloch vectors exactly like conjugating with the block powers
     ew = build_euclidean_walk(params(math.log(1.2), 41), MetricSpec(kind="random_xy", seed=9))
-    bloch = bloch_matrix_series(ew, 20)
+    bloch = bloch_matrix_series([ew], 20)[0]
     assert bloch.shape == (21, 3, 3)
     assert np.array_equal(bloch[0], np.eye(3))
     rng = np.random.default_rng(44)
@@ -486,7 +515,7 @@ def test_unitary_frame_near_exceptional_point(fraction, spec):
     ew = build_euclidean_walk(p, spec)
     assert ew.unitarity_residual <= (3e-14 if fraction <= 0.9999 else 5e-12)
     oracle = loop_reference.bloch_matrices_direct(ew, np.arange(51))
-    gap = np.abs(bloch_matrix_series(ew, 50) - oracle).max()
+    gap = np.abs(bloch_matrix_series([ew], 50)[0] - oracle).max()
     assert gap <= (1e-13 if fraction <= 0.9999 else 1e-12)
     w = np.linalg.eigvalsh(ew.metric.blocks)
     cond = float((w[:, 1] / w[:, 0]).max())
@@ -511,7 +540,7 @@ def test_bloch_yy_is_metric_free(size, t_max):
     # every axis lies in the x-z plane, so M_yy(t) = (1/L) sum_k cos(2 t eps_k)
     p = params(math.log(1.3), size)
     specs = (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23))
-    flat, *others = (bloch_matrix_series(build_euclidean_walk(p, spec), t_max)[:, 1, 1] for spec in specs)
+    flat, *others = bloch_matrix_series([build_euclidean_walk(p, spec) for spec in specs], t_max)[:, :, 1, 1]
     assert all(np.array_equal(m, flat) for m in others)
     eps = np.arccos(spectral_a(momentum_grid(size), p))
     assert np.abs(flat - np.cos(2.0 * np.multiply.outer(np.arange(t_max + 1), eps)).mean(axis=1)).max() <= 1e-14
@@ -544,7 +573,7 @@ def test_flat_metric_reduced_map_converges_in_lattice_size(gamma_factor):
     # point, white noise in k, so its metrics at different L are different
     # metrics and M(t) keeps moving with L.
     def series(spec, size):
-        return bloch_matrix_series(build_euclidean_walk(params(math.log(gamma_factor), size), spec), 20)
+        return bloch_matrix_series([build_euclidean_walk(params(math.log(gamma_factor), size), spec)], 20)[0]
 
     for spec, converged in ((FLAT, True), (MetricSpec(kind="random_xy", seed=11), False)):
         reference = series(spec, 801)

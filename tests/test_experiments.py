@@ -280,33 +280,49 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
         ]
         shared = ("walk_s", "metric_csv_s", "bloch_s")
         assert all([s["timings"][key] for key in shared] == [timings[key] for key in shared] for s in pair)
+        # M(t) comes from one pass per gamma: every metric's cells record an even share of it
+        same_gamma = [
+            json.loads((tmp_path / f"{c['cell']}.json").read_text())["timings"]["bloch_s"]
+            for c in walk_cells
+            if c["gamma_factor"] == cell["gamma_factor"]
+        ]
+        assert same_gamma == [timings["bloch_s"]] * len(same_gamma)
     flat_hermitian = next(c for c in walk_cells if c["gamma_factor"] == 1.0 and c["metric_label"] == "G1")
     assert flat_hermitian["metric_condition_max"] == 1.0
 
 
-def test_run_parallel_cells_match_sequential(tmp_path):
-    # The 4 (gamma, metric) pairs go into 2 even groups or 3 uneven ones; every
-    # artifact must match the one-group run, the summaries apart from runtime_s.
-    cfg = tiny_config(tmp_path / "seq", study="all")
-    seq = run(cfg)
-    names = sorted(p.name for p in (tmp_path / "seq").iterdir())
-    assert any(n.startswith("blp__") for n in names) and any(n.startswith("metric__") for n in names)
-    for threads in (2, 3):
-        par_dir = tmp_path / f"par{threads}"
-        par = run(cfg, out_dir=par_dir, threads=threads)
-        assert sorted(p.name for p in par_dir.iterdir()) == names
-        for name in names:
-            if name.endswith(".csv"):
-                assert (par_dir / name).read_bytes() == (tmp_path / "seq" / name).read_bytes(), name
-            elif name != "manifest.json":
-                want = json.loads((tmp_path / "seq" / name).read_text())
-                got = json.loads((par_dir / name).read_text())
-                want.pop("runtime_s")
-                got.pop("runtime_s")
-                want.pop("timings", None)  # walk cells only; the toy has none
-                got.pop("timings", None)
-                assert got == want, name
-        assert [c["cell"] for c in par["cells"]] == [c["cell"] for c in seq["cells"]]
+def test_run_parallel_cells_match_sequential(tmp_path, monkeypatch):
+    # The 4 (gamma, metric) pairs go into 2 even groups or 3 uneven ones, so a
+    # gamma's M(t) pass holds one or both of its metrics; every artifact must
+    # match the one-group run, the summaries apart from runtime_s. With 63
+    # elements at L = 21 a block holds 3 of the 9 steps, and the block starts
+    # t = 0 and 6 are anchors, t = 3 one angle addition from t = 0. Worker
+    # processes are forked, so they see the patched constant.
+    import ptwalk.channel
+
+    for elements in (ptwalk.channel.BLOCK_ELEMENTS, 63):
+        monkeypatch.setattr(ptwalk.channel, "BLOCK_ELEMENTS", elements)
+        base = tmp_path / str(elements)
+        cfg = tiny_config(base / "seq", study="all")
+        seq = run(cfg)
+        names = sorted(p.name for p in (base / "seq").iterdir())
+        assert any(n.startswith("blp__") for n in names) and any(n.startswith("metric__") for n in names)
+        for threads in (2, 3):
+            par_dir = base / f"par{threads}"
+            par = run(cfg, out_dir=par_dir, threads=threads)
+            assert sorted(p.name for p in par_dir.iterdir()) == names
+            for name in names:
+                if name.endswith(".csv"):
+                    assert (par_dir / name).read_bytes() == (base / "seq" / name).read_bytes(), name
+                elif name != "manifest.json":
+                    want = json.loads((base / "seq" / name).read_text())
+                    got = json.loads((par_dir / name).read_text())
+                    want.pop("runtime_s")
+                    got.pop("runtime_s")
+                    want.pop("timings", None)  # walk cells only; the toy has none
+                    got.pop("timings", None)
+                    assert got == want, name
+            assert [c["cell"] for c in par["cells"]] == [c["cell"] for c in seq["cells"]]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -178,7 +178,7 @@ def test_metric_pseudo_hermitian_and_hermitian_limit_metric_blind_property(theta
     unitary = WalkParams(theta1, theta2, 0.0, 101)
     assume(is_unbroken(unitary))
     flat, *others = (
-        bloch_matrix_series(build_euclidean_walk(unitary, spec), 50)
+        bloch_matrix_series([build_euclidean_walk(unitary, spec)], 50)[0]
         for spec in (
             MetricSpec(kind="g1_flat"),
             MetricSpec(kind="random_xy", seed=seed),
