@@ -25,25 +25,22 @@ M_yy(t) = 1 - (1/L) sum_k (1 - cos 2t eps_k) is the first of them alone, with
 no metric term, and M(0) = I exactly, since every term vanishes at t = 0.
 The steps run in blocks t = t0 + j, j < chunk, and the double angles are
 stepped, not recomputed: 1 - cos and sin of 2j eps_k are tabulated once,
-and the angle-addition identities
+sin and cos of 2 t0 eps_k are evaluated directly once per block, and the
+angle-addition identities
 
     1 - cos(a + b) = (1 - cos a) cos b + sin a sin b + (1 - cos b),
     sin(a + b) = sin a cos b - (1 - cos a) sin b + sin b,
 
 with a = 2j eps_k and b = 2 t0 eps_k, put the block start into the weights:
 a block of sums is one product of the (chunk, 2L) table with (2L, 5)
-weights scaled by cos b and sin b, plus the b-only terms. Of the block
-starts only every n-th, an anchor, is evaluated directly, n = ceil(sqrt(blocks));
-the others add 2 r chunk eps_k, r < n, to their anchor by one more angle
-addition, from a directly evaluated table of sin and cos of those offsets.
-That takes about (chunk + 2 sqrt(T/chunk)) L transcendentals for T steps
-instead of T L, and no pass over a block's (chunk, L) entries besides the
-product. Every block start is at most one angle addition from directly
-evaluated angles, so the roundoff does not accumulate from block to block,
+weights scaled by cos b and sin b, plus the b-only terms. That takes about
+(chunk + T/chunk) L transcendentals for T steps instead of T L, and no pass
+over a block's (chunk, L) entries besides the product. Every block start is
+evaluated directly, so the roundoff does not accumulate from block to block,
 and the first block (t0 = 0) is the product of the directly evaluated table.
 
 The angles depend on the walk parameters alone, so one call serves every
-metric of one WalkParams: the tables and the block starts are computed once,
+metric of one WalkParams: the table and the block starts are computed once,
 and each walk keeps its own weights and its own table product per block, so
 its M(t) is bit for bit the same alone or next to any other walks.
 
@@ -53,9 +50,9 @@ different metrics differ only by roundoff in the axes, and the inversions
 behind the CP-indivisibility measure do not amplify a metric-dependent angle
 error. Where |a(k)| = 1, which only a unitary walk under the flat metric
 admits, the block is +-I up to roundoff: its angle is atan2(sqrt(R_00^2 + R_01^2), a)
-and its axis z where sin(eps_k) = 0. A block of steps, and the table of
-offsets from an anchor, each hold at most BLOCK_ELEMENTS (step, momentum)
-entries, so the phase tables stay bounded at any horizon.
+and its axis z where sin(eps_k) = 0. A block of steps holds at most
+BLOCK_ELEMENTS (step, momentum) entries, so the phase table stays bounded at
+any horizon.
 
 A step from t-1 to t is the map A(t) = M(t) M(t-1)^{-1}, again unital. The
 Choi matrix of a unital qubit map has a closed-form spectrum (King & Ruskai,
@@ -73,7 +70,6 @@ sigma_y, sigma_z)/sqrt(2) the 4x4 map on vectorized coin states is
 diag(1, M(t)), so the conditioning of an inversion is that of diag(1, M).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +84,7 @@ from .walk import UNBROKEN_MARGIN, BlockOperator, WalkParams
 ILL_CONDITION_LIMIT = 1e12
 PINV_RCOND = 1e-12
 # Cap on the (steps x momenta) entries of a block of the closed form: it
-# bounds the table of the in-block double angles and that of the offsets
-# of the block starts from their anchors.
+# bounds the table of the in-block double angles.
 BLOCK_ELEMENTS = 1 << 14
 
 
@@ -165,14 +160,11 @@ def _bloch_sums(walks: list[EuclideanWalk], start: int, count: int) -> np.ndarra
     """The five momentum sums of each walk for t = start..start+count-1, shape (len(walks), count, 5).
 
     The walks share their angles ``eps``; see the module docstring for the
-    blocks of steps and their anchors.
+    blocks of steps.
     """
     eps = walks[0].eps
     size = len(eps)
-    most = max(1, BLOCK_ELEMENTS // size)  # rows of a phase table
-    chunk = min(count, most)
-    blocks = -(-count // chunk)
-    every = min(math.isqrt(blocks - 1) + 1, most)  # ceil(sqrt(blocks)) block starts per anchor
+    chunk = min(count, max(1, BLOCK_ELEMENTS // size))
     # weights of the sums: 1, n_z^2 and n_x n_z on 1 - cos, n_z and n_x on sin
     turns = [np.stack([np.ones(size), w.n_z * w.n_z, w.n_x * w.n_z]) / size for w in walks]
     crosses = [np.stack([w.n_z, w.n_x]) / size for w in walks]
@@ -183,27 +175,16 @@ def _bloch_sums(walks: list[EuclideanWalk], start: int, count: int) -> np.ndarra
     np.cos(sin_j, out=vers_j)
     np.subtract(1.0, vers_j, out=vers_j)
     np.sin(sin_j, out=sin_j)
-    # sin and cos of the offsets 2 r chunk eps of a block start from its anchor, 0 < r < every
-    cos_r = np.multiply.outer(np.arange(1, every) * (2 * chunk), eps)
-    sin_r = np.sin(cos_r)
-    np.cos(cos_r, out=cos_r)
-    # per-block buffers: sin and cos of the anchor, then sin, cos, 1 - cos and -sin of the block start
-    sin_a, cos_a, sin_0, cos_0, vers_0, minus_sin_0 = np.empty((6, size))
+    # per-block buffers: sin, cos, 1 - cos and -sin of the block start
+    sin_0, cos_0, vers_0, minus_sin_0 = np.empty((4, size))
     weights = np.empty((5, 2 * size))
     sums = np.empty((len(walks), count, 5))
     for lo in range(0, count, chunk):
         rows = min(chunk, count - lo)
-        r = (lo // chunk) % every
-        if r == 0:  # an anchor: the block start b = 2 t0 eps, evaluated directly
-            np.multiply(2 * (start + lo), eps, out=sin_a)
-            np.cos(sin_a, out=cos_a)
-            np.sin(sin_a, out=sin_a)
-            sin_0[:], cos_0[:] = sin_a, cos_a
-        else:  # one angle addition from the anchor
-            np.multiply(sin_a, cos_r[r - 1], out=sin_0)
-            sin_0 += cos_a * sin_r[r - 1]
-            np.multiply(cos_a, cos_r[r - 1], out=cos_0)
-            cos_0 -= sin_a * sin_r[r - 1]
+        # the block start b = 2 t0 eps, evaluated directly
+        np.multiply(2 * (start + lo), eps, out=sin_0)
+        np.cos(sin_0, out=cos_0)
+        np.sin(sin_0, out=sin_0)
         np.subtract(1.0, cos_0, out=vers_0)
         np.negative(sin_0, out=minus_sin_0)
         for turn, cross, block in zip(turns, crosses, sums[:, lo : lo + rows]):

@@ -74,9 +74,8 @@ def _check_state(rho: np.ndarray) -> np.ndarray:
 def reduced_coin_state(ew, rho0: np.ndarray, t: int) -> np.ndarray:
     """Reduced coin state bloch_state(M(t) r0) after t steps, r0 the Bloch vector of ``rho0``.
 
-    M(t) is evaluated directly, as the anchor of a one-step call, so it
-    checks the rows ``bloch_matrix_series`` steps to by angle addition,
-    within a block and from an anchor to a block start.
+    M(t) is evaluated directly, as the start of a one-step block, so it
+    checks the rows ``bloch_matrix_series`` steps to by angle addition.
     """
     rho0 = _check_state(rho0)
     _check_horizon(ew, t)

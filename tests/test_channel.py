@@ -370,11 +370,11 @@ def test_bloch_matrices_do_not_depend_on_block_size(monkeypatch):
     ew = build_euclidean_walk(WalkParams(T1, T2, math.log(1.3), 1201), MetricSpec(kind="random_xy", seed=11))
     chunk = ptwalk.channel.BLOCK_ELEMENTS // 1201
     base = bloch_matrix_series([ew], 600)[0]
-    # every block start, anchor or one angle addition from its anchor, and the
-    # rows next to it, against M(t) evaluated directly
+    # every block start, the rows next to it and the last row, where the
+    # angles are largest, against M(t) evaluated directly
     r = np.array([0.0, 1.0, 0.0])
     starts = range(0, 601, chunk)
-    for t in sorted({s + d for s in starts for d in (-1, 0, 1)} & set(range(601))):
+    for t in sorted(({s + d for s in starts for d in (-1, 0, 1)} & set(range(601))) | {600}):
         assert np.abs(bloch_state(base[t] @ r) - reduced_coin_state(ew, bloch_state(r), t)).max() <= 1e-14, t
     for elements in (1 << 8, 1 << 20):
         monkeypatch.setattr(ptwalk.channel, "BLOCK_ELEMENTS", elements)

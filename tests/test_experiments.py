@@ -295,9 +295,9 @@ def test_run_parallel_cells_match_sequential(tmp_path, monkeypatch):
     # The 4 (gamma, metric) pairs go into 2 even groups or 3 uneven ones, so a
     # gamma's M(t) pass holds one or both of its metrics; every artifact must
     # match the one-group run, the summaries apart from runtime_s. With 63
-    # elements at L = 21 a block holds 3 of the 9 steps, and the block starts
-    # t = 0 and 6 are anchors, t = 3 one angle addition from t = 0. Worker
-    # processes are forked, so they see the patched constant.
+    # elements at L = 21 a block holds 3 of the 9 steps, so the pass steps
+    # from the block starts t = 0, 3 and 6. Worker processes are forked, so
+    # they see the patched constant.
     import ptwalk.channel
 
     for elements in (ptwalk.channel.BLOCK_ELEMENTS, 63):
