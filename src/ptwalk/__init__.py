@@ -21,15 +21,8 @@ from .errors import (
     SpectrumNotReal,
 )
 from .experiments import ExperimentConfig, load_config, report, run, validate_config
-from .measures import (
-    AnnealSchedule,
-    MeasureSeries,
-    blp_series,
-    bloch_state,
-    entanglement_series,
-    rhp_series,
-)
-from .metric import MetricSpec, build_metric, eta
+from .measures import AnnealSchedule, MeasureSeries, blp_series, entanglement_series, rhp_series
+from .metric import MetricSpec
 from .toy import ToyConfig, ToyResult, run_toy
 from .walk import BlockOperator, WalkParams, gamma_pt, is_unbroken
 

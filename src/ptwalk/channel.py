@@ -2,14 +2,31 @@
 
 The walk block is W_c(k) = a(k) I - i S(k) with the real traceless
 S = sin H_c(k) = [[-d3, -(d1 + d2)], [-(d1 - d2), d3]] (``metric._sin_entries``).
-Every admissible metric block G(k) is real symmetric, and so is its root
-eta(k), so W_eta(k) = eta W_c eta^{-1} = a I - i R with the real R = eta S eta^{-1}.
-In the unbroken regime it is unitary, a rotation about an axis in the x-z plane:
+Every admissible metric block G(k) has S^T G = G S, which makes
+W_eta(k) = eta W_c eta^{-1}, eta = sqrt(G), unitary in the unbroken regime:
+a rotation about an axis in the x-z plane,
 
-    W_eta(k) = cos(eps_k) I - i sin(eps_k) (n_x sigma_x + n_z sigma_z),    cos(eps_k) = a(k),
+    W_eta(k) = cos(eps_k) I - i sin(eps_k) (n_x sigma_x + n_z sigma_z),    cos(eps_k) = a(k).
 
-with n_z sin(eps_k) = R_00 and n_x sin(eps_k) = R_01. The metric picks only
-the axis, one angle per momentum; eps_k is the same for every metric.
+The metric picks only the axis; eps_k is the same for every metric. The
+axis follows from the metric weight y(k) in closed form, with no root of G
+(Mostafazadeh, J. Math. Phys. 43, 205 (2002)). Let r_+ and v_+ be the unit
+eigenvectors of S^T and of S at +sin(eps_k), with r_+ . v_+ > 0. Since
+G = x (r_+ r_+^T + y r_- r_-^T) has G v_+ = x (r_+ . v_+) r_+ and
+sqrt(det G) = x sqrt(y) (r_+ . v_+), Levinger's root eta = (G + sqrt(det G) I)/tau
+sends v_+ along u = r_+ + sqrt(y) v_+, the +sin(eps_k) eigenvector of the
+symmetric R = eta S eta^{-1}. So the axis lies at twice the angle of u,
+
+    phi_k = alpha_v + atan2(sin delta_k, sqrt(y_k) + cos delta_k),    n_k = (sin 2 phi_k, 0, cos 2 phi_k),
+
+alpha_v the angle of v_+ and delta_k that from v_+ to r_+; it is evaluated
+as (n_x, n_z) = (2 u_0 u_1, u_0^2 - u_1^2)/|u|^2. The arc runs from r_+
+(y -> 0) through the bisector (the flat metric, y = 1) to v_+ (y -> infinity).
+For a unitary walk (gamma = 0) S is symmetric, so R = S under every metric
+and the axis (n_x, n_z) = -(d1, d3)/sin(eps_k) is read from S alone: the
+Hermitian limit is exact. Where |a(k)| = 1, which only the flat metric admits
+there, the block is +-I: its angle is atan2(|(d1, d3)|, a) and its axis z.
+
 Starting the walker at the origin with coin state rho_c = (I + r . sigma)/2,
 the reduced coin state after t steps is the momentum average
 
@@ -44,15 +61,11 @@ metric of one WalkParams: the table and the block starts are computed once,
 and each walk keeps its own weights and its own table product per block, so
 its M(t) is bit for bit the same alone or next to any other walks.
 
-The angles are read from a(k) (``spectral_a``), not from R: they are then
-bit-identical across metrics, so in the Hermitian limit the reduced maps of
-different metrics differ only by roundoff in the axes, and the inversions
-behind the CP-indivisibility measure do not amplify a metric-dependent angle
-error. Where |a(k)| = 1, which only a unitary walk under the flat metric
-admits, the block is +-I up to roundoff: its angle is atan2(sqrt(R_00^2 + R_01^2), a)
-and its axis z where sin(eps_k) = 0. A block of steps holds at most
-BLOCK_ELEMENTS (step, momentum) entries, so the phase table stays bounded at
-any horizon.
+The angles are read from a(k) (``spectral_a``), not from a matrix: they
+are then bit-identical across metrics, and the inversions behind the
+CP-indivisibility measure do not amplify a metric-dependent angle error. A
+block of steps holds at most BLOCK_ELEMENTS (step, momentum) entries, so the
+phase table stays bounded at any horizon.
 
 A step from t-1 to t is the map A(t) = M(t) M(t-1)^{-1}, again unital. The
 Choi matrix of a unital qubit map has a closed-form spectrum (King & Ruskai,
@@ -74,8 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LightConeViolation
-from .linalg import sqrt_and_inv
+from .errors import LightConeViolation, NotPositive
 from .metric import MetricSpec, _metric_frame
 from .walk import UNBROKEN_MARGIN, BlockOperator, WalkParams
 
@@ -92,9 +104,10 @@ BLOCK_ELEMENTS = 1 << 14
 class EuclideanWalk:
     """Walk in the unitary frame of a chosen metric: (L,) rotation angles and x-z axes.
 
-    ``unitarity_residual`` is the largest |R_01 - R_10| or |R_00^2 + R_01^2 - sin^2(eps)|
-    of R = eta S eta^{-1}, zero exactly when every W_eta(k) is unitary; ``ep_gap``
-    is min_k (1 - |a(k)|), the grid's distance from the exceptional point, and
+    ``pseudo_hermiticity_residual`` is the largest |S^T G - G S| / (|S| |G|)
+    over the blocks, in Frobenius norms: zero exactly when G has the defining
+    property of a metric, which makes every W_eta(k) unitary. ``ep_gap`` is
+    min_k (1 - |a(k)|), the grid's distance from the exceptional point, and
     ``metric_condition_max`` the largest lambda_max / lambda_min of a metric block.
     """
 
@@ -104,46 +117,48 @@ class EuclideanWalk:
     eps: np.ndarray
     n_x: np.ndarray
     n_z: np.ndarray
-    unitarity_residual: float
+    pseudo_hermiticity_residual: float
     ep_gap: float
     metric_condition_max: float
 
 
 def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
-    """Construct the metric, its root and the rotation of every W_eta(k) (module docstring).
+    """Construct the metric and the rotation of every W_eta(k) (module docstring).
 
-    a(k), eps_k = acos a(k), S(k) and the metric come from one ``metric._metric_frame``
-    call, and eta = sqrt(G) is the closed-form real 2x2 root (``linalg.sqrt_and_inv``).
+    a(k), eps_k, S(k), the metric and its arc come from one ``metric._metric_frame``
+    call; a block that is not positive definite raises NotPositive, naming the first.
     """
-    g, a, eps, (d1, d2, d3) = _metric_frame(p, spec)
-    eta, eta_inv, vals = sqrt_and_inv(g.blocks)
-    # rows of eta S, then the entries (0, 0), (0, 1) and (1, 0) of eta S eta^{-1}
-    es00 = -eta[:, 0, 0] * d3 - eta[:, 0, 1] * (d1 - d2)
-    es01 = -eta[:, 0, 0] * (d1 + d2) + eta[:, 0, 1] * d3
-    es10 = -eta[:, 1, 0] * d3 - eta[:, 1, 1] * (d1 - d2)
-    es11 = -eta[:, 1, 0] * (d1 + d2) + eta[:, 1, 1] * d3
-    r00 = es00 * eta_inv[:, 0, 0] + es01 * eta_inv[:, 1, 0]
-    r01 = es00 * eta_inv[:, 0, 1] + es01 * eta_inv[:, 1, 1]
-    r10 = es10 * eta_inv[:, 0, 0] + es11 * eta_inv[:, 1, 0]
-    sin_eps = np.sqrt(r00 * r00 + r01 * r01)
-    residual = max(np.abs(r01 - r10).max(), np.abs(sin_eps * sin_eps + a * a - 1.0).max())
-    # |a| = 1 only for a unitary walk under the flat metric, where the block
-    # is +-I up to roundoff: acos(a) would amplify that roundoff, atan2 does not
-    degenerate = np.abs(a) >= 1.0 - UNBROKEN_MARGIN
-    eps[degenerate] = np.arctan2(sin_eps[degenerate], a[degenerate])
-    turning = sin_eps > 0.0  # elsewhere the rotation is the identity: any axis, z, will do
-    n_x = np.divide(r01, sin_eps, out=np.zeros_like(a), where=turning)
-    n_z = np.divide(r00, sin_eps, out=np.ones_like(a), where=turning)
+    g, a, eps, (d1, d2, d3), arc = _metric_frame(p, spec)
+    g00, g01, g11 = g.blocks[:, 0, 0], g.blocks[:, 0, 1], g.blocks[:, 1, 1]
+    # closed-form eigenvalues of every block, lambda_- = det G / lambda_+
+    hi = (g00 + g11) / 2.0 + np.sqrt(((g00 - g11) / 2.0) ** 2 + g01 * g01)
+    lo = (g00 * g11 - g01 * g01) / hi
+    bad = np.flatnonzero(~(lo > 0))
+    if bad.size:
+        raise NotPositive(f"metric block {bad[0]} not positive definite")
+    # S^T G - G S = [[0, c], [-c, 0]] for a symmetric G, and |S|^2 = 2 (d1^2 + d2^2 + d3^2)
+    c = (d1 + d2) * g00 - (d1 - d2) * g11 - 2.0 * d3 * g01
+    scale = np.sqrt(d1 * d1 + d2 * d2 + d3 * d3) * np.sqrt(g00 * g00 + 2.0 * g01 * g01 + g11 * g11)
+    residual = np.divide(np.abs(c), scale, out=np.zeros_like(c), where=scale > 0.0)
+    if arc is None:
+        # unitary walk: R = S, so n sin(eps) = (R_01, R_00) = -(d1, d3) under every metric
+        sin_eps = np.sqrt(d1 * d1 + d3 * d3)
+        # where |a| = 1 the block is +-I up to roundoff, which acos(a) would amplify and atan2 does not
+        eps = np.where(np.abs(a) >= 1.0 - UNBROKEN_MARGIN, np.arctan2(sin_eps, a), eps)
+        turning = sin_eps > 0.0  # elsewhere the rotation is the identity: any axis, z, will do
+        n_x = np.divide(-d1, sin_eps, out=np.zeros_like(a), where=turning)
+        n_z = np.divide(-d3, sin_eps, out=np.ones_like(a), where=turning)
+    else:
+        # the arc: twice the angle of u = r_+ + sqrt(y) v_+
+        y, r_plus, v_plus = arc
+        u0, u1 = (r_plus + np.sqrt(y)[:, None] * v_plus).T
+        norm = u0 * u0 + u1 * u1
+        n_x, n_z = 2.0 * u0 * u1 / norm, (u0 * u0 - u1 * u1) / norm
     return EuclideanWalk(
-        params=p,
-        spec=spec,
-        metric=g,
-        eps=eps,
-        n_x=n_x,
-        n_z=n_z,
-        unitarity_residual=float(residual),
+        p, spec, g, eps, n_x, n_z,
+        pseudo_hermiticity_residual=float(residual.max()),
         ep_gap=float((1.0 - np.abs(a)).min()),
-        metric_condition_max=float((vals[:, 1] / vals[:, 0]).max()),
+        metric_condition_max=float((hi / lo).max()),
     )
 
 

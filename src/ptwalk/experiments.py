@@ -259,7 +259,7 @@ def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out
                     "t_max": cfg.t_max,
                     "master_seed": cfg.master_seed,
                     "tolerances": TOLERANCES,
-                    "unitarity_residual": ew.unitarity_residual,
+                    "pseudo_hermiticity_residual": ew.pseudo_hermiticity_residual,
                     "ep_gap": ew.ep_gap,
                     "metric_condition_max": ew.metric_condition_max,
                     "timings": {**stage, "bloch_s": bloch_s},
@@ -446,7 +446,7 @@ def report(in_dir) -> tuple[str, dict]:
             if factor == 1.0:
                 verdict = "PASS" if spread < TOLERANCES["hermitian_metric_spread"] else "FAIL"
             elif hermitian is not None:
-                ratio = spread / max(hermitian, 1e-300)
+                ratio = spread / max(hermitian, TOLERANCES["hermitian_metric_spread"])
                 verdict = (
                     "DISTINCT" if ratio > TOLERANCES["distinct_spread_ratio"] else "NOT-DISTINCT"
                 )

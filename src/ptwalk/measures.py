@@ -54,14 +54,6 @@ def _check_bloch(r) -> np.ndarray:
     return r
 
 
-def bloch_state(r) -> np.ndarray:
-    """Qubit state (I + r . sigma)/2 for a Bloch vector with |r| <= 1."""
-    r = _check_bloch(r)
-    return 0.5 * np.array(
-        [[1.0 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1.0 - r[2]]]
-    )
-
-
 @dataclass
 class MeasureSeries:
     """Per-step records of one study; unused columns stay None.

@@ -7,15 +7,15 @@ of H_c(k) (equivalently, eigenvectors of H_c(k)†) as
 
 rescaled to unit trace. The left eigenvectors are real for this walk, so
 every such block is real symmetric, positive definite and
-pseudo-Hermitian-compatible: H_c(k)† G(k) = G(k) H_c(k). The positive square
-root eta(k) maps the walk to a genuinely unitary evolution.
+pseudo-Hermitian-compatible: H_c(k)† G(k) = G(k) H_c(k). Only y(k) reaches
+the walk, as the axis of its rotations (``ptwalk.channel``); the blocks go
+to the audit CSV.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .config import Config
 from .errors import BrokenRegime, DegenerateAtK
 from .walk import (
@@ -134,17 +134,14 @@ def _weights(spec: MetricSpec, n: int) -> np.ndarray:
     return np.stack([xs, ys], axis=1)
 
 
-def build_metric(p: WalkParams, spec: MetricSpec) -> BlockOperator:
-    """Per-momentum metric blocks, real symmetric positive definite with unit trace.
-
-    The blocks x (|r_+><r_+| + y |r_-><r_-|) / trace are one (L, 2, 2) array
-    formed from the closed-form real left eigenvectors of :func:`_left_eigen`.
-    """
-    return _metric_frame(p, spec)[0]
-
-
 def _metric_frame(p: WalkParams, spec: MetricSpec):
-    """The metric blocks, with the a(k), eps_k = acos a(k) and (d1, d2, d3) they were built from."""
+    """(G, a, eps, (d1, d2, d3), arc): the unit-trace metric blocks and what the walk's frame is read from.
+
+    a(k), eps_k = acos a(k) and the entries of S = sin H_c(k) come with
+    arc = (y, r_plus, v_plus): the weights y(k) and the unit eigenvectors of
+    S^T (``_left_eigen``) and of S at +sin(eps_k), r_plus . v_plus > 0. arc
+    is None for a unitary walk (gamma = 0), whose frame is S alone.
+    """
     ks = momentum_grid(p.lattice_size)
     a, sin_h = spectral_a(ks, p), _sin_entries(ks, p)
     eps = np.arccos(np.clip(a, -1.0, 1.0))
@@ -152,9 +149,10 @@ def _metric_frame(p: WalkParams, spec: MetricSpec):
         # unitary walk: the flat metric is exactly maximally mixed at every k,
         # valid even where the spectrum touches |a| = 1 (plain degeneracy,
         # not an exceptional point, when the walk is unitary)
-        return BlockOperator(ks, np.tile(np.eye(2) / 2.0, (len(ks), 1, 1))), a, eps, sin_h
+        return BlockOperator(ks, np.tile(np.eye(2) / 2.0, (len(ks), 1, 1))), a, eps, sin_h, None
+    s = np.sin(eps)
     try:
-        r_plus, r_minus = _left_eigen(ks, a, np.sin(eps), *sin_h)
+        r_plus, r_minus = _left_eigen(ks, a, s, *sin_h)
     except DegenerateAtK as exc:
         raise BrokenRegime("no positive metric beyond the exceptional point") from exc
     w = _weights(spec, len(ks))
@@ -162,13 +160,14 @@ def _metric_frame(p: WalkParams, spec: MetricSpec):
         r_plus[:, :, None] * r_plus[:, None, :]
         + w[:, 1, None, None] * (r_minus[:, :, None] * r_minus[:, None, :])
     )
-    g = (g + g.swapaxes(1, 2)) / 2.0
-    return BlockOperator(ks, g / np.trace(g, axis1=1, axis2=2)[:, None, None]), a, eps, sin_h
-
-
-def eta(g: BlockOperator) -> BlockOperator:
-    """Blockwise positive square root of the metric, the closed-form 2x2 root of every block."""
-    return BlockOperator(g.points, linalg.sqrt_and_inv(g.blocks)[0])
+    g = BlockOperator(ks, g / np.trace(g, axis1=1, axis2=2)[:, None, None])
+    if p.gamma == 0.0:
+        return g, a, eps, sin_h, None
+    # S is S^T with d2 -> -d2, and so is the readout of its eigenvector
+    d1, d2, d3 = sin_h
+    v_plus = _pick(d1 + d2, -d3 - s, d3 - s, d1 - d2)
+    v_plus = np.where((r_plus * v_plus).sum(axis=1)[:, None] < 0.0, -v_plus, v_plus)
+    return g, a, eps, sin_h, (w[:, 1], r_plus, v_plus)
 
 
 def write_metric_csv(
@@ -176,7 +175,7 @@ def write_metric_csv(
 ) -> None:
     """Audit export: one row per momentum with the four block entries, re and im.
 
-    The blocks must be real symmetric, as :func:`build_metric` makes them, so
+    The blocks must be real symmetric, as :func:`_metric_frame` makes them, so
     g21 is g12 and every im is 0.0; others raise ValueError. Every value is
     written with ``repr``, each column formatted in one pass. ``k_column`` is
     the momentum column already formatted, ``repr`` of each of ``g.points``:

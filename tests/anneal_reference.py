@@ -9,9 +9,9 @@ and the lockstep restarts of the library version.
 
 import numpy as np
 
-from channel_reference import _distance_series, _series_stack, channel_matrix_series
+from channel_reference import _distance_series, _series_stack, bloch_state, channel_matrix_series
 from ptwalk.channel import bloch_matrix_series
-from ptwalk.measures import AnnealSchedule, MeasureSeries, bloch_state, blp_series
+from ptwalk.measures import AnnealSchedule, MeasureSeries, blp_series
 
 
 def _blp_objective(stack: np.ndarray, pair_vec: np.ndarray) -> float:

@@ -16,8 +16,9 @@ factors of the four-qubit index. g(t) is the trace norm of C minus one,
 read from a 4x4 singular value decomposition one step at a time.
 
 The state-level quantities the library reads off Bloch vectors instead live
-here too: ``reduced_coin_state`` (a 2x2 coin state after t steps, validated
-by ``_check_state``), the generic ``partial_trace`` of the dense lattice
+here too: ``bloch_state`` (the coin state of a Bloch vector),
+``reduced_coin_state`` (a 2x2 coin state after t steps, validated by
+``_check_state``), the generic ``partial_trace`` of the dense lattice
 oracle, ``trace_distance`` of two density matrices and the
 ``von_neumann_entropy`` of one, with the Pauli-basis vectorization ``_PAULI``.
 """
@@ -35,7 +36,7 @@ from ptwalk.channel import (
 )
 from ptwalk.errors import ShapeMismatch
 from ptwalk.linalg import _square, trace_norm
-from ptwalk.measures import G_CLAMP, MeasureSeries, _entropy_bits, bloch_state
+from ptwalk.measures import G_CLAMP, MeasureSeries, _check_bloch, _entropy_bits
 
 # Row-major vec of I, sigma_x, sigma_y, sigma_z, as columns: vec(rho) =
 # _PAULI (1, r) / 2 for rho = (I + r . sigma)/2, and _PAULI† _PAULI = 2 I.
@@ -56,6 +57,14 @@ _SWAP23 = np.kron(
 _PHI = np.zeros(4, dtype=complex)
 _PHI[0] = _PHI[3] = 1.0 / np.sqrt(2.0)
 _VEC_PHI = np.outer(_PHI, _PHI.conj()).reshape(16)
+
+
+def bloch_state(r) -> np.ndarray:
+    """Qubit state (I + r . sigma)/2 for a Bloch vector with |r| <= 1."""
+    r = _check_bloch(r)
+    return 0.5 * np.array(
+        [[1.0 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1.0 - r[2]]]
+    )
 
 
 def _check_state(rho: np.ndarray) -> np.ndarray:

@@ -7,7 +7,12 @@ builds all blocks at once and evaluates the reduced map in closed form as an
 average of Bloch rotations; these loops check it through an independent path.
 ``frame_blocks`` builds the complex W_eta(k) = eta W_c eta^-1 from the
 per-block ``eigh`` root and the per-k factor product, and ``rotations`` reads
-each angle and full three-component axis off it; ``coin_trajectory``,
+each angle and full three-component axis off it, where the library reads the
+axis from the metric weights in closed form and forms no root;
+``extended_frame`` evaluates that eta route in extended precision, where
+the float64 root loses too much at large metric condition numbers, and
+``pseudo_hermiticity_residual`` checks the library's health number
+|S^T G - G S| / (|S| |G|) block by block; ``coin_trajectory``,
 ``channel_matrix_series`` and ``bloch_matrices_direct`` start from these,
 never from the library's two-angle frame. ``bloch_matrices_direct`` is the
 general nine-sum closed form with sin and cos of every phase t eps_k
@@ -243,12 +248,7 @@ def metric_blocks(p, spec) -> np.ndarray:
 
 
 def unitary_frame(metric: np.ndarray, walk: np.ndarray):
-    """(eta, eta^-1, W_eta, unitarity residual), one block at a time.
-
-    With a = tr(W)/2 and R = i (W_eta - a I), the residual is the largest
-    |R_01 - R_10| or |R_00^2 + R_01^2 + a^2 - 1|: W_eta is unitary exactly
-    when R is symmetric with squared norm 1 - a^2.
-    """
+    """(eta, eta^-1, W_eta) from the per-block ``eigh`` root, one block at a time."""
     etas = np.empty(metric.shape, dtype=complex)
     eta_invs = np.empty(metric.shape, dtype=complex)
     w_etas = np.empty(metric.shape, dtype=complex)
@@ -259,12 +259,69 @@ def unitary_frame(metric: np.ndarray, walk: np.ndarray):
         etas[i] = (vecs * np.sqrt(vals)) @ vecs.conj().T
         eta_invs[i] = (vecs / np.sqrt(vals)) @ vecs.conj().T
         w_etas[i] = etas[i] @ walk[i] @ eta_invs[i]
-    a = 0.5 * np.trace(walk, axis1=1, axis2=2)
-    r = 1j * (w_etas - a[:, None, None] * np.eye(2))
-    asymmetry = np.abs(r[:, 0, 1] - r[:, 1, 0])
-    norm_defect = np.abs(r[:, 0, 0] ** 2 + r[:, 0, 1] ** 2 + a * a - 1.0)
-    residual = float(max(asymmetry.max(), norm_defect.max()))
-    return etas, eta_invs, w_etas, residual
+    return etas, eta_invs, w_etas
+
+
+def extended_frame(p, spec) -> tuple[np.ndarray, np.ndarray]:
+    """(G, R) at every momentum on the eta route, in numpy's extended precision.
+
+    The left eigenvectors r_+- of H_c(k)†, the unit-trace metric
+    G = x (r_+ r_+^T + y r_- r_-^T), Levinger's root eta = (G + sI)/t with
+    eta^-1 = (adj G + sI)/(st), s = sqrt(det G), t = sqrt(tr G + 2s), and
+    R = eta S eta^-1 are all evaluated in ``np.longdouble`` (the 80-bit x87
+    format on x86-64 Linux, eps 1.1e-19) from the float64 angles, momenta and
+    weights. R's entries (0, 0) and (0, 1) are n_z sin(eps) and n_x sin(eps).
+    In float64 the route through eta^-1 loses about sqrt(cond G) eps, 1e-13
+    at cond G = 1e6; in extended precision that is below 1e-15, so this
+    checks axes at both ends of the arc, which the library reads from the
+    weights without a root.
+    """
+    ld = np.longdouble
+    ks = momentum_grid(p.lattice_size).astype(ld)
+    t1, t2, two_g = ld(p.theta1), ld(p.theta2), 2 * ld(p.gamma)
+    d1 = np.cosh(two_g) * np.cos(t1) * np.sin(t2) + np.sin(t1) * np.cos(t2) * np.cos(2 * ks)
+    d2 = np.full_like(ks, -np.sin(t2) * np.sinh(two_g))
+    d3 = np.cos(t2) * np.sin(2 * ks)
+    s = np.sqrt(d1 * d1 - d2 * d2 + d3 * d3)
+
+    def unit(a0, a1, b0, b1):
+        # the longer of two proportional readouts, normalized
+        norm_a, norm_b = np.hypot(a0, a1), np.hypot(b0, b1)
+        first = norm_a >= norm_b
+        v = np.stack([np.where(first, a0, b0), np.where(first, a1, b1)], axis=1)
+        return v / np.where(first, norm_a, norm_b)[:, None]
+
+    r_plus = unit(d1 - d2, -d3 - s, d3 - s, d1 + d2)
+    r_minus = unit(d1 - d2, -d3 + s, d3 + s, d1 + d2)
+    w = _weights(spec, len(ks)).astype(ld)
+    g = w[:, 0, None, None] * (
+        r_plus[:, :, None] * r_plus[:, None, :] + w[:, 1, None, None] * r_minus[:, :, None] * r_minus[:, None, :]
+    )
+    g /= (g[:, 0, 0] + g[:, 1, 1])[:, None, None]
+    root_det = np.sqrt(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0])
+    t = np.sqrt(g[:, 0, 0] + g[:, 1, 1] + 2 * root_det)
+    shift = root_det[:, None, None] * np.eye(2, dtype=ld)
+    adj = np.stack([g[:, 1, 1], -g[:, 0, 1], -g[:, 1, 0], g[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    eta = (g + shift) / t[:, None, None]
+    eta_inv = (adj + shift) / (root_det * t)[:, None, None]
+    sin_h = np.stack([-d3, -(d1 + d2), -(d1 - d2), d3], axis=1).reshape(-1, 2, 2)
+    return g, eta @ sin_h @ eta_inv
+
+
+def pseudo_hermiticity_residual(metric: np.ndarray, walk: np.ndarray) -> float:
+    """max_k |S† G - G S|_F / (|S|_F |G|_F), one block at a time.
+
+    S = i (W - a I) is read off each walk block W = a I - i S, a = tr(W)/2;
+    blocks with S = 0 count as 0. This is the residual of the defining
+    property of a metric, which makes W_eta unitary.
+    """
+    worst = 0.0
+    for g, w in zip(metric, walk):
+        s = 1j * (w - 0.5 * np.trace(w) * np.eye(2))
+        scale = np.linalg.norm(s) * np.linalg.norm(g)
+        if scale > 0:
+            worst = max(worst, float(np.linalg.norm(s.conj().T @ g - g @ s) / scale))
+    return worst
 
 
 TRANSPORT_TOL = 1e-9

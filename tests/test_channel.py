@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from channel_reference import (
+    bloch_state,
     channel_matrix,
     channel_matrix_series,
     choi_matrix,
@@ -19,15 +20,13 @@ from ptwalk import (
     LightConeViolation,
     MetricSpec,
     WalkParams,
-    bloch_state,
     build_euclidean_walk,
-    build_metric,
     entanglement_series,
-    eta,
     gamma_pt,
 )
 from ptwalk.channel import bloch_matrix_series
 from ptwalk.linalg import trace_norm
+from ptwalk.metric import _metric_frame
 from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -91,7 +90,7 @@ def dense_reduced_state(p, spec, rho0, t):
         @ lift(gain_loss(p.gamma))
         @ lift(coin(p.theta1 / 2))
     )
-    blocks = build_metric(p, spec).blocks
+    blocks = _metric_frame(p, spec)[0].blocks
     g_momentum = np.zeros((2 * size, 2 * size), dtype=complex)
     for i in range(size):
         g_momentum[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blocks[i]
@@ -117,7 +116,7 @@ def test_build_trivial_metric_preserves_walk():
 
 def test_build_unitarity_nonhermitian():
     ew = build_euclidean_walk(params(math.log(1.2), 101), MetricSpec(kind="random_xy", seed=11))
-    assert ew.unitarity_residual <= 1e-9
+    assert ew.pseudo_hermiticity_residual <= 1e-9
 
 
 def test_build_transport_conjugates_unitaries():
@@ -445,8 +444,18 @@ def test_identity_rotation_where_sin_eps_vanishes(theta1, theta2):
 # --------------------------------------------- batched builders vs per-k loops
 
 
+# y(k) over twelve decades, shuffled over the grid, so that both ends of the arc
+# (the axis near r_+ as y -> 0 and near v_+ as y -> infinity) meet every momentum
+ARC_ENDS = MetricSpec(
+    kind="explicit",
+    name="arc_ends",
+    x=(1.0,) * 1201,
+    y=tuple(np.geomspace(1e-6, 1e6, 1201)[np.random.default_rng(47).permutation(1201)].tolist()),
+)
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.1, math.log(1.2), math.log(1.3)])
-@pytest.mark.parametrize("spec", [FLAT, MetricSpec(kind="random_xy", seed=23)])
+@pytest.mark.parametrize("spec", [FLAT, MetricSpec(kind="random_xy", seed=23), ARC_ENDS])
 def test_batched_builders_match_per_k_loops(gamma, spec):
     import loop_reference
 
@@ -454,15 +463,18 @@ def test_batched_builders_match_per_k_loops(gamma, spec):
     ew = build_euclidean_walk(p, spec)
     if not (gamma == 0.0 and spec.kind == "g1_flat"):
         assert np.abs(ew.metric.blocks - loop_reference.metric_blocks(p, spec)).max() <= 1e-13
-    etas, _, w_etas, residual = loop_reference.unitary_frame(ew.metric.blocks, loop_reference.walk_blocks(p))
-    assert np.abs(eta(ew.metric).blocks - etas).max() <= 1e-13
-    # the library's eta^-1 reaches the walk only through R = eta S eta^-1,
-    # whose entries (0, 0) and (0, 1) are n_z sin(eps) and n_x sin(eps)
-    r = 1j * (w_etas - spectral_a(ew.metric.points, p)[:, None, None] * np.eye(2))
+    # the axes read from the arc against R = eta S eta^-1 on the root's route,
+    # whose entries (0, 0) and (0, 1) are n_z sin(eps) and n_x sin(eps); in
+    # extended precision, since a float64 eta^-1 is off by up to 3e-13 at the
+    # arc's ends, where cond G = 1e6
+    _, r = loop_reference.extended_frame(p, spec)
+    r = r.astype(float)
     assert np.abs(ew.n_z * np.sin(ew.eps) - r[:, 0, 0]).max() <= 1e-13
     assert np.abs(ew.n_x * np.sin(ew.eps) - r[:, 0, 1]).max() <= 1e-13
+    w_etas = spectral_a(ew.metric.points, p)[:, None, None] * np.eye(2) - 1j * r
     assert np.abs(rotation_blocks(ew) - w_etas).max() <= 1e-13
-    assert abs(ew.unitarity_residual - residual) <= 1e-13
+    residual = loop_reference.pseudo_hermiticity_residual(ew.metric.blocks, loop_reference.walk_blocks(p))
+    assert abs(ew.pseudo_hermiticity_residual - residual) <= 1e-13
 
 
 def test_batched_builders_report_first_offending_index():
@@ -489,7 +501,7 @@ def test_batched_builders_report_first_offending_index():
     with pytest.raises(NotPositive) as batched:
         build_euclidean_walk(q, spec)
     with pytest.raises(NotPositive) as looped:
-        loop_reference.unitary_frame(build_metric(q, spec).blocks, walk_blocks(q))
+        loop_reference.unitary_frame(_metric_frame(q, spec)[0].blocks, walk_blocks(q))
     assert str(batched.value) == str(looped.value) == "metric block 3 not positive definite"
 
 
@@ -507,13 +519,13 @@ def test_euclidean_walk_health_fields():
 @pytest.mark.parametrize("fraction", [0.9, 0.9999, 1 - 1e-7, 1 - 1e-9])
 @pytest.mark.parametrize("spec", [FLAT, MetricSpec(kind="random_xy", seed=11)])
 def test_unitary_frame_near_exceptional_point(fraction, spec):
-    # the closed-form root and entrywise products against the per-block eigh
-    # frame of the per-k factor product, as gamma approaches gamma_pt
+    # the axes read from the arc against the per-block eigh frame of the per-k
+    # factor product, as gamma approaches gamma_pt
     import loop_reference
 
     p = params(fraction * gamma_pt(T1, T2), 101)
     ew = build_euclidean_walk(p, spec)
-    assert ew.unitarity_residual <= (3e-14 if fraction <= 0.9999 else 5e-12)
+    assert ew.pseudo_hermiticity_residual <= 1e-14
     oracle = loop_reference.bloch_matrices_direct(ew, np.arange(51))
     gap = np.abs(bloch_matrix_series([ew], 50)[0] - oracle).max()
     assert gap <= (1e-13 if fraction <= 0.9999 else 1e-12)
@@ -546,24 +558,22 @@ def test_bloch_yy_is_metric_free(size, t_max):
     assert np.abs(flat - np.cos(2.0 * np.multiply.outer(np.arange(t_max + 1), eps)).mean(axis=1)).max() <= 1e-14
 
 
-def test_unitarity_residual_flags_an_incompatible_metric(monkeypatch):
-    # positive blocks not built from the left eigenvectors make eta S eta^-1
-    # asymmetric, and a root whose inverse is off by 1% keeps it symmetric
-    # but scales its norm: W_eta is not unitary either way
+def test_pseudo_hermiticity_residual_flags_an_incompatible_metric(monkeypatch):
+    # positive blocks not built from the left eigenvectors break S^T G = G S,
+    # the property that makes W_eta unitary
+    import loop_reference
     import ptwalk.channel
 
     p = params(math.log(1.2), 101)
-    assert build_euclidean_walk(p, FLAT).unitarity_residual <= 3e-14
-    g, a, eps, sin_h = ptwalk.channel._metric_frame(p, FLAT)
-    root = ptwalk.channel.sqrt_and_inv
-    with monkeypatch.context() as patch:
-        patch.setattr(ptwalk.channel, "sqrt_and_inv", lambda b: (lambda e, f, w: (e, 1.01 * f, w))(*root(b)))
-        assert build_euclidean_walk(p, FLAT).unitarity_residual > 1e-3
+    assert build_euclidean_walk(p, FLAT).pseudo_hermiticity_residual <= 1e-14
+    g, *frame = ptwalk.channel._metric_frame(p, FLAT)
     m = np.random.default_rng(46).normal(size=(101, 2, 2))
     spd = m @ m.swapaxes(1, 2) + 0.1 * np.eye(2)
     spd /= np.trace(spd, axis1=1, axis2=2)[:, None, None]
-    monkeypatch.setattr(ptwalk.channel, "_metric_frame", lambda *_: (BlockOperator(g.points, spd), a, eps, sin_h))
-    assert build_euclidean_walk(p, FLAT).unitarity_residual > 1e-3
+    monkeypatch.setattr(ptwalk.channel, "_metric_frame", lambda *_: (BlockOperator(g.points, spd), *frame))
+    residual = build_euclidean_walk(p, FLAT).pseudo_hermiticity_residual
+    assert residual > 1e-3
+    assert residual == pytest.approx(loop_reference.pseudo_hermiticity_residual(spd, walk_blocks(p)), rel=1e-12)
 
 
 @pytest.mark.parametrize("gamma_factor", [1.2, 1.3])

@@ -263,6 +263,7 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
         assert summary["ep_gap"] == cell["ep_gap"]
         assert 0.0 < summary["ep_gap"] < 1.0
         assert summary["metric_condition_max"] >= 1.0
+        assert 0.0 <= summary["pseudo_hermiticity_residual"] <= 1e-14 and "unitarity_residual" not in summary
         # stage timings: the pair's shared walk, audit CSV and M(t), and the cell's own stage
         timings = summary["timings"]
         search = {"search_s"} if cell["study"] == "blp" else set()
@@ -330,7 +331,7 @@ def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
     # the pairs of a group share one formatted momentum column; every audit
     # CSV must still be the value-by-value export of its own pair's metric
     import loop_reference
-    from ptwalk.metric import build_metric
+    from ptwalk.metric import _metric_frame
 
     cfg = tiny_config(tmp_path, study="rhp")
     out = tmp_path / "out"
@@ -341,7 +342,7 @@ def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
             name = f"metric__eg{factor:g}__{spec.label}.csv"
             want = tmp_path / name
             comment = f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}"
-            loop_reference.write_metric_csv(build_metric(cfg.walk_params(factor), spec), want, comment)
+            loop_reference.write_metric_csv(_metric_frame(cfg.walk_params(factor), spec)[0], want, comment)
             assert (out / name).read_bytes() == want.read_bytes(), name
 
 
@@ -372,8 +373,8 @@ def test_public_api_is_pinned():
         "LightConeViolation", "MeasureSeries", "MetricSpec",
         "MissingArtifacts", "NoBreaking", "NotPositive", "PTWalkError", "ShapeMismatch",
         "SpectrumNotReal", "ToyConfig", "ToyResult", "WalkParams",
-        "bloch_state", "blp_series", "build_euclidean_walk", "build_metric",
-        "entanglement_series", "eta", "gamma_pt", "is_unbroken", "load_config",
+        "blp_series", "build_euclidean_walk",
+        "entanglement_series", "gamma_pt", "is_unbroken", "load_config",
         "report", "rhp_series", "run", "run_toy", "validate_config",
     }
 
@@ -460,6 +461,27 @@ def test_report_classifies(tmp_path):
     assert toy["product1"]["verdict"] == "PASS"
     assert toy["nonproduct"]["verdict"] == "DISTINCT"
     assert "PASS" in text
+
+
+def test_report_distinct_needs_a_spread_above_the_hermitian_tolerance(tmp_path):
+    # With a Hermitian spread of exactly 0 the DISTINCT ratio is taken to the
+    # Hermitian tolerance, not to 0: a non-Hermitian spread of 1e-6 is
+    # NOT-DISTINCT. G2's curves are rewritten as G1's, plus 1e-6 in the last
+    # I_RHP value at e^gamma = 1.2.
+    out = tmp_path / "out"
+    run(tiny_config(out, study="rhp"))
+    for factor, bump in (("1", 0.0), ("1.2", 1e-6)):
+        comment, header, *rows = (out / f"rhp__eg{factor}__G1.csv").read_text().splitlines()
+        column = header.split(",").index("I_RHP")
+        last = rows[-1].split(",")
+        last[column] = repr(float(last[column]) + bump)
+        rows[-1] = ",".join(last)
+        (out / f"rhp__eg{factor}__G2.csv").write_text("\n".join([comment, header, *rows]) + "\n")
+    _, results = report(out)
+    rhp = results["studies"]["rhp"]
+    assert rhp["1.0"] == {"spread": 0.0, "verdict": "PASS"}
+    assert rhp["1.2"]["spread"] == pytest.approx(1e-6, rel=1e-6)
+    assert rhp["1.2"]["verdict"] == "NOT-DISTINCT"
 
 
 def test_manifest_records_git_commit(tmp_path):

@@ -176,7 +176,7 @@ def test_closed_form_2x2_root_matches_eigh(cond):
 
     g = random_pd2(np.random.default_rng(int(np.log10(cond))), cond, 200)
     roots, inverses, values = sqrt_and_inv(g)
-    etas, eta_invs, _, _ = loop_reference.unitary_frame(g, np.tile(np.eye(2), (200, 1, 1)))
+    etas, eta_invs, _ = loop_reference.unitary_frame(g, np.tile(np.eye(2), (200, 1, 1)))
     exact = np.linalg.eigvalsh(g)
     # two backward-stable methods differ by about eps sqrt(cond) in the root
     # and eps cond in the inverse and the small eigenvalue (det roundoff)

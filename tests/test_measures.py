@@ -10,7 +10,6 @@ from ptwalk import (
     ExperimentConfig,
     MetricSpec,
     WalkParams,
-    bloch_state,
     blp_series,
     build_euclidean_walk,
     entanglement_series,
@@ -18,6 +17,7 @@ from ptwalk import (
 )
 from channel_reference import (
     ChannelMatrix,
+    bloch_state,
     reduced_coin_state,
     rhp_from_channels,
     trace_distance,

@@ -23,14 +23,12 @@ from ptwalk import (
     MetricSpec,
     WalkParams,
     build_euclidean_walk,
-    build_metric,
-    eta,
     gamma_pt,
     is_unbroken,
 )
 from ptwalk.channel import bloch_matrix_series
 from ptwalk.linalg import eig, sqrt_and_inv, trace_norm, transport
-from ptwalk.metric import _left_eigen, _sin_entries, write_metric_csv
+from ptwalk.metric import _left_eigen, _metric_frame, _sin_entries, write_metric_csv
 from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -139,7 +137,7 @@ def test_left_eigvecs_degenerate_at_exceptional_momentum():
 
 
 def test_build_metric_flat_hermitian_limit_is_maximally_mixed():
-    g = build_metric(params(0.0), MetricSpec(kind="g1_flat"))
+    g = _metric_frame(params(0.0), MetricSpec(kind="g1_flat"))[0]
     for b in g.blocks:
         assert np.abs(b - np.eye(2) / 2).max() < 1e-12
 
@@ -148,7 +146,7 @@ def test_build_metric_blocks_valid_and_pseudo_hermitian():
     p = params(math.log(1.2), 101)
     h = hamiltonian_blocks(p)
     for spec in (MetricSpec(kind="g1_flat"), MetricSpec(kind="random_xy", seed=7)):
-        g = build_metric(p, spec)
+        g = _metric_frame(p, spec)[0]
         for gb, hb in zip(g.blocks, h):
             assert np.abs(gb - gb.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(gb).min() > 0
@@ -166,12 +164,13 @@ def test_build_metric_blocks_valid_and_pseudo_hermitian():
 )
 def test_metric_pseudo_hermitian_and_hermitian_limit_metric_blind_property(theta1, theta2, fraction, seed):
     # H_c† G = G H_c blockwise up to roundoff relative to |H_c| |G|, anywhere
-    # below the exceptional point; at gamma = 0 the reduced maps M(t) of the
-    # flat and two random metrics coincide to float precision.
+    # below the exceptional point; at gamma = 0 every metric takes its axes
+    # from S, so the reduced maps M(t) of the flat and two random metrics are
+    # the same floats.
     p = WalkParams(theta1, theta2, fraction * gamma_pt(theta1, theta2), 101)
     assume(is_unbroken(p))
     h = hamiltonian_blocks(p)
-    g = build_metric(p, MetricSpec(kind="random_xy", seed=seed)).blocks
+    g = _metric_frame(p, MetricSpec(kind="random_xy", seed=seed))[0].blocks
     residual = np.linalg.norm(h.conj().swapaxes(1, 2) @ g - g @ h, axis=(1, 2))
     scale = np.linalg.norm(h, axis=(1, 2)) * np.linalg.norm(g, axis=(1, 2))
     assert (residual / scale).max() <= 1e-10
@@ -185,7 +184,7 @@ def test_metric_pseudo_hermitian_and_hermitian_limit_metric_blind_property(theta
             MetricSpec(kind="random_xy", seed=seed + 1),
         )
     )
-    assert max(np.abs(m - flat).max() for m in others) <= 1e-13
+    assert all(np.array_equal(m, flat) for m in others)
 
 
 @pytest.mark.parametrize(
@@ -201,8 +200,8 @@ def test_metric_pseudo_hermitian_and_hermitian_limit_metric_blind_property(theta
 )
 def test_build_metric_blocks_are_real_symmetric(fraction, spec):
     # the left eigenvectors are real, so every block is real, and the
-    # symmetrization makes g12 and g21 the same float
-    g = build_metric(params(fraction * gamma_pt(T1, T2), 101), spec)
+    # products r_i r_j = r_j r_i make g12 and g21 the same float
+    g = _metric_frame(params(fraction * gamma_pt(T1, T2), 101), spec)[0]
     assert g.blocks.dtype == np.float64
     assert np.array_equal(g.blocks[:, 0, 1], g.blocks[:, 1, 0])
     assert np.abs(np.trace(g.blocks, axis1=1, axis2=2) - 1.0).max() <= 1e-15
@@ -210,23 +209,23 @@ def test_build_metric_blocks_are_real_symmetric(fraction, spec):
 
 def test_build_metric_deterministic_from_seed():
     p = params(0.1)
-    a = build_metric(p, MetricSpec(kind="random_xy", seed=7))
-    b = build_metric(p, MetricSpec(kind="random_xy", seed=7))
+    a = _metric_frame(p, MetricSpec(kind="random_xy", seed=7))[0]
+    b = _metric_frame(p, MetricSpec(kind="random_xy", seed=7))[0]
     assert np.array_equal(a.blocks, b.blocks)
-    c = build_metric(p, MetricSpec(kind="random_xy", seed=8))
+    c = _metric_frame(p, MetricSpec(kind="random_xy", seed=8))[0]
     assert np.abs(a.blocks - c.blocks).max() > 1e-6
 
 
 def test_build_metric_explicit_tables():
     p = params(0.1, 5)
     xs, ys = (1.0,) * 5, (0.5, 1.0, 1.5, 2.0, 0.7)
-    g = build_metric(p, MetricSpec(kind="explicit", x=xs, y=ys))
+    g = _metric_frame(p, MetricSpec(kind="explicit", x=xs, y=ys))[0]
     assert len(g) == 5
 
 
 def test_build_metric_refuses_broken():
     with pytest.raises(BrokenRegime):
-        build_metric(params(math.log(1.5)), MetricSpec(kind="g1_flat"))
+        _metric_frame(params(math.log(1.5)), MetricSpec(kind="g1_flat"))
 
 
 def test_metric_spec_validation():
@@ -247,25 +246,18 @@ def test_metric_spec_dict_roundtrip():
 
 def test_eta_squares_back():
     p = params(math.log(1.2))
-    g = build_metric(p, MetricSpec(kind="random_xy", seed=3))
-    e = eta(g)
-    for eb, gb in zip(e.blocks, g.blocks):
+    g = _metric_frame(p, MetricSpec(kind="random_xy", seed=3))[0]
+    e = sqrt_and_inv(g.blocks)[0]
+    for eb, gb in zip(e, g.blocks):
         assert np.abs(eb @ eb - gb).max() < 1e-10
         assert np.linalg.eigvalsh(eb).min() > 0
 
 
-def test_eta_is_the_unitary_frame_root():
-    ew = build_euclidean_walk(params(math.log(1.3), 101), MetricSpec(kind="random_xy", seed=11))
-    assert np.array_equal(eta(ew.metric).blocks, sqrt_and_inv(ew.metric.blocks)[0])
-
-
 def test_eta_scales_as_sqrt():
     p = params(0.12, 5)
-    g = build_metric(p, MetricSpec(kind="g1_flat"))
-    from ptwalk.walk import BlockOperator
-
-    scaled = eta(BlockOperator(g.points, 4.0 * g.blocks))
-    assert np.abs(scaled.blocks - 2.0 * eta(g).blocks).max() < 1e-12
+    g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
+    scaled = sqrt_and_inv(4.0 * g.blocks)[0]
+    assert np.abs(scaled - 2.0 * sqrt_and_inv(g.blocks)[0]).max() < 1e-12
 
 
 # --------------------------------------------------------- generalized algebra
@@ -329,7 +321,7 @@ def test_g_trace_norm_rejects_non_positive_metric():
 
 def test_metric_transport_identity():
     p = params(math.log(1.2))
-    g = build_metric(p, MetricSpec(kind="random_xy", seed=5))
+    g = _metric_frame(p, MetricSpec(kind="random_xy", seed=5))[0]
     h = hamiltonian_blocks(p)
     tr = metric_transport(g, g, h)
     for tb, ub in zip(tr.t.blocks, tr.u.blocks):
@@ -339,24 +331,24 @@ def test_metric_transport_identity():
 
 def test_metric_transport_posts():
     p = params(math.log(1.2))
-    g = build_metric(p, MetricSpec(kind="g1_flat"))
-    gp = build_metric(p, MetricSpec(kind="random_xy", seed=5))
+    g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
+    gp = _metric_frame(p, MetricSpec(kind="random_xy", seed=5))[0]
     h = hamiltonian_blocks(p)
     tr = metric_transport(g, gp, h)
-    e, ep = eta(g), eta(gp)
+    e, ep = sqrt_and_inv(g.blocks)[0], sqrt_and_inv(gp.blocks)[0]
     for i in range(len(g)):
         tb, ub, hb = tr.t.blocks[i], tr.u.blocks[i], h[i]
         assert np.linalg.norm(tb @ hb - hb @ tb) <= 1e-9
         assert np.linalg.norm(ub.conj().T @ ub - np.eye(2)) <= 1e-9
         assert np.linalg.norm(tb.conj().T @ g.blocks[i] @ tb - gp.blocks[i]) <= 1e-9
-        assert np.linalg.norm(ep.blocks[i] - ub @ e.blocks[i] @ tb) <= 1e-9
+        assert np.linalg.norm(ep[i] - ub @ e[i] @ tb) <= 1e-9
 
 
 def test_metric_transport_maps_observables_unitarily():
     # H mapped through either square root must be conjugate by the transport unitary
     p = params(math.log(1.2), 21)
-    g = build_metric(p, MetricSpec(kind="g1_flat"))
-    gp = build_metric(p, MetricSpec(kind="random_xy", seed=5))
+    g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
+    gp = _metric_frame(p, MetricSpec(kind="random_xy", seed=5))[0]
     h = hamiltonian_blocks(p)
     tr = metric_transport(g, gp, h)
     for i in range(len(g)):
@@ -372,7 +364,7 @@ def test_metric_transport_maps_observables_unitarily():
 
 def test_metric_transport_incompatible():
     p = params(math.log(1.2), 5)
-    g = build_metric(p, MetricSpec(kind="g1_flat"))
+    g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
     h = hamiltonian_blocks(p)
     from ptwalk.walk import BlockOperator
 
@@ -387,8 +379,8 @@ def test_metric_transport_matches_per_k_oracle(factor):
     import loop_reference
 
     p = params(math.log(factor), 1201)
-    g = build_metric(p, MetricSpec(kind="g1_flat"))
-    gp = build_metric(p, MetricSpec(kind="random_xy", seed=11))
+    g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
+    gp = _metric_frame(p, MetricSpec(kind="random_xy", seed=11))[0]
     h = hamiltonian_blocks(p)
     t, u, _ = transport(g.blocks, gp.blocks, h, eig(h, want_left=True))
     ref = loop_reference.metric_transport(g, gp, h)
@@ -400,7 +392,7 @@ def test_metric_transport_matches_per_k_oracle(factor):
 
 
 def test_separability_defect_zero_cases():
-    g0 = build_metric(params(0.0, 101), MetricSpec(kind="g1_flat"))
+    g0 = _metric_frame(params(0.0, 101), MetricSpec(kind="g1_flat"))[0]
     assert separability_defect(g0) <= 1e-12
     from ptwalk.walk import BlockOperator
 
@@ -410,7 +402,7 @@ def test_separability_defect_zero_cases():
 
 
 def test_separability_defect_positive_when_nonhermitian():
-    g = build_metric(params(math.log(1.2), 101), MetricSpec(kind="g1_flat"))
+    g = _metric_frame(params(math.log(1.2), 101), MetricSpec(kind="g1_flat"))[0]
     assert separability_defect(g) > 1e-3
 
 
@@ -427,7 +419,7 @@ def test_verify_metric_action():
 
 
 def test_metric_csv_export(tmp_path):
-    g = build_metric(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))
+    g = _metric_frame(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[0]
     path = tmp_path / "metric.csv"
     write_metric_csv(g, path)
     lines = path.read_text().strip().splitlines()
@@ -445,7 +437,7 @@ def _sha256(path):
 def test_metric_csv_matches_value_by_value_writer(tmp_path, spec):
     import loop_reference
 
-    g = build_metric(params(math.log(1.2), 4001), spec)
+    g = _metric_frame(params(math.log(1.2), 4001), spec)[0]
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     write_metric_csv(g, new, comment="gamma_factor=1.2 audit")
     loop_reference.write_metric_csv(g, old, comment="gamma_factor=1.2 audit")
@@ -478,7 +470,7 @@ def test_metric_csv_matches_value_by_value_writer_on_edge_values(tmp_path):
 def test_metric_csv_refuses_complex_or_asymmetric_blocks(tmp_path):
     from ptwalk.walk import BlockOperator
 
-    g = build_metric(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))
+    g = _metric_frame(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[0]
     path = tmp_path / "metric.csv"
     with pytest.raises(ValueError, match="real symmetric"):
         write_metric_csv(BlockOperator(g.points, g.blocks.astype(complex)), path)
@@ -526,7 +518,7 @@ def test_expectation_is_metric_independent():
 def test_norm_conservation_under_walk():
     # <psi(t)| G(k) |psi(t)> is constant under the non-unitary walk block
     p = params(math.log(1.2), 101)
-    g = build_metric(p, MetricSpec(kind="random_xy", seed=9))
+    g = _metric_frame(p, MetricSpec(kind="random_xy", seed=9))[0]
     rng = np.random.default_rng(33)
     for i in (0, 17, 50):
         w = walk_block(g.points[i], p)
