@@ -1,8 +1,10 @@
-"""Dense complex-matrix kernels: eigenpairs, the metric root (closed form
-for 2x2 blocks), metric transports and the trace norm.
+"""Dense complex-matrix kernels over one matrix or a stack (..., n, n):
+eigenpairs with biorthonormal left vectors (``eig``), the positive root of a
+metric (``metric_root``, one stacked ``eigh``) and the trace norm.
 
-Everything here is a pure function of its inputs. Matrices are plain
-``numpy`` arrays of complex dtype; no wrapper classes.
+The toy study is the only program caller of ``eig`` and ``metric_root``; the
+walk forms no root. Everything here is a pure function of plain complex
+``numpy`` arrays.
 """
 
 from dataclasses import dataclass
@@ -17,17 +19,16 @@ PAIRING_GAP = 1e-9
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition A v_i = w_i v_i, optionally with left eigenvectors.
+    """Eigendecomposition A r_i = w_i r_i with biorthonormal left eigenvectors.
 
     ``right[..., :, i]`` is the right eigenvector for ``values[..., i]``, for
-    one matrix or each of a stack (..., n, n). When present,
-    ``left[..., :, i]`` satisfies A† l_i = conj(w_i) l_i and the sets are
-    biorthonormal: <l_i|r_j> = delta_ij.
+    one matrix or each of a stack (..., n, n), and ``left[..., :, i]``
+    satisfies A† l_i = conj(w_i) l_i with <l_i|r_j> = delta_ij.
     """
 
     values: np.ndarray
     right: np.ndarray
-    left: np.ndarray | None = None
+    left: np.ndarray
 
 
 def _square(a: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -39,8 +40,8 @@ def _square(a: np.ndarray, stack: bool = False) -> np.ndarray:
     return a
 
 
-def eig(a: np.ndarray, want_left: bool = False) -> EigenSystem:
-    """Eigendecomposition of one matrix or a stack (..., n, n), optionally with left vectors.
+def eig(a: np.ndarray) -> EigenSystem:
+    """Eigendecomposition of one matrix or a stack (..., n, n), with left vectors.
 
     The left vectors are the columns of inv(R)†, R the right eigenvectors,
     so <l_i|r_j> = delta_ij by construction. DegeneratePairing is raised,
@@ -52,9 +53,6 @@ def eig(a: np.ndarray, want_left: bool = False) -> EigenSystem:
     """
     a = _square(a, stack=True)
     values, right = np.linalg.eig(a)
-    if not want_left:
-        return EigenSystem(values, right)
-
     n = a.shape[-1]
     gap = np.abs(values[..., :, None] - values[..., None, :]) + np.diag(np.full(n, np.inf))
     close = gap.min(axis=(-2, -1)) < PAIRING_GAP
@@ -72,71 +70,18 @@ def eig(a: np.ndarray, want_left: bool = False) -> EigenSystem:
     return EigenSystem(values, right, left)
 
 
-def sqrt_and_inv(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positive square root of a positive-definite metric, its inverse, and its eigenvalues.
+def metric_root(g: np.ndarray) -> np.ndarray:
+    """Positive square root V w^{1/2} V† of a positive-definite metric, or of each in a stack (..., n, n).
 
-    ``g`` is one (n, n) matrix or a stack (..., n, n), taken as (g + g†)/2;
-    eigenvalues come back ascending, shape (..., n). A 2x2 block [[a, b], [b*, d]]
-    has a closed form (Levinger, Math. Mag. 53, 222 (1980)): with s = sqrt(det G)
-    and t = sqrt(tr G + 2s), eta = (G + sI)/t, eta^-1 = (adj G + sI)/(st),
-    lambda_+ = tr G/2 + sqrt(((a - d)/2)^2 + |b|^2) and lambda_- = det G/lambda_+.
-    Larger blocks take one stacked ``eigh``, with roots V w^{+-1/2} V†. Nothing is
+    ``g`` is taken as (g + g†)/2 and rooted by one stacked ``eigh``. Nothing is
     clamped: a block not positive definite raises NotPositive, naming the first.
     """
-    if g.shape[-1] == 2:
-        a, d = g[..., 0, 0].real, g[..., 1, 1].real
-        b = (g[..., 0, 1] + g[..., 1, 0].conj()) / 2.0
-        det = a * d - (b.real**2 + b.imag**2)
-        hi = (a + d) / 2.0 + np.sqrt(((a - d) / 2.0) ** 2 + b.real**2 + b.imag**2)
-        # lambda_- refuses a block unless it is > 0; it is +-0 wherever lambda_+ <= 0
-        w = np.stack([det / np.where(hi > 0, hi, np.inf), hi], axis=-1)
-    else:
-        w, v = np.linalg.eigh((g + g.conj().swapaxes(-1, -2)) / 2.0)
+    w, v = np.linalg.eigh((g + g.conj().swapaxes(-1, -2)) / 2.0)
     bad = np.flatnonzero(~(w[..., 0] > 0))
     if bad.size:
         where = f" block {bad[0]}" if w.ndim > 1 else ""
         raise NotPositive(f"metric{where} not positive definite")
-    if g.shape[-1] == 2:
-        s = np.sqrt(det)
-        t = np.sqrt(a + d + 2.0 * s)[..., None, None]
-        root = np.stack([a + s, b, b.conj(), d + s], axis=-1).reshape(g.shape)
-        inverse = np.stack([d + s, -b, -b.conj(), a + s], axis=-1).reshape(g.shape)
-        return root / t, inverse / (s[..., None, None] * t), w
-    v_h = v.conj().swapaxes(-1, -2)
-    root = np.sqrt(w)[..., None, :]
-    return (v * root) @ v_h, (v / root) @ v_h, w
-
-
-def transport(
-    g: np.ndarray, g_new: np.ndarray, h: np.ndarray, sys: EigenSystem
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectral transport between two metrics compatible with one Hamiltonian.
-
-    ``sys`` holds the biorthonormal eigenpairs (R, L) of ``h``. With the
-    weights w_i = <r_i|G|r_i> and w'_i = <r_i|G'|r_i>, the transport is
-    T = R diag(sqrt(w'/w)) L†, which commutes with H and pulls G' back to G
-    (T† G T = G'), and U = eta' T^-1 eta^-1 is unitary with eta' = U eta T.
-    Every argument may be a stack (..., n, n), broadcast together. Returns
-    (T, U, residuals), the residuals of shape (..., 4) holding the Frobenius
-    norms of [T, H], U†U - I, T† G T - G' and eta' - U eta T per block; a
-    non-positive-definite metric raises NotPositive.
-    """
-    eta, eta_inv, _ = sqrt_and_inv(g)
-    eta_new, _, _ = sqrt_and_inv(g_new)
-    r, left_h = sys.right, sys.left.conj().swapaxes(-1, -2)
-    w = np.einsum("...ji,...jk,...ki->...i", r.conj(), g, r).real
-    w_new = np.einsum("...ji,...jk,...ki->...i", r.conj(), g_new, r).real
-    ratio = np.sqrt(w_new / w)[..., None, :]
-    t = (r * ratio) @ left_h
-    u = eta_new @ ((r / ratio) @ left_h) @ eta_inv
-    checks = (
-        t @ h - h @ t,
-        u.conj().swapaxes(-1, -2) @ u - np.eye(h.shape[-1]),
-        t.conj().swapaxes(-1, -2) @ g @ t - g_new,
-        eta_new - u @ eta @ t,
-    )
-    residuals = np.stack([np.linalg.norm(c, axis=(-2, -1)) for c in checks], axis=-1)
-    return t, u, residuals
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def trace_norm(a: np.ndarray) -> float:

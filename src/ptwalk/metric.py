@@ -9,7 +9,9 @@ rescaled to unit trace. The left eigenvectors are real for this walk, so
 every such block is real symmetric, positive definite and
 pseudo-Hermitian-compatible: H_c(k)† G(k) = G(k) H_c(k). Only y(k) reaches
 the walk, as the axis of its rotations (``ptwalk.channel``); the blocks go
-to the audit CSV.
+to the audit CSV. The unit-trace rescale cancels x(k): it moves a block only
+by roundoff and leaves the walk bit for bit unchanged, so the ``x`` weight of
+a ``MetricSpec`` has no effect. Configs and manifests still carry it.
 """
 
 from dataclasses import dataclass
@@ -89,8 +91,8 @@ class MetricSpec(Config):
     kind 'g1_flat' fixes x = y = 1; 'random_xy' draws both i.i.d. uniform on
     [low, high) from the seeded generator, one (x, y) pair per grid point in
     grid order; 'explicit' takes the tables as given. Blocks are always
-    rescaled to unit trace afterwards. ``name`` is a file stem, so it holds
-    no path separator.
+    rescaled to unit trace afterwards, which cancels x. ``name`` is a file
+    stem, so it holds no path separator.
     """
 
     kind: str = "g1_flat"

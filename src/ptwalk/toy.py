@@ -1,13 +1,31 @@
 """Two-qubit toy study: product versus non-product metrics.
 
-The Hamiltonian is a tensor product H = H_A (x) H_B of 2x2 blocks with real
-spectrum. Metrics compatible with H are built from biorthonormal left
-eigenvectors with positive weights; product metrics G_A (x) G_B keep the
-unitary-frame evolution locally generated, so a maximally entangled state
-aligned with the local eigenbases keeps exactly one bit of entanglement for
-all times. A non-product metric, built as T† (G_A (x) G_B) T with
-T = exp(s H), mixes the factors and the entanglement entropy of the
-transported state starts below one bit and moves.
+The Hamiltonian is a tensor product H = h_A (x) h_B of 2x2 blocks with real
+spectrum, and the whole study is read in its biorthonormal eigenbasis
+(Mostafazadeh, J. Math. Phys. 43, 205 (2002)). One stacked ``eig`` of the
+two factors gives the eigenvalues lambda of H and its right and left vectors
+R = r_A (x) r_B and L = l_A (x) l_B = inv(R)†. Every metric compatible with H
+is G = L diag(w) L† with positive weights w, so R† G R = diag(w):
+
+- 'product1' and 'product2' are G_A (x) G_B, with the weights w_A (x) w_B;
+- 'nonproduct' is T† G_1 T with T = exp(s H), which mixes the factors; its
+  weights are e^{2 s lambda} w_1, so no matrix exponential is formed.
+
+Each metric's frame V = sqrt(G) R diag(w)^{-1/2} is unitary and carries H to
+eta H eta^-1 = V diag(lambda) V†, so the maximally entangled state
+c = (e_00 + e_11)/sqrt 2 of the local eigenbases, taken in the frame of G_1,
+evolves under metric m as psi_m(t) = V_m e^{-i lambda t} c; the transport
+between the frames is U_m = V_m V_1†. S(t) is the entropy of the Schmidt
+weights of psi_m(t). Product metrics keep the evolution locally generated,
+so S stays at one bit; the non-product metric starts it below one bit and
+makes it move.
+
+The eigenpairs are put in a gauge the program fixes, not LAPACK: each
+factor's pairs ascend in eigenvalue (the metric weights are listed in that
+order), and each unit right vector is rephased so that its lead component,
+the first at least half the largest in magnitude, is real and positive; the
+left vectors take the same phases. The components of a PT-symmetric block's
+eigenvectors have equal magnitude, so the lead is not simply the larger one.
 
 Two parameter variants are provided. 'pt_phase' uses complex PT-symmetric
 blocks (diagonals e^{+-i a}) whose spectrum is real while the blocks are
@@ -23,10 +41,11 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigInvalid, SpectrumNotReal
-from .linalg import EigenSystem, eig, sqrt_and_inv, transport
+from .linalg import eig, metric_root
 from .measures import _entropy_bits
 
 REAL_SPECTRUM_TOL = 1e-10
+METRICS = ("product1", "product2", "nonproduct")
 
 
 def toy_hamiltonians(variant: str = "pt_phase") -> tuple[np.ndarray, np.ndarray]:
@@ -114,26 +133,6 @@ def metric_from_weights(left: np.ndarray, weights) -> np.ndarray:
     return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
-def product_eig(h_a: np.ndarray, h_b: np.ndarray) -> tuple[EigenSystem, EigenSystem]:
-    """Biorthonormal eigenpairs of the two factors (one stacked ``eig``) and of H = h_a (x) h_b.
-
-    With h r_i = lambda_i r_i and <l_i|r_j> = delta_ij for each factor, H has
-    the eigenvalues lambda_a lambda_b with R = r_A (x) r_B and L = l_A (x) l_B.
-    No 4x4 eigensolve is needed, so products lambda_a lambda_b that coincide
-    are no obstacle; a factor near its exceptional point raises DegeneratePairing.
-    """
-    factors = eig(np.stack([h_a, h_b]), want_left=True)
-    product = EigenSystem(
-        np.kron(*factors.values), np.kron(*factors.right), np.kron(*factors.left)
-    )
-    return factors, product
-
-
-def product_exp(sys: EigenSystem, s: float) -> np.ndarray:
-    """exp(s H) = R diag(e^{s lambda}) L† from the eigenpairs of H given by ``product_eig``."""
-    return (sys.right * np.exp(s * sys.values)) @ sys.left.conj().T
-
-
 def product_defect(g: np.ndarray, dims: tuple[int, int] = (2, 2)) -> float:
     """How far an operator on A (x) B is from a single tensor product.
 
@@ -152,54 +151,63 @@ def product_defect(g: np.ndarray, dims: tuple[int, int] = (2, 2)) -> float:
     return float(sv[1] / sv[0])
 
 
+def _gauge(right: np.ndarray) -> np.ndarray:
+    """Unit phases, shape (..., 1, n), that make the lead component of each column of ``right`` real and positive.
+
+    The lead is the first component at least half the column's largest in
+    magnitude, so equal-magnitude components do not let roundoff pick it.
+    """
+    size = np.abs(right)
+    lead = np.argmax(size >= 0.5 * size.max(axis=-2, keepdims=True), axis=-2)
+    lead = np.take_along_axis(right, lead[..., None, :], axis=-2)
+    return lead.conj() / np.abs(lead)
+
+
+def _frames(toy: ToyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, G, V): the eigenvalues of H, shape (4,), and the metrics and their unitary frames, (3, 4, 4) in METRICS order.
+
+    A factor near its exceptional point raises DegeneratePairing, a spectrum
+    of H that is not real SpectrumNotReal.
+    """
+    factors = eig(np.stack(toy.hamiltonians()))
+    order = np.argsort(factors.values.real, axis=-1)
+    lam = np.kron(*np.take_along_axis(factors.values, order, axis=-1))
+    right = np.take_along_axis(factors.right, order[:, None, :], axis=-1)
+    phase = _gauge(right)
+    right = np.kron(*(right * phase))
+    left = np.kron(*(np.take_along_axis(factors.left, order[:, None, :], axis=-1) * phase))
+    imag = np.abs(lam.imag).max()
+    if imag > REAL_SPECTRUM_TOL:
+        raise SpectrumNotReal(f"max |Im eigenvalue| = {imag:.3e} exceeds {REAL_SPECTRUM_TOL}")
+    lam = lam.real
+    w1 = np.kron(toy.weights_a1, toy.weights_b1)
+    weights = np.stack(
+        [w1, np.kron(toy.weights_a2, toy.weights_b2), np.exp(2.0 * toy.mixing_strength * lam) * w1]
+    )
+    metrics = metric_from_weights(left, weights)
+    frames = metric_root(metrics) @ right / np.sqrt(weights)[:, None, :]
+    return lam, metrics, frames
+
+
 def run_toy(toy: ToyConfig) -> ToyResult:
-    """Evolve the transported maximally entangled state under each metric.
+    """Evolve the maximally entangled state c under each metric.
 
     Returns entropy curves S(t) in bits for the metric choices 'product1',
     'product2' and 'nonproduct', sampled at multiples of dt up to t_max.
     """
-    h_a, h_b = toy.hamiltonians()
-    factors, sys = product_eig(h_a, h_b)
-    imag = np.abs(sys.values.imag).max()
-    if imag > REAL_SPECTRUM_TOL:
-        raise SpectrumNotReal(f"max |Im eigenvalue| = {imag:.3e} exceeds {REAL_SPECTRUM_TOL}")
-
-    g_a1, g_b1 = metric_from_weights(factors.left, [toy.weights_a1, toy.weights_b1])
-    g1 = np.kron(g_a1, g_b1)
-    g2 = np.kron(*metric_from_weights(factors.left, [toy.weights_a2, toy.weights_b2]))
-    mixer = product_exp(sys, toy.mixing_strength)
-    g3 = mixer.conj().T @ g1 @ mixer
-    metrics = {"product1": g1, "product2": g2, "nonproduct": g3}
-
-    # Maximally entangled state aligned with the local eigenbases of H_eta1.
-    eta_ab, eta_ab_inv, _ = sqrt_and_inv(np.stack([g_a1, g_b1]))
-    h_ab_eta = eta_ab @ np.stack([h_a, h_b]) @ eta_ab_inv
-    u_a, u_b = np.linalg.eigh((h_ab_eta + h_ab_eta.conj().swapaxes(1, 2)) / 2.0)[1]
-    phi = (np.kron(u_a[:, 0], u_b[:, 0]) + np.kron(u_a[:, 1], u_b[:, 1])) / np.sqrt(2.0)
-    rho_ref = np.outer(phi, phi.conj())
-
-    h = np.kron(h_a, h_b)
-    _, transports, transport_residuals = transport(g1, np.stack(list(metrics.values())), h, sys)
+    lam, metrics, frames = _frames(toy)
     times = np.arange(0.0, toy.t_max + toy.dt / 2.0, toy.dt)
-    entropy: dict[str, np.ndarray] = {}
-    defects: dict[str, float] = {}
-    residuals: dict[str, float] = {}
-    for (name, g), u, checks in zip(metrics.items(), transports, transport_residuals):
-        defects[name] = product_defect(g)
-        residuals[name] = float(checks[1])  # ||U†U - I||_F
-        rho0 = u @ rho_ref @ u.conj().T
-        e, e_inv, _ = sqrt_and_inv(g)
-        h_eta = e @ h @ e_inv
-        w_h, v_h = np.linalg.eigh((h_eta + h_eta.conj().T) / 2.0)
-        # u_t for all times at once; the partial trace over B on the stack
-        u_t = (v_h * np.exp(-1j * w_h * times[:, None])[:, None, :]) @ v_h.conj().T
-        rho_t = (u_t @ rho0 @ u_t.conj().swapaxes(1, 2)).reshape(-1, 2, 2, 2, 2)
-        entropy[name] = _entropy_bits(np.linalg.eigvalsh(np.einsum("tijkj->tik", rho_t)))
+    # psi_m(t) = V_m e^{-i lambda t} c for all times, as (3, T, 2, 2) coefficients on A (x) B
+    coeffs = np.exp(-1j * np.outer(times, lam)) * np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    psi = (coeffs @ frames.swapaxes(-1, -2)).reshape(len(METRICS), len(times), 2, 2)
+    schmidt = np.linalg.svd(psi, compute_uv=False) ** 2
+    u = frames @ frames[0].conj().T
+    drift = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(4), axis=(-2, -1))
     return ToyResult(
         times=times,
-        entropy=entropy,
-        product_defects=defects,
-        transport_residuals=residuals,
+        entropy=dict(zip(METRICS, _entropy_bits(schmidt))),
+        product_defects={name: product_defect(g) for name, g in zip(METRICS, metrics)},
+        transport_residuals={name: float(r) for name, r in zip(METRICS, drift)},
         meta={
             "variant": toy.variant,
             "mixing_strength": toy.mixing_strength,

@@ -21,13 +21,13 @@ angles by angle addition from one evaluated phase per block;
 ``bloch_matrices_five_sums`` takes the library's own angles and five sums
 with every double angle evaluated directly.
 The CSV writers at the end format one value at a time through ``csv.writer``;
-the library's writers must produce the same bytes. ``expm``, a general matrix
-exponential, checks the toy's closed-form mixer without scipy. ``eig`` pairs
-left and right eigenvectors of one matrix by nearest conjugate eigenvalue,
-``herm_sqrt`` is the clamping Hermitian square root used by the dense
-lattice oracles, and ``metric_transport`` builds the transport one momentum
-at a time; they check the library's stacked ``eig``, metric root and
-``linalg.transport``.
+the library's writers must produce the same bytes. ``eig`` pairs left and
+right eigenvectors of one matrix by nearest conjugate eigenvalue and checks
+the library's stacked ``eig``; ``herm_sqrt`` is the clamping Hermitian square
+root used by the dense lattice oracles. ``toy_entropy`` is the toy study on
+the generic route the library's eigenbasis formula replaces: the mixer
+exp(sH) from ``expm``, a general matrix exponential without scipy, a root
+per metric, the metric transports and an ``eigh`` of eta H eta^-1.
 
 ``coin``, ``shift_block`` and ``gain_loss`` are the walk factors as
 matrices, and ``walk_block`` / ``walk_blocks`` multiply them one 2x2
@@ -48,10 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from channel_reference import ChannelMatrix, _check_state
+from channel_reference import ChannelMatrix, _check_state, partial_trace, von_neumann_entropy
 from ptwalk.channel import BLOCK_ELEMENTS, _check_horizon
 from ptwalk.errors import BrokenRegime, DegenerateAtK, DegeneratePairing, NotPositive, PTWalkError
-from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, sqrt_and_inv, trace_norm
+from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, metric_root, trace_norm
 from ptwalk.metric import _weights
 from ptwalk.walk import (
     UNBROKEN_MARGIN,
@@ -79,8 +79,8 @@ class IncompatibleMetrics(PTWalkError):
 PSD_FAIL = 1e-8
 
 
-def eig(a: np.ndarray, want_left: bool = False) -> EigenSystem:
-    """Eigendecomposition with optional biorthonormal left eigenvectors.
+def eig(a: np.ndarray) -> EigenSystem:
+    """Eigendecomposition with biorthonormal left eigenvectors.
 
     Left eigenvectors are computed as right eigenvectors of A†, paired to the
     right set by conjugate eigenvalue (greedy nearest match) and rescaled so
@@ -89,9 +89,6 @@ def eig(a: np.ndarray, want_left: bool = False) -> EigenSystem:
     """
     a = _square(a)
     values, right = np.linalg.eig(a)
-    if not want_left:
-        return EigenSystem(values, right)
-
     n = len(values)
     for i in range(n):
         for j in range(i + 1, n):
@@ -342,7 +339,7 @@ class MetricTransport:
 
 
 def _transport_block(g, gp, h):
-    sys = eig(h, want_left=True)
+    sys = eig(h)
     psi, phi = sys.right, sys.left
     w = np.array([np.vdot(psi[:, i], g @ psi[:, i]).real for i in range(2)])
     wp = np.array([np.vdot(psi[:, i], gp @ psi[:, i]).real for i in range(2)])
@@ -400,10 +397,10 @@ def g_trace_norm(x: np.ndarray, g: np.ndarray) -> float:
     of the square root numerically Hermitian.
     """
     try:
-        e, e_inv, _ = sqrt_and_inv(np.asarray(g, dtype=complex))
+        e = metric_root(np.asarray(g, dtype=complex))
     except NotPositive as exc:
         raise SingularMetric(str(exc)) from exc
-    return trace_norm(e @ np.asarray(x, complex) @ e_inv)
+    return trace_norm(e @ np.asarray(x, complex) @ np.linalg.inv(e))
 
 
 def separability_defect(g) -> float:
@@ -422,24 +419,24 @@ def separability_defect(g) -> float:
 def verify_metric_action(
     g: np.ndarray, basis: np.ndarray, n_samples: int = 8, seed: int = 0
 ) -> float:
-    """Residual of the basis-expansion identity for the metric action.
+    """Residual of the basis expansion in the G inner product.
 
-    For an orthonormal basis {xi_n} and the G inner product <.|.>_G = <.|G .>,
-    G psi must equal sum_n <xi_n|psi>_G xi_n. Returns the maximum Euclidean
-    residual over random unit vectors psi.
+    With <.|.>_G = <.|G .>, a basis {xi_n} (the columns of ``basis``) that is
+    orthonormal in it expands every vector as psi = sum_n <xi_n|psi>_G xi_n.
+    Returns the maximum Euclidean residual of that expansion over random unit
+    vectors psi; a basis that is not G-orthonormal leaves a residual of
+    order one.
     """
     g = np.asarray(g, dtype=complex)
     basis = np.asarray(basis, dtype=complex)
     n = g.shape[0]
-    if np.abs(basis.conj().T @ basis - np.eye(n)).max() > 1e-12:
-        raise ValueError("basis columns are not orthonormal")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi /= np.linalg.norm(psi)
         expanded = basis @ (basis.conj().T @ (g @ psi))
-        worst = max(worst, float(np.linalg.norm(g @ psi - expanded)))
+        worst = max(worst, float(np.linalg.norm(psi - expanded)))
     return worst
 
 
@@ -591,6 +588,54 @@ def expm(a: np.ndarray, terms: int = 20) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def toy_entropy(toy, state: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
+    """S(t) in bits under the toy's three metrics, on the transport route, from ``state`` in the frame of G_1.
+
+    Each factor's eigenpairs come from ``eig``, sorted by ascending
+    eigenvalue, the order the metric weights follow; the factor metrics are
+    sum_i w_i |l_i><l_i| one term at a time, the product metrics their
+    Kronecker products and the non-product metric T† G_1 T with the mixer
+    T = ``expm``(sH). Every metric is rooted by ``herm_sqrt``; the state is
+    carried to metric m by U = eta_m T_m^-1 eta_1^-1 with the transport
+    T_m = R diag(sqrt(w_m/w_1)) L†, w = diag(R† G R), evolved by the ``eigh``
+    of eta_m H eta_m^-1 one time at a time, and reduced by ``partial_trace``.
+    """
+    h_a, h_b = toy.hamiltonians()
+    vectors = []
+    for h in (h_a, h_b):
+        sys = eig(h)
+        order = np.argsort(sys.values.real)
+        vectors.append((sys.right[:, order], sys.left[:, order]))
+    (r_a, l_a), (r_b, l_b) = vectors
+
+    def factor_metric(left, weights):
+        return sum(w * np.outer(left[:, i], left[:, i].conj()) for i, w in enumerate(weights))
+
+    h = np.kron(h_a, h_b)
+    right, left = np.kron(r_a, r_b), np.kron(l_a, l_b)
+    g1 = np.kron(factor_metric(l_a, toy.weights_a1), factor_metric(l_b, toy.weights_b1))
+    g2 = np.kron(factor_metric(l_a, toy.weights_a2), factor_metric(l_b, toy.weights_b2))
+    mixer = expm(toy.mixing_strength * h)
+    g3 = mixer.conj().T @ g1 @ mixer
+    eta1 = herm_sqrt(g1)
+    w1 = np.einsum("ji,jk,ki->i", right.conj(), g1, right).real
+    out = {}
+    for name, g in (("product1", g1), ("product2", g2), ("nonproduct", (g3 + g3.conj().T) / 2.0)):
+        eta = herm_sqrt(g)
+        w = np.einsum("ji,jk,ki->i", right.conj(), g, right).real
+        t_inv = (right * np.sqrt(w1 / w)) @ left.conj().T
+        u = eta @ t_inv @ np.linalg.inv(eta1)
+        h_eta = eta @ h @ np.linalg.inv(eta)
+        values, vecs = np.linalg.eigh((h_eta + h_eta.conj().T) / 2.0)
+        psi0 = u @ state
+        curve = []
+        for t in times:
+            psi = vecs @ (np.exp(-1j * values * t) * (vecs.conj().T @ psi0))
+            curve.append(von_neumann_entropy(partial_trace(np.outer(psi, psi.conj()), (2, 2), "A")))
+        out[name] = np.array(curve)
+    return out
 
 
 # -------------------------------------------------------------------- CSV

@@ -258,7 +258,7 @@ def test_criterion_10_appendix_properties():
         g = a @ a.conj().T + n * np.eye(n)
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h = np.linalg.solve(g, (m + m.conj().T) / 2)
-        sys = eig(h, want_left=True)
+        sys = eig(h)
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         tr_g = sum(np.vdot(sys.left[:, i], x @ sys.right[:, i]) for i in range(n))
         worst_tr = max(worst_tr, abs(tr_g - np.trace(x)))
@@ -273,7 +273,8 @@ def test_criterion_10_appendix_properties():
     aa = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     g4 = aa @ aa.conj().T + 4 * np.eye(4)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    action = verify_metric_action(g4, q, n_samples=32, seed=3)
+    # a G-orthonormal basis eta^-1 q
+    action = verify_metric_action(g4, np.linalg.inv(herm_sqrt(g4)) @ q, n_samples=32, seed=3)
     # norm conservation over 50 steps
     p = WalkParams(T1, T2, math.log(1.2), 101)
     g = _metric_frame(p, SPECS[2])[0]

@@ -7,7 +7,7 @@ from channel_reference import devec, partial_trace, vec
 import loop_reference
 from loop_reference import BranchAmbiguity, herm_sqrt, unitary_log, walk_block
 from ptwalk import DegeneratePairing, NotPositive, ShapeMismatch, WalkParams
-from ptwalk.linalg import eig, trace_norm
+from ptwalk.linalg import eig, metric_root, trace_norm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -55,7 +55,7 @@ def test_eig_left_biorthonormal():
     rng = np.random.default_rng(6)
     for _ in range(10):
         a = random_complex(rng, 3)
-        sys = eig(a, want_left=True)
+        sys = eig(a)
         overlap = sys.left.conj().T @ sys.right
         assert np.abs(overlap - np.eye(3)).max() < 1e-9
         for val, l in zip(sys.values, sys.left.T):
@@ -64,20 +64,20 @@ def test_eig_left_biorthonormal():
 
 def test_eig_degenerate_pairing_raises():
     with pytest.raises(DegeneratePairing):
-        eig(np.diag([1.0, 1.0 + 1e-12]), want_left=True)
+        eig(np.diag([1.0, 1.0 + 1e-12]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stacked_eig_matches_per_block_oracle(n):
     rng = np.random.default_rng(40 + n)
     stack = np.stack([random_complex(rng, n) for _ in range(24)])
-    sys = eig(stack, want_left=True)
+    sys = eig(stack)
     assert sys.values.shape == (24, n) and sys.right.shape == sys.left.shape == stack.shape
     for a, values, right, left in zip(stack, sys.values, sys.right, sys.left):
-        one = loop_reference.eig(a, want_left=True)
+        one = loop_reference.eig(a)
         assert np.array_equal(values, one.values) and np.array_equal(right, one.right)
         assert np.abs(left - one.left).max() <= 1e-12 * np.abs(one.left).max()
-    nested = eig(stack.reshape(4, 6, n, n), want_left=True)
+    nested = eig(stack.reshape(4, 6, n, n))
     assert np.array_equal(nested.left.reshape(stack.shape), sys.left)
 
 
@@ -93,23 +93,23 @@ REFUSED = {
 def test_stacked_eig_refuses_like_the_oracle(case):
     bad = REFUSED[case]
     with pytest.raises(DegeneratePairing) as want:
-        loop_reference.eig(bad, want_left=True)
+        loop_reference.eig(bad)
     with pytest.raises(DegeneratePairing) as got:
-        eig(bad, want_left=True)
+        eig(bad)
     # same refusal: both name the left/right overlap, or both the eigenvalue gap
     kind = "left/right overlap" if "overlap" in str(want.value) else "eigenvalue gap"
     assert str(got.value).startswith(kind)
     good = np.diag([2.0, 3.0])
     with pytest.raises(DegeneratePairing, match=f"^block 2: {kind}"):
-        eig(np.stack([good, good, bad, bad]), want_left=True)
-    eig(np.stack([good, good]), want_left=True)
+        eig(np.stack([good, good, bad, bad]))
+    eig(np.stack([good, good]))
 
 
 def test_stacked_eig_names_the_first_offending_block():
     good = np.diag([2.0, 3.0])
     stack = np.stack([good, REFUSED["overlap"], REFUSED["jordan"]])
     with pytest.raises(DegeneratePairing, match="^block 1: left/right overlap"):
-        eig(stack, want_left=True)
+        eig(stack)
 
 
 def test_herm_sqrt_trivial():
@@ -132,66 +132,25 @@ def test_herm_sqrt_rejects_negative():
         herm_sqrt(np.diag([1.0, -1e-3]))
 
 
-def test_sqrt_and_inv_stack_matches_single_matrices():
-    from ptwalk.linalg import sqrt_and_inv
-
+def test_metric_root_stack_matches_single_matrices():
     rng = np.random.default_rng(12)
     stack = np.stack([random_psd(rng, 3) + 0.1 * np.eye(3) for _ in range(6)])
-    roots, inverses, values = sqrt_and_inv(stack)
-    assert roots.shape == inverses.shape == stack.shape and values.shape == (6, 3)
-    for g, root, inverse, w in zip(stack, roots, inverses, values):
-        one = sqrt_and_inv(g)
-        for got, want in zip((root, inverse, w), one):
-            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+    roots = metric_root(stack)
+    assert roots.shape == stack.shape
+    for g, root in zip(stack, roots):
+        assert np.abs(root - metric_root(g)).max() <= 1e-13 * max(1.0, np.abs(root).max())
         assert np.abs(root @ root - g).max() < 1e-10 * np.abs(g).max()
-        assert np.abs(root @ inverse - np.eye(3)).max() < 1e-10
         assert np.abs(root - herm_sqrt(g)).max() < 1e-10
-        assert np.allclose(w, np.linalg.eigvalsh(g), rtol=1e-12, atol=0.0)
 
 
-def test_sqrt_and_inv_names_first_non_positive_block():
-    from ptwalk.linalg import sqrt_and_inv
-
+def test_metric_root_names_first_non_positive_block():
     stack = np.stack([np.diag([1.0, 2.0])] * 6).astype(complex)
     stack[4] = np.diag([1.0, -1e-3])
     stack[2] = np.diag([0.0, 1.0])
     with pytest.raises(NotPositive, match="^metric block 2 not positive definite$"):
-        sqrt_and_inv(stack)
+        metric_root(stack)
     with pytest.raises(NotPositive, match="^metric not positive definite$"):
-        sqrt_and_inv(stack[4])
-
-
-def random_pd2(rng, cond, count):
-    """``count`` Hermitian 2x2 blocks with condition number ``cond`` and random scale and axes."""
-    q = np.linalg.qr(rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))[0]
-    w = np.stack([np.ones(count), np.full(count, 1.0 / cond)], axis=1)
-    w *= rng.uniform(0.1, 10.0, size=(count, 1))
-    g = (q * w[:, None, :]) @ q.conj().swapaxes(1, 2)
-    return (g + g.conj().swapaxes(1, 2)) / 2.0
-
-
-@pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e9])
-def test_closed_form_2x2_root_matches_eigh(cond):
-    from ptwalk.linalg import sqrt_and_inv
-
-    g = random_pd2(np.random.default_rng(int(np.log10(cond))), cond, 200)
-    roots, inverses, values = sqrt_and_inv(g)
-    etas, eta_invs, _ = loop_reference.unitary_frame(g, np.tile(np.eye(2), (200, 1, 1)))
-    exact = np.linalg.eigvalsh(g)
-    # two backward-stable methods differ by about eps sqrt(cond) in the root
-    # and eps cond in the inverse and the small eigenvalue (det roundoff)
-    root_tol, inv_tol = 1e-14 * np.sqrt(cond), max(1e-14, 1e-15 * cond)
-    scale = np.abs(etas).max(axis=(1, 2))
-    assert (np.abs(roots - etas).max(axis=(1, 2)) <= root_tol * scale).all()
-    scale = np.abs(eta_invs).max(axis=(1, 2))
-    assert (np.abs(inverses - eta_invs).max(axis=(1, 2)) <= inv_tol * scale).all()
-    assert (np.abs(values - exact) <= inv_tol * exact).all()
-    ratio = exact[:, 1] / exact[:, 0]
-    assert (np.abs(values[:, 1] / values[:, 0] - ratio) <= inv_tol * ratio).all()
-    assert np.array_equal(roots, roots.conj().swapaxes(1, 2))
-    for i in (0, 57, 199):
-        for got, want in zip(sqrt_and_inv(g[i]), (roots[i], inverses[i], values[i])):
-            assert np.array_equal(got, want)
+        metric_root(stack[4])
 
 
 def test_herm_sqrt_rejects_non_hermitian():

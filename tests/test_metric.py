@@ -12,6 +12,7 @@ from loop_reference import (
     g_trace_norm,
     generalized_dagger,
     hamiltonian_blocks,
+    herm_sqrt,
     metric_transport,
     separability_defect,
     verify_metric_action,
@@ -27,7 +28,7 @@ from ptwalk import (
     is_unbroken,
 )
 from ptwalk.channel import bloch_matrix_series
-from ptwalk.linalg import eig, sqrt_and_inv, trace_norm, transport
+from ptwalk.linalg import eig, metric_root, trace_norm
 from ptwalk.metric import _left_eigen, _metric_frame, _sin_entries, write_metric_csv
 from ptwalk.walk import momentum_grid, spectral_a
 
@@ -247,7 +248,7 @@ def test_metric_spec_dict_roundtrip():
 def test_eta_squares_back():
     p = params(math.log(1.2))
     g = _metric_frame(p, MetricSpec(kind="random_xy", seed=3))[0]
-    e = sqrt_and_inv(g.blocks)[0]
+    e = metric_root(g.blocks)
     for eb, gb in zip(e, g.blocks):
         assert np.abs(eb @ eb - gb).max() < 1e-10
         assert np.linalg.eigvalsh(eb).min() > 0
@@ -256,8 +257,8 @@ def test_eta_squares_back():
 def test_eta_scales_as_sqrt():
     p = params(0.12, 5)
     g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
-    scaled = sqrt_and_inv(4.0 * g.blocks)[0]
-    assert np.abs(scaled - 2.0 * sqrt_and_inv(g.blocks)[0]).max() < 1e-12
+    scaled = metric_root(4.0 * g.blocks)
+    assert np.abs(scaled - 2.0 * metric_root(g.blocks)).max() < 1e-12
 
 
 # --------------------------------------------------------- generalized algebra
@@ -335,7 +336,7 @@ def test_metric_transport_posts():
     gp = _metric_frame(p, MetricSpec(kind="random_xy", seed=5))[0]
     h = hamiltonian_blocks(p)
     tr = metric_transport(g, gp, h)
-    e, ep = sqrt_and_inv(g.blocks)[0], sqrt_and_inv(gp.blocks)[0]
+    e, ep = herm_sqrt(g.blocks), herm_sqrt(gp.blocks)
     for i in range(len(g)):
         tb, ub, hb = tr.t.blocks[i], tr.u.blocks[i], h[i]
         assert np.linalg.norm(tb @ hb - hb @ tb) <= 1e-9
@@ -373,21 +374,6 @@ def test_metric_transport_incompatible():
         metric_transport(g, bogus, h)
 
 
-@pytest.mark.parametrize("factor", [1.1, 1.2, 1.3])
-def test_metric_transport_matches_per_k_oracle(factor):
-    # the stacked linalg.transport, which the toy runs, against one block at a time
-    import loop_reference
-
-    p = params(math.log(factor), 1201)
-    g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
-    gp = _metric_frame(p, MetricSpec(kind="random_xy", seed=11))[0]
-    h = hamiltonian_blocks(p)
-    t, u, _ = transport(g.blocks, gp.blocks, h, eig(h, want_left=True))
-    ref = loop_reference.metric_transport(g, gp, h)
-    assert np.abs(t - ref.t.blocks).max() <= 1e-12
-    assert np.abs(u - ref.u.blocks).max() <= 1e-12
-
-
 # ------------------------------------------------------- defect and identities
 
 
@@ -412,7 +398,10 @@ def test_verify_metric_action():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     g = a @ a.conj().T + 3 * np.eye(3)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    assert verify_metric_action(g, q, n_samples=16, seed=1) <= 1e-10
+    # eta^-1 q is orthonormal in the G inner product; q itself is not
+    xi = np.linalg.inv(herm_sqrt(g)) @ q
+    assert verify_metric_action(g, xi, n_samples=16, seed=1) <= 1e-10
+    assert verify_metric_action(g, q, n_samples=16, seed=1) > 1e-2
     g2 = np.diag([2.0, 3.0])
     psi = np.array([1.0, 0.0])
     assert np.allclose(g2 @ psi, [2.0, 0.0])
@@ -492,7 +481,7 @@ def test_trace_is_metric_independent():
     rng = np.random.default_rng(31)
     for _ in range(25):
         g, h = random_pseudo_hermitian(rng, 3)
-        sys = eig(h, want_left=True)
+        sys = eig(h)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         tr_g = sum(np.vdot(sys.left[:, i], a @ sys.right[:, i]) for i in range(3))
         assert abs(tr_g - np.trace(a)) < 1e-9
