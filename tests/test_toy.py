@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,23 @@ def test_product_defect_detects_products():
     assert product_defect(np.kron(a, b)) < 1e-12
     mixed = np.kron(a, b) + 0.3 * np.kron(b, a)
     assert product_defect(mixed) > 1e-3
+
+
+@pytest.mark.parametrize("s", [0.02, 0.25])
+@pytest.mark.parametrize("blocks", ["pt_phase", "real", "custom"])
+def test_product_exp_matches_taylor_oracle_and_commutes(blocks, s):
+    # the program forms the mixed metric T† G_1 T, T = exp(s H), from the
+    # weights e^{2 s lambda} w_1 without an exponential; T here is the Taylor oracle
+    base = CUSTOM if blocks == "custom" else ToyConfig(variant=blocks)
+    toy = replace(base, mixing_strength=s)
+    h = np.kron(*toy.hamiltonians())
+    _, metrics, _ = _frames(toy)
+    mixer = loop_reference.expm(s * h)
+    oracle = mixer.conj().T @ metrics[0] @ mixer
+    # relative to the largest entry: on 'real' at s = 0.25 entries reach 1.6e8
+    scale = np.abs(oracle).max()
+    assert np.abs(metrics[2] - oracle).max() <= 1e-13 * scale
+    assert np.abs(h.conj().T @ metrics[2] - metrics[2] @ h).max() <= 1e-13 * scale * np.abs(h).max()
 
 
 ORACLE_TOYS = {**TOYS, "real": ToyConfig(variant="real", mixing_strength=0.02, t_max=2.0)}
