@@ -49,30 +49,41 @@ angle-addition identities
     sin(a + b) = sin a cos b - (1 - cos a) sin b + sin b,
 
 with a = 2j eps_k and b = 2 t0 eps_k, put the block start into the weights:
-a block of sums is one product of the (chunk, 2L) table with (2L, 5)
-weights scaled by cos b and sin b, plus the b-only terms. That takes about
-(chunk + T/chunk) L transcendentals for T steps instead of T L, and no pass
-over a block's (chunk, L) entries besides the product. Every block start is
-evaluated directly, so the roundoff does not accumulate from block to block,
-and the first block (t0 = 0) is the product of the directly evaluated table.
+a block of sums is one product of the (chunk, 2P) table with (2P, 5)
+weights scaled by cos b and sin b, plus the b-only terms.
+
+P = (L+1)/2 is the number of +-k pairs. a(k) depends on k only through
+cos 2k, and the grid is exactly antisymmetric (``walk.momentum_grid``:
+k_0 = -pi, k_{L-n} = -k_n bitwise), so eps_{L-n} = eps_n bitwise and each
+sum runs over k_0 and k_1..k_{(L-1)/2} alone, with the weights of k_n and
+k_{L-n} added first: entry 0, then w_n + w_{L-n}. The pass refuses angles
+that are not bitwise symmetric. That takes about (chunk + T/chunk) (L+1)/2
+transcendentals for T steps instead of T L, and no pass over a block's
+(chunk, P) entries besides the product. Every block start is evaluated
+directly, so the roundoff does not accumulate from block to block, and the
+first block (t0 = 0) is the product of the directly evaluated table.
 
 The angles depend on the walk parameters alone, so one call serves every
 metric of one WalkParams: the table and the block starts are computed once,
 and each walk keeps its own weights and its own table product per block, so
-its M(t) is bit for bit the same alone or next to any other walks.
+its M(t) is bit for bit the same alone or next to any other walks. Walks
+with bitwise equal axes, as every metric gives at gamma = 0, are summed once.
 
 The angles are read from a(k) (``spectral_a``), not from a matrix: they
 are then bit-identical across metrics, and the inversions behind the
 CP-indivisibility measure do not amplify a metric-dependent angle error. A
-block of steps holds at most BLOCK_ELEMENTS (step, momentum) entries, so the
+block of steps holds at most BLOCK_ELEMENTS (step, pair) entries, so the
 phase table stays bounded at any horizon.
 
 A step from t-1 to t is the map A(t) = M(t) M(t-1)^{-1}, again unital. The
 Choi matrix of a unital qubit map has a closed-form spectrum (King & Ruskai,
-IEEE TIT 47, 192 (2001)): with the singular values l1 >= l2 >= l3 of A, the
-smallest carrying the sign det(U) det(V^T) of its singular vectors, A is a
-Pauli channel diag(l1, l2, l3) up to rotations before and after, which leave
-the Choi spectrum unchanged, and the unit-trace Choi eigenvalues are
+IEEE TIT 47, 192 (2001)): with the singular values l1 >= l2 >= l3 of
+A = U diag(l) V^T, the smallest carrying the sign det(U) det(V^T) of its
+singular vectors, A is a Pauli channel diag(l1, l2, l3) up to rotations
+before and after, which leave the Choi spectrum unchanged. For a
+nonsingular A that sign is the sign of det A, so one SVD without singular
+vectors and one determinant suffice; at a singular A, l3 = 0 and the sign
+does not matter. The unit-trace Choi eigenvalues are
 
     mu = (1 + l1 + l2 + l3)/4, (1 + l1 - l2 - l3)/4,
          (1 - l1 + l2 - l3)/4, (1 - l1 - l2 + l3)/4.
@@ -95,7 +106,7 @@ from .walk import UNBROKEN_MARGIN, BlockOperator, WalkParams
 # and a cutoff pseudo-inverse is used instead of a direct solve.
 ILL_CONDITION_LIMIT = 1e12
 PINV_RCOND = 1e-12
-# Cap on the (steps x momenta) entries of a block of the closed form: it
+# Cap on the (steps x +-k pairs) entries of a block of the closed form: it
 # bounds the table of the in-block double angles.
 BLOCK_ELEMENTS = 1 << 14
 
@@ -171,28 +182,38 @@ def _check_horizon(ew: EuclideanWalk, t: int) -> None:
         )
 
 
+def _fold(rows: np.ndarray) -> np.ndarray:
+    """Rows over the L momenta folded onto the (L+1)/2 pairs: entry 0, then w_n + w_{L-n}, n = 1..(L-1)/2."""
+    half = rows.shape[-1] // 2
+    return np.concatenate([rows[..., :1], rows[..., 1 : half + 1] + rows[..., :half:-1]], axis=-1)
+
+
 def _bloch_sums(walks: list[EuclideanWalk], start: int, count: int) -> np.ndarray:
     """The five momentum sums of each walk for t = start..start+count-1, shape (len(walks), count, 5).
 
-    The walks share their angles ``eps``; see the module docstring for the
-    blocks of steps.
+    The walks share their angles ``eps``, which must be bitwise equal at k
+    and -k; see the module docstring for the fold and the blocks of steps.
     """
-    eps = walks[0].eps
-    size = len(eps)
-    chunk = min(count, max(1, BLOCK_ELEMENTS // size))
-    # weights of the sums: 1, n_z^2 and n_x n_z on 1 - cos, n_z and n_x on sin
-    turns = [np.stack([np.ones(size), w.n_z * w.n_z, w.n_x * w.n_z]) / size for w in walks]
-    crosses = [np.stack([w.n_z, w.n_x]) / size for w in walks]
+    size = len(walks[0].eps)
+    half = size // 2
+    if not np.array_equal(walks[0].eps[1 : half + 1], walks[0].eps[:half:-1]):
+        raise ValueError("the angles eps differ at k and -k: the +-k pairs cannot be summed once")
+    eps = walks[0].eps[: half + 1]
+    pairs = len(eps)
+    chunk = min(count, max(1, BLOCK_ELEMENTS // pairs))
+    # weights of the sums, folded onto the pairs: 1, n_z^2 and n_x n_z on 1 - cos, n_z and n_x on sin
+    turns = [_fold(np.stack([np.ones(size), w.n_z * w.n_z, w.n_x * w.n_z]) / size) for w in walks]
+    crosses = [_fold(np.stack([w.n_z, w.n_x]) / size) for w in walks]
     # (1 - cos a, sin a) of the double angles a = 2j eps of the steps within a block, j < chunk
-    table = np.empty((chunk, 2 * size))
-    vers_j, sin_j = table[:, :size], table[:, size:]
+    table = np.empty((chunk, 2 * pairs))
+    vers_j, sin_j = table[:, :pairs], table[:, pairs:]
     np.multiply.outer(np.arange(chunk), 2.0 * eps, out=sin_j)
     np.cos(sin_j, out=vers_j)
     np.subtract(1.0, vers_j, out=vers_j)
     np.sin(sin_j, out=sin_j)
     # per-block buffers: sin, cos, 1 - cos and -sin of the block start
-    sin_0, cos_0, vers_0, minus_sin_0 = np.empty((4, size))
-    weights = np.empty((5, 2 * size))
+    sin_0, cos_0, vers_0, minus_sin_0 = np.empty((4, pairs))
+    weights = np.empty((5, 2 * pairs))
     sums = np.empty((len(walks), count, 5))
     for lo in range(0, count, chunk):
         rows = min(chunk, count - lo)
@@ -208,10 +229,10 @@ def _bloch_sums(walks: list[EuclideanWalk], start: int, count: int) -> np.ndarra
             block[:, :3] = turn @ vers_0
             block[:, 3:] = cross @ sin_0
             if rows > 1:  # the table's row j = 0 is zero: a one-step block is its start alone
-                np.multiply(turn, cos_0, out=weights[:3, :size])
-                np.multiply(turn, sin_0, out=weights[:3, size:])
-                np.multiply(cross, minus_sin_0, out=weights[3:, :size])
-                np.multiply(cross, cos_0, out=weights[3:, size:])
+                np.multiply(turn, cos_0, out=weights[:3, :pairs])
+                np.multiply(turn, sin_0, out=weights[:3, pairs:])
+                np.multiply(cross, minus_sin_0, out=weights[3:, :pairs])
+                np.multiply(cross, cos_0, out=weights[3:, pairs:])
                 block += table[:rows] @ weights.T
     return sums
 
@@ -240,14 +261,21 @@ def bloch_matrix_series(walks: list[EuclideanWalk], t_max: int) -> np.ndarray:
     ``eps`` must be bitwise equal. Returns shape (len(walks), t_max+1, 3, 3).
     The t-step map of a walk sends the Bloch vector r of a coin state to
     M(t) r; see the module docstring for the closed form and for why a walk's
-    M(t) does not depend on the walks next to it.
+    M(t) does not depend on the walks next to it. Walks with bitwise equal
+    axes, as every metric gives at gamma = 0, share one computed M(t).
     """
     if not walks:
         raise ValueError("no walks given")
     if not all(np.array_equal(w.eps, walks[0].eps) for w in walks[1:]):
         raise ValueError("the walks' angles eps differ: M(t) is computed for the walks of one WalkParams")
     _check_horizon(walks[0], t_max)
-    return _bloch_matrices(walks, 0, t_max + 1)
+    distinct, index = [], []
+    for w in walks:
+        same = [i for i, d in enumerate(distinct) if np.array_equal(d.n_x, w.n_x) and np.array_equal(d.n_z, w.n_z)]
+        index.append(same[0] if same else len(distinct))
+        if not same:
+            distinct.append(w)
+    return _bloch_matrices(distinct, 0, t_max + 1)[index]
 
 
 def intermediate_maps(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,11 +310,11 @@ def choi_trace_norms(maps: np.ndarray) -> np.ndarray:
     """Trace norms of the Choi matrices of unital qubit maps, from their Bloch matrices.
 
     ``maps`` has shape (..., 3, 3); see the module docstring for the
-    signed-singular-value recipe. The result is 1 for a completely positive
-    map and exceeds 1 otherwise.
+    signed-singular-value recipe, the sign taken from det A. The result is 1
+    for a completely positive map and exceeds 1 otherwise.
     """
-    u, lam, vt = np.linalg.svd(maps)
-    lam[..., -1] *= np.sign(np.linalg.det(u) * np.linalg.det(vt))
+    lam = np.linalg.svd(maps, compute_uv=False)
+    lam[..., -1] *= np.sign(np.linalg.det(maps))
     l1, l2, l3 = np.moveaxis(lam, -1, 0)
     mu = np.stack([1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3])
     return np.abs(mu / 4.0).sum(axis=0)

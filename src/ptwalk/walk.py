@@ -50,8 +50,15 @@ class WalkParams:
 
 
 def momentum_grid(lattice_size: int) -> np.ndarray:
-    """Uniform grid k_n = -pi + 2 pi n / L for n = 0..L-1."""
-    return -np.pi + 2.0 * np.pi * np.arange(lattice_size) / lattice_size
+    """Uniform grid k_n = -pi + 2 pi n / L for n = 0..L-1, evaluated as pi (2n - L) / L.
+
+    That form makes the grid exactly antisymmetric in floating point:
+    k_0 = -pi and k_{L-n} = -k_n bitwise, since 2n - L and L - 2n are exact
+    and rounding is sign-symmetric. Every function of cos 2k, the angles
+    eps_k among them, is then bitwise equal at k and -k, which
+    ``channel`` uses to sum each +-k pair once.
+    """
+    return np.pi * ((2 * np.arange(lattice_size) - lattice_size) / lattice_size)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ here too: ``bloch_state`` (the coin state of a Bloch vector),
 ``_check_state``), the generic ``partial_trace`` of the dense lattice
 oracle, ``trace_distance`` of two density matrices and the
 ``von_neumann_entropy`` of one, with the Pauli-basis vectorization ``_PAULI``.
+``signed_singular_choi_norms`` is the 3x3 Choi norm with the sign of the
+smallest singular value read from the singular vectors, where the library
+reads it from det A.
 """
 
 from dataclasses import dataclass
@@ -202,6 +205,21 @@ def choi_matrix(lmat) -> np.ndarray:
         raise ValueError(f"channel matrix must be 4x4, got {m.shape}")
     v = _SWAP23 @ (np.kron(m, np.eye(4)) @ (_SWAP23 @ _VEC_PHI))
     return devec(v)
+
+
+def signed_singular_choi_norms(maps: np.ndarray) -> np.ndarray:
+    """Choi trace norms of unital qubit maps from their (..., 3, 3) Bloch matrices, sign from the singular vectors.
+
+    The recipe the library's ``choi_trace_norms`` replaced: a full SVD
+    A = U diag(l) V^T, the smallest singular value carrying det(U) det(V^T),
+    then the four unit-trace Choi eigenvalues of the Pauli channel
+    diag(l1, l2, l3).
+    """
+    u, lam, vt = np.linalg.svd(maps)
+    lam[..., -1] *= np.sign(np.linalg.det(u) * np.linalg.det(vt))
+    l1, l2, l3 = np.moveaxis(lam, -1, 0)
+    mu = np.stack([1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3])
+    return np.abs(mu / 4.0).sum(axis=0)
 
 
 def rhp_from_channels(channels: list[ChannelMatrix]) -> MeasureSeries:

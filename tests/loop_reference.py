@@ -18,8 +18,11 @@ never from the library's two-angle frame. ``bloch_matrices_direct`` is the
 general nine-sum closed form with sin and cos of every phase t eps_k
 evaluated directly, where the library sums five terms and steps the double
 angles by angle addition from one evaluated phase per block;
-``bloch_matrices_five_sums`` takes the library's own angles and five sums
-with every double angle evaluated directly.
+``bloch_matrices_extended`` is the same closed form on the library's angles
+and the axes of ``extended_frame``, summed in extended precision, for the
+metrics near the exceptional point; ``bloch_matrices_five_sums`` takes the
+library's own angles and five sums, folded onto the +-k pairs, with every
+double angle evaluated directly.
 The CSV writers at the end format one value at a time through ``csv.writer``;
 the library's writers must produce the same bytes. ``eig`` pairs left and
 right eigenvectors of one matrix by nearest conjugate eigenvalue and checks
@@ -521,15 +524,33 @@ def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
 
 def bloch_matrices_direct(ew, steps: np.ndarray) -> np.ndarray:
     """M(t) for every t of ``steps`` from :func:`rotations`, with sin and cos of every t eps_k evaluated directly."""
-    eps, n = rotations(ew)
+    return _nine_sums(*rotations(ew), steps)
+
+
+def bloch_matrices_extended(ew, steps: np.ndarray) -> np.ndarray:
+    """M(t) as :func:`bloch_matrices_direct`, on ``ew``'s angles and the axes of :func:`extended_frame`.
+
+    The axes n = (R_01, 0, R_00)/|(R_01, R_00)| and every sum are evaluated
+    in ``np.longdouble``, so near the exceptional point, where a float64
+    eta^-1 loses sqrt(cond G) eps, this checks the library's axes and sums,
+    not the oracle's roundoff. Returns float64.
+    """
+    _, r = extended_frame(ew.params, ew.spec)
+    n = np.stack([r[:, 0, 1], np.zeros_like(r[:, 0, 0]), r[:, 0, 0]], axis=1)
+    n /= np.sqrt((n * n).sum(axis=1))[:, None]
+    return _nine_sums(ew.eps.astype(np.longdouble), n, steps).astype(float)
+
+
+def _nine_sums(eps: np.ndarray, n: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The general closed form of M(t) on angles eps, shape (L,), and unit axes n, shape (L, 3), in their precision."""
     size = len(eps)
     transverse = (np.eye(3) - n[:, :, None] * n[:, None, :]).reshape(size, 9) / size
-    cross = np.zeros((size, 3, 3))
+    cross = np.zeros((size, 3, 3), dtype=n.dtype)
     cross[:, 0, 1], cross[:, 0, 2] = -n[:, 2], n[:, 1]
     cross[:, 1, 0], cross[:, 1, 2] = n[:, 2], -n[:, 0]
     cross[:, 2, 0], cross[:, 2, 1] = -n[:, 1], n[:, 0]
     cross = cross.reshape(size, 9) / size
-    out = np.empty((len(steps), 9))
+    out = np.empty((len(steps), 9), dtype=n.dtype)
     chunk = max(1, BLOCK_ELEMENTS // size)
     for lo in range(0, len(steps), chunk):
         # two (chunk, L) temporaries: sin(t eps) cos(t eps) and sin^2(t eps)
@@ -546,18 +567,25 @@ def bloch_matrices_direct(ew, steps: np.ndarray) -> np.ndarray:
 def bloch_matrices_five_sums(ew, steps: np.ndarray) -> np.ndarray:
     """M(t) for every t of ``steps`` on ``ew``'s own angles and x-z axes, every double angle evaluated directly.
 
-    The five momentum sums of 1 - cos(2t eps_k) and sin(2t eps_k) are one
-    product in the library's order and shapes, a (steps, 2L) table times
-    (2L, 5) weights, so its first block of steps (t0 = 0) must equal this
-    bit for bit.
+    The five momentum sums of 1 - cos(2t eps_k) and sin(2t eps_k) run over
+    the (L+1)/2 momenta k_0 = -pi and k_1..k_{(L-1)/2}, each of the latter
+    with the weights of k_n and of its partner k_{L-n} = -k_n added, as the
+    library folds them. They are one product in the library's order and
+    shapes, a (steps, L+1) table times (L+1, 5) weights, so its first block
+    of steps (t0 = 0) must equal this bit for bit.
     """
     eps, n_x, n_z = ew.eps, ew.n_x, ew.n_z
     size = len(eps)
-    phase = np.multiply.outer(steps, 2.0 * eps)
+    half = size // 2
+    turn = np.stack([np.ones(size), n_z * n_z, n_x * n_z]) / size
+    cross = np.stack([n_z, n_x]) / size
+    pair = np.arange(1, half + 1)
+    weights = np.zeros((5, 2 * (half + 1)))
+    for rows, w, lo in ((slice(0, 3), turn, 0), (slice(3, 5), cross, half + 1)):
+        weights[rows, lo] = w[:, 0]
+        weights[rows, lo + 1 : lo + half + 1] = w[:, pair] + w[:, size - pair]
+    phase = np.multiply.outer(steps, 2.0 * eps[: half + 1])
     table = np.concatenate([1.0 - np.cos(phase), np.sin(phase)], axis=1)
-    weights = np.zeros((5, 2 * size))
-    weights[:3, :size] = np.stack([np.ones(size), n_z * n_z, n_x * n_z]) / size
-    weights[3:, size:] = np.stack([n_z, n_x]) / size
     v_all, v_zz, v_xz, s_z, s_x = (table @ weights.T).T
     m = np.zeros((len(steps), 3, 3))
     m[:, 0, 0], m[:, 1, 1], m[:, 2, 2] = 1.0 - v_zz, 1.0 - v_all, 1.0 - (v_all - v_zz)

@@ -359,7 +359,7 @@ def test_phase_stepped_bloch_matrices_match_direct_oracle(gamma_factor, spec):
     fast = bloch_matrix_series([ew], 600)[0]
     slow = loop_reference.bloch_matrices_direct(ew, np.arange(601))
     assert np.abs(fast - slow).max() <= 1e-13
-    chunk = BLOCK_ELEMENTS // 1201
+    chunk = BLOCK_ELEMENTS // 601  # the first block: 601 = (1201 + 1)/2 folded momenta
     assert np.array_equal(fast[:chunk], loop_reference.bloch_matrices_five_sums(ew, np.arange(chunk)))
 
 
@@ -367,7 +367,7 @@ def test_bloch_matrices_do_not_depend_on_block_size(monkeypatch):
     import ptwalk.channel
 
     ew = build_euclidean_walk(WalkParams(T1, T2, math.log(1.3), 1201), MetricSpec(kind="random_xy", seed=11))
-    chunk = ptwalk.channel.BLOCK_ELEMENTS // 1201
+    chunk = ptwalk.channel.BLOCK_ELEMENTS // 601  # 601 = (1201 + 1)/2 folded momenta
     base = bloch_matrix_series([ew], 600)[0]
     # every block start, the rows next to it and the last row, where the
     # angles are largest, against M(t) evaluated directly
@@ -405,6 +405,76 @@ def test_bloch_matrix_series_needs_walks_of_one_angle_set():
             bloch_matrix_series([flat, other], 5)
     with pytest.raises(ValueError, match="no walks"):
         bloch_matrix_series([], 5)
+
+
+@pytest.mark.parametrize("gamma_factor", [1.0, 1.3, "near_ep"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FLAT,
+        MetricSpec(kind="random_xy", seed=11),
+        MetricSpec(kind="explicit", x=tuple(np.linspace(0.5, 2.0, 1201)), y=tuple(np.linspace(3.0, 0.2, 1201))),
+    ],
+)
+def test_euclidean_walk_angles_are_symmetric_in_k(gamma_factor, spec):
+    # eps depends on k through cos 2k alone and the grid is exactly
+    # antisymmetric, so eps_{L-n} = eps_n bitwise, also at (1 - 1e-9) gamma_pt
+    gamma = (1 - 1e-9) * gamma_pt(T1, T2) if gamma_factor == "near_ep" else math.log(gamma_factor)
+    eps = build_euclidean_walk(params(gamma, 1201), spec).eps
+    assert np.array_equal(eps[1:], eps[:0:-1])
+
+
+def test_bloch_matrix_series_refuses_asymmetric_angles():
+    # the pass sums each +-k pair once, which is exact only for eps_{L-n} = eps_n
+    import dataclasses
+
+    ew = build_euclidean_walk(params(math.log(1.2), 41), FLAT)
+    eps = ew.eps.copy()
+    eps[3] = np.nextafter(eps[3], 4.0)
+    with pytest.raises(ValueError, match="k and -k"):
+        bloch_matrix_series([dataclasses.replace(ew, eps=eps)], 5)
+
+
+@pytest.mark.parametrize("gamma_factor", [1.0, 1.3])
+def test_walks_with_equal_axes_share_one_pass(gamma_factor, monkeypatch):
+    # at gamma = 0 every metric gives the axes of S alone, so the four walks
+    # reach the pass as one; at 1.3 only the repeated flat walk is shared.
+    # Each M(t) equals that of its own call bit for bit.
+    import ptwalk.channel
+
+    p = params(math.log(gamma_factor), 1201)
+    specs = (FLAT, MetricSpec(kind="random_xy", seed=11), FLAT, MetricSpec(kind="random_xy", seed=23))
+    walks = [build_euclidean_walk(p, spec) for spec in specs]
+    alone = [bloch_matrix_series([ew], 600)[0] for ew in walks]
+    passed = []
+    sums = ptwalk.channel._bloch_sums
+    monkeypatch.setattr(ptwalk.channel, "_bloch_sums", lambda ws, *args: passed.append(len(ws)) or sums(ws, *args))
+    together = bloch_matrix_series(walks, 600)
+    assert passed == [1 if gamma_factor == 1.0 else 3]
+    assert all(np.array_equal(m, together[i]) for i, m in enumerate(alone))
+
+
+def test_choi_trace_norms_match_the_singular_vector_sign():
+    # the sign of det A is det(U) det(V^T) for a nonsingular A; near a
+    # singular map the two can differ only by the sign of l3 ~ 0
+    from channel_reference import signed_singular_choi_norms
+    from ptwalk.channel import choi_trace_norms
+
+    rng = np.random.default_rng(19)
+
+    def orthogonal(n):
+        q = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+        return q * np.sign(np.linalg.det(q))[:, None, None]  # proper rotations
+
+    n = 500
+    u, v = orthogonal(n), orthogonal(n)
+    lam = np.sort(rng.uniform(0.0, 1.5, size=(n, 3)), axis=1)[:, ::-1].copy()
+    lam[: n // 4, 2] = 10.0 ** rng.uniform(-17, -10, size=n // 4)  # near-singular
+    lam[n // 4 : n // 4 + 5, 2] = 0.0
+    flip = np.where(rng.random(n) < 0.5, -1.0, 1.0)  # improper maps
+    maps = (u * lam[:, None, :]) @ v * np.stack([np.ones(n), np.ones(n), flip], axis=1)[:, :, None]
+    assert (np.linalg.det(maps[n // 4 + 5 :]) < 0).any() and (np.linalg.det(maps[n // 4 + 5 :]) > 0).any()
+    assert np.abs(choi_trace_norms(maps) - signed_singular_choi_norms(maps)).max() <= 1e-15
 
 
 def test_bloch_matrix_series_rotation_average():
@@ -519,16 +589,17 @@ def test_euclidean_walk_health_fields():
 @pytest.mark.parametrize("fraction", [0.9, 0.9999, 1 - 1e-7, 1 - 1e-9])
 @pytest.mark.parametrize("spec", [FLAT, MetricSpec(kind="random_xy", seed=11)])
 def test_unitary_frame_near_exceptional_point(fraction, spec):
-    # the axes read from the arc against the per-block eigh frame of the per-k
-    # factor product, as gamma approaches gamma_pt
+    # the axes read from the arc against R = eta S eta^-1 in extended
+    # precision, as gamma approaches gamma_pt: cond G reaches 1.3e9, where the
+    # float64 eta^-1 route is off by up to 4.4e-14 in M(t) (measured gap <= 1.7e-15)
     import loop_reference
 
     p = params(fraction * gamma_pt(T1, T2), 101)
     ew = build_euclidean_walk(p, spec)
     assert ew.pseudo_hermiticity_residual <= 1e-14
-    oracle = loop_reference.bloch_matrices_direct(ew, np.arange(51))
+    oracle = loop_reference.bloch_matrices_extended(ew, np.arange(51))
     gap = np.abs(bloch_matrix_series([ew], 50)[0] - oracle).max()
-    assert gap <= (1e-13 if fraction <= 0.9999 else 1e-12)
+    assert gap <= 1e-14
     w = np.linalg.eigvalsh(ew.metric.blocks)
     cond = float((w[:, 1] / w[:, 0]).max())
     assert abs(ew.metric_condition_max - cond) <= (1e-9 if cond <= 1e6 else 1e-6) * cond

@@ -295,13 +295,13 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
 def test_run_parallel_cells_match_sequential(tmp_path, monkeypatch):
     # The 4 (gamma, metric) pairs go into 2 even groups or 3 uneven ones, so a
     # gamma's M(t) pass holds one or both of its metrics; every artifact must
-    # match the one-group run, the summaries apart from runtime_s. With 63
-    # elements at L = 21 a block holds 3 of the 9 steps, so the pass steps
-    # from the block starts t = 0, 3 and 6. Worker processes are forked, so
-    # they see the patched constant.
+    # match the one-group run, the summaries apart from runtime_s. With 33
+    # elements at L = 21, folded onto 11 +-k pairs, a block holds 3 of the 9
+    # steps, so the pass steps from the block starts t = 0, 3 and 6. Worker
+    # processes are forked, so they see the patched constant.
     import ptwalk.channel
 
-    for elements in (ptwalk.channel.BLOCK_ELEMENTS, 63):
+    for elements in (ptwalk.channel.BLOCK_ELEMENTS, 33):
         monkeypatch.setattr(ptwalk.channel, "BLOCK_ELEMENTS", elements)
         base = tmp_path / str(elements)
         cfg = tiny_config(base / "seq", study="all")

@@ -39,6 +39,14 @@ def test_momentum_grid():
     assert ks[-1] == pytest.approx(np.pi - 2 * np.pi / 5)
 
 
+def test_momentum_grid_is_exactly_antisymmetric():
+    # k_0 = -pi and k_{L-n} = -k_n bitwise, so every function of cos 2k is
+    # bitwise even in k and the M(t) pass can sum each +-k pair once
+    for size in range(1, 20002, 2):
+        ks = momentum_grid(size)
+        assert ks[0] == -np.pi and np.array_equal(ks[1:], -ks[:0:-1]), size
+
+
 def test_coin_special_cases():
     assert np.allclose(coin(0.0), np.eye(2))
     assert np.allclose(coin(np.pi / 2), 1j * np.array([[0, 1], [1, 0]]), atol=1e-15)
