@@ -254,6 +254,23 @@ def _bloch_matrices(walks: list[EuclideanWalk], start: int, count: int) -> np.nd
     return out
 
 
+def equal_classes(arrays) -> tuple[list[int], list[int]]:
+    """Classes of bitwise-equal arrays: the position of each class's first array, and each array's class.
+
+    Arrays are equal when their shapes, dtypes and bytes are, so no
+    tolerance enters (and -0.0 differs from 0.0). Classes are numbered in
+    the order of their first arrays.
+    """
+    classes, first, index = {}, [], []
+    for i, a in enumerate(arrays):
+        a = np.asarray(a)
+        c = classes.setdefault((a.shape, a.dtype.str, a.tobytes()), len(first))
+        if c == len(first):
+            first.append(i)
+        index.append(c)
+    return first, index
+
+
 def bloch_matrix_series(walks: list[EuclideanWalk], t_max: int) -> np.ndarray:
     """Real 3x3 Bloch matrices M(t) of the reduced maps of each walk, t = 0..t_max.
 
@@ -269,13 +286,8 @@ def bloch_matrix_series(walks: list[EuclideanWalk], t_max: int) -> np.ndarray:
     if not all(np.array_equal(w.eps, walks[0].eps) for w in walks[1:]):
         raise ValueError("the walks' angles eps differ: M(t) is computed for the walks of one WalkParams")
     _check_horizon(walks[0], t_max)
-    distinct, index = [], []
-    for w in walks:
-        same = [i for i, d in enumerate(distinct) if np.array_equal(d.n_x, w.n_x) and np.array_equal(d.n_z, w.n_z)]
-        index.append(same[0] if same else len(distinct))
-        if not same:
-            distinct.append(w)
-    return _bloch_matrices(distinct, 0, t_max + 1)[index]
+    first, index = equal_classes(np.stack((w.n_x, w.n_z)) for w in walks)
+    return _bloch_matrices([walks[i] for i in first], 0, t_max + 1)[index]
 
 
 def intermediate_maps(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

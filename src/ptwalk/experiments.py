@@ -6,9 +6,13 @@ indivisibility, coin-position entanglement, and the two-qubit toy), writing
 one CSV series and one JSON summary per cell plus a manifest of content
 hashes. The unit of work is a (gamma, metric) pair: its walk and Bloch
 matrices M(t) are built once for all of its studies, and the M(t) of the
-pairs of one gamma come from one pass over their shared angles. Cells
-whose gamma lies beyond the exceptional point are skipped and reported,
-not fatal. Given the same config and master seed, the CSV outputs are
+pairs of one gamma come from one pass over their shared angles. Each
+measure runs once per distinct M(t) of a group of pairs: at gamma = 0
+every metric's axes come from S alone, so the pairs of e^gamma = 1 have
+bitwise-equal M(t) and share one annealer search, one series and one
+formatted CSV body, while each cell still writes its own CSV and JSON.
+Cells whose gamma lies beyond the exceptional point are skipped and
+reported, not fatal. Given the same config and master seed, the CSV outputs are
 byte-identical across reruns and thread counts; summary JSONs are
 deterministic apart from their wall-clock ``runtime_s`` and ``timings``
 fields.
@@ -26,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import bloch_matrix_series, build_euclidean_walk
+from .channel import bloch_matrix_series, build_euclidean_walk, equal_classes
 from .config import Config
 from .errors import ConfigInvalid, MissingArtifacts
-from .measures import AnnealSchedule, entanglement_series, maximize_blp_many, rhp_series
+from .measures import AnnealSchedule, MeasureSeries, entanglement_series, maximize_blp_many, rhp_series
 from .metric import MetricSpec, write_metric_csv
 from .toy import ToyConfig, run_toy
 from .walk import WalkParams, is_unbroken
@@ -151,43 +155,33 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _run_cell(
-    cfg: ExperimentConfig,
-    spec: MetricSpec,
-    summary: dict,
-    out: Path,
-    bloch: np.ndarray | None = None,
-    found=None,
-    shared_s: float = 0.0,
+    cfg: ExperimentConfig, spec: MetricSpec, summary: dict, out: Path, series: MeasureSeries, started: float
 ) -> dict:
-    """Finish one (study, gamma, metric) walk cell and write its series CSV and summary JSON.
+    """Write one (study, gamma, metric) walk cell: its series CSV and summary JSON.
 
-    ``summary`` holds the cell's identity and its walk's health. An rhp or
-    entanglement cell reads its series from ``bloch``, the M(t) its pair's
-    studies share. A BLP cell passes ``found``, the winning pair's series
-    from the group's lockstep search (its meta holds N_max and the pair),
-    and ``shared_s``, its even share of that search's wall time, recorded
-    as ``search_s``; runtime_s is the cell's own time plus ``shared_s``, and
-    is repeated as ``cell_s`` in the ``timings`` that ``summary`` brings
-    with its pair's stages.
+    ``summary`` holds the cell's identity, its walk's health and its pair's
+    stage timings. ``series`` is the cell's measure read from its M(t); a
+    BLP cell's is the winning pair's series from the group's lockstep
+    search, whose meta holds N_max and the pair. Cells with bitwise-equal
+    M(t) share one series and its formatted CSV body, but each writes its
+    own CSV, with its own provenance line, and its own JSON. runtime_s
+    counts from ``started``, so it holds what the caller timed for the cell
+    first (the series, if this cell computed it, or a BLP cell's share of
+    the search), and is repeated as ``cell_s`` in ``timings``.
     """
-    started = time.perf_counter() - shared_s
     study, stem = summary["study"], summary["cell"]
     if study == "rhp":
-        series = rhp_series(bloch)
         summary["final_rhp"] = float(series.rhp[-1])
     elif study == "entanglement":
-        series = entanglement_series(bloch, cfg.coin_bloch)
         summary["final_entropy"] = float(series.entropy[-1])
         summary["coin_bloch"] = list(cfg.coin_bloch)
     elif study == "blp":
-        series = found
         summary["n_max"] = series.meta["n_max"]
         summary["best_pair"] = {
             "bloch_rho": series.meta["bloch_rho"],
             "bloch_sigma": series.meta["bloch_sigma"],
         }
         summary["anneal"] = series.meta["schedule"]
-        summary["timings"]["search_s"] = shared_s
     else:
         raise ValueError(f"unknown cell study {study!r}")
     summary["flagged_steps"] = [
@@ -210,18 +204,21 @@ def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out
     The pairs are taken one gamma at a time. Each pair's walk is built once,
     and its metric audit CSV is written from the same metric; then one
     ``bloch_matrix_series`` pass gives the Bloch matrices M(t) of all of that
-    gamma's walks, which share their angles. Each M(t) is shared by its
-    pair's studies, and the walks are dropped once those cells have run.
+    gamma's walks, which share their angles, and the walks are dropped.
     Every pair sits on the momentum grid of ``cfg.lattice_size``, so the
     audit CSVs share one formatted k column, timed with the first pair's CSV.
-    Of a BLP cell only M(t) is kept; the BLP cells of the group are annealed
-    together at the end, in one lockstep search. Top-level function so
-    groups can run in a process pool; fully determined by its arguments, and
-    a cell's outputs do not depend on its group.
+
+    Each measure then runs once per distinct M(t) of the group: pairs whose
+    M(t) are bitwise equal share its series. That is exact, not a tolerance:
+    at gamma = 0 every metric's axes are read from S alone, so every metric
+    of e^gamma = 1 has the same M(t) to the bit. The BLP cells are annealed
+    together, one lockstep search over the distinct M(t). Top-level function
+    so groups can run in a process pool; fully determined by its arguments,
+    and a cell's outputs do not depend on its group.
     """
     out = Path(out_dir)
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
-    summaries, blp_cells = [], []
+    cells = []  # (spec, the summary fields its pair's cells share, M(t)) per pair
     k_column = None
     for factor in dict.fromkeys(factor for factor, _ in pairs):
         params = cfg.walk_params(factor)
@@ -247,36 +244,51 @@ def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out
         # every walk of the pass has the same steps and momenta: an even share each
         bloch_s = (time.perf_counter() - started) / len(walks)
         for spec, ew, stage, bloch in zip(specs, walks, stages, blochs):
-            for study in studies:
-                summary = {
-                    "cell": _cell_stem(study, factor, spec.label),
-                    "status": "ok",
-                    "study": study,
-                    "gamma_factor": factor,
-                    "gamma": params.gamma,
-                    "metric": spec.to_dict(),
-                    "metric_label": spec.label,
-                    "t_max": cfg.t_max,
-                    "master_seed": cfg.master_seed,
-                    "tolerances": TOLERANCES,
-                    "pseudo_hermiticity_residual": ew.pseudo_hermiticity_residual,
-                    "ep_gap": ew.ep_gap,
-                    "metric_condition_max": ew.metric_condition_max,
-                    "timings": {**stage, "bloch_s": bloch_s},
-                }
-                if study == "blp":
-                    blp_cells.append((spec, summary, bloch))
-                else:
-                    summaries.append(_run_cell(cfg, spec, summary, out, bloch=bloch))
+            pair = {
+                "gamma_factor": factor,
+                "gamma": params.gamma,
+                "metric": spec.to_dict(),
+                "metric_label": spec.label,
+                "t_max": cfg.t_max,
+                "master_seed": cfg.master_seed,
+                "tolerances": TOLERANCES,
+                "pseudo_hermiticity_residual": ew.pseudo_hermiticity_residual,
+                "ep_gap": ew.ep_gap,
+                "metric_condition_max": ew.metric_condition_max,
+                "timings": {**stage, "bloch_s": bloch_s},
+            }
+            cells.append((spec, pair, bloch))
         del walks, ew  # the next gamma's walks are built without these
 
-    if blp_cells:
-        started = time.perf_counter()
-        results = maximize_blp_many([bloch for _, _, bloch in blp_cells], cfg.anneal, cfg.master_seed)
-        # every cell runs the same chains for the same steps: an even share each
-        share = (time.perf_counter() - started) / len(blp_cells)
-        for (spec, summary, _), found in zip(blp_cells, results):
-            summaries.append(_run_cell(cfg, spec, summary, out, found=found, shared_s=share))
+    first, index = equal_classes(bloch for _, _, bloch in cells)
+    measures = {
+        "rhp": rhp_series,
+        "entanglement": lambda bloch: entanglement_series(bloch, cfg.coin_bloch),
+    }
+    summaries = []
+    for study in studies:
+        share = 0.0
+        if study == "blp":
+            started = time.perf_counter()
+            series = maximize_blp_many([cells[i][2] for i in first], cfg.anneal, cfg.master_seed)
+            # the search's wall time, split evenly over the group's BLP cells
+            share = (time.perf_counter() - started) / len(cells)
+        else:
+            series = [None] * len(first)
+        for (spec, pair, bloch), c in zip(cells, index):
+            started = time.perf_counter() - share
+            if series[c] is None:
+                series[c] = measures[study](bloch)
+            summary = {
+                "cell": _cell_stem(study, pair["gamma_factor"], spec.label),
+                "status": "ok",
+                "study": study,
+                **pair,
+                "timings": dict(pair["timings"]),
+            }
+            if study == "blp":
+                summary["timings"]["search_s"] = share
+            summaries.append(_run_cell(cfg, spec, summary, out, series[c], started))
     return summaries
 
 

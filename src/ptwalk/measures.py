@@ -15,6 +15,10 @@ and a cell's result does not depend on which cells share the search.
 Every measure takes the (t_max+1, 3, 3) stack M(0..t_max) of one walk, a
 slice of what ``ptwalk.channel.bloch_matrix_series`` returns for the walks
 of one gamma, and Bloch vectors, one function per quantity: ``blp_series``, ``rhp_series`` and ``entanglement_series``.
+A measure depends on the walk only through M(t), so a run computes each
+once per distinct M(t): every metric of a unitary walk (gamma = 0) has the
+axes of S alone and so the same M(t) to the bit, and its cells share one
+series, whose CSV body ``MeasureSeries.write_csv`` formats once.
 Failure of CP-divisibility is scored through the one-step intermediate maps
 A(t) = M(t) M(t-1)^{-1}:
 
@@ -29,6 +33,7 @@ entropy.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -80,9 +85,21 @@ class MeasureSeries:
         provenance (seeds, tolerances) so the file is self-describing.
 
         Columns t, delta, N, g, I_RHP, S and flags, in csv's default dialect
-        (no field needs quoting); an unused column is empty. Each present
-        column is formatted in one pass, with ``repr`` of its float values.
+        (no field needs quoting); an unused column is empty. The header and
+        rows are formatted at the first write and reused by later ones, so a
+        series written to several files is formatted once: its columns must
+        not change after it is first written.
         """
+        with open(path, "w", newline="") as fh:
+            if comment:
+                fh.write(f"# {comment}\n")
+            fh.write(self._csv_body)
+
+    @cached_property
+    def _csv_body(self) -> str:
+        """Header and rows of the CSV, each column formatted in one pass with
+        ``repr`` of its float values and set into every row with one
+        extended-slice assignment."""
         cols = {
             "delta": self.delta,
             "N": self.blp,
@@ -93,16 +110,15 @@ class MeasureSeries:
         present = [arr for arr in cols.values() if arr is not None]
         # stacked first, so every column takes the stack's common dtype
         stacked = iter(np.column_stack(present).T.tolist() if present else ())
-        blank = [""] * len(self.steps)
-        fields = [blank if arr is None else map(repr, next(stacked)) for arr in cols.values()]
-        with open(path, "w", newline="") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.write(",".join(["t", *cols, "flags"]) + "\r\n")
-            fh.writelines(
-                ",".join(row) + "\r\n"
-                for row in zip(map(str, self.steps.tolist()), *fields, self.flags)
-            )
+        row = ["", ","] * (len(cols) + 2)  # each field followed by its separator
+        row[-1] = "\r\n"
+        width, fields = len(row), row * len(self.steps)
+        fields[::width] = map(str, self.steps.tolist())
+        for j, arr in enumerate(cols.values(), start=1):
+            if arr is not None:
+                fields[2 * j :: width] = map(repr, next(stacked))
+        fields[width - 2 :: width] = self.flags
+        return ",".join(["t", *cols, "flags"]) + "\r\n" + "".join(fields)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from ptwalk import (
     entanglement_series,
     gamma_pt,
 )
-from ptwalk.channel import bloch_matrix_series
+from ptwalk.channel import bloch_matrix_series, equal_classes
 from ptwalk.linalg import trace_norm
 from ptwalk.metric import _metric_frame
 from ptwalk.walk import momentum_grid, spectral_a
@@ -452,6 +452,19 @@ def test_walks_with_equal_axes_share_one_pass(gamma_factor, monkeypatch):
     together = bloch_matrix_series(walks, 600)
     assert passed == [1 if gamma_factor == 1.0 else 3]
     assert all(np.array_equal(m, together[i]) for i, m in enumerate(alone))
+
+
+def test_equal_classes_are_bitwise():
+    # one class per distinct array, numbered in order of first appearance;
+    # a one-ulp change, a signed zero or another shape starts a new class
+    a = np.linspace(0.0, 1.0, 7)
+    ulp = a.copy()
+    ulp[3] = np.nextafter(ulp[3], np.inf)
+    signed = a.copy()
+    signed[0] = -0.0
+    arrays = [a, a.copy(), ulp, a.reshape(7, 1), signed, ulp.copy()]
+    assert equal_classes(arrays) == ([0, 2, 3, 4], [0, 0, 1, 2, 3, 1])
+    assert equal_classes([]) == ([], [])
 
 
 def test_choi_trace_norms_match_the_singular_vector_sign():

@@ -326,6 +326,83 @@ def test_run_parallel_cells_match_sequential(tmp_path, monkeypatch):
             assert [c["cell"] for c in par["cells"]] == [c["cell"] for c in seq["cells"]]
 
 
+def _record_measures(monkeypatch) -> dict:
+    """Patch the runner's measures to record the M(t) each is given, per study."""
+    import ptwalk.experiments as experiments
+
+    seen = {"blp": [], "rhp": [], "entanglement": []}
+    many, rhp, entanglement = (
+        experiments.maximize_blp_many, experiments.rhp_series, experiments.entanglement_series
+    )
+    monkeypatch.setattr(
+        experiments, "maximize_blp_many", lambda blochs, *args: seen["blp"].append(list(blochs)) or many(blochs, *args)
+    )
+    monkeypatch.setattr(experiments, "rhp_series", lambda bloch: seen["rhp"].append(bloch) or rhp(bloch))
+    monkeypatch.setattr(
+        experiments, "entanglement_series", lambda bloch, r0: seen["entanglement"].append(bloch) or entanglement(bloch, r0)
+    )
+    return seen
+
+
+def _default_grid(out_dir) -> ExperimentConfig:
+    # the default walk, grid and metrics; a short schedule keeps the search quick
+    short = AnnealSchedule(cooling_factor=0.5, steps_per_temperature=10, restarts=2)
+    return ExperimentConfig(study="all", output_dir=str(out_dir), anneal=short)
+
+
+def test_run_measures_each_distinct_bloch_once(tmp_path, monkeypatch):
+    # at e^gamma = 1 the three metrics give one M(t), so of the 9 pairs 7
+    # reach the search, and each series function runs 7 times
+    seen = _record_measures(monkeypatch)
+    run(_default_grid(tmp_path), threads=1)
+    assert [len(blochs) for blochs in seen["blp"]] == [7]
+    assert len(seen["rhp"]) == len(seen["entanglement"]) == 7
+    for study, blochs in (("blp", seen["blp"][0]), ("rhp", seen["rhp"]), ("entanglement", seen["entanglement"])):
+        assert len({b.tobytes() for b in blochs}) == 7, study
+
+
+def test_cells_with_one_bloch_share_their_series(tmp_path):
+    # each e^gamma = 1 cell writes the CSV body and the results of G1's cell,
+    # under its own provenance line; at e^gamma = 1.2 the metrics differ
+    run(_default_grid(tmp_path), threads=1)
+
+    def cell(study, factor, label):
+        csv = (tmp_path / f"{study}__eg{factor:g}__{label}.csv").read_text().split("\n", 1)
+        return csv, json.loads((tmp_path / f"{study}__eg{factor:g}__{label}.json").read_text())
+
+    for study, keys in (
+        ("blp", ("n_max", "best_pair", "flagged_steps")),
+        ("rhp", ("final_rhp", "flagged_steps")),
+        ("entanglement", ("final_entropy", "flagged_steps")),
+    ):
+        (head, body), summary = cell(study, 1.0, "G1")
+        for label in ("G2", "G3"):
+            (other_head, other_body), other = cell(study, 1.0, label)
+            assert other_body == body and other_head != head, (study, label)
+            assert {k: other[k] for k in keys} == {k: summary[k] for k in keys}, (study, label)
+        assert cell(study, 1.2, "G1")[0][1] != cell(study, 1.2, "G2")[0][1], study
+
+
+def test_a_one_ulp_change_breaks_the_sharing(tmp_path, monkeypatch):
+    # the equality behind the sharing is bitwise: a copied e^gamma = 1 stack
+    # moved by one ulp in one entry is measured on its own
+    import ptwalk.experiments as experiments
+
+    series = experiments.bloch_matrix_series
+
+    def nudged(walks, t_max):
+        blochs = series(walks, t_max)
+        if np.array_equal(blochs[0], blochs[1]):
+            blochs[1, 7, 0, 2] = np.nextafter(blochs[1, 7, 0, 2], np.inf)
+        return blochs
+
+    monkeypatch.setattr(experiments, "bloch_matrix_series", nudged)
+    seen = _record_measures(monkeypatch)
+    run(_default_grid(tmp_path), threads=1)
+    assert [len(blochs) for blochs in seen["blp"]] == [8]
+    assert len(seen["rhp"]) == len(seen["entanglement"]) == 8
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
     # the pairs of a group share one formatted momentum column; every audit
