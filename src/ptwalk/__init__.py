@@ -24,6 +24,6 @@ from .experiments import ExperimentConfig, load_config, report, run, validate_co
 from .measures import AnnealSchedule, MeasureSeries, blp_series, entanglement_series, rhp_series
 from .metric import MetricSpec
 from .toy import ToyConfig, ToyResult, run_toy
-from .walk import BlockOperator, WalkParams, gamma_pt, is_unbroken
+from .walk import WalkParams, gamma_pt, is_unbroken
 
 __version__ = "0.1.0"

@@ -12,8 +12,8 @@ The metric picks only the axis; eps_k is the same for every metric. The
 axis follows from the metric weight y(k) in closed form, with no root of G
 (Mostafazadeh, J. Math. Phys. 43, 205 (2002)). Let r_+ and v_+ be the unit
 eigenvectors of S^T and of S at +sin(eps_k), with r_+ . v_+ > 0. Since
-G = x (r_+ r_+^T + y r_- r_-^T) has G v_+ = x (r_+ . v_+) r_+ and
-sqrt(det G) = x sqrt(y) (r_+ . v_+), Levinger's root eta = (G + sqrt(det G) I)/tau
+G = r_+ r_+^T + y r_- r_-^T has G v_+ = (r_+ . v_+) r_+ and
+sqrt(det G) = sqrt(y) (r_+ . v_+), Levinger's root eta = (G + sqrt(det G) I)/tau
 sends v_+ along u = r_+ + sqrt(y) v_+, the +sin(eps_k) eigenvector of the
 symmetric R = eta S eta^{-1}. So the axis lies at twice the angle of u,
 
@@ -100,7 +100,7 @@ import numpy as np
 
 from .errors import LightConeViolation, NotPositive
 from .metric import MetricSpec, _metric_frame
-from .walk import UNBROKEN_MARGIN, BlockOperator, WalkParams
+from .walk import UNBROKEN_MARGIN, WalkParams
 
 # Condition number beyond which the intermediate-map inversion is flagged
 # and a cutoff pseudo-inverse is used instead of a direct solve.
@@ -113,18 +113,17 @@ BLOCK_ELEMENTS = 1 << 14
 
 @dataclass(frozen=True)
 class EuclideanWalk:
-    """Walk in the unitary frame of a chosen metric: (L,) rotation angles and x-z axes.
+    """Walk in the unitary frame of a chosen metric: (L,) rotation angles and x-z axes, and its health.
 
-    ``pseudo_hermiticity_residual`` is the largest |S^T G - G S| / (|S| |G|)
-    over the blocks, in Frobenius norms: zero exactly when G has the defining
-    property of a metric, which makes every W_eta(k) unitary. ``ep_gap`` is
-    min_k (1 - |a(k)|), the grid's distance from the exceptional point, and
-    ``metric_condition_max`` the largest lambda_max / lambda_min of a metric block.
+    The M(t) pass reads the angles ``eps`` and the axes alone; L is
+    ``len(eps)``. ``pseudo_hermiticity_residual`` is the largest
+    |S^T G - G S| / (|S| |G|) over the metric's blocks, in Frobenius norms:
+    zero exactly when G has the defining property of a metric, which makes
+    every W_eta(k) unitary. ``ep_gap`` is min_k (1 - |a(k)|), the grid's
+    distance from the exceptional point, and ``metric_condition_max`` the
+    largest lambda_max / lambda_min of a metric block.
     """
 
-    params: WalkParams
-    spec: MetricSpec
-    metric: BlockOperator
     eps: np.ndarray
     n_x: np.ndarray
     n_z: np.ndarray
@@ -133,14 +132,16 @@ class EuclideanWalk:
     metric_condition_max: float
 
 
-def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
-    """Construct the metric and the rotation of every W_eta(k) (module docstring).
+def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> tuple[EuclideanWalk, np.ndarray]:
+    """The walk under metric ``spec``, the rotation of every W_eta(k) (module docstring), and its metric.
 
     a(k), eps_k, S(k), the metric and its arc come from one ``metric._metric_frame``
     call; a block that is not positive definite raises NotPositive, naming the first.
+    The metric is returned as its (L, 2, 2) real blocks, for the audit CSV:
+    the walk does not keep it.
     """
     g, a, eps, (d1, d2, d3), arc = _metric_frame(p, spec)
-    g00, g01, g11 = g.blocks[:, 0, 0], g.blocks[:, 0, 1], g.blocks[:, 1, 1]
+    g00, g01, g11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
     # closed-form eigenvalues of every block, lambda_- = det G / lambda_+
     hi = (g00 + g11) / 2.0 + np.sqrt(((g00 - g11) / 2.0) ** 2 + g01 * g01)
     lo = (g00 * g11 - g01 * g01) / hi
@@ -166,20 +167,18 @@ def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> EuclideanWalk:
         norm = u0 * u0 + u1 * u1
         n_x, n_z = 2.0 * u0 * u1 / norm, (u0 * u0 - u1 * u1) / norm
     return EuclideanWalk(
-        p, spec, g, eps, n_x, n_z,
+        eps, n_x, n_z,
         pseudo_hermiticity_residual=float(residual.max()),
         ep_gap=float((1.0 - np.abs(a)).min()),
         metric_condition_max=float((hi / lo).max()),
-    )
+    ), g
 
 
 def _check_horizon(ew: EuclideanWalk, t: int) -> None:
     if t < 0:
         raise ValueError("step count must be nonnegative")
-    if ew.params.lattice_size < 2 * t + 1:
-        raise LightConeViolation(
-            f"lattice size {ew.params.lattice_size} < 2*{t}+1 needed for the light cone"
-        )
+    if len(ew.eps) < 2 * t + 1:
+        raise LightConeViolation(f"lattice size {len(ew.eps)} < 2*{t}+1 needed for the light cone")
 
 
 def _fold(rows: np.ndarray) -> np.ndarray:

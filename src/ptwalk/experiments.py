@@ -36,7 +36,7 @@ from .errors import ConfigInvalid, MissingArtifacts
 from .measures import AnnealSchedule, MeasureSeries, entanglement_series, maximize_blp_many, rhp_series
 from .metric import MetricSpec, write_metric_csv
 from .toy import ToyConfig, run_toy
-from .walk import WalkParams, is_unbroken
+from .walk import WalkParams, is_unbroken, momentum_grid
 
 WALK_STUDIES = ("blp", "rhp", "entanglement")
 STUDIES = (*WALK_STUDIES, "toy", "all")
@@ -121,10 +121,9 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     for m in cfg.metrics:
         if m.kind == "random_xy" and not 0 < m.low < m.high:
             errors.append(("metrics", f"{m.label}: needs 0 < low < high, got {m.low}, {m.high}"))
-        tables = [np.asarray(t, dtype=float) for t in (m.x, m.y)] if m.kind == "explicit" else []
-        if any(t.shape != (cfg.lattice_size,) or not np.all(np.isfinite(t) & (t > 0))
-               for t in tables):
-            errors.append(("metrics", f"{m.label}: x and y need {cfg.lattice_size} finite entries > 0"))
+        y = np.asarray(m.y, dtype=float) if m.kind == "explicit" else None
+        if y is not None and (y.shape != (cfg.lattice_size,) or not np.all(np.isfinite(y) & (y > 0))):
+            errors.append(("metrics", f"{m.label}: y needs {cfg.lattice_size} finite entries > 0"))
     if len(cfg.coin_bloch) != 3:
         errors.append(("coin_bloch", f"must have 3 components, got {len(cfg.coin_bloch)}"))
     elif abs(np.linalg.norm(cfg.coin_bloch) - 1.0) > 1e-9:
@@ -202,11 +201,12 @@ def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out
     """Run every requested walk study on a group of unbroken (gamma, metric) pairs.
 
     The pairs are taken one gamma at a time. Each pair's walk is built once,
-    and its metric audit CSV is written from the same metric; then one
-    ``bloch_matrix_series`` pass gives the Bloch matrices M(t) of all of that
-    gamma's walks, which share their angles, and the walks are dropped.
-    Every pair sits on the momentum grid of ``cfg.lattice_size``, so the
-    audit CSVs share one formatted k column, timed with the first pair's CSV.
+    with its metric blocks, which go straight to its audit CSV and are
+    dropped; then one ``bloch_matrix_series`` pass gives the Bloch matrices
+    M(t) of all of that gamma's walks, which share their angles, and the
+    walks are dropped. Every pair sits on the momentum grid of
+    ``cfg.lattice_size``, so the audit CSVs share one k column, formatted
+    once per group before any pair is timed.
 
     Each measure then runs once per distinct M(t) of the group: pairs whose
     M(t) are bitwise equal share its series. That is exact, not a tolerance:
@@ -219,24 +219,23 @@ def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out
     out = Path(out_dir)
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     cells = []  # (spec, the summary fields its pair's cells share, M(t)) per pair
-    k_column = None
+    k_column = list(map(repr, momentum_grid(cfg.lattice_size).tolist()))
     for factor in dict.fromkeys(factor for factor, _ in pairs):
         params = cfg.walk_params(factor)
         specs = [spec for f, spec in pairs if f == factor]
         walks, stages = [], []
         for spec in specs:
             started = time.perf_counter()
-            ew = build_euclidean_walk(params, spec)
+            ew, g = build_euclidean_walk(params, spec)
             walk_s = time.perf_counter() - started
             started = time.perf_counter()
-            if k_column is None:
-                k_column = list(map(repr, ew.metric.points.tolist()))
             write_metric_csv(
-                ew.metric,
+                g,
+                k_column,
                 out / _metric_csv_name(factor, spec.label),
                 comment=f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}",
-                k_column=k_column,
             )
+            del g  # only the audit CSV reads the blocks
             stages.append({"walk_s": walk_s, "metric_csv_s": time.perf_counter() - started})
             walks.append(ew)
         started = time.perf_counter()
@@ -325,9 +324,11 @@ def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
 def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     """Run the configured studies and return the written manifest.
 
-    The unbroken (gamma, metric) pairs are dealt round-robin into
-    min(threads, pairs) groups, each run by ``_run_group``; more than one
-    group runs in a pool of worker processes.
+    The unbroken gammas are dealt round-robin into min(threads, gammas)
+    groups, each run by ``_run_group`` on the (gamma, metric) pairs of its
+    gammas, so that all metrics of one gamma, whose M(t) may be bitwise
+    equal, share one group and its measures; more than one group runs in a
+    pool of worker processes.
     """
     regimes = validate_config(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
@@ -335,9 +336,8 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
 
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     unbroken = [factor for factor in cfg.gamma_factors if studies and regimes[factor]]
-    pairs = [(factor, metric) for factor in unbroken for metric in cfg.metrics]
-    count = min(max(threads, 1), len(pairs))
-    groups = [pairs[i::count] for i in range(count)]
+    count = min(max(threads, 1), len(unbroken))
+    groups = [[(factor, m) for factor in unbroken[i::count] for m in cfg.metrics] for i in range(count)]
     if len(groups) > 1:
         # imported here: a one-group run never needs the process machinery
         from concurrent.futures import ProcessPoolExecutor
@@ -363,7 +363,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
                     }
                 )
     # exactly the files this run wrote, never older ones left in the directory
-    artifacts = [_metric_csv_name(factor, m.label) for factor, m in pairs]
+    artifacts = [_metric_csv_name(factor, m.label) for group in groups for factor, m in group]
     artifacts += [
         f"{s['cell']}{ext}" for s in summaries if s["status"] == "ok" for ext in (".csv", ".json")
     ]

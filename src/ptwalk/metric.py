@@ -1,17 +1,15 @@
 """Metric operators compatible with the walk Hamiltonian.
 
 A momentum-block metric is built from the left eigenvectors r_+(k), r_-(k)
-of H_c(k) (equivalently, eigenvectors of H_c(k)†) as
+of H_c(k) (equivalently, eigenvectors of H_c(k)†) and one weight y(k) > 0 as
 
-    G(k) = x(k) ( |r_+><r_+| + y(k) |r_-><r_-| ),       x, y > 0,
+    G(k) = |r_+><r_+| + y(k) |r_-><r_-|,
 
 rescaled to unit trace. The left eigenvectors are real for this walk, so
 every such block is real symmetric, positive definite and
-pseudo-Hermitian-compatible: H_c(k)† G(k) = G(k) H_c(k). Only y(k) reaches
-the walk, as the axis of its rotations (``ptwalk.channel``); the blocks go
-to the audit CSV. The unit-trace rescale cancels x(k): it moves a block only
-by roundoff and leaves the walk bit for bit unchanged, so the ``x`` weight of
-a ``MetricSpec`` has no effect. Configs and manifests still carry it.
+pseudo-Hermitian-compatible: H_c(k)† G(k) = G(k) H_c(k). The weight reaches
+the walk only as the axis of its rotations (``ptwalk.channel``); the blocks
+themselves go to the audit CSV alone.
 """
 
 from dataclasses import dataclass
@@ -20,13 +18,7 @@ import numpy as np
 
 from .config import Config
 from .errors import BrokenRegime, DegenerateAtK
-from .walk import (
-    UNBROKEN_MARGIN,
-    BlockOperator,
-    WalkParams,
-    momentum_grid,
-    spectral_a,
-)
+from .walk import UNBROKEN_MARGIN, WalkParams, momentum_grid, spectral_a
 
 # Rows of the audit CSV formatted and written together. It bounds the
 # strings alive at once: formatted in one piece, the L = 4001 files raised
@@ -91,13 +83,13 @@ def _left_eigen(ks, a, s, d1, d2, d3) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class MetricSpec(Config):
-    """How to choose the per-momentum weights x(k), y(k).
+    """How to choose the per-momentum weight y(k) of G = r_+ r_+^T + y r_- r_-^T.
 
-    kind 'g1_flat' fixes x = y = 1; 'random_xy' draws both i.i.d. uniform on
-    [low, high) from the seeded generator, one (x, y) pair per grid point in
-    grid order; 'explicit' takes the tables as given. Blocks are always
-    rescaled to unit trace afterwards, which cancels x. ``name`` is a file
-    stem, so it holds no path separator.
+    kind 'g1_flat' fixes y = 1; 'random_xy' draws a pair of i.i.d. uniform
+    values on [low, high) per grid point, in grid order, from the seeded
+    generator, and takes y as the second of each pair, so a seed keeps the
+    table it has always drawn; 'explicit' takes the ``y`` table as given.
+    ``name`` is a file stem, so it holds no path separator.
     """
 
     kind: str = "g1_flat"
@@ -105,7 +97,6 @@ class MetricSpec(Config):
     high: float = 2.0
     seed: int | None = None
     name: str | None = None
-    x: tuple[float, ...] | None = None
     y: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -117,8 +108,8 @@ class MetricSpec(Config):
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.name is not None and ("/" in self.name or "\\" in self.name):
             raise ValueError(f"name {self.name!r} holds a path separator")
-        if self.kind == "explicit" and (self.x is None or self.y is None):
-            raise ValueError("explicit requires x and y tables")
+        if self.kind == "explicit" and self.y is None:
+            raise ValueError("explicit requires a y table")
 
     @property
     def label(self) -> str:
@@ -130,19 +121,19 @@ class MetricSpec(Config):
 
 
 def _weights(spec: MetricSpec, n: int) -> np.ndarray:
+    """The (n,) weights y(k) of ``spec`` on a grid of n points."""
     if spec.kind == "g1_flat":
-        return np.ones((n, 2))
+        return np.ones(n)
     if spec.kind == "random_xy":
-        rng = np.random.default_rng(spec.seed)
-        return rng.uniform(spec.low, spec.high, size=(n, 2))
-    xs, ys = np.asarray(spec.x, float), np.asarray(spec.y, float)
-    if len(xs) != n or len(ys) != n:
-        raise ValueError(f"explicit tables must have {n} entries")
-    return np.stack([xs, ys], axis=1)
+        return np.random.default_rng(spec.seed).uniform(spec.low, spec.high, size=(n, 2))[:, 1]
+    ys = np.asarray(spec.y, float)
+    if len(ys) != n:
+        raise ValueError(f"explicit table must have {n} entries")
+    return ys
 
 
 def _metric_frame(p: WalkParams, spec: MetricSpec):
-    """(G, a, eps, (d1, d2, d3), arc): the unit-trace metric blocks and what the walk's frame is read from.
+    """(G, a, eps, (d1, d2, d3), arc): the (L, 2, 2) unit-trace metric blocks and what the walk's frame is read from.
 
     a(k), eps_k = acos a(k) and the entries of S = sin H_c(k) come with
     arc = (y, r_plus, v_plus): the weights y(k) and the unit eigenvectors of
@@ -156,47 +147,39 @@ def _metric_frame(p: WalkParams, spec: MetricSpec):
         # unitary walk: the flat metric is exactly maximally mixed at every k,
         # valid even where the spectrum touches |a| = 1 (plain degeneracy,
         # not an exceptional point, when the walk is unitary)
-        return BlockOperator(ks, np.tile(np.eye(2) / 2.0, (len(ks), 1, 1))), a, eps, sin_h, None
+        return np.tile(np.eye(2) / 2.0, (len(ks), 1, 1)), a, eps, sin_h, None
     s = np.sin(eps)
     try:
         r_plus, r_minus = _left_eigen(ks, a, s, *sin_h)
     except DegenerateAtK as exc:
         raise BrokenRegime("no positive metric beyond the exceptional point") from exc
-    w = _weights(spec, len(ks))
-    g = w[:, 0, None, None] * (
-        r_plus[:, :, None] * r_plus[:, None, :]
-        + w[:, 1, None, None] * (r_minus[:, :, None] * r_minus[:, None, :])
-    )
-    g = BlockOperator(ks, g / np.trace(g, axis1=1, axis2=2)[:, None, None])
+    y = _weights(spec, len(ks))
+    g = r_plus[:, :, None] * r_plus[:, None, :] + y[:, None, None] * (r_minus[:, :, None] * r_minus[:, None, :])
+    g /= np.trace(g, axis1=1, axis2=2)[:, None, None]
     if p.gamma == 0.0:
         return g, a, eps, sin_h, None
     # S is S^T with d2 -> -d2, and so is the readout of its eigenvector
     d1, d2, d3 = sin_h
     v_plus = _pick(d1 + d2, -d3 - s, d3 - s, d1 - d2)
     v_plus = np.where((r_plus * v_plus).sum(axis=1)[:, None] < 0.0, -v_plus, v_plus)
-    return g, a, eps, sin_h, (w[:, 1], r_plus, v_plus)
+    return g, a, eps, sin_h, (y, r_plus, v_plus)
 
 
-def write_metric_csv(
-    g: BlockOperator, path, comment: str | None = None, k_column: list[str] | None = None
-) -> None:
-    """Audit export: one row per momentum with the four block entries, re and im.
+def write_metric_csv(g: np.ndarray, k_column: list[str], path, comment: str | None = None) -> None:
+    """Audit export of the (L, 2, 2) blocks ``g``: one row per momentum with the four block entries, re and im.
 
     The blocks must be real symmetric, as :func:`_metric_frame` makes them, so
-    g21 is g12 and every im is 0.0; others raise ValueError. Every value is
-    written with ``repr``. The rows go out in blocks of ``AUDIT_BLOCK_ROWS``:
-    each column of a block is formatted in one pass and set into its rows
-    with one extended-slice assignment, and the block is one write. ``k_column`` is
-    the momentum column already formatted, ``repr`` of each of ``g.points``:
-    metrics on one grid can share it. When None it is formatted here.
+    g21 is g12 and every im is 0.0; others raise ValueError. ``k_column`` is
+    the momentum column already formatted, one string per block, so that
+    metrics on one grid share it. Every value is written with ``repr``. The
+    rows go out in blocks of ``AUDIT_BLOCK_ROWS``: each column of a block is
+    formatted in one pass and set into its rows with one extended-slice
+    assignment, and the block is one write.
     """
-    b = g.blocks
-    if np.iscomplexobj(b) or not np.array_equal(b[:, 0, 1], b[:, 1, 0]):
+    if np.iscomplexobj(g) or not np.array_equal(g[:, 0, 1], g[:, 1, 0]):
         raise ValueError("metric audit needs real symmetric blocks (g12 == g21)")
-    if k_column is None:
-        k_column = list(map(repr, g.points.tolist()))
-    elif len(k_column) != len(g.points):
-        raise ValueError(f"momentum column has {len(k_column)} entries for {len(g.points)} blocks")
+    if len(k_column) != len(g):
+        raise ValueError(f"momentum column has {len(k_column)} entries for {len(g)} blocks")
     # csv's default dialect, no field needing quoting: k, g11, g12, g12 and
     # g22, each followed by its separator and an im column of 0.0
     row = ["", ",", "", ",0.0,", "", ",0.0,", "", ",0.0,", "", ",0.0\r\n"]
@@ -204,8 +187,8 @@ def write_metric_csv(
         if comment:
             fh.write(f"# {comment}\n")
         fh.write("k,re_g11,im_g11,re_g12,im_g12,re_g21,im_g21,re_g22,im_g22\r\n")
-        for start in range(0, len(b), AUDIT_BLOCK_ROWS):
-            block = b[start : start + AUDIT_BLOCK_ROWS]
+        for start in range(0, len(g), AUDIT_BLOCK_ROWS):
+            block = g[start : start + AUDIT_BLOCK_ROWS]
             fields = row * len(block)
             fields[::10] = k_column[start : start + AUDIT_BLOCK_ROWS]
             fields[2::10] = map(repr, block[:, 0, 0].tolist())

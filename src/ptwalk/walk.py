@@ -61,24 +61,6 @@ def momentum_grid(lattice_size: int) -> np.ndarray:
     return np.pi * ((2 * np.arange(lattice_size) - lattice_size) / lattice_size)
 
 
-@dataclass(frozen=True)
-class BlockOperator:
-    """Operator diagonal in momentum: one 2x2 block per grid point."""
-
-    points: np.ndarray
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        if self.blocks.shape != (len(self.points), 2, 2):
-            raise ValueError(
-                f"blocks shape {self.blocks.shape} does not match grid of "
-                f"{len(self.points)} points"
-            )
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def spectral_a(k, p: WalkParams):
     """Spectral scalar a(k); accepts a scalar or an array of momenta."""
     return np.cos(2.0 * np.asarray(k)) * np.cos(p.theta1) * np.cos(p.theta2) - np.cosh(

@@ -52,17 +52,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from channel_reference import ChannelMatrix, _check_state, partial_trace, von_neumann_entropy
-from ptwalk.channel import BLOCK_ELEMENTS, _check_horizon
-from ptwalk.errors import BrokenRegime, DegenerateAtK, DegeneratePairing, NotPositive, PTWalkError
-from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, metric_root, trace_norm
-from ptwalk.metric import _weights
-from ptwalk.walk import (
-    UNBROKEN_MARGIN,
-    BlockOperator,
-    is_unbroken,
-    momentum_grid,
-    spectral_a,
+from ptwalk.channel import BLOCK_ELEMENTS
+from ptwalk.errors import (
+    BrokenRegime,
+    DegenerateAtK,
+    DegeneratePairing,
+    LightConeViolation,
+    NotPositive,
+    PTWalkError,
 )
+from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, metric_root, trace_norm
+from ptwalk.metric import _metric_frame, _weights
+from ptwalk.walk import UNBROKEN_MARGIN, is_unbroken, momentum_grid, spectral_a
 
 
 class BranchAmbiguity(PTWalkError):
@@ -237,11 +238,11 @@ def left_eigvecs(k: float, p) -> tuple[np.ndarray, np.ndarray, float]:
 def metric_blocks(p, spec) -> np.ndarray:
     """Metric blocks of the unbroken regime (no flat-Hermitian shortcut)."""
     ks = momentum_grid(p.lattice_size)
-    w = _weights(spec, len(ks))
+    y = _weights(spec, len(ks))
     blocks = np.empty((len(ks), 2, 2), dtype=complex)
     for i, k in enumerate(ks):
         r_plus, r_minus, _ = left_eigvecs(k, p)
-        g = w[i, 0] * (np.outer(r_plus, r_plus.conj()) + w[i, 1] * np.outer(r_minus, r_minus.conj()))
+        g = np.outer(r_plus, r_plus.conj()) + y[i] * np.outer(r_minus, r_minus.conj())
         g = (g + g.conj().T) / 2.0
         blocks[i] = g / np.trace(g).real
     return blocks
@@ -266,7 +267,7 @@ def extended_frame(p, spec) -> tuple[np.ndarray, np.ndarray]:
     """(G, R) at every momentum on the eta route, in numpy's extended precision.
 
     The left eigenvectors r_+- of H_c(k)†, the unit-trace metric
-    G = x (r_+ r_+^T + y r_- r_-^T), Levinger's root eta = (G + sI)/t with
+    G = r_+ r_+^T + y r_- r_-^T, Levinger's root eta = (G + sI)/t with
     eta^-1 = (adj G + sI)/(st), s = sqrt(det G), t = sqrt(tr G + 2s), and
     R = eta S eta^-1 are all evaluated in ``np.longdouble`` (the 80-bit x87
     format on x86-64 Linux, eps 1.1e-19) from the float64 angles, momenta and
@@ -293,10 +294,8 @@ def extended_frame(p, spec) -> tuple[np.ndarray, np.ndarray]:
 
     r_plus = unit(d1 - d2, -d3 - s, d3 - s, d1 + d2)
     r_minus = unit(d1 - d2, -d3 + s, d3 + s, d1 + d2)
-    w = _weights(spec, len(ks)).astype(ld)
-    g = w[:, 0, None, None] * (
-        r_plus[:, :, None] * r_plus[:, None, :] + w[:, 1, None, None] * r_minus[:, :, None] * r_minus[:, None, :]
-    )
+    y = _weights(spec, len(ks)).astype(ld)
+    g = r_plus[:, :, None] * r_plus[:, None, :] + y[:, None, None] * r_minus[:, :, None] * r_minus[:, None, :]
     g /= (g[:, 0, 0] + g[:, 1, 1])[:, None, None]
     root_det = np.sqrt(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0])
     t = np.sqrt(g[:, 0, 0] + g[:, 1, 1] + 2 * root_det)
@@ -337,8 +336,8 @@ class MetricTransport:
     by conjugation with U.
     """
 
-    t: BlockOperator
-    u: BlockOperator
+    t: np.ndarray
+    u: np.ndarray
 
 
 def _transport_block(g, gp, h):
@@ -370,16 +369,16 @@ def _transport_block(g, gp, h):
     return t, u
 
 
-def metric_transport(g, gp, h: np.ndarray) -> MetricTransport:
-    """T and U per momentum block of the metrics ``g``, ``gp`` and the (L, 2, 2) Hamiltonian blocks ``h``.
+def metric_transport(g: np.ndarray, gp: np.ndarray, h: np.ndarray) -> MetricTransport:
+    """T and U per momentum block of the (L, 2, 2) metrics ``g``, ``gp`` and Hamiltonian blocks ``h``.
 
     Raises IncompatibleMetrics when a block's residuals exceed TRANSPORT_TOL.
     """
-    ts = np.empty(g.blocks.shape, dtype=complex)
-    us = np.empty(g.blocks.shape, dtype=complex)
+    ts = np.empty(g.shape, dtype=complex)
+    us = np.empty(g.shape, dtype=complex)
     for i in range(len(g)):
-        ts[i], us[i] = _transport_block(g.blocks[i], gp.blocks[i], h[i])
-    return MetricTransport(BlockOperator(g.points, ts), BlockOperator(g.points, us))
+        ts[i], us[i] = _transport_block(g[i], gp[i], h[i])
+    return MetricTransport(ts, us)
 
 
 def generalized_dagger(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -406,7 +405,7 @@ def g_trace_norm(x: np.ndarray, g: np.ndarray) -> float:
     return trace_norm(e @ np.asarray(x, complex) @ np.linalg.inv(e))
 
 
-def separability_defect(g) -> float:
+def separability_defect(g: np.ndarray) -> float:
     """Distance of a block-diagonal metric from any momentum (x) coin product.
 
     Blocks are trace-normalized and compared with their grid average in
@@ -414,7 +413,7 @@ def separability_defect(g) -> float:
     are equal, the only way a block-diagonal metric factorizes with a
     diagonal momentum part.
     """
-    normed = g.blocks / np.trace(g.blocks, axis1=1, axis2=2)[:, None, None]
+    normed = g / np.trace(g, axis1=1, axis2=2)[:, None, None]
     mean = normed.mean(axis=0)
     return float(np.linalg.norm(normed - mean, axis=(1, 2)).max())
 
@@ -451,14 +450,17 @@ for _i in range(2):
         _MATRIX_UNITS[2 * _i + _j, _i, _j] = 1.0
 
 
-def frame_blocks(ew) -> np.ndarray:
-    """W_eta(k) under ``ew``'s metric, from the per-block eigh root and the per-k factor product."""
-    return unitary_frame(ew.metric.blocks, walk_blocks(ew.params))[2]
+def frame_blocks(p, spec) -> np.ndarray:
+    """W_eta(k) of walk ``p`` under metric ``spec``, from the per-block eigh root and the per-k factor product.
+
+    The metric blocks are the library's, as the audit CSV has them.
+    """
+    return unitary_frame(_metric_frame(p, spec)[0], walk_blocks(p))[2]
 
 
-def rotations(ew) -> tuple[np.ndarray, np.ndarray]:
+def rotations(p, spec) -> tuple[np.ndarray, np.ndarray]:
     """Angles eps_k, shape (L,), and unit axes n_k, shape (L, 3), read off :func:`frame_blocks`."""
-    w = frame_blocks(ew)
+    w = frame_blocks(p, spec)
     # sin(eps) n read off W = cos(eps) I - i sin(eps) (n . sigma)
     v = np.stack(
         [
@@ -469,7 +471,7 @@ def rotations(ew) -> tuple[np.ndarray, np.ndarray]:
         axis=1,
     )
     sin_eps = np.linalg.norm(v, axis=1)
-    a = spectral_a(ew.metric.points, ew.params)
+    a = spectral_a(momentum_grid(p.lattice_size), p)
     # |a| = 1 only for a unitary walk under the flat metric, where the block
     # is +-I up to roundoff: acos(a) would amplify that roundoff, atan2 does not
     degenerate = np.abs(a) >= 1.0 - UNBROKEN_MARGIN
@@ -485,11 +487,18 @@ def rotations(ew) -> tuple[np.ndarray, np.ndarray]:
     return eps, axes
 
 
-def coin_trajectory(ew, rho0: np.ndarray, t_max: int) -> np.ndarray:
+def _check_light_cone(p, t: int) -> None:
+    if t < 0:
+        raise ValueError("step count must be nonnegative")
+    if p.lattice_size < 2 * t + 1:
+        raise LightConeViolation(f"lattice size {p.lattice_size} < 2*{t}+1 needed for the light cone")
+
+
+def coin_trajectory(p, spec, rho0: np.ndarray, t_max: int) -> np.ndarray:
     """Reduced coin states for every step 0..t_max (incremental block powers), shape (t_max+1, 2, 2)."""
     rho0 = _check_state(rho0)
-    _check_horizon(ew, t_max)
-    w = frame_blocks(ew)
+    _check_light_cone(p, t_max)
+    w = frame_blocks(p, spec)
     n = len(w)
     states = np.empty((t_max + 1, 2, 2), dtype=complex)
     states[0] = rho0
@@ -510,10 +519,10 @@ def _channel_from_powers(powers: np.ndarray, t: int) -> ChannelMatrix:
     return ChannelMatrix(0, t, matrix, cond)
 
 
-def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
+def channel_matrix_series(p, spec, t_max: int) -> list[ChannelMatrix]:
     """L(t, 0) for t = 0..t_max, sharing the incremental block powers."""
-    _check_horizon(ew, t_max)
-    w = frame_blocks(ew)
+    _check_light_cone(p, t_max)
+    w = frame_blocks(p, spec)
     acc = np.tile(np.eye(2, dtype=complex), (len(w), 1, 1))
     out = [_channel_from_powers(acc, 0)]
     for t in range(1, t_max + 1):
@@ -522,23 +531,23 @@ def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
     return out
 
 
-def bloch_matrices_direct(ew, steps: np.ndarray) -> np.ndarray:
+def bloch_matrices_direct(p, spec, steps: np.ndarray) -> np.ndarray:
     """M(t) for every t of ``steps`` from :func:`rotations`, with sin and cos of every t eps_k evaluated directly."""
-    return _nine_sums(*rotations(ew), steps)
+    return _nine_sums(*rotations(p, spec), steps)
 
 
-def bloch_matrices_extended(ew, steps: np.ndarray) -> np.ndarray:
-    """M(t) as :func:`bloch_matrices_direct`, on ``ew``'s angles and the axes of :func:`extended_frame`.
+def bloch_matrices_extended(p, spec, eps: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """M(t) as :func:`bloch_matrices_direct`, on the angles ``eps`` and the axes of :func:`extended_frame`.
 
     The axes n = (R_01, 0, R_00)/|(R_01, R_00)| and every sum are evaluated
     in ``np.longdouble``, so near the exceptional point, where a float64
     eta^-1 loses sqrt(cond G) eps, this checks the library's axes and sums,
     not the oracle's roundoff. Returns float64.
     """
-    _, r = extended_frame(ew.params, ew.spec)
+    _, r = extended_frame(p, spec)
     n = np.stack([r[:, 0, 1], np.zeros_like(r[:, 0, 0]), r[:, 0, 0]], axis=1)
     n /= np.sqrt((n * n).sum(axis=1))[:, None]
-    return _nine_sums(ew.eps.astype(np.longdouble), n, steps).astype(float)
+    return _nine_sums(eps.astype(np.longdouble), n, steps).astype(float)
 
 
 def _nine_sums(eps: np.ndarray, n: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -669,8 +678,8 @@ def toy_entropy(toy, state: np.ndarray, times: np.ndarray) -> dict[str, np.ndarr
 # -------------------------------------------------------------------- CSV
 
 
-def write_metric_csv(g, path, comment: str | None = None) -> None:
-    """Audit export: one row per momentum with the four complex block entries."""
+def write_metric_csv(ks: np.ndarray, g: np.ndarray, path, comment: str | None = None) -> None:
+    """Audit export: one row per momentum of ``ks`` with the four complex entries of its block in ``g``."""
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
@@ -678,7 +687,7 @@ def write_metric_csv(g, path, comment: str | None = None) -> None:
         writer.writerow(
             ["k", "re_g11", "im_g11", "re_g12", "im_g12", "re_g21", "im_g21", "re_g22", "im_g22"]
         )
-        for k, b in zip(g.points, g.blocks):
+        for k, b in zip(ks, g):
             row = [repr(float(k))]
             for entry in b.reshape(-1):
                 row += [repr(float(entry.real)), repr(float(entry.imag))]

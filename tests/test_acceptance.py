@@ -39,7 +39,7 @@ from ptwalk.experiments import TOLERANCES
 from ptwalk.linalg import eig, trace_norm
 from ptwalk.measures import maximize_blp_many
 from ptwalk.metric import _metric_frame
-from ptwalk.walk import spectral_a
+from ptwalk.walk import momentum_grid, spectral_a
 from test_channel import dense_reduced_state
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -62,7 +62,7 @@ def grid_walks():
     return {
         (factor, spec.label): build_euclidean_walk(
             WalkParams(T1, T2, math.log(factor), 101), spec
-        )
+        )[0]
         for factor in FACTORS
         for spec in SPECS
     }
@@ -115,7 +115,7 @@ def test_criterion_02_block_vs_dense_oracle():
     for gamma in (0.0, 0.1, 0.18):
         for spec in (SPECS[0], SPECS[1]):
             p = WalkParams(T1, T2, gamma, 21)
-            ew = build_euclidean_walk(p, spec)
+            ew = build_euclidean_walk(p, spec)[0]
             for t in (1, 5, 10):
                 fast = reduced_coin_state(ew, rho0, t)
                 slow = dense_reduced_state(p, spec, rho0, t)
@@ -130,7 +130,7 @@ def test_criterion_03_pseudo_hermiticity_suite():
         h = hamiltonian_blocks(p)
         for spec in SPECS:
             g = _metric_frame(p, spec)[0]
-            for gb, hb in zip(g.blocks, h):
+            for gb, hb in zip(g, h):
                 worst_ph = max(
                     worst_ph, float(np.linalg.norm(hb.conj().T @ gb - gb @ hb))
                 )
@@ -278,15 +278,16 @@ def test_criterion_10_appendix_properties():
     # norm conservation over 50 steps
     p = WalkParams(T1, T2, math.log(1.2), 101)
     g = _metric_frame(p, SPECS[2])[0]
+    ks = momentum_grid(101)
     worst_norm = 0.0
     for i in (0, 33, 77):
-        w_blk = walk_block(g.points[i], p)
+        w_blk = walk_block(ks[i], p)
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        ref = np.vdot(psi, g.blocks[i] @ psi).real
+        ref = np.vdot(psi, g[i] @ psi).real
         for _ in range(50):
             psi = w_blk @ psi
         worst_norm = max(
-            worst_norm, abs(np.vdot(psi, g.blocks[i] @ psi).real - ref) / max(1.0, abs(ref))
+            worst_norm, abs(np.vdot(psi, g[i] @ psi).real - ref) / max(1.0, abs(ref))
         )
     ok = worst_tr <= 1e-9 and worst_exp <= 1e-9 and action <= 1e-10 and worst_norm <= 1e-9
     _report(

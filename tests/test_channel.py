@@ -16,7 +16,6 @@ from channel_reference import (
 )
 from loop_reference import hamiltonian_blocks, herm_sqrt, metric_transport, walk_block, walk_blocks
 from ptwalk import (
-    BlockOperator,
     LightConeViolation,
     MetricSpec,
     WalkParams,
@@ -90,7 +89,7 @@ def dense_reduced_state(p, spec, rho0, t):
         @ lift(gain_loss(p.gamma))
         @ lift(coin(p.theta1 / 2))
     )
-    blocks = _metric_frame(p, spec)[0].blocks
+    blocks = _metric_frame(p, spec)[0]
     g_momentum = np.zeros((2 * size, 2 * size), dtype=complex)
     for i in range(size):
         g_momentum[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blocks[i]
@@ -109,13 +108,13 @@ def dense_reduced_state(p, spec, rho0, t):
 
 def test_build_trivial_metric_preserves_walk():
     p = params(0.0)
-    ew = build_euclidean_walk(p, FLAT)
-    for k, b in zip(ew.metric.points, rotation_blocks(ew)):
+    ew = build_euclidean_walk(p, FLAT)[0]
+    for k, b in zip(momentum_grid(p.lattice_size), rotation_blocks(ew)):
         assert np.abs(b - walk_block(k, p)).max() < 1e-13
 
 
 def test_build_unitarity_nonhermitian():
-    ew = build_euclidean_walk(params(math.log(1.2), 101), MetricSpec(kind="random_xy", seed=11))
+    ew = build_euclidean_walk(params(math.log(1.2), 101), MetricSpec(kind="random_xy", seed=11))[0]
     assert ew.pseudo_hermiticity_residual <= 1e-9
 
 
@@ -124,18 +123,18 @@ def test_build_transport_conjugates_unitaries():
 
     p = params(math.log(1.2))
     spec_b = MetricSpec(kind="random_xy", seed=4)
-    ew_a = build_euclidean_walk(p, FLAT)
-    ew_b = build_euclidean_walk(p, spec_b)
-    tr = metric_transport(ew_a.metric, ew_b.metric, hamiltonian_blocks(p))
-    w_a, w_b = loop_reference.frame_blocks(ew_a), rotation_blocks(ew_b)
-    for i in range(len(ew_a.metric)):
-        u = tr.u.blocks[i]
+    _, g_a = build_euclidean_walk(p, FLAT)
+    ew_b, g_b = build_euclidean_walk(p, spec_b)
+    tr = metric_transport(g_a, g_b, hamiltonian_blocks(p))
+    w_a, w_b = loop_reference.frame_blocks(p, FLAT), rotation_blocks(ew_b)
+    for i in range(len(g_a)):
+        u = tr.u[i]
         expected = u @ w_a[i] @ u.conj().T
         assert np.abs(w_b[i] - expected).max() < 1e-9
 
 
 def test_reduced_state_t0_and_validation():
-    ew = build_euclidean_walk(params(0.1), FLAT)
+    ew = build_euclidean_walk(params(0.1), FLAT)[0]
     rho0 = bloch_state((0.3, -0.2, 0.4))
     assert np.abs(reduced_coin_state(ew, rho0, 0) - rho0).max() < 1e-14
     with pytest.raises(ValueError):
@@ -150,7 +149,7 @@ def test_reduced_state_matches_dense_oracle():
     for gamma in (0.0, 0.1, 0.18):
         for spec in (FLAT, MetricSpec(kind="random_xy", seed=13)):
             p = params(gamma)
-            ew = build_euclidean_walk(p, spec)
+            ew = build_euclidean_walk(p, spec)[0]
             for t in (1, 4, 10):
                 fast = reduced_coin_state(ew, rho0, t)
                 slow = dense_reduced_state(p, spec, rho0, t)
@@ -158,7 +157,7 @@ def test_reduced_state_matches_dense_oracle():
 
 
 def test_reduced_state_stays_physical():
-    ew = build_euclidean_walk(params(math.log(1.3), 101), MetricSpec(kind="random_xy", seed=2))
+    ew = build_euclidean_walk(params(math.log(1.3), 101), MetricSpec(kind="random_xy", seed=2))[0]
     for state in coin_states(ew, (0, 1, 0), 50):
         assert abs(np.trace(state).real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(state).min() > -1e-10
@@ -168,21 +167,21 @@ def test_trivial_coin_freezes_populations():
     # zero coin angles make every momentum block diagonal, so populations
     # never move even though phases do
     p = WalkParams(0.0, 0.0, 0.0, 21)
-    ew = build_euclidean_walk(p, FLAT)
+    ew = build_euclidean_walk(p, FLAT)[0]
     rho0 = bloch_state((0.6, 0.0, 0.5))
     for state in coin_states(ew, (0.6, 0.0, 0.5), 8):
         assert np.abs(np.diag(state) - np.diag(rho0)).max() < 1e-12
 
 
 def test_channel_matrix_identity_at_t0():
-    ew = build_euclidean_walk(params(0.1), FLAT)
+    ew = build_euclidean_walk(params(0.1), FLAT)[0]
     cm = channel_matrix(ew, 0)
     assert np.abs(cm.matrix - np.eye(4)).max() < 1e-14
 
 
 def test_channel_matrix_reproduces_reduced_state():
     rng = np.random.default_rng(41)
-    ew = build_euclidean_walk(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=6))
+    ew = build_euclidean_walk(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=6))[0]
     rho0 = random_state(rng)
     for t in (1, 3, 7):
         cm = channel_matrix(ew, t)
@@ -194,7 +193,7 @@ def test_channel_matrix_reproduces_reduced_state():
 def test_channel_matrix_single_step_kraus_sum():
     # vectorization oracle: one unitary step is (1/L) sum_k W (x) conj(W)
     p = params(0.0, 101)
-    ew = build_euclidean_walk(p, FLAT)
+    ew = build_euclidean_walk(p, FLAT)[0]
     cm = channel_matrix(ew, 1)
     expected = np.zeros((4, 4), dtype=complex)
     for k in momentum_grid(101):
@@ -206,7 +205,7 @@ def test_channel_matrix_single_step_kraus_sum():
 
 def test_channel_matrix_trace_preserving_rows():
     # tr(map(rho)) = tr(rho) pins row 0 + row 3 of L(t, 0) to (1, 0, 0, 1)
-    ew = build_euclidean_walk(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=6))
+    ew = build_euclidean_walk(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=6))[0]
     for t in (1, 5, 10):
         cm = channel_matrix(ew, t)
         rows = cm.matrix[0] + cm.matrix[3]
@@ -215,7 +214,7 @@ def test_channel_matrix_trace_preserving_rows():
 
 def test_channel_matrix_is_linear():
     rng = np.random.default_rng(42)
-    ew = build_euclidean_walk(params(0.15), FLAT)
+    ew = build_euclidean_walk(params(0.15), FLAT)[0]
     cm = channel_matrix(ew, 5)
     a, b = random_state(rng), random_state(rng)
     lhs = cm.matrix @ vec(0.3 * a + 0.7 * b)
@@ -224,7 +223,7 @@ def test_channel_matrix_is_linear():
 
 
 def test_channel_series_matches_single_calls():
-    ew = build_euclidean_walk(params(0.1), MetricSpec(kind="random_xy", seed=1))
+    ew = build_euclidean_walk(params(0.1), MetricSpec(kind="random_xy", seed=1))[0]
     series = channel_matrix_series(ew, 6)
     assert len(series) == 7
     for t in (0, 2, 6):
@@ -232,7 +231,7 @@ def test_channel_series_matches_single_calls():
 
 
 def test_intermediate_map_t0_is_one_step():
-    ew = build_euclidean_walk(params(0.1), FLAT)
+    ew = build_euclidean_walk(params(0.1), FLAT)[0]
     one = channel_matrix(ew, 1)
     inter = intermediate_map(ew, 0)
     assert np.abs(inter.matrix - one.matrix).max() < 1e-12
@@ -240,7 +239,7 @@ def test_intermediate_map_t0_is_one_step():
 
 
 def test_intermediate_map_composes_back():
-    ew = build_euclidean_walk(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=3))
+    ew = build_euclidean_walk(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=3))[0]
     series = channel_matrix_series(ew, 9)
     for t in (2, 5, 8):
         inter = intermediate_map(ew, t)
@@ -250,8 +249,8 @@ def test_intermediate_map_composes_back():
 
 def test_intermediate_map_metric_invariant_in_hermitian_limit():
     p = params(0.0, 101)
-    ew1 = build_euclidean_walk(p, FLAT)
-    ew2 = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=23))
+    ew1 = build_euclidean_walk(p, FLAT)[0]
+    ew2 = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=23))[0]
     for t in (1, 4):
         a = intermediate_map(ew1, t)
         b = intermediate_map(ew2, t)
@@ -293,7 +292,7 @@ def test_channel_json_roundtrip():
     # the reduced map is carried by its Bloch matrix M(t), which JSON keeps exactly
     import json
 
-    ew = build_euclidean_walk(params(0.1), FLAT)
+    ew = build_euclidean_walk(params(0.1), FLAT)[0]
     bloch = bloch_matrix_series([ew], 3)[0]
     back = np.array(json.loads(json.dumps({"t": 3, "bloch": bloch[3].tolist()}))["bloch"])
     assert np.abs(back - bloch[3]).max() == 0.0
@@ -303,7 +302,7 @@ def test_channel_json_roundtrip():
 def test_trajectory_csv(tmp_path):
     # the coin trajectory reaches disk through the entanglement series, whose
     # S column must read back exactly
-    ew = build_euclidean_walk(params(0.1), FLAT)
+    ew = build_euclidean_walk(params(0.1), FLAT)[0]
     series = entanglement_series(bloch_matrix_series([ew], 4)[0], (0, 1, 0))
     path = tmp_path / "traj.csv"
     series.write_csv(path)
@@ -321,16 +320,19 @@ def test_trajectory_csv(tmp_path):
     params=[(0.0, "G1"), (0.0, "rxy"), (math.log(1.3), "G1"), (math.log(1.3), "rxy")],
 )
 def long_walk(request):
+    """(params, spec, walk) of the default walk at L = 1201."""
     gamma, kind = request.param
     spec = FLAT if kind == "G1" else MetricSpec(kind="random_xy", seed=11)
-    return build_euclidean_walk(WalkParams(T1, T2, gamma, 1201), spec)
+    p = WalkParams(T1, T2, gamma, 1201)
+    return p, spec, build_euclidean_walk(p, spec)[0]
 
 
 def test_closed_form_channels_match_block_powers(long_walk):
     import loop_reference
 
-    fast = channel_matrix_series(long_walk, 600)
-    slow = loop_reference.channel_matrix_series(long_walk, 600)
+    p, spec, ew = long_walk
+    fast = channel_matrix_series(ew, 600)
+    slow = loop_reference.channel_matrix_series(p, spec, 600)
     assert [c.t_to for c in fast] == [c.t_to for c in slow]
     assert max(np.abs(a.matrix - b.matrix).max() for a, b in zip(fast, slow)) <= 1e-12
 
@@ -338,9 +340,10 @@ def test_closed_form_channels_match_block_powers(long_walk):
 def test_closed_form_coin_states_match_block_powers(long_walk):
     import loop_reference
 
+    p, spec, ew = long_walk
     rho0 = bloch_state((0.0, 1.0, 0.0))
-    fast = coin_states(long_walk, (0.0, 1.0, 0.0), 600)
-    slow = loop_reference.coin_trajectory(long_walk, rho0, 600)
+    fast = coin_states(ew, (0.0, 1.0, 0.0), 600)
+    slow = loop_reference.coin_trajectory(p, spec, rho0, 600)
     assert fast.shape == slow.shape == (601, 2, 2)
     assert np.abs(fast - slow).max() <= 1e-12
 
@@ -355,9 +358,10 @@ def test_phase_stepped_bloch_matrices_match_direct_oracle(gamma_factor, spec):
     import loop_reference
     from ptwalk.channel import BLOCK_ELEMENTS
 
-    ew = build_euclidean_walk(WalkParams(T1, T2, math.log(gamma_factor), 1201), spec)
+    p = WalkParams(T1, T2, math.log(gamma_factor), 1201)
+    ew = build_euclidean_walk(p, spec)[0]
     fast = bloch_matrix_series([ew], 600)[0]
-    slow = loop_reference.bloch_matrices_direct(ew, np.arange(601))
+    slow = loop_reference.bloch_matrices_direct(p, spec, np.arange(601))
     assert np.abs(fast - slow).max() <= 1e-13
     chunk = BLOCK_ELEMENTS // 601  # the first block: 601 = (1201 + 1)/2 folded momenta
     assert np.array_equal(fast[:chunk], loop_reference.bloch_matrices_five_sums(ew, np.arange(chunk)))
@@ -366,7 +370,7 @@ def test_phase_stepped_bloch_matrices_match_direct_oracle(gamma_factor, spec):
 def test_bloch_matrices_do_not_depend_on_block_size(monkeypatch):
     import ptwalk.channel
 
-    ew = build_euclidean_walk(WalkParams(T1, T2, math.log(1.3), 1201), MetricSpec(kind="random_xy", seed=11))
+    ew = build_euclidean_walk(WalkParams(T1, T2, math.log(1.3), 1201), MetricSpec(kind="random_xy", seed=11))[0]
     chunk = ptwalk.channel.BLOCK_ELEMENTS // 601  # 601 = (1201 + 1)/2 folded momenta
     base = bloch_matrix_series([ew], 600)[0]
     # every block start, the rows next to it and the last row, where the
@@ -387,7 +391,7 @@ def test_bloch_matrix_series_does_not_depend_on_the_other_walks(size, t_max):
     # for bit, which keeps CSVs byte-identical however a run deals its pairs
     p = WalkParams(T1, T2, math.log(1.3), size)
     specs = (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23))
-    walks = [build_euclidean_walk(p, spec) for spec in specs]
+    walks = [build_euclidean_walk(p, spec)[0] for spec in specs]
     together = bloch_matrix_series(walks, t_max)
     assert together.shape == (3, t_max + 1, 3, 3)
     for i, ew in enumerate(walks):
@@ -396,10 +400,10 @@ def test_bloch_matrix_series_does_not_depend_on_the_other_walks(size, t_max):
 
 
 def test_bloch_matrix_series_needs_walks_of_one_angle_set():
-    flat = build_euclidean_walk(params(math.log(1.2)), FLAT)
+    flat = build_euclidean_walk(params(math.log(1.2)), FLAT)[0]
     for other in (
-        build_euclidean_walk(params(math.log(1.3)), FLAT),
-        build_euclidean_walk(params(math.log(1.2), 23), FLAT),
+        build_euclidean_walk(params(math.log(1.3)), FLAT)[0],
+        build_euclidean_walk(params(math.log(1.2), 23), FLAT)[0],
     ):
         with pytest.raises(ValueError, match="angles"):
             bloch_matrix_series([flat, other], 5)
@@ -413,14 +417,14 @@ def test_bloch_matrix_series_needs_walks_of_one_angle_set():
     [
         FLAT,
         MetricSpec(kind="random_xy", seed=11),
-        MetricSpec(kind="explicit", x=tuple(np.linspace(0.5, 2.0, 1201)), y=tuple(np.linspace(3.0, 0.2, 1201))),
+        MetricSpec(kind="explicit", y=tuple(np.linspace(3.0, 0.2, 1201))),
     ],
 )
 def test_euclidean_walk_angles_are_symmetric_in_k(gamma_factor, spec):
     # eps depends on k through cos 2k alone and the grid is exactly
     # antisymmetric, so eps_{L-n} = eps_n bitwise, also at (1 - 1e-9) gamma_pt
     gamma = (1 - 1e-9) * gamma_pt(T1, T2) if gamma_factor == "near_ep" else math.log(gamma_factor)
-    eps = build_euclidean_walk(params(gamma, 1201), spec).eps
+    eps = build_euclidean_walk(params(gamma, 1201), spec)[0].eps
     assert np.array_equal(eps[1:], eps[:0:-1])
 
 
@@ -428,7 +432,7 @@ def test_bloch_matrix_series_refuses_asymmetric_angles():
     # the pass sums each +-k pair once, which is exact only for eps_{L-n} = eps_n
     import dataclasses
 
-    ew = build_euclidean_walk(params(math.log(1.2), 41), FLAT)
+    ew = build_euclidean_walk(params(math.log(1.2), 41), FLAT)[0]
     eps = ew.eps.copy()
     eps[3] = np.nextafter(eps[3], 4.0)
     with pytest.raises(ValueError, match="k and -k"):
@@ -444,7 +448,7 @@ def test_walks_with_equal_axes_share_one_pass(gamma_factor, monkeypatch):
 
     p = params(math.log(gamma_factor), 1201)
     specs = (FLAT, MetricSpec(kind="random_xy", seed=11), FLAT, MetricSpec(kind="random_xy", seed=23))
-    walks = [build_euclidean_walk(p, spec) for spec in specs]
+    walks = [build_euclidean_walk(p, spec)[0] for spec in specs]
     alone = [bloch_matrix_series([ew], 600)[0] for ew in walks]
     passed = []
     sums = ptwalk.channel._bloch_sums
@@ -492,7 +496,8 @@ def test_choi_trace_norms_match_the_singular_vector_sign():
 
 def test_bloch_matrix_series_rotation_average():
     # M(t) maps Bloch vectors exactly like conjugating with the block powers
-    ew = build_euclidean_walk(params(math.log(1.2), 41), MetricSpec(kind="random_xy", seed=9))
+    p, spec = params(math.log(1.2), 41), MetricSpec(kind="random_xy", seed=9)
+    ew = build_euclidean_walk(p, spec)[0]
     bloch = bloch_matrix_series([ew], 20)[0]
     assert bloch.shape == (21, 3, 3)
     assert np.array_equal(bloch[0], np.eye(3))
@@ -501,7 +506,7 @@ def test_bloch_matrix_series_rotation_average():
     for t in (1, 7, 20):
         r = bloch[t] @ np.array([2 * rho0[1, 0].real, 2 * rho0[1, 0].imag, (rho0[0, 0] - rho0[1, 1]).real])
         assert np.abs(bloch_state(r) - reduced_coin_state(ew, rho0, t)).max() <= 1e-15
-        assert np.abs(bloch_state(r) - dense_reduced_state(ew.params, ew.spec, rho0, t)).max() < 1e-9
+        assert np.abs(bloch_state(r) - dense_reduced_state(p, spec, rho0, t)).max() < 1e-9
 
 
 @pytest.mark.parametrize("theta1, theta2", [(0.6, -0.6), (math.pi / 2, math.pi / 2)])
@@ -513,14 +518,14 @@ def test_identity_rotation_where_sin_eps_vanishes(theta1, theta2):
 
     p = WalkParams(theta1, theta2, 0.0, 21)
     assert np.abs(spectral_a(momentum_grid(21), p)).max() >= 1.0 - UNBROKEN_MARGIN
-    ew = build_euclidean_walk(p, FLAT)
+    ew = build_euclidean_walk(p, FLAT)[0]
     rng = np.random.default_rng(45)
     rho0 = random_state(rng)
     for t in (1, 5, 10):
         slow = dense_reduced_state(p, FLAT, rho0, t)
         assert np.abs(reduced_coin_state(ew, rho0, t) - slow).max() < 1e-9
     fast = channel_matrix_series(ew, 10)
-    loops = loop_reference.channel_matrix_series(ew, 10)
+    loops = loop_reference.channel_matrix_series(p, FLAT, 10)
     assert max(np.abs(a.matrix - b.matrix).max() for a, b in zip(fast, loops)) <= 1e-13
 
 
@@ -532,7 +537,6 @@ def test_identity_rotation_where_sin_eps_vanishes(theta1, theta2):
 ARC_ENDS = MetricSpec(
     kind="explicit",
     name="arc_ends",
-    x=(1.0,) * 1201,
     y=tuple(np.geomspace(1e-6, 1e6, 1201)[np.random.default_rng(47).permutation(1201)].tolist()),
 )
 
@@ -543,9 +547,9 @@ def test_batched_builders_match_per_k_loops(gamma, spec):
     import loop_reference
 
     p = params(gamma, 1201)
-    ew = build_euclidean_walk(p, spec)
+    ew, g = build_euclidean_walk(p, spec)
     if not (gamma == 0.0 and spec.kind == "g1_flat"):
-        assert np.abs(ew.metric.blocks - loop_reference.metric_blocks(p, spec)).max() <= 1e-13
+        assert np.abs(g - loop_reference.metric_blocks(p, spec)).max() <= 1e-13
     # the axes read from the arc against R = eta S eta^-1 on the root's route,
     # whose entries (0, 0) and (0, 1) are n_z sin(eps) and n_x sin(eps); in
     # extended precision, since a float64 eta^-1 is off by up to 3e-13 at the
@@ -554,9 +558,9 @@ def test_batched_builders_match_per_k_loops(gamma, spec):
     r = r.astype(float)
     assert np.abs(ew.n_z * np.sin(ew.eps) - r[:, 0, 0]).max() <= 1e-13
     assert np.abs(ew.n_x * np.sin(ew.eps) - r[:, 0, 1]).max() <= 1e-13
-    w_etas = spectral_a(ew.metric.points, p)[:, None, None] * np.eye(2) - 1j * r
+    w_etas = spectral_a(momentum_grid(1201), p)[:, None, None] * np.eye(2) - 1j * r
     assert np.abs(rotation_blocks(ew) - w_etas).max() <= 1e-13
-    residual = loop_reference.pseudo_hermiticity_residual(ew.metric.blocks, loop_reference.walk_blocks(p))
+    residual = loop_reference.pseudo_hermiticity_residual(g, loop_reference.walk_blocks(p))
     assert abs(ew.pseudo_hermiticity_residual - residual) <= 1e-13
 
 
@@ -580,22 +584,22 @@ def test_batched_builders_report_first_offending_index():
     q = params(math.log(1.2))
     ys = [1.0] * 21
     ys[3] = ys[9] = -0.5
-    spec = MetricSpec(kind="explicit", x=(1.0,) * 21, y=tuple(ys))
+    spec = MetricSpec(kind="explicit", y=tuple(ys))
     with pytest.raises(NotPositive) as batched:
-        build_euclidean_walk(q, spec)
+        build_euclidean_walk(q, spec)[0]
     with pytest.raises(NotPositive) as looped:
-        loop_reference.unitary_frame(_metric_frame(q, spec)[0].blocks, walk_blocks(q))
+        loop_reference.unitary_frame(_metric_frame(q, spec)[0], walk_blocks(q))
     assert str(batched.value) == str(looped.value) == "metric block 3 not positive definite"
 
 
 def test_euclidean_walk_health_fields():
     p = params(math.log(1.3), 101)
-    ew = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=11))
+    ew, g = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=11))
     a = spectral_a(momentum_grid(101), p)
     assert ew.ep_gap == pytest.approx(float((1 - np.abs(a)).min()), abs=1e-15)
-    conds = [np.linalg.cond(b) for b in ew.metric.blocks]
+    conds = [np.linalg.cond(b) for b in g]
     assert ew.metric_condition_max == pytest.approx(max(conds), rel=1e-9)
-    flat = build_euclidean_walk(params(0.0), FLAT)
+    flat = build_euclidean_walk(params(0.0), FLAT)[0]
     assert flat.metric_condition_max == 1.0
 
 
@@ -608,12 +612,12 @@ def test_unitary_frame_near_exceptional_point(fraction, spec):
     import loop_reference
 
     p = params(fraction * gamma_pt(T1, T2), 101)
-    ew = build_euclidean_walk(p, spec)
+    ew, g = build_euclidean_walk(p, spec)
     assert ew.pseudo_hermiticity_residual <= 1e-14
-    oracle = loop_reference.bloch_matrices_extended(ew, np.arange(51))
+    oracle = loop_reference.bloch_matrices_extended(p, spec, ew.eps, np.arange(51))
     gap = np.abs(bloch_matrix_series([ew], 50)[0] - oracle).max()
     assert gap <= 1e-14
-    w = np.linalg.eigvalsh(ew.metric.blocks)
+    w = np.linalg.eigvalsh(g)
     cond = float((w[:, 1] / w[:, 0]).max())
     assert abs(ew.metric_condition_max - cond) <= (1e-9 if cond <= 1e6 else 1e-6) * cond
 
@@ -636,7 +640,7 @@ def test_bloch_yy_is_metric_free(size, t_max):
     # every axis lies in the x-z plane, so M_yy(t) = (1/L) sum_k cos(2 t eps_k)
     p = params(math.log(1.3), size)
     specs = (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23))
-    flat, *others = bloch_matrix_series([build_euclidean_walk(p, spec) for spec in specs], t_max)[:, :, 1, 1]
+    flat, *others = bloch_matrix_series([build_euclidean_walk(p, spec)[0] for spec in specs], t_max)[:, :, 1, 1]
     assert all(np.array_equal(m, flat) for m in others)
     eps = np.arccos(spectral_a(momentum_grid(size), p))
     assert np.abs(flat - np.cos(2.0 * np.multiply.outer(np.arange(t_max + 1), eps)).mean(axis=1)).max() <= 1e-14
@@ -649,13 +653,13 @@ def test_pseudo_hermiticity_residual_flags_an_incompatible_metric(monkeypatch):
     import ptwalk.channel
 
     p = params(math.log(1.2), 101)
-    assert build_euclidean_walk(p, FLAT).pseudo_hermiticity_residual <= 1e-14
-    g, *frame = ptwalk.channel._metric_frame(p, FLAT)
+    assert build_euclidean_walk(p, FLAT)[0].pseudo_hermiticity_residual <= 1e-14
+    _, *frame = ptwalk.channel._metric_frame(p, FLAT)
     m = np.random.default_rng(46).normal(size=(101, 2, 2))
     spd = m @ m.swapaxes(1, 2) + 0.1 * np.eye(2)
     spd /= np.trace(spd, axis1=1, axis2=2)[:, None, None]
-    monkeypatch.setattr(ptwalk.channel, "_metric_frame", lambda *_: (BlockOperator(g.points, spd), *frame))
-    residual = build_euclidean_walk(p, FLAT).pseudo_hermiticity_residual
+    monkeypatch.setattr(ptwalk.channel, "_metric_frame", lambda *_: (spd, *frame))
+    residual = build_euclidean_walk(p, FLAT)[0].pseudo_hermiticity_residual
     assert residual > 1e-3
     assert residual == pytest.approx(loop_reference.pseudo_hermiticity_residual(spd, walk_blocks(p)), rel=1e-12)
 
@@ -667,7 +671,7 @@ def test_flat_metric_reduced_map_converges_in_lattice_size(gamma_factor):
     # point, white noise in k, so its metrics at different L are different
     # metrics and M(t) keeps moving with L.
     def series(spec, size):
-        return bloch_matrix_series([build_euclidean_walk(params(math.log(gamma_factor), size), spec)], 20)[0]
+        return bloch_matrix_series([build_euclidean_walk(params(math.log(gamma_factor), size), spec)[0]], 20)[0]
 
     for spec, converged in ((FLAT, True), (MetricSpec(kind="random_xy", seed=11), False)):
         reference = series(spec, 801)

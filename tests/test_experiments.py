@@ -79,8 +79,8 @@ def test_config_validation_messages():
         ("t_max", 5.5),
         ("gamma_factors", [1.2, 1.2000001]),
         ("metrics", [{"kind": "random_xy", "seed": 1, "low": -1.0, "high": 2.0}]),
-        ("metrics", [{"kind": "explicit", "x": [1.0] * 21, "y": [-1.0] * 21}]),
-        ("metrics", [{"kind": "explicit", "x": [1.0] * 5, "y": [1.0] * 5}]),
+        ("metrics", [{"kind": "explicit", "y": [-1.0] * 21}]),
+        ("metrics", [{"kind": "explicit", "y": [1.0] * 5}]),
         ("toy", {"dt": 0.0}),
         ("toy", {"dt": -0.1}),
         ("toy", {"t_max": -1.0}),
@@ -101,6 +101,8 @@ def test_config_validation_messages():
         ("metrics", [{"kind": "g1_flat", "name": "a/b"}]),
         # the search's seed is the run's master_seed; a schedule holds none
         ("anneal", {"seed": 7}),
+        # a valid explicit metric but for its x weight, which no longer exists
+        ("metrics", [{"kind": "explicit", "x": [1.0] * 21, "y": [1.0] * 21}]),
     ],
 )
 def test_invalid_config_exits_2_before_writing(tmp_path, field, value):
@@ -148,7 +150,7 @@ def test_config_json_roundtrip_is_exact():
         metrics=(
             MetricSpec(kind="g1_flat", name="G1"),
             MetricSpec(kind="random_xy", seed=11, low=0.5, high=1.5),
-            MetricSpec(kind="explicit", x=tuple(np.linspace(0.3, 2.0, 21)), y=(1.0,) * 21, name="E"),
+            MetricSpec(kind="explicit", y=tuple(np.linspace(0.3, 2.0, 21)), name="E"),
         ),
         toy=custom_toy(),
     )
@@ -293,9 +295,9 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
 
 
 def test_run_parallel_cells_match_sequential(tmp_path, monkeypatch):
-    # The 4 (gamma, metric) pairs go into 2 even groups or 3 uneven ones, so a
-    # gamma's M(t) pass holds one or both of its metrics; every artifact must
-    # match the one-group run, the summaries apart from runtime_s. With 33
+    # The 2 gammas go into 2 groups at 2 and at 3 workers, each with both its
+    # metrics; every artifact must match the one-group run, whose pass holds
+    # both gammas, the summaries apart from runtime_s. With 33
     # elements at L = 21, folded onto 11 +-k pairs, a block holds 3 of the 9
     # steps, so the pass steps from the block starts t = 0, 3 and 6. Worker
     # processes are forked, so they see the patched constant.
@@ -352,13 +354,29 @@ def _default_grid(out_dir) -> ExperimentConfig:
 
 def test_run_measures_each_distinct_bloch_once(tmp_path, monkeypatch):
     # at e^gamma = 1 the three metrics give one M(t), so of the 9 pairs 7
-    # reach the search, and each series function runs 7 times
+    # reach the search, and each series function runs 7 times, at any worker
+    # count: run deals whole gammas to its groups (1 and 1.3 apart from 1.2
+    # at 2 workers, one each at 3). The groups run on threads of this process
+    # here, so that the patched measures see every group's calls.
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
     seen = _record_measures(monkeypatch)
-    run(_default_grid(tmp_path), threads=1)
-    assert [len(blochs) for blochs in seen["blp"]] == [7]
-    assert len(seen["rhp"]) == len(seen["entanglement"]) == 7
-    for study, blochs in (("blp", seen["blp"][0]), ("rhp", seen["rhp"]), ("entanglement", seen["entanglement"])):
-        assert len({b.tobytes() for b in blochs}) == 7, study
+    for threads, searched in ((1, [7]), (2, [3, 4]), (3, [1, 3, 3])):
+        for calls in seen.values():
+            calls.clear()
+        run(_default_grid(tmp_path / str(threads)), threads=threads)
+        assert sorted(len(blochs) for blochs in seen["blp"]) == searched, threads
+        assert len(seen["rhp"]) == len(seen["entanglement"]) == 7, threads
+        blp = [b for blochs in seen["blp"] for b in blochs]
+        for study, blochs in (("blp", blp), ("rhp", seen["rhp"]), ("entanglement", seen["entanglement"])):
+            assert len({b.tobytes() for b in blochs}) == 7, (study, threads)
+    # 2 and 3 groups write the bytes of the one-group run
+    names = sorted(path.name for path in (tmp_path / "1").glob("*.csv"))
+    for threads in (2, 3):
+        assert sorted(path.name for path in (tmp_path / str(threads)).glob("*.csv")) == names
+        for name in names:
+            assert (tmp_path / str(threads) / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
 
 
 def test_cells_with_one_bloch_share_their_series(tmp_path):
@@ -403,12 +421,13 @@ def test_a_one_ulp_change_breaks_the_sharing(tmp_path, monkeypatch):
     assert len(seen["rhp"]) == len(seen["entanglement"]) == 8
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
     # the pairs of a group share one formatted momentum column; every audit
     # CSV must still be the value-by-value export of its own pair's metric
     import loop_reference
     from ptwalk.metric import _metric_frame
+    from ptwalk.walk import momentum_grid
 
     cfg = tiny_config(tmp_path, study="rhp")
     out = tmp_path / "out"
@@ -419,7 +438,8 @@ def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
             name = f"metric__eg{factor:g}__{spec.label}.csv"
             want = tmp_path / name
             comment = f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}"
-            loop_reference.write_metric_csv(_metric_frame(cfg.walk_params(factor), spec)[0], want, comment)
+            g = _metric_frame(cfg.walk_params(factor), spec)[0]
+            loop_reference.write_metric_csv(momentum_grid(cfg.lattice_size), g, want, comment)
             assert (out / name).read_bytes() == want.read_bytes(), name
 
 
@@ -445,7 +465,7 @@ def test_public_api_is_pinned():
 
     names = {n for n in dir(ptwalk) if not n.startswith("_") and not isinstance(getattr(ptwalk, n), types.ModuleType)}
     assert names == {
-        "AnnealSchedule", "BlockOperator", "BrokenRegime", "ConfigInvalid",
+        "AnnealSchedule", "BrokenRegime", "ConfigInvalid",
         "DegenerateAtK", "DegeneratePairing", "EuclideanWalk", "ExperimentConfig",
         "LightConeViolation", "MeasureSeries", "MetricSpec",
         "MissingArtifacts", "NoBreaking", "NotPositive", "PTWalkError", "ShapeMismatch",
@@ -610,6 +630,26 @@ def test_manifest_and_report_ignore_files_of_an_earlier_run(tmp_path):
     text, results = report(out)
     assert set(results["studies"]) == {"entanglement"}
     assert "rhp" not in text
+
+
+def test_a_metric_holding_the_dropped_x_weight_is_refused(tmp_path):
+    # G = r+ r+^T + y r- r-^T takes one weight; configs and manifests that
+    # still hold the x weight, which only explicit metrics wrote, are refused
+    # by the codec, which names the metric and the key
+    data = {"metrics": [{"kind": "g1_flat"}, {"kind": "explicit", "x": [1.0] * 21, "y": [1.0] * 21}]}
+    with pytest.raises(ConfigInvalid) as err:
+        ExperimentConfig.from_dict(data)
+    assert err.value.errors == [("config.metrics[1]", "unknown fields ['x']")]
+    out = tmp_path / "out"
+    explicit = MetricSpec(kind="explicit", y=tuple(np.linspace(0.5, 2.0, 21)), name="E")
+    run(dataclasses.replace(tiny_config(out, study="rhp"), metrics=(MetricSpec(kind="g1_flat", name="G1"), explicit)))
+    report(out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["metrics"][1]["x"] = [1.0] * 21
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigInvalid) as err:
+        report(out)
+    assert err.value.errors == [("config.metrics[1]", "unknown fields ['x']")]
 
 
 def test_report_missing_artifacts(tmp_path):

@@ -33,7 +33,7 @@ PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1,
 
 def walk(gamma_factor=1.0, spec=FLAT, size=101):
     p = WalkParams(T1, T2, math.log(gamma_factor), size)
-    return build_euclidean_walk(p, spec)
+    return build_euclidean_walk(p, spec)[0]
 
 
 def bloch(gamma_factor=1.0, spec=FLAT, t_max=50, size=101):
@@ -258,7 +258,7 @@ def test_maximize_blp_many_is_batch_invariant():
     cfg = ExperimentConfig()
     schedule, seed = cfg.anneal, cfg.master_seed
     walks = [
-        build_euclidean_walk(cfg.walk_params(factor), spec)
+        build_euclidean_walk(cfg.walk_params(factor), spec)[0]
         for factor in cfg.gamma_factors
         for spec in cfg.metrics
     ]
@@ -289,7 +289,7 @@ def test_bloch_matrices_reproduce_distance_series():
     rng = np.random.default_rng(52)
     for factor, spec in ((1.0, FLAT), (1.3, MetricSpec(kind="random_xy", seed=11))):
         ew = walk(factor, spec, size=61)
-        stack = _series_stack(channel_matrix_series(ew, 30))
+        stack = _series_stack(channel_matrix_series(WalkParams(T1, T2, math.log(factor), 61), spec, 30))
         bloch = bloch_matrix_series([ew], 30)[0]
         assert bloch.shape == (31, 3, 3)
         assert np.allclose(bloch[0], np.eye(3), atol=1e-15)
@@ -413,7 +413,7 @@ def test_bloch_path_matches_oracles_property(theta1, theta2, fraction, seed):
     assume(is_unbroken(p))
     r0 = (0.0, 1.0, 0.0)
     for spec in (FLAT, MetricSpec(kind="random_xy", seed=seed)):
-        ew = build_euclidean_walk(p, spec)
+        ew = build_euclidean_walk(p, spec)[0]
         m = bloch_matrix_series([ew], 50)[0]
         _assert_rhp_matches_oracle(rhp_series(m), _oracle_rhp(ew, 50))
         expected = [von_neumann_entropy(state) for state in coin_states(ew, r0, 50)]

@@ -139,7 +139,7 @@ def test_left_eigvecs_degenerate_at_exceptional_momentum():
 
 def test_build_metric_flat_hermitian_limit_is_maximally_mixed():
     g = _metric_frame(params(0.0), MetricSpec(kind="g1_flat"))[0]
-    for b in g.blocks:
+    for b in g:
         assert np.abs(b - np.eye(2) / 2).max() < 1e-12
 
 
@@ -148,12 +148,12 @@ def test_build_metric_blocks_valid_and_pseudo_hermitian():
     h = hamiltonian_blocks(p)
     for spec in (MetricSpec(kind="g1_flat"), MetricSpec(kind="random_xy", seed=7)):
         g = _metric_frame(p, spec)[0]
-        for gb, hb in zip(g.blocks, h):
+        for gb, hb in zip(g, h):
             assert np.abs(gb - gb.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(gb).min() > 0
             assert abs(np.trace(gb).real - 1.0) < 1e-12
             assert np.linalg.norm(hb.conj().T @ gb - gb @ hb) <= 1e-9
-        assert any(np.abs(gb - np.eye(2) / 2).max() > 1e-3 for gb in g.blocks)
+        assert any(np.abs(gb - np.eye(2) / 2).max() > 1e-3 for gb in g)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -171,14 +171,14 @@ def test_metric_pseudo_hermitian_and_hermitian_limit_metric_blind_property(theta
     p = WalkParams(theta1, theta2, fraction * gamma_pt(theta1, theta2), 101)
     assume(is_unbroken(p))
     h = hamiltonian_blocks(p)
-    g = _metric_frame(p, MetricSpec(kind="random_xy", seed=seed))[0].blocks
+    g = _metric_frame(p, MetricSpec(kind="random_xy", seed=seed))[0]
     residual = np.linalg.norm(h.conj().swapaxes(1, 2) @ g - g @ h, axis=(1, 2))
     scale = np.linalg.norm(h, axis=(1, 2)) * np.linalg.norm(g, axis=(1, 2))
     assert (residual / scale).max() <= 1e-10
     unitary = WalkParams(theta1, theta2, 0.0, 101)
     assume(is_unbroken(unitary))
     flat, *others = (
-        bloch_matrix_series([build_euclidean_walk(unitary, spec)], 50)[0]
+        bloch_matrix_series([build_euclidean_walk(unitary, spec)[0]], 50)[0]
         for spec in (
             MetricSpec(kind="g1_flat"),
             MetricSpec(kind="random_xy", seed=seed),
@@ -194,7 +194,7 @@ def test_metric_pseudo_hermitian_and_hermitian_limit_metric_blind_property(theta
         (0.0, MetricSpec(kind="g1_flat")),
         (0.5, MetricSpec(kind="g1_flat")),
         (0.5, MetricSpec(kind="random_xy", seed=11)),
-        (0.5, MetricSpec(kind="explicit", x=tuple(np.linspace(0.5, 2.0, 101)), y=tuple(np.linspace(2.0, 0.3, 101)))),
+        (0.5, MetricSpec(kind="explicit", y=tuple(np.linspace(2.0, 0.3, 101)))),
         (0.9999, MetricSpec(kind="g1_flat")),
         (0.9999, MetricSpec(kind="random_xy", seed=11)),
     ],
@@ -203,25 +203,40 @@ def test_build_metric_blocks_are_real_symmetric(fraction, spec):
     # the left eigenvectors are real, so every block is real, and the
     # products r_i r_j = r_j r_i make g12 and g21 the same float
     g = _metric_frame(params(fraction * gamma_pt(T1, T2), 101), spec)[0]
-    assert g.blocks.dtype == np.float64
-    assert np.array_equal(g.blocks[:, 0, 1], g.blocks[:, 1, 0])
-    assert np.abs(np.trace(g.blocks, axis1=1, axis2=2) - 1.0).max() <= 1e-15
+    assert g.dtype == np.float64
+    assert np.array_equal(g[:, 0, 1], g[:, 1, 0])
+    assert np.abs(np.trace(g, axis1=1, axis2=2) - 1.0).max() <= 1e-15
 
 
 def test_build_metric_deterministic_from_seed():
     p = params(0.1)
     a = _metric_frame(p, MetricSpec(kind="random_xy", seed=7))[0]
     b = _metric_frame(p, MetricSpec(kind="random_xy", seed=7))[0]
-    assert np.array_equal(a.blocks, b.blocks)
+    assert np.array_equal(a, b)
     c = _metric_frame(p, MetricSpec(kind="random_xy", seed=8))[0]
-    assert np.abs(a.blocks - c.blocks).max() > 1e-6
+    assert np.abs(a - c).max() > 1e-6
+
+
+@pytest.mark.parametrize("size", [5, 101, 4001])
+def test_random_xy_weight_is_the_second_of_each_seeded_pair(size):
+    # y(k) is column 1 of the seeded (L, 2) draw, the table a seed has always
+    # given: the axes, M(t) and every series of a random_xy metric rest on it
+    from ptwalk.metric import _weights
+
+    spec = MetricSpec(kind="random_xy", seed=11, low=0.3, high=1.7)
+    y = np.random.default_rng(11).uniform(0.3, 1.7, (size, 2))[:, 1]
+    assert np.array_equal(_weights(spec, size), y)
+    p = params(math.log(1.3), size)
+    drawn = build_euclidean_walk(p, spec)[0]
+    given = build_euclidean_walk(p, MetricSpec(kind="explicit", y=tuple(y.tolist())))[0]
+    assert np.array_equal(drawn.n_x, given.n_x) and np.array_equal(drawn.n_z, given.n_z)
 
 
 def test_build_metric_explicit_tables():
     p = params(0.1, 5)
-    xs, ys = (1.0,) * 5, (0.5, 1.0, 1.5, 2.0, 0.7)
-    g = _metric_frame(p, MetricSpec(kind="explicit", x=xs, y=ys))[0]
-    assert len(g) == 5
+    ys = (0.5, 1.0, 1.5, 2.0, 0.7)
+    g = _metric_frame(p, MetricSpec(kind="explicit", y=ys))[0]
+    assert g.shape == (5, 2, 2)
 
 
 def test_build_metric_refuses_broken():
@@ -240,7 +255,7 @@ def test_metric_spec_dict_roundtrip():
     for spec in (
         MetricSpec(kind="g1_flat", name="G1"),
         MetricSpec(kind="random_xy", seed=11, low=0.5, high=1.5),
-        MetricSpec(kind="explicit", x=(1.0, 2.0, 1.0), y=(0.5, 0.5, 2.0)),
+        MetricSpec(kind="explicit", y=(0.5, 0.5, 2.0)),
     ):
         assert MetricSpec.from_dict(spec.to_dict()) == spec
 
@@ -248,8 +263,8 @@ def test_metric_spec_dict_roundtrip():
 def test_eta_squares_back():
     p = params(math.log(1.2))
     g = _metric_frame(p, MetricSpec(kind="random_xy", seed=3))[0]
-    e = metric_root(g.blocks)
-    for eb, gb in zip(e, g.blocks):
+    e = metric_root(g)
+    for eb, gb in zip(e, g):
         assert np.abs(eb @ eb - gb).max() < 1e-10
         assert np.linalg.eigvalsh(eb).min() > 0
 
@@ -257,8 +272,8 @@ def test_eta_squares_back():
 def test_eta_scales_as_sqrt():
     p = params(0.12, 5)
     g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
-    scaled = metric_root(4.0 * g.blocks)
-    assert np.abs(scaled - 2.0 * metric_root(g.blocks)).max() < 1e-12
+    scaled = metric_root(4.0 * g)
+    assert np.abs(scaled - 2.0 * metric_root(g)).max() < 1e-12
 
 
 # --------------------------------------------------------- generalized algebra
@@ -325,7 +340,7 @@ def test_metric_transport_identity():
     g = _metric_frame(p, MetricSpec(kind="random_xy", seed=5))[0]
     h = hamiltonian_blocks(p)
     tr = metric_transport(g, g, h)
-    for tb, ub in zip(tr.t.blocks, tr.u.blocks):
+    for tb, ub in zip(tr.t, tr.u):
         assert np.abs(tb - np.eye(2)).max() < 1e-9
         assert np.abs(ub - np.eye(2)).max() < 1e-9
 
@@ -336,12 +351,12 @@ def test_metric_transport_posts():
     gp = _metric_frame(p, MetricSpec(kind="random_xy", seed=5))[0]
     h = hamiltonian_blocks(p)
     tr = metric_transport(g, gp, h)
-    e, ep = herm_sqrt(g.blocks), herm_sqrt(gp.blocks)
+    e, ep = herm_sqrt(g), herm_sqrt(gp)
     for i in range(len(g)):
-        tb, ub, hb = tr.t.blocks[i], tr.u.blocks[i], h[i]
+        tb, ub, hb = tr.t[i], tr.u[i], h[i]
         assert np.linalg.norm(tb @ hb - hb @ tb) <= 1e-9
         assert np.linalg.norm(ub.conj().T @ ub - np.eye(2)) <= 1e-9
-        assert np.linalg.norm(tb.conj().T @ g.blocks[i] @ tb - gp.blocks[i]) <= 1e-9
+        assert np.linalg.norm(tb.conj().T @ g[i] @ tb - gp[i]) <= 1e-9
         assert np.linalg.norm(ep[i] - ub @ e[i] @ tb) <= 1e-9
 
 
@@ -353,13 +368,13 @@ def test_metric_transport_maps_observables_unitarily():
     h = hamiltonian_blocks(p)
     tr = metric_transport(g, gp, h)
     for i in range(len(g)):
-        w1, v1 = np.linalg.eigh(g.blocks[i])
-        w2, v2 = np.linalg.eigh(gp.blocks[i])
+        w1, v1 = np.linalg.eigh(g[i])
+        w2, v2 = np.linalg.eigh(gp[i])
         eb = (v1 * np.sqrt(w1)) @ v1.conj().T
         epb = (v2 * np.sqrt(w2)) @ v2.conj().T
         h_eta = eb @ h[i] @ np.linalg.inv(eb)
         h_etap = epb @ h[i] @ np.linalg.inv(epb)
-        ub = tr.u.blocks[i]
+        ub = tr.u[i]
         assert np.abs(h_etap - ub @ h_eta @ ub.conj().T).max() < 1e-8
 
 
@@ -367,9 +382,7 @@ def test_metric_transport_incompatible():
     p = params(math.log(1.2), 5)
     g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
     h = hamiltonian_blocks(p)
-    from ptwalk.walk import BlockOperator
-
-    bogus = BlockOperator(g.points, np.tile(np.diag([0.9, 0.1]).astype(complex), (5, 1, 1)))
+    bogus = np.tile(np.diag([0.9, 0.1]).astype(complex), (5, 1, 1))
     with pytest.raises(IncompatibleMetrics):
         metric_transport(g, bogus, h)
 
@@ -380,10 +393,8 @@ def test_metric_transport_incompatible():
 def test_separability_defect_zero_cases():
     g0 = _metric_frame(params(0.0, 101), MetricSpec(kind="g1_flat"))[0]
     assert separability_defect(g0) <= 1e-12
-    from ptwalk.walk import BlockOperator
-
     b = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
-    const = BlockOperator(g0.points, np.tile(b, (101, 1, 1)))
+    const = np.tile(b, (101, 1, 1))
     assert separability_defect(const) < 1e-14
 
 
@@ -410,7 +421,7 @@ def test_verify_metric_action():
 def test_metric_csv_export(tmp_path):
     g = _metric_frame(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[0]
     path = tmp_path / "metric.csv"
-    write_metric_csv(g, path)
+    write_metric_csv(g, list(map(repr, momentum_grid(5).tolist())), path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 6
     assert lines[0].startswith("k,re_g11")
@@ -427,48 +438,44 @@ def test_metric_csv_matches_value_by_value_writer(tmp_path, spec):
     import loop_reference
 
     g = _metric_frame(params(math.log(1.2), 4001), spec)[0]
+    ks = momentum_grid(4001)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    write_metric_csv(g, new, comment="gamma_factor=1.2 audit")
-    loop_reference.write_metric_csv(g, old, comment="gamma_factor=1.2 audit")
-    assert _sha256(new) == _sha256(old)
-    # the same bytes from a momentum column formatted by the caller
-    write_metric_csv(g, new, comment="gamma_factor=1.2 audit", k_column=list(map(repr, g.points.tolist())))
+    write_metric_csv(g, list(map(repr, ks.tolist())), new, comment="gamma_factor=1.2 audit")
+    loop_reference.write_metric_csv(ks, g, old, comment="gamma_factor=1.2 audit")
     assert _sha256(new) == _sha256(old)
 
 
 def test_metric_csv_matches_value_by_value_writer_on_edge_values(tmp_path):
     import loop_reference
-    from ptwalk.walk import BlockOperator
 
-    blocks = np.array(
+    g = np.array(
         [
             [[-0.0, 1e-300], [1e-300, 1e16]],
             [[5e-324, 1e308], [1e308, 1.0 / 3.0]],
             [[1.0 / 3.0, -0.0], [-0.0, 5e-324]],
         ]
     )
-    g = BlockOperator(np.array([-0.0, 1e16, 1.0 / 3.0]), blocks)
+    ks = np.array([-0.0, 1e16, 1.0 / 3.0])
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    write_metric_csv(g, new)
-    loop_reference.write_metric_csv(g, old)
+    write_metric_csv(g, list(map(repr, ks.tolist())), new)
+    loop_reference.write_metric_csv(ks, g, old)
     assert _sha256(new) == _sha256(old)
     text = new.read_text()
     assert all(v in text for v in ("-0.0", "1e-300", "1e+16", "5e-324", "1e+308", "0.3333333333333333"))
 
 
 def test_metric_csv_refuses_complex_or_asymmetric_blocks(tmp_path):
-    from ptwalk.walk import BlockOperator
-
     g = _metric_frame(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[0]
+    k_column = list(map(repr, momentum_grid(5).tolist()))
     path = tmp_path / "metric.csv"
     with pytest.raises(ValueError, match="real symmetric"):
-        write_metric_csv(BlockOperator(g.points, g.blocks.astype(complex)), path)
-    lopsided = g.blocks.copy()
+        write_metric_csv(g.astype(complex), k_column, path)
+    lopsided = g.copy()
     lopsided[3, 1, 0] = np.nextafter(lopsided[3, 1, 0], 1.0)
     with pytest.raises(ValueError, match="real symmetric"):
-        write_metric_csv(BlockOperator(g.points, lopsided), path)
+        write_metric_csv(lopsided, k_column, path)
     with pytest.raises(ValueError, match="momentum column has 4 entries for 5 blocks"):
-        write_metric_csv(g, path, k_column=list(map(repr, g.points[:4].tolist())))
+        write_metric_csv(g, k_column[:4], path)
     assert not path.exists()
 
 
@@ -509,11 +516,12 @@ def test_norm_conservation_under_walk():
     p = params(math.log(1.2), 101)
     g = _metric_frame(p, MetricSpec(kind="random_xy", seed=9))[0]
     rng = np.random.default_rng(33)
+    ks = momentum_grid(101)
     for i in (0, 17, 50):
-        w = walk_block(g.points[i], p)
+        w = walk_block(ks[i], p)
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        ref = np.vdot(psi, g.blocks[i] @ psi).real
+        ref = np.vdot(psi, g[i] @ psi).real
         for _ in range(50):
             psi = w @ psi
-        cur = np.vdot(psi, g.blocks[i] @ psi).real
+        cur = np.vdot(psi, g[i] @ psi).real
         assert abs(cur - ref) <= 1e-9 * max(1.0, abs(ref))
