@@ -10,7 +10,10 @@ a pair (r, s) of Bloch vectors only through their difference: with the real
 which is what the annealer scores. Its restarts are independent seeded
 chains. ``maximize_blp_many`` searches many cells at once: the chains of
 every cell advance in lockstep, with one batched objective call per step,
-and a cell's result does not depend on which cells share the search.
+and a cell's result does not depend on which cells share the search. A
+step works in buffers made once per search, so its cost is a fixed set of
+numpy calls plus the per-chain generator calls that fix every chain's path,
+about half of it on the default grid.
 
 Every measure takes the (t_max+1, 3, 3) stack M(0..t_max) of one walk, a
 slice of what ``ptwalk.channel.bloch_matrix_series`` returns for the walks
@@ -186,35 +189,66 @@ def _stacks(blochs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(blochs.transpose(0, 3, 2, 1)).reshape(len(blochs), 3, -1)
 
 
-def _blp_objective(stacks: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """N(t_max) for the pairs (r, s) = pairs[c, j] of every cell c.
+class _Buffers:
+    """The arrays ``_project_ball`` and ``_blp_objective`` write into, for n
+    pairs in each cell of ``stacks``; a search makes them once, so neither
+    allocates an array in its steps."""
 
-    ``pairs`` has shape (cells, n, 6) and ``stacks`` comes from ``_stacks``.
-    Scored through the Bloch difference alone: D(t) = |M(t)(r - s)|/2, and N
-    is the sum of the positive increments of D. The product is one stacked
-    matmul over the cells, with a cell's n pairs as the rows of its own
-    product, so a cell's values never depend on the other cells of the batch
-    (the BLAS kernel may depend on n, which the schedule fixes).
+    def __init__(self, stacks: np.ndarray, n: int):
+        cells, _, width = stacks.shape
+        self.sq = np.empty((cells, n, 2, 3))  # squared components of both vectors of a pair
+        self.norm = np.empty((cells, n, 2))
+        self.norm_col = self.norm[..., None]
+        self.diff = np.empty((cells, n, 3))
+        self.prod = np.empty((cells, n, width))
+        self.prod_rows = self.prod.reshape(cells, n, 3, -1)
+        self.dist = np.empty((cells, n, width // 3))
+        self.inc = np.empty((cells, n, width // 3 - 1))
+        self.val = np.empty((cells, n))
+
+
+def _sq_norms(halves: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """Squared norms of the (..., 2, 3) Bloch vectors, into ``buf.norm``.
+
+    ``np.add.reduce`` over the short component axis adds the components in
+    order, x + y then + z, the order np.linalg.norm uses.
     """
-    if math.sqrt((pairs * pairs).reshape(-1, 3).sum(axis=1).max()) > 1.0 + 1e-12:
+    np.multiply(halves, halves, out=buf.sq)
+    return np.add.reduce(buf.sq, axis=-1, out=buf.norm)
+
+
+def _blp_objective(stacks: np.ndarray, pairs: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """N(t_max) for the pairs (r, s) = pairs[c, j] of every cell c, in ``buf.val``.
+
+    ``pairs`` has shape (cells, n, 6), ``stacks`` comes from ``_stacks`` and
+    ``buf`` from ``_Buffers(stacks, n)``; the values are overwritten by the
+    next call with the same buffers. Scored through the Bloch difference
+    alone: D(t) = |M(t)(r - s)|/2, and N is the sum of the positive
+    increments of D. The product is one stacked matmul over the cells, with
+    a cell's n pairs as the rows of its own product, so a cell's values
+    never depend on the other cells of the batch (the BLAS kernel may depend
+    on n, which the schedule fixes).
+    """
+    if math.sqrt(_sq_norms(pairs.reshape(buf.sq.shape), buf).max()) > 1.0 + 1e-12:
         raise ValueError("Bloch vector outside the unit ball")
-    diff = pairs[..., :3] - pairs[..., 3:]
-    sq = diff @ stacks
-    sq *= sq
-    sq = sq.reshape(*pairs.shape[:2], 3, -1)
-    dist = np.sqrt(sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2])
-    inc = dist[..., 1:] - dist[..., :-1]
+    np.subtract(pairs[..., :3], pairs[..., 3:], out=buf.diff)
+    prod = np.matmul(buf.diff, stacks, out=buf.prod)
+    np.multiply(prod, prod, out=prod)
+    # the three component rows of each pair summed in order, x + y then + z
+    dist = np.sqrt(np.add.reduce(buf.prod_rows, axis=2, out=buf.dist), out=buf.dist)
+    inc = np.subtract(dist[..., 1:], dist[..., :-1], out=buf.inc)
+    np.maximum(inc, 0.0, out=inc)
     # the factor 1/2 of D is exact, so it is applied to the sums
-    return 0.5 * np.maximum(inc, 0.0, out=inc).sum(axis=-1)
+    return np.multiply(np.add.reduce(inc, axis=-1, out=buf.val), 0.5, out=buf.val)
 
 
-def _project_ball(pairs: np.ndarray) -> np.ndarray:
-    """Scale every Bloch vector of the (..., 6) pairs that lies outside the ball onto it."""
-    halves = pairs.reshape(*pairs.shape[:-1], 2, 3)
-    sq = halves * halves
-    # summed in the order np.linalg.norm uses
-    norms = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None]
-    return (halves / np.maximum(norms, 1.0)).reshape(pairs.shape)
+def _project_ball(pairs: np.ndarray, buf: _Buffers) -> None:
+    """Scale every Bloch vector of the C-contiguous (cells, n, 6) pairs that
+    lies outside the ball onto it, in place."""
+    halves = pairs.reshape(buf.sq.shape)
+    norm = np.sqrt(_sq_norms(halves, buf), out=buf.norm)
+    np.maximum(norm, 1.0, out=norm)
+    np.divide(halves, buf.norm_col, out=halves)
 
 
 _AXIS_PAIRS = np.array(
@@ -245,48 +279,65 @@ def maximize_blp_many(blochs, schedule: AnnealSchedule, seed: int) -> list[Measu
     normals, scaled by ``proposal_stddev``, and one uniform if and only if
     the proposal's gain is <= 0, also when its acceptance odds underflow
     to 0.
+
+    Proposals, objective values and masks live in buffers made once per
+    search, so a step allocates no array but the odds of its rejected
+    proposals, and a step where no chain moves skips the updates of the
+    chains' state. Those per-chain generator calls, one Python call each,
+    are the step's floor: about half of its time on the default grid.
     """
     blochs = np.asarray(blochs, dtype=float)
     cells, restarts = len(blochs), schedule.restarts
     stacks = _stacks(blochs)
-    axis_vals = _blp_objective(stacks, np.broadcast_to(_AXIS_PAIRS, (cells, 3, 6)))
+    axis_vals = _blp_objective(stacks, np.broadcast_to(_AXIS_PAIRS, (cells, 3, 6)), _Buffers(stacks, 3))
     best_axis = _AXIS_PAIRS[np.argmax(axis_vals, axis=1)]
 
+    buf = _Buffers(stacks, restarts)
     rngs = [np.random.default_rng([seed, r]) for _ in range(cells) for r in range(restarts)]
     current = np.empty((cells, restarts, 6))
     current[:, 0] = best_axis
     for i, rng in enumerate(rngs):
         if i % restarts:
             current[divmod(i, restarts)] = rng.normal(size=6)
-    current = _project_ball(current)
-    cur_val = _blp_objective(stacks, current)
+    _project_ball(current, buf)
+    cur_val = _blp_objective(stacks, current, buf).copy()
     chain_best, chain_best_val = current.copy(), cur_val.copy()
     # Each chain draws its normals into its own row of one buffer; numpy's
     # normal(0, s) is 0 + s z, so scaling the standard normals keeps the bits.
-    noise = np.empty_like(current)
-    normal_rows = [(rng.standard_normal, row) for rng, row in zip(rngs, noise.reshape(-1, 6))]
+    # The proposals are made and projected in that buffer.
+    prop = np.empty_like(current)
+    normal_rows = [(rng.standard_normal, row) for rng, row in zip(rngs, prop.reshape(-1, 6))]
     uniforms = [rng.random for rng in rngs]
+    gain = np.empty_like(cur_val)
+    take, no_gain, better = (np.empty(cur_val.shape, dtype=bool) for _ in range(3))
+    take_col, better_col = take[..., None], better[..., None]
     stddev = schedule.proposal_stddev
     temperature = schedule.initial_temperature
     while temperature > schedule.temperature_floor:
         for _ in range(schedule.steps_per_temperature):
             for standard_normal, row in normal_rows:
                 standard_normal(out=row)
-            noise *= stddev
-            prop = _project_ball(np.add(current, noise, out=noise))
-            val = _blp_objective(stacks, prop)
-            gain = val - cur_val
-            take = gain > 0
-            no_gain = ~take  # each draws its uniform, also where the odds underflow to 0
+            prop *= stddev
+            np.add(current, prop, out=prop)
+            _project_ball(prop, buf)
+            val = _blp_objective(stacks, prop, buf)
+            np.subtract(val, cur_val, out=gain)
+            np.greater(gain, 0.0, out=take)
+            np.logical_not(take, out=no_gain)  # each draws its uniform, also where the odds underflow to 0
             draws_uniform = no_gain.ravel().tolist()
+            moved = False in draws_uniform
             if True in draws_uniform:
                 odds = np.exp(gain[no_gain] / temperature).tolist()
-                take[no_gain] = [u() < p for u, p in zip(compress(uniforms, draws_uniform), odds)]
-            np.copyto(current, prop, where=take[..., None])
-            np.copyto(cur_val, val, where=take)
-            better = cur_val > chain_best_val
-            np.copyto(chain_best, current, where=better[..., None])
-            np.copyto(chain_best_val, cur_val, where=better)
+                accepted = [u() < p for u, p in zip(compress(uniforms, draws_uniform), odds)]
+                if True in accepted:
+                    take[no_gain] = accepted
+                    moved = True
+            if moved:  # else no value changed, and chain_best_val >= cur_val holds already
+                np.copyto(current, prop, where=take_col)
+                np.copyto(cur_val, val, where=take)
+                np.greater(cur_val, chain_best_val, out=better)
+                np.copyto(chain_best, current, where=better_col)
+                np.copyto(chain_best_val, cur_val, where=better)
         temperature *= schedule.cooling_factor
 
     results = []

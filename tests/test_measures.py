@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from channel_reference import (
     von_neumann_entropy,
 )
 from ptwalk.channel import PINV_RCOND, bloch_matrix_series, intermediate_maps
-from ptwalk.measures import maximize_blp_many
+from ptwalk.measures import _blp_objective, _Buffers, _stacks, maximize_blp_many
 
 T1, T2 = math.pi / 4, -math.pi / 7
 FLAT = MetricSpec(kind="g1_flat")
@@ -216,6 +217,14 @@ def test_maximize_blp_tracks_dense_direction_oracle():
             (quick_schedule(), 2024),
         ),
         (1.2, MetricSpec(kind="random_xy", seed=11), 41, 20, (COLD_SCHEDULE, 5)),
+        # the benchmark's batch shape: the default grid's nine walks, five chains each
+        (
+            (1.0, 1.2, 1.3),
+            (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23)),
+            41,
+            20,
+            (dataclasses.replace(quick_schedule(), restarts=5), 2024),
+        ),
     ],
 )
 def test_maximize_blp_matches_sequential_reference(gamma_factor, spec, size, t_max, schedule, monkeypatch):
@@ -277,6 +286,26 @@ def test_maximize_blp_many_is_batch_invariant():
             for key in ("bloch_rho", "bloch_sigma", "n_max"):
                 assert series.meta[key] == ref_series.meta[key], (name, c, key)
             assert np.array_equal(series.blp, ref_series.blp) and np.array_equal(series.delta, ref_series.delta)
+
+
+def test_blp_objective_refuses_a_pair_outside_the_ball():
+    # Every scored pair is checked, so a projection that lets a vector out of
+    # the Bloch ball fails loudly; the check allows 1e-12 of rounding.
+    stacks = _stacks(np.stack([bloch(1.2, size=41, t_max=10)] * 2))
+    pairs = np.zeros((2, 3, 6))
+    pairs[..., 0], pairs[..., 3] = 1.0, -1.0
+    buf = _Buffers(stacks, 3)
+    inside = _blp_objective(stacks, pairs, buf).copy()
+    assert np.all(inside > 0.0) and np.array_equal(inside[0], inside[1])
+    for half in (0, 3):
+        for factor, outside in ((1.0 + 1e-13, False), (1.0 + 1e-11, True)):
+            scaled = pairs.copy()
+            scaled[1, 2, half : half + 3] *= factor
+            if outside:
+                with pytest.raises(ValueError, match="outside the unit ball"):
+                    _blp_objective(stacks, scaled, buf)
+            else:
+                _blp_objective(stacks, scaled, buf)
 
 
 def test_bloch_matrices_reproduce_distance_series():
