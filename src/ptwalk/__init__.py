@@ -10,7 +10,6 @@ from .channel import EuclideanWalk, build_euclidean_walk
 from .errors import (
     BrokenRegime,
     ConfigInvalid,
-    DegenerateAtK,
     DegeneratePairing,
     LightConeViolation,
     MissingArtifacts,

@@ -1,7 +1,7 @@
 """Reduced coin dynamics in the unitary frame: a momentum average of Bloch rotations.
 
 The walk block is W_c(k) = a(k) I - i S(k) with the real traceless
-S = sin H_c(k) = [[-d3, -(d1 + d2)], [-(d1 - d2), d3]] (``metric._sin_entries``).
+S = sin H_c(k) = [[-d3, -(d1 + d2)], [-(d1 - d2), d3]] (``_sin_entries``).
 Every admissible metric block G(k) has S^T G = G S, which makes
 W_eta(k) = eta W_c eta^{-1}, eta = sqrt(G), unitary in the unbroken regime:
 a rotation about an axis in the x-z plane,
@@ -10,10 +10,13 @@ a rotation about an axis in the x-z plane,
 
 The metric picks only the axis; eps_k is the same for every metric. The
 axis follows from the metric weight y(k) in closed form, with no root of G
-(Mostafazadeh, J. Math. Phys. 43, 205 (2002)). Let r_+ and v_+ be the unit
-eigenvectors of S^T and of S at +sin(eps_k), with r_+ . v_+ > 0. Since
-G = r_+ r_+^T + y r_- r_-^T has G v_+ = (r_+ . v_+) r_+ and
-sqrt(det G) = sqrt(y) (r_+ . v_+), Levinger's root eta = (G + sqrt(det G) I)/tau
+(Mostafazadeh, J. Math. Phys. 43, 205 (2002)), and ``build_euclidean_walk``
+is the one function that reads it. Let r_+ and v_+ be the unit
+eigenvectors of S^T and of S at +sin(eps_k), with r_+ . v_+ > 0; S^T is S
+with d2 -> -d2, so one readout gives both. The left eigenvector r_- at
+-sin(eps_k) is orthogonal to v_+, so r_- = J v_+ up to sign, J the
+90-degree turn. Since G = r_+ r_+^T + y r_- r_-^T has G v_+ = (r_+ . v_+) r_+
+and sqrt(det G) = sqrt(y) (r_+ . v_+), Levinger's root eta = (G + sqrt(det G) I)/tau
 sends v_+ along u = r_+ + sqrt(y) v_+, the +sin(eps_k) eigenvector of the
 symmetric R = eta S eta^{-1}. So the axis lies at twice the angle of u,
 
@@ -98,9 +101,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LightConeViolation, NotPositive
-from .metric import MetricSpec, _metric_frame
-from .walk import UNBROKEN_MARGIN, WalkParams
+from .errors import BrokenRegime, LightConeViolation, NotPositive
+from .metric import MetricSpec
+from .walk import UNBROKEN_MARGIN, WalkParams, momentum_grid, spectral_a
 
 # Condition number beyond which the intermediate-map inversion is flagged
 # and a cutoff pseudo-inverse is used instead of a direct solve.
@@ -132,15 +135,69 @@ class EuclideanWalk:
     metric_condition_max: float
 
 
+def _sin_entries(ks: np.ndarray, p: WalkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d1, d2, d3 over the momenta ``ks``, with sin H_c(k) = [[-d3, -(d1 + d2)], [-(d1 - d2), d3]]:
+
+    d1 = cosh(2 gamma) cos(theta1) sin(theta2) + sin(theta1) cos(theta2) cos(2k),
+    d2 = -sin(theta2) sinh(2 gamma) and d3 = cos(theta2) sin(2k).
+    """
+    d1 = np.cosh(2 * p.gamma) * np.cos(p.theta1) * np.sin(p.theta2)
+    d1 = d1 + np.sin(p.theta1) * np.cos(p.theta2) * np.cos(2 * ks)
+    d2 = np.full_like(ks, -np.sin(p.theta2) * np.sinh(2 * p.gamma))
+    d3 = np.cos(p.theta2) * np.sin(2 * ks)
+    return d1, d2, d3
+
+
+def _plus_eigenvector(d1, d2, d3, s) -> np.ndarray:
+    """Unit eigenvectors at +s of S = [[-d3, -(d1 + d2)], [-(d1 - d2), d3]], one row per momentum, shape (n, 2).
+
+    S^T is S with d2 -> -d2, so called with -d2 this reads the left
+    eigenvector. The two adjugate columns of S - s, (d1 + d2, -d3 - s) and
+    (d3 - s, d1 - d2), are proportional; the identity d1^2 - d2^2 + d3^2 = s^2
+    makes them vanish together only where s = 0, an exceptional point, which
+    callers exclude. The longer one is kept, normalized, with the canonical
+    overall sign that makes its larger-magnitude component positive (the
+    first one on a tie).
+    """
+    a0, a1, b0, b1 = d1 + d2, -d3 - s, d3 - s, d1 - d2
+    norm_a = np.sqrt(a0 * a0 + a1 * a1)
+    norm_b = np.sqrt(b0 * b0 + b1 * b1)
+    first = norm_a >= norm_b
+    norm = np.where(first, norm_a, norm_b)
+    v = np.stack([np.where(first, a0, b0) / norm, np.where(first, a1, b1) / norm], axis=1)
+    lead = np.where(np.abs(v[:, 0]) >= np.abs(v[:, 1]), v[:, 0], v[:, 1])
+    return np.where(lead[:, None] > 0, v, -v)
+
+
 def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> tuple[EuclideanWalk, np.ndarray]:
     """The walk under metric ``spec``, the rotation of every W_eta(k) (module docstring), and its metric.
 
-    a(k), eps_k, S(k), the metric and its arc come from one ``metric._metric_frame``
-    call; a block that is not positive definite raises NotPositive, naming the first.
-    The metric is returned as its (L, 2, 2) real blocks, for the audit CSV:
-    the walk does not keep it.
+    a(k), eps_k, S(k), the eigenvectors r_+ and v_+, the metric and the axes
+    are all read here. Beyond the exceptional point no metric is positive:
+    BrokenRegime names the first momentum with |a(k)| >= 1 - UNBROKEN_MARGIN.
+    The flat metric of a unitary walk (gamma = 0) is exempt, since it is
+    exactly I/2 at every k. A block that is not positive definite raises
+    NotPositive, naming the first. The metric is returned as its (L, 2, 2)
+    real blocks, for the audit CSV: the walk does not keep it.
     """
-    g, a, eps, (d1, d2, d3), arc = _metric_frame(p, spec)
+    ks = momentum_grid(p.lattice_size)
+    a, (d1, d2, d3) = spectral_a(ks, p), _sin_entries(ks, p)
+    eps = np.arccos(np.clip(a, -1.0, 1.0))
+    if p.gamma == 0.0 and spec.kind == "g1_flat":
+        # valid even where the spectrum touches |a| = 1: a plain degeneracy,
+        # not an exceptional point, when the walk is unitary
+        g = np.tile(np.eye(2) / 2.0, (len(ks), 1, 1))
+    else:
+        bad = np.flatnonzero(np.abs(a) >= 1.0 - UNBROKEN_MARGIN)
+        if bad.size:
+            k, a_k = ks[bad[0]], a[bad[0]]
+            raise BrokenRegime(f"|a({k:.6f})| = {abs(a_k):.15f} at or beyond coalescence: no positive metric")
+        s = np.sin(eps)
+        r_plus, v_plus = _plus_eigenvector(d1, -d2, d3, s), _plus_eigenvector(d1, d2, d3, s)
+        r_minus = v_plus[:, ::-1] * (-1.0, 1.0)  # J v_+, up to a sign G does not see
+        y = spec.weights(len(ks))
+        g = r_plus[:, :, None] * r_plus[:, None, :] + y[:, None, None] * (r_minus[:, :, None] * r_minus[:, None, :])
+        g /= np.trace(g, axis1=1, axis2=2)[:, None, None]
     g00, g01, g11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
     # closed-form eigenvalues of every block, lambda_- = det G / lambda_+
     hi = (g00 + g11) / 2.0 + np.sqrt(((g00 - g11) / 2.0) ** 2 + g01 * g01)
@@ -152,7 +209,7 @@ def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> tuple[EuclideanWalk
     c = (d1 + d2) * g00 - (d1 - d2) * g11 - 2.0 * d3 * g01
     scale = np.sqrt(d1 * d1 + d2 * d2 + d3 * d3) * np.sqrt(g00 * g00 + 2.0 * g01 * g01 + g11 * g11)
     residual = np.divide(np.abs(c), scale, out=np.zeros_like(c), where=scale > 0.0)
-    if arc is None:
+    if p.gamma == 0.0:
         # unitary walk: R = S, so n sin(eps) = (R_01, R_00) = -(d1, d3) under every metric
         sin_eps = np.sqrt(d1 * d1 + d3 * d3)
         # where |a| = 1 the block is +-I up to roundoff, which acos(a) would amplify and atan2 does not
@@ -161,8 +218,8 @@ def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> tuple[EuclideanWalk
         n_x = np.divide(-d1, sin_eps, out=np.zeros_like(a), where=turning)
         n_z = np.divide(-d3, sin_eps, out=np.ones_like(a), where=turning)
     else:
-        # the arc: twice the angle of u = r_+ + sqrt(y) v_+
-        y, r_plus, v_plus = arc
+        # the arc: twice the angle of u = r_+ + sqrt(y) v_+, with r_+ . v_+ > 0
+        v_plus = np.where((r_plus * v_plus).sum(axis=1)[:, None] < 0.0, -v_plus, v_plus)
         u0, u1 = (r_plus + np.sqrt(y)[:, None] * v_plus).T
         norm = u0 * u0 + u1 * u1
         n_x, n_z = 2.0 * u0 * u1 / norm, (u0 * u0 - u1 * u1) / norm

@@ -25,10 +25,6 @@ class BrokenRegime(PTWalkError):
     """Walk parameters lie at or beyond the exceptional point; real-spectrum machinery refused."""
 
 
-class DegenerateAtK(PTWalkError):
-    """|a(k)| too close to 1 at this momentum; eigenvectors coalesce."""
-
-
 class LightConeViolation(PTWalkError):
     """Lattice too small to contain the walk light cone for the requested horizon."""
 

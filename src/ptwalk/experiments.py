@@ -93,7 +93,7 @@ def load_config(path) -> "ExperimentConfig":
 
 def validate_config(cfg: ExperimentConfig) -> dict:
     """Field-level validation; returns per-gamma regime info for reporting."""
-    errors = []
+    errors = [(name, "must be finite") for name in ("theta1", "theta2") if not math.isfinite(getattr(cfg, name))]
     if cfg.lattice_size < 1 or cfg.lattice_size % 2 == 0:
         errors.append(("lattice_size", f"must be odd and positive, got {cfg.lattice_size}"))
     if not isinstance(cfg.t_max, (int, np.integer)) or isinstance(cfg.t_max, bool):
@@ -119,14 +119,14 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     if len({m.label for m in cfg.metrics}) != len(cfg.metrics):
         errors.append(("metrics", "labels must be unique"))
     for m in cfg.metrics:
-        if m.kind == "random_xy" and not 0 < m.low < m.high:
-            errors.append(("metrics", f"{m.label}: needs 0 < low < high, got {m.low}, {m.high}"))
+        if m.kind == "random_xy" and not 0 < m.low < m.high < math.inf:
+            errors.append(("metrics", f"{m.label}: needs 0 < low < high < inf, got {m.low}, {m.high}"))
         y = np.asarray(m.y, dtype=float) if m.kind == "explicit" else None
         if y is not None and (y.shape != (cfg.lattice_size,) or not np.all(np.isfinite(y) & (y > 0))):
             errors.append(("metrics", f"{m.label}: y needs {cfg.lattice_size} finite entries > 0"))
     if len(cfg.coin_bloch) != 3:
         errors.append(("coin_bloch", f"must have 3 components, got {len(cfg.coin_bloch)}"))
-    elif abs(np.linalg.norm(cfg.coin_bloch) - 1.0) > 1e-9:
+    elif not abs(np.linalg.norm(cfg.coin_bloch) - 1.0) <= 1e-9:
         errors.append(("coin_bloch", "must be a unit vector (pure initial coin state)"))
     if errors:
         raise ConfigInvalid(errors)

@@ -53,12 +53,12 @@ ENTROPY_CUT = 1e-12
 
 
 def _check_bloch(r) -> np.ndarray:
-    """A Bloch vector as a float array; ValueError unless its shape is (3,) and |r| <= 1."""
+    """A Bloch vector as a float array; ValueError unless its shape is (3,) and |r| <= 1 (so finite)."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have 3 components")
-    if np.linalg.norm(r) > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector norm {np.linalg.norm(r)} > 1")
+    if not np.linalg.norm(r) <= 1.0 + 1e-12:
+        raise ValueError(f"Bloch vector norm {np.linalg.norm(r)} is not <= 1")
     return r
 
 

@@ -35,6 +35,7 @@ every admissible metric then commutes with H, the unitary-frame data is
 metric-independent, and all three entropy curves stay flat at one bit.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,18 +89,22 @@ class ToyConfig(Config):
             if (h := getattr(self, name)) is not None:
                 if np.shape(h) != (2, 2):
                     errors.append(("toy", f"{name} must be a 2x2 matrix, got shape {np.shape(h)}"))
+                elif not np.all(np.isfinite(np.asarray(h, complex))):
+                    errors.append(("toy", f"{name} must have finite entries"))
                 object.__setattr__(self, name, tuple(map(tuple, np.asarray(h, complex).tolist())))
         if (self.h_a is None) != (self.h_b is None):
             errors.append(("toy", "custom h_a and h_b must be given together"))
         elif self.h_a is None and self.variant not in ("pt_phase", "real"):
             errors.append(("toy", f"unknown variant {self.variant!r}"))
-        if not self.dt > 0:
-            errors.append(("toy", f"dt must be positive, got {self.dt}"))
-        if not self.t_max >= 0:
-            errors.append(("toy", f"t_max must be >= 0, got {self.t_max}"))
+        if not 0 < self.dt < math.inf:
+            errors.append(("toy", f"dt must be positive and finite, got {self.dt}"))
+        if not 0 <= self.t_max < math.inf:
+            errors.append(("toy", f"t_max must be >= 0 and finite, got {self.t_max}"))
+        if not math.isfinite(self.mixing_strength):
+            errors.append(("toy", f"mixing_strength must be finite, got {self.mixing_strength}"))
         for name in ("weights_a1", "weights_b1", "weights_a2", "weights_b2"):
-            if not min(getattr(self, name)) > 0:
-                errors.append(("toy", f"{name} must be positive"))
+            if not all(0 < w < math.inf for w in getattr(self, name)):
+                errors.append(("toy", f"{name} must be positive and finite"))
         if errors:
             raise ConfigInvalid(errors)
 

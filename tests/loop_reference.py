@@ -52,17 +52,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from channel_reference import ChannelMatrix, _check_state, partial_trace, von_neumann_entropy
-from ptwalk.channel import BLOCK_ELEMENTS
+from ptwalk.channel import BLOCK_ELEMENTS, build_euclidean_walk
 from ptwalk.errors import (
     BrokenRegime,
-    DegenerateAtK,
     DegeneratePairing,
     LightConeViolation,
     NotPositive,
     PTWalkError,
 )
 from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, metric_root, trace_norm
-from ptwalk.metric import _metric_frame, _weights
 from ptwalk.walk import UNBROKEN_MARGIN, is_unbroken, momentum_grid, spectral_a
 
 
@@ -222,7 +220,7 @@ def left_eigvecs(k: float, p) -> tuple[np.ndarray, np.ndarray, float]:
     """(r_plus, r_minus, eps_k) of H_c(k)† at one momentum."""
     a = float(spectral_a(k, p))
     if abs(a) >= 1.0 - UNBROKEN_MARGIN:
-        raise DegenerateAtK(f"|a({k:.6f})| = {abs(a):.15f} at or beyond coalescence")
+        raise BrokenRegime(f"|a({k:.6f})| = {abs(a):.15f} at or beyond coalescence")
     d1 = np.cosh(2 * p.gamma) * np.cos(p.theta1) * np.sin(p.theta2) + np.sin(
         p.theta1
     ) * np.cos(p.theta2) * np.cos(2 * k)
@@ -238,7 +236,7 @@ def left_eigvecs(k: float, p) -> tuple[np.ndarray, np.ndarray, float]:
 def metric_blocks(p, spec) -> np.ndarray:
     """Metric blocks of the unbroken regime (no flat-Hermitian shortcut)."""
     ks = momentum_grid(p.lattice_size)
-    y = _weights(spec, len(ks))
+    y = spec.weights(len(ks))
     blocks = np.empty((len(ks), 2, 2), dtype=complex)
     for i, k in enumerate(ks):
         r_plus, r_minus, _ = left_eigvecs(k, p)
@@ -294,7 +292,7 @@ def extended_frame(p, spec) -> tuple[np.ndarray, np.ndarray]:
 
     r_plus = unit(d1 - d2, -d3 - s, d3 - s, d1 + d2)
     r_minus = unit(d1 - d2, -d3 + s, d3 + s, d1 + d2)
-    y = _weights(spec, len(ks)).astype(ld)
+    y = spec.weights(len(ks)).astype(ld)
     g = r_plus[:, :, None] * r_plus[:, None, :] + y[:, None, None] * r_minus[:, :, None] * r_minus[:, None, :]
     g /= (g[:, 0, 0] + g[:, 1, 1])[:, None, None]
     root_det = np.sqrt(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0])
@@ -455,7 +453,7 @@ def frame_blocks(p, spec) -> np.ndarray:
 
     The metric blocks are the library's, as the audit CSV has them.
     """
-    return unitary_frame(_metric_frame(p, spec)[0], walk_blocks(p))[2]
+    return unitary_frame(build_euclidean_walk(p, spec)[1], walk_blocks(p))[2]
 
 
 def rotations(p, spec) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,6 @@ from ptwalk.channel import bloch_matrix_series, choi_trace_norms, intermediate_m
 from ptwalk.experiments import TOLERANCES
 from ptwalk.linalg import eig, trace_norm
 from ptwalk.measures import maximize_blp_many
-from ptwalk.metric import _metric_frame
 from ptwalk.walk import momentum_grid, spectral_a
 from test_channel import dense_reduced_state
 
@@ -129,7 +128,7 @@ def test_criterion_03_pseudo_hermiticity_suite():
         p = WalkParams(T1, T2, math.log(factor), 101)
         h = hamiltonian_blocks(p)
         for spec in SPECS:
-            g = _metric_frame(p, spec)[0]
+            g = build_euclidean_walk(p, spec)[1]
             for gb, hb in zip(g, h):
                 worst_ph = max(
                     worst_ph, float(np.linalg.norm(hb.conj().T @ gb - gb @ hb))
@@ -277,7 +276,7 @@ def test_criterion_10_appendix_properties():
     action = verify_metric_action(g4, np.linalg.inv(herm_sqrt(g4)) @ q, n_samples=32, seed=3)
     # norm conservation over 50 steps
     p = WalkParams(T1, T2, math.log(1.2), 101)
-    g = _metric_frame(p, SPECS[2])[0]
+    g = build_euclidean_walk(p, SPECS[2])[1]
     ks = momentum_grid(101)
     worst_norm = 0.0
     for i in (0, 33, 77):
@@ -300,7 +299,7 @@ def test_criterion_10_appendix_properties():
 
 def test_criterion_11_separability_defect():
     flat = MetricSpec(kind="g1_flat")
-    d0 = separability_defect(_metric_frame(WalkParams(T1, T2, 0.0, 101), flat)[0])
-    d12 = separability_defect(_metric_frame(WalkParams(T1, T2, math.log(1.2), 101), flat)[0])
+    d0 = separability_defect(build_euclidean_walk(WalkParams(T1, T2, 0.0, 101), flat)[1])
+    d12 = separability_defect(build_euclidean_walk(WalkParams(T1, T2, math.log(1.2), 101), flat)[1])
     ok = d0 <= 1e-12 and d12 > 1e-3
     _report(11, "separability defect", ok, f"gamma=0: {d0:.2e}, e^g=1.2: {d12:.2e}")

@@ -25,7 +25,6 @@ from ptwalk import (
 )
 from ptwalk.channel import bloch_matrix_series, equal_classes
 from ptwalk.linalg import trace_norm
-from ptwalk.metric import _metric_frame
 from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -89,7 +88,7 @@ def dense_reduced_state(p, spec, rho0, t):
         @ lift(gain_loss(p.gamma))
         @ lift(coin(p.theta1 / 2))
     )
-    blocks = _metric_frame(p, spec)[0]
+    blocks = build_euclidean_walk(p, spec)[1]
     g_momentum = np.zeros((2 * size, 2 * size), dtype=complex)
     for i in range(size):
         g_momentum[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blocks[i]
@@ -564,21 +563,44 @@ def test_batched_builders_match_per_k_loops(gamma, spec):
     assert abs(ew.pseudo_hermiticity_residual - residual) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "size, gamma",
+    [(1201, gamma) for gamma in (0.0, 0.1, math.log(1.2), math.log(1.3))]
+    + [(101, fraction * gamma_pt(T1, T2)) for fraction in (0.9, 0.9999, 1 - 1e-7, 1 - 1e-9)],
+)
+def test_left_eigenvector_at_minus_sin_eps_is_the_turned_right_one(size, gamma):
+    # r_- of S^T at -sin(eps_k) is orthogonal to v_+ of S at +sin(eps_k), so the
+    # metric takes r_- = J v_+, J the 90-degree turn; against the oracle's own
+    # r_- readout on the grid of ARC_ENDS and near the exceptional point
+    import loop_reference
+    from ptwalk.channel import _plus_eigenvector, _sin_entries
+
+    p = params(gamma, size)
+    ks = momentum_grid(size)
+    d1, d2, d3 = _sin_entries(ks, p)
+    v_plus = _plus_eigenvector(d1, d2, d3, np.sin(np.arccos(spectral_a(ks, p))))
+    turned = np.stack([-v_plus[:, 1], v_plus[:, 0]], axis=1)
+    r_minus = np.array([loop_reference.left_eigvecs(k, p)[1].real for k in ks])
+    assert np.abs(r_minus[:, 0] * turned[:, 1] - r_minus[:, 1] * turned[:, 0]).max() <= 1e-15
+
+
 def test_batched_builders_report_first_offending_index():
     import loop_reference
-    from ptwalk import DegenerateAtK, NotPositive
-    from ptwalk.metric import _left_eigen, _sin_entries
+    from ptwalk import BrokenRegime, NotPositive
 
-    # coalescence at k = 0 and k = pi for theta2 = -theta1 at gamma = 0
-    p = WalkParams(0.6, -0.6, 0.0, 21)
-    ks = np.array([0.3, 0.0, 1.0, np.pi])
-    a = spectral_a(ks, p)
-    with pytest.raises(DegenerateAtK) as batched:
-        _left_eigen(ks, a, np.sin(np.arccos(np.clip(a, -1.0, 1.0))), *_sin_entries(ks, p))
-    with pytest.raises(DegenerateAtK) as looped:
-        for k in ks:
-            loop_reference.left_eigvecs(k, p)
-    assert str(batched.value).split(")|")[0] == str(looped.value).split(")|")[0] == "|a(0.000000"
+    # with theta1 = theta2 every gamma > 0 breaks the spectrum around k = +-pi/2:
+    # here at the momenta 5, 6, 15 and 16 of the grid, and every metric refuses
+    # the walk naming the first of them
+    p = WalkParams(0.6, 0.6, 0.5, 21)
+    ks = momentum_grid(21)
+    assert np.flatnonzero(np.abs(spectral_a(ks, p)) >= 1 - 1e-12).tolist() == [5, 6, 15, 16]
+    for spec in (FLAT, MetricSpec(kind="random_xy", seed=23)):
+        with pytest.raises(BrokenRegime) as batched:
+            build_euclidean_walk(p, spec)
+        with pytest.raises(BrokenRegime) as looped:
+            for k in ks:
+                loop_reference.left_eigvecs(k, p)
+        assert str(batched.value).split(")|")[0] == str(looped.value).split(")|")[0] == f"|a({ks[5]:.6f}"
 
     # negative y weights make blocks 3 and 9 indefinite
     q = params(math.log(1.2))
@@ -588,7 +610,7 @@ def test_batched_builders_report_first_offending_index():
     with pytest.raises(NotPositive) as batched:
         build_euclidean_walk(q, spec)[0]
     with pytest.raises(NotPositive) as looped:
-        loop_reference.unitary_frame(_metric_frame(q, spec)[0], walk_blocks(q))
+        loop_reference.unitary_frame(loop_reference.metric_blocks(q, spec), walk_blocks(q))
     assert str(batched.value) == str(looped.value) == "metric block 3 not positive definite"
 
 
@@ -625,7 +647,7 @@ def test_unitary_frame_near_exceptional_point(fraction, spec):
 @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.9, 0.9999])
 def test_walk_block_is_a_minus_i_sin_h(fraction):
     # W_c(k) = a(k) I - i S(k) with the real S = sin H_c(k) from the metric's d1, d2, d3
-    from ptwalk.metric import _sin_entries
+    from ptwalk.channel import _sin_entries
 
     p = params(fraction * gamma_pt(T1, T2), 1201)
     ks = momentum_grid(1201)
@@ -654,14 +676,17 @@ def test_pseudo_hermiticity_residual_flags_an_incompatible_metric(monkeypatch):
 
     p = params(math.log(1.2), 101)
     assert build_euclidean_walk(p, FLAT)[0].pseudo_hermiticity_residual <= 1e-14
-    _, *frame = ptwalk.channel._metric_frame(p, FLAT)
-    m = np.random.default_rng(46).normal(size=(101, 2, 2))
-    spd = m @ m.swapaxes(1, 2) + 0.1 * np.eye(2)
-    spd /= np.trace(spd, axis1=1, axis2=2)[:, None, None]
-    monkeypatch.setattr(ptwalk.channel, "_metric_frame", lambda *_: (spd, *frame))
-    residual = build_euclidean_walk(p, FLAT)[0].pseudo_hermiticity_residual
-    assert residual > 1e-3
-    assert residual == pytest.approx(loop_reference.pseudo_hermiticity_residual(spd, walk_blocks(p)), rel=1e-12)
+    rng = np.random.default_rng(46)
+
+    def random_unit_rows(*_):
+        v = rng.normal(size=(101, 2))
+        return v / np.linalg.norm(v, axis=1)[:, None]
+
+    monkeypatch.setattr(ptwalk.channel, "_plus_eigenvector", random_unit_rows)
+    ew, spd = build_euclidean_walk(p, FLAT)
+    assert ew.pseudo_hermiticity_residual > 1e-3
+    residual = loop_reference.pseudo_hermiticity_residual(spd, walk_blocks(p))
+    assert ew.pseudo_hermiticity_residual == pytest.approx(residual, rel=1e-12)
 
 
 @pytest.mark.parametrize("gamma_factor", [1.2, 1.3])

@@ -103,6 +103,16 @@ def test_config_validation_messages():
         ("anneal", {"seed": 7}),
         # a valid explicit metric but for its x weight, which no longer exists
         ("metrics", [{"kind": "explicit", "x": [1.0] * 21, "y": [1.0] * 21}]),
+        # non-finite values, which JSON carries as NaN and Infinity
+        ("coin_bloch", [math.nan, 1.0, 0.0]),
+        ("theta2", math.inf),
+        ("toy", {"mixing_strength": math.inf}),
+        ("toy", {"h_a": [[[math.nan, 0.0], [1.2, 0.0]], [[1.2, 0.0], [1.0, 0.0]]], "h_b": [[[1.0, 0.0]] * 2] * 2}),
+        ("toy", {"weights_b1": [1.0, math.nan]}),
+        ("toy", {"weights_a2": [math.inf, 1.0]}),
+        ("toy", {"dt": math.inf}),
+        ("toy", {"t_max": math.inf}),
+        ("metrics", [{"kind": "random_xy", "seed": 1, "high": math.inf}]),
     ],
 )
 def test_invalid_config_exits_2_before_writing(tmp_path, field, value):
@@ -113,6 +123,15 @@ def test_invalid_config_exits_2_before_writing(tmp_path, field, value):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("theta1", math.nan), ("theta2", -math.inf), ("coin_bloch", (math.nan, 1.0, 0.0))]
+)
+def test_non_finite_values_are_refused_under_their_own_field(field, value):
+    with pytest.raises(ConfigInvalid) as err:
+        validate_config(dataclasses.replace(ExperimentConfig(), **{field: value}))
+    assert [name for name, _ in err.value.errors] == [field]
 
 
 def test_config_errors_name_the_path():
@@ -430,7 +449,7 @@ def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
     # the pairs of a group share one formatted momentum column; every audit
     # CSV must still be the value-by-value export of its own pair's metric
     import loop_reference
-    from ptwalk.metric import _metric_frame
+    from ptwalk import build_euclidean_walk
     from ptwalk.walk import momentum_grid
 
     cfg = tiny_config(tmp_path, study="rhp")
@@ -442,7 +461,7 @@ def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
             name = f"metric__eg{factor:g}__{spec.label}.csv"
             want = tmp_path / name
             comment = f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}"
-            g = _metric_frame(cfg.walk_params(factor), spec)[0]
+            g = build_euclidean_walk(cfg.walk_params(factor), spec)[1]
             loop_reference.write_metric_csv(momentum_grid(cfg.lattice_size), g, want, comment)
             assert (out / name).read_bytes() == want.read_bytes(), name
 
@@ -470,7 +489,7 @@ def test_public_api_is_pinned():
     names = {n for n in dir(ptwalk) if not n.startswith("_") and not isinstance(getattr(ptwalk, n), types.ModuleType)}
     assert names == {
         "AnnealSchedule", "BrokenRegime", "ConfigInvalid",
-        "DegenerateAtK", "DegeneratePairing", "EuclideanWalk", "ExperimentConfig",
+        "DegeneratePairing", "EuclideanWalk", "ExperimentConfig",
         "LightConeViolation", "MeasureSeries", "MetricSpec",
         "MissingArtifacts", "NoBreaking", "NotPositive", "PTWalkError", "ShapeMismatch",
         "SpectrumNotReal", "ToyConfig", "ToyResult", "WalkParams",

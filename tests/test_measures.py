@@ -77,6 +77,16 @@ def test_bloch_state_validation():
     assert np.linalg.eigvalsh(rho).min() >= -1e-14
 
 
+@pytest.mark.parametrize("r", [(math.nan, 1.0, 0.0), (0.0, math.inf, 0.0), (math.nan, math.nan, math.nan)])
+def test_non_finite_bloch_vectors_are_refused(r):
+    # |r| <= 1 is False for a NaN norm, as > 1 is too: the check must fail closed
+    bloch = np.tile(np.eye(3), (4, 1, 1))
+    with pytest.raises(ValueError):
+        entanglement_series(bloch, r)
+    with pytest.raises(ValueError):
+        blp_series(bloch, r, (0.0, 0.0, 1.0))
+
+
 # ------------------------------------------------------------------------ BLP
 
 

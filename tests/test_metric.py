@@ -20,16 +20,15 @@ from loop_reference import (
 )
 from ptwalk import (
     BrokenRegime,
-    DegenerateAtK,
     MetricSpec,
     WalkParams,
     build_euclidean_walk,
     gamma_pt,
     is_unbroken,
 )
-from ptwalk.channel import bloch_matrix_series
+from ptwalk.channel import _plus_eigenvector, _sin_entries, bloch_matrix_series
 from ptwalk.linalg import eig, metric_root, trace_norm
-from ptwalk.metric import _left_eigen, _metric_frame, _sin_entries, write_metric_csv
+from ptwalk.metric import write_metric_csv
 from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -40,12 +39,17 @@ def params(gamma, size=21):
 
 
 def left_eigvecs(k, p):
-    """r_plus, r_minus and eps_k of H_c(k)† at one momentum, from the library's grid path."""
+    """r_plus, r_minus and eps_k of H_c(k)† at one momentum, from the library's grid readout.
+
+    r_plus is read off S^T, which is S with d2 -> -d2, and r_minus is J v_plus,
+    the +sin(eps_k) eigenvector v_plus of S turned by 90 degrees.
+    """
     ks = np.array([k], dtype=float)
-    a = spectral_a(ks, p)
-    eps = np.arccos(np.clip(a, -1.0, 1.0))
-    r_plus, r_minus = _left_eigen(ks, a, np.sin(eps), *_sin_entries(ks, p))
-    return SimpleNamespace(r_plus=r_plus[0], r_minus=r_minus[0], eps_k=float(eps[0]))
+    eps = np.arccos(np.clip(spectral_a(ks, p), -1.0, 1.0))
+    d1, d2, d3 = _sin_entries(ks, p)
+    r_plus = _plus_eigenvector(d1, -d2, d3, np.sin(eps))[0]
+    v_plus = _plus_eigenvector(d1, d2, d3, np.sin(eps))[0]
+    return SimpleNamespace(r_plus=r_plus, r_minus=np.array([-v_plus[1], v_plus[0]]), eps_k=float(eps[0]))
 
 
 def random_pseudo_hermitian(rng, n):
@@ -102,13 +106,16 @@ def test_left_eigvecs_match_numerical_eig():
 def test_pick_breaks_ties_toward_the_first_form_and_component():
     # rows: equal norms (the first form wins), equal magnitudes with a
     # negative first component, a negative lead beside a zero, equal
-    # magnitudes with a positive first component; bit for bit the per-row oracle
+    # magnitudes with a positive first component; bit for bit the per-row oracle.
+    # The forms (d1 + d2, -d3 - s) and (d3 - s, d1 - d2) are set to the rows
+    # of a and b, all exact in these small halves.
     import loop_reference
-    from ptwalk.metric import _pick
 
     a = np.array([[3.0, 4.0], [-3.0, 3.0], [0.0, -2.0], [1.0, -1.0]])
     b = np.array([[4.0, 3.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    got = _pick(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+    d1, d2 = (a[:, 0] + b[:, 1]) / 2, (a[:, 0] - b[:, 1]) / 2
+    d3, s = (b[:, 0] - a[:, 1]) / 2, -(a[:, 1] + b[:, 0]) / 2
+    got = _plus_eigenvector(d1, d2, d3, s)
     want = np.array([loop_reference._pick(x, y) for x, y in zip(a, b)])
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(got), [[False, False], [False, True], [True, False], [False, True]])
@@ -130,15 +137,20 @@ def test_left_eigvecs_robust_at_formula_degeneracy():
 
 
 def test_left_eigvecs_degenerate_at_exceptional_momentum():
-    with pytest.raises(DegenerateAtK):
-        left_eigvecs(0.0, WalkParams(0.6, -0.6, 0.0, 21))
+    # theta2 = -theta1 at gamma = 0 coalesces at k_0 = -pi: only the flat
+    # metric, exactly I/2 there, is admitted
+    p = WalkParams(0.6, -0.6, 0.0, 21)
+    with pytest.raises(BrokenRegime, match=r"^\|a\(-3\.141593\)\| = "):
+        build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=1))
+    flat = build_euclidean_walk(p, MetricSpec(kind="g1_flat"))[1]
+    assert np.array_equal(flat, np.tile(np.eye(2) / 2, (21, 1, 1)))
 
 
 # ---------------------------------------------------------------- build_metric
 
 
 def test_build_metric_flat_hermitian_limit_is_maximally_mixed():
-    g = _metric_frame(params(0.0), MetricSpec(kind="g1_flat"))[0]
+    g = build_euclidean_walk(params(0.0), MetricSpec(kind="g1_flat"))[1]
     for b in g:
         assert np.abs(b - np.eye(2) / 2).max() < 1e-12
 
@@ -147,7 +159,7 @@ def test_build_metric_blocks_valid_and_pseudo_hermitian():
     p = params(math.log(1.2), 101)
     h = hamiltonian_blocks(p)
     for spec in (MetricSpec(kind="g1_flat"), MetricSpec(kind="random_xy", seed=7)):
-        g = _metric_frame(p, spec)[0]
+        g = build_euclidean_walk(p, spec)[1]
         for gb, hb in zip(g, h):
             assert np.abs(gb - gb.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(gb).min() > 0
@@ -171,7 +183,7 @@ def test_metric_pseudo_hermitian_and_hermitian_limit_metric_blind_property(theta
     p = WalkParams(theta1, theta2, fraction * gamma_pt(theta1, theta2), 101)
     assume(is_unbroken(p))
     h = hamiltonian_blocks(p)
-    g = _metric_frame(p, MetricSpec(kind="random_xy", seed=seed))[0]
+    g = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=seed))[1]
     residual = np.linalg.norm(h.conj().swapaxes(1, 2) @ g - g @ h, axis=(1, 2))
     scale = np.linalg.norm(h, axis=(1, 2)) * np.linalg.norm(g, axis=(1, 2))
     assert (residual / scale).max() <= 1e-10
@@ -202,7 +214,7 @@ def test_metric_pseudo_hermitian_and_hermitian_limit_metric_blind_property(theta
 def test_build_metric_blocks_are_real_symmetric(fraction, spec):
     # the left eigenvectors are real, so every block is real, and the
     # products r_i r_j = r_j r_i make g12 and g21 the same float
-    g = _metric_frame(params(fraction * gamma_pt(T1, T2), 101), spec)[0]
+    g = build_euclidean_walk(params(fraction * gamma_pt(T1, T2), 101), spec)[1]
     assert g.dtype == np.float64
     assert np.array_equal(g[:, 0, 1], g[:, 1, 0])
     assert np.abs(np.trace(g, axis1=1, axis2=2) - 1.0).max() <= 1e-15
@@ -210,10 +222,10 @@ def test_build_metric_blocks_are_real_symmetric(fraction, spec):
 
 def test_build_metric_deterministic_from_seed():
     p = params(0.1)
-    a = _metric_frame(p, MetricSpec(kind="random_xy", seed=7))[0]
-    b = _metric_frame(p, MetricSpec(kind="random_xy", seed=7))[0]
+    a = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=7))[1]
+    b = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=7))[1]
     assert np.array_equal(a, b)
-    c = _metric_frame(p, MetricSpec(kind="random_xy", seed=8))[0]
+    c = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=8))[1]
     assert np.abs(a - c).max() > 1e-6
 
 
@@ -221,11 +233,9 @@ def test_build_metric_deterministic_from_seed():
 def test_random_xy_weight_is_the_second_of_each_seeded_pair(size):
     # y(k) is column 1 of the seeded (L, 2) draw, the table a seed has always
     # given: the axes, M(t) and every series of a random_xy metric rest on it
-    from ptwalk.metric import _weights
-
     spec = MetricSpec(kind="random_xy", seed=11, low=0.3, high=1.7)
     y = np.random.default_rng(11).uniform(0.3, 1.7, (size, 2))[:, 1]
-    assert np.array_equal(_weights(spec, size), y)
+    assert np.array_equal(spec.weights(size), y)
     p = params(math.log(1.3), size)
     drawn = build_euclidean_walk(p, spec)[0]
     given = build_euclidean_walk(p, MetricSpec(kind="explicit", y=tuple(y.tolist())))[0]
@@ -235,13 +245,13 @@ def test_random_xy_weight_is_the_second_of_each_seeded_pair(size):
 def test_build_metric_explicit_tables():
     p = params(0.1, 5)
     ys = (0.5, 1.0, 1.5, 2.0, 0.7)
-    g = _metric_frame(p, MetricSpec(kind="explicit", y=ys))[0]
+    g = build_euclidean_walk(p, MetricSpec(kind="explicit", y=ys))[1]
     assert g.shape == (5, 2, 2)
 
 
 def test_build_metric_refuses_broken():
     with pytest.raises(BrokenRegime):
-        _metric_frame(params(math.log(1.5)), MetricSpec(kind="g1_flat"))
+        build_euclidean_walk(params(math.log(1.5)), MetricSpec(kind="g1_flat"))
 
 
 def test_metric_spec_validation():
@@ -262,7 +272,7 @@ def test_metric_spec_dict_roundtrip():
 
 def test_eta_squares_back():
     p = params(math.log(1.2))
-    g = _metric_frame(p, MetricSpec(kind="random_xy", seed=3))[0]
+    g = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=3))[1]
     e = metric_root(g)
     for eb, gb in zip(e, g):
         assert np.abs(eb @ eb - gb).max() < 1e-10
@@ -271,7 +281,7 @@ def test_eta_squares_back():
 
 def test_eta_scales_as_sqrt():
     p = params(0.12, 5)
-    g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
+    g = build_euclidean_walk(p, MetricSpec(kind="g1_flat"))[1]
     scaled = metric_root(4.0 * g)
     assert np.abs(scaled - 2.0 * metric_root(g)).max() < 1e-12
 
@@ -337,7 +347,7 @@ def test_g_trace_norm_rejects_non_positive_metric():
 
 def test_metric_transport_identity():
     p = params(math.log(1.2))
-    g = _metric_frame(p, MetricSpec(kind="random_xy", seed=5))[0]
+    g = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=5))[1]
     h = hamiltonian_blocks(p)
     tr = metric_transport(g, g, h)
     for tb, ub in zip(tr.t, tr.u):
@@ -347,8 +357,8 @@ def test_metric_transport_identity():
 
 def test_metric_transport_posts():
     p = params(math.log(1.2))
-    g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
-    gp = _metric_frame(p, MetricSpec(kind="random_xy", seed=5))[0]
+    g = build_euclidean_walk(p, MetricSpec(kind="g1_flat"))[1]
+    gp = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=5))[1]
     h = hamiltonian_blocks(p)
     tr = metric_transport(g, gp, h)
     e, ep = herm_sqrt(g), herm_sqrt(gp)
@@ -363,8 +373,8 @@ def test_metric_transport_posts():
 def test_metric_transport_maps_observables_unitarily():
     # H mapped through either square root must be conjugate by the transport unitary
     p = params(math.log(1.2), 21)
-    g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
-    gp = _metric_frame(p, MetricSpec(kind="random_xy", seed=5))[0]
+    g = build_euclidean_walk(p, MetricSpec(kind="g1_flat"))[1]
+    gp = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=5))[1]
     h = hamiltonian_blocks(p)
     tr = metric_transport(g, gp, h)
     for i in range(len(g)):
@@ -380,7 +390,7 @@ def test_metric_transport_maps_observables_unitarily():
 
 def test_metric_transport_incompatible():
     p = params(math.log(1.2), 5)
-    g = _metric_frame(p, MetricSpec(kind="g1_flat"))[0]
+    g = build_euclidean_walk(p, MetricSpec(kind="g1_flat"))[1]
     h = hamiltonian_blocks(p)
     bogus = np.tile(np.diag([0.9, 0.1]).astype(complex), (5, 1, 1))
     with pytest.raises(IncompatibleMetrics):
@@ -391,7 +401,7 @@ def test_metric_transport_incompatible():
 
 
 def test_separability_defect_zero_cases():
-    g0 = _metric_frame(params(0.0, 101), MetricSpec(kind="g1_flat"))[0]
+    g0 = build_euclidean_walk(params(0.0, 101), MetricSpec(kind="g1_flat"))[1]
     assert separability_defect(g0) <= 1e-12
     b = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
     const = np.tile(b, (101, 1, 1))
@@ -399,7 +409,7 @@ def test_separability_defect_zero_cases():
 
 
 def test_separability_defect_positive_when_nonhermitian():
-    g = _metric_frame(params(math.log(1.2), 101), MetricSpec(kind="g1_flat"))[0]
+    g = build_euclidean_walk(params(math.log(1.2), 101), MetricSpec(kind="g1_flat"))[1]
     assert separability_defect(g) > 1e-3
 
 
@@ -419,7 +429,7 @@ def test_verify_metric_action():
 
 
 def test_metric_csv_export(tmp_path):
-    g = _metric_frame(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[0]
+    g = build_euclidean_walk(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[1]
     path = tmp_path / "metric.csv"
     write_metric_csv(g, list(map(repr, momentum_grid(5).tolist())), path)
     lines = path.read_text().strip().splitlines()
@@ -437,7 +447,7 @@ def _sha256(path):
 def test_metric_csv_matches_value_by_value_writer(tmp_path, spec):
     import loop_reference
 
-    g = _metric_frame(params(math.log(1.2), 4001), spec)[0]
+    g = build_euclidean_walk(params(math.log(1.2), 4001), spec)[1]
     ks = momentum_grid(4001)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     write_metric_csv(g, list(map(repr, ks.tolist())), new, comment="gamma_factor=1.2 audit")
@@ -465,7 +475,7 @@ def test_metric_csv_matches_value_by_value_writer_on_edge_values(tmp_path):
 
 
 def test_metric_csv_refuses_complex_or_asymmetric_blocks(tmp_path):
-    g = _metric_frame(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[0]
+    g = build_euclidean_walk(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[1]
     k_column = list(map(repr, momentum_grid(5).tolist()))
     path = tmp_path / "metric.csv"
     with pytest.raises(ValueError, match="real symmetric"):
@@ -514,7 +524,7 @@ def test_expectation_is_metric_independent():
 def test_norm_conservation_under_walk():
     # <psi(t)| G(k) |psi(t)> is constant under the non-unitary walk block
     p = params(math.log(1.2), 101)
-    g = _metric_frame(p, MetricSpec(kind="random_xy", seed=9))[0]
+    g = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=9))[1]
     rng = np.random.default_rng(33)
     ks = momentum_grid(101)
     for i in (0, 17, 50):

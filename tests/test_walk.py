@@ -5,7 +5,7 @@ import pytest
 
 from loop_reference import coin, gain_loss, hamiltonian_blocks, shift_block, walk_block, walk_blocks
 from ptwalk import BrokenRegime, NoBreaking, WalkParams, gamma_pt, is_unbroken
-from ptwalk.metric import _sin_entries
+from ptwalk.channel import _sin_entries
 from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
