@@ -197,14 +197,14 @@ def _run_cell(
     return summary
 
 
-def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out_dir: str) -> list[dict]:
-    """Run every requested walk study on a group of unbroken (gamma, metric) pairs.
+def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> list[dict]:
+    """Run every requested walk study on a group of unbroken gammas, each under every metric of ``cfg``.
 
-    The pairs are taken one gamma at a time. Each pair's walk is built once,
-    with its metric blocks, which go straight to its audit CSV and are
-    dropped; then one ``bloch_matrix_series`` pass gives the Bloch matrices
-    M(t) of all of that gamma's walks, which share their angles, and the
-    walks are dropped. Every pair sits on the momentum grid of
+    The (gamma, metric) pairs are taken one gamma at a time. Each pair's
+    walk is built once, with its metric blocks, which go straight to its
+    audit CSV and are dropped; then one ``bloch_matrix_series`` pass gives
+    the Bloch matrices M(t) of all of that gamma's walks, which share their
+    angles, and the walks are dropped. Every pair sits on the momentum grid of
     ``cfg.lattice_size``, so the audit CSVs share one k column, formatted
     once per group before any pair is timed.
 
@@ -220,11 +220,10 @@ def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     cells = []  # (spec, the summary fields its pair's cells share, M(t)) per pair
     k_column = list(map(repr, momentum_grid(cfg.lattice_size).tolist()))
-    for factor in dict.fromkeys(factor for factor, _ in pairs):
+    for factor in factors:
         params = cfg.walk_params(factor)
-        specs = [spec for f, spec in pairs if f == factor]
         walks, stages = [], []
-        for spec in specs:
+        for spec in cfg.metrics:
             started = time.perf_counter()
             ew, g = build_euclidean_walk(params, spec)
             walk_s = time.perf_counter() - started
@@ -242,7 +241,7 @@ def _run_group(cfg: ExperimentConfig, pairs: list[tuple[float, MetricSpec]], out
         blochs = bloch_matrix_series(walks, cfg.t_max)
         # every walk of the pass has the same steps and momenta: an even share each
         bloch_s = (time.perf_counter() - started) / len(walks)
-        for spec, ew, stage, bloch in zip(specs, walks, stages, blochs):
+        for spec, ew, stage, bloch in zip(cfg.metrics, walks, stages, blochs):
             pair = {
                 "gamma_factor": factor,
                 "gamma": params.gamma,
@@ -311,6 +310,7 @@ def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
         "toy": cfg.toy.to_dict(),
         "product_defects": result.product_defects,
         "transport_unitarity_residual": result.transport_residuals,
+        "frame_condition": result.frame_conditions,
         "max_abs_dev_from_one_bit": {
             name: float(np.abs(curve - 1.0).max()) for name, curve in result.entropy.items()
         },
@@ -325,10 +325,10 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     """Run the configured studies and return the written manifest.
 
     The unbroken gammas are dealt round-robin into min(threads, gammas)
-    groups, each run by ``_run_group`` on the (gamma, metric) pairs of its
-    gammas, so that all metrics of one gamma, whose M(t) may be bitwise
-    equal, share one group and its measures; more than one group runs in a
-    pool of worker processes.
+    groups, each run by ``_run_group`` on its gammas under every metric, so
+    that all metrics of one gamma, whose M(t) may be bitwise equal, share
+    one group and its measures; more than one group runs in a pool of worker
+    processes.
     """
     regimes = validate_config(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
@@ -337,7 +337,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     unbroken = [factor for factor in cfg.gamma_factors if studies and regimes[factor]]
     count = min(max(threads, 1), len(unbroken))
-    groups = [[(factor, m) for factor in unbroken[i::count] for m in cfg.metrics] for i in range(count)]
+    groups = [unbroken[i::count] for i in range(count)]
     if len(groups) > 1:
         # imported here: a one-group run never needs the process machinery
         from concurrent.futures import ProcessPoolExecutor
@@ -363,7 +363,9 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
                     }
                 )
     # exactly the files this run wrote, never older ones left in the directory
-    artifacts = [_metric_csv_name(factor, m.label) for group in groups for factor, m in group]
+    artifacts = [
+        _metric_csv_name(factor, m.label) for group in groups for factor in group for m in cfg.metrics
+    ]
     artifacts += [
         f"{s['cell']}{ext}" for s in summaries if s["status"] == "ok" for ext in (".csv", ".json")
     ]

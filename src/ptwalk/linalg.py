@@ -1,17 +1,17 @@
 """Dense complex-matrix kernels over one matrix or a stack (..., n, n):
-eigenpairs with biorthonormal left vectors (``eig``), the positive root of a
-metric (``metric_root``, one stacked ``eigh``) and the trace norm.
+eigenpairs with biorthonormal left vectors (``eig``) and the trace norm.
 
-The toy study is the only program caller of ``eig`` and ``metric_root``; the
-walk forms no root. Everything here is a pure function of plain complex
-``numpy`` arrays.
+The toy study is the only program caller of ``eig``. No code in the program
+forms a matrix square root: the walk reads its axes from the metric weights
+and the toy its frames from one SVD per metric. Everything here is a pure
+function of plain complex ``numpy`` arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePairing, NotPositive, ShapeMismatch
+from .errors import DegeneratePairing, ShapeMismatch
 
 # Eigenvalue gap (and left/right overlap) below which left vectors are refused.
 PAIRING_GAP = 1e-9
@@ -68,20 +68,6 @@ def eig(a: np.ndarray) -> EigenSystem:
             raise DegeneratePairing(f"{where}eigenvalue gap {gap[b].min():.2e} below {PAIRING_GAP}")
         raise DegeneratePairing(f"{where}left/right overlap {overlap[b]:.2e} below {PAIRING_GAP}")
     return EigenSystem(values, right, left)
-
-
-def metric_root(g: np.ndarray) -> np.ndarray:
-    """Positive square root V w^{1/2} V† of a positive-definite metric, or of each in a stack (..., n, n).
-
-    ``g`` is taken as (g + g†)/2 and rooted by one stacked ``eigh``. Nothing is
-    clamped: a block not positive definite raises NotPositive, naming the first.
-    """
-    w, v = np.linalg.eigh((g + g.conj().swapaxes(-1, -2)) / 2.0)
-    bad = np.flatnonzero(~(w[..., 0] > 0))
-    if bad.size:
-        where = f" block {bad[0]}" if w.ndim > 1 else ""
-        raise NotPositive(f"metric{where} not positive definite")
-    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def trace_norm(a: np.ndarray) -> float:

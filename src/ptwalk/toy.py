@@ -3,16 +3,20 @@
 The Hamiltonian is a tensor product H = h_A (x) h_B of 2x2 blocks with real
 spectrum, and the whole study is read in its biorthonormal eigenbasis
 (Mostafazadeh, J. Math. Phys. 43, 205 (2002)). One stacked ``eig`` of the
-two factors gives the eigenvalues lambda of H and its right and left vectors
-R = r_A (x) r_B and L = l_A (x) l_B = inv(R)†. Every metric compatible with H
-is G = L diag(w) L† with positive weights w, so R† G R = diag(w):
+two factors gives the eigenvalues lambda of H and its left vectors
+L = l_A (x) l_B = inv(R)†, R = r_A (x) r_B the right ones. Every metric
+compatible with H is G = L diag(w) L† with positive weights w, so
+R† G R = diag(w):
 
 - 'product1' and 'product2' are G_A (x) G_B, with the weights w_A (x) w_B;
 - 'nonproduct' is T† G_1 T with T = exp(s H), which mixes the factors; its
   weights are e^{2 s lambda} w_1, so no matrix exponential is formed.
 
 Each metric's frame V = sqrt(G) R diag(w)^{-1/2} is unitary and carries H to
-eta H eta^-1 = V diag(lambda) V†, so the maximally entangled state
+eta H eta^-1 = V diag(lambda) V†. Since G = B B† with B = L diag(sqrt w),
+V is the unitary polar factor of B (Higham, SIAM J. Sci. Stat. Comput. 7,
+1160 (1986)), read from one SVD per metric: no metric is rooted, which
+would square the conditioning. The maximally entangled state
 c = (e_00 + e_11)/sqrt 2 of the local eigenbases, taken in the frame of G_1,
 evolves under metric m as psi_m(t) = V_m e^{-i lambda t} c; the transport
 between the frames is U_m = V_m V_1†. S(t) is the entropy of the Schmidt
@@ -41,12 +45,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .errors import ConfigInvalid, SpectrumNotReal
-from .linalg import eig, metric_root
+from .errors import ConfigInvalid, NotPositive, SpectrumNotReal
+from .linalg import eig
 from .measures import _entropy_bits
 
 REAL_SPECTRUM_TOL = 1e-10
 METRICS = ("product1", "product2", "nonproduct")
+# Largest kappa(B) of an accepted frame. A frame's error grows like kappa(B)
+# times about 4e-17: against 60-digit polar factors, every frame accepted
+# under this bound was within 4.4e-10, and some above it were off by 3e-9.
+FRAME_CONDITION_MAX = 1e7
 
 
 def toy_hamiltonians(variant: str = "pt_phase") -> tuple[np.ndarray, np.ndarray]:
@@ -116,26 +124,14 @@ class ToyConfig(Config):
 
 @dataclass(frozen=True)
 class ToyResult:
-    """Entropy curves per metric plus product-form and transport (||U†U - I||_F) diagnostics."""
+    """Entropy curves per metric plus product-form, transport (||U†U - I||_F) and frame kappa(B) diagnostics."""
 
     times: np.ndarray
     entropy: dict[str, np.ndarray]
     product_defects: dict[str, float]
     transport_residuals: dict[str, float]
+    frame_conditions: dict[str, float]
     meta: dict = field(default_factory=dict)
-
-
-def metric_from_weights(left: np.ndarray, weights) -> np.ndarray:
-    """Positive metric sum_i w_i |l_i><l_i| over the left eigenvectors ``left[..., :, i]``.
-
-    ``left`` is one (n, n) set of vectors or a stack (..., n, n), with
-    weights of shape (..., n).
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.min() <= 0:
-        raise ValueError("metric weights must be positive")
-    g = (left * weights[..., None, :]) @ left.conj().swapaxes(-1, -2)
-    return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
 def product_defect(g: np.ndarray, dims: tuple[int, int] = (2, 2)) -> float:
@@ -168,30 +164,39 @@ def _gauge(right: np.ndarray) -> np.ndarray:
     return lead.conj() / np.abs(lead)
 
 
-def _frames(toy: ToyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda, G, V): the eigenvalues of H, shape (4,), and the metrics and their unitary frames, (3, 4, 4) in METRICS order.
+def _frames(toy: ToyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, G, V, kappa(B)): the eigenvalues of H, (4,), and per metric in METRICS order G, V, (3, 4, 4), and kappa(B), (3,).
 
-    A factor near its exceptional point raises DegeneratePairing, a spectrum
-    of H that is not real SpectrumNotReal.
+    One SVD B = X Sigma Y† per metric gives V = X Y† and G = X Sigma^2 X†.
+    NotPositive refuses weights that are not finite and positive and a
+    kappa(B) = sigma_max / sigma_min above FRAME_CONDITION_MAX. A factor near
+    its exceptional point raises DegeneratePairing, a spectrum of H that is
+    not real SpectrumNotReal.
     """
     factors = eig(np.stack(toy.hamiltonians()))
     order = np.argsort(factors.values.real, axis=-1)
     lam = np.kron(*np.take_along_axis(factors.values, order, axis=-1))
-    right = np.take_along_axis(factors.right, order[:, None, :], axis=-1)
-    phase = _gauge(right)
-    right = np.kron(*(right * phase))
+    phase = _gauge(np.take_along_axis(factors.right, order[:, None, :], axis=-1))
     left = np.kron(*(np.take_along_axis(factors.left, order[:, None, :], axis=-1) * phase))
     imag = np.abs(lam.imag).max()
     if imag > REAL_SPECTRUM_TOL:
         raise SpectrumNotReal(f"max |Im eigenvalue| = {imag:.3e} exceeds {REAL_SPECTRUM_TOL}")
     lam = lam.real
-    w1 = np.kron(toy.weights_a1, toy.weights_b1)
-    weights = np.stack(
-        [w1, np.kron(toy.weights_a2, toy.weights_b2), np.exp(2.0 * toy.mixing_strength * lam) * w1]
-    )
-    metrics = metric_from_weights(left, weights)
-    frames = metric_root(metrics) @ right / np.sqrt(weights)[:, None, :]
-    return lam, metrics, frames
+    with np.errstate(over="ignore"):  # an overflowing weight is refused below
+        w1 = np.kron(toy.weights_a1, toy.weights_b1)
+        weights = np.stack(
+            [w1, np.kron(toy.weights_a2, toy.weights_b2), np.exp(2.0 * toy.mixing_strength * lam) * w1]
+        )
+    if not np.all((weights > 0) & (weights < np.inf)):
+        raise NotPositive(f"metric weights not finite and positive at mixing_strength {toy.mixing_strength:g}")
+    x, sigma, yh = np.linalg.svd(left * np.sqrt(weights)[:, None, :])
+    with np.errstate(divide="ignore"):  # a singular B has kappa(B) = inf and is refused
+        condition = sigma[:, 0] / sigma[:, -1]
+    if condition.max() > FRAME_CONDITION_MAX:
+        name = METRICS[np.argmax(condition)]
+        raise NotPositive(f"{name} frame condition number {condition.max():.2e} above {FRAME_CONDITION_MAX:.0e}")
+    metrics = (x * sigma[:, None, :] ** 2) @ x.conj().swapaxes(-1, -2)
+    return lam, metrics, x @ yh, condition
 
 
 def run_toy(toy: ToyConfig) -> ToyResult:
@@ -200,7 +205,7 @@ def run_toy(toy: ToyConfig) -> ToyResult:
     Returns entropy curves S(t) in bits for the metric choices 'product1',
     'product2' and 'nonproduct', sampled at multiples of dt up to t_max.
     """
-    lam, metrics, frames = _frames(toy)
+    lam, metrics, frames, condition = _frames(toy)
     times = np.arange(0.0, toy.t_max + toy.dt / 2.0, toy.dt)
     # psi_m(t) = V_m e^{-i lambda t} c for all times, as (3, T, 2, 2) coefficients on A (x) B
     coeffs = np.exp(-1j * np.outer(times, lam)) * np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
@@ -213,6 +218,7 @@ def run_toy(toy: ToyConfig) -> ToyResult:
         entropy=dict(zip(METRICS, _entropy_bits(schmidt))),
         product_defects={name: product_defect(g) for name, g in zip(METRICS, metrics)},
         transport_residuals={name: float(r) for name, r in zip(METRICS, drift)},
+        frame_conditions={name: float(c) for name, c in zip(METRICS, condition)},
         meta={
             "variant": toy.variant,
             "mixing_strength": toy.mixing_strength,

@@ -27,10 +27,12 @@ The CSV writers at the end format one value at a time through ``csv.writer``;
 the library's writers must produce the same bytes. ``eig`` pairs left and
 right eigenvectors of one matrix by nearest conjugate eigenvalue and checks
 the library's stacked ``eig``; ``herm_sqrt`` is the clamping Hermitian square
-root used by the dense lattice oracles. ``toy_entropy`` is the toy study on
-the generic route the library's eigenbasis formula replaces: the mixer
-exp(sH) from ``expm``, a general matrix exponential without scipy, a root
-per metric, the metric transports and an ``eigh`` of eta H eta^-1.
+root used by the dense lattice oracles, and ``metric_root`` its unclamped
+stacked form, which refuses a block that is not positive definite and which
+``g_trace_norm`` roots with (the library forms no root). ``toy_entropy`` is
+the toy study on the generic route the library's polar factors replace: the
+mixer exp(sH) from ``expm``, a general matrix exponential without scipy, a
+root per metric, the metric transports and an ``eigh`` of eta H eta^-1.
 
 ``coin``, ``shift_block`` and ``gain_loss`` are the walk factors as
 matrices, and ``walk_block`` / ``walk_blocks`` multiply them one 2x2
@@ -60,7 +62,7 @@ from ptwalk.errors import (
     NotPositive,
     PTWalkError,
 )
-from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, metric_root, trace_norm
+from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, trace_norm
 from ptwalk.walk import UNBROKEN_MARGIN, is_unbroken, momentum_grid, spectral_a
 
 
@@ -129,6 +131,20 @@ def herm_sqrt(a: np.ndarray) -> np.ndarray:
     if w.min() < -PSD_FAIL:
         raise NotPositive(f"minimum eigenvalue {w.min():.3e} below -{PSD_FAIL}")
     w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def metric_root(g: np.ndarray) -> np.ndarray:
+    """Positive square root V w^{1/2} V† of a positive-definite metric, or of each in a stack (..., n, n).
+
+    ``g`` is taken as (g + g†)/2 and rooted by one stacked ``eigh``. Nothing is
+    clamped: a block not positive definite raises NotPositive, naming the first.
+    """
+    w, v = np.linalg.eigh((g + g.conj().swapaxes(-1, -2)) / 2.0)
+    bad = np.flatnonzero(~(w[..., 0] > 0))
+    if bad.size:
+        where = f" block {bad[0]}" if w.ndim > 1 else ""
+        raise NotPositive(f"metric{where} not positive definite")
     return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 

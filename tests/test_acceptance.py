@@ -34,7 +34,7 @@ from channel_reference import (
     reduced_coin_state,
     vec,
 )
-from ptwalk.channel import bloch_matrix_series, choi_trace_norms, intermediate_maps
+from ptwalk.channel import _sin_entries, bloch_matrix_series, choi_trace_norms, intermediate_maps
 from ptwalk.experiments import TOLERANCES
 from ptwalk.linalg import eig, trace_norm
 from ptwalk.measures import maximize_blp_many
@@ -303,3 +303,44 @@ def test_criterion_11_separability_defect():
     d12 = separability_defect(build_euclidean_walk(WalkParams(T1, T2, math.log(1.2), 101), flat)[1])
     ok = d0 <= 1e-12 and d12 > 1e-3
     _report(11, "separability defect", ok, f"gamma=0: {d0:.2e}, e^g=1.2: {d12:.2e}")
+
+
+def test_criterion_12_no_coin_only_metric():
+    # A translation-invariant coin-only metric G_c = [[g00, g01], [g01, g11]]
+    # must have S^T G_c = G_c S at every k, whose off-diagonal entry is
+    # c(k) = (d1 + d2) g00 - (d1 - d2) g11 - 2 d3 g01. Over the grid, with
+    # d1 = c0 + c1 cos 2k, d2 constant and d3 = cos(theta2) sin 2k, the Gram
+    # matrix of the rows scaled by 1/sqrt(L) splits into 2 cos^2(theta2) on
+    # g01 and a 2x2 block on (g00, g11) with trace 2(<d1^2> + d2^2) and
+    # determinant 2 d2^2 c1^2: the constraint has a null vector only at
+    # d2 = -sin(theta2) sinh(2 gamma) = 0, where it is G_c = I.
+    # Measured at every L: sigma_min <= 2.5e-16 at e^g = 1, 0.18224 at 1.2
+    # and 0.25686 at 1.3.
+    worst_null, sigma = 0.0, {}
+    for size in (21, 101, 1201, 4001):
+        for factor in FACTORS:
+            p = WalkParams(T1, T2, math.log(factor), size)
+            d1, d2, d3 = _sin_entries(momentum_grid(size), p)
+            rows = np.stack([d1 + d2, -(d1 - d2), -2.0 * d3], axis=1) / math.sqrt(size)
+            _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+            if factor == 1.0:
+                assert sv[-1] <= 1e-15
+                worst_null = max(worst_null, np.abs(np.abs(vh[-1]) - (1.0, 1.0, 0.0) / np.sqrt(2.0)).max())
+            else:
+                c0 = np.cosh(2 * p.gamma) * np.cos(T1) * np.sin(T2)
+                c1 = np.sin(T1) * np.cos(T2)
+                trace, det = 2.0 * (c0**2 + c1**2 / 2.0 + d2[0] ** 2), 2.0 * d2[0] ** 2 * c1**2
+                assert sv[-1] ** 2 == pytest.approx(trace / 2.0 - math.sqrt(trace**2 / 4.0 - det), rel=1e-12)
+            sigma[factor] = max(sigma.get(factor, 0.0), float(sv[-1]))
+    ok = (
+        worst_null <= 1e-12
+        and abs(sigma[1.2] - 0.18224) <= 1e-5
+        and abs(sigma[1.3] - 0.25686) <= 1e-5
+    )
+    _report(
+        12,
+        "no coin-only metric off the Hermitian point",
+        ok,
+        f"sigma_min {sigma[1.0]:.1e} (null vector ~ I, off by {worst_null:.1e}), "
+        f"e^g=1.2: {sigma[1.2]:.5f}, e^g=1.3: {sigma[1.3]:.5f}",
+    )

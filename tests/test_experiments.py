@@ -15,7 +15,7 @@ from ptwalk.cli import main
 from ptwalk.experiments import validate_config
 from ptwalk.measures import AnnealSchedule
 from ptwalk.metric import MetricSpec
-from ptwalk.toy import ToyConfig
+from ptwalk.toy import FRAME_CONDITION_MAX, ToyConfig
 
 
 def tiny_config(out_dir, study="all"):
@@ -198,17 +198,23 @@ def test_manifest_reproduces_custom_toy(tmp_path):
 
 
 def test_toy_summary_records_transport_residuals(tmp_path):
-    # Measured: every pt_phase residual <= 9.9e-15; the real variant's product
-    # metrics 3.0e-15 and 3.2e-15, its non-product metric 1.28e-8 (metric
-    # condition number 3.3e8).
+    # Measured: the pt_phase residuals 5.0e-15, 3.1e-15 and 3.9e-15; the real
+    # variant's 1.4e-15, 2.3e-15 and 2.2e-15, its non-product frame at
+    # kappa(B) = 1.81e4 (the root of the assembled metric, at condition
+    # number 3.3e8, left 1.28e-8 there).
     for toy in (ToyConfig(), ToyConfig(variant="real", t_max=1.0)):
         out = tmp_path / toy.variant
         run(dataclasses.replace(tiny_config(out, study="toy"), toy=toy))
-        residuals = json.loads((out / "toy__summary.json").read_text())["transport_unitarity_residual"]
+        summary = json.loads((out / "toy__summary.json").read_text())
+        residuals = summary["transport_unitarity_residual"]
         assert set(residuals) == {"product1", "product2", "nonproduct"}
         assert residuals["product1"] < 1e-13  # the identity transport
         assert 0.0 <= residuals["product2"] < 1e-13
-        assert 0.0 <= residuals["nonproduct"] < (1e-7 if toy.variant == "real" else 1e-13)
+        assert 0.0 <= residuals["nonproduct"] < 1e-13
+        conditions = summary["frame_condition"]
+        assert set(conditions) == set(residuals)
+        assert 1.0 <= min(conditions.values()) and max(conditions.values()) <= FRAME_CONDITION_MAX
+    assert conditions["nonproduct"] == pytest.approx(1.81e4, rel=1e-3)
 
 
 def test_toy_config_rejects_a_single_custom_block():
@@ -693,6 +699,16 @@ def test_cli_gamma_pt(capsys):
 def test_cli_gamma_pt_no_breaking(capsys):
     code = main(["gamma-pt", "--theta1", "0.5", "--theta2", "0.5"])
     assert code == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("toy", [{"mixing_strength": 1000}, {"variant": "real", "mixing_strength": 10}])
+def test_cli_run_refuses_toy_weights_out_of_range(tmp_path, capsys, toy):
+    # e^{2 s lambda} leaves the float range: a numerical failure, not a traceback
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"study": "toy", "toy": toy}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: metric weights not finite and positive")
 
 
 def test_cli_run_and_report(tmp_path, capsys):

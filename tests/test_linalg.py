@@ -5,9 +5,9 @@ import pytest
 
 from channel_reference import devec, partial_trace, vec
 import loop_reference
-from loop_reference import BranchAmbiguity, herm_sqrt, unitary_log, walk_block
+from loop_reference import BranchAmbiguity, herm_sqrt, metric_root, unitary_log, walk_block
 from ptwalk import DegeneratePairing, NotPositive, ShapeMismatch, WalkParams
-from ptwalk.linalg import eig, metric_root, trace_norm
+from ptwalk.linalg import eig, trace_norm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -13,6 +13,7 @@ from loop_reference import (
     generalized_dagger,
     hamiltonian_blocks,
     herm_sqrt,
+    metric_root,
     metric_transport,
     separability_defect,
     verify_metric_action,
@@ -27,7 +28,7 @@ from ptwalk import (
     is_unbroken,
 )
 from ptwalk.channel import _plus_eigenvector, _sin_entries, bloch_matrix_series
-from ptwalk.linalg import eig, metric_root, trace_norm
+from ptwalk.linalg import eig, trace_norm
 from ptwalk.metric import write_metric_csv
 from ptwalk.walk import momentum_grid, spectral_a
 

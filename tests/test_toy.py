@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import loop_reference
-from ptwalk import DegeneratePairing, SpectrumNotReal, ToyConfig, run_toy
-from ptwalk.linalg import eig
-from ptwalk.toy import _frames, _gauge, metric_from_weights, product_defect, toy_hamiltonians
+from ptwalk import DegeneratePairing, NotPositive, SpectrumNotReal, ToyConfig, run_toy
+from ptwalk.toy import _frames, _gauge, product_defect, toy_hamiltonians
 
 # spectra +-1.118 and +-1.732: each product +-1.9365 is a double eigenvalue
 # of h_A (x) h_B, which a 4x4 eigensolve refuses to pair
@@ -35,14 +34,14 @@ def test_pt_phase_blocks_are_nonhermitian():
     assert np.abs(h_a_real - h_a_real.conj().T).max() < 1e-15
 
 
-def test_metric_from_weights_is_compatible():
-    h_a, _ = toy_hamiltonians("pt_phase")
-    g = metric_from_weights(eig(h_a).left, (0.7, 1.9))
-    assert np.abs(g - g.conj().T).max() < 1e-12
-    assert np.linalg.eigvalsh(g).min() > 0
-    assert np.abs(h_a.conj().T @ g - g @ h_a).max() < 1e-12
-    with pytest.raises(ValueError):
-        metric_from_weights(eig(h_a).left, (1.0, -0.5))
+def test_frame_metrics_are_compatible():
+    # the three metrics G = X Sigma^2 X† read off the frames' SVDs
+    toy = ToyConfig()
+    h = np.kron(*toy.hamiltonians())
+    for g in _frames(toy)[1]:
+        assert np.abs(g - g.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh((g + g.conj().T) / 2.0).min() > 0
+        assert np.abs(h.conj().T @ g - g @ h).max() < 1e-12
 
 
 def test_product_defect_detects_products():
@@ -62,7 +61,7 @@ def test_product_exp_matches_taylor_oracle_and_commutes(blocks, s):
     base = CUSTOM if blocks == "custom" else ToyConfig(variant=blocks)
     toy = replace(base, mixing_strength=s)
     h = np.kron(*toy.hamiltonians())
-    _, metrics, _ = _frames(toy)
+    _, metrics, _, _ = _frames(toy)
     mixer = loop_reference.expm(s * h)
     oracle = mixer.conj().T @ metrics[0] @ mixer
     # relative to the largest entry: on 'real' at s = 0.25 entries reach 1.6e8
@@ -85,13 +84,27 @@ def test_run_toy_matches_the_transport_oracle(toy):
         assert np.abs(curve - oracle[name]).max() <= 1e-13
 
 
-def rephased(solver, reverse):
-    # LAPACK's eigenvectors with other phases (a fixed unit phase per column)
-    # and, for ``eig``, the pairs in reverse order
+def rephased_eig(eig):
+    # LAPACK's eigenpairs in reverse order, with other phases (a fixed unit
+    # phase per column)
     def patched(a):
-        values, vectors = solver(a)
+        values, vectors = eig(a)
         vectors = vectors * np.exp(1j * (0.4 + 0.9 * np.arange(vectors.shape[-1])))
-        return (values[..., ::-1], vectors[..., ::-1]) if reverse else (values, vectors)
+        return values[..., ::-1], vectors[..., ::-1]
+
+    return patched
+
+
+def rephased_svd(svd):
+    # LAPACK's singular-vector pairs with other phases: column j of X and row
+    # j of Y† take opposite unit phases, so X Sigma Y† is unchanged
+    def patched(a, *args, **kwargs):
+        result = svd(a, *args, **kwargs)
+        if not kwargs.get("compute_uv", True):
+            return result
+        x, sigma, yh = result
+        phase = np.exp(1j * (0.4 + 0.9 * np.arange(sigma.shape[-1])))
+        return x * phase, sigma, phase.conj()[:, None] * yh
 
     return patched
 
@@ -99,8 +112,8 @@ def rephased(solver, reverse):
 @pytest.mark.parametrize("toy", TOYS.values(), ids=TOYS.keys())
 def test_run_toy_does_not_depend_on_lapack_eigenvector_conventions(toy, monkeypatch):
     want = run_toy(toy).entropy
-    monkeypatch.setattr(np.linalg, "eig", rephased(np.linalg.eig, reverse=True))
-    monkeypatch.setattr(np.linalg, "eigh", rephased(np.linalg.eigh, reverse=False))
+    monkeypatch.setattr(np.linalg, "eig", rephased_eig(np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "svd", rephased_svd(np.linalg.svd))
     got = run_toy(toy).entropy
     for name in want:
         assert np.abs(got[name] - want[name]).max() <= 1e-12
@@ -121,7 +134,7 @@ def test_gauge_makes_the_lead_component_real_and_positive():
 def test_metric_weights_follow_ascending_eigenvalues():
     # R† G R = diag(w) on the eigenpairs of H sorted factor by factor, for
     # G_1 and G_2 with their configured weights and the mixed metric with e^{2 s lambda} w_1
-    lam, metrics, _ = _frames(WEIGHTED)
+    lam, metrics, _, _ = _frames(WEIGHTED)
     (values_a, right_a), (values_b, right_b) = (
         (sys.values[np.argsort(sys.values.real)], sys.right[:, np.argsort(sys.values.real)])
         for sys in map(loop_reference.eig, WEIGHTED.hamiltonians())
@@ -137,7 +150,7 @@ def test_metric_weights_follow_ascending_eigenvalues():
 
 @pytest.mark.parametrize("toy", [ToyConfig(), COINCIDING], ids=["pt_phase", "coinciding"])
 def test_frames_are_unitary_and_diagonalize_eta_h_eta_inverse(toy):
-    lam, metrics, frames = _frames(toy)
+    lam, metrics, frames, _ = _frames(toy)
     h = np.kron(*toy.hamiltonians())
     for g, v in zip(metrics, frames):
         eta = loop_reference.herm_sqrt(g)
@@ -192,6 +205,33 @@ def test_run_toy_default_real_variant_stays_at_one_bit():
     result = run_toy(ToyConfig(variant="real"))
     for curve in result.entropy.values():
         assert np.abs(curve - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("s, kappa", [(3.0, 8.719e3), (5.0, 2.290e6)])
+def test_transport_stays_unitary_at_strong_mixing(s, kappa):
+    # the residuals measure <= 5.1e-15; a root of the assembled metric
+    # G = B B† squares the conditioning and left 1.1e-8 and 4.1e-4 here
+    result = run_toy(ToyConfig(mixing_strength=s))
+    assert max(result.transport_residuals.values()) <= 1e-13
+    assert result.frame_conditions["nonproduct"] == pytest.approx(kappa, rel=1e-3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "variant, s, reason",
+    [
+        ("pt_phase", 10.0, "frame condition number 2.68e\\+12"),
+        ("pt_phase", 1000.0, "weights not finite and positive"),
+        ("real", 0.5, "frame condition number 3.28e\\+08"),
+        ("real", 1.0, "frame condition number"),
+        ("real", 10.0, "weights not finite and positive"),
+    ],
+)
+def test_run_toy_refuses_an_ill_conditioned_frame(variant, s, reason):
+    # on 'real' at s = 1 sigma_min(B) is below roundoff; e^{2 s lambda}
+    # leaves the float range at pt_phase s = 1000 and on 'real' at s = 10
+    with pytest.raises(NotPositive, match=reason):
+        run_toy(ToyConfig(variant=variant, mixing_strength=s))
 
 
 def test_run_toy_rejects_complex_spectrum():
