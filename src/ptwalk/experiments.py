@@ -10,9 +10,10 @@ pairs of one gamma come from one pass over their shared angles. Each
 measure runs once per distinct M(t) of a group of pairs: at gamma = 0
 every metric's axes come from S alone, so the pairs of e^gamma = 1 have
 bitwise-equal M(t) and share one annealer search, one series and one
-formatted CSV body, while each cell still writes its own CSV and JSON.
+formatted set of CSV rows, while each cell still writes its own CSV and JSON.
 Cells whose gamma lies beyond the exceptional point are skipped and
-reported, not fatal. Given the same config and master seed, the CSV outputs are
+reported, not fatal. Every file of a run is written here, its CSVs by one
+writer (``_write_csv``). Given the same config and master seed, the CSV outputs are
 byte-identical across reruns and thread counts; summary JSONs are
 deterministic apart from their wall-clock ``runtime_s`` and ``timings``
 fields.
@@ -34,13 +35,19 @@ from .channel import bloch_matrix_series, build_euclidean_walk, equal_classes
 from .config import Config
 from .errors import ConfigInvalid, MissingArtifacts
 from .measures import AnnealSchedule, MeasureSeries, entanglement_series, maximize_blp_many, rhp_series
-from .metric import MetricSpec, write_metric_csv
+from .metric import MetricSpec
 from .toy import ToyConfig, run_toy
 from .walk import WalkParams, is_unbroken, momentum_grid
 
 WALK_STUDIES = ("blp", "rhp", "entanglement")
 STUDIES = (*WALK_STUDIES, "toy", "all")
 OUTPUT_DIR_ENV = "PTWALK_OUTPUT_DIR"
+SERIES_HEADER = ("t", "delta", "N", "g", "I_RHP", "S", "flags")
+METRIC_HEADER = ("k", "re_g11", "im_g11", "re_g12", "im_g12", "re_g21", "im_g21", "re_g22", "im_g22")
+# Rows of a CSV formatted and written together. It bounds the strings alive
+# at once: formatted in one piece, the L = 4001 audit CSVs raised the peak
+# RSS of a one-worker wide-lattice run (t_max = 20) by 1.8 MB.
+CSV_BLOCK_ROWS = 512
 
 # Reported alongside every cell so outputs are self-describing.
 TOLERANCES = {
@@ -147,6 +154,69 @@ def _metric_csv_name(factor: float, label: str) -> str:
     return f"metric__eg{factor:g}__{label}.csv"
 
 
+def _csv_rows(columns: list) -> str:
+    """Rows in csv's default dialect from ``columns``, none of whose fields needs quoting.
+
+    A column is a list of field strings, one per row, set into the rows with
+    one extended-slice assignment, or one string that every row repeats,
+    folded into the row template.
+    """
+    row, lists = [""], []
+    for j, column in enumerate(columns):
+        row[-1] += "," if j else ""
+        if isinstance(column, str):
+            row[-1] += column
+        else:
+            lists.append(column)
+            row += [None, ""]
+    row[-1] += "\r\n"
+    fields = row * len(lists[0])
+    for i, column in enumerate(lists):
+        fields[2 * i + 1 :: len(row)] = column
+    return "".join(fields)
+
+
+def _write_csv(path: Path, header: tuple[str, ...], blocks, comment: str | None = None) -> None:
+    """The one CSV writer: an optional '#'-prefixed provenance line, the header, then the row strings of ``blocks``."""
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            fh.write(block)
+
+
+def _series_rows(series: MeasureSeries) -> str:
+    """The CSV rows of a series under ``SERIES_HEADER``, floats written with ``repr``; an unused column is empty."""
+    cols = [series.delta, series.blp, series.g, series.rhp, series.entropy]
+    values = ["" if arr is None else list(map(repr, np.asarray(arr, float).tolist())) for arr in cols]
+    return _csv_rows([list(map(str, series.steps.tolist())), *values, series.flags])
+
+
+def write_metric_csv(g: np.ndarray, k_column: list[str], path: Path, comment: str | None = None) -> None:
+    """Audit export of the (L, 2, 2) blocks ``g``: one row per momentum with the four block entries, re and im.
+
+    The blocks must be real symmetric, as ``channel.build_euclidean_walk``
+    makes them, so g21 is g12 and every im is 0.0; others raise ValueError.
+    ``k_column`` is the momentum column already formatted, one string per
+    block, so that metrics on one grid share it. Every value is written with
+    ``repr``, in blocks of ``CSV_BLOCK_ROWS`` rows.
+    """
+    if np.iscomplexobj(g) or not np.array_equal(g[:, 0, 1], g[:, 1, 0]):
+        raise ValueError("metric audit needs real symmetric blocks (g12 == g21)")
+    if len(k_column) != len(g):
+        raise ValueError(f"momentum column has {len(k_column)} entries for {len(g)} blocks")
+
+    def blocks():
+        for start in range(0, len(g), CSV_BLOCK_ROWS):
+            block = g[start : start + CSV_BLOCK_ROWS]
+            g11, g12, g22 = (list(map(repr, block[:, i, j].tolist())) for i, j in ((0, 0), (0, 1), (1, 1)))
+            k = k_column[start : start + CSV_BLOCK_ROWS]
+            yield _csv_rows([k, g11, "0.0", g12, "0.0", g12, "0.0", g22, "0.0"])
+
+    _write_csv(path, METRIC_HEADER, blocks(), comment)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -154,19 +224,20 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _run_cell(
-    cfg: ExperimentConfig, spec: MetricSpec, summary: dict, out: Path, series: MeasureSeries, started: float
+    cfg: ExperimentConfig, spec: MetricSpec, summary: dict, out: Path, series: MeasureSeries, rows: str, started: float
 ) -> dict:
     """Write one (study, gamma, metric) walk cell: its series CSV and summary JSON.
 
     ``summary`` holds the cell's identity, its walk's health and its pair's
     stage timings. ``series`` is the cell's measure read from its M(t); a
     BLP cell's is the winning pair's series from the group's lockstep
-    search, whose meta holds N_max and the pair. Cells with bitwise-equal
-    M(t) share one series and its formatted CSV body, but each writes its
-    own CSV, with its own provenance line, and its own JSON. runtime_s
-    counts from ``started``, so it holds what the caller timed for the cell
-    first (the series, if this cell computed it, or a BLP cell's share of
-    the search), and is repeated as ``cell_s`` in ``timings``.
+    search, whose meta holds N_max and the pair. ``rows`` are the series'
+    CSV rows (``_series_rows``). Cells with bitwise-equal M(t) share one
+    series and its rows, but each writes its own CSV, with its own
+    provenance line, and its own JSON. runtime_s counts from ``started``,
+    so it holds what the caller timed for the cell first (the series and
+    its rows, if this cell made them, or a BLP cell's share of the search),
+    and is repeated as ``cell_s`` in ``timings``.
     """
     study, stem = summary["study"], summary["cell"]
     if study == "rhp":
@@ -190,7 +261,7 @@ def _run_cell(
         f"cell={stem} master_seed={cfg.master_seed} metric={spec.label} "
         f"metric_seed={spec.seed} t_max={cfg.t_max} tolerances={json.dumps(TOLERANCES)}"
     )
-    series.write_csv(out / f"{stem}.csv", comment=comment)
+    _write_csv(out / f"{stem}.csv", SERIES_HEADER, [rows], comment)
     summary["runtime_s"] = time.perf_counter() - started
     summary["timings"]["cell_s"] = summary["runtime_s"]
     _write_json(out / f"{stem}.json", summary)
@@ -209,7 +280,8 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
     once per group before any pair is timed.
 
     Each measure then runs once per distinct M(t) of the group: pairs whose
-    M(t) are bitwise equal share its series. That is exact, not a tolerance:
+    M(t) are bitwise equal share its series, and the series' CSV rows are
+    formatted once for all of their cells. That is exact, not a tolerance:
     at gamma = 0 every metric's axes are read from S alone, so every metric
     of e^gamma = 1 has the same M(t) to the bit. The BLP cells are annealed
     together, one lockstep search over the distinct M(t). Top-level function
@@ -273,10 +345,13 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
             share = (time.perf_counter() - started) / len(cells)
         else:
             series = [None] * len(first)
+        rows = [None] * len(first)
         for (spec, pair, bloch), c in zip(cells, index):
             started = time.perf_counter() - share
-            if series[c] is None:
-                series[c] = measures[study](bloch)
+            if rows[c] is None:
+                if series[c] is None:
+                    series[c] = measures[study](bloch)
+                rows[c] = _series_rows(series[c])
             summary = {
                 "cell": _cell_stem(study, pair["gamma_factor"], spec.label),
                 "status": "ok",
@@ -286,23 +361,20 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
             }
             if study == "blp":
                 summary["timings"]["search_s"] = share
-            summaries.append(_run_cell(cfg, spec, summary, out, series[c], started))
+            summaries.append(_run_cell(cfg, spec, summary, out, series[c], rows[c], started))
     return summaries
 
 
 def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
     started = time.perf_counter()
     result = run_toy(cfg.toy)
+    times = list(map(repr, result.times.tolist()))
     for name, curve in result.entropy.items():
-        with open(out / f"toy__{name}.csv", "w", newline="") as fh:
-            fh.write(
-                f"# cell=toy__{name} variant={cfg.toy.variant} "
-                f"mixing_strength={cfg.toy.mixing_strength} dt={cfg.toy.dt} entropy_base=2\n"
-            )
-            writer = csv.writer(fh)
-            writer.writerow(["t", "S"])
-            for t, s in zip(result.times, curve):
-                writer.writerow([repr(float(t)), repr(float(s))])
+        comment = (
+            f"cell=toy__{name} variant={cfg.toy.variant} "
+            f"mixing_strength={cfg.toy.mixing_strength} dt={cfg.toy.dt} entropy_base=2"
+        )
+        _write_csv(out / f"toy__{name}.csv", ("t", "S"), [_csv_rows([times, list(map(repr, curve.tolist()))])], comment)
     summary = {
         "cell": "toy",
         "status": "ok",
@@ -410,9 +482,7 @@ def _git_commit(git: Path = Path(__file__).resolve().parents[2] / ".git") -> str
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _load_series_column(path: Path, column: str) -> np.ndarray:
@@ -425,16 +495,19 @@ def report(in_dir) -> tuple[str, dict]:
     """Cross-metric spread statistics and pass/fail classification for a bundle.
 
     Only the artifacts the manifest lists are read, so files an earlier run
-    left in the same directory never enter a verdict.
+    left in the same directory never enter a verdict; a listed artifact that
+    is absent raises MissingArtifacts, naming it.
     """
     out = Path(in_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise MissingArtifacts(f"no manifest.json under {out}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = json.loads(manifest_path.read_text())
     cfg = ExperimentConfig.from_dict(manifest["config"])
     listed = {art["path"] for art in manifest["artifacts"]}
+    absent = sorted(rel for rel in listed if not (out / rel).is_file())
+    if absent:
+        raise MissingArtifacts(f"listed in the manifest but absent under {out}: {', '.join(absent)}")
 
     rows = []
     results: dict = {"studies": {}}
@@ -479,8 +552,7 @@ def report(in_dir) -> tuple[str, dict]:
         for metric in cfg.metrics:
             name = f"{_cell_stem('blp', factor, metric.label)}.json"
             if name in listed:
-                with open(out / name) as fh:
-                    values.append(json.load(fh)["n_max"])
+                values.append(json.loads((out / name).read_text())["n_max"])
         if len(values) >= 2:
             spread = max(values) - min(values)
             verdict = "PASS" if spread <= TOLERANCES["blp_metric_spread"] else "FAIL"
@@ -490,9 +562,7 @@ def report(in_dir) -> tuple[str, dict]:
         results["studies"]["blp"] = blp_entry
 
     if "toy__summary.json" in listed:
-        with open(out / "toy__summary.json") as fh:
-            toy_summary = json.load(fh)
-        devs = toy_summary["max_abs_dev_from_one_bit"]
+        devs = json.loads((out / "toy__summary.json").read_text())["max_abs_dev_from_one_bit"]
         toy_entry = {}
         for name, dev in devs.items():
             if name.startswith("product"):

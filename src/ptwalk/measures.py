@@ -21,7 +21,8 @@ of one gamma, and Bloch vectors, one function per quantity: ``blp_series``, ``rh
 A measure depends on the walk only through M(t), so a run computes each
 once per distinct M(t): every metric of a unitary walk (gamma = 0) has the
 axes of S alone and so the same M(t) to the bit, and its cells share one
-series, whose CSV body ``MeasureSeries.write_csv`` formats once.
+series. Nothing here writes a file: ``ptwalk.experiments`` writes a
+series' CSV.
 Failure of CP-divisibility is scored through the one-step intermediate maps
 A(t) = M(t) M(t-1)^{-1}:
 
@@ -36,7 +37,6 @@ entropy.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -82,46 +82,6 @@ class MeasureSeries:
     def __post_init__(self):
         if not self.flags:
             self.flags = [""] * len(self.steps)
-
-    def write_csv(self, path, comment: str | None = None) -> None:
-        """Write the series; an optional '#'-prefixed first line carries
-        provenance (seeds, tolerances) so the file is self-describing.
-
-        Columns t, delta, N, g, I_RHP, S and flags, in csv's default dialect
-        (no field needs quoting); an unused column is empty. The header and
-        rows are formatted at the first write and reused by later ones, so a
-        series written to several files is formatted once: its columns must
-        not change after it is first written.
-        """
-        with open(path, "w", newline="") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.write(self._csv_body)
-
-    @cached_property
-    def _csv_body(self) -> str:
-        """Header and rows of the CSV, each column formatted in one pass with
-        ``repr`` of its float values and set into every row with one
-        extended-slice assignment."""
-        cols = {
-            "delta": self.delta,
-            "N": self.blp,
-            "g": self.g,
-            "I_RHP": self.rhp,
-            "S": self.entropy,
-        }
-        present = [arr for arr in cols.values() if arr is not None]
-        # stacked first, so every column takes the stack's common dtype
-        stacked = iter(np.column_stack(present).T.tolist() if present else ())
-        row = ["", ","] * (len(cols) + 2)  # each field followed by its separator
-        row[-1] = "\r\n"
-        width, fields = len(row), row * len(self.steps)
-        fields[::width] = map(str, self.steps.tolist())
-        for j, arr in enumerate(cols.values(), start=1):
-            if arr is not None:
-                fields[2 * j :: width] = map(repr, next(stacked))
-        fields[width - 2 :: width] = self.flags
-        return ",".join(["t", *cols, "flags"]) + "\r\n" + "".join(fields)
 
 
 @dataclass(frozen=True)

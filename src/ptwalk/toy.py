@@ -78,6 +78,8 @@ class ToyConfig(Config):
     """Hamiltonian blocks, metric weights and the evolution window.
 
     Custom blocks ``h_a``, ``h_b``, given as any 2x2 arrays, are kept as rows of complex numbers.
+    ``variant``, 'pt_phase' or 'real', picks the built-in blocks; the toy CSVs
+    record it, also when custom blocks replace them.
     """
 
     variant: str = "pt_phase"
@@ -102,7 +104,7 @@ class ToyConfig(Config):
                 object.__setattr__(self, name, tuple(map(tuple, np.asarray(h, complex).tolist())))
         if (self.h_a is None) != (self.h_b is None):
             errors.append(("toy", "custom h_a and h_b must be given together"))
-        elif self.h_a is None and self.variant not in ("pt_phase", "real"):
+        if self.variant not in ("pt_phase", "real"):
             errors.append(("toy", f"unknown variant {self.variant!r}"))
         if not 0 < self.dt < math.inf:
             errors.append(("toy", f"dt must be positive and finite, got {self.dt}"))

@@ -709,7 +709,7 @@ def write_metric_csv(ks: np.ndarray, g: np.ndarray, path, comment: str | None = 
 
 
 def write_series_csv(series, path, comment: str | None = None) -> None:
-    """``MeasureSeries.write_csv``, one value at a time."""
+    """The series CSV that ``ptwalk.experiments`` writes, one value at a time."""
     cols = {
         "delta": series.delta,
         "N": series.blp,
@@ -728,3 +728,16 @@ def write_series_csv(series, path, comment: str | None = None) -> None:
                 row.append("" if arr is None else repr(float(arr[i])))
             row.append(series.flags[i])
             writer.writerow(row)
+
+
+def write_toy_csv(toy, name: str, times: np.ndarray, curve: np.ndarray, path) -> None:
+    """The toy CSV of metric ``name`` for the ToyConfig ``toy``, one value at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write(
+            f"# cell=toy__{name} variant={toy.variant} "
+            f"mixing_strength={toy.mixing_strength} dt={toy.dt} entropy_base=2\n"
+        )
+        writer = csv.writer(fh)
+        writer.writerow(["t", "S"])
+        for t, s in zip(times, curve):
+            writer.writerow([repr(float(t)), repr(float(s))])

@@ -24,6 +24,7 @@ from ptwalk import (
     gamma_pt,
 )
 from ptwalk.channel import bloch_matrix_series, equal_classes
+from ptwalk.experiments import SERIES_HEADER, _series_rows, _write_csv
 from ptwalk.linalg import trace_norm
 from ptwalk.walk import momentum_grid, spectral_a
 
@@ -304,7 +305,7 @@ def test_trajectory_csv(tmp_path):
     ew = build_euclidean_walk(params(0.1), FLAT)[0]
     series = entanglement_series(bloch_matrix_series([ew], 4)[0], (0, 1, 0))
     path = tmp_path / "traj.csv"
-    series.write_csv(path)
+    _write_csv(path, SERIES_HEADER, [_series_rows(series)])
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 6
     assert lines[0].split(",")[:3] == ["t", "delta", "N"]

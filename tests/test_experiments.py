@@ -113,6 +113,17 @@ def test_config_validation_messages():
         ("toy", {"dt": math.inf}),
         ("toy", {"t_max": math.inf}),
         ("metrics", [{"kind": "random_xy", "seed": 1, "high": math.inf}]),
+        # text that would break a CSV's '#' provenance line: a control
+        # character in a metric name, and an unknown variant beside custom blocks
+        ("metrics", [{"kind": "g1_flat", "name": "G\n2"}]),
+        (
+            "toy",
+            {
+                "variant": "x\ny",
+                "h_a": [[[1.0, 0.0], [1.2, 0.0]], [[1.2, 0.0], [1.0, 0.0]]],
+                "h_b": [[[1.0, 0.0], [1.4, 0.0]], [[1.4, 0.0], [1.0, 0.0]]],
+            },
+        ),
     ],
 )
 def test_invalid_config_exits_2_before_writing(tmp_path, field, value):
@@ -195,6 +206,23 @@ def test_manifest_reproduces_custom_toy(tmp_path):
     rerun = run(back, out_dir=tmp_path / "b")
     hashes = lambda m: {a["path"]: a["sha256"] for a in m["artifacts"] if a["path"].endswith(".csv")}
     assert hashes(rerun) == hashes(manifest)
+
+
+@pytest.mark.parametrize("toy", [ToyConfig(), custom_toy()], ids=["default", "custom"])
+def test_toy_csvs_match_value_by_value_writer(tmp_path, toy):
+    import hashlib
+
+    import loop_reference
+    from ptwalk.toy import run_toy
+
+    out = tmp_path / "out"
+    manifest = run(dataclasses.replace(tiny_config(out, study="toy"), toy=toy))
+    result = run_toy(toy)
+    for name, curve in result.entropy.items():
+        want = tmp_path / f"toy__{name}.csv"
+        loop_reference.write_toy_csv(toy, name, result.times, curve, want)
+        assert hashlib.sha256((out / want.name).read_bytes()).digest() == hashlib.sha256(want.read_bytes()).digest()
+    assert sum(a["path"].startswith("toy__") and a["path"].endswith(".csv") for a in manifest["artifacts"]) == 3
 
 
 def test_toy_summary_records_transport_residuals(tmp_path):
@@ -538,6 +566,25 @@ def test_every_src_definition_is_exported_or_called():
     assert orphans == []
 
 
+def test_only_experiments_opens_files():
+    # every artifact format is written behind one writer in experiments; a
+    # file opened or written anywhere else in src/ptwalk would let a second one grow
+    import ast
+
+    opened = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ptwalk").glob("*.py"))
+        if path.name != "experiments.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (
+            getattr(node.func, "id", None) == "open"
+            or getattr(node.func, "attr", None) in ("open", "write_text", "write_bytes")
+        )
+    ]
+    assert opened == []
+
+
 def test_benchmark_contract(tmp_path):
     # The benchmark under perfbench/ imports these names and reads these
     # fields; tier-1 does not collect perfbench/, so a rename would otherwise
@@ -684,6 +731,16 @@ def test_a_metric_holding_the_dropped_x_weight_is_refused(tmp_path):
 def test_report_missing_artifacts(tmp_path):
     with pytest.raises(MissingArtifacts):
         report(tmp_path)
+
+
+def test_report_names_a_listed_artifact_that_is_absent(tmp_path, capsys):
+    out = tmp_path / "out"
+    run(tiny_config(out, study="rhp"))
+    (out / "rhp__eg1.2__G2.csv").unlink()
+    with pytest.raises(MissingArtifacts, match=r"absent under .*: rhp__eg1\.2__G2\.csv$"):
+        report(out)
+    assert main(["report", "--in", str(out)]) == 3
+    assert "rhp__eg1.2__G2.csv" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------- CLI

@@ -25,6 +25,7 @@ from channel_reference import (
     von_neumann_entropy,
 )
 from ptwalk.channel import PINV_RCOND, bloch_matrix_series, intermediate_maps
+from ptwalk.experiments import SERIES_HEADER, _series_rows, _write_csv
 from ptwalk.measures import _blp_objective, _Buffers, _stacks, maximize_blp_many
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -560,13 +561,13 @@ def test_entanglement_flags_impure_initial():
 def test_measure_series_csv(tmp_path):
     series = rhp_series(bloch(1.2, t_max=5))
     path = tmp_path / "series.csv"
-    series.write_csv(path)
+    _write_csv(path, SERIES_HEADER, [_series_rows(series)])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,delta,N,g,I_RHP,S,flags"
     assert len(lines) == 7
     # unused columns stay empty
     assert lines[1].split(",")[1] == ""
-    series.write_csv(path, comment="seed=5 tol=1e-8")
+    _write_csv(path, SERIES_HEADER, [_series_rows(series)], comment="seed=5 tol=1e-8")
     assert path.read_text().startswith("# seed=5 tol=1e-8\n")
 
 
@@ -589,7 +590,7 @@ def test_measure_series_csv_matches_value_by_value_writer(tmp_path):
     ]
     for i, series in enumerate(cases):
         new, old = tmp_path / f"new{i}.csv", tmp_path / f"old{i}.csv"
-        series.write_csv(new, comment=f"case={i} tolerances={{\"a\": 1e-08}}")
+        _write_csv(new, SERIES_HEADER, [_series_rows(series)], comment=f"case={i} tolerances={{\"a\": 1e-08}}")
         loop_reference.write_series_csv(series, old, comment=f"case={i} tolerances={{\"a\": 1e-08}}")
         assert hashlib.sha256(new.read_bytes()).digest() == hashlib.sha256(old.read_bytes()).digest()
     assert "ill_conditioned(1.000e+13)" in new.read_text()

@@ -29,7 +29,7 @@ from ptwalk import (
 )
 from ptwalk.channel import _plus_eigenvector, _sin_entries, bloch_matrix_series
 from ptwalk.linalg import eig, trace_norm
-from ptwalk.metric import write_metric_csv
+from ptwalk.experiments import write_metric_csv
 from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
