@@ -16,7 +16,6 @@ from .errors import (
     NoBreaking,
     NotPositive,
     PTWalkError,
-    ShapeMismatch,
     SpectrumNotReal,
 )
 from .experiments import ExperimentConfig, load_config, report, run, validate_config

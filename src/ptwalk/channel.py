@@ -386,3 +386,14 @@ def choi_trace_norms(maps: np.ndarray) -> np.ndarray:
     l1, l2, l3 = np.moveaxis(lam, -1, 0)
     mu = np.stack([1 + l1 + l2 + l3, 1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3])
     return np.abs(mu / 4.0).sum(axis=0)
+
+
+def trace_norm(a: np.ndarray) -> float:
+    """Schatten 1-norm of one square matrix, the sum of its singular values; ValueError for any other shape.
+
+    The program does not call it: ``ptwalk.measures`` imports it for the benchmark, which wraps it there.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return float(np.linalg.svd(a, compute_uv=False).sum())

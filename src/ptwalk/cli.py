@@ -4,9 +4,10 @@
     ptwalk report --in DIR
     ptwalk gamma-pt --theta1 V --theta2 V
 
-Exit codes: 0 on success, 2 on configuration/usage errors, 3 on numerical
-failures. The output directory resolves as --out, then $PTWALK_OUTPUT_DIR,
-then the config's output_dir.
+Exit codes: 0 on success, 2 on configuration/usage errors (a result bundle
+that is missing or incomplete included), 3 on numerical failures. The
+output directory resolves as --out, then $PTWALK_OUTPUT_DIR, then the
+config's output_dir.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import math
 import os
 import sys
 
-from .errors import ConfigInvalid, NoBreaking, PTWalkError
+from .errors import ConfigInvalid, MissingArtifacts, NoBreaking, PTWalkError
 from .experiments import OUTPUT_DIR_ENV, ExperimentConfig, load_config, report, run
 from .walk import gamma_pt
 
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_gamma_pt(args)
-    except ConfigInvalid as exc:
+    except (ConfigInvalid, MissingArtifacts) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoBreaking as exc:

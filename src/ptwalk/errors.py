@@ -5,10 +5,6 @@ class PTWalkError(Exception):
     """Base class for all library errors."""
 
 
-class ShapeMismatch(PTWalkError):
-    """Input array has the wrong shape for the requested operation."""
-
-
 class DegeneratePairing(PTWalkError):
     """Eigenvalue clusters too close to pair left/right eigenvectors unambiguously."""
 

@@ -371,7 +371,7 @@ def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
     times = list(map(repr, result.times.tolist()))
     for name, curve in result.entropy.items():
         comment = (
-            f"cell=toy__{name} variant={cfg.toy.variant} "
+            f"cell=toy__{name} variant={result.meta['variant']} "
             f"mixing_strength={cfg.toy.mixing_strength} dt={cfg.toy.dt} entropy_base=2"
         )
         _write_csv(out / f"toy__{name}.csv", ("t", "S"), [_csv_rows([times, list(map(repr, curve.tolist()))])], comment)

@@ -41,9 +41,9 @@ from itertools import compress
 
 import numpy as np
 
-from .channel import choi_trace_norms, intermediate_maps
+# trace_norm is not called here; perfbench wraps ptwalk.measures.trace_norm
+from .channel import choi_trace_norms, intermediate_maps, trace_norm
 from .config import Config
-from .linalg import trace_norm  # not called here; perfbench wraps ptwalk.measures.trace_norm
 
 # Negative dust tolerated in g(t) before clamping to zero: the Choi trace
 # norm of an exactly CP step returns 1 +- float noise.

@@ -2,11 +2,11 @@
 
 The Hamiltonian is a tensor product H = h_A (x) h_B of 2x2 blocks with real
 spectrum, and the whole study is read in its biorthonormal eigenbasis
-(Mostafazadeh, J. Math. Phys. 43, 205 (2002)). One stacked ``eig`` of the
-two factors gives the eigenvalues lambda of H and its left vectors
-L = l_A (x) l_B = inv(R)†, R = r_A (x) r_B the right ones. Every metric
-compatible with H is G = L diag(w) L† with positive weights w, so
-R† G R = diag(w):
+(Mostafazadeh, J. Math. Phys. 43, 205 (2002)). The two factors' eigenpairs,
+read in closed form by ``_eigenpairs``, give the eigenvalues lambda of H and
+its left vectors L = l_A (x) l_B = inv(R)†, R = r_A (x) r_B the right ones;
+no eigensolver is called. Every metric compatible with H is G = L diag(w) L†
+with positive weights w, so R† G R = diag(w):
 
 - 'product1' and 'product2' are G_A (x) G_B, with the weights w_A (x) w_B;
 - 'nonproduct' is T† G_1 T with T = exp(s H), which mixes the factors; its
@@ -24,11 +24,11 @@ weights of psi_m(t). Product metrics keep the evolution locally generated,
 so S stays at one bit; the non-product metric starts it below one bit and
 makes it move.
 
-The eigenpairs are put in a gauge the program fixes, not LAPACK: each
-factor's pairs ascend in eigenvalue (the metric weights are listed in that
-order), and each unit right vector is rephased so that its lead component,
-the first at least half the largest in magnitude, is real and positive; the
-left vectors take the same phases. The components of a PT-symmetric block's
+The eigenpairs are put in a gauge the program fixes: each factor's pairs
+ascend in eigenvalue (the metric weights are listed in that order), and
+each unit right vector is rephased so that its lead component, the first at
+least half the largest in magnitude, is real and positive; the left vectors
+follow from the rephased right ones. The components of a PT-symmetric block's
 eigenvectors have equal magnitude, so the lead is not simply the larger one.
 
 Two parameter variants are provided. 'pt_phase' uses complex PT-symmetric
@@ -45,11 +45,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .errors import ConfigInvalid, NotPositive, SpectrumNotReal
-from .linalg import eig
+from .errors import ConfigInvalid, DegeneratePairing, NotPositive, SpectrumNotReal
 from .measures import _entropy_bits
 
 REAL_SPECTRUM_TOL = 1e-10
+# Eigenvalue gap, and left/right overlap, of a factor below which its eigenpairs are refused.
+PAIRING_GAP = 1e-9
+_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 METRICS = ("product1", "product2", "nonproduct")
 # Largest kappa(B) of an accepted frame. A frame's error grows like kappa(B)
 # times about 4e-17: against 60-digit polar factors, every frame accepted
@@ -78,8 +80,8 @@ class ToyConfig(Config):
     """Hamiltonian blocks, metric weights and the evolution window.
 
     Custom blocks ``h_a``, ``h_b``, given as any 2x2 arrays, are kept as rows of complex numbers.
-    ``variant``, 'pt_phase' or 'real', picks the built-in blocks; the toy CSVs
-    record it, also when custom blocks replace them.
+    ``variant``, 'pt_phase' or 'real', picks the built-in blocks; with custom
+    blocks the toy CSVs and ``ToyResult.meta`` record the variant 'custom'.
     """
 
     variant: str = "pt_phase"
@@ -166,20 +168,53 @@ def _gauge(right: np.ndarray) -> np.ndarray:
     return lead.conj() / np.abs(lead)
 
 
+def _eigenpairs(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues (n, 2), unit right vectors and biorthonormal left vectors (n, 2, 2) of a stack of 2x2 blocks, in closed form.
+
+    A block h has lambda_-+ = m -+ sqrt(q), m = tr h / 2 and
+    q = ((h00 - h11)/2)^2 + h01 h10; the principal root has Re sqrt(q) >= 0,
+    so each block's pairs ascend in real part. The right vector at lambda is
+    the longer of the adjugate columns (h01, lambda - h00) and
+    (lambda - h11, h10), normalized as in ``channel._plus_eigenvector``, and
+    put in the gauge of ``_gauge``; the left vectors, the columns of inv(R)†,
+    come from the 2x2 inverse. DegeneratePairing names the first block whose
+    eigenvalue gap 2|sqrt(q)| is below PAIRING_GAP, or whose left/right
+    overlap 1/|l| of unit vectors is.
+    """
+    h = np.asarray(blocks, complex)[..., None]  # every entry broadcasts over the block's two pairs
+    h00, h01, h10, h11 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1]
+    root = np.sqrt(((h00 - h11) / 2.0) ** 2 + h01 * h10)
+    values = (h00 + h11) / 2.0 + root * np.array([-1.0, 1.0])
+    gap = 2.0 * np.abs(root[:, 0])
+    a = np.stack(np.broadcast_arrays(h01, values - h00), axis=1)
+    b = np.stack(np.broadcast_arrays(values - h11, h10), axis=1)
+    norm_a, norm_b = np.linalg.norm(a, axis=1, keepdims=True), np.linalg.norm(b, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a block below the gap has no vectors and is refused
+        right = np.where(norm_a >= norm_b, a, b) / np.maximum(norm_a, norm_b)
+        right = right * _gauge(right)
+        # inv(R)† = J conj(R) J^T / conj(det R), J the 90-degree turn
+        det = right[:, 0, 0] * right[:, 1, 1] - right[:, 0, 1] * right[:, 1, 0]
+        left = (_TURN @ right @ _TURN.T).conj() / det.conj()[:, None, None]
+        overlap = 1.0 / np.linalg.norm(left, axis=1).max(axis=1)
+    close = gap < PAIRING_GAP
+    if (bad := np.flatnonzero(close | (overlap < PAIRING_GAP))).size:
+        i = bad[0]
+        reason = f"eigenvalue gap {gap[i]:.2e}" if close[i] else f"left/right overlap {overlap[i]:.2e}"
+        raise DegeneratePairing(f"block {i}: {reason} below {PAIRING_GAP}")
+    return values, right, left
+
+
 def _frames(toy: ToyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(lambda, G, V, kappa(B)): the eigenvalues of H, (4,), and per metric in METRICS order G, V, (3, 4, 4), and kappa(B), (3,).
 
     One SVD B = X Sigma Y† per metric gives V = X Y† and G = X Sigma^2 X†.
     NotPositive refuses weights that are not finite and positive and a
     kappa(B) = sigma_max / sigma_min above FRAME_CONDITION_MAX. A factor near
-    its exceptional point raises DegeneratePairing, a spectrum of H that is
-    not real SpectrumNotReal.
+    its exceptional point raises DegeneratePairing (block 0 is h_A, block 1
+    h_B), a spectrum of H that is not real SpectrumNotReal.
     """
-    factors = eig(np.stack(toy.hamiltonians()))
-    order = np.argsort(factors.values.real, axis=-1)
-    lam = np.kron(*np.take_along_axis(factors.values, order, axis=-1))
-    phase = _gauge(np.take_along_axis(factors.right, order[:, None, :], axis=-1))
-    left = np.kron(*(np.take_along_axis(factors.left, order[:, None, :], axis=-1) * phase))
+    values, _, left = _eigenpairs(np.stack(toy.hamiltonians()))
+    lam, left = np.kron(*values), np.kron(*left)
     imag = np.abs(lam.imag).max()
     if imag > REAL_SPECTRUM_TOL:
         raise SpectrumNotReal(f"max |Im eigenvalue| = {imag:.3e} exceeds {REAL_SPECTRUM_TOL}")
@@ -222,7 +257,7 @@ def run_toy(toy: ToyConfig) -> ToyResult:
         transport_residuals={name: float(r) for name, r in zip(METRICS, drift)},
         frame_conditions={name: float(c) for name, c in zip(METRICS, condition)},
         meta={
-            "variant": toy.variant,
+            "variant": toy.variant if toy.h_a is None else "custom",
             "mixing_strength": toy.mixing_strength,
             "dt": toy.dt,
             "entropy_base": 2,

@@ -21,9 +21,10 @@ here too: ``bloch_state`` (the coin state of a Bloch vector),
 ``_check_state``), the generic ``partial_trace`` of the dense lattice
 oracle, ``trace_distance`` of two density matrices and the
 ``von_neumann_entropy`` of one, with the Pauli-basis vectorization ``_PAULI``.
-``signed_singular_choi_norms`` is the 3x3 Choi norm with the sign of the
-smallest singular value read from the singular vectors, where the library
-reads it from det A.
+``_square`` checks a matrix argument, raising this module's own
+``ShapeMismatch`` (the library has none). ``signed_singular_choi_norms`` is
+the 3x3 Choi norm with the sign of the smallest singular value read from the
+singular vectors, where the library reads it from det A.
 """
 
 from dataclasses import dataclass
@@ -36,10 +37,24 @@ from ptwalk.channel import (
     _bloch_matrices,
     _check_horizon,
     bloch_matrix_series,
+    trace_norm,
 )
-from ptwalk.errors import ShapeMismatch
-from ptwalk.linalg import _square, trace_norm
+from ptwalk.errors import PTWalkError
 from ptwalk.measures import G_CLAMP, MeasureSeries, _check_bloch, _entropy_bits
+
+
+class ShapeMismatch(PTWalkError):
+    """Input array has the wrong shape for a reference helper."""
+
+
+def _square(a: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``a`` as a complex square matrix, or a stack (..., n, n) of them; ShapeMismatch or ValueError (non-finite) otherwise."""
+    a = np.asarray(a, dtype=complex)
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
+        raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    return a
 
 # Row-major vec of I, sigma_x, sigma_y, sigma_z, as columns: vec(rho) =
 # _PAULI (1, r) / 2 for rho = (I + r . sigma)/2, and _PAULI† _PAULI = 2 I.

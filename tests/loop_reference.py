@@ -25,10 +25,11 @@ library's own angles and five sums, folded onto the +-k pairs, with every
 double angle evaluated directly.
 The CSV writers at the end format one value at a time through ``csv.writer``;
 the library's writers must produce the same bytes. ``eig`` pairs left and
-right eigenvectors of one matrix by nearest conjugate eigenvalue and checks
-the library's stacked ``eig``; ``herm_sqrt`` is the clamping Hermitian square
-root used by the dense lattice oracles, and ``metric_root`` its unclamped
-stacked form, which refuses a block that is not positive definite and which
+right eigenvectors of one matrix (``EigenSystem``) by nearest conjugate
+eigenvalue and checks the toy's closed-form 2x2 eigenpairs and their
+refusals; ``herm_sqrt`` is the clamping Hermitian square root used by the
+dense lattice oracles, and ``metric_root`` its unclamped stacked form,
+which refuses a block that is not positive definite and which
 ``g_trace_norm`` roots with (the library forms no root). ``toy_entropy`` is
 the toy study on the generic route the library's polar factors replace: the
 mixer exp(sH) from ``expm``, a general matrix exponential without scipy, a
@@ -53,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from channel_reference import ChannelMatrix, _check_state, partial_trace, von_neumann_entropy
-from ptwalk.channel import BLOCK_ELEMENTS, build_euclidean_walk
+from channel_reference import ChannelMatrix, _check_state, _square, partial_trace, von_neumann_entropy
+from ptwalk.channel import BLOCK_ELEMENTS, build_euclidean_walk, trace_norm
 from ptwalk.errors import (
     BrokenRegime,
     DegeneratePairing,
@@ -62,7 +63,7 @@ from ptwalk.errors import (
     NotPositive,
     PTWalkError,
 )
-from ptwalk.linalg import PAIRING_GAP, EigenSystem, _square, trace_norm
+from ptwalk.toy import PAIRING_GAP
 from ptwalk.walk import UNBROKEN_MARGIN, is_unbroken, momentum_grid, spectral_a
 
 
@@ -81,6 +82,19 @@ class IncompatibleMetrics(PTWalkError):
 # ----------------------------------------------------------------- linalg
 
 PSD_FAIL = 1e-8
+
+
+@dataclass(frozen=True)
+class EigenSystem:
+    """Eigendecomposition A r_i = w_i r_i with biorthonormal left eigenvectors.
+
+    ``right[:, i]`` is the right eigenvector for ``values[i]``, and
+    ``left[:, i]`` satisfies A† l_i = conj(w_i) l_i with <l_i|r_j> = delta_ij.
+    """
+
+    values: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
 
 
 def eig(a: np.ndarray) -> EigenSystem:
@@ -731,10 +745,11 @@ def write_series_csv(series, path, comment: str | None = None) -> None:
 
 
 def write_toy_csv(toy, name: str, times: np.ndarray, curve: np.ndarray, path) -> None:
-    """The toy CSV of metric ``name`` for the ToyConfig ``toy``, one value at a time."""
+    """The toy CSV of metric ``name`` for the ToyConfig ``toy``, one value at a time; custom blocks are the variant 'custom'."""
+    variant = toy.variant if toy.h_a is None else "custom"
     with open(path, "w", newline="") as fh:
         fh.write(
-            f"# cell=toy__{name} variant={toy.variant} "
+            f"# cell=toy__{name} variant={variant} "
             f"mixing_strength={toy.mixing_strength} dt={toy.dt} entropy_base=2\n"
         )
         writer = csv.writer(fh)

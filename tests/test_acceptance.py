@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from loop_reference import (
+    eig,
     hamiltonian_blocks,
     herm_sqrt,
     separability_defect,
@@ -34,9 +35,8 @@ from channel_reference import (
     reduced_coin_state,
     vec,
 )
-from ptwalk.channel import _sin_entries, bloch_matrix_series, choi_trace_norms, intermediate_maps
+from ptwalk.channel import _sin_entries, bloch_matrix_series, choi_trace_norms, intermediate_maps, trace_norm
 from ptwalk.experiments import TOLERANCES
-from ptwalk.linalg import eig, trace_norm
 from ptwalk.measures import maximize_blp_many
 from ptwalk.walk import momentum_grid, spectral_a
 from test_channel import dense_reduced_state

@@ -23,9 +23,8 @@ from ptwalk import (
     entanglement_series,
     gamma_pt,
 )
-from ptwalk.channel import bloch_matrix_series, equal_classes
+from ptwalk.channel import bloch_matrix_series, equal_classes, trace_norm
 from ptwalk.experiments import SERIES_HEADER, _series_rows, _write_csv
-from ptwalk.linalg import trace_norm
 from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -660,13 +659,19 @@ def test_walk_block_is_a_minus_i_sin_h(fraction):
 
 @pytest.mark.parametrize("size, t_max", [(101, 50), (1201, 600)])
 def test_bloch_yy_is_metric_free(size, t_max):
-    # every axis lies in the x-z plane, so M_yy(t) = (1/L) sum_k cos(2 t eps_k)
-    p = params(math.log(1.3), size)
+    # every axis lies in the x-z plane, so M_yy(t) = (1/L) sum_k cos(2 t eps_k);
+    # with |n_k| = 1, tr M(t) and M_xx + M_zz carry no metric term either, and
+    # all three are bitwise equal across G1-G3
     specs = (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23))
-    flat, *others = bloch_matrix_series([build_euclidean_walk(p, spec)[0] for spec in specs], t_max)[:, :, 1, 1]
-    assert all(np.array_equal(m, flat) for m in others)
-    eps = np.arccos(spectral_a(momentum_grid(size), p))
-    assert np.abs(flat - np.cos(2.0 * np.multiply.outer(np.arange(t_max + 1), eps)).mean(axis=1)).max() <= 1e-14
+    for factor in (1.2, 1.3):
+        p = params(math.log(factor), size)
+        series = bloch_matrix_series([build_euclidean_walk(p, spec)[0] for spec in specs], t_max)
+        for part in (series[:, :, 1, 1], np.trace(series, axis1=2, axis2=3), series[:, :, 0, 0] + series[:, :, 2, 2]):
+            flat, *others = part
+            assert all(np.array_equal(m, flat) for m in others)
+        eps = np.arccos(spectral_a(momentum_grid(size), p))
+        yy = np.cos(2.0 * np.multiply.outer(np.arange(t_max + 1), eps)).mean(axis=1)
+        assert np.abs(series[0, :, 1, 1] - yy).max() <= 1e-14
 
 
 def test_pseudo_hermiticity_residual_flags_an_incompatible_metric(monkeypatch):

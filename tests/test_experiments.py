@@ -15,7 +15,7 @@ from ptwalk.cli import main
 from ptwalk.experiments import validate_config
 from ptwalk.measures import AnnealSchedule
 from ptwalk.metric import MetricSpec
-from ptwalk.toy import FRAME_CONDITION_MAX, ToyConfig
+from ptwalk.toy import FRAME_CONDITION_MAX, ToyConfig, run_toy
 
 
 def tiny_config(out_dir, study="all"):
@@ -208,12 +208,26 @@ def test_manifest_reproduces_custom_toy(tmp_path):
     assert hashes(rerun) == hashes(manifest)
 
 
+def test_custom_toy_records_the_variant_custom(tmp_path):
+    # the built-in blocks were not used, so no CSV may name them; the
+    # manifest keeps the config as given, so it still round-trips
+    toy = ToyConfig(h_a=[[1j, 1.5], [1.5, -1j]], h_b=[[1j, 2.0], [2.0, -1j]], t_max=1.0)
+    assert run_toy(toy).meta["variant"] == "custom"
+    assert run_toy(dataclasses.replace(toy, h_a=None, h_b=None)).meta["variant"] == "pt_phase"
+    out = tmp_path / "out"
+    manifest = run(dataclasses.replace(tiny_config(out, study="toy"), toy=toy))
+    for name in ("product1", "product2", "nonproduct"):
+        first = (out / f"toy__{name}.csv").read_text().splitlines()[0]
+        assert first.startswith(f"# cell=toy__{name} variant=custom mixing_strength=")
+    assert manifest["config"]["toy"]["variant"] == "pt_phase"
+    assert ExperimentConfig.from_dict(manifest["config"]).toy == toy
+
+
 @pytest.mark.parametrize("toy", [ToyConfig(), custom_toy()], ids=["default", "custom"])
 def test_toy_csvs_match_value_by_value_writer(tmp_path, toy):
     import hashlib
 
     import loop_reference
-    from ptwalk.toy import run_toy
 
     out = tmp_path / "out"
     manifest = run(dataclasses.replace(tiny_config(out, study="toy"), toy=toy))
@@ -525,7 +539,7 @@ def test_public_api_is_pinned():
         "AnnealSchedule", "BrokenRegime", "ConfigInvalid",
         "DegeneratePairing", "EuclideanWalk", "ExperimentConfig",
         "LightConeViolation", "MeasureSeries", "MetricSpec",
-        "MissingArtifacts", "NoBreaking", "NotPositive", "PTWalkError", "ShapeMismatch",
+        "MissingArtifacts", "NoBreaking", "NotPositive", "PTWalkError",
         "SpectrumNotReal", "ToyConfig", "ToyResult", "WalkParams",
         "blp_series", "build_euclidean_walk",
         "entanglement_series", "gamma_pt", "is_unbroken", "load_config",
@@ -583,6 +597,21 @@ def test_only_experiments_opens_files():
         )
     ]
     assert opened == []
+
+
+def test_no_eigensolver_in_the_program():
+    # the walk reads its eigenvectors and the toy its eigenpairs in closed
+    # form: no call in src/ptwalk reaches LAPACK's eigenvectors or an inverse
+    import ast
+
+    solvers = {"eig", "eigh", "eigvals", "eigvalsh", "inv"}
+    called = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ptwalk").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in solvers
+    ]
+    assert called == []
 
 
 def test_benchmark_contract(tmp_path):
@@ -739,8 +768,15 @@ def test_report_names_a_listed_artifact_that_is_absent(tmp_path, capsys):
     (out / "rhp__eg1.2__G2.csv").unlink()
     with pytest.raises(MissingArtifacts, match=r"absent under .*: rhp__eg1\.2__G2\.csv$"):
         report(out)
-    assert main(["report", "--in", str(out)]) == 3
-    assert "rhp__eg1.2__G2.csv" in capsys.readouterr().err
+    # a usage error, not a numerical failure
+    assert main(["report", "--in", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rhp__eg1.2__G2.csv" in err
+
+
+def test_cli_report_of_an_empty_directory_is_a_usage_error(tmp_path, capsys):
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: no manifest.json under {tmp_path}\n"
 
 
 # ----------------------------------------------------------------------- CLI

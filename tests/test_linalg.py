@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from channel_reference import devec, partial_trace, vec
-import loop_reference
-from loop_reference import BranchAmbiguity, herm_sqrt, metric_root, unitary_log, walk_block
-from ptwalk import DegeneratePairing, NotPositive, ShapeMismatch, WalkParams
-from ptwalk.linalg import eig, trace_norm
+from channel_reference import ShapeMismatch, devec, partial_trace, vec
+from loop_reference import BranchAmbiguity, EigenSystem, eig, herm_sqrt, metric_root, unitary_log, walk_block
+from ptwalk import DegeneratePairing, NotPositive, WalkParams
+from ptwalk.channel import trace_norm
+from ptwalk.toy import _eigenpairs
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -21,64 +21,65 @@ def random_psd(rng, n):
     return a @ a.conj().T
 
 
+def closed_form(a):
+    # the toy's closed-form eigenpairs of one 2x2 matrix
+    return EigenSystem(*(x[0] for x in _eigenpairs(np.asarray(a)[None])))
+
+
+# the 2x2 cases check the toy's closed form and the LAPACK oracle ``eig`` alike
+
+
 def test_eig_diagonal():
-    sys = eig(np.diag([2.0, 3.0]))
-    assert sorted(sys.values.real) == [2.0, 3.0]
-    assert np.abs(np.abs(sys.right) - np.eye(2)).max() < 1e-14
+    for solve in (eig, closed_form):
+        sys = solve(np.diag([2.0, 3.0]))
+        assert sorted(sys.values.real) == [2.0, 3.0]
+        assert np.abs(np.abs(sys.right) - np.eye(2)).max() < 1e-14
 
 
 def test_eig_pauli_x():
-    sys = eig(SX)
-    assert sorted(np.round(sys.values.real, 12)) == [-1.0, 1.0]
-    for val, v in zip(sys.values, sys.right.T):
-        assert np.allclose(SX @ v, val * v, atol=1e-14)
-        assert np.allclose(np.abs(v), [1 / np.sqrt(2)] * 2, atol=1e-14)
+    for solve in (eig, closed_form):
+        sys = solve(SX)
+        assert sorted(np.round(sys.values.real, 12)) == [-1.0, 1.0]
+        for val, v in zip(sys.values, sys.right.T):
+            assert np.allclose(SX @ v, val * v, atol=1e-14)
+            assert np.allclose(np.abs(v), [1 / np.sqrt(2)] * 2, atol=1e-14)
 
 
 def test_eig_walk_block_unit_determinant():
     # every factor of the walk block has det 1, so the eigenvalue product is 1
     p = WalkParams(np.pi / 4, -np.pi / 7, 0.1, 21)
-    sys = eig(walk_block(0.3, p))
-    assert abs(sys.values[0] * sys.values[1] - 1.0) < 1e-12
+    for solve in (eig, closed_form):
+        sys = solve(walk_block(0.3, p))
+        assert abs(sys.values[0] * sys.values[1] - 1.0) < 1e-12
 
 
 def test_eig_residual_random():
     rng = np.random.default_rng(5)
     for n in (2, 3, 5):
         a = random_complex(rng, n)
-        sys = eig(a)
-        for val, v in zip(sys.values, sys.right.T):
-            assert np.linalg.norm(a @ v - val * v) <= 1e-10 * np.linalg.norm(a)
+        for solve in (eig, closed_form) if n == 2 else (eig,):
+            sys = solve(a)
+            for val, v in zip(sys.values, sys.right.T):
+                assert np.linalg.norm(a @ v - val * v) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_eig_left_biorthonormal():
     rng = np.random.default_rng(6)
-    for _ in range(10):
-        a = random_complex(rng, 3)
-        sys = eig(a)
-        overlap = sys.left.conj().T @ sys.right
-        assert np.abs(overlap - np.eye(3)).max() < 1e-9
-        for val, l in zip(sys.values, sys.left.T):
-            assert np.linalg.norm(a.conj().T @ l - np.conj(val) * l) < 1e-9 * np.linalg.norm(a)
+    for n in (2, 3):
+        for _ in range(10):
+            a = random_complex(rng, n)
+            for solve in (eig, closed_form) if n == 2 else (eig,):
+                sys = solve(a)
+                overlap = sys.left.conj().T @ sys.right
+                assert np.abs(overlap - np.eye(n)).max() < 1e-9
+                for val, l in zip(sys.values, sys.left.T):
+                    assert np.linalg.norm(a.conj().T @ l - np.conj(val) * l) < 1e-9 * np.linalg.norm(a)
 
 
 def test_eig_degenerate_pairing_raises():
-    with pytest.raises(DegeneratePairing):
-        eig(np.diag([1.0, 1.0 + 1e-12]))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_stacked_eig_matches_per_block_oracle(n):
-    rng = np.random.default_rng(40 + n)
-    stack = np.stack([random_complex(rng, n) for _ in range(24)])
-    sys = eig(stack)
-    assert sys.values.shape == (24, n) and sys.right.shape == sys.left.shape == stack.shape
-    for a, values, right, left in zip(stack, sys.values, sys.right, sys.left):
-        one = loop_reference.eig(a)
-        assert np.array_equal(values, one.values) and np.array_equal(right, one.right)
-        assert np.abs(left - one.left).max() <= 1e-12 * np.abs(one.left).max()
-    nested = eig(stack.reshape(4, 6, n, n))
-    assert np.array_equal(nested.left.reshape(stack.shape), sys.left)
+    for solve in (eig, closed_form):
+        with pytest.raises(DegeneratePairing):
+            solve(np.diag([1.0, 1.0 + 1e-12]))
 
 
 REFUSED = {
@@ -91,25 +92,25 @@ REFUSED = {
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_stacked_eig_refuses_like_the_oracle(case):
+    # the toy's closed form over a stack of 2x2 blocks refuses what the LAPACK oracle refuses
     bad = REFUSED[case]
     with pytest.raises(DegeneratePairing) as want:
-        loop_reference.eig(bad)
-    with pytest.raises(DegeneratePairing) as got:
         eig(bad)
     # same refusal: both name the left/right overlap, or both the eigenvalue gap
     kind = "left/right overlap" if "overlap" in str(want.value) else "eigenvalue gap"
-    assert str(got.value).startswith(kind)
     good = np.diag([2.0, 3.0])
+    with pytest.raises(DegeneratePairing, match=f"^block 0: {kind}"):
+        _eigenpairs(bad[None])
     with pytest.raises(DegeneratePairing, match=f"^block 2: {kind}"):
-        eig(np.stack([good, good, bad, bad]))
-    eig(np.stack([good, good]))
+        _eigenpairs(np.stack([good, good, bad, bad]))
+    _eigenpairs(np.stack([good, good]))
 
 
 def test_stacked_eig_names_the_first_offending_block():
     good = np.diag([2.0, 3.0])
     stack = np.stack([good, REFUSED["overlap"], REFUSED["jordan"]])
     with pytest.raises(DegeneratePairing, match="^block 1: left/right overlap"):
-        eig(stack)
+        _eigenpairs(stack)
 
 
 def test_herm_sqrt_trivial():
@@ -248,6 +249,9 @@ def test_partial_trace_matches_loop_contraction():
 def test_trace_norm_basics():
     assert abs(trace_norm(np.eye(2)) - 2.0) < 1e-14
     assert abs(trace_norm(np.diag([1.0, -1.0])) - 2.0) < 1e-14
+    for shape in ((2, 3), (2, 2, 2), (4,)):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            trace_norm(np.ones(shape))
 
 
 def test_trace_norm_unitary_invariance():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from loop_reference import (
     IncompatibleMetrics,
     SingularMetric,
+    eig,
     g_trace_norm,
     generalized_dagger,
     hamiltonian_blocks,
@@ -27,8 +28,7 @@ from ptwalk import (
     gamma_pt,
     is_unbroken,
 )
-from ptwalk.channel import _plus_eigenvector, _sin_entries, bloch_matrix_series
-from ptwalk.linalg import eig, trace_norm
+from ptwalk.channel import _plus_eigenvector, _sin_entries, bloch_matrix_series, trace_norm
 from ptwalk.experiments import write_metric_csv
 from ptwalk.walk import momentum_grid, spectral_a
 

@@ -5,7 +5,7 @@ import pytest
 
 import loop_reference
 from ptwalk import DegeneratePairing, NotPositive, SpectrumNotReal, ToyConfig, run_toy
-from ptwalk.toy import _frames, _gauge, product_defect, toy_hamiltonians
+from ptwalk.toy import _eigenpairs, _frames, _gauge, product_defect, toy_hamiltonians
 
 # spectra +-1.118 and +-1.732: each product +-1.9365 is a double eigenvalue
 # of h_A (x) h_B, which a 4x4 eigensolve refuses to pair
@@ -129,6 +129,39 @@ def test_gauge_makes_the_lead_component_real_and_positive():
     lead = fixed[[0, 0, 1, 0, 0, 1], np.arange(6)]
     assert np.abs(lead.imag).max() <= 1e-15 and lead.real.min() > 0
     assert np.abs(fixed[:, :3] - fixed[:, 3:]).max() <= 1e-15
+
+
+def random_pt_blocks(seed, n=24):
+    # h = [[a, b], [conj b, conj a]] commutes with PT = sigma_x K; its spectrum
+    # m +- sqrt(|b|^2 - (Im a)^2) is real, here with |b| 1.05 to 3 times |Im a|
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    b *= np.abs(a.imag) / np.abs(b) * rng.uniform(1.05, 3.0, size=n)
+    return np.stack([[a, b], [b.conj(), a.conj()]]).transpose(2, 0, 1)
+
+
+EIGEN_BLOCKS = {
+    **{name: np.stack(toy.hamiltonians()) for name, toy in TOYS.items() if name != "weighted"},
+    "real": np.stack(toy_hamiltonians("real")),
+    "random_pt": random_pt_blocks(70),
+    # general complex blocks, with complex spectra
+    "random": np.random.default_rng(42).normal(size=(24, 2, 2, 2)) @ [1.0, 1j],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EIGEN_BLOCKS))
+def test_closed_form_eigenpairs_match_the_oracle(case):
+    # LAPACK's eigenpairs, sorted by real part and put in the program's gauge
+    # (measured: within 4.3e-14, on random_pt's left vectors)
+    blocks = EIGEN_BLOCKS[case]
+    for h, values, right, left in zip(blocks, *_eigenpairs(blocks)):
+        one = loop_reference.eig(h)
+        order = np.argsort(one.values.real)
+        phase = _gauge(one.right[:, order])
+        assert np.abs(values - one.values[order]).max() <= 1e-13 * max(1.0, np.abs(h).max())
+        assert np.abs(right - one.right[:, order] * phase).max() <= 1e-13
+        assert np.abs(left - one.left[:, order] * phase).max() <= 1e-13 * np.abs(one.left).max()
 
 
 def test_metric_weights_follow_ascending_eigenvalues():
