@@ -66,11 +66,11 @@ transcendentals for T steps instead of T L, and no pass over a block's
 directly, so the roundoff does not accumulate from block to block, and the
 first block (t0 = 0) is the product of the directly evaluated table.
 
-The angles depend on the walk parameters alone, so one call serves every
-metric of one WalkParams: the table and the block starts are computed once,
-and each walk keeps its own weights and its own table product per block, so
-its M(t) is bit for bit the same alone or next to any other walks. Walks
-with bitwise equal axes, as every metric gives at gamma = 0, are summed once.
+The angles depend on the walk parameters alone, so ``build_euclidean_walk``
+reads them once for every metric of one WalkParams, and one pass serves all
+of them: the table and the block starts are computed once, and each metric
+keeps its own weights and its own table product per block, so its M(t) is
+bit for bit the same alone or next to any other metrics.
 
 The angles are read from a(k) (``spectral_a``), not from a matrix: they
 are then bit-identical across metrics, and the inversions behind the
@@ -116,23 +116,24 @@ BLOCK_ELEMENTS = 1 << 14
 
 @dataclass(frozen=True)
 class EuclideanWalk:
-    """Walk in the unitary frame of a chosen metric: (L,) rotation angles and x-z axes, and its health.
+    """One walk in the unitary frames of m metrics: its (L,) rotation angles, (m, L) x-z axes and health.
 
-    The M(t) pass reads the angles ``eps`` and the axes alone; L is
-    ``len(eps)``. ``pseudo_hermiticity_residual`` is the largest
-    |S^T G - G S| / (|S| |G|) over the metric's blocks, in Frobenius norms:
-    zero exactly when G has the defining property of a metric, which makes
-    every W_eta(k) unitary. ``ep_gap`` is min_k (1 - |a(k)|), the grid's
-    distance from the exceptional point, and ``metric_condition_max`` the
-    largest lambda_max / lambda_min of a metric block.
+    ``eps`` are the walk's angles, L = ``len(eps)``; row i of ``n_x`` and
+    ``n_z`` is the axis under metric i. The M(t) pass reads these alone.
+    ``pseudo_hermiticity_residual`` (m,) is each metric's largest
+    |S^T G - G S| / (|S| |G|) over its blocks, in Frobenius norms: zero
+    exactly when G has the defining property of a metric, which makes every
+    W_eta(k) unitary. ``metric_condition_max`` (m,) is each metric's largest
+    lambda_max / lambda_min of a block. ``ep_gap`` is min_k (1 - |a(k)|), the
+    grid's distance from the exceptional point, the same under every metric.
     """
 
     eps: np.ndarray
     n_x: np.ndarray
     n_z: np.ndarray
-    pseudo_hermiticity_residual: float
+    pseudo_hermiticity_residual: np.ndarray
     ep_gap: float
-    metric_condition_max: float
+    metric_condition_max: np.ndarray
 
 
 def _sin_entries(ks: np.ndarray, p: WalkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,42 +170,45 @@ def _plus_eigenvector(d1, d2, d3, s) -> np.ndarray:
     return np.where(lead[:, None] > 0, v, -v)
 
 
-def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> tuple[EuclideanWalk, np.ndarray]:
-    """The walk under metric ``spec``, the rotation of every W_eta(k) (module docstring), and its metric.
+def build_euclidean_walk(p: WalkParams, specs: tuple[MetricSpec, ...]) -> tuple[EuclideanWalk, np.ndarray]:
+    """The walk under every metric of ``specs``, the rotation of each W_eta(k) (module docstring), and the metrics.
 
-    a(k), eps_k, S(k), the eigenvectors r_+ and v_+, the metric and the axes
-    are all read here. Beyond the exceptional point no metric is positive:
-    BrokenRegime names the first momentum with |a(k)| >= 1 - UNBROKEN_MARGIN.
-    The flat metric of a unitary walk (gamma = 0) is exempt, since it is
-    exactly I/2 at every k. A block that is not positive definite raises
-    NotPositive, naming the first. The metric is returned as its (L, 2, 2)
-    real blocks, for the audit CSV: the walk does not keep it.
+    The walk's frame, a(k), eps_k, S(k) and r_+, v_+, r_- = J v_+, is read
+    once; each metric adds its weights y(k), its blocks and its axes, and its
+    row is bit for bit the one its spec gives alone. Beyond the exceptional
+    point no metric is positive: BrokenRegime names the first momentum with
+    |a(k)| >= 1 - UNBROKEN_MARGIN, unless the walk is unitary (gamma = 0) and
+    every metric flat, exactly I/2 at every k. A block that is not positive
+    definite raises NotPositive, naming the first. The real symmetric blocks
+    are returned as their entries G_00, G_01, G_11, shape (3, m, L), for the
+    audit CSV: the walk does not keep them.
     """
     ks = momentum_grid(p.lattice_size)
     a, (d1, d2, d3) = spectral_a(ks, p), _sin_entries(ks, p)
     eps = np.arccos(np.clip(a, -1.0, 1.0))
-    if p.gamma == 0.0 and spec.kind == "g1_flat":
-        # valid even where the spectrum touches |a| = 1: a plain degeneracy,
-        # not an exceptional point, when the walk is unitary
-        g = np.tile(np.eye(2) / 2.0, (len(ks), 1, 1))
-    else:
+    flat = np.array([p.gamma == 0.0 and spec.kind == "g1_flat" for spec in specs])
+    shape = (len(specs), len(ks))
+    g = np.empty((3, *shape))  # the entries G_00, G_01, G_11 of every block
+    if not flat.all():
         bad = np.flatnonzero(np.abs(a) >= 1.0 - UNBROKEN_MARGIN)
         if bad.size:
             k, a_k = ks[bad[0]], a[bad[0]]
             raise BrokenRegime(f"|a({k:.6f})| = {abs(a_k):.15f} at or beyond coalescence: no positive metric")
         s = np.sin(eps)
         r_plus, v_plus = _plus_eigenvector(d1, -d2, d3, s), _plus_eigenvector(d1, d2, d3, s)
-        r_minus = v_plus[:, ::-1] * (-1.0, 1.0)  # J v_+, up to a sign G does not see
-        y = spec.weights(len(ks))
-        g = r_plus[:, :, None] * r_plus[:, None, :] + y[:, None, None] * (r_minus[:, :, None] * r_minus[:, None, :])
-        g /= np.trace(g, axis1=1, axis2=2)[:, None, None]
-    g00, g01, g11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+        (p0, p1), (q0, q1) = r_plus.T, (v_plus[:, ::-1] * (-1.0, 1.0)).T  # r_- = J v_+, up to a sign G does not see
+        y = np.stack([spec.weights(len(ks)) for spec in specs])
+        g[:] = p0 * p0 + y * (q0 * q0), p0 * p1 + y * (q0 * q1), p1 * p1 + y * (q1 * q1)
+        g /= g[0] + g[2]
+    # a unitary walk's flat metric is I/2, also where |a| = 1: a plain degeneracy, not an exceptional point
+    g[:, flat] = [[[0.5]], [[0.0]], [[0.5]]]
+    g00, g01, g11 = g
     # closed-form eigenvalues of every block, lambda_- = det G / lambda_+
     hi = (g00 + g11) / 2.0 + np.sqrt(((g00 - g11) / 2.0) ** 2 + g01 * g01)
     lo = (g00 * g11 - g01 * g01) / hi
-    bad = np.flatnonzero(~(lo > 0))
+    bad = np.argwhere(~(lo > 0))
     if bad.size:
-        raise NotPositive(f"metric block {bad[0]} not positive definite")
+        raise NotPositive(f"metric block {bad[0, 1]} of {specs[bad[0, 0]].label} not positive definite")
     # S^T G - G S = [[0, c], [-c, 0]] for a symmetric G, and |S|^2 = 2 (d1^2 + d2^2 + d3^2)
     c = (d1 + d2) * g00 - (d1 - d2) * g11 - 2.0 * d3 * g01
     scale = np.sqrt(d1 * d1 + d2 * d2 + d3 * d3) * np.sqrt(g00 * g00 + 2.0 * g01 * g01 + g11 * g11)
@@ -215,19 +219,19 @@ def build_euclidean_walk(p: WalkParams, spec: MetricSpec) -> tuple[EuclideanWalk
         # where |a| = 1 the block is +-I up to roundoff, which acos(a) would amplify and atan2 does not
         eps = np.where(np.abs(a) >= 1.0 - UNBROKEN_MARGIN, np.arctan2(sin_eps, a), eps)
         turning = sin_eps > 0.0  # elsewhere the rotation is the identity: any axis, z, will do
-        n_x = np.divide(-d1, sin_eps, out=np.zeros_like(a), where=turning)
-        n_z = np.divide(-d3, sin_eps, out=np.ones_like(a), where=turning)
+        n_x = np.divide(-d1, sin_eps, out=np.zeros(shape), where=turning)
+        n_z = np.divide(-d3, sin_eps, out=np.ones(shape), where=turning)
     else:
         # the arc: twice the angle of u = r_+ + sqrt(y) v_+, with r_+ . v_+ > 0
         v_plus = np.where((r_plus * v_plus).sum(axis=1)[:, None] < 0.0, -v_plus, v_plus)
-        u0, u1 = (r_plus + np.sqrt(y)[:, None] * v_plus).T
+        u0, u1 = r_plus.T[:, None] + np.sqrt(y) * v_plus.T[:, None]
         norm = u0 * u0 + u1 * u1
         n_x, n_z = 2.0 * u0 * u1 / norm, (u0 * u0 - u1 * u1) / norm
     return EuclideanWalk(
         eps, n_x, n_z,
-        pseudo_hermiticity_residual=float(residual.max()),
+        pseudo_hermiticity_residual=residual.max(axis=1),
         ep_gap=float((1.0 - np.abs(a)).min()),
-        metric_condition_max=float((hi / lo).max()),
+        metric_condition_max=(hi / lo).max(axis=1),
     ), g
 
 
@@ -244,22 +248,23 @@ def _fold(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows[..., :1], rows[..., 1 : half + 1] + rows[..., :half:-1]], axis=-1)
 
 
-def _bloch_sums(walks: list[EuclideanWalk], start: int, count: int) -> np.ndarray:
-    """The five momentum sums of each walk for t = start..start+count-1, shape (len(walks), count, 5).
+def _bloch_sums(walk: EuclideanWalk, start: int, count: int, rows) -> np.ndarray:
+    """The five momentum sums of the metrics ``rows`` of ``walk`` for t = start..start+count-1, shape (len(rows), count, 5).
 
-    The walks share their angles ``eps``, which must be bitwise equal at k
-    and -k; see the module docstring for the fold and the blocks of steps.
+    The angles ``eps`` must be bitwise equal at k and -k; see the module
+    docstring for the fold and the blocks of steps.
     """
-    size = len(walks[0].eps)
+    size = len(walk.eps)
     half = size // 2
-    if not np.array_equal(walks[0].eps[1 : half + 1], walks[0].eps[:half:-1]):
+    if not np.array_equal(walk.eps[1 : half + 1], walk.eps[:half:-1]):
         raise ValueError("the angles eps differ at k and -k: the +-k pairs cannot be summed once")
-    eps = walks[0].eps[: half + 1]
+    eps = walk.eps[: half + 1]
     pairs = len(eps)
     chunk = min(count, max(1, BLOCK_ELEMENTS // pairs))
     # weights of the sums, folded onto the pairs: 1, n_z^2 and n_x n_z on 1 - cos, n_z and n_x on sin
-    turns = [_fold(np.stack([np.ones(size), w.n_z * w.n_z, w.n_x * w.n_z]) / size) for w in walks]
-    crosses = [_fold(np.stack([w.n_z, w.n_x]) / size) for w in walks]
+    axes = list(zip(walk.n_x[rows], walk.n_z[rows]))
+    turns = [_fold(np.stack([np.ones(size), n_z * n_z, n_x * n_z]) / size) for n_x, n_z in axes]
+    crosses = [_fold(np.stack([n_z, n_x]) / size) for n_x, n_z in axes]
     # (1 - cos a, sin a) of the double angles a = 2j eps of the steps within a block, j < chunk
     table = np.empty((chunk, 2 * pairs))
     vers_j, sin_j = table[:, :pairs], table[:, pairs:]
@@ -270,37 +275,38 @@ def _bloch_sums(walks: list[EuclideanWalk], start: int, count: int) -> np.ndarra
     # per-block buffers: sin, cos, 1 - cos and -sin of the block start
     sin_0, cos_0, vers_0, minus_sin_0 = np.empty((4, pairs))
     weights = np.empty((5, 2 * pairs))
-    sums = np.empty((len(walks), count, 5))
+    sums = np.empty((len(axes), count, 5))
     for lo in range(0, count, chunk):
-        rows = min(chunk, count - lo)
+        steps = min(chunk, count - lo)
         # the block start b = 2 t0 eps, evaluated directly
         np.multiply(2 * (start + lo), eps, out=sin_0)
         np.cos(sin_0, out=cos_0)
         np.sin(sin_0, out=sin_0)
         np.subtract(1.0, cos_0, out=vers_0)
         np.negative(sin_0, out=minus_sin_0)
-        for turn, cross, block in zip(turns, crosses, sums[:, lo : lo + rows]):
+        for turn, cross, block in zip(turns, crosses, sums[:, lo : lo + steps]):
             # the b-only terms, then the weights scaled by the angle-addition
-            # identities of the module docstring
+            # identities of the module docstring; one product per metric, so
+            # that a row's M(t) does not depend on the rows next to it
             block[:, :3] = turn @ vers_0
             block[:, 3:] = cross @ sin_0
-            if rows > 1:  # the table's row j = 0 is zero: a one-step block is its start alone
+            if steps > 1:  # the table's row j = 0 is zero: a one-step block is its start alone
                 np.multiply(turn, cos_0, out=weights[:3, :pairs])
                 np.multiply(turn, sin_0, out=weights[:3, pairs:])
                 np.multiply(cross, minus_sin_0, out=weights[3:, :pairs])
                 np.multiply(cross, cos_0, out=weights[3:, pairs:])
-                block += table[:rows] @ weights.T
+                block += table[:steps] @ weights.T
     return sums
 
 
-def _bloch_matrices(walks: list[EuclideanWalk], start: int, count: int) -> np.ndarray:
-    """M(t) of each walk for t = start..start+count-1, shape (len(walks), count, 3, 3).
+def _bloch_matrices(walk: EuclideanWalk, start: int, count: int, rows=slice(None)) -> np.ndarray:
+    """M(t) of the metrics ``rows`` of ``walk`` for t = start..start+count-1, shape (len(rows), count, 3, 3).
 
     The sums come from their own function, so that its phase tables are freed
     before the output is allocated.
     """
-    v_all, v_zz, v_xz, s_z, s_x = np.moveaxis(_bloch_sums(walks, start, count), -1, 0)
-    out = np.empty((len(walks), count, 3, 3))
+    v_all, v_zz, v_xz, s_z, s_x = np.moveaxis(_bloch_sums(walk, start, count, rows), -1, 0)
+    out = np.empty((len(v_all), count, 3, 3))
     out[..., 0, 0] = 1.0 - v_zz
     out[..., 1, 1] = 1.0 - v_all
     out[..., 2, 2] = 1.0 - (v_all - v_zz)
@@ -327,23 +333,18 @@ def equal_classes(arrays) -> tuple[list[int], list[int]]:
     return first, index
 
 
-def bloch_matrix_series(walks: list[EuclideanWalk], t_max: int) -> np.ndarray:
-    """Real 3x3 Bloch matrices M(t) of the reduced maps of each walk, t = 0..t_max.
+def bloch_matrix_series(walk: EuclideanWalk, t_max: int, rows=slice(None)) -> np.ndarray:
+    """Real 3x3 Bloch matrices M(t) of the reduced maps of the metrics ``rows`` of ``walk`` (all by default), t = 0..t_max.
 
-    ``walks`` are walks of one WalkParams under any metrics: their angles
-    ``eps`` must be bitwise equal. Returns shape (len(walks), t_max+1, 3, 3).
-    The t-step map of a walk sends the Bloch vector r of a coin state to
-    M(t) r; see the module docstring for the closed form and for why a walk's
-    M(t) does not depend on the walks next to it. Walks with bitwise equal
-    axes, as every metric gives at gamma = 0, share one computed M(t).
+    Returns shape (len(rows), t_max+1, 3, 3). The t-step map under a metric
+    sends the Bloch vector r of a coin state to M(t) r; see the module
+    docstring for the closed form and for why a row's M(t) does not depend
+    on the rows next to it. Metrics with bitwise equal axes, as every metric
+    has at gamma = 0, have bitwise equal M(t): a caller that knows its
+    classes (``equal_classes``) passes one row of each.
     """
-    if not walks:
-        raise ValueError("no walks given")
-    if not all(np.array_equal(w.eps, walks[0].eps) for w in walks[1:]):
-        raise ValueError("the walks' angles eps differ: M(t) is computed for the walks of one WalkParams")
-    _check_horizon(walks[0], t_max)
-    first, index = equal_classes(np.stack((w.n_x, w.n_z)) for w in walks)
-    return _bloch_matrices([walks[i] for i in first], 0, t_max + 1)[index]
+    _check_horizon(walk, t_max)
+    return _bloch_matrices(walk, 0, t_max + 1, rows)
 
 
 def intermediate_maps(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,13 +4,13 @@ A run sweeps the cartesian grid of non-Hermiticity factors e^gamma and
 metric choices for the selected studies (information backflow, CP
 indivisibility, coin-position entanglement, and the two-qubit toy), writing
 one CSV series and one JSON summary per cell plus a manifest of content
-hashes. The unit of work is a (gamma, metric) pair: its walk and Bloch
-matrices M(t) are built once for all of its studies, and the M(t) of the
-pairs of one gamma come from one pass over their shared angles. Each
-measure runs once per distinct M(t) of a group of pairs: at gamma = 0
-every metric's axes come from S alone, so the pairs of e^gamma = 1 have
-bitwise-equal M(t) and share one annealer search, one series and one
-formatted set of CSV rows, while each cell still writes its own CSV and JSON.
+hashes. The unit of work is one gamma under every metric: its walk is
+built once for all of its metrics and studies, and the Bloch matrices M(t)
+come from one pass over its shared angles, one M(t) per class of metrics
+with bitwise-equal axes. Each measure runs once per class: at gamma = 0
+every metric's axes come from S alone, so the metrics of e^gamma = 1 are
+one class and share one annealer search, one series and one formatted set
+of CSV rows, while each cell still writes its own CSV and JSON.
 Cells whose gamma lies beyond the exceptional point are skipped and
 reported, not fatal. Every file of a run is written here, its CSVs by one
 writer (``_write_csv``). Given the same config and master seed, the CSV outputs are
@@ -193,26 +193,22 @@ def _series_rows(series: MeasureSeries) -> str:
     return _csv_rows([list(map(str, series.steps.tolist())), *values, series.flags])
 
 
-def write_metric_csv(g: np.ndarray, k_column: list[str], path: Path, comment: str | None = None) -> None:
-    """Audit export of the (L, 2, 2) blocks ``g``: one row per momentum with the four block entries, re and im.
+def write_metric_csv(g11, g12, g22, k_column: list[str], path: Path, comment: str | None = None) -> None:
+    """Audit export of one metric's real symmetric blocks [[g11, g12], [g12, g22]], given as their (L,) entries.
 
-    The blocks must be real symmetric, as ``channel.build_euclidean_walk``
-    makes them, so g21 is g12 and every im is 0.0; others raise ValueError.
-    ``k_column`` is the momentum column already formatted, one string per
-    block, so that metrics on one grid share it. Every value is written with
-    ``repr``, in blocks of ``CSV_BLOCK_ROWS`` rows.
+    One row per momentum holds the four block entries, re and im: g21 is
+    g12 and every im is 0.0. ``k_column`` is the momentum column already
+    formatted, one string per block, so that metrics on one grid share it.
+    Every value is written with ``repr``, in blocks of ``CSV_BLOCK_ROWS`` rows.
     """
-    if np.iscomplexobj(g) or not np.array_equal(g[:, 0, 1], g[:, 1, 0]):
-        raise ValueError("metric audit needs real symmetric blocks (g12 == g21)")
-    if len(k_column) != len(g):
-        raise ValueError(f"momentum column has {len(k_column)} entries for {len(g)} blocks")
+    if len(k_column) != len(g11):
+        raise ValueError(f"momentum column has {len(k_column)} entries for {len(g11)} blocks")
 
     def blocks():
-        for start in range(0, len(g), CSV_BLOCK_ROWS):
-            block = g[start : start + CSV_BLOCK_ROWS]
-            g11, g12, g22 = (list(map(repr, block[:, i, j].tolist())) for i, j in ((0, 0), (0, 1), (1, 1)))
-            k = k_column[start : start + CSV_BLOCK_ROWS]
-            yield _csv_rows([k, g11, "0.0", g12, "0.0", g12, "0.0", g22, "0.0"])
+        for start in range(0, len(g11), CSV_BLOCK_ROWS):
+            stop = start + CSV_BLOCK_ROWS
+            a, b, d = (list(map(repr, g[start:stop].tolist())) for g in (g11, g12, g22))
+            yield _csv_rows([k_column[start:stop], a, "0.0", b, "0.0", b, "0.0", d, "0.0"])
 
     _write_csv(path, METRIC_HEADER, blocks(), comment)
 
@@ -271,49 +267,47 @@ def _run_cell(
 def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> list[dict]:
     """Run every requested walk study on a group of unbroken gammas, each under every metric of ``cfg``.
 
-    The (gamma, metric) pairs are taken one gamma at a time. Each pair's
-    walk is built once, with its metric blocks, which go straight to its
-    audit CSV and are dropped; then one ``bloch_matrix_series`` pass gives
-    the Bloch matrices M(t) of all of that gamma's walks, which share their
-    angles, and the walks are dropped. Every pair sits on the momentum grid of
-    ``cfg.lattice_size``, so the audit CSVs share one k column, formatted
-    once per group before any pair is timed.
+    The gammas are taken one at a time. Each gamma's walk is built once, for
+    all of its metrics, whose blocks go straight to their audit CSVs and are
+    dropped; then one ``bloch_matrix_series`` pass gives the Bloch matrices
+    M(t) of that gamma's distinct metrics, and the walk is dropped. Every
+    pair sits on the momentum grid of ``cfg.lattice_size``, so the audit
+    CSVs share one k column, formatted once per group before any pair is timed.
 
-    Each measure then runs once per distinct M(t) of the group: pairs whose
-    M(t) are bitwise equal share its series, and the series' CSV rows are
-    formatted once for all of their cells. That is exact, not a tolerance:
-    at gamma = 0 every metric's axes are read from S alone, so every metric
-    of e^gamma = 1 has the same M(t) to the bit. The BLP cells are annealed
-    together, one lockstep search over the distinct M(t). Top-level function
-    so groups can run in a process pool; fully determined by its arguments,
-    and a cell's outputs do not depend on its group.
+    Metrics whose axes are bitwise equal have bitwise equal M(t), and each
+    class of them is measured once: its series and the series' CSV rows serve
+    all of its cells. That is exact, not a tolerance: at gamma = 0 every
+    metric's axes are read from S alone, so every metric of e^gamma = 1 is in
+    one class. The BLP cells are annealed together, one lockstep search over
+    the group's classes. Top-level function so groups can run in a process
+    pool; fully determined by its arguments, and a cell's outputs do not
+    depend on its group.
     """
     out = Path(out_dir)
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
-    cells = []  # (spec, the summary fields its pair's cells share, M(t)) per pair
+    cells = []  # (spec, the summary fields its pair's cells share, its class) per pair
+    blochs = []  # M(t) of each class
     k_column = list(map(repr, momentum_grid(cfg.lattice_size).tolist()))
     for factor in factors:
         params = cfg.walk_params(factor)
-        walks, stages = [], []
-        for spec in cfg.metrics:
-            started = time.perf_counter()
-            ew, g = build_euclidean_walk(params, spec)
-            walk_s = time.perf_counter() - started
-            started = time.perf_counter()
-            write_metric_csv(
-                g,
-                k_column,
-                out / _metric_csv_name(factor, spec.label),
-                comment=f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}",
-            )
-            del g  # only the audit CSV reads the blocks
-            stages.append({"walk_s": walk_s, "metric_csv_s": time.perf_counter() - started})
-            walks.append(ew)
         started = time.perf_counter()
-        blochs = bloch_matrix_series(walks, cfg.t_max)
-        # every walk of the pass has the same steps and momenta: an even share each
-        bloch_s = (time.perf_counter() - started) / len(walks)
-        for spec, ew, stage, bloch in zip(cfg.metrics, walks, stages, blochs):
+        ew, g = build_euclidean_walk(params, cfg.metrics)
+        # one build serves every metric of the gamma: an even share each
+        walk_s = (time.perf_counter() - started) / len(cfg.metrics)
+        stages = []
+        for i, spec in enumerate(cfg.metrics):
+            started = time.perf_counter()
+            comment = f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}"
+            write_metric_csv(*g[:, i], k_column, out / _metric_csv_name(factor, spec.label), comment)
+            stages.append({"walk_s": walk_s, "metric_csv_s": time.perf_counter() - started})
+        del g  # only the audit CSVs read the metrics
+        first, index = equal_classes(np.stack(axes) for axes in zip(ew.n_x, ew.n_z))
+        offset = len(blochs)
+        started = time.perf_counter()
+        blochs.extend(bloch_matrix_series(ew, cfg.t_max, first))
+        # every metric of the pass has the same steps and momenta: an even share each
+        bloch_s = (time.perf_counter() - started) / len(cfg.metrics)
+        for i, (spec, stage) in enumerate(zip(cfg.metrics, stages)):
             pair = {
                 "gamma_factor": factor,
                 "gamma": params.gamma,
@@ -322,15 +316,14 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
                 "t_max": cfg.t_max,
                 "master_seed": cfg.master_seed,
                 "tolerances": TOLERANCES,
-                "pseudo_hermiticity_residual": ew.pseudo_hermiticity_residual,
+                "pseudo_hermiticity_residual": float(ew.pseudo_hermiticity_residual[i]),
                 "ep_gap": ew.ep_gap,
-                "metric_condition_max": ew.metric_condition_max,
+                "metric_condition_max": float(ew.metric_condition_max[i]),
                 "timings": {**stage, "bloch_s": bloch_s},
             }
-            cells.append((spec, pair, bloch))
-        del walks, ew  # the next gamma's walks are built without these
+            cells.append((spec, pair, offset + index[i]))
+        del ew  # the next gamma's walk is built without this one
 
-    first, index = equal_classes(bloch for _, _, bloch in cells)
     measures = {
         "rhp": rhp_series,
         "entanglement": lambda bloch: entanglement_series(bloch, cfg.coin_bloch),
@@ -340,17 +333,17 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
         share = 0.0
         if study == "blp":
             started = time.perf_counter()
-            series = maximize_blp_many([cells[i][2] for i in first], cfg.anneal, cfg.master_seed)
+            series = maximize_blp_many(blochs, cfg.anneal, cfg.master_seed)
             # the search's wall time, split evenly over the group's BLP cells
             share = (time.perf_counter() - started) / len(cells)
         else:
-            series = [None] * len(first)
-        rows = [None] * len(first)
-        for (spec, pair, bloch), c in zip(cells, index):
+            series = [None] * len(blochs)
+        rows = [None] * len(blochs)
+        for spec, pair, c in cells:
             started = time.perf_counter() - share
             if rows[c] is None:
                 if series[c] is None:
-                    series[c] = measures[study](bloch)
+                    series[c] = measures[study](blochs[c])
                 rows[c] = _series_rows(series[c])
             summary = {
                 "cell": _cell_stem(study, pair["gamma_factor"], spec.label),

@@ -15,13 +15,13 @@ step works in buffers made once per search, so its cost is a fixed set of
 numpy calls plus the per-chain generator calls that fix every chain's path,
 about half of it on the default grid.
 
-Every measure takes the (t_max+1, 3, 3) stack M(0..t_max) of one walk, a
-slice of what ``ptwalk.channel.bloch_matrix_series`` returns for the walks
-of one gamma, and Bloch vectors, one function per quantity: ``blp_series``, ``rhp_series`` and ``entanglement_series``.
+Every measure takes the (t_max+1, 3, 3) stack M(0..t_max) of one walk
+under one metric, a row of what ``ptwalk.channel.bloch_matrix_series``
+returns for the metrics of one gamma, and Bloch vectors, one function per quantity: ``blp_series``, ``rhp_series`` and ``entanglement_series``.
 A measure depends on the walk only through M(t), so a run computes each
-once per distinct M(t): every metric of a unitary walk (gamma = 0) has the
-axes of S alone and so the same M(t) to the bit, and its cells share one
-series. Nothing here writes a file: ``ptwalk.experiments`` writes a
+once per class of metrics with equal axes: every metric of a unitary walk
+(gamma = 0) has the axes of S alone and so the same M(t) to the bit, and
+its cells share one series. Nothing here writes a file: ``ptwalk.experiments`` writes a
 series' CSV.
 Failure of CP-divisibility is scored through the one-step intermediate maps
 A(t) = M(t) M(t-1)^{-1}:

@@ -7,9 +7,9 @@ of H_c(k) (equivalently, eigenvectors of H_c(k)†) and one weight y(k) > 0 as
 
 rescaled to unit trace. ``MetricSpec`` says how y(k) is chosen, and
 ``MetricSpec.weights`` draws it on a grid. ``channel.build_euclidean_walk``
-builds the blocks together with the walk's frame: the left eigenvectors are
-real for this walk, so every block is real symmetric, positive definite and
-pseudo-Hermitian-compatible, H_c(k)† G(k) = G(k) H_c(k). The weight reaches
+builds the blocks of every metric of a walk from the walk's one frame: the
+left eigenvectors are real for this walk, so every block is real symmetric,
+positive definite and pseudo-Hermitian-compatible, H_c(k)† G(k) = G(k) H_c(k). The weight reaches
 the walk only as the axis of its rotations; the blocks themselves go to the
 audit CSV alone (``ptwalk.experiments.write_metric_csv``).
 """

@@ -179,13 +179,17 @@ def _eigenpairs(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     put in the gauge of ``_gauge``; the left vectors, the columns of inv(R)†,
     come from the 2x2 inverse. DegeneratePairing names the first block whose
     eigenvalue gap 2|sqrt(q)| is below PAIRING_GAP, or whose left/right
-    overlap 1/|l| of unit vectors is.
+    overlap 1/|l| of unit vectors is. Each block is read scaled exactly, its
+    real and imaginary parts apart, by the 2^-e that brings its largest part
+    into [1/2, 1), so q is finite for any finite block; eigenvalues and gap are scaled back.
     """
-    h = np.asarray(blocks, complex)[..., None]  # every entry broadcasts over the block's two pairs
+    h = np.ascontiguousarray(blocks, complex)
+    _, e = np.frexp(np.abs(h.view(float)).max(axis=(1, 2)))
+    h = np.ldexp(h.view(float), -e[:, None, None]).view(complex)[..., None]  # every entry broadcasts over the block's two pairs
     h00, h01, h10, h11 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1]
     root = np.sqrt(((h00 - h11) / 2.0) ** 2 + h01 * h10)
     values = (h00 + h11) / 2.0 + root * np.array([-1.0, 1.0])
-    gap = 2.0 * np.abs(root[:, 0])
+    gap = np.ldexp(2.0 * np.abs(root[:, 0]), e)
     a = np.stack(np.broadcast_arrays(h01, values - h00), axis=1)
     b = np.stack(np.broadcast_arrays(values - h11, h10), axis=1)
     norm_a, norm_b = np.linalg.norm(a, axis=1, keepdims=True), np.linalg.norm(b, axis=1, keepdims=True)
@@ -201,7 +205,7 @@ def _eigenpairs(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         i = bad[0]
         reason = f"eigenvalue gap {gap[i]:.2e}" if close[i] else f"left/right overlap {overlap[i]:.2e}"
         raise DegeneratePairing(f"block {i}: {reason} below {PAIRING_GAP}")
-    return values, right, left
+    return np.ldexp(values.view(float), e[:, None]).view(complex), right, left
 
 
 def _frames(toy: ToyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -70,7 +70,7 @@ def maximize_blp_sequential(
                         best_val, best_vec = cur_val, current.copy()
             temperature *= schedule.cooling_factor
     pair = best_vec[:3], best_vec[3:]
-    series = blp_series(bloch_matrix_series([ew], t_max)[0], *pair)
+    series = blp_series(bloch_matrix_series(ew, t_max)[0], *pair)
     series.meta.update(
         {
             "n_max": float(series.blp[-1]),

@@ -107,7 +107,7 @@ def reduced_coin_state(ew, rho0: np.ndarray, t: int) -> np.ndarray:
     rho0 = _check_state(rho0)
     _check_horizon(ew, t)
     r0 = (_PAULI.conj().T @ rho0.reshape(4)).real[1:]
-    return bloch_state(_bloch_matrices([ew], t, 1)[0, 0] @ r0)
+    return bloch_state(_bloch_matrices(ew, t, 1)[0, 0] @ r0)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -178,12 +178,12 @@ def _channels(bloch: np.ndarray, steps: np.ndarray) -> list[ChannelMatrix]:
 def channel_matrix(ew, t: int) -> ChannelMatrix:
     """Matrix L(t, 0) of the t-step reduced map on vectorized coin states."""
     _check_horizon(ew, t)
-    return _channels(_bloch_matrices([ew], t, 1)[0], np.array([t]))[0]
+    return _channels(_bloch_matrices(ew, t, 1)[0], np.array([t]))[0]
 
 
 def channel_matrix_series(ew, t_max: int) -> list[ChannelMatrix]:
     """L(t, 0) for t = 0..t_max, each diag(1, M(t)) in the Pauli basis."""
-    return _channels(bloch_matrix_series([ew], t_max)[0], np.arange(t_max + 1))
+    return _channels(bloch_matrix_series(ew, t_max)[0], np.arange(t_max + 1))
 
 
 def intermediate_from(l_from: ChannelMatrix, l_to: ChannelMatrix) -> ChannelMatrix:

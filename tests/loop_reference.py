@@ -35,6 +35,9 @@ the toy study on the generic route the library's polar factors replace: the
 mixer exp(sH) from ``expm``, a general matrix exponential without scipy, a
 root per metric, the metric transports and an ``eigh`` of eta H eta^-1.
 
+``walk_alone`` is the library's walk of one metric, with that metric as
+(L, 2, 2) blocks, for the checks that take one metric at a time.
+
 ``coin``, ``shift_block`` and ``gain_loss`` are the walk factors as
 matrices, and ``walk_block`` / ``walk_blocks`` multiply them one 2x2
 product at a time. The library never forms that product: it reads
@@ -478,12 +481,18 @@ for _i in range(2):
         _MATRIX_UNITS[2 * _i + _j, _i, _j] = 1.0
 
 
+def walk_alone(p, spec):
+    """The library's walk of ``p`` under the one metric ``spec``, and that metric as (L, 2, 2) real symmetric blocks."""
+    ew, (g00, g01, g11) = build_euclidean_walk(p, [spec])
+    return ew, np.stack([g00[0], g01[0], g01[0], g11[0]], axis=1).reshape(-1, 2, 2)
+
+
 def frame_blocks(p, spec) -> np.ndarray:
     """W_eta(k) of walk ``p`` under metric ``spec``, from the per-block eigh root and the per-k factor product.
 
     The metric blocks are the library's, as the audit CSV has them.
     """
-    return unitary_frame(build_euclidean_walk(p, spec)[1], walk_blocks(p))[2]
+    return unitary_frame(walk_alone(p, spec)[1], walk_blocks(p))[2]
 
 
 def rotations(p, spec) -> tuple[np.ndarray, np.ndarray]:
@@ -602,7 +611,7 @@ def _nine_sums(eps: np.ndarray, n: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def bloch_matrices_five_sums(ew, steps: np.ndarray) -> np.ndarray:
-    """M(t) for every t of ``steps`` on ``ew``'s own angles and x-z axes, every double angle evaluated directly.
+    """M(t) for every t of ``steps`` on ``ew``'s own angles and its first metric's x-z axes, every double angle evaluated directly.
 
     The five momentum sums of 1 - cos(2t eps_k) and sin(2t eps_k) run over
     the (L+1)/2 momenta k_0 = -pi and k_1..k_{(L-1)/2}, each of the latter
@@ -611,7 +620,7 @@ def bloch_matrices_five_sums(ew, steps: np.ndarray) -> np.ndarray:
     shapes, a (steps, L+1) table times (L+1, 5) weights, so its first block
     of steps (t0 = 0) must equal this bit for bit.
     """
-    eps, n_x, n_z = ew.eps, ew.n_x, ew.n_z
+    eps, n_x, n_z = ew.eps, ew.n_x[0], ew.n_z[0]
     size = len(eps)
     half = size // 2
     turn = np.stack([np.ones(size), n_z * n_z, n_x * n_z]) / size

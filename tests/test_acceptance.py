@@ -16,6 +16,7 @@ from loop_reference import (
     herm_sqrt,
     separability_defect,
     verify_metric_action,
+    walk_alone,
     walk_block,
 )
 from ptwalk import (
@@ -24,7 +25,6 @@ from ptwalk import (
     ToyConfig,
     WalkParams,
     blp_series,
-    build_euclidean_walk,
     run_toy,
     rhp_series,
 )
@@ -59,7 +59,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def grid_walks():
     return {
-        (factor, spec.label): build_euclidean_walk(
+        (factor, spec.label): walk_alone(
             WalkParams(T1, T2, math.log(factor), 101), spec
         )[0]
         for factor in FACTORS
@@ -74,7 +74,7 @@ def grid_channels(grid_walks):
 
 @pytest.fixture(scope="module")
 def grid_blochs(grid_walks):
-    return {key: bloch_matrix_series([ew], T_MAX)[0] for key, ew in grid_walks.items()}
+    return {key: bloch_matrix_series(ew, T_MAX)[0] for key, ew in grid_walks.items()}
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ def test_criterion_02_block_vs_dense_oracle():
     for gamma in (0.0, 0.1, 0.18):
         for spec in (SPECS[0], SPECS[1]):
             p = WalkParams(T1, T2, gamma, 21)
-            ew = build_euclidean_walk(p, spec)[0]
+            ew = walk_alone(p, spec)[0]
             for t in (1, 5, 10):
                 fast = reduced_coin_state(ew, rho0, t)
                 slow = dense_reduced_state(p, spec, rho0, t)
@@ -128,7 +128,7 @@ def test_criterion_03_pseudo_hermiticity_suite():
         p = WalkParams(T1, T2, math.log(factor), 101)
         h = hamiltonian_blocks(p)
         for spec in SPECS:
-            g = build_euclidean_walk(p, spec)[1]
+            g = walk_alone(p, spec)[1]
             for gb, hb in zip(g, h):
                 worst_ph = max(
                     worst_ph, float(np.linalg.norm(hb.conj().T @ gb - gb @ hb))
@@ -276,7 +276,7 @@ def test_criterion_10_appendix_properties():
     action = verify_metric_action(g4, np.linalg.inv(herm_sqrt(g4)) @ q, n_samples=32, seed=3)
     # norm conservation over 50 steps
     p = WalkParams(T1, T2, math.log(1.2), 101)
-    g = build_euclidean_walk(p, SPECS[2])[1]
+    g = walk_alone(p, SPECS[2])[1]
     ks = momentum_grid(101)
     worst_norm = 0.0
     for i in (0, 33, 77):
@@ -299,8 +299,8 @@ def test_criterion_10_appendix_properties():
 
 def test_criterion_11_separability_defect():
     flat = MetricSpec(kind="g1_flat")
-    d0 = separability_defect(build_euclidean_walk(WalkParams(T1, T2, 0.0, 101), flat)[1])
-    d12 = separability_defect(build_euclidean_walk(WalkParams(T1, T2, math.log(1.2), 101), flat)[1])
+    d0 = separability_defect(walk_alone(WalkParams(T1, T2, 0.0, 101), flat)[1])
+    d12 = separability_defect(walk_alone(WalkParams(T1, T2, math.log(1.2), 101), flat)[1])
     ok = d0 <= 1e-12 and d12 > 1e-3
     _report(11, "separability defect", ok, f"gamma=0: {d0:.2e}, e^g=1.2: {d12:.2e}")
 

@@ -14,16 +14,15 @@ from channel_reference import (
     reduced_coin_state,
     vec,
 )
-from loop_reference import hamiltonian_blocks, herm_sqrt, metric_transport, walk_block, walk_blocks
+from loop_reference import hamiltonian_blocks, herm_sqrt, metric_transport, walk_alone, walk_block, walk_blocks
 from ptwalk import (
     LightConeViolation,
     MetricSpec,
     WalkParams,
-    build_euclidean_walk,
     entanglement_series,
     gamma_pt,
 )
-from ptwalk.channel import bloch_matrix_series, equal_classes, trace_norm
+from ptwalk.channel import bloch_matrix_series, build_euclidean_walk, equal_classes, trace_norm
 from ptwalk.experiments import SERIES_HEADER, _series_rows, _write_csv
 from ptwalk.walk import momentum_grid, spectral_a
 
@@ -37,15 +36,15 @@ def params(gamma, size=21):
 
 def coin_states(ew, r0, t_max):
     """Reduced coin states (I + (M(t) r0) . sigma)/2, t = 0..t_max, shape (t_max+1, 2, 2)."""
-    return np.stack([bloch_state(r) for r in bloch_matrix_series([ew], t_max)[0] @ np.asarray(r0, float)])
+    return np.stack([bloch_state(r) for r in bloch_matrix_series(ew, t_max)[0] @ np.asarray(r0, float)])
 
 
 def rotation_blocks(ew):
-    """W_eta(k) = cos(eps) I - i sin(eps) (n_x sigma_x + n_z sigma_z) from the walk's rotations."""
+    """W_eta(k) = cos(eps) I - i sin(eps) (n_x sigma_x + n_z sigma_z) from the walk's rotations under its first metric."""
     c, s = np.cos(ew.eps), np.sin(ew.eps)
     w = np.empty((len(ew.eps), 2, 2), dtype=complex)
-    w[:, 0, 0], w[:, 1, 1] = c - 1j * s * ew.n_z, c + 1j * s * ew.n_z
-    w[:, 0, 1] = w[:, 1, 0] = -1j * s * ew.n_x
+    w[:, 0, 0], w[:, 1, 1] = c - 1j * s * ew.n_z[0], c + 1j * s * ew.n_z[0]
+    w[:, 0, 1] = w[:, 1, 0] = -1j * s * ew.n_x[0]
     return w
 
 
@@ -88,7 +87,7 @@ def dense_reduced_state(p, spec, rho0, t):
         @ lift(gain_loss(p.gamma))
         @ lift(coin(p.theta1 / 2))
     )
-    blocks = build_euclidean_walk(p, spec)[1]
+    blocks = walk_alone(p, spec)[1]
     g_momentum = np.zeros((2 * size, 2 * size), dtype=complex)
     for i in range(size):
         g_momentum[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blocks[i]
@@ -107,14 +106,14 @@ def dense_reduced_state(p, spec, rho0, t):
 
 def test_build_trivial_metric_preserves_walk():
     p = params(0.0)
-    ew = build_euclidean_walk(p, FLAT)[0]
+    ew = walk_alone(p, FLAT)[0]
     for k, b in zip(momentum_grid(p.lattice_size), rotation_blocks(ew)):
         assert np.abs(b - walk_block(k, p)).max() < 1e-13
 
 
 def test_build_unitarity_nonhermitian():
-    ew = build_euclidean_walk(params(math.log(1.2), 101), MetricSpec(kind="random_xy", seed=11))[0]
-    assert ew.pseudo_hermiticity_residual <= 1e-9
+    ew = walk_alone(params(math.log(1.2), 101), MetricSpec(kind="random_xy", seed=11))[0]
+    assert ew.pseudo_hermiticity_residual[0] <= 1e-9
 
 
 def test_build_transport_conjugates_unitaries():
@@ -122,8 +121,8 @@ def test_build_transport_conjugates_unitaries():
 
     p = params(math.log(1.2))
     spec_b = MetricSpec(kind="random_xy", seed=4)
-    _, g_a = build_euclidean_walk(p, FLAT)
-    ew_b, g_b = build_euclidean_walk(p, spec_b)
+    _, g_a = walk_alone(p, FLAT)
+    ew_b, g_b = walk_alone(p, spec_b)
     tr = metric_transport(g_a, g_b, hamiltonian_blocks(p))
     w_a, w_b = loop_reference.frame_blocks(p, FLAT), rotation_blocks(ew_b)
     for i in range(len(g_a)):
@@ -133,7 +132,7 @@ def test_build_transport_conjugates_unitaries():
 
 
 def test_reduced_state_t0_and_validation():
-    ew = build_euclidean_walk(params(0.1), FLAT)[0]
+    ew = walk_alone(params(0.1), FLAT)[0]
     rho0 = bloch_state((0.3, -0.2, 0.4))
     assert np.abs(reduced_coin_state(ew, rho0, 0) - rho0).max() < 1e-14
     with pytest.raises(ValueError):
@@ -148,7 +147,7 @@ def test_reduced_state_matches_dense_oracle():
     for gamma in (0.0, 0.1, 0.18):
         for spec in (FLAT, MetricSpec(kind="random_xy", seed=13)):
             p = params(gamma)
-            ew = build_euclidean_walk(p, spec)[0]
+            ew = walk_alone(p, spec)[0]
             for t in (1, 4, 10):
                 fast = reduced_coin_state(ew, rho0, t)
                 slow = dense_reduced_state(p, spec, rho0, t)
@@ -156,7 +155,7 @@ def test_reduced_state_matches_dense_oracle():
 
 
 def test_reduced_state_stays_physical():
-    ew = build_euclidean_walk(params(math.log(1.3), 101), MetricSpec(kind="random_xy", seed=2))[0]
+    ew = walk_alone(params(math.log(1.3), 101), MetricSpec(kind="random_xy", seed=2))[0]
     for state in coin_states(ew, (0, 1, 0), 50):
         assert abs(np.trace(state).real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(state).min() > -1e-10
@@ -166,21 +165,21 @@ def test_trivial_coin_freezes_populations():
     # zero coin angles make every momentum block diagonal, so populations
     # never move even though phases do
     p = WalkParams(0.0, 0.0, 0.0, 21)
-    ew = build_euclidean_walk(p, FLAT)[0]
+    ew = walk_alone(p, FLAT)[0]
     rho0 = bloch_state((0.6, 0.0, 0.5))
     for state in coin_states(ew, (0.6, 0.0, 0.5), 8):
         assert np.abs(np.diag(state) - np.diag(rho0)).max() < 1e-12
 
 
 def test_channel_matrix_identity_at_t0():
-    ew = build_euclidean_walk(params(0.1), FLAT)[0]
+    ew = walk_alone(params(0.1), FLAT)[0]
     cm = channel_matrix(ew, 0)
     assert np.abs(cm.matrix - np.eye(4)).max() < 1e-14
 
 
 def test_channel_matrix_reproduces_reduced_state():
     rng = np.random.default_rng(41)
-    ew = build_euclidean_walk(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=6))[0]
+    ew = walk_alone(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=6))[0]
     rho0 = random_state(rng)
     for t in (1, 3, 7):
         cm = channel_matrix(ew, t)
@@ -192,7 +191,7 @@ def test_channel_matrix_reproduces_reduced_state():
 def test_channel_matrix_single_step_kraus_sum():
     # vectorization oracle: one unitary step is (1/L) sum_k W (x) conj(W)
     p = params(0.0, 101)
-    ew = build_euclidean_walk(p, FLAT)[0]
+    ew = walk_alone(p, FLAT)[0]
     cm = channel_matrix(ew, 1)
     expected = np.zeros((4, 4), dtype=complex)
     for k in momentum_grid(101):
@@ -204,7 +203,7 @@ def test_channel_matrix_single_step_kraus_sum():
 
 def test_channel_matrix_trace_preserving_rows():
     # tr(map(rho)) = tr(rho) pins row 0 + row 3 of L(t, 0) to (1, 0, 0, 1)
-    ew = build_euclidean_walk(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=6))[0]
+    ew = walk_alone(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=6))[0]
     for t in (1, 5, 10):
         cm = channel_matrix(ew, t)
         rows = cm.matrix[0] + cm.matrix[3]
@@ -213,7 +212,7 @@ def test_channel_matrix_trace_preserving_rows():
 
 def test_channel_matrix_is_linear():
     rng = np.random.default_rng(42)
-    ew = build_euclidean_walk(params(0.15), FLAT)[0]
+    ew = walk_alone(params(0.15), FLAT)[0]
     cm = channel_matrix(ew, 5)
     a, b = random_state(rng), random_state(rng)
     lhs = cm.matrix @ vec(0.3 * a + 0.7 * b)
@@ -222,7 +221,7 @@ def test_channel_matrix_is_linear():
 
 
 def test_channel_series_matches_single_calls():
-    ew = build_euclidean_walk(params(0.1), MetricSpec(kind="random_xy", seed=1))[0]
+    ew = walk_alone(params(0.1), MetricSpec(kind="random_xy", seed=1))[0]
     series = channel_matrix_series(ew, 6)
     assert len(series) == 7
     for t in (0, 2, 6):
@@ -230,7 +229,7 @@ def test_channel_series_matches_single_calls():
 
 
 def test_intermediate_map_t0_is_one_step():
-    ew = build_euclidean_walk(params(0.1), FLAT)[0]
+    ew = walk_alone(params(0.1), FLAT)[0]
     one = channel_matrix(ew, 1)
     inter = intermediate_map(ew, 0)
     assert np.abs(inter.matrix - one.matrix).max() < 1e-12
@@ -238,7 +237,7 @@ def test_intermediate_map_t0_is_one_step():
 
 
 def test_intermediate_map_composes_back():
-    ew = build_euclidean_walk(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=3))[0]
+    ew = walk_alone(params(math.log(1.2)), MetricSpec(kind="random_xy", seed=3))[0]
     series = channel_matrix_series(ew, 9)
     for t in (2, 5, 8):
         inter = intermediate_map(ew, t)
@@ -248,8 +247,8 @@ def test_intermediate_map_composes_back():
 
 def test_intermediate_map_metric_invariant_in_hermitian_limit():
     p = params(0.0, 101)
-    ew1 = build_euclidean_walk(p, FLAT)[0]
-    ew2 = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=23))[0]
+    ew1 = walk_alone(p, FLAT)[0]
+    ew2 = walk_alone(p, MetricSpec(kind="random_xy", seed=23))[0]
     for t in (1, 4):
         a = intermediate_map(ew1, t)
         b = intermediate_map(ew2, t)
@@ -291,8 +290,8 @@ def test_channel_json_roundtrip():
     # the reduced map is carried by its Bloch matrix M(t), which JSON keeps exactly
     import json
 
-    ew = build_euclidean_walk(params(0.1), FLAT)[0]
-    bloch = bloch_matrix_series([ew], 3)[0]
+    ew = walk_alone(params(0.1), FLAT)[0]
+    bloch = bloch_matrix_series(ew, 3)[0]
     back = np.array(json.loads(json.dumps({"t": 3, "bloch": bloch[3].tolist()}))["bloch"])
     assert np.abs(back - bloch[3]).max() == 0.0
     assert back.shape == (3, 3)
@@ -301,8 +300,8 @@ def test_channel_json_roundtrip():
 def test_trajectory_csv(tmp_path):
     # the coin trajectory reaches disk through the entanglement series, whose
     # S column must read back exactly
-    ew = build_euclidean_walk(params(0.1), FLAT)[0]
-    series = entanglement_series(bloch_matrix_series([ew], 4)[0], (0, 1, 0))
+    ew = walk_alone(params(0.1), FLAT)[0]
+    series = entanglement_series(bloch_matrix_series(ew, 4)[0], (0, 1, 0))
     path = tmp_path / "traj.csv"
     _write_csv(path, SERIES_HEADER, [_series_rows(series)])
     lines = path.read_text().strip().splitlines()
@@ -323,7 +322,7 @@ def long_walk(request):
     gamma, kind = request.param
     spec = FLAT if kind == "G1" else MetricSpec(kind="random_xy", seed=11)
     p = WalkParams(T1, T2, gamma, 1201)
-    return p, spec, build_euclidean_walk(p, spec)[0]
+    return p, spec, walk_alone(p, spec)[0]
 
 
 def test_closed_form_channels_match_block_powers(long_walk):
@@ -358,8 +357,8 @@ def test_phase_stepped_bloch_matrices_match_direct_oracle(gamma_factor, spec):
     from ptwalk.channel import BLOCK_ELEMENTS
 
     p = WalkParams(T1, T2, math.log(gamma_factor), 1201)
-    ew = build_euclidean_walk(p, spec)[0]
-    fast = bloch_matrix_series([ew], 600)[0]
+    ew = walk_alone(p, spec)[0]
+    fast = bloch_matrix_series(ew, 600)[0]
     slow = loop_reference.bloch_matrices_direct(p, spec, np.arange(601))
     assert np.abs(fast - slow).max() <= 1e-13
     chunk = BLOCK_ELEMENTS // 601  # the first block: 601 = (1201 + 1)/2 folded momenta
@@ -369,9 +368,9 @@ def test_phase_stepped_bloch_matrices_match_direct_oracle(gamma_factor, spec):
 def test_bloch_matrices_do_not_depend_on_block_size(monkeypatch):
     import ptwalk.channel
 
-    ew = build_euclidean_walk(WalkParams(T1, T2, math.log(1.3), 1201), MetricSpec(kind="random_xy", seed=11))[0]
+    ew = walk_alone(WalkParams(T1, T2, math.log(1.3), 1201), MetricSpec(kind="random_xy", seed=11))[0]
     chunk = ptwalk.channel.BLOCK_ELEMENTS // 601  # 601 = (1201 + 1)/2 folded momenta
-    base = bloch_matrix_series([ew], 600)[0]
+    base = bloch_matrix_series(ew, 600)[0]
     # every block start, the rows next to it and the last row, where the
     # angles are largest, against M(t) evaluated directly
     r = np.array([0.0, 1.0, 0.0])
@@ -380,34 +379,22 @@ def test_bloch_matrices_do_not_depend_on_block_size(monkeypatch):
         assert np.abs(bloch_state(base[t] @ r) - reduced_coin_state(ew, bloch_state(r), t)).max() <= 1e-14, t
     for elements in (1 << 8, 1 << 20):
         monkeypatch.setattr(ptwalk.channel, "BLOCK_ELEMENTS", elements)
-        assert np.abs(bloch_matrix_series([ew], 600)[0] - base).max() <= 1e-13
+        assert np.abs(bloch_matrix_series(ew, 600)[0] - base).max() <= 1e-13
 
 
 @pytest.mark.parametrize("size, t_max", [(1201, 600), (4001, 20)])
 def test_bloch_matrix_series_does_not_depend_on_the_other_walks(size, t_max):
-    # one pass serves every metric of one WalkParams, and each walk keeps its
-    # own product per block: its M(t) alone equals its slice of any pass bit
+    # one pass serves every metric of one WalkParams, and each metric keeps its
+    # own product per block: its M(t) alone equals its row of any pass bit
     # for bit, which keeps CSVs byte-identical however a run deals its pairs
     p = WalkParams(T1, T2, math.log(1.3), size)
     specs = (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23))
-    walks = [build_euclidean_walk(p, spec)[0] for spec in specs]
-    together = bloch_matrix_series(walks, t_max)
+    ew = build_euclidean_walk(p, specs)[0]
+    together = bloch_matrix_series(ew, t_max)
     assert together.shape == (3, t_max + 1, 3, 3)
-    for i, ew in enumerate(walks):
-        assert np.array_equal(bloch_matrix_series([ew], t_max)[0], together[i])
-    assert np.array_equal(bloch_matrix_series(walks[::-2], t_max), together[::-2])
-
-
-def test_bloch_matrix_series_needs_walks_of_one_angle_set():
-    flat = build_euclidean_walk(params(math.log(1.2)), FLAT)[0]
-    for other in (
-        build_euclidean_walk(params(math.log(1.3)), FLAT)[0],
-        build_euclidean_walk(params(math.log(1.2), 23), FLAT)[0],
-    ):
-        with pytest.raises(ValueError, match="angles"):
-            bloch_matrix_series([flat, other], 5)
-    with pytest.raises(ValueError, match="no walks"):
-        bloch_matrix_series([], 5)
+    for i, spec in enumerate(specs):
+        assert np.array_equal(bloch_matrix_series(walk_alone(p, spec)[0], t_max)[0], together[i])
+    assert np.array_equal(bloch_matrix_series(ew, t_max, [2, 0]), together[::-2])
 
 
 @pytest.mark.parametrize("gamma_factor", [1.0, 1.3, "near_ep"])
@@ -423,7 +410,7 @@ def test_euclidean_walk_angles_are_symmetric_in_k(gamma_factor, spec):
     # eps depends on k through cos 2k alone and the grid is exactly
     # antisymmetric, so eps_{L-n} = eps_n bitwise, also at (1 - 1e-9) gamma_pt
     gamma = (1 - 1e-9) * gamma_pt(T1, T2) if gamma_factor == "near_ep" else math.log(gamma_factor)
-    eps = build_euclidean_walk(params(gamma, 1201), spec)[0].eps
+    eps = walk_alone(params(gamma, 1201), spec)[0].eps
     assert np.array_equal(eps[1:], eps[:0:-1])
 
 
@@ -431,30 +418,37 @@ def test_bloch_matrix_series_refuses_asymmetric_angles():
     # the pass sums each +-k pair once, which is exact only for eps_{L-n} = eps_n
     import dataclasses
 
-    ew = build_euclidean_walk(params(math.log(1.2), 41), FLAT)[0]
+    ew = walk_alone(params(math.log(1.2), 41), FLAT)[0]
     eps = ew.eps.copy()
     eps[3] = np.nextafter(eps[3], 4.0)
     with pytest.raises(ValueError, match="k and -k"):
-        bloch_matrix_series([dataclasses.replace(ew, eps=eps)], 5)
+        bloch_matrix_series(dataclasses.replace(ew, eps=eps), 5)
 
 
-@pytest.mark.parametrize("gamma_factor", [1.0, 1.3])
-def test_walks_with_equal_axes_share_one_pass(gamma_factor, monkeypatch):
-    # at gamma = 0 every metric gives the axes of S alone, so the four walks
-    # reach the pass as one; at 1.3 only the repeated flat walk is shared.
-    # Each M(t) equals that of its own call bit for bit.
-    import ptwalk.channel
-
-    p = params(math.log(gamma_factor), 1201)
-    specs = (FLAT, MetricSpec(kind="random_xy", seed=11), FLAT, MetricSpec(kind="random_xy", seed=23))
-    walks = [build_euclidean_walk(p, spec)[0] for spec in specs]
-    alone = [bloch_matrix_series([ew], 600)[0] for ew in walks]
-    passed = []
-    sums = ptwalk.channel._bloch_sums
-    monkeypatch.setattr(ptwalk.channel, "_bloch_sums", lambda ws, *args: passed.append(len(ws)) or sums(ws, *args))
-    together = bloch_matrix_series(walks, 600)
-    assert passed == [1 if gamma_factor == 1.0 else 3]
-    assert all(np.array_equal(m, together[i]) for i, m in enumerate(alone))
+@pytest.mark.parametrize("gamma_factor", [1.0, 1.3, "near_ep"])
+def test_walks_with_equal_axes_share_one_pass(gamma_factor):
+    # Each metric row of a walk built for several metrics is bit for bit the
+    # walk of that metric built alone, in either order of the specs: its
+    # axes, health, metric entries and M(t). Rows with equal axes share one
+    # M(t): at gamma = 0 every metric gives the axes of S alone, so the four
+    # rows are one class; elsewhere only the repeated flat metric is shared.
+    gamma = (1 - 1e-9) * gamma_pt(T1, T2) if gamma_factor == "near_ep" else math.log(gamma_factor)
+    p = params(gamma, 1201)
+    specs = (FLAT, MetricSpec(kind="random_xy", seed=11), FLAT, MetricSpec(kind="explicit", y=tuple(np.linspace(3.0, 0.2, 1201))))
+    alone = [build_euclidean_walk(p, [spec]) for spec in specs]
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
+        ew, g = build_euclidean_walk(p, [specs[i] for i in order])
+        together = bloch_matrix_series(ew, 600)
+        for row, i in enumerate(order):
+            one, one_g = alone[i]
+            assert np.array_equal(ew.eps, one.eps) and ew.ep_gap == one.ep_gap
+            for name in ("n_x", "n_z", "pseudo_hermiticity_residual", "metric_condition_max"):
+                assert np.array_equal(getattr(ew, name)[row], getattr(one, name)[0]), name
+            assert all(np.array_equal(entries[row], one_entries[0]) for entries, one_entries in zip(g, one_g))
+            assert np.array_equal(together[row], bloch_matrix_series(one, 600)[0])
+        first, index = equal_classes(np.stack(axes) for axes in zip(ew.n_x, ew.n_z))
+        assert len(first) == (1 if gamma_factor == 1.0 else 3)
+        assert np.array_equal(bloch_matrix_series(ew, 600, first)[index], together)
 
 
 def test_equal_classes_are_bitwise():
@@ -496,8 +490,8 @@ def test_choi_trace_norms_match_the_singular_vector_sign():
 def test_bloch_matrix_series_rotation_average():
     # M(t) maps Bloch vectors exactly like conjugating with the block powers
     p, spec = params(math.log(1.2), 41), MetricSpec(kind="random_xy", seed=9)
-    ew = build_euclidean_walk(p, spec)[0]
-    bloch = bloch_matrix_series([ew], 20)[0]
+    ew = walk_alone(p, spec)[0]
+    bloch = bloch_matrix_series(ew, 20)[0]
     assert bloch.shape == (21, 3, 3)
     assert np.array_equal(bloch[0], np.eye(3))
     rng = np.random.default_rng(44)
@@ -517,7 +511,7 @@ def test_identity_rotation_where_sin_eps_vanishes(theta1, theta2):
 
     p = WalkParams(theta1, theta2, 0.0, 21)
     assert np.abs(spectral_a(momentum_grid(21), p)).max() >= 1.0 - UNBROKEN_MARGIN
-    ew = build_euclidean_walk(p, FLAT)[0]
+    ew = walk_alone(p, FLAT)[0]
     rng = np.random.default_rng(45)
     rho0 = random_state(rng)
     for t in (1, 5, 10):
@@ -546,7 +540,7 @@ def test_batched_builders_match_per_k_loops(gamma, spec):
     import loop_reference
 
     p = params(gamma, 1201)
-    ew, g = build_euclidean_walk(p, spec)
+    ew, g = walk_alone(p, spec)
     if not (gamma == 0.0 and spec.kind == "g1_flat"):
         assert np.abs(g - loop_reference.metric_blocks(p, spec)).max() <= 1e-13
     # the axes read from the arc against R = eta S eta^-1 on the root's route,
@@ -555,12 +549,12 @@ def test_batched_builders_match_per_k_loops(gamma, spec):
     # arc's ends, where cond G = 1e6
     _, r = loop_reference.extended_frame(p, spec)
     r = r.astype(float)
-    assert np.abs(ew.n_z * np.sin(ew.eps) - r[:, 0, 0]).max() <= 1e-13
-    assert np.abs(ew.n_x * np.sin(ew.eps) - r[:, 0, 1]).max() <= 1e-13
+    assert np.abs(ew.n_z[0] * np.sin(ew.eps) - r[:, 0, 0]).max() <= 1e-13
+    assert np.abs(ew.n_x[0] * np.sin(ew.eps) - r[:, 0, 1]).max() <= 1e-13
     w_etas = spectral_a(momentum_grid(1201), p)[:, None, None] * np.eye(2) - 1j * r
     assert np.abs(rotation_blocks(ew) - w_etas).max() <= 1e-13
     residual = loop_reference.pseudo_hermiticity_residual(g, loop_reference.walk_blocks(p))
-    assert abs(ew.pseudo_hermiticity_residual - residual) <= 1e-13
+    assert abs(ew.pseudo_hermiticity_residual[0] - residual) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -596,7 +590,7 @@ def test_batched_builders_report_first_offending_index():
     assert np.flatnonzero(np.abs(spectral_a(ks, p)) >= 1 - 1e-12).tolist() == [5, 6, 15, 16]
     for spec in (FLAT, MetricSpec(kind="random_xy", seed=23)):
         with pytest.raises(BrokenRegime) as batched:
-            build_euclidean_walk(p, spec)
+            walk_alone(p, spec)
         with pytest.raises(BrokenRegime) as looped:
             for k in ks:
                 loop_reference.left_eigvecs(k, p)
@@ -608,21 +602,22 @@ def test_batched_builders_report_first_offending_index():
     ys[3] = ys[9] = -0.5
     spec = MetricSpec(kind="explicit", y=tuple(ys))
     with pytest.raises(NotPositive) as batched:
-        build_euclidean_walk(q, spec)[0]
+        walk_alone(q, spec)[0]
     with pytest.raises(NotPositive) as looped:
         loop_reference.unitary_frame(loop_reference.metric_blocks(q, spec), walk_blocks(q))
-    assert str(batched.value) == str(looped.value) == "metric block 3 not positive definite"
+    assert str(looped.value) == "metric block 3 not positive definite"
+    assert str(batched.value) == "metric block 3 of explicit not positive definite"
 
 
 def test_euclidean_walk_health_fields():
     p = params(math.log(1.3), 101)
-    ew, g = build_euclidean_walk(p, MetricSpec(kind="random_xy", seed=11))
+    ew, g = walk_alone(p, MetricSpec(kind="random_xy", seed=11))
     a = spectral_a(momentum_grid(101), p)
     assert ew.ep_gap == pytest.approx(float((1 - np.abs(a)).min()), abs=1e-15)
     conds = [np.linalg.cond(b) for b in g]
-    assert ew.metric_condition_max == pytest.approx(max(conds), rel=1e-9)
-    flat = build_euclidean_walk(params(0.0), FLAT)[0]
-    assert flat.metric_condition_max == 1.0
+    assert ew.metric_condition_max[0] == pytest.approx(max(conds), rel=1e-9)
+    flat = walk_alone(params(0.0), FLAT)[0]
+    assert flat.metric_condition_max[0] == 1.0
 
 
 @pytest.mark.parametrize("fraction", [0.9, 0.9999, 1 - 1e-7, 1 - 1e-9])
@@ -634,14 +629,14 @@ def test_unitary_frame_near_exceptional_point(fraction, spec):
     import loop_reference
 
     p = params(fraction * gamma_pt(T1, T2), 101)
-    ew, g = build_euclidean_walk(p, spec)
-    assert ew.pseudo_hermiticity_residual <= 1e-14
+    ew, g = walk_alone(p, spec)
+    assert ew.pseudo_hermiticity_residual[0] <= 1e-14
     oracle = loop_reference.bloch_matrices_extended(p, spec, ew.eps, np.arange(51))
-    gap = np.abs(bloch_matrix_series([ew], 50)[0] - oracle).max()
+    gap = np.abs(bloch_matrix_series(ew, 50)[0] - oracle).max()
     assert gap <= 1e-14
     w = np.linalg.eigvalsh(g)
     cond = float((w[:, 1] / w[:, 0]).max())
-    assert abs(ew.metric_condition_max - cond) <= (1e-9 if cond <= 1e6 else 1e-6) * cond
+    assert abs(ew.metric_condition_max[0] - cond) <= (1e-9 if cond <= 1e6 else 1e-6) * cond
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.9, 0.9999])
@@ -665,7 +660,7 @@ def test_bloch_yy_is_metric_free(size, t_max):
     specs = (FLAT, MetricSpec(kind="random_xy", seed=11), MetricSpec(kind="random_xy", seed=23))
     for factor in (1.2, 1.3):
         p = params(math.log(factor), size)
-        series = bloch_matrix_series([build_euclidean_walk(p, spec)[0] for spec in specs], t_max)
+        series = bloch_matrix_series(build_euclidean_walk(p, specs)[0], t_max)
         for part in (series[:, :, 1, 1], np.trace(series, axis1=2, axis2=3), series[:, :, 0, 0] + series[:, :, 2, 2]):
             flat, *others = part
             assert all(np.array_equal(m, flat) for m in others)
@@ -681,7 +676,7 @@ def test_pseudo_hermiticity_residual_flags_an_incompatible_metric(monkeypatch):
     import ptwalk.channel
 
     p = params(math.log(1.2), 101)
-    assert build_euclidean_walk(p, FLAT)[0].pseudo_hermiticity_residual <= 1e-14
+    assert walk_alone(p, FLAT)[0].pseudo_hermiticity_residual[0] <= 1e-14
     rng = np.random.default_rng(46)
 
     def random_unit_rows(*_):
@@ -689,10 +684,10 @@ def test_pseudo_hermiticity_residual_flags_an_incompatible_metric(monkeypatch):
         return v / np.linalg.norm(v, axis=1)[:, None]
 
     monkeypatch.setattr(ptwalk.channel, "_plus_eigenvector", random_unit_rows)
-    ew, spd = build_euclidean_walk(p, FLAT)
-    assert ew.pseudo_hermiticity_residual > 1e-3
+    ew, spd = walk_alone(p, FLAT)
+    assert ew.pseudo_hermiticity_residual[0] > 1e-3
     residual = loop_reference.pseudo_hermiticity_residual(spd, walk_blocks(p))
-    assert ew.pseudo_hermiticity_residual == pytest.approx(residual, rel=1e-12)
+    assert ew.pseudo_hermiticity_residual[0] == pytest.approx(residual, rel=1e-12)
 
 
 @pytest.mark.parametrize("gamma_factor", [1.2, 1.3])
@@ -702,7 +697,7 @@ def test_flat_metric_reduced_map_converges_in_lattice_size(gamma_factor):
     # point, white noise in k, so its metrics at different L are different
     # metrics and M(t) keeps moving with L.
     def series(spec, size):
-        return bloch_matrix_series([build_euclidean_walk(params(math.log(gamma_factor), size), spec)[0]], 20)[0]
+        return bloch_matrix_series(walk_alone(params(math.log(gamma_factor), size), spec)[0], 20)[0]
 
     for spec, converged in ((FLAT, True), (MetricSpec(kind="random_xy", seed=11), False)):
         reference = series(spec, 801)

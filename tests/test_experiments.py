@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptwalk import __version__, ConfigInvalid, ExperimentConfig, MissingArtifacts, load_config, report, run
+from ptwalk import __version__, ConfigInvalid, ExperimentConfig, MissingArtifacts, is_unbroken, load_config, report, run
 from ptwalk.cli import main
 from ptwalk.experiments import validate_config
 from ptwalk.measures import AnnealSchedule
@@ -450,6 +450,22 @@ def test_run_measures_each_distinct_bloch_once(tmp_path, monkeypatch):
             assert (tmp_path / str(threads) / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
 
 
+def test_run_builds_one_walk_per_gamma(tmp_path, monkeypatch):
+    # the default grid on one worker: each unbroken gamma's walk is built once
+    # for all of its metrics, and its axis classes, which the measures share
+    # by, are read once
+    import ptwalk.experiments as experiments
+
+    calls = []
+    build, classes = experiments.build_euclidean_walk, experiments.equal_classes
+    monkeypatch.setattr(experiments, "build_euclidean_walk", lambda *args: calls.append("walk") or build(*args))
+    monkeypatch.setattr(experiments, "equal_classes", lambda arrays: calls.append("classes") or classes(arrays))
+    cfg = _default_grid(tmp_path)
+    run(cfg, threads=1)
+    assert all(is_unbroken(cfg.walk_params(factor)) for factor in cfg.gamma_factors)
+    assert calls == ["walk", "classes"] * len(cfg.gamma_factors)
+
+
 def test_cells_with_one_bloch_share_their_series(tmp_path):
     # each e^gamma = 1 cell writes the CSV body and the results of G1's cell,
     # under its own provenance line; at e^gamma = 1.2 the metrics differ
@@ -473,19 +489,19 @@ def test_cells_with_one_bloch_share_their_series(tmp_path):
 
 
 def test_a_one_ulp_change_breaks_the_sharing(tmp_path, monkeypatch):
-    # the equality behind the sharing is bitwise: a copied e^gamma = 1 stack
+    # the equality behind the sharing is bitwise: an e^gamma = 1 axis row
     # moved by one ulp in one entry is measured on its own
     import ptwalk.experiments as experiments
 
-    series = experiments.bloch_matrix_series
+    build = experiments.build_euclidean_walk
 
-    def nudged(walks, t_max):
-        blochs = series(walks, t_max)
-        if np.array_equal(blochs[0], blochs[1]):
-            blochs[1, 7, 0, 2] = np.nextafter(blochs[1, 7, 0, 2], np.inf)
-        return blochs
+    def nudged(p, specs):
+        ew, g = build(p, specs)
+        if np.array_equal(ew.n_x[0], ew.n_x[1]):
+            ew.n_x[1, 7] = np.nextafter(ew.n_x[1, 7], np.inf)
+        return ew, g
 
-    monkeypatch.setattr(experiments, "bloch_matrix_series", nudged)
+    monkeypatch.setattr(experiments, "build_euclidean_walk", nudged)
     seen = _record_measures(monkeypatch)
     run(_default_grid(tmp_path), threads=1)
     assert [len(blochs) for blochs in seen["blp"]] == [8]
@@ -497,7 +513,6 @@ def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
     # the pairs of a group share one formatted momentum column; every audit
     # CSV must still be the value-by-value export of its own pair's metric
     import loop_reference
-    from ptwalk import build_euclidean_walk
     from ptwalk.walk import momentum_grid
 
     cfg = tiny_config(tmp_path, study="rhp")
@@ -509,7 +524,7 @@ def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
             name = f"metric__eg{factor:g}__{spec.label}.csv"
             want = tmp_path / name
             comment = f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}"
-            g = build_euclidean_walk(cfg.walk_params(factor), spec)[1]
+            g = loop_reference.walk_alone(cfg.walk_params(factor), spec)[1]
             loop_reference.write_metric_csv(momentum_grid(cfg.lattice_size), g, want, comment)
             assert (out / name).read_bytes() == want.read_bytes(), name
 

@@ -12,7 +12,6 @@ from ptwalk import (
     MetricSpec,
     WalkParams,
     blp_series,
-    build_euclidean_walk,
     entanglement_series,
     rhp_series,
 )
@@ -24,6 +23,7 @@ from channel_reference import (
     trace_distance,
     von_neumann_entropy,
 )
+from loop_reference import walk_alone
 from ptwalk.channel import PINV_RCOND, bloch_matrix_series, intermediate_maps
 from ptwalk.experiments import SERIES_HEADER, _series_rows, _write_csv
 from ptwalk.measures import _blp_objective, _Buffers, _stacks, maximize_blp_many
@@ -35,16 +35,16 @@ PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1,
 
 def walk(gamma_factor=1.0, spec=FLAT, size=101):
     p = WalkParams(T1, T2, math.log(gamma_factor), size)
-    return build_euclidean_walk(p, spec)[0]
+    return walk_alone(p, spec)[0]
 
 
 def bloch(gamma_factor=1.0, spec=FLAT, t_max=50, size=101):
-    return bloch_matrix_series([walk(gamma_factor, spec, size)], t_max)[0]
+    return bloch_matrix_series(walk(gamma_factor, spec, size), t_max)[0]
 
 
 def search_walk(ew, schedule, t_max, seed=7):
     """The search of one walk: its winning series, whose meta holds N_max and the pair."""
-    return maximize_blp_many([bloch_matrix_series([ew], t_max)[0]], schedule, seed)[0]
+    return maximize_blp_many([bloch_matrix_series(ew, t_max)[0]], schedule, seed)[0]
 
 
 def random_state(rng):
@@ -103,7 +103,7 @@ def test_blp_matches_stepwise_trace_distances():
     ew = walk(1.2, MetricSpec(kind="random_xy", seed=11))
     rho, sigma = bloch_state((0, 0, 1)), bloch_state((0, 0, -1))
     t_max = 12
-    series = blp_series(bloch_matrix_series([ew], t_max)[0], (0, 0, 1), (0, 0, -1))
+    series = blp_series(bloch_matrix_series(ew, t_max)[0], (0, 0, 1), (0, 0, -1))
     dist = [
         trace_distance(
             reduced_coin_state(ew, rho, t), reduced_coin_state(ew, sigma, t)
@@ -164,7 +164,7 @@ def test_maximize_blp_deterministic():
 
 def test_maximize_blp_beats_baselines():
     ew = walk(1.2, MetricSpec(kind="random_xy", seed=11), size=61)
-    m = bloch_matrix_series([ew], 25)[0]
+    m = bloch_matrix_series(ew, 25)[0]
     series = search_walk(ew, quick_schedule(), 25)
     n_max = series.meta["n_max"]
     # axis-antipodal baselines
@@ -248,7 +248,7 @@ def test_maximize_blp_matches_sequential_reference(gamma_factor, spec, size, t_m
     factors = gamma_factor if isinstance(gamma_factor, tuple) else (gamma_factor,)
     specs = spec if isinstance(spec, tuple) else (spec,)
     walks = [walk(f, s, size=size) for f in factors for s in specs]
-    blochs = [bloch_matrix_series([ew], t_max)[0] for ew in walks]
+    blochs = [bloch_matrix_series(ew, t_max)[0] for ew in walks]
     odds, np_exp = [], np.exp
 
     def recording_exp(x):
@@ -278,11 +278,11 @@ def test_maximize_blp_many_is_batch_invariant():
     cfg = ExperimentConfig()
     schedule, seed = cfg.anneal, cfg.master_seed
     walks = [
-        build_euclidean_walk(cfg.walk_params(factor), spec)[0]
+        walk_alone(cfg.walk_params(factor), spec)[0]
         for factor in cfg.gamma_factors
         for spec in cfg.metrics
     ]
-    blochs = [bloch_matrix_series([ew], cfg.t_max)[0] for ew in walks]
+    blochs = [bloch_matrix_series(ew, cfg.t_max)[0] for ew in walks]
     single = [search_walk(ew, schedule, cfg.t_max, seed) for ew in walks]
     order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
     batches = {
@@ -330,7 +330,7 @@ def test_bloch_matrices_reproduce_distance_series():
     for factor, spec in ((1.0, FLAT), (1.3, MetricSpec(kind="random_xy", seed=11))):
         ew = walk(factor, spec, size=61)
         stack = _series_stack(channel_matrix_series(WalkParams(T1, T2, math.log(factor), 61), spec, 30))
-        bloch = bloch_matrix_series([ew], 30)[0]
+        bloch = bloch_matrix_series(ew, 30)[0]
         assert bloch.shape == (31, 3, 3)
         assert np.allclose(bloch[0], np.eye(3), atol=1e-15)
         for _ in range(20):
@@ -390,7 +390,7 @@ def test_rhp_matches_channel_oracle_long_horizon(gamma_factor, spec):
     from channel_reference import channel_matrix_series
 
     ew = walk(gamma_factor, spec, size=1201)
-    m = bloch_matrix_series([ew], 600)[0]
+    m = bloch_matrix_series(ew, 600)[0]
     _assert_rhp_matches_oracle(rhp_series(m), _oracle_rhp(ew, 600))
     _, cond, flagged = intermediate_maps(m)
     channels = channel_matrix_series(ew, 600)[:-1]
@@ -453,8 +453,8 @@ def test_bloch_path_matches_oracles_property(theta1, theta2, fraction, seed):
     assume(is_unbroken(p))
     r0 = (0.0, 1.0, 0.0)
     for spec in (FLAT, MetricSpec(kind="random_xy", seed=seed)):
-        ew = build_euclidean_walk(p, spec)[0]
-        m = bloch_matrix_series([ew], 50)[0]
+        ew = walk_alone(p, spec)[0]
+        m = bloch_matrix_series(ew, 50)[0]
         _assert_rhp_matches_oracle(rhp_series(m), _oracle_rhp(ew, 50))
         expected = [von_neumann_entropy(state) for state in coin_states(ew, r0, 50)]
         assert np.abs(entanglement_series(m, r0).entropy - expected).max() <= 1e-12

@@ -84,17 +84,6 @@ def test_run_toy_matches_the_transport_oracle(toy):
         assert np.abs(curve - oracle[name]).max() <= 1e-13
 
 
-def rephased_eig(eig):
-    # LAPACK's eigenpairs in reverse order, with other phases (a fixed unit
-    # phase per column)
-    def patched(a):
-        values, vectors = eig(a)
-        vectors = vectors * np.exp(1j * (0.4 + 0.9 * np.arange(vectors.shape[-1])))
-        return values[..., ::-1], vectors[..., ::-1]
-
-    return patched
-
-
 def rephased_svd(svd):
     # LAPACK's singular-vector pairs with other phases: column j of X and row
     # j of Y† take opposite unit phases, so X Sigma Y† is unchanged
@@ -111,8 +100,9 @@ def rephased_svd(svd):
 
 @pytest.mark.parametrize("toy", TOYS.values(), ids=TOYS.keys())
 def test_run_toy_does_not_depend_on_lapack_eigenvector_conventions(toy, monkeypatch):
+    # the program calls no eigensolver (test_no_eigensolver_in_the_program):
+    # LAPACK's conventions reach it only through the polar factors' SVD
     want = run_toy(toy).entropy
-    monkeypatch.setattr(np.linalg, "eig", rephased_eig(np.linalg.eig))
     monkeypatch.setattr(np.linalg, "svd", rephased_svd(np.linalg.svd))
     got = run_toy(toy).entropy
     for name in want:
@@ -265,6 +255,32 @@ def test_run_toy_refuses_an_ill_conditioned_frame(variant, s, reason):
     # leaves the float range at pt_phase s = 1000 and on 'real' at s = 10
     with pytest.raises(NotPositive, match=reason):
         run_toy(ToyConfig(variant=variant, mixing_strength=s))
+
+
+HUGE = ToyConfig(h_a=[[1e200, 1.0], [1.0, -1e200]], h_b=[[1j, 2.0], [2.0, -1j]])
+
+
+def test_eigenpairs_of_a_block_with_huge_entries_are_finite():
+    # q = ((h00 - h11)/2)^2 + h01 h10 overflows for these entries unless the
+    # block is scaled first; the spectrum is +-1e200 (h01 h10 = 1 is below
+    # its roundoff) and +-sqrt(3)
+    values, right, left = _eigenpairs(np.stack(HUGE.hamiltonians()))
+    assert np.array_equal(values[0], [-1e200, 1e200])
+    assert np.abs(values[1] - [-np.sqrt(3.0), np.sqrt(3.0)]).max() <= 1e-15
+    assert np.all(np.isfinite(right)) and np.all(np.isfinite(left))
+    assert np.abs(left.conj().swapaxes(1, 2) @ right - np.eye(2)).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_toy_with_huge_entries_refuses_only_an_overflowing_weight():
+    # unmixed, every metric is a product: the curves are finite and flat at
+    # one bit; mixed at the default strength, e^{2 s lambda} leaves the float
+    # range at lambda = +-1.7e200 and the weights are refused for that reason
+    result = run_toy(replace(HUGE, mixing_strength=0.0))
+    for curve in result.entropy.values():
+        assert np.all(np.isfinite(curve)) and np.abs(curve - 1.0).max() <= 1e-9
+    with pytest.raises(NotPositive, match="weights not finite and positive at mixing_strength 0.25"):
+        run_toy(HUGE)
 
 
 def test_run_toy_rejects_complex_spectrum():
