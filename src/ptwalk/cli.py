@@ -51,8 +51,6 @@ def _cmd_run(args) -> int:
     overrides = {"master_seed": args.seed, "study": args.study}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
-    if args.threads < 1:
-        raise ConfigInvalid([("threads", f"must be >= 1, got {args.threads}")])
     manifest = run(cfg, out_dir=out_dir, threads=args.threads)
     n_ok = sum(1 for c in manifest["cells"] if c.get("status") == "ok")
     print(f"wrote {len(manifest['artifacts'])} artifacts to {out_dir} ({n_ok} cells ok, "

@@ -15,8 +15,7 @@ Cells whose gamma lies beyond the exceptional point are skipped and
 reported, not fatal. Every file of a run is written here, its CSVs by one
 writer (``_write_csv``). Given the same config and master seed, the CSV outputs are
 byte-identical across reruns and thread counts; summary JSONs are
-deterministic apart from their wall-clock ``runtime_s`` and ``timings``
-fields.
+deterministic apart from their wall-clock ``timings`` field.
 """
 
 import csv
@@ -42,8 +41,7 @@ from .walk import WalkParams, is_unbroken, momentum_grid
 WALK_STUDIES = ("blp", "rhp", "entanglement")
 STUDIES = (*WALK_STUDIES, "toy", "all")
 OUTPUT_DIR_ENV = "PTWALK_OUTPUT_DIR"
-SERIES_HEADER = ("t", "delta", "N", "g", "I_RHP", "S", "flags")
-METRIC_HEADER = ("k", "re_g11", "im_g11", "re_g12", "im_g12", "re_g21", "im_g21", "re_g22", "im_g22")
+METRIC_HEADER = ("k", "g11", "g12", "g22")
 # Rows of a CSV formatted and written together. It bounds the strings alive
 # at once: formatted in one piece, the L = 4001 audit CSVs raised the peak
 # RSS of a one-worker wide-lattice run (t_max = 20) by 1.8 MB.
@@ -154,25 +152,13 @@ def _metric_csv_name(factor: float, label: str) -> str:
     return f"metric__eg{factor:g}__{label}.csv"
 
 
-def _csv_rows(columns: list) -> str:
-    """Rows in csv's default dialect from ``columns``, none of whose fields needs quoting.
-
-    A column is a list of field strings, one per row, set into the rows with
-    one extended-slice assignment, or one string that every row repeats,
-    folded into the row template.
-    """
-    row, lists = [""], []
-    for j, column in enumerate(columns):
-        row[-1] += "," if j else ""
-        if isinstance(column, str):
-            row[-1] += column
-        else:
-            lists.append(column)
-            row += [None, ""]
-    row[-1] += "\r\n"
-    fields = row * len(lists[0])
-    for i, column in enumerate(lists):
-        fields[2 * i + 1 :: len(row)] = column
+def _csv_rows(columns: list[list[str]]) -> str:
+    """Rows in csv's default dialect from ``columns``, lists of field strings, one per row, none of which needs quoting."""
+    row = [None, ","] * len(columns)
+    row[-1] = "\r\n"
+    fields = row * len(columns[0])
+    for i, column in enumerate(columns):
+        fields[2 * i :: len(row)] = column
     return "".join(fields)
 
 
@@ -186,19 +172,24 @@ def _write_csv(path: Path, header: tuple[str, ...], blocks, comment: str | None 
             fh.write(block)
 
 
-def _series_rows(series: MeasureSeries) -> str:
-    """The CSV rows of a series under ``SERIES_HEADER``, floats written with ``repr``; an unused column is empty."""
-    cols = [series.delta, series.blp, series.g, series.rhp, series.entropy]
-    values = ["" if arr is None else list(map(repr, np.asarray(arr, float).tolist())) for arr in cols]
-    return _csv_rows([list(map(str, series.steps.tolist())), *values, series.flags])
+def _series_rows(series: MeasureSeries) -> tuple[tuple[str, ...], str]:
+    """The CSV header and rows of a series, floats written with ``repr``.
+
+    The columns are ``t``, then those of ``delta, N, g, I_RHP, S`` that the
+    series holds, in that order, then ``flags``.
+    """
+    cols = {"delta": series.delta, "N": series.blp, "g": series.g, "I_RHP": series.rhp, "S": series.entropy}
+    held = {name: arr for name, arr in cols.items() if arr is not None}
+    values = [list(map(repr, np.asarray(arr, float).tolist())) for arr in held.values()]
+    return ("t", *held, "flags"), _csv_rows([list(map(str, series.steps.tolist())), *values, series.flags])
 
 
 def write_metric_csv(g11, g12, g22, k_column: list[str], path: Path, comment: str | None = None) -> None:
     """Audit export of one metric's real symmetric blocks [[g11, g12], [g12, g22]], given as their (L,) entries.
 
-    One row per momentum holds the four block entries, re and im: g21 is
-    g12 and every im is 0.0. ``k_column`` is the momentum column already
-    formatted, one string per block, so that metrics on one grid share it.
+    One row per momentum holds k and the block's three entries. ``k_column``
+    is the momentum column already formatted, one string per block, so that
+    metrics on one grid share it.
     Every value is written with ``repr``, in blocks of ``CSV_BLOCK_ROWS`` rows.
     """
     if len(k_column) != len(g11):
@@ -208,7 +199,7 @@ def write_metric_csv(g11, g12, g22, k_column: list[str], path: Path, comment: st
         for start in range(0, len(g11), CSV_BLOCK_ROWS):
             stop = start + CSV_BLOCK_ROWS
             a, b, d = (list(map(repr, g[start:stop].tolist())) for g in (g11, g12, g22))
-            yield _csv_rows([k_column[start:stop], a, "0.0", b, "0.0", b, "0.0", d, "0.0"])
+            yield _csv_rows([k_column[start:stop], a, b, d])
 
     _write_csv(path, METRIC_HEADER, blocks(), comment)
 
@@ -220,7 +211,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _run_cell(
-    cfg: ExperimentConfig, spec: MetricSpec, summary: dict, out: Path, series: MeasureSeries, rows: str, started: float
+    cfg: ExperimentConfig, spec: MetricSpec, summary: dict, out: Path, series: MeasureSeries, rows: tuple, started: float
 ) -> dict:
     """Write one (study, gamma, metric) walk cell: its series CSV and summary JSON.
 
@@ -228,12 +219,12 @@ def _run_cell(
     stage timings. ``series`` is the cell's measure read from its M(t); a
     BLP cell's is the winning pair's series from the group's lockstep
     search, whose meta holds N_max and the pair. ``rows`` are the series'
-    CSV rows (``_series_rows``). Cells with bitwise-equal M(t) share one
-    series and its rows, but each writes its own CSV, with its own
-    provenance line, and its own JSON. runtime_s counts from ``started``,
-    so it holds what the caller timed for the cell first (the series and
-    its rows, if this cell made them, or a BLP cell's share of the search),
-    and is repeated as ``cell_s`` in ``timings``.
+    CSV header and rows (``_series_rows``). Cells with bitwise-equal M(t)
+    share one series and its rows, but each writes its own CSV, with its own
+    provenance line, and its own JSON. The ``cell_s`` of ``timings`` counts
+    from ``started``, so it holds what the caller timed for the cell first
+    (the series and its rows, if this cell made them, or a BLP cell's share
+    of the search).
     """
     study, stem = summary["study"], summary["cell"]
     if study == "rhp":
@@ -257,9 +248,9 @@ def _run_cell(
         f"cell={stem} master_seed={cfg.master_seed} metric={spec.label} "
         f"metric_seed={spec.seed} t_max={cfg.t_max} tolerances={json.dumps(TOLERANCES)}"
     )
-    _write_csv(out / f"{stem}.csv", SERIES_HEADER, [rows], comment)
-    summary["runtime_s"] = time.perf_counter() - started
-    summary["timings"]["cell_s"] = summary["runtime_s"]
+    header, body = rows
+    _write_csv(out / f"{stem}.csv", header, [body], comment)
+    summary["timings"]["cell_s"] = time.perf_counter() - started
     _write_json(out / f"{stem}.json", summary)
     return summary
 
@@ -380,7 +371,7 @@ def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
             name: float(np.abs(curve - 1.0).max()) for name, curve in result.entropy.items()
         },
         "tolerances": TOLERANCES,
-        "runtime_s": time.perf_counter() - started,
+        "timings": {"cell_s": time.perf_counter() - started},
     }
     _write_json(out / "toy__summary.json", summary)
     return summary
@@ -393,15 +384,17 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     groups, each run by ``_run_group`` on its gammas under every metric, so
     that all metrics of one gamma, whose M(t) may be bitwise equal, share
     one group and its measures; more than one group runs in a pool of worker
-    processes.
+    processes. ``threads`` below 1 raises ConfigInvalid before any file is written.
     """
     regimes = validate_config(cfg)
+    if threads < 1:
+        raise ConfigInvalid([("threads", f"must be >= 1, got {threads}")])
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     unbroken = [factor for factor in cfg.gamma_factors if studies and regimes[factor]]
-    count = min(max(threads, 1), len(unbroken))
+    count = min(threads, len(unbroken))
     groups = [unbroken[i::count] for i in range(count)]
     if len(groups) > 1:
         # imported here: a one-group run never needs the process machinery

@@ -49,7 +49,7 @@ from .errors import ConfigInvalid, DegeneratePairing, NotPositive, SpectrumNotRe
 from .measures import _entropy_bits
 
 REAL_SPECTRUM_TOL = 1e-10
-# Eigenvalue gap, and left/right overlap, of a factor below which its eigenpairs are refused.
+# Relative eigenvalue gap, and left/right overlap, of a factor below which its eigenpairs are refused.
 PAIRING_GAP = 1e-9
 _TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 METRICS = ("product1", "product2", "nonproduct")
@@ -177,11 +177,13 @@ def _eigenpairs(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     the longer of the adjugate columns (h01, lambda - h00) and
     (lambda - h11, h10), normalized as in ``channel._plus_eigenvector``, and
     put in the gauge of ``_gauge``; the left vectors, the columns of inv(R)†,
-    come from the 2x2 inverse. DegeneratePairing names the first block whose
-    eigenvalue gap 2|sqrt(q)| is below PAIRING_GAP, or whose left/right
-    overlap 1/|l| of unit vectors is. Each block is read scaled exactly, its
-    real and imaginary parts apart, by the 2^-e that brings its largest part
-    into [1/2, 1), so q is finite for any finite block; eigenvalues and gap are scaled back.
+    come from the 2x2 inverse. Each block is read scaled exactly, its real
+    and imaginary parts apart, by the 2^-e that brings its largest part into
+    [1/2, 1), so q is finite for any finite block; the eigenvalues are scaled
+    back. DegeneratePairing names the first block whose relative eigenvalue
+    gap, 2|sqrt(q)| of the scaled block, is below PAIRING_GAP, or whose
+    left/right overlap 1/|l| of unit vectors is; a block and its multiple by
+    a power of two are refused alike.
     """
     h = np.ascontiguousarray(blocks, complex)
     _, e = np.frexp(np.abs(h.view(float)).max(axis=(1, 2)))
@@ -189,7 +191,7 @@ def _eigenpairs(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     h00, h01, h10, h11 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1]
     root = np.sqrt(((h00 - h11) / 2.0) ** 2 + h01 * h10)
     values = (h00 + h11) / 2.0 + root * np.array([-1.0, 1.0])
-    gap = np.ldexp(2.0 * np.abs(root[:, 0]), e)
+    gap = 2.0 * np.abs(root[:, 0])
     a = np.stack(np.broadcast_arrays(h01, values - h00), axis=1)
     b = np.stack(np.broadcast_arrays(values - h11, h10), axis=1)
     norm_a, norm_b = np.linalg.norm(a, axis=1, keepdims=True), np.linalg.norm(b, axis=1, keepdims=True)
@@ -203,7 +205,7 @@ def _eigenpairs(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     close = gap < PAIRING_GAP
     if (bad := np.flatnonzero(close | (overlap < PAIRING_GAP))).size:
         i = bad[0]
-        reason = f"eigenvalue gap {gap[i]:.2e}" if close[i] else f"left/right overlap {overlap[i]:.2e}"
+        reason = f"eigenvalue gap {gap[i]:.2e} relative to the block's scale," if close[i] else f"left/right overlap {overlap[i]:.2e}"
         raise DegeneratePairing(f"block {i}: {reason} below {PAIRING_GAP}")
     return np.ldexp(values.view(float), e[:, None]).view(complex), right, left
 

@@ -716,23 +716,20 @@ def toy_entropy(toy, state: np.ndarray, times: np.ndarray) -> dict[str, np.ndarr
 
 
 def write_metric_csv(ks: np.ndarray, g: np.ndarray, path, comment: str | None = None) -> None:
-    """Audit export: one row per momentum of ``ks`` with the four complex entries of its block in ``g``."""
+    """Audit export: one row per momentum of ``ks`` with the three entries g11, g12, g22 of its real symmetric block in ``g``."""
+    if np.iscomplexobj(g) or not np.array_equal(g[:, 0, 1], g[:, 1, 0], equal_nan=True):
+        raise ValueError("audit blocks must be real symmetric")
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "re_g11", "im_g11", "re_g12", "im_g12", "re_g21", "im_g21", "re_g22", "im_g22"]
-        )
+        writer.writerow(["k", "g11", "g12", "g22"])
         for k, b in zip(ks, g):
-            row = [repr(float(k))]
-            for entry in b.reshape(-1):
-                row += [repr(float(entry.real)), repr(float(entry.imag))]
-            writer.writerow(row)
+            writer.writerow([repr(float(k)), repr(float(b[0, 0])), repr(float(b[0, 1])), repr(float(b[1, 1]))])
 
 
 def write_series_csv(series, path, comment: str | None = None) -> None:
-    """The series CSV that ``ptwalk.experiments`` writes, one value at a time."""
+    """The series CSV that ``ptwalk.experiments`` writes, one value at a time: t, the series' own columns, flags."""
     cols = {
         "delta": series.delta,
         "N": series.blp,
@@ -740,6 +737,7 @@ def write_series_csv(series, path, comment: str | None = None) -> None:
         "I_RHP": series.rhp,
         "S": series.entropy,
     }
+    cols = {name: arr for name, arr in cols.items() if arr is not None}
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
@@ -748,7 +746,7 @@ def write_series_csv(series, path, comment: str | None = None) -> None:
         for i, t in enumerate(series.steps):
             row = [int(t)]
             for arr in cols.values():
-                row.append("" if arr is None else repr(float(arr[i])))
+                row.append(repr(float(arr[i])))
             row.append(series.flags[i])
             writer.writerow(row)
 

@@ -320,9 +320,8 @@ def test_run_is_deterministic_modulo_runtime(tmp_path):
         else:
             s1 = json.loads((tmp_path / "a" / path).read_text())
             s2 = json.loads((tmp_path / "b" / path).read_text())
-            for key in ("runtime_s", "timings"):
-                s1.pop(key, None)
-                s2.pop(key, None)
+            s1.pop("timings", None)
+            s2.pop("timings", None)
             assert s1 == s2
 
 
@@ -342,7 +341,8 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
         search = {"search_s"} if cell["study"] == "blp" else set()
         assert set(timings) == {"walk_s", "metric_csv_s", "bloch_s", "cell_s"} | search
         assert min(timings.values()) >= 0.0
-        assert timings["cell_s"] == summary["runtime_s"]
+        # the wall time is kept once, as timings.cell_s
+        assert "runtime_s" not in summary
         if search:
             # a BLP cell's even share of its group's lockstep search is part of its cell_s;
             # the search's seed is the run's master_seed, never the schedule's
@@ -368,7 +368,7 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
 def test_run_parallel_cells_match_sequential(tmp_path, monkeypatch):
     # The 2 gammas go into 2 groups at 2 and at 3 workers, each with both its
     # metrics; every artifact must match the one-group run, whose pass holds
-    # both gammas, the summaries apart from runtime_s. With 33
+    # both gammas, the summaries apart from their timings. With 33
     # elements at L = 21, folded onto 11 +-k pairs, a block holds 3 of the 9
     # steps, so the pass steps from the block starts t = 0, 3 and 6. Worker
     # processes are forked, so they see the patched constant.
@@ -391,10 +391,8 @@ def test_run_parallel_cells_match_sequential(tmp_path, monkeypatch):
                 elif name != "manifest.json":
                     want = json.loads((base / "seq" / name).read_text())
                     got = json.loads((par_dir / name).read_text())
-                    want.pop("runtime_s")
-                    got.pop("runtime_s")
-                    want.pop("timings", None)  # walk cells only; the toy has none
-                    got.pop("timings", None)
+                    want.pop("timings")
+                    got.pop("timings")
                     assert got == want, name
             assert [c["cell"] for c in par["cells"]] == [c["cell"] for c in seq["cells"]]
 
@@ -527,6 +525,67 @@ def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
             g = loop_reference.walk_alone(cfg.walk_params(factor), spec)[1]
             loop_reference.write_metric_csv(momentum_grid(cfg.lattice_size), g, want, comment)
             assert (out / name).read_bytes() == want.read_bytes(), name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_csv_column_holds_a_value_in_every_row(tmp_path, threads):
+    # the audit writes k and the block's three entries; each series t, its own
+    # study's columns and flags; only flags may be empty
+    import csv
+
+    own = {"blp": ["delta", "N"], "rhp": ["g", "I_RHP"], "entanglement": ["S"]}
+    manifest = run(tiny_config(tmp_path), threads=threads)
+    kinds = set()
+    for art in manifest["artifacts"]:
+        if not art["path"].endswith(".csv"):
+            continue
+        with open(tmp_path / art["path"], newline="") as fh:
+            header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+        kind = art["path"].split("__")[0]
+        kinds.add(kind)
+        if kind == "metric":
+            assert header == ["k", "g11", "g12", "g22"], art["path"]
+        elif kind == "toy":
+            assert header == ["t", "S"], art["path"]
+        else:
+            assert header == ["t", *own[kind], "flags"], art["path"]
+        assert rows and all(len(row) == len(header) for row in rows), art["path"]
+        assert all(v != "" for row in rows for name, v in zip(header, row) if name != "flags"), art["path"]
+    assert kinds == {"metric", "blp", "rhp", "entanglement", "toy"}
+    # every summary, the toy's too, keeps its wall time once, as timings.cell_s
+    for cell in manifest["cells"]:
+        assert "runtime_s" not in cell and cell["timings"]["cell_s"] >= 0.0, cell["cell"]
+
+
+def test_the_audit_alone_certifies_its_metric(tmp_path):
+    # each metric's (L, 2, 2) blocks, rebuilt from its audit CSV alone, are
+    # bitwise the built ones (repr round-trips) and pseudo-Hermitian for the
+    # dense walk blocks; with g12 and g22 swapped they are not
+    import csv
+
+    import loop_reference
+    from ptwalk import build_euclidean_walk
+    from ptwalk.walk import momentum_grid
+
+    cfg = dataclasses.replace(tiny_config(tmp_path, study="rhp"), gamma_factors=(1.0, 1.2, 1.3))
+    run(cfg)
+    for factor in cfg.gamma_factors:
+        params = cfg.walk_params(factor)
+        g = build_euclidean_walk(params, cfg.metrics)[1]
+        walk = loop_reference.walk_blocks(params)
+        for i, spec in enumerate(cfg.metrics):
+            with open(tmp_path / f"metric__eg{factor:g}__{spec.label}.csv", newline="") as fh:
+                header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+            assert header == ["k", "g11", "g12", "g22"]
+            k, g11, g12, g22 = np.array(rows, dtype=float).T
+            assert np.array_equal(k, momentum_grid(cfg.lattice_size))
+            assert all(np.array_equal(read, built) for read, built in zip((g11, g12, g22), g[:, i]))
+            blocks = np.stack([g11, g12, g12, g22], axis=1).reshape(-1, 2, 2)
+            residual = loop_reference.pseudo_hermiticity_residual(blocks, walk)
+            cell = json.loads((tmp_path / f"rhp__eg{factor:g}__{spec.label}.json").read_text())
+            assert residual <= 1e-14 and abs(residual - cell["pseudo_hermiticity_residual"]) <= 1e-14
+            swapped = np.stack([g11, g22, g22, g12], axis=1).reshape(-1, 2, 2)
+            assert loop_reference.pseudo_hermiticity_residual(swapped, walk) > 0.5, (factor, spec.label)
 
 
 def test_import_leaves_scipy_and_process_pool_unloaded():
@@ -846,6 +905,22 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"lattice_size": 20}')
     assert main(["run", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+def test_run_refuses_fewer_than_one_thread_before_writing(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    cfg = tiny_config(out, study="rhp")
+    with pytest.raises(ConfigInvalid) as err:
+        run(cfg, threads=threads)
+    assert err.value.errors == [("threads", f"must be >= 1, got {threads}")]
+    assert not out.exists()
+    # the CLI exits 2 on the same refusal, with the same message
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["run", "--config", str(cfg_path), "--threads", str(threads)]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not out.exists()
 
 
 def test_cli_threads_flag(tmp_path, capsys):

@@ -85,8 +85,9 @@ def test_eig_degenerate_pairing_raises():
 REFUSED = {
     "jordan": np.array([[1.0, 1.0], [0.0, 1.0]]),
     "gap": np.diag([1.0, 1.0 + 1e-12]),
-    # eigenvalue gap 2e-9, but left/right overlap about 2e-11
-    "overlap": np.array([[1.0, 100.0], [0.0, 1.0 + 2e-9]]),
+    # relative eigenvalue gap 1.02e-9 (1.3e-7 against the scale 2^7 of the
+    # block's largest part), but left/right overlap 9.2e-10
+    "overlap": np.array([[1.0, 100.0 + 100.0j], [0.0, 1.0 + 1.3e-7]]),
 }
 
 

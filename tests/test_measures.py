@@ -25,7 +25,7 @@ from channel_reference import (
 )
 from loop_reference import walk_alone
 from ptwalk.channel import PINV_RCOND, bloch_matrix_series, intermediate_maps
-from ptwalk.experiments import SERIES_HEADER, _series_rows, _write_csv
+from ptwalk.experiments import _series_rows, _write_csv
 from ptwalk.measures import _blp_objective, _Buffers, _stacks, maximize_blp_many
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -561,13 +561,14 @@ def test_entanglement_flags_impure_initial():
 def test_measure_series_csv(tmp_path):
     series = rhp_series(bloch(1.2, t_max=5))
     path = tmp_path / "series.csv"
-    _write_csv(path, SERIES_HEADER, [_series_rows(series)])
+    header, rows = _series_rows(series)
+    _write_csv(path, header, [rows])
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,delta,N,g,I_RHP,S,flags"
+    assert lines[0] == "t,g,I_RHP,flags"
     assert len(lines) == 7
-    # unused columns stay empty
-    assert lines[1].split(",")[1] == ""
-    _write_csv(path, SERIES_HEADER, [_series_rows(series)], comment="seed=5 tol=1e-8")
+    # only the study's own columns are written, each with a value in every row
+    assert all(len(line.split(",")) == 4 and all(line.split(",")[:3]) for line in lines[1:])
+    _write_csv(path, header, [rows], comment="seed=5 tol=1e-8")
     assert path.read_text().startswith("# seed=5 tol=1e-8\n")
 
 
@@ -590,7 +591,8 @@ def test_measure_series_csv_matches_value_by_value_writer(tmp_path):
     ]
     for i, series in enumerate(cases):
         new, old = tmp_path / f"new{i}.csv", tmp_path / f"old{i}.csv"
-        _write_csv(new, SERIES_HEADER, [_series_rows(series)], comment=f"case={i} tolerances={{\"a\": 1e-08}}")
+        header, rows = _series_rows(series)
+        _write_csv(new, header, [rows], comment=f"case={i} tolerances={{\"a\": 1e-08}}")
         loop_reference.write_series_csv(series, old, comment=f"case={i} tolerances={{\"a\": 1e-08}}")
         assert hashlib.sha256(new.read_bytes()).digest() == hashlib.sha256(old.read_bytes()).digest()
     assert "ill_conditioned(1.000e+13)" in new.read_text()

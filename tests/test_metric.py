@@ -435,7 +435,10 @@ def test_metric_csv_export(tmp_path):
     write_metric_csv(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], list(map(repr, momentum_grid(5).tolist())), path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 6
-    assert lines[0].startswith("k,re_g11")
+    assert lines[0] == "k,g11,g12,g22"
+    # one row per momentum: k and the block's three entries, bitwise as built
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(rows, np.stack([momentum_grid(5), g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]], axis=1))
 
 
 def _sha256(path):

@@ -188,6 +188,34 @@ def test_run_toy_refuses_a_degenerate_block():
         run_toy(ToyConfig(h_a=h_a, h_b=h_b, t_max=1.0))
 
 
+def test_run_toy_accepts_a_well_separated_block_at_any_scale():
+    # the built-in blocks times 1e-12 have an absolute gap of 1.5e-12 but a
+    # relative gap of about 1.5: their eigenvectors are the built-in ones
+    h_a, h_b = toy_hamiltonians("pt_phase")
+    result = run_toy(ToyConfig(h_a=1e-12 * h_a, h_b=1e-12 * h_b))
+    for name in ("product1", "product2"):
+        assert np.abs(result.entropy[name] - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "block, refused",
+    [(toy_hamiltonians("pt_phase")[0], False), (np.diag([1.0, 1.0 + 1e-10]).astype(complex), True)],
+    ids=["pt_phase", "relative_gap_5e-11"],
+)
+def test_eigenpairs_refuse_a_block_and_its_power_of_two_multiple_alike(block, refused):
+    # at 2^40 the degenerate block's absolute gap is about 110; its relative gap does not move
+    blocks = np.stack([block, 2.0**40 * block])
+    if refused:
+        for b in blocks:
+            with pytest.raises(DegeneratePairing, match="^block 0: eigenvalue gap 5.00e-11 relative to the block's scale"):
+                _eigenpairs(b[None])
+    else:
+        values, right, left = _eigenpairs(blocks)
+        # the scaling by a power of two is exact: the same vectors, eigenvalues 2^40 times
+        assert np.array_equal(values[1], 2.0**40 * values[0])
+        assert np.array_equal(right[1], right[0]) and np.array_equal(left[1], left[0])
+
+
 def test_run_toy_accepts_coinciding_products():
     h_a, h_b = COINCIDING.hamiltonians()
     with pytest.raises(DegeneratePairing):
