@@ -181,7 +181,7 @@ def build_euclidean_walk(p: WalkParams, specs: tuple[MetricSpec, ...]) -> tuple[
     every metric flat, exactly I/2 at every k. A block that is not positive
     definite raises NotPositive, naming the first. The real symmetric blocks
     are returned as their entries G_00, G_01, G_11, shape (3, m, L), for the
-    audit CSV: the walk does not keep them.
+    metric audit: the walk does not keep them.
     """
     ks = momentum_grid(p.lattice_size)
     a, (d1, d2, d3) = spectral_a(ks, p), _sin_entries(ks, p)

@@ -3,9 +3,10 @@
 A run sweeps the cartesian grid of non-Hermiticity factors e^gamma and
 metric choices for the selected studies (information backflow, CP
 indivisibility, coin-position entanglement, and the two-qubit toy), writing
-one CSV series and one JSON summary per cell plus a manifest of content
-hashes. The unit of work is one gamma under every metric: its walk is
-built once for all of its metrics and studies, and the Bloch matrices M(t)
+one CSV series and one JSON summary per cell, one ``.npy`` audit of each
+(gamma, metric) pair's blocks, and a manifest of content hashes. The unit
+of work is one gamma under every metric: its walk is built once for all of
+its metrics and studies, and the Bloch matrices M(t)
 come from one pass over its shared angles, one M(t) per class of metrics
 with bitwise-equal axes. Each measure runs once per class: at gamma = 0
 every metric's axes come from S alone, so the metrics of e^gamma = 1 are
@@ -13,9 +14,10 @@ one class and share one annealer search, one series and one formatted set
 of CSV rows, while each cell still writes its own CSV and JSON.
 Cells whose gamma lies beyond the exceptional point are skipped and
 reported, not fatal. Every file of a run is written here, its CSVs by one
-writer (``_write_csv``). Given the same config and master seed, the CSV outputs are
-byte-identical across reruns and thread counts; summary JSONs are
-deterministic apart from their wall-clock ``timings`` field.
+writer (``_write_csv``). Given the same config and master seed, the CSV and
+``.npy`` outputs are byte-identical across reruns and thread counts;
+summary JSONs are deterministic apart from their wall-clock ``timings``
+field.
 """
 
 import csv
@@ -41,11 +43,6 @@ from .walk import WalkParams, is_unbroken, momentum_grid
 WALK_STUDIES = ("blp", "rhp", "entanglement")
 STUDIES = (*WALK_STUDIES, "toy", "all")
 OUTPUT_DIR_ENV = "PTWALK_OUTPUT_DIR"
-METRIC_HEADER = ("k", "g11", "g12", "g22")
-# Rows of a CSV formatted and written together. It bounds the strings alive
-# at once: formatted in one piece, the L = 4001 audit CSVs raised the peak
-# RSS of a one-worker wide-lattice run (t_max = 20) by 1.8 MB.
-CSV_BLOCK_ROWS = 512
 
 # Reported alongside every cell so outputs are self-describing.
 TOLERANCES = {
@@ -148,8 +145,8 @@ def _cell_stem(study: str, factor: float, label: str) -> str:
     return f"{study}__eg{factor:g}__{label}"
 
 
-def _metric_csv_name(factor: float, label: str) -> str:
-    return f"metric__eg{factor:g}__{label}.csv"
+def _audit_name(factor: float, label: str) -> str:
+    return f"metric__eg{factor:g}__{label}.npy"
 
 
 def _csv_rows(columns: list[list[str]]) -> str:
@@ -184,24 +181,17 @@ def _series_rows(series: MeasureSeries) -> tuple[tuple[str, ...], str]:
     return ("t", *held, "flags"), _csv_rows([list(map(str, series.steps.tolist())), *values, series.flags])
 
 
-def write_metric_csv(g11, g12, g22, k_column: list[str], path: Path, comment: str | None = None) -> None:
+def write_metric_audit(g11, g12, g22, k, path: Path) -> None:
     """Audit export of one metric's real symmetric blocks [[g11, g12], [g12, g22]], given as their (L,) entries.
 
-    One row per momentum holds k and the block's three entries. ``k_column``
-    is the momentum column already formatted, one string per block, so that
-    metrics on one grid share it.
-    Every value is written with ``repr``, in blocks of ``CSV_BLOCK_ROWS`` rows.
+    The file is one ``np.save`` of a C-order (L, 4) float64 array whose
+    columns are the momenta ``k`` and the block's three entries, bit for
+    bit; ``np.load(path, allow_pickle=False)`` reads it back.
     """
-    if len(k_column) != len(g11):
-        raise ValueError(f"momentum column has {len(k_column)} entries for {len(g11)} blocks")
-
-    def blocks():
-        for start in range(0, len(g11), CSV_BLOCK_ROWS):
-            stop = start + CSV_BLOCK_ROWS
-            a, b, d = (list(map(repr, g[start:stop].tolist())) for g in (g11, g12, g22))
-            yield _csv_rows([k_column[start:stop], a, b, d])
-
-    _write_csv(path, METRIC_HEADER, blocks(), comment)
+    if len(k) != len(g11):
+        raise ValueError(f"momentum column has {len(k)} entries for {len(g11)} blocks")
+    with open(path, "wb") as fh:
+        np.save(fh, np.stack([k, g11, g12, g22], axis=1, dtype=float), allow_pickle=False)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -259,11 +249,9 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
     """Run every requested walk study on a group of unbroken gammas, each under every metric of ``cfg``.
 
     The gammas are taken one at a time. Each gamma's walk is built once, for
-    all of its metrics, whose blocks go straight to their audit CSVs and are
+    all of its metrics, whose blocks go straight to their audits and are
     dropped; then one ``bloch_matrix_series`` pass gives the Bloch matrices
-    M(t) of that gamma's distinct metrics, and the walk is dropped. Every
-    pair sits on the momentum grid of ``cfg.lattice_size``, so the audit
-    CSVs share one k column, formatted once per group before any pair is timed.
+    M(t) of that gamma's distinct metrics, and the walk is dropped.
 
     Metrics whose axes are bitwise equal have bitwise equal M(t), and each
     class of them is measured once: its series and the series' CSV rows serve
@@ -278,7 +266,7 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     cells = []  # (spec, the summary fields its pair's cells share, its class) per pair
     blochs = []  # M(t) of each class
-    k_column = list(map(repr, momentum_grid(cfg.lattice_size).tolist()))
+    k = momentum_grid(cfg.lattice_size)
     for factor in factors:
         params = cfg.walk_params(factor)
         started = time.perf_counter()
@@ -288,10 +276,9 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
         stages = []
         for i, spec in enumerate(cfg.metrics):
             started = time.perf_counter()
-            comment = f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}"
-            write_metric_csv(*g[:, i], k_column, out / _metric_csv_name(factor, spec.label), comment)
-            stages.append({"walk_s": walk_s, "metric_csv_s": time.perf_counter() - started})
-        del g  # only the audit CSVs read the metrics
+            write_metric_audit(*g[:, i], k, out / _audit_name(factor, spec.label))
+            stages.append({"walk_s": walk_s, "audit_s": time.perf_counter() - started})
+        del g  # only the audits read the metrics
         first, index = equal_classes(np.stack(axes) for axes in zip(ew.n_x, ew.n_z))
         offset = len(blochs)
         started = time.perf_counter()
@@ -422,7 +409,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
                 )
     # exactly the files this run wrote, never older ones left in the directory
     artifacts = [
-        _metric_csv_name(factor, m.label) for group in groups for factor in group for m in cfg.metrics
+        _audit_name(factor, m.label) for group in groups for factor in group for m in cfg.metrics
     ]
     artifacts += [
         f"{s['cell']}{ext}" for s in summaries if s["status"] == "ok" for ext in (".csv", ".json")

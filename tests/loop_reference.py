@@ -106,16 +106,20 @@ def eig(a: np.ndarray) -> EigenSystem:
     Left eigenvectors are computed as right eigenvectors of A†, paired to the
     right set by conjugate eigenvalue (greedy nearest match) and rescaled so
     that <l_i|r_j> = delta_ij. Raises DegeneratePairing when two eigenvalues
-    of A are closer than 1e-9, since the pairing is then ambiguous.
+    of A are closer than PAIRING_GAP relative to A's scale, since the pairing
+    is then ambiguous. The scale is the power of two 2^e that brings A's
+    largest real or imaginary part into [1/2, 1), as in ``toy._eigenpairs``,
+    so A and its multiple by a power of two are refused alike.
     """
     a = _square(a)
     values, right = np.linalg.eig(a)
     n = len(values)
+    _, e = np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < PAIRING_GAP:
+            if np.ldexp(abs(values[i] - values[j]), -e) < PAIRING_GAP:
                 raise DegeneratePairing(
-                    f"eigenvalues {values[i]} and {values[j]} within {PAIRING_GAP}"
+                    f"eigenvalues {values[i]} and {values[j]} within {PAIRING_GAP} relative to the scale 2^{e}"
                 )
     lvals, lvecs = np.linalg.eig(a.conj().T)
     left = np.empty_like(right)
@@ -713,19 +717,6 @@ def toy_entropy(toy, state: np.ndarray, times: np.ndarray) -> dict[str, np.ndarr
 
 
 # -------------------------------------------------------------------- CSV
-
-
-def write_metric_csv(ks: np.ndarray, g: np.ndarray, path, comment: str | None = None) -> None:
-    """Audit export: one row per momentum of ``ks`` with the three entries g11, g12, g22 of its real symmetric block in ``g``."""
-    if np.iscomplexobj(g) or not np.array_equal(g[:, 0, 1], g[:, 1, 0], equal_nan=True):
-        raise ValueError("audit blocks must be real symmetric")
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["k", "g11", "g12", "g22"])
-        for k, b in zip(ks, g):
-            writer.writerow([repr(float(k)), repr(float(b[0, 0])), repr(float(b[0, 1])), repr(float(b[1, 1]))])
 
 
 def write_series_csv(series, path, comment: str | None = None) -> None:

@@ -204,7 +204,7 @@ def test_manifest_reproduces_custom_toy(tmp_path):
         assert np.array_equal(got, want)
     assert back.to_dict() == cfg.to_dict()
     rerun = run(back, out_dir=tmp_path / "b")
-    hashes = lambda m: {a["path"]: a["sha256"] for a in m["artifacts"] if a["path"].endswith(".csv")}
+    hashes = lambda m: {a["path"]: a["sha256"] for a in m["artifacts"] if not a["path"].endswith(".json")}
     assert hashes(rerun) == hashes(manifest)
 
 
@@ -291,7 +291,7 @@ def test_run_writes_artifacts_and_manifest(tmp_path):
             assert f"{study}__eg{factor}__G1.csv" in stems
             assert f"{study}__eg{factor}__G1.json" in stems
     assert "toy__summary.json" in stems
-    assert "metric__eg1.2__G2.csv" in stems
+    assert "metric__eg1.2__G2.npy" in stems
     assert manifest["skipped"] == []
     # series CSVs are self-describing: provenance comment on the first line
     first = (out / "rhp__eg1.2__G2.csv").read_text().splitlines()[0]
@@ -314,8 +314,10 @@ def test_run_is_deterministic_modulo_runtime(tmp_path):
     h1 = {a["path"]: a["sha256"] for a in m1["artifacts"]}
     h2 = {a["path"]: a["sha256"] for a in m2["artifacts"]}
     assert set(h1) == set(h2)
+    assert any(path.endswith(".npy") for path in h1)
     for path in h1:
-        if path.endswith(".csv"):
+        # every artifact but the JSONs (CSVs and .npy audits) is byte-identical
+        if not path.endswith(".json"):
             assert h1[path] == h2[path], path
         else:
             s1 = json.loads((tmp_path / "a" / path).read_text())
@@ -336,10 +338,10 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
         assert 0.0 < summary["ep_gap"] < 1.0
         assert summary["metric_condition_max"] >= 1.0
         assert 0.0 <= summary["pseudo_hermiticity_residual"] <= 1e-14 and "unitarity_residual" not in summary
-        # stage timings: the pair's shared walk, audit CSV and M(t), and the cell's own stage
+        # stage timings: the pair's shared walk, audit and M(t), and the cell's own stage
         timings = summary["timings"]
         search = {"search_s"} if cell["study"] == "blp" else set()
-        assert set(timings) == {"walk_s", "metric_csv_s", "bloch_s", "cell_s"} | search
+        assert set(timings) == {"walk_s", "audit_s", "bloch_s", "cell_s"} | search
         assert min(timings.values()) >= 0.0
         # the wall time is kept once, as timings.cell_s
         assert "runtime_s" not in summary
@@ -352,7 +354,7 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
             json.loads((tmp_path / f"{study}__eg{cell['gamma_factor']:g}__{cell['metric_label']}.json").read_text())
             for study in ("blp", "rhp", "entanglement")
         ]
-        shared = ("walk_s", "metric_csv_s", "bloch_s")
+        shared = ("walk_s", "audit_s", "bloch_s")
         assert all([s["timings"][key] for key in shared] == [timings[key] for key in shared] for s in pair)
         # M(t) comes from one pass per gamma: every metric's cells record an even share of it
         same_gamma = [
@@ -386,7 +388,7 @@ def test_run_parallel_cells_match_sequential(tmp_path, monkeypatch):
             par = run(cfg, out_dir=par_dir, threads=threads)
             assert sorted(p.name for p in par_dir.iterdir()) == names
             for name in names:
-                if name.endswith(".csv"):
+                if not name.endswith(".json"):
                     assert (par_dir / name).read_bytes() == (base / "seq" / name).read_bytes(), name
                 elif name != "manifest.json":
                     want = json.loads((base / "seq" / name).read_text())
@@ -440,10 +442,14 @@ def test_run_measures_each_distinct_bloch_once(tmp_path, monkeypatch):
         blp = [b for blochs in seen["blp"] for b in blochs]
         for study, blochs in (("blp", blp), ("rhp", seen["rhp"]), ("entanglement", seen["entanglement"])):
             assert len({b.tobytes() for b in blochs}) == 7, (study, threads)
-    # 2 and 3 groups write the bytes of the one-group run
-    names = sorted(path.name for path in (tmp_path / "1").glob("*.csv"))
+    # 2 and 3 groups write the bytes of the one-group run, in every artifact but the JSONs
+    def written(threads):
+        return sorted(path.name for path in (tmp_path / str(threads)).iterdir() if path.suffix != ".json")
+
+    names = written(1)
+    assert {name.rsplit(".", 1)[1] for name in names} == {"csv", "npy"}
     for threads in (2, 3):
-        assert sorted(path.name for path in (tmp_path / str(threads)).glob("*.csv")) == names
+        assert written(threads) == names
         for name in names:
             assert (tmp_path / str(threads) / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
 
@@ -508,49 +514,49 @@ def test_a_one_ulp_change_breaks_the_sharing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
-    # the pairs of a group share one formatted momentum column; every audit
-    # CSV must still be the value-by-value export of its own pair's metric
+    # every audit is, bit for bit, the momenta and the blocks of its own
+    # pair's metric built alone
     import loop_reference
     from ptwalk.walk import momentum_grid
 
     cfg = tiny_config(tmp_path, study="rhp")
     out = tmp_path / "out"
     run(cfg, out_dir=out, threads=threads)
-    assert len(list(out.glob("metric__*.csv"))) == len(cfg.gamma_factors) * len(cfg.metrics)
+    assert len(list(out.glob("metric__*.npy"))) == len(cfg.gamma_factors) * len(cfg.metrics)
     for factor in cfg.gamma_factors:
         for spec in cfg.metrics:
-            name = f"metric__eg{factor:g}__{spec.label}.csv"
-            want = tmp_path / name
-            comment = f"gamma_factor={factor:g} {json.dumps(spec.to_dict())}"
             g = loop_reference.walk_alone(cfg.walk_params(factor), spec)[1]
-            loop_reference.write_metric_csv(momentum_grid(cfg.lattice_size), g, want, comment)
-            assert (out / name).read_bytes() == want.read_bytes(), name
+            want = np.stack([momentum_grid(cfg.lattice_size), g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]], axis=1)
+            audit = np.load(out / f"metric__eg{factor:g}__{spec.label}.npy", allow_pickle=False)
+            assert audit.dtype == want.dtype and audit.tobytes() == want.tobytes(), (factor, spec.label)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_every_csv_column_holds_a_value_in_every_row(tmp_path, threads):
-    # the audit writes k and the block's three entries; each series t, its own
-    # study's columns and flags; only flags may be empty
+    # each series writes t, its own study's columns and flags; only flags may
+    # be empty; each audit holds k and the block's three entries per momentum
     import csv
 
     own = {"blp": ["delta", "N"], "rhp": ["g", "I_RHP"], "entanglement": ["S"]}
-    manifest = run(tiny_config(tmp_path), threads=threads)
+    cfg = tiny_config(tmp_path)
+    manifest = run(cfg, threads=threads)
     kinds = set()
     for art in manifest["artifacts"]:
-        if not art["path"].endswith(".csv"):
-            continue
-        with open(tmp_path / art["path"], newline="") as fh:
-            header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
-        kind = art["path"].split("__")[0]
-        kinds.add(kind)
-        if kind == "metric":
-            assert header == ["k", "g11", "g12", "g22"], art["path"]
-        elif kind == "toy":
-            assert header == ["t", "S"], art["path"]
+        path, kind = tmp_path / art["path"], art["path"].split("__")[0]
+        if path.suffix == ".npy":
+            assert kind == "metric" and np.load(path, allow_pickle=False).shape == (cfg.lattice_size, 4), path
+        elif path.suffix == ".csv":
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+            if kind == "toy":
+                assert header == ["t", "S"], path
+            else:
+                assert header == ["t", *own[kind], "flags"], path
+            assert rows and all(len(row) == len(header) for row in rows), path
+            assert all(v != "" for row in rows for name, v in zip(header, row) if name != "flags"), path
         else:
-            assert header == ["t", *own[kind], "flags"], art["path"]
-        assert rows and all(len(row) == len(header) for row in rows), art["path"]
-        assert all(v != "" for row in rows for name, v in zip(header, row) if name != "flags"), art["path"]
+            continue
+        kinds.add(kind)
     assert kinds == {"metric", "blp", "rhp", "entanglement", "toy"}
     # every summary, the toy's too, keeps its wall time once, as timings.cell_s
     for cell in manifest["cells"]:
@@ -558,11 +564,9 @@ def test_every_csv_column_holds_a_value_in_every_row(tmp_path, threads):
 
 
 def test_the_audit_alone_certifies_its_metric(tmp_path):
-    # each metric's (L, 2, 2) blocks, rebuilt from its audit CSV alone, are
-    # bitwise the built ones (repr round-trips) and pseudo-Hermitian for the
-    # dense walk blocks; with g12 and g22 swapped they are not
-    import csv
-
+    # each metric's (L, 2, 2) blocks, rebuilt from its audit alone, are
+    # bitwise the built ones and pseudo-Hermitian for the dense walk blocks;
+    # with g12 and g22 swapped they are not
     import loop_reference
     from ptwalk import build_euclidean_walk
     from ptwalk.walk import momentum_grid
@@ -574,10 +578,9 @@ def test_the_audit_alone_certifies_its_metric(tmp_path):
         g = build_euclidean_walk(params, cfg.metrics)[1]
         walk = loop_reference.walk_blocks(params)
         for i, spec in enumerate(cfg.metrics):
-            with open(tmp_path / f"metric__eg{factor:g}__{spec.label}.csv", newline="") as fh:
-                header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
-            assert header == ["k", "g11", "g12", "g22"]
-            k, g11, g12, g22 = np.array(rows, dtype=float).T
+            audit = np.load(tmp_path / f"metric__eg{factor:g}__{spec.label}.npy", allow_pickle=False)
+            assert audit.dtype == np.float64 and audit.shape == (cfg.lattice_size, 4)
+            k, g11, g12, g22 = audit.T
             assert np.array_equal(k, momentum_grid(cfg.lattice_size))
             assert all(np.array_equal(read, built) for read, built in zip((g11, g12, g22), g[:, i]))
             blocks = np.stack([g11, g12, g12, g22], axis=1).reshape(-1, 2, 2)
@@ -803,7 +806,7 @@ def test_manifest_and_report_ignore_files_of_an_earlier_run(tmp_path):
         for stem, ext in (
             (f"entanglement__eg{factor}__{label}", ".csv"),
             (f"entanglement__eg{factor}__{label}", ".json"),
-            (f"metric__eg{factor}__{label}", ".csv"),
+            (f"metric__eg{factor}__{label}", ".npy"),
         )
     }
     text, results = report(out)

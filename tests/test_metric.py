@@ -29,7 +29,7 @@ from ptwalk import (
     is_unbroken,
 )
 from ptwalk.channel import _plus_eigenvector, _sin_entries, bloch_matrix_series, trace_norm
-from ptwalk.experiments import write_metric_csv
+from ptwalk.experiments import write_metric_audit
 from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -429,39 +429,37 @@ def test_verify_metric_action():
     assert np.allclose(g2 @ psi, [2.0, 0.0])
 
 
+def _load_audit(path):
+    audit = np.load(path, allow_pickle=False)
+    assert audit.dtype == np.float64 and audit.flags.c_contiguous
+    return audit
+
+
 def test_metric_csv_export(tmp_path):
     g = walk_alone(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[1]
-    path = tmp_path / "metric.csv"
-    write_metric_csv(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], list(map(repr, momentum_grid(5).tolist())), path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 6
-    assert lines[0] == "k,g11,g12,g22"
+    path = tmp_path / "metric.npy"
+    write_metric_audit(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], momentum_grid(5), path)
     # one row per momentum: k and the block's three entries, bitwise as built
-    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(rows, np.stack([momentum_grid(5), g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]], axis=1))
-
-
-def _sha256(path):
-    import hashlib
-
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    audit = _load_audit(path)
+    assert audit.shape == (5, 4)
+    assert np.array_equal(audit, np.stack([momentum_grid(5), g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]], axis=1))
 
 
 @pytest.mark.parametrize("spec", [MetricSpec(kind="g1_flat"), MetricSpec(kind="random_xy", seed=11)])
 def test_metric_csv_matches_value_by_value_writer(tmp_path, spec):
-    import loop_reference
-
+    # every row read back is, value by value, the momentum and block of the oracle's per-k loop
     g = walk_alone(params(math.log(1.2), 4001), spec)[1]
     ks = momentum_grid(4001)
-    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    write_metric_csv(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], list(map(repr, ks.tolist())), new, comment="gamma_factor=1.2 audit")
-    loop_reference.write_metric_csv(ks, g, old, comment="gamma_factor=1.2 audit")
-    assert _sha256(new) == _sha256(old)
+    path = tmp_path / "metric.npy"
+    write_metric_audit(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], ks, path)
+    audit = _load_audit(path)
+    assert audit.shape == (4001, 4)
+    for row, k, b in zip(audit.tolist(), ks.tolist(), g):
+        assert row == [k, float(b[0, 0]), float(b[0, 1]), float(b[1, 1])]
 
 
 def test_metric_csv_matches_value_by_value_writer_on_edge_values(tmp_path):
-    import loop_reference
-
+    # signed zeros, subnormals and extremes read back bit for bit
     g = np.array(
         [
             [[-0.0, 1e-300], [1e-300, 1e16]],
@@ -470,20 +468,17 @@ def test_metric_csv_matches_value_by_value_writer_on_edge_values(tmp_path):
         ]
     )
     ks = np.array([-0.0, 1e16, 1.0 / 3.0])
-    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    write_metric_csv(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], list(map(repr, ks.tolist())), new)
-    loop_reference.write_metric_csv(ks, g, old)
-    assert _sha256(new) == _sha256(old)
-    text = new.read_text()
-    assert all(v in text for v in ("-0.0", "1e-300", "1e+16", "5e-324", "1e+308", "0.3333333333333333"))
+    path = tmp_path / "metric.npy"
+    write_metric_audit(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], ks, path)
+    want = np.array([[k, b[0, 0], b[0, 1], b[1, 1]] for k, b in zip(ks, g)])
+    assert _load_audit(path).tobytes() == want.tobytes()
 
 
 def test_metric_csv_refuses_a_short_momentum_column(tmp_path):
     g = walk_alone(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[1]
-    k_column = list(map(repr, momentum_grid(5).tolist()))
-    path = tmp_path / "metric.csv"
+    path = tmp_path / "metric.npy"
     with pytest.raises(ValueError, match="momentum column has 4 entries for 5 blocks"):
-        write_metric_csv(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], k_column[:4], path)
+        write_metric_audit(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], momentum_grid(5)[:4], path)
     assert not path.exists()
 
 

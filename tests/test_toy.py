@@ -216,6 +216,22 @@ def test_eigenpairs_refuse_a_block_and_its_power_of_two_multiple_alike(block, re
         assert np.array_equal(right[1], right[0]) and np.array_equal(left[1], left[0])
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0**-40, 1e-12], ids=["1", "2^-40", "1e-12"])
+def test_oracle_and_program_refuse_alike_at_any_scale(scale):
+    # the built-in pt_phase blocks are accepted by both at every scale (at
+    # 1e-12 their absolute gap is 1.5e-12); diag(1, 1 + 1e-10) is refused by both
+    h_a, h_b = toy_hamiltonians("pt_phase")
+    for block, refused in ((h_a, False), (h_b, False), (np.diag([1.0, 1.0 + 1e-10]).astype(complex), True)):
+        outcomes = []
+        for solve in (lambda h: _eigenpairs(h[None]), loop_reference.eig):
+            try:
+                solve(scale * block)
+                outcomes.append(False)
+            except DegeneratePairing:
+                outcomes.append(True)
+        assert outcomes == [refused, refused], (scale, block)
+
+
 def test_run_toy_accepts_coinciding_products():
     h_a, h_b = COINCIDING.hamiltonians()
     with pytest.raises(DegeneratePairing):
