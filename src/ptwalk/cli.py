@@ -66,6 +66,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gamma_pt(args) -> int:
+    errors = [(f"--{name}", "must be finite") for name in ("theta1", "theta2") if not math.isfinite(getattr(args, name))]
+    if errors:
+        raise ConfigInvalid(errors)
     value = gamma_pt(args.theta1, args.theta2)
     print(repr(math.exp(value)))
     return 0

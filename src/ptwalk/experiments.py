@@ -8,10 +8,11 @@ one CSV series and one JSON summary per cell, one ``.npy`` audit of each
 of work is one gamma under every metric: its walk is built once for all of
 its metrics and studies, and the Bloch matrices M(t)
 come from one pass over its shared angles, one M(t) per class of metrics
-with bitwise-equal axes. Each measure runs once per class: at gamma = 0
+with bitwise-equal axes. Each study measures every class of a group in one
+pass, whose wall time is split evenly over the study's cells: at gamma = 0
 every metric's axes come from S alone, so the metrics of e^gamma = 1 are
-one class and share one annealer search, one series and one formatted set
-of CSV rows, while each cell still writes its own CSV and JSON.
+one class and share one series and one formatted set of CSV rows, while
+each cell still writes its own CSV and JSON.
 Cells whose gamma lies beyond the exceptional point are skipped and
 reported, not fatal. Every file of a run is written here, its CSVs by one
 writer (``_write_csv``). Given the same config and master seed, the CSV and
@@ -95,12 +96,11 @@ def load_config(path) -> "ExperimentConfig":
 
 def validate_config(cfg: ExperimentConfig) -> dict:
     """Field-level validation; returns per-gamma regime info for reporting."""
+    ExperimentConfig.from_dict(cfg.to_dict())  # the types, by the codec that writes and reads the manifest
     errors = [(name, "must be finite") for name in ("theta1", "theta2") if not math.isfinite(getattr(cfg, name))]
     if cfg.lattice_size < 1 or cfg.lattice_size % 2 == 0:
         errors.append(("lattice_size", f"must be odd and positive, got {cfg.lattice_size}"))
-    if not isinstance(cfg.t_max, (int, np.integer)) or isinstance(cfg.t_max, bool):
-        errors.append(("t_max", f"must be an integer, got {cfg.t_max!r}"))
-    elif cfg.t_max < 1:
+    if cfg.t_max < 1:
         errors.append(("t_max", f"must be >= 1, got {cfg.t_max}"))
     elif cfg.lattice_size < 2 * cfg.t_max + 1:
         errors.append(
@@ -126,9 +126,7 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         y = np.asarray(m.y, dtype=float) if m.kind == "explicit" else None
         if y is not None and (y.shape != (cfg.lattice_size,) or not np.all(np.isfinite(y) & (y > 0))):
             errors.append(("metrics", f"{m.label}: y needs {cfg.lattice_size} finite entries > 0"))
-    if len(cfg.coin_bloch) != 3:
-        errors.append(("coin_bloch", f"must have 3 components, got {len(cfg.coin_bloch)}"))
-    elif not abs(np.linalg.norm(cfg.coin_bloch) - 1.0) <= 1e-9:
+    if not abs(np.linalg.norm(cfg.coin_bloch) - 1.0) <= 1e-12:  # no looser than the measures' own checks
         errors.append(("coin_bloch", "must be a unit vector (pure initial coin state)"))
     if errors:
         raise ConfigInvalid(errors)
@@ -178,7 +176,7 @@ def _series_rows(series: MeasureSeries) -> tuple[tuple[str, ...], str]:
     cols = {"delta": series.delta, "N": series.blp, "g": series.g, "I_RHP": series.rhp, "S": series.entropy}
     held = {name: arr for name, arr in cols.items() if arr is not None}
     values = [list(map(repr, np.asarray(arr, float).tolist())) for arr in held.values()]
-    return ("t", *held, "flags"), _csv_rows([list(map(str, series.steps.tolist())), *values, series.flags])
+    return ("t", *held, "flags"), _csv_rows([list(map(str, range(len(series.flags)))), *values, series.flags])
 
 
 def write_metric_audit(g11, g12, g22, k, path: Path) -> None:
@@ -200,40 +198,40 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _run_cell(
-    cfg: ExperimentConfig, spec: MetricSpec, summary: dict, out: Path, series: MeasureSeries, rows: tuple, started: float
-) -> dict:
+# Per walk study: the pass that measures every class of a group at once,
+# and the fields a cell's JSON keeps of its class's series.
+_PASSES = {
+    "blp": (
+        lambda cfg, blochs: maximize_blp_many(blochs, cfg.anneal, cfg.master_seed),
+        lambda cfg, series: {
+            "n_max": series.meta["n_max"],
+            "best_pair": {"bloch_rho": series.meta["bloch_rho"], "bloch_sigma": series.meta["bloch_sigma"]},
+            "anneal": series.meta["schedule"],
+        },
+    ),
+    "rhp": (
+        lambda cfg, blochs: [rhp_series(bloch) for bloch in blochs],
+        lambda cfg, series: {"final_rhp": float(series.rhp[-1])},
+    ),
+    "entanglement": (
+        lambda cfg, blochs: [entanglement_series(bloch, cfg.coin_bloch) for bloch in blochs],
+        lambda cfg, series: {"final_entropy": float(series.entropy[-1]), "coin_bloch": list(cfg.coin_bloch)},
+    ),
+}
+
+
+def _run_cell(cfg: ExperimentConfig, spec: MetricSpec, summary: dict, out: Path, rows: tuple, started: float) -> dict:
     """Write one (study, gamma, metric) walk cell: its series CSV and summary JSON.
 
-    ``summary`` holds the cell's identity, its walk's health and its pair's
-    stage timings. ``series`` is the cell's measure read from its M(t); a
-    BLP cell's is the winning pair's series from the group's lockstep
-    search, whose meta holds N_max and the pair. ``rows`` are the series'
-    CSV header and rows (``_series_rows``). Cells with bitwise-equal M(t)
-    share one series and its rows, but each writes its own CSV, with its own
-    provenance line, and its own JSON. The ``cell_s`` of ``timings`` counts
-    from ``started``, so it holds what the caller timed for the cell first
-    (the series and its rows, if this cell made them, or a BLP cell's share
-    of the search).
+    ``summary`` holds every field of the cell's JSON but ``timings.cell_s``:
+    its identity, its walk's health, its pair's stage timings and what its
+    study keeps of its class's series. ``rows`` are that series' CSV header
+    and rows (``_series_rows``). Cells of one class share the rows, but each
+    writes its own CSV, with its own provenance line, and its own JSON. The
+    ``cell_s`` of ``timings`` counts from ``started``, so it holds what the
+    caller timed for the cell first: its share of its study's pass.
     """
-    study, stem = summary["study"], summary["cell"]
-    if study == "rhp":
-        summary["final_rhp"] = float(series.rhp[-1])
-    elif study == "entanglement":
-        summary["final_entropy"] = float(series.entropy[-1])
-        summary["coin_bloch"] = list(cfg.coin_bloch)
-    elif study == "blp":
-        summary["n_max"] = series.meta["n_max"]
-        summary["best_pair"] = {
-            "bloch_rho": series.meta["bloch_rho"],
-            "bloch_sigma": series.meta["bloch_sigma"],
-        }
-        summary["anneal"] = series.meta["schedule"]
-    else:
-        raise ValueError(f"unknown cell study {study!r}")
-    summary["flagged_steps"] = [
-        int(t) for t, f in zip(series.steps, series.flags) if f
-    ]
+    stem = summary["cell"]
     comment = (
         f"cell={stem} master_seed={cfg.master_seed} metric={spec.label} "
         f"metric_seed={spec.seed} t_max={cfg.t_max} tolerances={json.dumps(TOLERANCES)}"
@@ -257,10 +255,11 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
     class of them is measured once: its series and the series' CSV rows serve
     all of its cells. That is exact, not a tolerance: at gamma = 0 every
     metric's axes are read from S alone, so every metric of e^gamma = 1 is in
-    one class. The BLP cells are annealed together, one lockstep search over
-    the group's classes. Top-level function so groups can run in a process
-    pool; fully determined by its arguments, and a cell's outputs do not
-    depend on its group.
+    one class. Each study measures all of the group's classes in one pass of
+    ``_PASSES`` (BLP's is one lockstep search), and the wall time of the pass
+    and of formatting its rows is split evenly over the study's cells.
+    Top-level function so groups can run in a process pool; fully determined
+    by its arguments, and a cell's outputs do not depend on its group.
     """
     out = Path(out_dir)
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
@@ -302,37 +301,29 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
             cells.append((spec, pair, offset + index[i]))
         del ew  # the next gamma's walk is built without this one
 
-    measures = {
-        "rhp": rhp_series,
-        "entanglement": lambda bloch: entanglement_series(bloch, cfg.coin_bloch),
-    }
     summaries = []
     for study in studies:
-        share = 0.0
-        if study == "blp":
-            started = time.perf_counter()
-            series = maximize_blp_many(blochs, cfg.anneal, cfg.master_seed)
-            # the search's wall time, split evenly over the group's BLP cells
-            share = (time.perf_counter() - started) / len(cells)
-        else:
-            series = [None] * len(blochs)
-        rows = [None] * len(blochs)
+        measure, fields = _PASSES[study]
+        started = time.perf_counter()
+        done = [
+            (_series_rows(series), {**fields(cfg, series), "flagged_steps": [t for t, f in enumerate(series.flags) if f]})
+            for series in measure(cfg, blochs)
+        ]
+        share = (time.perf_counter() - started) / len(cells)
         for spec, pair, c in cells:
             started = time.perf_counter() - share
-            if rows[c] is None:
-                if series[c] is None:
-                    series[c] = measures[study](blochs[c])
-                rows[c] = _series_rows(series[c])
+            rows, held = done[c]
             summary = {
                 "cell": _cell_stem(study, pair["gamma_factor"], spec.label),
                 "status": "ok",
                 "study": study,
                 **pair,
+                **held,
                 "timings": dict(pair["timings"]),
             }
             if study == "blp":
                 summary["timings"]["search_s"] = share
-            summaries.append(_run_cell(cfg, spec, summary, out, series[c], rows[c], started))
+            summaries.append(_run_cell(cfg, spec, summary, out, rows, started))
     return summaries
 
 

@@ -17,12 +17,15 @@ about half of it on the default grid.
 
 Every measure takes the (t_max+1, 3, 3) stack M(0..t_max) of one walk
 under one metric, a row of what ``ptwalk.channel.bloch_matrix_series``
-returns for the metrics of one gamma, and Bloch vectors, one function per quantity: ``blp_series``, ``rhp_series`` and ``entanglement_series``.
-A measure depends on the walk only through M(t), so a run computes each
-once per class of metrics with equal axes: every metric of a unitary walk
-(gamma = 0) has the axes of S alone and so the same M(t) to the bit, and
-its cells share one series. Nothing here writes a file: ``ptwalk.experiments`` writes a
-series' CSV.
+returns for the metrics of one gamma, and Bloch vectors, one function per
+quantity: ``blp_series``, ``rhp_series`` and ``entanglement_series``. Each
+returns a ``MeasureSeries`` whose row t is step t. A measure depends on the
+walk only through M(t), so a run measures each class of metrics with equal
+axes once, every class of a group in one pass per study: every metric of a
+unitary walk (gamma = 0) has the axes of S alone and so the same M(t) to
+the bit, and its cells share one series. Nothing here writes a file:
+``ptwalk.experiments`` writes a series' CSV.
+
 Failure of CP-divisibility is scored through the one-step intermediate maps
 A(t) = M(t) M(t-1)^{-1}:
 
@@ -64,24 +67,19 @@ def _check_bloch(r) -> np.ndarray:
 
 @dataclass
 class MeasureSeries:
-    """Per-step records of one study; unused columns stay None.
+    """Per-step records of one study, row t at step t; unused columns stay None.
 
     ``flags[t]`` is an empty string or a short note (e.g. an ill-conditioned
     channel inversion at that step).
     """
 
-    steps: np.ndarray
+    flags: list[str]
     delta: np.ndarray | None = None
     blp: np.ndarray | None = None
     g: np.ndarray | None = None
     rhp: np.ndarray | None = None
     entropy: np.ndarray | None = None
-    flags: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.flags:
-            self.flags = [""] * len(self.steps)
 
 
 @dataclass(frozen=True)
@@ -113,30 +111,16 @@ class AnnealSchedule(Config):
             raise ValueError("temperature_floor must be below initial_temperature")
 
 
-def _backflow(dist: np.ndarray) -> MeasureSeries:
-    """Increments of the distances D(0..t_max) and their positive accumulation."""
-    delta = np.zeros(len(dist))
-    delta[1:] = np.diff(dist)
-    cumulative = np.concatenate([[0.0], np.cumsum(np.clip(delta[1:], 0.0, None))])
-    return MeasureSeries(
-        steps=np.arange(len(dist)),
-        delta=delta,
-        blp=cumulative,
-        meta={"distance_0": float(dist[0])},
-    )
-
-
-def _distances(bloch: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Trace distances D(t) = |M(t) d|/2 of a pair with Bloch difference d."""
-    return 0.5 * np.linalg.norm(bloch @ diff, axis=1)
-
-
 def blp_series(bloch: np.ndarray, r, s) -> MeasureSeries:
     """Backflow increments and their monotone accumulation for the pair of Bloch vectors r, s.
 
-    ``bloch`` is the stack M(0..t_max) of the reduced maps.
+    ``bloch`` is the stack M(0..t_max) of the reduced maps; D(t) = |M(t)(r - s)|/2.
     """
-    return _backflow(_distances(bloch, _check_bloch(r) - _check_bloch(s)))
+    dist = 0.5 * np.linalg.norm(bloch @ (_check_bloch(r) - _check_bloch(s)), axis=1)
+    delta = np.zeros(len(dist))
+    delta[1:] = np.diff(dist)
+    blp = np.concatenate([[0.0], np.cumsum(np.clip(delta[1:], 0.0, None))])
+    return MeasureSeries(flags=[""] * len(dist), delta=delta, blp=blp)
 
 
 def _stacks(blochs: np.ndarray) -> np.ndarray:
@@ -338,7 +322,7 @@ def rhp_series(bloch: np.ndarray) -> MeasureSeries:
         flags[i + 1] = ";".join(notes)
     g = np.concatenate([[0.0], np.maximum(gt, 0.0)])
     rhp = np.concatenate([[0.0], np.cumsum(g[1:])])
-    return MeasureSeries(steps=np.arange(len(bloch)), g=g, rhp=rhp, flags=flags)
+    return MeasureSeries(flags=flags, g=g, rhp=rhp)
 
 
 def _entropy_bits(w: np.ndarray) -> np.ndarray:
@@ -358,14 +342,8 @@ def entanglement_series(bloch: np.ndarray, r0) -> MeasureSeries:
     eigenvalues (1 -+ |M(t) r0|)/2.
     """
     r0 = _check_bloch(r0)
-    purity = (1.0 + float(r0 @ r0)) / 2.0
-    impure = purity < 1.0 - 1e-10
+    impure = (1.0 + float(r0 @ r0)) / 2.0 < 1.0 - 1e-10  # the purity tr(rho0^2)
     radius = np.linalg.norm(bloch @ r0, axis=1)
     entropy = _entropy_bits(np.stack([(1.0 - radius) / 2.0, (1.0 + radius) / 2.0], axis=1))
     flags = ["impure_initial" if impure else ""] * len(bloch)
-    return MeasureSeries(
-        steps=np.arange(len(bloch)),
-        entropy=entropy,
-        flags=flags,
-        meta={"purity_0": purity, "entanglement_valid": not impure, "entropy_base": 2},
-    )
+    return MeasureSeries(flags=flags, entropy=entropy, meta={"entanglement_valid": not impure})

@@ -251,7 +251,7 @@ def rhp_from_channels(channels: list[ChannelMatrix]) -> MeasureSeries:
             flags[t] = (flags[t] + ";" if flags[t] else "") + f"ill_conditioned({step.condition_number:.3e})"
         g[t] = max(gt, 0.0)
     rhp = np.concatenate([[0.0], np.cumsum(g[1:])])
-    return MeasureSeries(steps=np.arange(t_max + 1), g=g, rhp=rhp, flags=flags)
+    return MeasureSeries(flags=flags, g=g, rhp=rhp)
 
 
 def _distance_series(stack: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:

@@ -734,8 +734,8 @@ def write_series_csv(series, path, comment: str | None = None) -> None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["t"] + list(cols) + ["flags"])
-        for i, t in enumerate(series.steps):
-            row = [int(t)]
+        for i in range(len(series.flags)):  # row i is step i
+            row = [i]
             for arr in cols.values():
                 row.append(repr(float(arr[i])))
             row.append(series.flags[i])

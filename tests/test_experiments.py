@@ -124,6 +124,9 @@ def test_config_validation_messages():
                 "h_b": [[[1.0, 0.0], [1.4, 0.0]], [[1.4, 0.0], [1.0, 0.0]]],
             },
         ),
+        # off the unit sphere by more than the entropy measure treats as pure
+        ("coin_bloch", [0.0, 1.0 + 5e-10, 0.0]),
+        ("coin_bloch", [0.0, 1.0 - 5e-10, 0.0]),
     ],
 )
 def test_invalid_config_exits_2_before_writing(tmp_path, field, value):
@@ -134,6 +137,27 @@ def test_invalid_config_exits_2_before_writing(tmp_path, field, value):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("lattice_size", np.int64(21), "config.lattice_size"),
+        ("t_max", np.int64(8), "config.t_max"),
+        ("master_seed", np.int64(5), "config.master_seed"),
+        ("lattice_size", 21.0, "config.lattice_size"),
+        ("metrics", (MetricSpec(kind="explicit", y=np.linspace(0.5, 1.5, 21)),), "config.metrics[0].y"),
+    ],
+)
+def test_run_refuses_a_config_its_manifest_would_not_read_back(tmp_path, field, value, path):
+    # the types are checked by the codec the manifest is written with, before any file
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = dataclasses.replace(tiny_config(out, study="rhp"), **{field: value})
+    with pytest.raises(ConfigInvalid) as err:
+        run(cfg)
+    assert [name for name, _ in err.value.errors] == [path]
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -169,7 +193,7 @@ def test_config_codec_keeps_ints_given_for_floats():
 
 
 def test_metric_spec_encoding_is_pinned():
-    # the metric CSV's '#' line is json.dumps of this dict, unsorted
+    # to_dict keeps the declaration order, which the codec reads back
     spec = MetricSpec(kind="random_xy", seed=11, name="G2")
     assert json.dumps(spec.to_dict()) == '{"kind": "random_xy", "low": 0.2, "high": 2.0, "seed": 11, "name": "G2"}'
 
@@ -691,7 +715,7 @@ def test_no_eigensolver_in_the_program():
     assert called == []
 
 
-def test_benchmark_contract(tmp_path):
+def test_benchmark_contract(tmp_path, monkeypatch):
     # The benchmark under perfbench/ imports these names and reads these
     # fields; tier-1 does not collect perfbench/, so a rename would otherwise
     # break the benchmark unseen.
@@ -714,6 +738,27 @@ def test_benchmark_contract(tmp_path):
     assert all((tmp_path / cfg.study / a["path"]).is_file() for a in manifest["artifacts"])
     _, results = report(tmp_path / cfg.study)
     assert all("verdict" in row for rows in results["studies"].values() for row in rows.values())
+    # The benchmark opens one cell span per _run_cell and _run_toy_cell call,
+    # and wraps the measures and builders where ptwalk.experiments looks them up.
+    from ptwalk import experiments
+
+    names = ("_run_cell", "_run_toy_cell", "build_euclidean_walk", "rhp_series", "entanglement_series", "run_toy")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+    manifest = run(tiny_config(tmp_path / "all"), threads=1)
+    walk_cells = [c for c in manifest["cells"] if c["status"] == "ok" and c["study"] != "toy"]
+    assert len(walk_cells) == 12
+    assert calls.pop("_run_cell") == len(walk_cells) and calls.pop("_run_toy_cell") == 1
+    assert min(calls.values()) >= 1, calls
 
 
 def test_run_skips_broken_cells(tmp_path):
@@ -869,6 +914,12 @@ def test_cli_gamma_pt(capsys):
 def test_cli_gamma_pt_no_breaking(capsys):
     code = main(["gamma-pt", "--theta1", "0.5", "--theta2", "0.5"])
     assert code == 3
+
+
+@pytest.mark.parametrize("angles", [("nan", "-0.4"), ("inf", "-0.4"), ("0.7", "-inf")])
+def test_cli_gamma_pt_refuses_non_finite_angles(capsys, angles):
+    assert main(["gamma-pt", f"--theta1={angles[0]}", f"--theta2={angles[1]}"]) == 2
+    assert capsys.readouterr().err.endswith("must be finite\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
