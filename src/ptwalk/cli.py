@@ -33,8 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--study", choices=["blp", "rhp", "entanglement", "toy", "all"])
     p_run.add_argument(
         "--threads", type=int, default=1,
-        help="split the gammas, each with all its metrics, into N groups, run in "
-        "parallel worker processes (default 1)",
+        help="processes for the BLP state-pair search, this one and N-1 workers; it is the one "
+        "stage slow enough to pay for them, and everything else runs in this process (default 1)",
     )
 
     p_rep = sub.add_parser("report", help="summarize a result bundle")

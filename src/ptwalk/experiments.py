@@ -8,7 +8,7 @@ one CSV series and one JSON summary per cell, one ``.npy`` audit of each
 of work is one gamma under every metric: its walk is built once for all of
 its metrics and studies, and the Bloch matrices M(t)
 come from one pass over its shared angles, one M(t) per class of metrics
-with bitwise-equal axes. Each study measures every class of a group in one
+with bitwise-equal axes. Each study measures every class of a run in one
 pass, whose wall time is split evenly over the study's cells: at gamma = 0
 every metric's axes come from S alone, so the metrics of e^gamma = 1 are
 one class and share one series and one formatted set of CSV rows, while
@@ -16,7 +16,7 @@ each cell still writes its own CSV and JSON.
 Cells whose gamma lies beyond the exceptional point are skipped and
 reported, not fatal. Every file of a run is written here, its CSVs by one
 writer (``_write_csv``). Given the same config and master seed, the CSV and
-``.npy`` outputs are byte-identical across reruns and thread counts;
+``.npy`` outputs are byte-identical across reruns and worker counts;
 summary JSONs are deterministic apart from their wall-clock ``timings``
 field.
 """
@@ -198,11 +198,25 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-# Per walk study: the pass that measures every class of a group at once,
-# and the fields a cell's JSON keeps of its class's series.
+def _search_blp(cfg: ExperimentConfig, blochs: list, threads: int) -> list[MeasureSeries]:
+    """``maximize_blp_many`` of the classes in min(threads, classes) contiguous chunks, searched at once: the first
+    here, each other one in a worker process. A class's result does not depend on its chunk, so neither do the bits."""
+    n = min(threads, len(blochs))
+    if n == 1:
+        return maximize_blp_many(blochs, cfg.anneal, cfg.master_seed)
+    from concurrent.futures import ProcessPoolExecutor  # imported here: only this search needs the pool
+
+    first, *rest = np.array_split(np.asarray(blochs), n)
+    with ProcessPoolExecutor(max_workers=n - 1) as pool:
+        searched = pool.map(maximize_blp_many, rest, [cfg.anneal] * (n - 1), [cfg.master_seed] * (n - 1))
+        return maximize_blp_many(first, cfg.anneal, cfg.master_seed) + [series for chunk in searched for series in chunk]
+
+
+# Per walk study: the pass that measures every class of a run at once, given its
+# worker count, and the fields a cell's JSON keeps of its class's series.
 _PASSES = {
     "blp": (
-        lambda cfg, blochs: maximize_blp_many(blochs, cfg.anneal, cfg.master_seed),
+        _search_blp,
         lambda cfg, series: {
             "n_max": series.meta["n_max"],
             "best_pair": {"bloch_rho": series.meta["bloch_rho"], "bloch_sigma": series.meta["bloch_sigma"]},
@@ -210,11 +224,11 @@ _PASSES = {
         },
     ),
     "rhp": (
-        lambda cfg, blochs: [rhp_series(bloch) for bloch in blochs],
+        lambda cfg, blochs, threads: [rhp_series(bloch) for bloch in blochs],
         lambda cfg, series: {"final_rhp": float(series.rhp[-1])},
     ),
     "entanglement": (
-        lambda cfg, blochs: [entanglement_series(bloch, cfg.coin_bloch) for bloch in blochs],
+        lambda cfg, blochs, threads: [entanglement_series(bloch, cfg.coin_bloch) for bloch in blochs],
         lambda cfg, series: {"final_entropy": float(series.entropy[-1]), "coin_bloch": list(cfg.coin_bloch)},
     ),
 }
@@ -243,8 +257,8 @@ def _run_cell(cfg: ExperimentConfig, spec: MetricSpec, summary: dict, out: Path,
     return summary
 
 
-def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> list[dict]:
-    """Run every requested walk study on a group of unbroken gammas, each under every metric of ``cfg``.
+def _run_group(cfg: ExperimentConfig, factors: list[float], out: Path, threads: int) -> list[dict]:
+    """Run every requested walk study on the unbroken gammas ``factors``, each under every metric of ``cfg``.
 
     The gammas are taken one at a time. Each gamma's walk is built once, for
     all of its metrics, whose blocks go straight to their audits and are
@@ -255,13 +269,12 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
     class of them is measured once: its series and the series' CSV rows serve
     all of its cells. That is exact, not a tolerance: at gamma = 0 every
     metric's axes are read from S alone, so every metric of e^gamma = 1 is in
-    one class. Each study measures all of the group's classes in one pass of
-    ``_PASSES`` (BLP's is one lockstep search), and the wall time of the pass
-    and of formatting its rows is split evenly over the study's cells.
-    Top-level function so groups can run in a process pool; fully determined
-    by its arguments, and a cell's outputs do not depend on its group.
+    one class. Each study measures all of the classes in one pass of
+    ``_PASSES``, and the wall time of the pass and of formatting its rows is
+    split evenly over the study's cells. Everything runs in the calling
+    process but the BLP search, which ``_search_blp`` spreads over up to
+    ``threads`` processes.
     """
-    out = Path(out_dir)
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     cells = []  # (spec, the summary fields its pair's cells share, its class) per pair
     blochs = []  # M(t) of each class
@@ -307,7 +320,7 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out_dir: str) -> lis
         started = time.perf_counter()
         done = [
             (_series_rows(series), {**fields(cfg, series), "flagged_steps": [t for t, f in enumerate(series.flags) if f]})
-            for series in measure(cfg, blochs)
+            for series in measure(cfg, blochs, threads)
         ]
         share = (time.perf_counter() - started) / len(cells)
         for spec, pair, c in cells:
@@ -358,11 +371,11 @@ def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
 def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     """Run the configured studies and return the written manifest.
 
-    The unbroken gammas are dealt round-robin into min(threads, gammas)
-    groups, each run by ``_run_group`` on its gammas under every metric, so
-    that all metrics of one gamma, whose M(t) may be bitwise equal, share
-    one group and its measures; more than one group runs in a pool of worker
-    processes. ``threads`` below 1 raises ConfigInvalid before any file is written.
+    One ``_run_group`` call runs every unbroken gamma under every metric in
+    this process. Only the BLP search, the one stage that pays for more
+    processes, runs on up to ``threads``: this one and threads - 1 workers.
+    Every other stage is a few numpy calls, for which a pool only adds its
+    start-up. ``threads`` below 1 raises ConfigInvalid before any file is written.
     """
     regimes = validate_config(cfg)
     if threads < 1:
@@ -372,18 +385,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
 
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     unbroken = [factor for factor in cfg.gamma_factors if studies and regimes[factor]]
-    count = min(threads, len(unbroken))
-    groups = [unbroken[i::count] for i in range(count)]
-    if len(groups) > 1:
-        # imported here: a one-group run never needs the process machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            futures = [pool.submit(_run_group, cfg, group, str(out)) for group in groups]
-            done = [f.result() for f in futures]
-    else:
-        done = [_run_group(cfg, group, str(out)) for group in groups]
-    by_cell = {summary["cell"]: summary for group in done for summary in group}
+    by_cell = {summary["cell"]: summary for summary in (_run_group(cfg, unbroken, out, threads) if unbroken else [])}
 
     summaries = []
     for study in studies:
@@ -399,9 +401,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
                     }
                 )
     # exactly the files this run wrote, never older ones left in the directory
-    artifacts = [
-        _audit_name(factor, m.label) for group in groups for factor in group for m in cfg.metrics
-    ]
+    artifacts = [_audit_name(factor, m.label) for factor in unbroken for m in cfg.metrics]
     artifacts += [
         f"{s['cell']}{ext}" for s in summaries if s["status"] == "ok" for ext in (".csv", ".json")
     ]

@@ -21,7 +21,7 @@ returns for the metrics of one gamma, and Bloch vectors, one function per
 quantity: ``blp_series``, ``rhp_series`` and ``entanglement_series``. Each
 returns a ``MeasureSeries`` whose row t is step t. A measure depends on the
 walk only through M(t), so a run measures each class of metrics with equal
-axes once, every class of a group in one pass per study: every metric of a
+axes once, all of them in one pass per study: every metric of a
 unitary walk (gamma = 0) has the axes of S alone and so the same M(t) to
 the bit, and its cells share one series. Nothing here writes a file:
 ``ptwalk.experiments`` writes a series' CSV.

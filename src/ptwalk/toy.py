@@ -266,6 +266,5 @@ def run_toy(toy: ToyConfig) -> ToyResult:
             "variant": toy.variant if toy.h_a is None else "custom",
             "mixing_strength": toy.mixing_strength,
             "dt": toy.dt,
-            "entropy_base": 2,
         },
     )

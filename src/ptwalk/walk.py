@@ -73,8 +73,9 @@ def gamma_pt(theta1: float, theta2: float) -> float:
 
     gamma_pt = (1/2) acosh((cos theta1 cos theta2 - 1) / (sin theta1 sin theta2)),
     defined only when the acosh argument is >= 1, which requires theta1 and
-    theta2 of opposite sign.
+    theta2 of opposite sign. A non-finite angle raises ValueError naming it.
     """
+    WalkParams(theta1, theta2, 0.0, 1)  # for its check of the angles
     denom = math.sin(theta1) * math.sin(theta2)
     if denom == 0.0:
         raise NoBreaking("sin(theta1) sin(theta2) = 0: no finite threshold")

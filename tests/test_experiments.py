@@ -247,6 +247,17 @@ def test_custom_toy_records_the_variant_custom(tmp_path):
     assert ExperimentConfig.from_dict(manifest["config"]).toy == toy
 
 
+def test_toy_csv_states_the_entropy_base_that_its_result_does_not_carry(tmp_path):
+    # the provenance line writes entropy_base=2 itself; ToyResult.meta keeps
+    # only what the line reads from it
+    cfg = tiny_config(tmp_path, study="toy")
+    assert run_toy(cfg.toy).meta == {"variant": "pt_phase", "mixing_strength": 0.25, "dt": 0.1}
+    run(cfg)
+    for name in ("product1", "product2", "nonproduct"):
+        first = (tmp_path / f"toy__{name}.csv").read_text().splitlines()[0]
+        assert first == f"# cell=toy__{name} variant=pt_phase mixing_strength=0.25 dt=0.1 entropy_base=2"
+
+
 @pytest.mark.parametrize("toy", [ToyConfig(), custom_toy()], ids=["default", "custom"])
 def test_toy_csvs_match_value_by_value_writer(tmp_path, toy):
     import hashlib
@@ -370,7 +381,7 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
         # the wall time is kept once, as timings.cell_s
         assert "runtime_s" not in summary
         if search:
-            # a BLP cell's even share of its group's lockstep search is part of its cell_s;
+            # a BLP cell's even share of its study's lockstep search is part of its cell_s;
             # the search's seed is the run's master_seed, never the schedule's
             assert timings["search_s"] <= timings["cell_s"]
             assert "seed" not in summary["anneal"] and summary["master_seed"] == 5
@@ -392,12 +403,13 @@ def test_walk_cell_summaries_record_numerical_health(tmp_path):
 
 
 def test_run_parallel_cells_match_sequential(tmp_path, monkeypatch):
-    # The 2 gammas go into 2 groups at 2 and at 3 workers, each with both its
-    # metrics; every artifact must match the one-group run, whose pass holds
-    # both gammas, the summaries apart from their timings. With 33
-    # elements at L = 21, folded onto 11 +-k pairs, a block holds 3 of the 9
-    # steps, so the pass steps from the block starts t = 0, 3 and 6. Worker
-    # processes are forked, so they see the patched constant.
+    # The 3 classes (both metrics of e^gamma = 1 in one) are searched in 2
+    # chunks at 2 workers and in 3 at 3; every artifact must match the
+    # one-process run, whose search holds all three, the summaries apart
+    # from their timings. With 33 elements at L = 21, folded onto 11 +-k
+    # pairs, a block holds 3 of the 9 steps, so the pass steps from the block
+    # starts t = 0, 3 and 6. The M(t) pass runs in this process, so it sees
+    # the patched constant.
     import ptwalk.channel
 
     for elements in (ptwalk.channel.BLOCK_ELEMENTS, 33):
@@ -450,14 +462,15 @@ def _default_grid(out_dir) -> ExperimentConfig:
 def test_run_measures_each_distinct_bloch_once(tmp_path, monkeypatch):
     # at e^gamma = 1 the three metrics give one M(t), so of the 9 pairs 7
     # reach the search, and each series function runs 7 times, at any worker
-    # count: run deals whole gammas to its groups (1 and 1.3 apart from 1.2
-    # at 2 workers, one each at 3). The groups run on threads of this process
-    # here, so that the patched measures see every group's calls.
+    # count: the search splits the 7 classes into contiguous chunks, one per
+    # worker (4 and 3 at 2 workers, 3, 2 and 2 at 3), and searches the first
+    # in this process. The pool runs on threads of this process here, so
+    # that the patched search sees every chunk's call.
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
     seen = _record_measures(monkeypatch)
-    for threads, searched in ((1, [7]), (2, [3, 4]), (3, [1, 3, 3])):
+    for threads, searched in ((1, [7]), (2, [3, 4]), (3, [2, 2, 3])):
         for calls in seen.values():
             calls.clear()
         run(_default_grid(tmp_path / str(threads)), threads=threads)
@@ -466,7 +479,7 @@ def test_run_measures_each_distinct_bloch_once(tmp_path, monkeypatch):
         blp = [b for blochs in seen["blp"] for b in blochs]
         for study, blochs in (("blp", blp), ("rhp", seen["rhp"]), ("entanglement", seen["entanglement"])):
             assert len({b.tobytes() for b in blochs}) == 7, (study, threads)
-    # 2 and 3 groups write the bytes of the one-group run, in every artifact but the JSONs
+    # 2 and 3 chunks write the bytes of the one-process run, in every artifact but the JSONs
     def written(threads):
         return sorted(path.name for path in (tmp_path / str(threads)).iterdir() if path.suffix != ".json")
 
@@ -476,6 +489,49 @@ def test_run_measures_each_distinct_bloch_once(tmp_path, monkeypatch):
         assert written(threads) == names
         for name in names:
             assert (tmp_path / str(threads) / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("study", ["rhp", "entanglement"])
+def test_a_search_free_run_starts_no_worker(tmp_path, monkeypatch, study):
+    # only the BLP search uses worker processes: without it, a run at any
+    # worker count stays in this process and writes the bytes of one worker
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search-free run started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    hashes = lambda m: {a["path"]: a["sha256"] for a in m["artifacts"] if not a["path"].endswith(".json")}
+    one = run(tiny_config(tmp_path / "1", study=study), threads=1)
+    for threads in (2, 3):
+        many = run(tiny_config(tmp_path / str(threads), study=study), threads=threads)
+        assert hashes(many) == hashes(one), threads
+
+
+def test_workers_beyond_the_class_count_search_one_class_per_process(tmp_path, monkeypatch):
+    # tiny_config has 3 classes (both metrics of e^gamma = 1 in one): at 5
+    # workers the search has 3 chunks of one class, the first searched here
+    # and the others in a pool of 2 real worker processes, and it writes the
+    # bytes of the one-process run
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    run(tiny_config(tmp_path / "1"), threads=1)
+    assert sizes == []
+    run(tiny_config(tmp_path / "5"), threads=5)
+    assert sizes == [2]
+    names = sorted(path.name for path in (tmp_path / "1").iterdir() if path.suffix != ".json")
+    assert sorted(path.name for path in (tmp_path / "5").iterdir() if path.suffix != ".json") == names
+    assert any(name.startswith("blp__") for name in names)
+    for name in names:
+        assert (tmp_path / "5" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
 
 
 def test_run_builds_one_walk_per_gamma(tmp_path, monkeypatch):
@@ -615,18 +671,30 @@ def test_the_audit_alone_certifies_its_metric(tmp_path):
             assert loop_reference.pseudo_hermiticity_residual(swapped, walk) > 0.5, (factor, spec.label)
 
 
-def test_import_leaves_scipy_and_process_pool_unloaded():
-    # A fresh interpreter: importing ptwalk must not pay for scipy or the
-    # process-pool machinery, which only a run with several groups needs.
+def _fresh_modules(code: str) -> str:
+    """What a fresh interpreter running ``code`` then prints of its loaded scipy and process-pool modules."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (
-        "import sys, ptwalk; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing') "
+    code += (
+        "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing') "
         "or m == 'concurrent.futures.process'))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_and_process_pool_unloaded():
+    # A fresh interpreter: importing ptwalk must not pay for scipy or the
+    # process-pool machinery, which only a BLP search on several workers needs.
+    assert _fresh_modules("import ptwalk") == "[]"
+
+
+def test_a_search_free_run_on_two_workers_leaves_the_process_pool_unloaded(tmp_path):
+    # the default grid's RHP study at --threads 2 searches nothing, so it
+    # never imports the pool
+    argv = ["run", "--out", str(tmp_path), "--study", "rhp", "--threads", "2"]
+    assert _fresh_modules(f"from ptwalk.cli import main; main({argv!r})") == "[]"
+    assert (tmp_path / "rhp__eg1.2__G2.csv").is_file()
 
 
 def test_public_api_is_pinned():

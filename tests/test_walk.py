@@ -152,6 +152,15 @@ def test_gamma_pt_no_breaking():
         gamma_pt(0.0, 0.3)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["theta1", "theta2"])
+def test_gamma_pt_refuses_non_finite_angles(name, value):
+    # as WalkParams does: no nan threshold and no bare math domain error
+    angles = {"theta1": T1, "theta2": T2, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        gamma_pt(**angles)
+
+
 def test_is_unbroken_thresholds():
     assert is_unbroken(WalkParams(T1, T2, math.log(1.2), 101))
     assert not is_unbroken(WalkParams(T1, T2, math.log(1.5), 101))
