@@ -14,21 +14,25 @@ every metric's axes come from S alone, so the metrics of e^gamma = 1 are
 one class and share one series and one formatted set of CSV rows, while
 each cell still writes its own CSV and JSON.
 Cells whose gamma lies beyond the exceptional point are skipped and
-reported, not fatal. Every file of a run is written here, its CSVs by one
-writer (``_write_csv``). Given the same config and master seed, the CSV and
-``.npy`` outputs are byte-identical across reruns and worker counts;
-summary JSONs are deterministic apart from their wall-clock ``timings``
-field.
+reported, not fatal. Every file of a run is written by one function
+(``_put``), which hashes the bytes it writes and records them for the
+manifest, so the manifest lists exactly the files the run wrote; the format
+helpers (``_csv_bytes``, ``_json_bytes``, ``_audit_bytes``) return bytes and
+open nothing. Given the same config and master seed, the CSV and ``.npy``
+outputs are byte-identical across reruns and worker counts; summary JSONs
+are deterministic apart from their wall-clock ``timings`` field.
 """
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -143,10 +147,6 @@ def _cell_stem(study: str, factor: float, label: str) -> str:
     return f"{study}__eg{factor:g}__{label}"
 
 
-def _audit_name(factor: float, label: str) -> str:
-    return f"metric__eg{factor:g}__{label}.npy"
-
-
 def _csv_rows(columns: list[list[str]]) -> str:
     """Rows in csv's default dialect from ``columns``, lists of field strings, one per row, none of which needs quoting."""
     row = [None, ","] * len(columns)
@@ -157,29 +157,23 @@ def _csv_rows(columns: list[list[str]]) -> str:
     return "".join(fields)
 
 
-def _write_csv(path: Path, header: tuple[str, ...], blocks, comment: str | None = None) -> None:
-    """The one CSV writer: an optional '#'-prefixed provenance line, the header, then the row strings of ``blocks``."""
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\r\n")
-        for block in blocks:
-            fh.write(block)
+def _csv_bytes(header: tuple[str, ...], body: str, comment: str | None = None) -> bytes:
+    """A CSV file: an optional '#'-prefixed provenance line, the header, then the row strings ``body``."""
+    return ((f"# {comment}\n" if comment else "") + ",".join(header) + "\r\n" + body).encode()
 
 
-def _series_rows(series: MeasureSeries) -> tuple[tuple[str, ...], str]:
-    """The CSV header and rows of a series, floats written with ``repr``.
+def _series_rows(series: MeasureSeries, columns: tuple[str, ...]) -> tuple[tuple[str, ...], str]:
+    """The CSV header ``t, *columns`` and rows of a series, floats written with ``repr``.
 
-    The columns are ``t``, then those of ``delta, N, g, I_RHP, S`` that the
-    series holds, in that order, then ``flags``.
+    A column is one of ``delta, N, g, I_RHP, S``, a float field of the
+    series, or ``flags``, its notes as they are.
     """
-    cols = {"delta": series.delta, "N": series.blp, "g": series.g, "I_RHP": series.rhp, "S": series.entropy}
-    held = {name: arr for name, arr in cols.items() if arr is not None}
-    values = [list(map(repr, np.asarray(arr, float).tolist())) for arr in held.values()]
-    return ("t", *held, "flags"), _csv_rows([list(map(str, range(len(series.flags)))), *values, series.flags])
+    held = {"delta": series.delta, "N": series.blp, "g": series.g, "I_RHP": series.rhp, "S": series.entropy}
+    values = [series.flags if c == "flags" else list(map(repr, np.asarray(held[c], float).tolist())) for c in columns]
+    return ("t", *columns), _csv_rows([list(map(str, range(len(series.flags)))), *values])
 
 
-def write_metric_audit(g11, g12, g22, k, path: Path) -> None:
+def _audit_bytes(g11, g12, g22, k) -> bytes:
     """Audit export of one metric's real symmetric blocks [[g11, g12], [g12, g22]], given as their (L,) entries.
 
     The file is one ``np.save`` of a C-order (L, 4) float64 array whose
@@ -188,14 +182,19 @@ def write_metric_audit(g11, g12, g22, k, path: Path) -> None:
     """
     if len(k) != len(g11):
         raise ValueError(f"momentum column has {len(k)} entries for {len(g11)} blocks")
-    with open(path, "wb") as fh:
-        np.save(fh, np.stack([k, g11, g12, g22], axis=1, dtype=float), allow_pickle=False)
+    buffer = io.BytesIO()
+    np.save(buffer, np.stack([k, g11, g12, g22], axis=1, dtype=float), allow_pickle=False)
+    return buffer.getvalue()
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _put(out: Path, name: str, data: bytes, written: dict) -> None:
+    """The one write site of a run: ``data`` to ``out / name``, and its sha256 to ``written[name]``."""
+    (out / name).write_bytes(data)
+    written[name] = hashlib.sha256(data).hexdigest()
 
 
 def _search_blp(cfg: ExperimentConfig, blochs: list, threads: int) -> list[MeasureSeries]:
@@ -213,10 +212,13 @@ def _search_blp(cfg: ExperimentConfig, blochs: list, threads: int) -> list[Measu
 
 
 # Per walk study: the pass that measures every class of a run at once, given its
-# worker count, and the fields a cell's JSON keeps of its class's series.
+# worker count, the columns of a cell's CSV after t, and the fields a cell's JSON
+# keeps of its class's series. Only RHP steps are ever flagged in a run: every
+# BLP step is clean, and validation refuses the impure coin that entanglement flags.
 _PASSES = {
     "blp": (
         _search_blp,
+        ("delta", "N"),
         lambda cfg, series: {
             "n_max": series.meta["n_max"],
             "best_pair": {"bloch_rho": series.meta["bloch_rho"], "bloch_sigma": series.meta["bloch_sigma"]},
@@ -225,17 +227,22 @@ _PASSES = {
     ),
     "rhp": (
         lambda cfg, blochs, threads: [rhp_series(bloch) for bloch in blochs],
-        lambda cfg, series: {"final_rhp": float(series.rhp[-1])},
+        ("g", "I_RHP", "flags"),
+        lambda cfg, series: {
+            "final_rhp": float(series.rhp[-1]),
+            "flagged_steps": [t for t, f in enumerate(series.flags) if f],
+        },
     ),
     "entanglement": (
         lambda cfg, blochs, threads: [entanglement_series(bloch, cfg.coin_bloch) for bloch in blochs],
+        ("S",),
         lambda cfg, series: {"final_entropy": float(series.entropy[-1]), "coin_bloch": list(cfg.coin_bloch)},
     ),
 }
 
 
-def _run_cell(cfg: ExperimentConfig, spec: MetricSpec, summary: dict, out: Path, rows: tuple, started: float) -> dict:
-    """Write one (study, gamma, metric) walk cell: its series CSV and summary JSON.
+def _run_cell(cfg: ExperimentConfig, spec: MetricSpec, summary: dict, put, rows: tuple, started: float) -> dict:
+    """Write one (study, gamma, metric) walk cell: its series CSV and summary JSON, each by ``put``, the run's ``_put``.
 
     ``summary`` holds every field of the cell's JSON but ``timings.cell_s``:
     its identity, its walk's health, its pair's stage timings and what its
@@ -251,13 +258,13 @@ def _run_cell(cfg: ExperimentConfig, spec: MetricSpec, summary: dict, out: Path,
         f"metric_seed={spec.seed} t_max={cfg.t_max} tolerances={json.dumps(TOLERANCES)}"
     )
     header, body = rows
-    _write_csv(out / f"{stem}.csv", header, [body], comment)
+    put(f"{stem}.csv", _csv_bytes(header, body, comment))
     summary["timings"]["cell_s"] = time.perf_counter() - started
-    _write_json(out / f"{stem}.json", summary)
+    put(f"{stem}.json", _json_bytes(summary))
     return summary
 
 
-def _run_group(cfg: ExperimentConfig, factors: list[float], out: Path, threads: int) -> list[dict]:
+def _run_group(cfg: ExperimentConfig, factors: list[float], put, threads: int) -> list[dict]:
     """Run every requested walk study on the unbroken gammas ``factors``, each under every metric of ``cfg``.
 
     The gammas are taken one at a time. Each gamma's walk is built once, for
@@ -273,7 +280,7 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out: Path, threads: 
     ``_PASSES``, and the wall time of the pass and of formatting its rows is
     split evenly over the study's cells. Everything runs in the calling
     process but the BLP search, which ``_search_blp`` spreads over up to
-    ``threads`` processes.
+    ``threads`` processes. Every file is written by ``put``, the run's ``_put``.
     """
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     cells = []  # (spec, the summary fields its pair's cells share, its class) per pair
@@ -288,7 +295,7 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out: Path, threads: 
         stages = []
         for i, spec in enumerate(cfg.metrics):
             started = time.perf_counter()
-            write_metric_audit(*g[:, i], k, out / _audit_name(factor, spec.label))
+            put(f"metric__eg{factor:g}__{spec.label}.npy", _audit_bytes(*g[:, i], k))
             stages.append({"walk_s": walk_s, "audit_s": time.perf_counter() - started})
         del g  # only the audits read the metrics
         first, index = equal_classes(np.stack(axes) for axes in zip(ew.n_x, ew.n_z))
@@ -316,12 +323,9 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out: Path, threads: 
 
     summaries = []
     for study in studies:
-        measure, fields = _PASSES[study]
+        measure, columns, fields = _PASSES[study]
         started = time.perf_counter()
-        done = [
-            (_series_rows(series), {**fields(cfg, series), "flagged_steps": [t for t, f in enumerate(series.flags) if f]})
-            for series in measure(cfg, blochs, threads)
-        ]
+        done = [(_series_rows(series, columns), fields(cfg, series)) for series in measure(cfg, blochs, threads)]
         share = (time.perf_counter() - started) / len(cells)
         for spec, pair, c in cells:
             started = time.perf_counter() - share
@@ -336,11 +340,11 @@ def _run_group(cfg: ExperimentConfig, factors: list[float], out: Path, threads: 
             }
             if study == "blp":
                 summary["timings"]["search_s"] = share
-            summaries.append(_run_cell(cfg, spec, summary, out, rows, started))
+            summaries.append(_run_cell(cfg, spec, summary, put, rows, started))
     return summaries
 
 
-def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_toy_cell(cfg: ExperimentConfig, put) -> dict:
     started = time.perf_counter()
     result = run_toy(cfg.toy)
     times = list(map(repr, result.times.tolist()))
@@ -349,7 +353,8 @@ def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
             f"cell=toy__{name} variant={result.meta['variant']} "
             f"mixing_strength={cfg.toy.mixing_strength} dt={cfg.toy.dt} entropy_base=2"
         )
-        _write_csv(out / f"toy__{name}.csv", ("t", "S"), [_csv_rows([times, list(map(repr, curve.tolist()))])], comment)
+        body = _csv_rows([times, list(map(repr, curve.tolist()))])
+        put(f"toy__{name}.csv", _csv_bytes(("t", "S"), body, comment))
     summary = {
         "cell": "toy",
         "status": "ok",
@@ -364,7 +369,7 @@ def _run_toy_cell(cfg: ExperimentConfig, out: Path) -> dict:
         "tolerances": TOLERANCES,
         "timings": {"cell_s": time.perf_counter() - started},
     }
-    _write_json(out / "toy__summary.json", summary)
+    put("toy__summary.json", _json_bytes(summary))
     return summary
 
 
@@ -385,31 +390,15 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
 
     studies = [s for s in WALK_STUDIES if cfg.study in (s, "all")]
     unbroken = [factor for factor in cfg.gamma_factors if studies and regimes[factor]]
-    by_cell = {summary["cell"]: summary for summary in (_run_group(cfg, unbroken, out, threads) if unbroken else [])}
+    written = {}  # the sha256 of every file this run writes, by name; older files in the directory are never listed
+    put = partial(_put, out, written=written)
+    by_cell = {s["cell"]: s for s in (_run_group(cfg, unbroken, put, threads) if unbroken else [])}
 
-    summaries = []
-    for study in studies:
-        for factor in cfg.gamma_factors:
-            for metric in cfg.metrics:
-                stem = _cell_stem(study, factor, metric.label)
-                summaries.append(
-                    by_cell.get(stem)
-                    or {
-                        "cell": stem,
-                        "status": "skipped",
-                        "reason": "broken regime: |a(k)| >= 1 somewhere on the grid",
-                    }
-                )
-    # exactly the files this run wrote, never older ones left in the directory
-    artifacts = [_audit_name(factor, m.label) for factor in unbroken for m in cfg.metrics]
-    artifacts += [
-        f"{s['cell']}{ext}" for s in summaries if s["status"] == "ok" for ext in (".csv", ".json")
-    ]
+    skipped = {"status": "skipped", "reason": "broken regime: |a(k)| >= 1 somewhere on the grid"}
+    stems = [_cell_stem(s, factor, m.label) for s in studies for factor in cfg.gamma_factors for m in cfg.metrics]
+    summaries = [by_cell.get(stem) or {"cell": stem, **skipped} for stem in stems]
     if cfg.study in ("toy", "all"):
-        toy = _run_toy_cell(cfg, out)
-        summaries.append(toy)
-        artifacts += [f"toy__{name}.csv" for name in toy["max_abs_dev_from_one_bit"]]
-        artifacts.append("toy__summary.json")
+        summaries.append(_run_toy_cell(cfg, put))
     from . import __version__  # the package has finished importing by now
 
     manifest = {
@@ -423,11 +412,9 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
         "cpu_count": os.cpu_count(),
         "cells": summaries,
         "skipped": [s["cell"] for s in summaries if s.get("status") == "skipped"],
-        "artifacts": [
-            {"path": rel, "sha256": _sha256(out / rel)} for rel in sorted(artifacts)
-        ],
+        "artifacts": [{"path": name, "sha256": written[name]} for name in sorted(written)],
     }
-    _write_json(out / "manifest.json", manifest)
+    _put(out, "manifest.json", _json_bytes(manifest), {})
     return manifest
 
 
@@ -445,14 +432,19 @@ def _git_commit(git: Path = Path(__file__).resolve().parents[2] / ".git") -> str
         return "unknown"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _load_series_column(path: Path, column: str) -> np.ndarray:
-    with open(path) as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        return np.array([float(row[column]) for row in reader if row[column] != ""])
+def _load_series_column(path: Path, column: str, steps: int) -> np.ndarray:
+    """``column`` of a series CSV, one float per row; MissingArtifacts names the file and the row of an empty or
+    non-numeric value, and a file whose row count is not ``steps``."""
+    with open(path, newline="") as fh:
+        values = [row.get(column) for row in csv.DictReader(line for line in fh if not line.startswith("#"))]
+    if len(values) != steps:
+        raise MissingArtifacts(f"{path.name} holds {len(values)} rows, not t_max + 1 = {steps}")
+    for t, value in enumerate(values):
+        try:
+            values[t] = float(value)
+        except (TypeError, ValueError):
+            raise MissingArtifacts(f"{path.name}, row t={t}: {column} is {value!r}, not a number") from None
+    return np.array(values)
 
 
 def report(in_dir) -> tuple[str, dict]:
@@ -460,7 +452,10 @@ def report(in_dir) -> tuple[str, dict]:
 
     Only the artifacts the manifest lists are read, so files an earlier run
     left in the same directory never enter a verdict; a listed artifact that
-    is absent raises MissingArtifacts, naming it.
+    is absent raises MissingArtifacts, naming it, and so does a series CSV
+    with a value that is not a number or a row count other than t_max + 1.
+    The BLP N_max values and the toy's deviations come from the manifest's
+    ``cells``, so the series CSVs are the only other files opened.
     """
     out = Path(in_dir)
     manifest_path = out / "manifest.json"
@@ -468,6 +463,7 @@ def report(in_dir) -> tuple[str, dict]:
         raise MissingArtifacts(f"no manifest.json under {out}")
     manifest = json.loads(manifest_path.read_text())
     cfg = ExperimentConfig.from_dict(manifest["config"])
+    cells = {cell["cell"]: cell for cell in manifest["cells"]}
     listed = {art["path"] for art in manifest["artifacts"]}
     absent = sorted(rel for rel in listed if not (out / rel).is_file())
     if absent:
@@ -483,7 +479,7 @@ def report(in_dir) -> tuple[str, dict]:
             for metric in cfg.metrics:
                 name = f"{_cell_stem(study, factor, metric.label)}.csv"
                 if name in listed:
-                    curves.append(_load_series_column(out / name, column))
+                    curves.append(_load_series_column(out / name, column, cfg.t_max + 1))
             if len(curves) >= 2:
                 spread = max(
                     float(np.abs(a - b).max()) for i, a in enumerate(curves) for b in curves[i + 1 :]
@@ -514,9 +510,9 @@ def report(in_dir) -> tuple[str, dict]:
     for factor in cfg.gamma_factors:
         values = []
         for metric in cfg.metrics:
-            name = f"{_cell_stem('blp', factor, metric.label)}.json"
-            if name in listed:
-                values.append(json.loads((out / name).read_text())["n_max"])
+            stem = _cell_stem("blp", factor, metric.label)
+            if f"{stem}.json" in listed:
+                values.append(cells[stem]["n_max"])
         if len(values) >= 2:
             spread = max(values) - min(values)
             verdict = "PASS" if spread <= TOLERANCES["blp_metric_spread"] else "FAIL"
@@ -526,7 +522,7 @@ def report(in_dir) -> tuple[str, dict]:
         results["studies"]["blp"] = blp_entry
 
     if "toy__summary.json" in listed:
-        devs = json.loads((out / "toy__summary.json").read_text())["max_abs_dev_from_one_bit"]
+        devs = cells["toy"]["max_abs_dev_from_one_bit"]
         toy_entry = {}
         for name, dev in devs.items():
             if name.startswith("product"):

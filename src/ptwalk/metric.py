@@ -11,7 +11,7 @@ builds the blocks of every metric of a walk from the walk's one frame: the
 left eigenvectors are real for this walk, so every block is real symmetric,
 positive definite and pseudo-Hermitian-compatible, H_c(k)† G(k) = G(k) H_c(k). The weight reaches
 the walk only as the axis of its rotations; the blocks themselves go to the
-metric audit alone (``ptwalk.experiments.write_metric_audit``).
+metric audit alone (``ptwalk.experiments._audit_bytes``).
 """
 
 from dataclasses import dataclass

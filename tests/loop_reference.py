@@ -720,7 +720,8 @@ def toy_entropy(toy, state: np.ndarray, times: np.ndarray) -> dict[str, np.ndarr
 
 
 def write_series_csv(series, path, comment: str | None = None) -> None:
-    """The series CSV that ``ptwalk.experiments`` writes, one value at a time: t, the series' own columns, flags."""
+    """The series CSV that ``ptwalk.experiments`` writes, one value at a time: t, the series' own columns, and
+    the flags of an RHP series, the one study whose steps a run can flag."""
     cols = {
         "delta": series.delta,
         "N": series.blp,
@@ -729,16 +730,18 @@ def write_series_csv(series, path, comment: str | None = None) -> None:
         "S": series.entropy,
     }
     cols = {name: arr for name, arr in cols.items() if arr is not None}
+    flagged = series.rhp is not None
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(["t"] + list(cols) + ["flags"])
+        writer.writerow(["t"] + list(cols) + ["flags"] * flagged)
         for i in range(len(series.flags)):  # row i is step i
             row = [i]
             for arr in cols.values():
                 row.append(repr(float(arr[i])))
-            row.append(series.flags[i])
+            if flagged:
+                row.append(series.flags[i])
             writer.writerow(row)
 
 

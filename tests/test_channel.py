@@ -23,7 +23,7 @@ from ptwalk import (
     gamma_pt,
 )
 from ptwalk.channel import bloch_matrix_series, build_euclidean_walk, equal_classes, trace_norm
-from ptwalk.experiments import _series_rows, _write_csv
+from ptwalk.experiments import _PASSES, _csv_bytes, _put, _series_rows
 from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -303,11 +303,11 @@ def test_trajectory_csv(tmp_path):
     ew = walk_alone(params(0.1), FLAT)[0]
     series = entanglement_series(bloch_matrix_series(ew, 4)[0], (0, 1, 0))
     path = tmp_path / "traj.csv"
-    header, rows = _series_rows(series)
-    _write_csv(path, header, [rows])
+    header, rows = _series_rows(series, _PASSES["entanglement"][1])
+    _put(tmp_path, "traj.csv", _csv_bytes(header, rows), {})
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 6
-    assert lines[0] == "t,S,flags"
+    assert lines[0] == "t,S"
     assert [float(line.split(",")[1]) for line in lines[1:]] == series.entropy.tolist()
 
 

@@ -559,12 +559,14 @@ def test_cells_with_one_bloch_share_their_series(tmp_path):
         csv = (tmp_path / f"{study}__eg{factor:g}__{label}.csv").read_text().split("\n", 1)
         return csv, json.loads((tmp_path / f"{study}__eg{factor:g}__{label}.json").read_text())
 
+    # only RHP steps can be flagged, so only RHP cells keep flagged_steps
     for study, keys in (
-        ("blp", ("n_max", "best_pair", "flagged_steps")),
+        ("blp", ("n_max", "best_pair")),
         ("rhp", ("final_rhp", "flagged_steps")),
-        ("entanglement", ("final_entropy", "flagged_steps")),
+        ("entanglement", ("final_entropy",)),
     ):
         (head, body), summary = cell(study, 1.0, "G1")
+        assert ("flagged_steps" in summary) == (study == "rhp"), study
         for label in ("G2", "G3"):
             (other_head, other_body), other = cell(study, 1.0, label)
             assert other_body == body and other_head != head, (study, label)
@@ -613,11 +615,12 @@ def test_run_metric_csvs_match_value_by_value_writer(tmp_path, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_every_csv_column_holds_a_value_in_every_row(tmp_path, threads):
-    # each series writes t, its own study's columns and flags; only flags may
-    # be empty; each audit holds k and the block's three entries per momentum
+    # each series writes t and its own study's columns, and RHP, the one study
+    # whose steps a run can flag, its flags; only flags may be empty; each
+    # audit holds k and the block's three entries per momentum
     import csv
 
-    own = {"blp": ["delta", "N"], "rhp": ["g", "I_RHP"], "entanglement": ["S"]}
+    own = {"blp": ["delta", "N"], "rhp": ["g", "I_RHP", "flags"], "entanglement": ["S"]}
     cfg = tiny_config(tmp_path)
     manifest = run(cfg, threads=threads)
     kinds = set()
@@ -631,7 +634,7 @@ def test_every_csv_column_holds_a_value_in_every_row(tmp_path, threads):
             if kind == "toy":
                 assert header == ["t", "S"], path
             else:
-                assert header == ["t", *own[kind], "flags"], path
+                assert header == ["t", *own[kind]], path
             assert rows and all(len(row) == len(header) for row in rows), path
             assert all(v != "" for row in rows for name, v in zip(header, row) if name != "flags"), path
         else:
@@ -750,13 +753,15 @@ def test_every_src_definition_is_exported_or_called():
 
 
 def test_only_experiments_opens_files():
-    # every artifact format is written behind one writer in experiments; a
-    # file opened or written anywhere else in src/ptwalk would let a second one grow
+    # every file of a run is written by one function, experiments._put; a file
+    # opened or written anywhere else in src/ptwalk, or written by any other
+    # function of experiments, would let a second writer grow
     import ast
 
+    src = Path(__file__).resolve().parents[1] / "src" / "ptwalk"
     opened = [
         f"{path.name}:{node.lineno}"
-        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ptwalk").glob("*.py"))
+        for path in sorted(src.glob("*.py"))
         if path.name != "experiments.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
@@ -766,6 +771,38 @@ def test_only_experiments_opens_files():
         )
     ]
     assert opened == []
+
+    # in experiments: writes only in _put; the format helpers may np.save into
+    # an in-memory buffer; files are opened for reading only by the readers
+    readers = {"load_config", "_load_series_column", "report", "_git_commit"}
+    writes, reads = [], []
+    for fn in ast.parse((src / "experiments.py").read_text()).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        buffers = {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and getattr(getattr(node.value, "func", None), "attr", None) == "BytesIO"
+            for target in node.targets
+        }
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name == "open":
+                modes = [arg.value for arg in node.args[1:2]] + [k.value.value for k in node.keywords if k.arg == "mode"]
+                if any(set(mode) & set("wax+") for mode in modes):
+                    writes.append(f"{fn.name}:{node.lineno}")
+                else:
+                    reads.append(fn.name)
+            elif name in ("read_text", "read_bytes"):
+                reads.append(fn.name)
+            elif name in ("write_bytes", "write_text", "dump", "tofile", "savetxt", "savez") or (
+                name == "save" and getattr(node.args[0], "id", None) not in buffers
+            ):
+                writes.append(f"{fn.name}:{node.lineno}")
+    assert [site.split(":")[0] for site in writes] == ["_put"], writes
+    assert set(reads) <= readers and "report" in reads and "_load_series_column" in reads, reads
 
 
 def test_no_eigensolver_in_the_program():
@@ -927,6 +964,45 @@ def test_manifest_and_report_ignore_files_of_an_earlier_run(tmp_path):
     assert "rhp" not in text
 
 
+def test_a_run_over_an_older_one_lists_exactly_the_files_it_wrote(tmp_path):
+    # an older run with other gammas, metrics, sizes and studies leaves its
+    # files in the directory, some under the names the new run writes: the new
+    # manifest lists only the new run's files, each with the sha256 of its
+    # bytes on disk, and report reads the directory as it reads a clean one
+    import hashlib
+
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    older = dataclasses.replace(
+        tiny_config(out),
+        lattice_size=31,
+        t_max=10,
+        gamma_factors=(1.0, 1.1),
+        metrics=(
+            MetricSpec(kind="g1_flat", name="G1"),
+            MetricSpec(kind="random_xy", seed=99, name="G2"),
+            MetricSpec(kind="random_xy", seed=23, name="G3"),
+        ),
+        master_seed=9,
+    )
+    run(older, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg = tiny_config(out, study="rhp")
+    manifest = run(cfg, out)
+    want = run(cfg, clean)
+    listed = {art["path"]: art["sha256"] for art in manifest["artifacts"]}
+    assert sorted(listed) == [art["path"] for art in want["artifacts"]]
+    for path, sha in listed.items():
+        assert sha == hashlib.sha256((out / path).read_bytes()).hexdigest(), path
+    for art in want["artifacts"]:
+        if not art["path"].endswith(".json"):
+            assert listed[art["path"]] == art["sha256"], art["path"]
+    # the older files are still there, and some of those the new run rewrote differed
+    assert {"toy__summary.json", "blp__eg1.1__G3.csv", "metric__eg1__G3.npy"} <= set(os.listdir(out)) - set(listed)
+    assert before["metric__eg1__G2.npy"] != (out / "metric__eg1__G2.npy").read_bytes()
+    assert before["rhp__eg1__G1.csv"] != (out / "rhp__eg1__G1.csv").read_bytes()
+    assert report(out) == report(clean)
+
+
 def test_a_metric_holding_the_dropped_x_weight_is_refused(tmp_path):
     # G = r+ r+^T + y r- r-^T takes one weight; configs and manifests that
     # still hold the x weight, which only explicit metrics wrote, are refused
@@ -962,6 +1038,49 @@ def test_report_names_a_listed_artifact_that_is_absent(tmp_path, capsys):
     assert main(["report", "--in", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "rhp__eg1.2__G2.csv" in err
+
+
+def _damage_rhp_csv(path, damage):
+    """Rewrite the I_RHP column of an RHP series CSV by ``damage``, which maps its value rows to new ones."""
+    comment, header, *rows = path.read_text().splitlines()
+    column = header.split(",").index("I_RHP")
+    rows = damage([row.split(",") for row in rows], column)
+    path.write_text("\n".join([comment, header, *(",".join(row) for row in rows)]) + "\n")
+
+
+def _set(rows, column, steps, value):
+    for t in steps:
+        rows[t][column] = value
+    return rows
+
+
+@pytest.mark.parametrize(
+    "name, damage, message",
+    [
+        # five of six values blanked: read as a curve of one value, it would broadcast
+        ("G2", lambda rows, c: _set(rows, c, range(1, 6), ""), r"row t=1: I_RHP is '', not a number"),
+        # one value blanked: read as a curve of five values, it would not fit the others
+        ("G3", lambda rows, c: _set(rows, c, [4], ""), r"row t=4: I_RHP is '', not a number"),
+        ("G3", lambda rows, c: _set(rows, c, [2], "n/a"), r"row t=2: I_RHP is 'n/a', not a number"),
+        ("G2", lambda rows, c: [*rows[:3], rows[3][:c], *rows[4:]], r"row t=3: I_RHP is None, not a number"),
+        ("G3", lambda rows, c: rows[:-1], r"holds 5 rows, not t_max \+ 1 = 6"),
+        ("G2", lambda rows, c: rows + rows[-1:], r"holds 7 rows, not t_max \+ 1 = 6"),
+    ],
+    ids=["five_blank", "one_blank", "non_numeric", "short_row", "missing_row", "extra_row"],
+)
+def test_report_refuses_a_damaged_series_csv(tmp_path, capsys, name, damage, message):
+    # every row of a series CSV is read: an empty or non-numeric value, or a
+    # row count other than t_max + 1, is a damaged artifact, named with its row
+    out = tmp_path / "out"
+    run(dataclasses.replace(ExperimentConfig(), lattice_size=21, t_max=5, study="rhp"), out)
+    report(out)
+    path = out / f"rhp__eg1.2__{name}.csv"
+    _damage_rhp_csv(path, damage)
+    with pytest.raises(MissingArtifacts, match=f"^{path.name}.*{message}$"):
+        report(out)
+    assert main(["report", "--in", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path.name}") and "Traceback" not in err
 
 
 def test_cli_report_of_an_empty_directory_is_a_usage_error(tmp_path, capsys):

@@ -25,7 +25,7 @@ from channel_reference import (
 )
 from loop_reference import walk_alone
 from ptwalk.channel import PINV_RCOND, bloch_matrix_series, intermediate_maps
-from ptwalk.experiments import _series_rows, _write_csv
+from ptwalk.experiments import _PASSES, _csv_bytes, _put, _series_rows
 from ptwalk.measures import _blp_objective, _Buffers, _stacks, maximize_blp_many
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -561,14 +561,14 @@ def test_entanglement_flags_impure_initial():
 def test_measure_series_csv(tmp_path):
     series = rhp_series(bloch(1.2, t_max=5))
     path = tmp_path / "series.csv"
-    header, rows = _series_rows(series)
-    _write_csv(path, header, [rows])
+    header, rows = _series_rows(series, _PASSES["rhp"][1])
+    _put(tmp_path, "series.csv", _csv_bytes(header, rows), {})
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,g,I_RHP,flags"
     assert len(lines) == 7
     # only the study's own columns are written, each with a value in every row
     assert all(len(line.split(",")) == 4 and all(line.split(",")[:3]) for line in lines[1:])
-    _write_csv(path, header, [rows], comment="seed=5 tol=1e-8")
+    _put(tmp_path, "series.csv", _csv_bytes(header, rows, comment="seed=5 tol=1e-8"), {})
     assert path.read_text().startswith("# seed=5 tol=1e-8\n")
 
 
@@ -582,18 +582,23 @@ def test_measure_series_csv_matches_value_by_value_writer(tmp_path):
     flagged = rhp_series(edge)
     flagged.g[1:] = 1e16, -0.0
     flagged.rhp[2] = 1e-300
+    # each series under its own study's columns; the impure coin's flags stay on
+    # the series, and only an RHP series writes its flags
     cases = [
-        rhp_series(m),
-        entanglement_series(m, (0, 1, 0)),
-        entanglement_series(m[:6], (0, 0, 0)),
-        blp_series(m, (0, 0, 1), (0, 0, -1)),
-        flagged,
+        ("rhp", rhp_series(m)),
+        ("entanglement", entanglement_series(m, (0, 1, 0))),
+        ("entanglement", entanglement_series(m[:6], (0, 0, 0))),
+        ("blp", blp_series(m, (0, 0, 1), (0, 0, -1))),
+        ("rhp", flagged),
     ]
-    for i, series in enumerate(cases):
+    assert cases[2][1].flags[0] == "impure_initial"
+    for i, (study, series) in enumerate(cases):
         new, old = tmp_path / f"new{i}.csv", tmp_path / f"old{i}.csv"
-        header, rows = _series_rows(series)
-        _write_csv(new, header, [rows], comment=f"case={i} tolerances={{\"a\": 1e-08}}")
+        header, rows = _series_rows(series, _PASSES[study][1])
+        written = {}
+        _put(tmp_path, new.name, _csv_bytes(header, rows, comment=f"case={i} tolerances={{\"a\": 1e-08}}"), written)
         loop_reference.write_series_csv(series, old, comment=f"case={i} tolerances={{\"a\": 1e-08}}")
         assert hashlib.sha256(new.read_bytes()).digest() == hashlib.sha256(old.read_bytes()).digest()
+        assert written == {new.name: hashlib.sha256(old.read_bytes()).hexdigest()}
     assert "ill_conditioned(1.000e+13)" in new.read_text()
 

@@ -29,7 +29,7 @@ from ptwalk import (
     is_unbroken,
 )
 from ptwalk.channel import _plus_eigenvector, _sin_entries, bloch_matrix_series, trace_norm
-from ptwalk.experiments import write_metric_audit
+from ptwalk.experiments import _audit_bytes, _put
 from ptwalk.walk import momentum_grid, spectral_a
 
 T1, T2 = math.pi / 4, -math.pi / 7
@@ -438,7 +438,7 @@ def _load_audit(path):
 def test_metric_csv_export(tmp_path):
     g = walk_alone(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[1]
     path = tmp_path / "metric.npy"
-    write_metric_audit(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], momentum_grid(5), path)
+    _put(tmp_path, path.name, _audit_bytes(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], momentum_grid(5)), {})
     # one row per momentum: k and the block's three entries, bitwise as built
     audit = _load_audit(path)
     assert audit.shape == (5, 4)
@@ -451,7 +451,7 @@ def test_metric_csv_matches_value_by_value_writer(tmp_path, spec):
     g = walk_alone(params(math.log(1.2), 4001), spec)[1]
     ks = momentum_grid(4001)
     path = tmp_path / "metric.npy"
-    write_metric_audit(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], ks, path)
+    _put(tmp_path, path.name, _audit_bytes(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], ks), {})
     audit = _load_audit(path)
     assert audit.shape == (4001, 4)
     for row, k, b in zip(audit.tolist(), ks.tolist(), g):
@@ -469,17 +469,17 @@ def test_metric_csv_matches_value_by_value_writer_on_edge_values(tmp_path):
     )
     ks = np.array([-0.0, 1e16, 1.0 / 3.0])
     path = tmp_path / "metric.npy"
-    write_metric_audit(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], ks, path)
+    _put(tmp_path, path.name, _audit_bytes(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], ks), {})
     want = np.array([[k, b[0, 0], b[0, 1], b[1, 1]] for k, b in zip(ks, g)])
     assert _load_audit(path).tobytes() == want.tobytes()
 
 
 def test_metric_csv_refuses_a_short_momentum_column(tmp_path):
     g = walk_alone(params(0.1, 5), MetricSpec(kind="random_xy", seed=2))[1]
-    path = tmp_path / "metric.npy"
+    path, written = tmp_path / "metric.npy", {}
     with pytest.raises(ValueError, match="momentum column has 4 entries for 5 blocks"):
-        write_metric_audit(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], momentum_grid(5)[:4], path)
-    assert not path.exists()
+        _put(tmp_path, path.name, _audit_bytes(g[:, 0, 0], g[:, 0, 1], g[:, 1, 1], momentum_grid(5)[:4]), written)
+    assert not path.exists() and written == {}
 
 
 # --------------------------------------------- appendix-style global identities
